@@ -15,8 +15,8 @@ from .game import (CoalitionGame, CoreBounds, clearance_level_games,
                    core_bounds, core_contains, excess, is_superadditive,
                    is_supermodular, sorted_excess_vector, value_function,
                    value_function_conditional, w_is_submodular)
-from .polar import (EntropyProfile, PolarIndexSets, ProfileCache,
-                    build_index_sets, entropy_profile_exact,
+from .polar import (EntropyProfile, PolarIndexSets, build_index_sets,
+                    construct_profile, entropy_profile_exact,
                     entropy_profile_mc, polar_transform, sc_decode)
 from .protocol import (KeyMaterial, ProtocolConfig, ToeplitzHash, Transcript,
                        key_lengths_from_allocation, leakage_bound,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -19,7 +20,6 @@ from . import allocate as alloc_mod
 from . import game as game_mod
 from . import suites
 from .errors import ValidationError
-from .polar import ProfileCache
 from .protocol import DEFAULT_SEED, ProtocolConfig, run_protocol
 from .source import DegradedSourceSpec, build_degraded_source
 
@@ -35,8 +35,8 @@ def _parse_seed(text: str) -> int:
         raise ValidationError(f"seed {text!r} is not an integer (hex accepted)") from exc
 
 
-def _emit(payload: dict, out_path, fmt: str) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+def _emit(payload: dict, out_path) -> None:
+    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -80,7 +80,7 @@ def cmd_analyze(args) -> int:
             {"agents": list(lev), "game": g.to_json()}
             for lev, g in zip(spec.z_levels, level_games)
         ]
-    _emit(payload, args.out, args.format)
+    _emit(payload, args.out)
     return EXIT_OK
 
 
@@ -132,7 +132,7 @@ def cmd_allocate(args) -> int:
         else:
             sys.stdout.write(text)
         return EXIT_OK
-    _emit(payload, args.out, args.format)
+    _emit(payload, args.out)
     return EXIT_OK
 
 
@@ -144,6 +144,8 @@ def cmd_simulate(args) -> int:
         if "rates" not in raw:
             raise ValidationError("allocation file must hold field 'rates'")
         target = tuple(float(x) for x in raw["rates"])
+        if not all(math.isfinite(x) for x in target):
+            raise ValidationError(f"allocation field 'rates' must be finite, got {list(target)}")
     else:
         game = game_mod.value_function(build_degraded_source(spec))
         target = tuple(float(x) for x in alloc_mod.shapley_from_game(game))
@@ -153,8 +155,8 @@ def cmd_simulate(args) -> int:
         n=args.N, b=args.B, target=target, epsilon=args.eps,
         seed=_parse_seed(args.seed), coalition=args.coalition,
     )
-    report = run_protocol(spec, cfg, args.runs, cache=ProfileCache(args.profile_cache))
-    _emit(report, args.out, args.format)
+    report = run_protocol(spec, cfg, args.runs)
+    _emit(report, args.out)
     return EXIT_OK
 
 
@@ -181,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("analyze", help="value table, game properties, core bounds")
     pa.add_argument("--spec", required=True, help="source spec JSON path")
     pa.add_argument("--out", default=None)
-    pa.add_argument("--format", choices=("json",), default="json")
     pa.set_defaults(func=cmd_analyze)
 
     pl = sub.add_parser("allocate", help="Shapley value and nucleolus")
@@ -205,10 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--seed", default=hex(DEFAULT_SEED))
     ps.add_argument("--coalition", type=int, default=None,
                     help="coalition bitmask; omit for the grand coalition")
-    ps.add_argument("--profile-cache", default=None,
-                    help="profile cache dir (default: KEYSHARE_PROFILE_CACHE)")
     ps.add_argument("--out", default=None)
-    ps.add_argument("--format", choices=("json",), default="json")
     ps.set_defaults(func=cmd_simulate)
 
     pv = sub.add_parser("verify", help="run invariant suites")

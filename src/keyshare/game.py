@@ -37,6 +37,12 @@ class CoalitionGame:
             raise ValidationError(
                 f"value table needs {1 << self.num_agents} entries, got {self.values.shape}"
             )
+        bad = np.flatnonzero(~np.isfinite(self.values))
+        if bad.size:
+            raise ValidationError(
+                f"game field 'v' must be finite, got {self.values[bad[0]]} "
+                f"for coalition {int(bad[0])}"
+            )
         if abs(self.values[0]) > 1e-12:
             raise ValidationError(f"v(empty) must be 0, got {self.values[0]}")
         if np.any(self.values < -1e-12):
@@ -221,12 +227,13 @@ def core_contains(game: CoalitionGame, rates: Sequence[float],
 
     The allocation must sum to v(grand) within tol and give every proper
     coalition at least its standalone value minus tol.  The grand
-    coalition bitmask doubles as the efficiency witness.
+    coalition bitmask doubles as the efficiency witness, also for
+    non-finite rates, which are never in the core.
     """
     r = np.asarray(rates, dtype=float)
     if r.shape != (game.num_agents,):
         raise ValidationError(f"allocation needs {game.num_agents} rates, got shape {r.shape}")
-    if abs(r.sum() - game.grand_value()) > tol:
+    if not np.all(np.isfinite(r)) or abs(r.sum() - game.grand_value()) > tol:
         return False, game.full_mask
     sums = coalition_sums(r)
     for mask in range(1, game.full_mask):

@@ -1,25 +1,30 @@
 """Polar source-coding primitives.
 
 The transform is the n-fold Kronecker power of [[1,0],[1,1]] applied as
-u = x G over GF(2) (self-inverse).  Per-index conditional entropy profiles
-come in two flavors: exact enumeration (test oracle, N <= 16) and a
-genie-aided Monte Carlo estimate that runs the successive-cancellation
-recursion on true prefixes (production route, any N).  Index sets
-threshold the profile at delta_N = 2^(-N^beta).
+u = x G over GF(2) (self-inverse).  Index sets threshold a per-index
+conditional entropy profile at delta_N = 2^(-N^beta).
 
 For the degraded source family, conditioning an agent's block on the base
 station's block reduces to a binary symmetric relation with a single
 crossover parameter, so every profile here is the profile of an i.i.d.
 Bernoulli(theta) block: theta is the crossover when side information is
-present and the marginal bit bias when it is not.
+present and the marginal bit bias when it is not.  Equivalently, index i
+carries the i-th synthetic channel of a BSC(theta) with uniform input.
+
+The production profile, construct_profile, evolves that channel through
+the polar transforms with degrading merges (Tal & Vardy, "How to Construct
+Polar Codes", IEEE T-IT 2013; binned form of Pedarsani, Hassani, Tal &
+Telatar, ISIT 2011): every per-index entropy and decision error it reports
+is an upper bound, and it is a pure function of (theta, N).  Exact
+enumeration (N <= 16) and a genie-aided Monte Carlo estimate that runs the
+successive-cancellation recursion on true prefixes are kept as test
+oracles.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import threading
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -30,7 +35,7 @@ LN2 = float(np.log(2.0))
 LLR_CLAMP = 40.0
 MAX_EXACT_N = 16
 MC_CHUNK = 512  # frozen: results must not depend on scheduling
-CACHE_ENV = "KEYSHARE_PROFILE_CACHE"
+MERGE_BINS = 64  # mu: BSC components kept per synthetic channel after each merge
 
 
 def _check_block_length(n: int) -> None:
@@ -66,40 +71,10 @@ class EntropyProfile:
 
     n: int
     h: np.ndarray
-    method: str  # "exact" | "monte_carlo"
+    method: str  # "degrading_merge" | "exact" | "monte_carlo"
     theta: float
     side_info: bool
-    samples: Optional[int] = None
-    seed: Optional[int] = None
     genie_error: Optional[np.ndarray] = None  # per-index single-bit decision error
-
-    def to_json(self) -> dict:
-        out = {
-            "N": self.n,
-            "method": self.method,
-            "p": self.theta,
-            "side_info": self.side_info,
-            "samples": self.samples,
-            "seed": self.seed,
-            "h": [float(x) for x in self.h],
-        }
-        if self.genie_error is not None:
-            out["genie_error"] = [float(x) for x in self.genie_error]
-        return out
-
-    @classmethod
-    def from_json(cls, raw: dict) -> "EntropyProfile":
-        ge = raw.get("genie_error")
-        return cls(
-            n=int(raw["N"]),
-            h=np.array(raw["h"], dtype=float),
-            method=str(raw["method"]),
-            theta=float(raw["p"]),
-            side_info=bool(raw["side_info"]),
-            samples=raw.get("samples"),
-            seed=raw.get("seed"),
-            genie_error=None if ge is None else np.array(ge, dtype=float),
-        )
 
 
 @dataclass
@@ -111,14 +86,6 @@ class PolarIndexSets:
     delta: float
     beta: float
 
-    @property
-    def h_indices(self) -> np.ndarray:
-        return np.where(self.h_mask)[0]
-
-    @property
-    def v_indices(self) -> np.ndarray:
-        return np.where(self.v_mask)[0]
-
 
 def build_index_sets(profile: EntropyProfile, beta: float) -> PolarIndexSets:
     """Threshold the profile: H = {h_i >= delta}, V = {h_i >= 1 - delta}."""
@@ -126,6 +93,75 @@ def build_index_sets(profile: EntropyProfile, beta: float) -> PolarIndexSets:
     h_mask = profile.h >= delta
     v_mask = profile.h >= 1.0 - delta
     return PolarIndexSets(h_mask=h_mask, v_mask=v_mask, delta=delta, beta=beta)
+
+
+def _bsc_entropy(eps: np.ndarray) -> np.ndarray:
+    """h2 of crossovers in [0, 1/2], with 0 log 0 = 0."""
+    return -(eps * np.log2(np.maximum(eps, np.finfo(float).tiny))
+             + (1.0 - eps) * np.log2(1.0 - eps))
+
+
+def _degrading_merge(w: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Merge BSC components whose entropies share one of MERGE_BINS equal-width
+    bins into their weight-averaged crossover.
+
+    Merging output symbols is a degradation, so every later entropy and
+    decision error can only grow; the averaged crossover keeps the
+    channel's own decision error sum(w * eps) unchanged.
+    """
+    bins = np.minimum((_bsc_entropy(eps) * MERGE_BINS).astype(np.int64), MERGE_BINS - 1)
+    wm = np.bincount(bins, weights=w, minlength=MERGE_BINS)
+    em = np.bincount(bins, weights=w * eps, minlength=MERGE_BINS)
+    keep = wm > 0
+    return wm[keep], em[keep] / wm[keep]
+
+
+def _polar_children(w: np.ndarray, eps: np.ndarray):
+    """Check-node (minus) and variable-node (plus) transforms of a BSC mixture
+    combined with an independent copy of itself, each merged back down."""
+    ww = np.outer(w, w).ravel()
+    e1, e2 = eps[:, None], eps[None, :]
+    a, b = (e1 * (1.0 - e2)).ravel(), (e2 * (1.0 - e1)).ravel()
+    flip = a + b  # minus: crossover of the XOR; plus: P(the two outputs disagree)
+    agree_eps = (e1 * e2).ravel() / (1.0 - flip)
+    disagree_eps = np.divide(np.minimum(a, b), flip, out=np.zeros_like(flip), where=flip > 0)
+    minus = _degrading_merge(ww, flip)
+    plus = _degrading_merge(np.concatenate([ww * (1.0 - flip), ww * flip]),
+                            np.concatenate([agree_eps, disagree_eps]))
+    return minus, plus
+
+
+@lru_cache(maxsize=128)
+def construct_profile(theta: float, n: int) -> EntropyProfile:
+    """Deterministic profile of the synthetic channels of a BSC(theta).
+
+    Tracks each synthetic channel as a mixture of BSCs, applying the 2N-2
+    check/variable-node transforms of the polar tree depth first and
+    merging down to at most MERGE_BINS components after each one.  Every merge degrades, so both h and
+    genie_error are per-index upper bounds on the exact values.  Memoised
+    on (theta, N): repeated calls return the same read-only profile.
+    """
+    _check_block_length(n)
+    if not 0.0 <= theta <= 1.0:
+        raise ValidationError(f"theta must lie in [0,1], got {theta}")
+    h, err = np.zeros(n), np.zeros(n)
+    index = 0
+
+    def walk(w: np.ndarray, eps: np.ndarray, size: int) -> None:
+        nonlocal index
+        if size == 1:
+            h[index], err[index] = w @ _bsc_entropy(eps), w @ eps
+            index += 1
+            return
+        for child in _polar_children(w, eps):  # index bit 0 -> minus, 1 -> plus
+            walk(*child, size // 2)
+
+    walk(np.ones(1), np.array([min(theta, 1.0 - theta)]), n)
+    h = np.clip(h, 0.0, 1.0)
+    h.flags.writeable = False
+    err.flags.writeable = False
+    return EntropyProfile(n=n, h=h, method="degrading_merge", theta=theta,
+                          side_info=True, genie_error=err)
 
 
 def entropy_profile_exact(theta: float, n: int, side_info: bool = True) -> EntropyProfile:
@@ -170,7 +206,11 @@ def _boxplus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _posterior_stats(llr_col: np.ndarray):
-    """(entropy, error, p_one) of the bit posterior for a final-leaf LLR column."""
+    """(entropy, p_min) of the bit posterior for a final-leaf LLR column.
+
+    p_min is the posterior of the less likely symbol, i.e. the probability
+    that a maximum-posterior decision on this bit is wrong.
+    """
     a = np.abs(llr_col)
     ez = np.exp(-a)
     p_min = ez / (1.0 + ez)  # posterior of the less likely symbol
@@ -217,7 +257,7 @@ def entropy_profile_mc(theta: float, n: int, num_samples: int, seed: int,
 
     Each sample draws a Bernoulli(theta) block, runs the SC recursion with
     the true transform-domain prefix, and averages the per-bit posterior
-    entropies.  Deterministic given (seed, num_samples): sampling uses
+    entropies and maximum-posterior decision errors.  Deterministic given (seed, num_samples): sampling uses
     counter-based streams keyed by (seed, chunk) at a frozen chunk size,
     so the result does not depend on how work is scheduled.
     """
@@ -238,12 +278,9 @@ def entropy_profile_mc(theta: float, n: int, num_samples: int, seed: int,
 
         def leaf(i: int, col: np.ndarray) -> np.ndarray:
             ent, p_min = _posterior_stats(col)
-            truth = u_true[:, i]
-            decision = (col < 0).astype(np.uint8)
             row["h"][i] = ent.sum()
-            # probability mass the posterior puts on the non-chosen symbol
-            row["e"][i] = np.where(decision == truth, p_min, 1.0 - p_min).sum()
-            return truth.copy()
+            row["e"][i] = p_min.sum()
+            return u_true[:, i].copy()
 
         _sc_sweep(np.full((size, n), c), leaf)
         h_sum += row["h"]
@@ -252,8 +289,7 @@ def entropy_profile_mc(theta: float, n: int, num_samples: int, seed: int,
         chunk_index += 1
     h = np.clip(h_sum / num_samples, 0.0, 1.0)
     return EntropyProfile(n=n, h=h, method="monte_carlo", theta=theta,
-                          side_info=side_info, samples=num_samples, seed=seed,
-                          genie_error=err_sum / num_samples)
+                          side_info=side_info, genie_error=err_sum / num_samples)
 
 
 def side_info_llrs(y: np.ndarray, crossover: float) -> np.ndarray:
@@ -290,64 +326,3 @@ def sc_decode(known_mask: np.ndarray, known_values: np.ndarray,
 
     out = _sc_sweep(llr2, leaf)
     return out[0] if single else out
-
-
-def decode_with_side_info(known_mask: np.ndarray, known_values: np.ndarray,
-                          y: np.ndarray, crossover: float) -> np.ndarray:
-    """sc_decode specialization for plain BSC side information."""
-    return sc_decode(known_mask, known_values, side_info_llrs(y, crossover))
-
-
-class ProfileCache:
-    """Profile store: in-memory always, JSON files when a directory is set.
-
-    Files are keyed by (method, theta, N, side_info, samples, seed); the
-    directory comes from the constructor or the KEYSHARE_PROFILE_CACHE
-    environment variable.
-    """
-
-    def __init__(self, directory: Optional[str] = None):
-        self.directory = directory if directory is not None else os.environ.get(CACHE_ENV)
-        self._mem: dict = {}
-        self._lock = threading.Lock()
-
-    def _key(self, theta, n, samples, seed, side_info):
-        return ("mc", round(float(theta), 12), int(n), int(samples), int(seed), bool(side_info))
-
-    def _path(self, key) -> Optional[str]:
-        if not self.directory:
-            return None
-        _, theta, n, samples, seed, side = key
-        name = f"profile_p{theta:.6g}_N{n}_s{samples}_seed{seed}_{'si' if side else 'marg'}.json"
-        return os.path.join(self.directory, name)
-
-    def monte_carlo(self, theta: float, n: int, num_samples: int, seed: int,
-                    side_info: bool = True) -> EntropyProfile:
-        key = self._key(theta, n, num_samples, seed, side_info)
-        with self._lock:
-            if key in self._mem:
-                return self._mem[key]
-        path = self._path(key)
-        if path and os.path.exists(path):
-            with open(path) as fh:
-                prof = EntropyProfile.from_json(json.load(fh))
-            with self._lock:
-                self._mem[key] = prof
-            return prof
-        prof = entropy_profile_mc(theta, n, num_samples, seed, side_info=side_info)
-        with self._lock:
-            self._mem[key] = prof
-        if path:
-            os.makedirs(self.directory, exist_ok=True)
-            tmp = path + ".tmp"
-            with open(tmp, "w") as fh:
-                json.dump(prof.to_json(), fh)
-            os.replace(tmp, path)
-        return prof
-
-
-_default_cache = ProfileCache()
-
-
-def default_cache() -> ProfileCache:
-    return _default_cache

@@ -13,10 +13,10 @@ only disturb transform positions that are outside the published
 high-entropy set and at or after the first wrong decision, so XOR-ing the
 received values against the base station's own transform recovers the
 error pattern exactly whenever every wrong decision falls inside the
-suffix.  The suffix is cut from the profile's per-index decision-error
-rates at a configurable residual-risk budget and widened if a calibration
-pre-run observes an earlier onset.  At desk-scale block lengths
-polarization is immature and the suffix typically spans most of the
+suffix.  The suffix is cut from the per-index decision-error upper bounds
+of the deterministic polar profile at a configurable residual-risk budget
+and widened if a calibration pre-run observes an earlier onset.  At
+desk-scale block lengths polarization is immature and the suffix typically spans most of the
 complement; the report states all published sizes so the trade is visible.
 """
 
@@ -33,13 +33,12 @@ from scipy.stats import chisquare
 
 from .errors import ValidationError
 from .game import core_contains, value_function
-from .polar import (ProfileCache, build_index_sets, default_cache,
-                    polar_transform, sc_decode, side_info_llrs)
+from .polar import (build_index_sets, construct_profile, polar_transform,
+                    sc_decode, side_info_llrs)
 from .source import (DegradedSourceSpec, JointSource, build_degraded_source,
                      conditional_mi)
 
 DEFAULT_SEED = 0xC0A117
-CONSTRUCTION_SEED = 0x5EED  # code construction is config-independent; keyed into the cache
 FINAL_ROUND_BLOCK = 0xFFFE
 HASH_BITS_BLOCK = 0xFFFF
 _RUN_TAG = 0x52
@@ -62,7 +61,6 @@ class ProtocolConfig:
     beta: float = 0.3
     seed: int = DEFAULT_SEED
     coalition: Optional[int] = None  # bitmask; None = grand coalition
-    profile_samples: int = 30000
     onset_risk: float = 1e-4  # residual per-block risk left uncovered by the clean-up round
     calibration_runs: int = 50
 
@@ -74,6 +72,8 @@ class ProtocolConfig:
         if not 0.0 < self.beta < 0.5:
             raise ValidationError(f"beta must lie in (0,1/2), got {self.beta}")
         self.target = tuple(float(r) for r in self.target)
+        if not all(math.isfinite(r) for r in self.target):
+            raise ValidationError(f"target rates must be finite, got {self.target}")
         if any(r < 0 for r in self.target):
             raise ValidationError("target rates must be nonnegative")
 
@@ -88,8 +88,8 @@ class ProtocolConfig:
         return {
             "N": self.n, "B": self.b, "target": list(self.target),
             "epsilon": self.epsilon, "beta": self.beta, "seed": self.seed,
-            "coalition": self.coalition, "profile_samples": self.profile_samples,
-            "onset_risk": self.onset_risk, "calibration_runs": self.calibration_runs,
+            "coalition": self.coalition, "onset_risk": self.onset_risk,
+            "calibration_runs": self.calibration_runs,
         }
 
 
@@ -284,16 +284,17 @@ class _AgentPlan:
 class ProtocolEngine:
     """Deterministic simulator bound to one (spec, config) pair.
 
-    Construction (profiles, index sets, calibration) happens once; each
-    run k is then a pure function of (seed, k), so batches of runs and a
-    single replayed run produce bit-identical transcripts and keys.
+    Construction happens once: each member's published set and clean-up
+    suffix come from the deterministic degrading-merge profile of its
+    crossover (construct_profile, memoised per process on (crossover, N)),
+    then a calibration pre-run may widen the suffixes.  Each run k is then
+    a pure function of (seed, k), so batches of runs and a single replayed
+    run produce bit-identical transcripts and keys.
     """
 
-    def __init__(self, spec: DegradedSourceSpec, cfg: ProtocolConfig,
-                 cache: Optional[ProfileCache] = None):
+    def __init__(self, spec: DegradedSourceSpec, cfg: ProtocolConfig):
         self.spec = spec
         self.cfg = cfg
-        self.cache = cache if cache is not None else default_cache()
         self.num_agents = spec.num_agents
         self.members = cfg.members(self.num_agents)
         if len(cfg.target) != self.num_agents:
@@ -306,8 +307,7 @@ class ProtocolEngine:
         lengths = key_lengths_from_allocation(cfg.target, cfg.n, cfg.b, cfg.epsilon)
         self.plans: list[_AgentPlan] = []
         for l in self.members:
-            prof = self.cache.monte_carlo(spec.p[l], cfg.n, cfg.profile_samples,
-                                          CONSTRUCTION_SEED + l, side_info=True)
+            prof = construct_profile(spec.p[l], cfg.n)
             sets = build_index_sets(prof, cfg.beta)
             suffix = _risk_suffix(prof, sets.h_mask, cfg.onset_risk)
             self.plans.append(_AgentPlan(index=l, crossover=spec.p[l],
@@ -480,8 +480,7 @@ class ProtocolEngine:
 
 
 def reconcile(spec: DegradedSourceSpec, cfg: ProtocolConfig,
-              x0_blocks: np.ndarray, agent_blocks: dict[int, np.ndarray],
-              cache: Optional[ProfileCache] = None):
+              x0_blocks: np.ndarray, agent_blocks: dict[int, np.ndarray]):
     """Run both reconciliation stages on explicit realizations.
 
     x0_blocks has shape (B, N); agent_blocks maps 1-based agent ids to
@@ -489,7 +488,7 @@ def reconcile(spec: DegradedSourceSpec, cfg: ProtocolConfig,
     full_estimates) with 1-based agent keys; decoding failures show up in
     the estimates, they are not raised.
     """
-    engine = ProtocolEngine(spec, cfg, cache=cache)
+    engine = ProtocolEngine(spec, cfg)
     xs = {l: np.asarray(agent_blocks[l + 1], dtype=np.uint8) for l in engine.members}
     for l in engine.outsiders:
         xs[l] = np.asarray(agent_blocks[l + 1], dtype=np.uint8)
@@ -520,19 +519,19 @@ def privacy_amplify(sequences: dict[int, np.ndarray], lengths: dict[int, int],
     return KeyMaterial(keys=keys, base_keys=base)
 
 
-def run_protocol(spec: DegradedSourceSpec, cfg: ProtocolConfig, runs: int,
-                 cache: Optional[ProfileCache] = None) -> dict:
+def run_protocol(spec: DegradedSourceSpec, cfg: ProtocolConfig, runs: int) -> dict:
     """Full pipeline over the given number of independent runs.
 
     The report carries per-agent key lengths and achieved rates, the
     empirical agreement failure rate, the analytic leftover-hash bound at
-    the configured margin, and a chi-square uniformity p-value over the
-    pooled key bits.  Deterministic given (spec, cfg, runs).
+    the configured margin (None when it overflows double range, which is
+    vacuous), and a chi-square uniformity p-value over the pooled key bits.
+    Deterministic given (spec, cfg, runs).
     """
     if runs < 1:
         raise ValidationError(f"runs must be positive, got {runs}")
     t0 = time.perf_counter()
-    engine = ProtocolEngine(spec, cfg, cache=cache)
+    engine = ProtocolEngine(spec, cfg)
     res = engine.simulate_runs(range(runs))
     nb = cfg.n * cfg.b
 
@@ -579,7 +578,7 @@ def run_protocol(spec: DegradedSourceSpec, cfg: ProtocolConfig, runs: int,
         "per_agent": per_agent,
         "failure_rate": float(failures.mean()),
         "sum_rate": float(sum(member_lengths) / nb),
-        "leakage_bound": bound,
+        "leakage_bound": bound if math.isfinite(bound) else None,
         "leakage_vacuous": not (bound <= 1.0),
         "chi2_p": chi2_p,
         "calibration": engine.calibration,

@@ -142,6 +142,16 @@ def polar_suite(seed: int = 0) -> list[CheckResult]:
             ok, wit = False, f"N={n} p={p} gap={gap:.4f}"
     results.append(CheckResult("mc_profile_matches_exact", ok, wit))
     ok, wit = True, ""
+    for n in (8, 16):
+        for p in (0.11, 0.2, 0.3):
+            exact = polar.entropy_profile_exact(p, n)
+            prof = polar.construct_profile(p, n)
+            for field in ("h", "genie_error"):
+                slack = float(np.min(getattr(prof, field) - getattr(exact, field)))
+                if slack < -1e-12:
+                    ok, wit = False, f"N={n} p={p} {field} below exact by {-slack:.3g}"
+    results.append(CheckResult("deterministic_profile_brackets_exact", ok, wit))
+    ok, wit = True, ""
     exact_sums = [polar.entropy_profile_exact(p, 16).h.sum() for p in (0.1, 0.2, 0.3)]
     if not all(a <= b + 1e-12 for a, b in zip(exact_sums, exact_sums[1:])):
         ok, wit = False, f"sums {exact_sums}"

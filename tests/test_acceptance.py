@@ -19,16 +19,10 @@ from keyshare import (binary_entropy, brute_force_nucleolus,
                       nucleolus, polar_transform, run_protocol,
                       shapley_closed_form, shapley_from_game,
                       toeplitz_collision_rate, value_function)
-from keyshare.polar import ProfileCache
 from keyshare.protocol import ProtocolConfig
 
 from conftest import (EXAMPLE2, EXAMPLE2_VALUES, NUCLEOLUS_INTERVALS,
                       SHAPLEY_INTERVALS, random_degraded_spec)
-
-
-@pytest.fixture(scope="module")
-def shared_cache():
-    return ProfileCache(None)
 
 
 def _report(num: int, label: str, started: float, budget: float):
@@ -100,7 +94,7 @@ def test_criterion_4_property_suite():
                "bound equivalence on 1000 allocations each", t0, 120.0)
 
 
-def test_criterion_5_polar_suite(shared_cache):
+def test_criterion_5_polar_suite():
     t0 = time.perf_counter()
     rng = np.random.default_rng(5)
     for n in (2, 4, 8, 16, 32, 64, 128, 256, 512, 1024):
@@ -120,7 +114,7 @@ def test_criterion_5_polar_suite(shared_cache):
     target = binary_entropy(p)
     h_frac, v_frac = [], []
     for n in (64, 128, 256, 512, 1024):
-        prof = shared_cache.monte_carlo(p, n, 40_000, seed=23)
+        prof = entropy_profile_mc(p, n, 40_000, seed=23)
         sets = build_index_sets(prof, beta=0.3)
         h_frac.append(sets.h_mask.mean())
         v_frac.append(sets.v_mask.mean())
@@ -140,11 +134,11 @@ def test_criterion_5_polar_suite(shared_cache):
                "fractions trending to the conditional entropy", t0, 300.0)
 
 
-def test_criterion_6_protocol_desk_scale(example2_game, shared_cache):
+def test_criterion_6_protocol_desk_scale(example2_game):
     t0 = time.perf_counter()
     target = tuple(shapley_from_game(example2_game))
     cfg = ProtocolConfig(n=1024, b=4, target=target, epsilon=0.05)
-    report = run_protocol(EXAMPLE2, cfg, runs=100, cache=shared_cache)
+    report = run_protocol(EXAMPLE2, cfg, runs=100)
 
     assert report["failure_rate"] <= 0.10
     floor = 0.9 * (example2_game.grand_value() - 3 * cfg.epsilon)

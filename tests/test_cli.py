@@ -122,6 +122,22 @@ class TestAllocate:
         assert code == 1
         assert "--spec or --game" in err
 
+    def test_nan_game_value_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "nan_game.json"
+        path.write_text('{"L": 2, "v": [0, NaN, 0.1, 0.3]}')
+        code, out, err = run_cli(
+            ["allocate", "--game", str(path), "--method", "shapley"], capsys)
+        assert code == 1 and out == ""
+        assert "'v'" in err
+
+    def test_infinite_game_value_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "inf_game.json"
+        path.write_text('{"L": 2, "v": [0, Infinity, 0.1, 0.3]}')
+        code, out, err = run_cli(
+            ["allocate", "--game", str(path), "--method", "shapley"], capsys)
+        assert code == 1 and out == ""
+        assert "'v'" in err
+
 
 class TestSimulate:
     def test_deterministic_reports(self, tmp_path, capsys):
@@ -149,6 +165,35 @@ class TestSimulate:
         assert code == 0
         rep = json.loads(out)
         assert rep["per_agent"]["1"]["r"] == int(128 * (0.1 - 0.05))
+
+    def test_nan_allocation_rate_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"q": 0.4, "p": [0.08, 0.12]}))
+        alloc = tmp_path / "alloc.json"
+        alloc.write_text('{"rates": [NaN, 0.05]}')
+        code, out, err = run_cli(
+            ["simulate", "--spec", str(path), "--allocation", str(alloc),
+             "--N", "64", "--B", "2", "--runs", "1"], capsys)
+        assert code == 1 and out == ""
+        assert "'rates'" in err
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_overflowing_leakage_bound_is_strict_json(self, tmp_path, capsys):
+        # a target far outside the region pushes the bound past double range
+        path = tmp_path / "weak.json"
+        path.write_text(json.dumps({"q": 0.5, "p": [0.49]}))
+        alloc = tmp_path / "alloc.json"
+        alloc.write_text(json.dumps({"rates": [1.0]}))
+        code, out, _ = run_cli(
+            ["simulate", "--spec", str(path), "--allocation", str(alloc),
+             "--N", "1024", "--B", "4", "--runs", "1"], capsys)
+        assert code == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        rep = json.loads(out, parse_constant=reject)
+        assert rep["leakage_bound"] is None and rep["leakage_vacuous"] is True
 
     def test_zero_runs_is_validation_error(self, tmp_path, capsys):
         path = tmp_path / "tiny.json"

@@ -198,6 +198,11 @@ class TestCore:
         assert not ok
         assert witness == 0b010  # agent 2 alone does better
 
+    def test_non_finite_rates_never_in_core(self, example2_game):
+        for bad in (float("nan"), float("inf")):
+            ok, witness = core_contains(example2_game, [bad, 0.1, 0.1])
+            assert not ok and witness == example2_game.full_mask
+
     def test_bounds_equivalence_random_allocations(self, example2_source, example2_game):
         rng = np.random.default_rng(9)
         full = example2_game.full_mask

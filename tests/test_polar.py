@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from keyshare import (CapacityError, ValidationError, binary_entropy,
-                      build_index_sets, entropy_profile_exact,
-                      entropy_profile_mc, polar_transform, sc_decode)
-from keyshare.polar import (ProfileCache, decode_with_side_info,
-                            delta_threshold)
+                      build_index_sets, construct_profile,
+                      entropy_profile_exact, entropy_profile_mc,
+                      polar_transform, sc_decode)
+from keyshare.polar import delta_threshold, side_info_llrs
 
 
 class TestTransform:
@@ -87,6 +87,12 @@ class TestMonteCarloProfile:
             mc = entropy_profile_mc(p, n, 100_000, seed=11)
             assert np.max(np.abs(exact.h - mc.h)) <= 0.02
 
+    def test_genie_error_matches_exact_small(self):
+        for n, p in ((8, 0.2), (16, 0.3), (16, 0.11)):
+            exact = entropy_profile_exact(p, n)
+            mc = entropy_profile_mc(p, n, 100_000, seed=11)
+            assert np.max(np.abs(mc.genie_error - exact.genie_error)) <= 5e-3
+
     def test_noiseless_channel_flat(self):
         mc = entropy_profile_mc(0.0, 16, 2000, seed=3)
         assert np.all(mc.h <= 0.001)
@@ -106,10 +112,47 @@ class TestMonteCarloProfile:
         # polarization at N=1024 is far from mature: the published-set
         # fraction overshoots H_b(p) by ~0.18 at beta=0.3 (measured; the
         # overshoot shrinks with N, see the acceptance trend test)
-        prof = entropy_profile_mc(0.11, 1024, 20_000, seed=61)
-        sets = build_index_sets(prof, beta=0.3)
-        overshoot = float(sets.h_mask.mean()) - binary_entropy(0.11)
-        assert 0.0 <= overshoot <= 0.20
+        for prof in (entropy_profile_mc(0.11, 1024, 20_000, seed=61),
+                     construct_profile(0.11, 1024)):
+            sets = build_index_sets(prof, beta=0.3)
+            overshoot = float(sets.h_mask.mean()) - binary_entropy(0.11)
+            assert 0.0 <= overshoot <= 0.20, prof.method
+
+
+class TestConstructProfile:
+    """Edge cases; the per-index bound against the exact oracle is the
+    deterministic_profile_brackets_exact check of `keyshare verify polar`."""
+
+    def test_extreme_crossovers(self):
+        clean = construct_profile(0.0, 16)
+        assert np.all(clean.h == 0.0) and np.all(clean.genie_error == 0.0)
+        flat = construct_profile(0.5, 16)
+        assert np.allclose(flat.h, 1.0, atol=1e-12)
+        assert np.allclose(flat.genie_error, 0.5, atol=1e-12)
+
+    def test_crossover_symmetry(self):
+        for p in (0.11, 0.3):
+            a, b = construct_profile(p, 64), construct_profile(1.0 - p, 64)
+            assert np.allclose(a.h, b.h, atol=1e-12)
+            assert np.allclose(a.genie_error, b.genie_error, atol=1e-12)
+
+    def test_shortest_blocks_are_exact(self):
+        for n in (1, 2):
+            exact = entropy_profile_exact(0.2, n)
+            prof = construct_profile(0.2, n)
+            assert np.allclose(prof.h, exact.h, atol=1e-12)
+            assert np.allclose(prof.genie_error, exact.genie_error, atol=1e-12)
+
+    def test_repeated_calls_share_one_profile(self):
+        first = construct_profile(0.27, 128)
+        assert construct_profile(0.27, 128) is first
+        assert not first.h.flags.writeable
+
+    def test_rejects_bad_inputs(self):
+        with pytest.raises(ValidationError):
+            construct_profile(1.5, 8)
+        with pytest.raises(ValidationError):
+            construct_profile(0.2, 12)
 
 
 class TestIndexSets:
@@ -151,46 +194,28 @@ class TestScDecode:
     def test_noiseless_side_info_copies(self):
         rng = np.random.default_rng(8)
         y = rng.integers(0, 2, 32, dtype=np.uint8)
-        out = decode_with_side_info(
-            np.zeros(32, dtype=bool), np.zeros(32, dtype=np.uint8), y, 0.0)
+        out = sc_decode(np.zeros(32, dtype=bool), np.zeros(32, dtype=np.uint8),
+                        side_info_llrs(y, 0.0))
         assert np.array_equal(out, y)
 
     def test_tie_breaks_to_zero(self):
-        out = decode_with_side_info(
-            np.zeros(2, dtype=bool), np.zeros(2, dtype=np.uint8),
-            np.array([0, 1], dtype=np.uint8), 0.5)
+        out = sc_decode(np.zeros(2, dtype=bool), np.zeros(2, dtype=np.uint8),
+                        side_info_llrs(np.array([0, 1], dtype=np.uint8), 0.5))
         assert np.array_equal(out, [0, 0])
 
     def test_reliability_at_production_length(self):
         p, n, beta, trials = 0.05, 1024, 0.3, 200
-        prof = entropy_profile_mc(p, n, 20_000, seed=42)
-        sets = build_index_sets(prof, beta)
-        rng = np.random.default_rng(43)
-        y = rng.integers(0, 2, (trials, n), dtype=np.uint8)
-        x = y ^ (rng.random((trials, n)) < p).astype(np.uint8)
-        u = polar_transform(x)
-        xhat = decode_with_side_info(sets.h_mask, u, y, p)
-        block_errors = (xhat != x).any(axis=1).mean()
-        assert block_errors <= 0.1
+        for prof in (entropy_profile_mc(p, n, 20_000, seed=42), construct_profile(p, n)):
+            sets = build_index_sets(prof, beta)
+            rng = np.random.default_rng(43)
+            y = rng.integers(0, 2, (trials, n), dtype=np.uint8)
+            x = y ^ (rng.random((trials, n)) < p).astype(np.uint8)
+            u = polar_transform(x)
+            xhat = sc_decode(sets.h_mask, u, side_info_llrs(y, p))
+            block_errors = (xhat != x).any(axis=1).mean()
+            assert block_errors <= 0.1, prof.method
 
     def test_index_mask_length_checked(self):
         with pytest.raises(ValidationError):
             sc_decode(np.ones(3, dtype=bool), np.zeros(4, dtype=np.uint8), np.zeros(4))
 
-
-class TestProfileCache:
-    def test_disk_round_trip(self, tmp_path):
-        cache = ProfileCache(str(tmp_path))
-        a = cache.monte_carlo(0.2, 16, 2000, seed=1)
-        files = list(tmp_path.glob("profile_*.json"))
-        assert len(files) == 1
-        fresh = ProfileCache(str(tmp_path))
-        b = fresh.monte_carlo(0.2, 16, 2000, seed=1)
-        assert np.array_equal(a.h, b.h)
-        assert np.array_equal(a.genie_error, b.genie_error)
-
-    def test_distinct_parameters_distinct_entries(self, tmp_path):
-        cache = ProfileCache(str(tmp_path))
-        cache.monte_carlo(0.2, 16, 2000, seed=1)
-        cache.monte_carlo(0.3, 16, 2000, seed=1)
-        assert len(list(tmp_path.glob("profile_*.json"))) == 2

@@ -7,14 +7,8 @@ from keyshare import (DegradedSourceSpec, ValidationError,
                       leakage_bound, min_entropy_floor, privacy_amplify,
                       reconcile, run_protocol, sample_hash,
                       toeplitz_collision_rate, value_function)
-from keyshare.polar import ProfileCache
 from keyshare.protocol import (ProtocolConfig, ProtocolEngine,
                                toeplitz_from_index)
-
-
-@pytest.fixture(scope="module")
-def cache():
-    return ProfileCache(None)
 
 
 SMALL_SPEC = DegradedSourceSpec(q=0.40, p=(0.08, 0.12))
@@ -27,7 +21,7 @@ def _shapley_target(spec):
 
 def small_config(**overrides):
     defaults = dict(n=64, b=2, target=_shapley_target(SMALL_SPEC), epsilon=0.05,
-                    profile_samples=4000, calibration_runs=10, seed=99)
+                    calibration_runs=10, seed=99)
     defaults.update(overrides)
     return ProtocolConfig(**defaults)
 
@@ -120,20 +114,20 @@ class TestMinEntropyFloor:
 
 class TestReconcile:
     @pytest.mark.filterwarnings("ignore::UserWarning")
-    def test_near_perfect_channels_decode_exactly(self, cache):
+    def test_near_perfect_channels_decode_exactly(self):
         spec = DegradedSourceSpec(q=0.5, p=(1e-9, 1e-9))
         cfg = small_config(target=(0.4, 0.4))
         rng = np.random.default_rng(1)
         x0 = rng.integers(0, 2, (cfg.b, cfg.n), dtype=np.uint8)
         blocks = {1: x0.copy(), 2: x0.copy()}  # p ~ 0: agents see x0 itself
-        transcript, per_block, full = reconcile(spec, cfg, x0, blocks, cache=cache)
+        transcript, per_block, full = reconcile(spec, cfg, x0, blocks)
         for agent in (1, 2):
             assert np.array_equal(per_block[agent], blocks[agent])
             assert np.array_equal(full[agent], blocks[agent].reshape(-1))
 
-    def test_message_lengths_match_index_sets(self, cache):
+    def test_message_lengths_match_index_sets(self):
         cfg = small_config()
-        engine = ProtocolEngine(SMALL_SPEC, cfg, cache=cache)
+        engine = ProtocolEngine(SMALL_SPEC, cfg)
         res = engine.simulate_runs([0])
         tr = res["transcripts"][0]
         for plan in engine.plans:
@@ -142,7 +136,7 @@ class TestReconcile:
             assert tr.final_messages[plan.index + 1].size == plan.suffix.size * cfg.b
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
-    def test_decoding_failure_is_reported_not_raised(self, cache):
+    def test_decoding_failure_is_reported_not_raised(self):
         # saturate the channel: reconciliation must finish and report estimates
         spec = DegradedSourceSpec(q=0.5, p=(0.49, 0.49))
         cfg = small_config(target=(0.0, 0.0), onset_risk=1e9)  # empty clean-up round
@@ -150,7 +144,7 @@ class TestReconcile:
         x0 = rng.integers(0, 2, (cfg.b, cfg.n), dtype=np.uint8)
         blocks = {a: x0 ^ (rng.random((cfg.b, cfg.n)) < 0.49).astype(np.uint8)
                   for a in (1, 2)}
-        transcript, per_block, full = reconcile(spec, cfg, x0, blocks, cache=cache)
+        transcript, per_block, full = reconcile(spec, cfg, x0, blocks)
         assert set(full) == {1, 2}
 
 
@@ -177,15 +171,15 @@ class TestPrivacyAmplify:
 
 
 class TestRunProtocol:
-    def test_deterministic_replay(self, cache):
-        rep1 = run_protocol(SMALL_SPEC, small_config(), runs=4, cache=cache)
-        rep2 = run_protocol(SMALL_SPEC, small_config(), runs=4, cache=cache)
+    def test_deterministic_replay(self):
+        rep1 = run_protocol(SMALL_SPEC, small_config(), runs=4)
+        rep2 = run_protocol(SMALL_SPEC, small_config(), runs=4)
         rep1.pop("runtime_sec")
         rep2.pop("runtime_sec")
         assert rep1 == rep2
 
-    def test_transcript_bitexact_replay(self, cache):
-        engine = ProtocolEngine(SMALL_SPEC, small_config(), cache=cache)
+    def test_transcript_bitexact_replay(self):
+        engine = ProtocolEngine(SMALL_SPEC, small_config())
         one = engine.simulate_runs([2])
         batch = engine.simulate_runs([0, 1, 2, 3])
         assert one["transcripts"][0].to_bytes() == batch["transcripts"][2].to_bytes()
@@ -193,42 +187,41 @@ class TestRunProtocol:
             assert np.array_equal(one["keys"][0].keys[agent],
                                   batch["keys"][2].keys[agent])
 
-    def test_near_perfect_channel_never_fails(self, cache):
+    def test_near_perfect_channel_never_fails(self):
         spec = DegradedSourceSpec(q=0.5, p=(1e-9, 1e-9))
-        rep = run_protocol(spec, small_config(target=_shapley_target(spec)), runs=5, cache=cache)
+        rep = run_protocol(spec, small_config(target=_shapley_target(spec)), runs=5)
         assert rep["failure_rate"] == 0.0
 
-    def test_uninformative_source_yields_empty_keys(self, cache):
+    def test_uninformative_source_yields_empty_keys(self):
         spec = DegradedSourceSpec(q=0.5, p=(0.5, 0.5))
-        rep = run_protocol(spec, small_config(target=(0.0, 0.0)), runs=2, cache=cache)
+        rep = run_protocol(spec, small_config(target=(0.0, 0.0)), runs=2)
         for agent in (1, 2):
             assert rep["per_agent"][agent]["r"] == 0
         assert rep["chi2_p"] == 1.0
 
-    def test_key_rate_ceiling_for_core_targets(self, cache):
+    def test_key_rate_ceiling_for_core_targets(self):
         src = build_degraded_source(SMALL_SPEC)
         game = value_function(src)
         from keyshare import shapley_from_game
         target = tuple(shapley_from_game(game))
         cfg = small_config(target=target)
-        rep = run_protocol(SMALL_SPEC, cfg, runs=2, cache=cache)
+        rep = run_protocol(SMALL_SPEC, cfg, runs=2)
         nb = cfg.n * cfg.b
         for mask in (0b01, 0b10, 0b11):
             r_sum = sum(rep["per_agent"][l + 1]["r"] for l in range(2) if mask >> l & 1)
             assert r_sum / nb <= conditional_mi(src, mask) + 1e-9
 
-    def test_coalition_mode_restricts_members(self, cache):
+    def test_coalition_mode_restricts_members(self):
         spec = DegradedSourceSpec(q=0.40, p=(0.08, 0.12, 0.15))
         cfg = ProtocolConfig(n=64, b=2, target=(0.2, 0.1, 0.0), epsilon=0.05,
-                             coalition=0b011, profile_samples=4000,
-                             calibration_runs=5, seed=7)
-        rep = run_protocol(spec, cfg, runs=2, cache=cache)
+                             coalition=0b011, calibration_runs=5, seed=7)
+        rep = run_protocol(spec, cfg, runs=2)
         assert set(rep["per_agent"]) == {1, 2}
         src = build_degraded_source(spec)
         cap = conditional_mi(src, 0b011, 0b100)
         assert rep["sum_rate"] <= cap + 1e-9
 
-    def test_coalition_target_monotone(self, cache):
+    def test_coalition_target_monotone(self):
         # growing the coalition can only grow the achievable target sum:
         # per-coalition targets come from the conditional game's values
         spec = DegradedSourceSpec(q=0.40, p=(0.08, 0.12, 0.15))
@@ -244,19 +237,24 @@ class TestRunProtocol:
             r_big = key_lengths_from_allocation([v_big], 64, 2, 0.05)[0]
             assert r_small <= r_big
 
-    def test_outside_core_target_warns(self, cache):
+    def test_outside_core_target_warns(self):
         bad = small_config(target=(0.9, 0.9))
         with pytest.warns(UserWarning, match="core|sum-rate"):
-            run_protocol(SMALL_SPEC, bad, runs=1, cache=cache)
+            run_protocol(SMALL_SPEC, bad, runs=1)
 
-    def test_rejects_zero_runs(self, cache):
+    def test_rejects_zero_runs(self):
         with pytest.raises(ValidationError):
-            run_protocol(SMALL_SPEC, small_config(), runs=0, cache=cache)
+            run_protocol(SMALL_SPEC, small_config(), runs=0)
+
+    def test_rejects_non_finite_target(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match="target"):
+                small_config(target=(bad, 0.05))
 
 
 class TestTranscriptDump:
-    def test_frame_structure_round_trip(self, cache):
-        engine = ProtocolEngine(SMALL_SPEC, small_config(), cache=cache)
+    def test_frame_structure_round_trip(self):
+        engine = ProtocolEngine(SMALL_SPEC, small_config())
         tr = engine.simulate_runs([0])["transcripts"][0]
         blob = tr.to_bytes()
         # walk the frames: u32 bit length, u8 agent, u16 block, payload
