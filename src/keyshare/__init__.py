@@ -12,7 +12,7 @@ from .allocate import (LinearProgram, NucleolusTrace, brute_force_nucleolus,
 from .errors import (CapacityError, ConsistencyError, SolverError,
                      ValidationError)
 from .game import (CoalitionGame, CoreBounds, clearance_level_games,
-                   core_bounds, core_contains, excess, is_superadditive,
+                   core_bounds, core_contains, is_superadditive,
                    is_supermodular, sorted_excess_vector, value_function,
                    value_function_conditional, w_is_submodular)
 from .polar import (EntropyProfile, PolarIndexSets, build_index_sets,

@@ -19,7 +19,7 @@ from scipy.optimize import linprog
 
 from .errors import CapacityError, SolverError, ValidationError
 from .game import CoalitionGame, coalition_sums
-from .source import EntropyQuery, JointSource, conditional_mi, mutual_information
+from .source import JointSource, _information, _member_masks
 
 LP_TOL = 1e-9
 TIGHT_TOL = 1e-8
@@ -101,16 +101,13 @@ def shapley_from_game(game: CoalitionGame) -> np.ndarray:
     """
     L = game.num_agents
     fact = [math.factorial(k) for k in range(L + 1)]
-    weights = [fact[s] * fact[L - s - 1] / fact[L] for s in range(L)]
+    weights = np.array([fact[s] * fact[L - s - 1] / fact[L] for s in range(L)])
+    weights = weights[coalition_sums(np.ones(L - 1)).astype(int)]
     v = game.values
     rates = np.zeros(L)
-    for mask in range(1 << L):
-        size = bin(mask).count("1")
-        for l in range(L):
-            bit = 1 << l
-            if mask & bit:
-                continue
-            rates[l] += weights[size] * (v[mask | bit] - v[mask])
+    for l in range(L):
+        s = _member_masks([k for k in range(L) if k != l])
+        rates[l] = np.sum(weights * (v[s | 1 << l] - v[s]))
     return rates
 
 
@@ -125,20 +122,15 @@ def shapley_closed_form(src: JointSource) -> np.ndarray:
 
     _require_markov(src)
     L = src.num_agents
+    # S runs over the coalitions of the other agents (I(X_l ; nothing) = 0)
+    sizes = coalition_sums(np.ones(L - 1)).astype(int)
+    combs = np.array([math.comb(L - 1, k) for k in range(L)], dtype=float)[sizes]
     rates = np.zeros(L)
     for l in range(L):
-        bit = 1 << l
-        base = conditional_mi(src, bit)
-        penalty = 0.0
-        for mask in range(1 << L):
-            if mask & bit:
-                continue
-            if mask == 0:
-                continue  # I(X_l ; nothing) = 0
-            size = bin(mask).count("1")
-            mi = mutual_information(src, EntropyQuery(subset_a=bit, subset_b=mask))
-            penalty += mi / math.comb(L - 1, size)
-        rates[l] = base - penalty / L
+        a = 1 << (l + 1)  # axis bitmask of agent l
+        others = _member_masks([k for k in range(L) if k != l])
+        penalty = np.sum(_information(src, a, others << 1) / combs)
+        rates[l] = _information(src, a, 1) - penalty / L
     return rates
 
 
@@ -183,11 +175,7 @@ def _row_rank(rows: list[np.ndarray], pivot_tol: float = PIVOT_TOL) -> int:
 
 
 def _coalition_row(mask: int, L: int) -> np.ndarray:
-    row = np.zeros(L)
-    for l in range(L):
-        if mask >> l & 1:
-            row[l] = 1.0
-    return row
+    return (mask >> np.arange(L) & 1).astype(float)
 
 
 def _stage_lp(game, free, fixed, minimize_z=True, z_value=None, maximize_mask=None):
@@ -231,7 +219,17 @@ def nucleolus(game: CoalitionGame):
     the whole optimal face (checked by maximizing their payoff over that
     face) become equalities for later stages.  Stops once the fixed system
     pins all L payoffs.
+
+    The stage tolerances are absolute, so a game with values of 1 or more
+    (source-induced values stay below H(X0) <= 1 bit) is solved scaled into
+    [0, 1) by an exact power of two; the nucleolus scales with the game.
     """
+    exponent = math.frexp(float(np.max(game.values)))[1]
+    if exponent > 0:
+        rates, trace = nucleolus(CoalitionGame(game.num_agents, np.ldexp(game.values, -exponent)))
+        for stage in trace.stages:
+            stage.optimum = math.ldexp(stage.optimum, exponent)
+        return np.ldexp(rates, exponent), trace
     L = game.num_agents
     free = [m for m in range(1, game.full_mask)]
     fixed: list[tuple[int, float]] = []

@@ -21,7 +21,8 @@ from . import game as game_mod
 from . import suites
 from .errors import ValidationError
 from .protocol import DEFAULT_SEED, ProtocolConfig, run_protocol
-from .source import DegradedSourceSpec, build_degraded_source
+from .source import (DegradedSourceSpec, _json_reals, _read_json_object,
+                     build_degraded_source)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -42,15 +43,6 @@ def _emit(payload: dict, out_path) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _load_game(args) -> game_mod.CoalitionGame:
-    if getattr(args, "game", None):
-        return game_mod.CoalitionGame.load(args.game)
-    if getattr(args, "spec", None):
-        spec = DegradedSourceSpec.from_json(args.spec)
-        return game_mod.value_function(build_degraded_source(spec))
-    raise ValidationError("provide --spec or --game")
 
 
 def cmd_analyze(args) -> int:
@@ -85,10 +77,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_allocate(args) -> int:
-    game = _load_game(args)
-    src = None
-    if args.spec:
-        src = build_degraded_source(DegradedSourceSpec.from_json(args.spec))
+    if not (args.spec or args.game):
+        raise ValidationError("provide --spec or --game")
+    src = build_degraded_source(DegradedSourceSpec.from_json(args.spec)) if args.spec else None
+    game = game_mod.CoalitionGame.load(args.game) if args.game else game_mod.value_function(src)
     payload = {"L": game.num_agents, "grand_value": game.grand_value()}
     methods = ("shapley", "nucleolus") if args.method == "both" else (args.method,)
     for method in methods:
@@ -139,13 +131,10 @@ def cmd_allocate(args) -> int:
 def cmd_simulate(args) -> int:
     spec = DegradedSourceSpec.from_json(args.spec)
     if args.allocation:
-        with open(args.allocation) as fh:
-            raw = json.load(fh)
-        if "rates" not in raw:
-            raise ValidationError("allocation file must hold field 'rates'")
-        target = tuple(float(x) for x in raw["rates"])
-        if not all(math.isfinite(x) for x in target):
-            raise ValidationError(f"allocation field 'rates' must be finite, got {list(target)}")
+        target = _json_reals(_read_json_object(args.allocation, "allocation").get("rates"))
+        if target is None or not all(map(math.isfinite, target)):
+            raise ValidationError("allocation field 'rates' must be a list of finite numbers")
+        target = tuple(target)
     else:
         game = game_mod.value_function(build_degraded_source(spec))
         target = tuple(float(x) for x in alloc_mod.shapley_from_game(game))

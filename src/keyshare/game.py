@@ -3,9 +3,10 @@
 The value of coalition S is the conditional mutual information between the
 coalition's observations and the base station's, given everything the
 outsiders hold: v(S) = I(X_S ; X0 | X_{S^c}).  With an eavesdropper
-component the conditioning additionally includes Z.  Everything downstream
-(core tests, excesses, solution concepts) works on the resulting dense
-value table indexed by coalition bitmask.
+component the conditioning additionally includes Z.  Every such quantity
+is a vectorised lookup into the source's cached entropy table
+(JointSource.entropies).  Everything downstream (core tests, excesses,
+solution concepts) works on the resulting value table indexed by bitmask.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .source import (EntropyQuery, JointSource, conditional_mi,
-                     mutual_information, verify_markov)
+from .source import (JointSource, _information, _json_reals, _member_masks,
+                     _read_json_object, _slot_mask, verify_markov)
 
 DEFAULT_TOL = 1e-9
 MAX_EXHAUSTIVE_AGENTS = 12
@@ -68,21 +69,17 @@ class CoalitionGame:
         if "L" not in raw or "v" not in raw:
             raise ValidationError("game file must hold fields 'L' and 'v'")
         L = raw["L"]
-        v = raw["v"]
-        if not isinstance(L, int) or L < 1:
+        if type(L) is not int or L < 1:
             raise ValidationError("game field 'L' must be a positive integer")
-        if not isinstance(v, list) or len(v) != (1 << L):
-            raise ValidationError(f"game field 'v' must list {1 << L} values for L={L}")
-        return cls(num_agents=L, values=np.array(v, dtype=float))
+        values = _json_reals(raw["v"])
+        # no list holds 2^63 entries; the bound keeps 1 << L small
+        if values is None or L >= 63 or len(values) != 1 << L:
+            raise ValidationError(f"game field 'v' must list 2^L numbers for L={L}")
+        return cls(num_agents=L, values=np.array(values))
 
     @classmethod
     def load(cls, path: str) -> "CoalitionGame":
-        try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"game file {path} is not valid JSON: {exc}") from exc
-        return cls.from_json(raw)
+        return cls.from_json(_read_json_object(path, "game"))
 
     def save(self, path: str) -> None:
         with open(path, "w") as fh:
@@ -112,28 +109,27 @@ def _require_markov(src: JointSource) -> None:
         )
 
 
+def _value_table(src: JointSource, cond_z: bool) -> CoalitionGame:
+    """v(S) = I(X_S ; X0 | X_{S^c}[, Z]) for every coalition bitmask S."""
+    _require_markov(src)
+    full = src.full_mask
+    s = np.arange(1, full + 1)
+    z = _slot_mask(src, 0, with_z=cond_z)
+    values = np.zeros(full + 1)
+    values[1:] = _information(src, s << 1, 1, (full & ~s) << 1 | z)
+    return CoalitionGame(num_agents=src.num_agents, values=values)
+
+
 def value_function(src: JointSource) -> CoalitionGame:
     """v(S) = I(X_S ; X0 | X_{S^c}) for every coalition bitmask S."""
-    _require_markov(src)
-    L = src.num_agents
-    full = (1 << L) - 1
-    values = np.zeros(1 << L)
-    for mask in range(1, 1 << L):
-        values[mask] = conditional_mi(src, mask, full & ~mask)
-    return CoalitionGame(num_agents=L, values=values)
+    return _value_table(src, cond_z=False)
 
 
 def value_function_conditional(src: JointSource) -> CoalitionGame:
     """Eavesdropper variant: v(S) = I(X_S ; X0 | X_{S^c}, Z)."""
     if not src.has_z:
         raise ValidationError("conditional value function needs a source with a Z component")
-    _require_markov(src)
-    L = src.num_agents
-    full = (1 << L) - 1
-    values = np.zeros(1 << L)
-    for mask in range(1, 1 << L):
-        values[mask] = conditional_mi(src, mask, full & ~mask, cond_z=True)
-    return CoalitionGame(num_agents=L, values=values)
+    return _value_table(src, cond_z=True)
 
 
 def clearance_level_games(src: JointSource,
@@ -151,26 +147,15 @@ def clearance_level_games(src: JointSource,
         raise ValidationError(f"levels must partition agents 1..{L}, got {levels}")
     _require_markov(src)
     games = []
-    for qi, level in enumerate(levels):
-        members = sorted(level)
-        lower_mask = 0
-        for lev in levels[qi + 1:]:
-            for a in lev:
-                lower_mask |= 1 << (a - 1)
-        n = len(members)
-        values = np.zeros(1 << n)
-        for sub in range(1, 1 << n):
-            s_mask = 0
-            for j in range(n):
-                if sub >> j & 1:
-                    s_mask |= 1 << (members[j] - 1)
-            peers = 0
-            for a in members:
-                if not s_mask >> (a - 1) & 1:
-                    peers |= 1 << (a - 1)
-            values[sub] = conditional_mi(src, s_mask, peers | lower_mask)
-        games.append(CoalitionGame(num_agents=n, values=values))
-    return games
+    lower_mask = 0
+    for level in reversed(levels):
+        masks = _member_masks(sorted(a - 1 for a in level))
+        s, level_mask = masks[1:], masks[-1]
+        values = np.zeros(len(s) + 1)
+        values[1:] = _information(src, s << 1, 1, (level_mask & ~s | lower_mask) << 1)
+        games.append(CoalitionGame(num_agents=len(level), values=values))
+        lower_mask |= level_mask
+    return games[::-1]
 
 
 def is_superadditive(game: CoalitionGame, tol: float = DEFAULT_TOL):
@@ -210,13 +195,11 @@ def core_bounds(src: JointSource, coalition: int) -> CoreBounds:
     upper = I(X_S ; X0); lower = upper - I(X_S ; X_{S^c}), clamped at 0.
     """
     _require_markov(src)
+    s = _slot_mask(src, coalition)
     if coalition == 0:
         return CoreBounds(coalition=0, lower=0.0, upper=0.0)
-    upper = conditional_mi(src, coalition)
-    comp = src.full_mask & ~coalition
-    leak = mutual_information(
-        src, EntropyQuery(subset_a=coalition, subset_b=comp)
-    ) if comp else 0.0
+    upper = float(_information(src, s, 1))
+    leak = float(_information(src, s, _slot_mask(src, src.full_mask & ~coalition)))
     lower = max(upper - leak, 0.0)
     return CoreBounds(coalition=coalition, lower=lower, upper=upper)
 
@@ -235,11 +218,8 @@ def core_contains(game: CoalitionGame, rates: Sequence[float],
         raise ValidationError(f"allocation needs {game.num_agents} rates, got shape {r.shape}")
     if not np.all(np.isfinite(r)) or abs(r.sum() - game.grand_value()) > tol:
         return False, game.full_mask
-    sums = coalition_sums(r)
-    for mask in range(1, game.full_mask):
-        if sums[mask] < game.values[mask] - tol:
-            return False, mask
-    return True, None
+    short = np.flatnonzero(coalition_sums(r)[1:-1] < game.values[1:-1] - tol)
+    return (False, int(short[0]) + 1) if short.size else (True, None)
 
 
 def coalition_sums(rates: Sequence[float]) -> np.ndarray:
@@ -254,13 +234,6 @@ def coalition_sums(rates: Sequence[float]) -> np.ndarray:
     return sums
 
 
-def excess(game: CoalitionGame, rates: Sequence[float], coalition: int) -> float:
-    """e(y, S) = v(S) - sum_{i in S} y_i: coalition S's dissatisfaction at y."""
-    r = np.asarray(rates, dtype=float)
-    paid = sum(r[l] for l in range(game.num_agents) if coalition >> l & 1)
-    return game.value(coalition) - paid
-
-
 def sorted_excess_vector(game: CoalitionGame, rates: Sequence[float]) -> np.ndarray:
     """Excesses over all 2^L coalitions, sorted nonincreasing."""
     exc = game.values - coalition_sums(rates)
@@ -273,18 +246,11 @@ def w_is_submodular(src: JointSource, s_mask: int, tol: float = DEFAULT_TOL):
     full = src.full_mask
     if s_mask == full:
         raise ValidationError("w is defined for proper coalitions S only")
-    sc = full & ~s_mask
-    members = [l for l in range(src.num_agents) if s_mask >> l & 1]
-    n = len(members)
-    w = np.zeros(1 << n)
-    for sub in range(1, 1 << n):
-        t_mask = 0
-        for j in range(n):
-            if sub >> j & 1:
-                t_mask |= 1 << members[j]
-        w[sub] = conditional_mi(src, t_mask, sc)
-    for u in range(1 << n):
-        for v2 in range(u + 1, 1 << n):
+    t = _member_masks([l for l in range(src.num_agents) if s_mask >> l & 1])[1:]
+    w = np.zeros(len(t) + 1)
+    w[1:] = _information(src, t << 1, 1, (full & ~s_mask) << 1)
+    for u in range(len(w)):
+        for v2 in range(u + 1, len(w)):
             if w[u] + w[v2] < w[u | v2] + w[u & v2] - tol:
                 return False, (u, v2)
     return True, None

@@ -32,11 +32,11 @@ import numpy as np
 from scipy.stats import chisquare
 
 from .errors import ValidationError
-from .game import core_contains, value_function
+from .game import coalition_sums, core_contains, value_function
 from .polar import (build_index_sets, construct_profile, polar_transform,
                     sc_decode, side_info_llrs)
-from .source import (DegradedSourceSpec, JointSource, build_degraded_source,
-                     conditional_mi)
+from .source import (DegradedSourceSpec, JointSource, _information,
+                     _member_masks, build_degraded_source, conditional_mi)
 
 DEFAULT_SEED = 0xC0A117
 FINAL_ROUND_BLOCK = 0xFFFE
@@ -103,7 +103,10 @@ def key_lengths_from_allocation(target: Sequence[float], n: int, b: int,
     if not 0.0 < epsilon < 1.0:
         raise ValidationError(f"epsilon must lie in (0,1), got {epsilon}")
     r = np.asarray(target, dtype=float)
-    return np.maximum(np.floor(n * b * (r - epsilon)), 0.0).astype(np.int64)
+    lengths = np.maximum(np.floor(n * b * (r - epsilon)), 0.0)
+    if np.any(lengths > n * b):
+        raise ValidationError(f"target rates {list(r)} ask for keys longer than N*B = {n * b}")
+    return lengths.astype(np.int64)
 
 
 class ToeplitzHash:
@@ -174,7 +177,6 @@ class Transcript:
     b: int
     block_messages: dict[int, np.ndarray] = field(default_factory=dict)   # agent -> (B, |H|)
     final_messages: dict[int, np.ndarray] = field(default_factory=dict)   # agent -> (bits,)
-    hash_seeds: dict[int, int] = field(default_factory=dict)              # agent -> seed
     hash_bits: dict[int, np.ndarray] = field(default_factory=dict)        # agent -> matrix bits
     disclosures: dict[int, np.ndarray] = field(default_factory=dict)      # outsider -> (B, N)
 
@@ -303,7 +305,12 @@ class ProtocolEngine:
             )
         self.outsiders = [l for l in range(self.num_agents) if l not in self.members]
         self.src = build_degraded_source(spec)
-        self._warn_if_target_outside_region()
+        # I(X_S ; X0 | X_outsiders) for every member submask S (entry 0: S empty)
+        subsets = _member_masks(self.members)
+        outsider_mask = _member_masks(self.outsiders)[-1]
+        self._member_info = np.zeros(len(subsets))
+        self._member_info[1:] = _information(self.src, subsets[1:] << 1, 1, outsider_mask << 1)
+        self._warn_if_target_outside_region(subsets)
         lengths = key_lengths_from_allocation(cfg.target, cfg.n, cfg.b, cfg.epsilon)
         self.plans: list[_AgentPlan] = []
         for l in self.members:
@@ -317,7 +324,7 @@ class ProtocolEngine:
 
     # -- construction --------------------------------------------------
 
-    def _warn_if_target_outside_region(self):
+    def _warn_if_target_outside_region(self, subsets: np.ndarray):
         if not self.outsiders:
             game = value_function(self.src)
             ok, witness = core_contains(game, list(self.cfg.target), tol=1e-9)
@@ -327,22 +334,14 @@ class ProtocolEngine:
                     f"{witness:#x}); the protocol still runs, the achievable "
                     "region is larger than the core", stacklevel=3)
             return
-        outsider_mask = 0
-        for l in self.outsiders:
-            outsider_mask |= 1 << l
-        for sub in range(1, 1 << len(self.members)):
-            mask, total = 0, 0.0
-            for j, l in enumerate(self.members):
-                if sub >> j & 1:
-                    mask |= 1 << l
-                    total += self.cfg.target[l]
-            cap = conditional_mi(self.src, mask, outsider_mask)
-            if total > cap + 1e-9:
-                warnings.warn(
-                    f"coalition target exceeds the achievable sum-rate for "
-                    f"member subset {mask:#x}: {total:.6f} > {cap:.6f}",
-                    stacklevel=3)
-                return
+        totals = coalition_sums([self.cfg.target[l] for l in self.members])
+        over = np.flatnonzero(totals[1:] > self._member_info[1:] + 1e-9)
+        if over.size:
+            sub = over[0] + 1
+            warnings.warn(
+                f"coalition target exceeds the achievable sum-rate for member subset "
+                f"{int(subsets[sub]):#x}: {totals[sub]:.6f} > {self._member_info[sub]:.6f}",
+                stacklevel=3)
 
     def _calibrate(self) -> dict:
         """Measure first-stage behaviour; widen suffixes on early onsets."""
@@ -471,7 +470,6 @@ class ProtocolEngine:
                 tr.final_messages[agent + 1] = rec["final_messages"][agent][k_pos]
                 seed = self._hash_seed(k, agent)
                 hasher = sample_hash(seed, nb, plan.key_len)
-                tr.hash_seeds[agent + 1] = seed
                 tr.hash_bits[agent + 1] = hasher.bits
                 keymats[k_pos].keys[agent + 1] = hasher.apply(x_nb[k_pos])
                 keymats[k_pos].base_keys[agent + 1] = hasher.apply(xhat[k_pos])
@@ -535,20 +533,10 @@ def run_protocol(spec: DegradedSourceSpec, cfg: ProtocolConfig, runs: int) -> di
     res = engine.simulate_runs(range(runs))
     nb = cfg.n * cfg.b
 
-    outsider_mask = 0
-    for l in engine.outsiders:
-        outsider_mask |= 1 << l
     member_lengths = [plan.key_len for plan in engine.plans]
-    floors = {}
-    m = len(engine.plans)
-    for sub in range(1, 1 << m):
-        mask = 0
-        for j, plan in enumerate(engine.plans):
-            if sub >> j & 1:
-                mask |= 1 << plan.index
-        floors[sub] = min_entropy_floor(cfg.n, cfg.b, cfg.epsilon, engine.src,
-                                        mask, cond_mask=outsider_mask)
-    bound = leakage_bound(member_lengths, floors)
+    # min_entropy_floor of every member submask, given the outsiders
+    floors = (1.0 - cfg.epsilon) * nb * engine._member_info
+    bound = leakage_bound(member_lengths, dict(enumerate(floors)))
 
     per_agent = {}
     failures = np.zeros(runs, dtype=bool)

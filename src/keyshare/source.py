@@ -6,19 +6,26 @@ B_l are independent Bernoulli(p_l).  General joint tables (optionally with
 an extra eavesdropper component Z) are supported for validation and for
 conditional games.
 
+Every entropy and mutual information is a lookup into one cached table
+per source, JointSource.entropies (the entropy of every axis subset); only
+its builder and the verify_markov oracle marginalise the dense table.
+
 Conventions, fixed repo-wide:
   * agent l (1-based) corresponds to bit (l-1) of a coalition bitmask;
   * axis 0 of the probability table is X0, axis l is agent l, and the
     trailing axis (when present) is Z;
+  * an axis bitmask has bit a for axis a, so coalition S maps to S << 1
+    and X0 is bit 0;
   * all entropies are base-2, 0*log(0) = 0.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -33,6 +40,31 @@ def binary_entropy(p: float) -> float:
     if p <= 0.0 or p >= 1.0:
         return 0.0
     return float(-p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p))
+
+
+def _read_json_object(path: str, what: str) -> dict:
+    """Parse a JSON object file; any failure is a ValidationError naming it."""
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot read {what} file {path}: {exc.strerror or exc}") from exc
+    except (ValueError, RecursionError) as exc:  # includes JSONDecodeError, bad bytes
+        raise ValidationError(f"{what} file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{what} file {path} must hold a JSON object")
+    return raw
+
+
+def _json_reals(values) -> Optional[list[float]]:
+    """A parsed JSON list of numbers as floats; None for anything else,
+    booleans and integers beyond double range included."""
+    if isinstance(values, list) and all(type(x) in (int, float) for x in values):
+        try:
+            return [float(x) for x in values]
+        except OverflowError:
+            pass
+    return None
 
 
 @dataclass(frozen=True)
@@ -81,29 +113,21 @@ class DegradedSourceSpec:
     @classmethod
     def from_json(cls, path: str) -> "DegradedSourceSpec":
         """Read a spec file: {"q": real, "p": [...], "levels": optional [[ids]...]}."""
-        try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"spec file {path} is not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ValidationError("spec file must hold a JSON object")
-        if "q" not in raw:
-            raise ValidationError("spec field 'q' is missing")
-        if "p" not in raw:
-            raise ValidationError("spec field 'p' is missing")
-        q = raw["q"]
-        p = raw["p"]
-        if not isinstance(q, (int, float)):
-            raise ValidationError("spec field 'q' must be a number")
-        if not isinstance(p, list) or not all(isinstance(x, (int, float)) for x in p):
-            raise ValidationError("spec field 'p' must be a list of numbers")
+        raw = _read_json_object(path, "spec")
+        q = _json_reals([raw.get("q")])
+        if q is None:
+            raise ValidationError("spec field 'q' is missing or not a number")
+        p = _json_reals(raw.get("p"))
+        if p is None:
+            raise ValidationError("spec field 'p' is missing or not a list of numbers")
         levels = raw.get("levels")
         if levels is not None:
-            if not isinstance(levels, list) or not all(isinstance(g, list) for g in levels):
-                raise ValidationError("spec field 'levels' must be a list of agent-id lists")
+            if not (isinstance(levels, list) and all(
+                    isinstance(g, list) and all(type(a) is int for a in g) for g in levels)):
+                raise ValidationError(
+                    "spec field 'levels' must be a list of lists of integer agent ids")
             levels = tuple(tuple(g) for g in levels)
-        return cls(q=float(q), p=tuple(p), z_levels=levels)
+        return cls(q=q[0], p=tuple(p), z_levels=levels)
 
     def to_json(self) -> dict:
         out = {"q": self.q, "p": list(self.p)}
@@ -112,13 +136,14 @@ class DegradedSourceSpec:
         return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class JointSource:
     """Dense joint distribution over (X0, X1..XL[, Z]).
 
     prob has one axis per component in that order; every component is
     binary except the optional trailing Z axis, which may have any finite
-    cardinality.
+    cardinality.  The table is copied on construction and read-only, so
+    the cached entropy table always describes it.
     """
 
     num_agents: int
@@ -127,6 +152,8 @@ class JointSource:
     markov_degraded: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "prob", np.array(self.prob, dtype=float))
+        self.prob.flags.writeable = False
         expected_dims = self.num_agents + 1 + (1 if self.has_z else 0)
         if self.prob.ndim != expected_dims:
             raise ValidationError(
@@ -150,6 +177,29 @@ class JointSource:
         if mask < 0 or mask > self.full_mask:
             raise ValidationError(f"coalition bitmask {mask} out of range for L={self.num_agents}")
         return tuple(l + 1 for l in range(self.num_agents) if mask >> l & 1)
+
+    @functools.cached_property
+    def entropies(self) -> np.ndarray:
+        """Entropy (bits) of the marginal on every axis subset, read-only.
+
+        Indexed by axis bitmask: bit 0 is X0, bit l agent l, bit L+1 Z.
+        Each marginal is its parent's with one more axis summed out, in
+        increasing axis order, so every subset is reached once and only
+        one chain of marginals (under twice the joint table) is alive.
+        """
+        ndim = self.prob.ndim
+        table = np.empty(1 << ndim)
+
+        def visit(marg: np.ndarray, keep: int, first: int) -> None:
+            nz = marg[marg > 0]
+            table[keep] = -(nz * np.log2(nz)).sum()
+            for axis in range(first, ndim):
+                visit(marg.sum(axis=axis, keepdims=True), keep & ~(1 << axis), axis + 1)
+
+        visit(self.prob, (1 << ndim) - 1, 0)
+        table[0] = 0.0  # nothing observed; the total mass is 1 only to 1e-12
+        table.flags.writeable = False
+        return table
 
 
 @dataclass(frozen=True)
@@ -191,59 +241,62 @@ def build_degraded_source(spec: DegradedSourceSpec) -> JointSource:
     return JointSource(num_agents=L, prob=table, markov_degraded=True)
 
 
-def _subset_entropy(src: JointSource, axes: tuple[int, ...]) -> float:
-    """Shannon entropy (bits) of the marginal on the given axes."""
-    drop = tuple(a for a in range(src.prob.ndim) if a not in axes)
-    marg = src.prob.sum(axis=drop) if drop else src.prob
-    flat = marg.reshape(-1)
-    nz = flat[flat > 0]
-    return float(-(nz * np.log2(nz)).sum())
+def _clamp(value, what: str):
+    """Clamp tiny negative round-off (float or array) to zero; raise below the floor."""
+    if np.any(value < NEG_ENTROPY_FLOOR):
+        raise ConsistencyError(f"{what} evaluated to {np.min(value)}, below the -1e-12 floor")
+    return np.maximum(value, 0.0)
 
 
-def _clamp(value: float, what: str) -> float:
-    if value < NEG_ENTROPY_FLOOR:
-        raise ConsistencyError(f"{what} evaluated to {value}, below the -1e-12 floor")
-    return max(value, 0.0)
-
-
-def _slot_axes(src: JointSource, mask: int, with_x0: bool, with_z: bool) -> tuple[int, ...]:
-    axes = src.agent_axes(mask)
-    if with_x0:
-        axes = (0,) + axes
+def _slot_mask(src: JointSource, mask: int, with_x0: bool = False, with_z: bool = False) -> int:
+    """Axis bitmask of one query slot: a coalition plus optional X0 and Z."""
+    src.agent_axes(mask)  # range check
+    bits = mask << 1 | int(with_x0)
     if with_z:
         if not src.has_z:
             raise ValidationError("query touches Z but the source has no Z component")
-        axes = axes + (src.z_axis,)
-    return axes
+        bits |= 1 << src.z_axis
+    return bits
+
+
+def _information(src: JointSource, a, b, c=0):
+    """I(A ; B | C) from the entropy table, clamped like mutual_information;
+    a, b, c are axis bitmasks (ints or int arrays), a and b disjoint."""
+    h = src.entropies
+    return _clamp(h[a | c] + h[b | c] - h[a | b | c] - h[c], "mutual information")
+
+
+def _member_masks(members: Sequence[int]) -> np.ndarray:
+    """Coalition bitmask of every submask over a list of 0-based agents:
+    entry sub holds members[j] for each set bit j, the last entry them all."""
+    masks = np.zeros(1 << len(members), dtype=np.int64)
+    for j, l in enumerate(members):
+        masks[1 << j:2 << j] = masks[:1 << j] | (1 << l)
+    return masks
 
 
 def entropy(src: JointSource, query: EntropyQuery) -> float:
     """H(A | C) in bits for the query's a-slot given its conditioning slot."""
-    a = _slot_axes(src, query.subset_a, query.a_x0, query.a_z)
-    c = _slot_axes(src, query.cond, query.cond_x0, query.cond_z)
+    a = _slot_mask(src, query.subset_a, query.a_x0, query.a_z)
+    c = _slot_mask(src, query.cond, query.cond_x0, query.cond_z)
     if not a:
         return 0.0
-    ac = tuple(sorted(set(a) | set(c)))
-    h = _subset_entropy(src, ac) - (_subset_entropy(src, c) if c else 0.0)
-    return _clamp(h, "conditional entropy")
+    h = src.entropies
+    return float(_clamp(h[a | c] - h[c], "conditional entropy"))
 
 
 def mutual_information(src: JointSource, query: EntropyQuery) -> float:
     """I(A ; B | C) in bits, clamped to zero from tiny negative round-off."""
-    a = set(_slot_axes(src, query.subset_a, query.a_x0, query.a_z))
-    b = set(_slot_axes(src, query.subset_b, query.b_x0, query.b_z))
-    c = set(_slot_axes(src, query.cond, query.cond_x0, query.cond_z))
+    a = _slot_mask(src, query.subset_a, query.a_x0, query.a_z)
+    b = _slot_mask(src, query.subset_b, query.b_x0, query.b_z)
+    c = _slot_mask(src, query.cond, query.cond_x0, query.cond_z)
     if not a:
         raise ValidationError("mutual-information query requires a nonempty a-slot")
     if not b:
         return 0.0
     if a & b:
         raise ValidationError("a and b slots overlap in a mutual-information query")
-    h_ac = _subset_entropy(src, tuple(sorted(a | c)))
-    h_bc = _subset_entropy(src, tuple(sorted(b | c)))
-    h_abc = _subset_entropy(src, tuple(sorted(a | b | c)))
-    h_c = _subset_entropy(src, tuple(sorted(c))) if c else 0.0
-    return _clamp(h_ac + h_bc - h_abc - h_c, "mutual information")
+    return float(_information(src, a, b, c))
 
 
 def conditional_mi(src: JointSource, coalition: int, cond_mask: int = 0,

@@ -137,6 +137,19 @@ class TestNucleolus:
         rates, _ = nucleolus(game)
         assert np.max(np.abs(rates - c)) < 1e-9
 
+    def test_scales_with_the_game(self):
+        # the stage tolerances are absolute; large values must not defeat them
+        small = CoalitionGame(num_agents=3, values=np.array(
+            [0.0, 0.1, 0.05, 0.2, 0.12, 0.3, 0.25, 0.6]))
+        base, base_trace = nucleolus(small)
+        for factor in (4.0, 759248487.0, 1e12):
+            rates, trace = nucleolus(CoalitionGame(num_agents=3, values=small.values * factor))
+            assert np.max(np.abs(rates / factor - base)) < 1e-9
+            assert [s.fixed_coalitions for s in trace.stages] == [
+                s.fixed_coalitions for s in base_trace.stages]
+        pair = CoalitionGame(num_agents=2, values=np.array([0.0, 0.0, 0.0, 759248487.0]))
+        assert np.allclose(nucleolus(pair)[0], 759248487.0 / 2, rtol=1e-12)
+
     def test_single_agent(self):
         game = CoalitionGame(num_agents=1, values=np.array([0.0, 0.7]))
         rates, trace = nucleolus(game)

@@ -1,7 +1,12 @@
 import json
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from keyshare.cli import main
 
@@ -222,6 +227,127 @@ class TestVerify:
         assert "[PASS] transform_involution" in out
         assert "FAIL" not in out
 
+    def test_game_suite_passes(self, capsys):
+        code, out, _ = run_cli(["verify", "game"], capsys)
+        assert code == 0
+        assert "[PASS] grand_minus_complement_identity" in out
+        assert "[PASS] core_bounds_equivalence" in out
+        assert "FAIL" not in out
+
+    def test_allocation_suite_passes(self, capsys):
+        code, out, _ = run_cli(["verify", "allocation"], capsys)
+        assert code == 0
+        assert "[PASS] shapley_dual_route_agreement" in out
+        assert "FAIL" not in out
+
     def test_unknown_suite_is_validation_error(self, capsys):
         code, _, err = run_cli(["verify", "nonsense"], capsys)
         assert code == 1
+
+
+TINY_SPEC = {"q": 0.4, "p": [0.08, 0.12]}
+EXAMPLE2_WITH_LEVELS = '{"q": 0.4, "p": [0.2, 0.27, 0.25], "levels": %s}'
+
+
+class TestLoaderInput:
+    """Malformed input files exit 1 and name the file or the field."""
+
+    @staticmethod
+    def _args(kind, path, spec_path):
+        return {"allocation": ["simulate", "--spec", spec_path, "--allocation", path,
+                               "--N", "64", "--B", "2", "--runs", "1"],
+                "game": ["allocate", "--game", path],
+                "spec": ["analyze", "--spec", path]}[kind]
+
+    @pytest.mark.parametrize("kind, text, named", [
+        ("allocation", "rates: [0.1]", "JSON"),
+        ("allocation", '{"rates": ["a", 0.1]}', "'rates'"),
+        ("allocation", '{"rates": 0.1}', "'rates'"),
+        ("game", '{"L": 2, "v": [0, "x", 0.1, 0.3]}', "'v'"),
+        ("game", '{"L": true, "v": [0, 0.1]}', "'L'"),
+        ("spec", EXAMPLE2_WITH_LEVELS % '[["a"], [2, 3]]', "'levels'"),
+        ("spec", EXAMPLE2_WITH_LEVELS % "[[1.5], [2, 3]]", "'levels'"),
+    ], ids=["allocation-not-json", "rates-not-numbers", "rates-not-a-list", "v-not-numbers",
+            "L-boolean", "level-ids-not-numbers", "level-ids-not-integers"])
+    def test_malformed_file(self, kind, text, named, tmp_path, capsys):
+        spec = tmp_path / "tiny.json"
+        spec.write_text(json.dumps(TINY_SPEC))
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        code, out, err = run_cli(self._args(kind, str(path), str(spec)), capsys)
+        assert code == 1 and out == ""
+        assert named in err
+
+    @pytest.mark.parametrize("kind", ["allocation", "game", "spec"])
+    def test_missing_file(self, kind, example2_file, tmp_path, capsys):
+        missing = str(tmp_path / "absent.json")
+        code, out, err = run_cli(self._args(kind, missing, example2_file), capsys)
+        assert code == 1 and out == ""
+        assert missing in err
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def _run_fuzzed(args, files: dict) -> None:
+    """Write each document (a JSON value, or raw text), run the CLI on the
+    files and check the exit-code and strict-JSON contract."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, doc in files.items():
+            path = Path(tmp) / name
+            path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+            paths[name] = str(path)
+        out_path = Path(tmp) / "out.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main([paths.get(a, a) for a in args] + ["--out", str(out_path)])
+        assert code in (0, 1)
+        if code == 0:
+            json.loads(out_path.read_text(), parse_constant=_reject_constant)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=8)
+NUMBERS = st.floats() | st.integers()
+PROBS = st.floats(0.0, 1.0)
+FUZZ = settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+def _document(fields: dict):
+    """A JSON object whose fields are drawn from the given strategies, each
+    possibly absent or garbage; or else any other JSON value or raw text."""
+    optional = {k: v | JSON_VALUES for k, v in fields.items()}
+    return st.fixed_dictionaries({}, optional=optional) | JSON_VALUES | st.text(max_size=12)
+
+
+class TestLoaderFuzz:
+    """Whatever a loader reads, the CLI exits 0 or 1, and 0 prints strict JSON."""
+
+    @FUZZ
+    @given(_document({
+        "q": PROBS | NUMBERS,
+        "p": st.lists(PROBS | NUMBERS, min_size=1, max_size=3),
+        "levels": st.lists(st.lists(st.integers(-1, 4) | st.floats(0.0, 4.0), max_size=3),
+                           max_size=3)}))
+    def test_spec_loader(self, doc):
+        _run_fuzzed(["analyze", "--spec", "spec.json"], {"spec.json": doc})
+
+    @FUZZ
+    @given(st.integers(1, 3).flatmap(lambda n: _document({
+        "L": st.just(n) | st.integers(-1, 4),
+        "v": st.lists(st.floats(0.0) | NUMBERS, min_size=(1 << n) - 1,
+                      max_size=(1 << n) - 1).map(lambda v: [0.0] + v)})))
+    def test_game_loader(self, doc):
+        _run_fuzzed(["allocate", "--game", "game.json", "--method", "both"], {"game.json": doc})
+
+    @FUZZ
+    @given(_document({"rates": st.lists(st.floats(0.0, 1.0) | NUMBERS, max_size=3)}))
+    def test_allocation_loader(self, doc):
+        _run_fuzzed(["simulate", "--spec", "spec.json", "--allocation", "alloc.json",
+                     "--N", "2", "--B", "1", "--runs", "1"],
+                    {"spec.json": TINY_SPEC, "alloc.json": doc})

@@ -5,7 +5,7 @@ import pytest
 
 from keyshare import (CoalitionGame, DegradedSourceSpec, ValidationError,
                       build_degraded_source, clearance_level_games,
-                      conditional_mi, core_bounds, core_contains, excess,
+                      conditional_mi, core_bounds, core_contains,
                       is_superadditive, is_supermodular,
                       shapley_from_game, sorted_excess_vector, nucleolus,
                       value_function, value_function_conditional,
@@ -221,18 +221,18 @@ class TestCore:
 
 
 class TestExcess:
+    # e(y, S) = v(S) - sum_{i in S} y_i for every coalition at once
     def test_empty_coalition_zero(self, example2_game):
-        assert excess(example2_game, [0.1, 0.2, 0.1], 0) == 0.0
+        assert (example2_game.values - coalition_sums([0.1, 0.2, 0.1]))[0] == 0.0
 
     def test_efficient_allocation_grand_excess_zero(self, example2_game):
         rates, _ = nucleolus(example2_game)
-        assert excess(example2_game, rates, example2_game.full_mask) == pytest.approx(
-            0.0, abs=1e-9)
+        exc = example2_game.values - coalition_sums(rates)
+        assert exc[example2_game.full_mask] == pytest.approx(0.0, abs=1e-9)
 
     def test_nucleolus_max_proper_excess_equals_stage_one(self, example2_game):
         rates, trace = nucleolus(example2_game)
-        proper = [excess(example2_game, rates, m)
-                  for m in range(1, example2_game.full_mask)]
+        proper = (example2_game.values - coalition_sums(rates))[1:example2_game.full_mask]
         assert max(proper) == pytest.approx(trace.stages[0].optimum, abs=1e-8)
 
     def test_sorted_vector_is_nonincreasing(self, example2_game):

@@ -40,6 +40,12 @@ class TestKeyLengths:
         with pytest.raises(ValidationError):
             key_lengths_from_allocation([0.5], 16, 4, 0.0)
 
+    def test_rejects_key_longer_than_input(self):
+        # 1e20 bits per symbol used to overflow the int64 cast into a negative length
+        for rate in (1.5, 1e20):
+            with pytest.raises(ValidationError, match="longer"):
+                key_lengths_from_allocation([0.1, rate], 16, 4, 0.05)
+
 
 class TestToeplitzHash:
     def test_zero_output_length(self):

@@ -9,7 +9,7 @@ from keyshare import (CapacityError, DegradedSourceSpec, EntropyQuery,
                       build_degraded_source, coalition_value_closed_form,
                       conditional_mi, entropy, f_value, mutual_information,
                       verify_markov)
-from keyshare.source import ConsistencyError, _clamp
+from keyshare.source import ConsistencyError, _clamp, attach_z
 
 from conftest import (EXAMPLE2_VALUES, brute_entropy,
                       random_degraded_spec)
@@ -165,6 +165,37 @@ class TestEntropyQueries:
         with pytest.raises(ConsistencyError):
             _clamp(-1e-9, "test quantity")
         assert _clamp(-1e-13, "test quantity") == 0.0
+
+
+class TestEntropyTable:
+    @staticmethod
+    def _assert_matches_brute_force(src):
+        table = src.entropies
+        ndim = src.prob.ndim
+        assert table.shape == (1 << ndim,)
+        for mask in range(1 << ndim):
+            axes = [a for a in range(ndim) if mask >> a & 1]
+            assert table[mask] == pytest.approx(brute_entropy(src.prob, axes), abs=1e-12)
+
+    def test_every_subset_example2(self, example2_source):
+        self._assert_matches_brute_force(example2_source)
+
+    def test_every_subset_with_three_valued_z(self, example2_source):
+        z_given = np.random.default_rng(4).dirichlet(np.ones(3), size=example2_source.prob.shape)
+        self._assert_matches_brute_force(attach_z(example2_source, z_given))
+
+    def test_built_once(self, example2_source):
+        assert example2_source.entropies is example2_source.entropies
+        with pytest.raises(ValueError):
+            example2_source.entropies[1] = 0.0
+
+    def test_table_is_a_read_only_copy(self):
+        prob = np.full((2, 2), 0.25)
+        src = JointSource(num_agents=1, prob=prob)
+        with pytest.raises(ValueError):
+            src.prob[0, 0] = 0.5
+        prob[0, 0] = 0.5  # the caller's array is not the source's table
+        assert src.prob[0, 0] == 0.25
 
 
 class TestFValue:
