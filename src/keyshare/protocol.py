@@ -4,7 +4,10 @@ One run: sample N*B source symbols, reconcile every participating agent's
 blocks to the base station (per-block polar source coding against the base
 observation, then a cross-block clean-up round), hash each agent's full
 sequence down to its target key length with a fresh Toeplitz matrix, and
-compare agent keys with the base station's reconstructions.
+compare agent keys with the base station's reconstructions.  The Toeplitz
+product is an exact real-FFT convolution (see ToeplitzHash); an agent's
+sequence and the base station's reconstruction share one matrix and are
+hashed in one call.
 
 Reliability at finite length comes from the clean-up round.  Its message
 is the transform of the whole N*B sequence restricted to the cross-block
@@ -29,9 +32,10 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.stats import chisquare
 
-from .errors import ValidationError
+from .errors import ConsistencyError, ValidationError
 from .game import coalition_sums, core_contains, value_function
 from .polar import (build_index_sets, construct_profile, polar_transform,
                     sc_decode, side_info_llrs)
@@ -115,10 +119,18 @@ class ToeplitzHash:
     The matrix is determined by n+r-1 diagonal bits (first column stacked
     on the first row); row i, column j holds bits[i - j + n - 1].  Drawing
     the bits uniformly makes the family two-universal.
+
+    Row i of the product is entry n-1+i of the integer convolution of the
+    diagonal bits with the input, reduced mod 2.  apply computes all rows
+    of a batch in one real-FFT convolution.  That is exact: every sum is an
+    integer of at most n << 2^53, so the float result rounds to it, and
+    apply raises ConsistencyError if any value lies more than 0.25 from
+    its rounding (a guard, never a second route).  Diagonal bits and
+    inputs must be 0 or 1.
     """
 
     def __init__(self, bits: np.ndarray, n_in: int, r_out: int):
-        bits = np.asarray(bits, dtype=np.uint8)
+        bits = _binary(bits, "bits")
         if r_out < 0 or n_in < 1:
             raise ValidationError("need n_in >= 1 and r_out >= 0")
         if r_out > n_in:
@@ -132,7 +144,7 @@ class ToeplitzHash:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Hash one block (1-D) or a batch (2-D, row-wise)."""
-        x = np.asarray(x, dtype=np.uint8)
+        x = _binary(x, "hash input")
         single = x.ndim == 1
         x2 = x[None, :] if single else x
         if x2.shape[1] != self.n_in:
@@ -140,15 +152,24 @@ class ToeplitzHash:
         if self.r_out == 0:
             out = np.zeros((x2.shape[0], 0), dtype=np.uint8)
         else:
-            # row i of the matrix is the diagonal bits reversed-sliding: the
-            # product is a slice of the full convolution
-            bits = self.bits.astype(np.int64)
-            out = np.empty((x2.shape[0], self.r_out), dtype=np.uint8)
+            size = next_fast_len(self.n_in + self.bits.size - 1, real=True)
             lo = self.n_in - 1
-            for row in range(x2.shape[0]):
-                conv = np.convolve(bits, x2[row].astype(np.int64))
-                out[row] = (conv[lo:lo + self.r_out] & 1).astype(np.uint8)
+            conv = irfft(rfft(x2, size, axis=1) * rfft(self.bits, size), size,
+                         axis=1)[:, lo:lo + self.r_out]
+            sums = np.rint(conv)
+            residue = float(np.max(np.abs(conv - sums)))
+            if residue > 0.25:
+                raise ConsistencyError(f"FFT convolution residue {residue:.3g} exceeds 0.25")
+            out = (sums.astype(np.int64) & 1).astype(np.uint8)
         return out[0] if single else out
+
+
+def _binary(a, name: str) -> np.ndarray:
+    """a as a uint8 array, after checking that every entry is 0 or 1."""
+    a = np.asarray(a)
+    if not np.all((a == 0) | (a == 1)):
+        raise ValidationError(f"{name} must hold only 0 and 1")
+    return a.astype(np.uint8)
 
 
 def sample_hash(seed: int, n_in: int, r_out: int) -> ToeplitzHash:
@@ -471,8 +492,9 @@ class ProtocolEngine:
                 seed = self._hash_seed(k, agent)
                 hasher = sample_hash(seed, nb, plan.key_len)
                 tr.hash_bits[agent + 1] = hasher.bits
-                keymats[k_pos].keys[agent + 1] = hasher.apply(x_nb[k_pos])
-                keymats[k_pos].base_keys[agent + 1] = hasher.apply(xhat[k_pos])
+                # x and x-hat share the matrix: one call hashes both
+                keymats[k_pos].keys[agent + 1], keymats[k_pos].base_keys[agent + 1] = (
+                    hasher.apply(np.stack([x_nb[k_pos], xhat[k_pos]])))
         return {"transcripts": transcripts, "keys": keymats,
                 "truth": rec["truth"], "estimates": rec["estimates"]}
 
@@ -511,9 +533,11 @@ def privacy_amplify(sequences: dict[int, np.ndarray], lengths: dict[int, int],
     keys, base = {}, {}
     for agent, seq in sequences.items():
         hasher = sample_hash(seeds[agent], len(seq), lengths[agent])
-        keys[agent] = hasher.apply(seq)
         ref = base_sequences[agent] if base_sequences is not None else seq
-        base[agent] = hasher.apply(ref)
+        if np.shape(ref) != np.shape(seq):
+            raise ValidationError(f"agent {agent}: base sequence shape {np.shape(ref)}, "
+                                  f"expected {np.shape(seq)}")
+        keys[agent], base[agent] = hasher.apply(np.stack([seq, ref]))
     return KeyMaterial(keys=keys, base_keys=base)
 
 

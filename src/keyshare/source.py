@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -67,6 +68,14 @@ def _json_reals(values) -> Optional[list[float]]:
     return None
 
 
+def _level_id(a) -> int:
+    """An agent id from a levels entry: integral values only, never booleans."""
+    if (isinstance(a, (bool, np.bool_)) or not isinstance(a, numbers.Real)
+            or not (isinstance(a, numbers.Integral) or float(a).is_integer())):
+        raise ValidationError(f"levels must hold integer agent ids, got {a!r}")
+    return int(a)
+
+
 @dataclass(frozen=True)
 class DegradedSourceSpec:
     """Parameters of the binary degraded family.
@@ -84,7 +93,7 @@ class DegradedSourceSpec:
         object.__setattr__(self, "p", tuple(float(x) for x in self.p))
         if self.z_levels is not None:
             object.__setattr__(
-                self, "z_levels", tuple(tuple(int(a) for a in lev) for lev in self.z_levels)
+                self, "z_levels", tuple(tuple(_level_id(a) for a in lev) for lev in self.z_levels)
             )
         self.validate()
 

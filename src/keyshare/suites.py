@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import allocate, game as game_mod, polar, secrecy
+from . import allocate, game as game_mod, polar, protocol, secrecy
 from .source import (DegradedSourceSpec, build_degraded_source,
                      conditional_mi, verify_markov)
 
@@ -159,6 +159,25 @@ def polar_suite(seed: int = 0) -> list[CheckResult]:
     return results
 
 
+def toeplitz_matches_matrix(seed: int = 0) -> CheckResult:
+    """ToeplitzHash.apply against an explicit GF(2) matrix product at
+    production size: n = 4096, r in {1, 682, 4096} on seeded random rows,
+    plus the all-ones n = r = 4096 case where every sum reaches n."""
+    rng = np.random.default_rng(seed)
+    n = 4096
+    cases = [(protocol.sample_hash(int(rng.integers(2 ** 62)), n, r),
+              rng.integers(0, 2, (3, n), dtype=np.uint8)) for r in (1, 682, n)]
+    cases.append((protocol.ToeplitzHash(np.ones(2 * n - 1, dtype=np.uint8), n, n),
+                  np.ones((1, n), dtype=np.uint8)))
+    for h, x in cases:
+        # row i is bits[i:i+n] reversed, so T[i, j] = bits[i - j + n - 1]
+        t = np.lib.stride_tricks.sliding_window_view(h.bits, n)[:, ::-1]
+        expected = ((t.astype(np.int32) @ x.T) & 1).T
+        if not np.array_equal(h.apply(x), expected):
+            return CheckResult("toeplitz_matches_matrix", False, f"n={n} r={h.r_out}")
+    return CheckResult("toeplitz_matches_matrix", True)
+
+
 def secrecy_suite(seed: int = 0) -> list[CheckResult]:
     results = []
     ok, wit = True, ""
@@ -176,6 +195,7 @@ def secrecy_suite(seed: int = 0) -> list[CheckResult]:
     results.append(CheckResult(
         "toeplitz_two_universal", worst <= 0.25 + 1e-12, f"worst collision {worst}"
     ))
+    results.append(toeplitz_matches_matrix(seed))
     return results
 
 

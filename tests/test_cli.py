@@ -240,6 +240,12 @@ class TestVerify:
         assert "[PASS] shapley_dual_route_agreement" in out
         assert "FAIL" not in out
 
+    def test_secrecy_suite_passes(self, capsys):
+        code, out, _ = run_cli(["verify", "secrecy"], capsys)
+        assert code == 0
+        assert "[PASS] toeplitz_matches_matrix" in out
+        assert "FAIL" not in out
+
     def test_unknown_suite_is_validation_error(self, capsys):
         code, _, err = run_cli(["verify", "nonsense"], capsys)
         assert code == 1

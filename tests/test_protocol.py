@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,9 @@ from keyshare import (DegradedSourceSpec, ValidationError,
                       leakage_bound, min_entropy_floor, privacy_amplify,
                       reconcile, run_protocol, sample_hash,
                       toeplitz_collision_rate, value_function)
-from keyshare.protocol import (ProtocolConfig, ProtocolEngine,
+from keyshare.protocol import (ProtocolConfig, ProtocolEngine, ToeplitzHash,
                                toeplitz_from_index)
+from keyshare.suites import toeplitz_matches_matrix
 
 
 SMALL_SPEC = DegradedSourceSpec(q=0.40, p=(0.08, 0.12))
@@ -79,6 +82,28 @@ class TestToeplitzHash:
         out = h.apply(batch)
         for i in range(4):
             assert np.array_equal(out[i], h.apply(batch[i]))
+
+    def test_matches_matrix_at_production_size(self):
+        check = toeplitz_matches_matrix()
+        assert check.passed, check.witness
+
+    def test_rounding_residue_guard(self, monkeypatch):
+        from keyshare import ConsistencyError, protocol
+        exact = protocol.irfft
+        monkeypatch.setattr(protocol, "irfft", lambda *a, **k: exact(*a, **k) + 0.3)
+        with pytest.raises(ConsistencyError, match="residue"):
+            sample_hash(3, 16, 4).apply(np.ones(16, dtype=np.uint8))
+
+    def test_rejects_non_binary_bits(self):
+        for bad in (2, 0.5):
+            with pytest.raises(ValidationError, match="bits"):
+                ToeplitzHash(np.array([1, bad, 0]), 2, 2)
+
+    def test_rejects_non_binary_input(self):
+        h = sample_hash(3, 4, 2)
+        for bad in (2, 3, 0.5, float("nan")):
+            with pytest.raises(ValidationError, match="input"):
+                h.apply(np.array([1, 0, bad, 1]))
 
 
 class TestLeakageBound:
@@ -256,6 +281,25 @@ class TestRunProtocol:
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValidationError, match="target"):
                 small_config(target=(bad, 0.05))
+
+
+class TestGoldenReplay:
+    # digest recorded from the direct-convolution hash before the FFT rewrite
+    DIGEST = "bfcbfdfaf1fe0e1ddac99a793b363a23638cd6a69eb04e08d83b0629782bad7f"
+
+    def test_example2_transcripts_and_keys(self, example2_spec, example2_game):
+        from keyshare import shapley_from_game
+        cfg = ProtocolConfig(n=1024, b=4, target=tuple(shapley_from_game(example2_game)),
+                             epsilon=0.05, seed=0xC0A117)
+        res = ProtocolEngine(example2_spec, cfg).simulate_runs([0, 1])
+        digest = hashlib.sha256()
+        for tr, km in zip(res["transcripts"], res["keys"]):
+            digest.update(tr.to_bytes())
+            for agent in sorted(km.keys):
+                assert km.keys[agent].dtype == km.base_keys[agent].dtype == np.uint8
+                digest.update(km.keys[agent].tobytes())
+                digest.update(km.base_keys[agent].tobytes())
+        assert digest.hexdigest() == self.DIGEST
 
 
 class TestTranscriptDump:

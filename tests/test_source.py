@@ -28,6 +28,14 @@ class TestSpecValidation:
         with pytest.raises(ValidationError, match="levels"):
             DegradedSourceSpec(q=0.4, p=(0.2, 0.3), z_levels=((1,), (1, 2)))
 
+    def test_rejects_non_integral_level_ids(self):
+        for bad in (1.9, True, float("nan"), "1"):
+            with pytest.raises(ValidationError, match="levels"):
+                DegradedSourceSpec(q=0.4, p=(0.2, 0.3), z_levels=((bad,), (2,)))
+        spec = DegradedSourceSpec(q=0.4, p=(0.2, 0.3), z_levels=((np.int64(1),), (2.0,)))
+        assert spec.z_levels == ((1,), (2,))
+        assert all(type(a) is int for lev in spec.z_levels for a in lev)
+
     def test_json_loader_names_missing_field(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"p": [0.2]}))
