@@ -6,7 +6,7 @@ nucleolus), polar source-coding primitives, and the end-to-end protocol
 simulator with leftover-hash secrecy accounting.
 """
 
-from .allocate import (LinearProgram, NucleolusTrace, brute_force_nucleolus,
+from .allocate import (NucleolusTrace, brute_force_nucleolus,
                        core_polytope_vertices, lexicographic_less, lp_solve,
                        nucleolus, shapley_closed_form, shapley_from_game)
 from .errors import (CapacityError, ConsistencyError, SolverError,

@@ -5,14 +5,15 @@ weights over the value table, and the mutual-information closed form
 straight from the source) that must agree; the nucleolus runs the
 successive linear-program scheme, fixing at each stage the coalitions
 whose excess is pinned at the stage optimum across the entire optimal
-face.  A grid-sweep oracle validates small instances.
+face.  Every LP is sliced from one coalition-incidence matrix and handed
+to linprog in matrix form.  A grid-sweep oracle validates small instances.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linprog
@@ -21,69 +22,27 @@ from .errors import CapacityError, SolverError, ValidationError
 from .game import CoalitionGame, coalition_sums
 from .source import JointSource, _information, _member_masks
 
-LP_TOL = 1e-9
 TIGHT_TOL = 1e-8
 PIVOT_TOL = 1e-9
 
 
-@dataclass
-class LinearProgram:
-    """Minimize objective . x subject to rows (coeffs, relation, rhs).
+def lp_solve(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None):
+    """Minimize c . x subject to a_ub x <= b_ub and a_eq x = b_eq.
 
-    relation is one of "<=", ">=", "=".  bounds lists one (low, high) pair
-    per variable, None meaning unbounded on that side.
+    A thin call into linprog's matrix form (HiGHS); bounds lists one
+    (low, high) pair per variable, None meaning unbounded on that side, and
+    defaults to free variables.  Returns (status, optimum, solution): status
+    is "optimal", "infeasible" or "unbounded"; optimum and solution are None
+    unless optimal.
     """
-
-    objective: np.ndarray
-    constraints: list[tuple[np.ndarray, str, float]]
-    bounds: Optional[list[tuple[Optional[float], Optional[float]]]] = None
-
-    def __post_init__(self):
-        self.objective = np.asarray(self.objective, dtype=float)
-        if not np.all(np.isfinite(self.objective)):
-            raise ValidationError("objective has non-finite coefficients")
-        n = len(self.objective)
-        cleaned = []
-        for coeffs, rel, rhs in self.constraints:
-            coeffs = np.asarray(coeffs, dtype=float)
-            if coeffs.shape != (n,):
-                raise ValidationError(f"constraint row has shape {coeffs.shape}, expected ({n},)")
-            if rel not in ("<=", ">=", "="):
-                raise ValidationError(f"unknown relation {rel!r}")
-            if not (np.all(np.isfinite(coeffs)) and math.isfinite(rhs)):
-                raise ValidationError("constraint has non-finite coefficients")
-            cleaned.append((coeffs, rel, float(rhs)))
-        self.constraints = cleaned
-
-
-def lp_solve(lp: LinearProgram):
-    """Solve an LP; returns (status, optimum, solution).
-
-    status is "optimal", "infeasible" or "unbounded"; optimum and solution
-    are None unless optimal.
-    """
-    n = len(lp.objective)
-    a_ub, b_ub, a_eq, b_eq = [], [], [], []
-    for coeffs, rel, rhs in lp.constraints:
-        if rel == "<=":
-            a_ub.append(coeffs)
-            b_ub.append(rhs)
-        elif rel == ">=":
-            a_ub.append(-coeffs)
-            b_ub.append(-rhs)
-        else:
-            a_eq.append(coeffs)
-            b_eq.append(rhs)
-    bounds = lp.bounds if lp.bounds is not None else [(None, None)] * n
-    res = linprog(
-        lp.objective,
-        A_ub=np.array(a_ub) if a_ub else None,
-        b_ub=np.array(b_ub) if b_ub else None,
-        A_eq=np.array(a_eq) if a_eq else None,
-        b_eq=np.array(b_eq) if b_eq else None,
-        bounds=bounds,
-        method="highs",
-    )
+    for name, part in (("c", c), ("a_ub", a_ub), ("b_ub", b_ub),
+                       ("a_eq", a_eq), ("b_eq", b_eq)):
+        if part is not None and not np.all(np.isfinite(part)):
+            raise ValidationError(f"linear program {name} has non-finite entries")
+    if bounds is None:
+        bounds = [(None, None)] * len(c)
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                  bounds=bounds, method="highs")
     if res.status == 0:
         return "optimal", float(res.fun), np.asarray(res.x, dtype=float)
     if res.status == 2:
@@ -91,6 +50,11 @@ def lp_solve(lp: LinearProgram):
     if res.status == 3:
         return "unbounded", None, None
     raise SolverError(f"linear program solver failed: {res.message}")
+
+
+def _incidence(masks, L: int) -> np.ndarray:
+    """0/1 float matrix whose row k marks the members of coalition masks[k]."""
+    return ((np.asarray(masks)[:, None] >> np.arange(L)) & 1).astype(float)
 
 
 def shapley_from_game(game: CoalitionGame) -> np.ndarray:
@@ -152,73 +116,17 @@ class NucleolusTrace:
         ]
 
 
-def _row_rank(rows: list[np.ndarray], pivot_tol: float = PIVOT_TOL) -> int:
-    """Rank by Gaussian elimination with partial pivoting."""
-    if not rows:
-        return 0
-    m = np.array(rows, dtype=float)
-    nrows, ncols = m.shape
-    rank = 0
-    for col in range(ncols):
-        if rank == nrows:
-            break
-        pivot = rank + int(np.argmax(np.abs(m[rank:, col])))
-        if abs(m[pivot, col]) <= pivot_tol:
-            continue
-        m[[rank, pivot]] = m[[pivot, rank]]
-        m[rank] /= m[rank, col]
-        for r in range(nrows):
-            if r != rank and abs(m[r, col]) > 0:
-                m[r] -= m[r, col] * m[rank]
-        rank += 1
-    return rank
-
-
-def _coalition_row(mask: int, L: int) -> np.ndarray:
-    return (mask >> np.arange(L) & 1).astype(float)
-
-
-def _stage_lp(game, free, fixed, minimize_z=True, z_value=None, maximize_mask=None):
-    """Build one stage (or binding-test) LP of the successive scheme.
-
-    Variables are the L payoffs plus, when minimize_z, a trailing excess
-    level z.  fixed holds (mask, z_star) pairs turned into equalities.
-    """
-    L = game.num_agents
-    n = L + (1 if minimize_z else 0)
-    obj = np.zeros(n)
-    if minimize_z:
-        obj[L] = 1.0
-    else:
-        obj[: L] = -_coalition_row(maximize_mask, L)  # maximize coalition payoff
-    cons = []
-    for mask in free:
-        row = np.zeros(n)
-        row[:L] = _coalition_row(mask, L)
-        if minimize_z:
-            row[L] = 1.0
-            cons.append((row, ">=", game.value(mask)))
-        else:
-            cons.append((row, ">=", game.value(mask) - z_value))
-    eff = np.zeros(n)
-    eff[:L] = 1.0
-    cons.append((eff, "=", game.grand_value()))
-    for mask, z_star in fixed:
-        row = np.zeros(n)
-        row[:L] = _coalition_row(mask, L)
-        cons.append((row, "=", game.value(mask) - z_star))
-    bounds = [(0.0, None)] * L + ([(None, None)] if minimize_z else [])
-    return LinearProgram(objective=obj, constraints=cons, bounds=bounds)
-
-
 def nucleolus(game: CoalitionGame):
     """Lexicographically optimal allocation plus the stage trace.
 
-    Successive LPs over the nonempty proper coalitions: stage k minimizes
-    the worst free excess; coalitions whose excess equals the optimum on
-    the whole optimal face (checked by maximizing their payoff over that
-    face) become equalities for later stages.  Stops once the fixed system
-    pins all L payoffs.
+    Successive LPs over the nonempty proper coalitions, all sliced from one
+    coalition-incidence matrix: stage k minimizes the worst free excess z
+    (free rows as >= constraints on payoffs plus z, negated into a_ub;
+    a_eq holds efficiency, then the fixed rows in the order they were
+    fixed).  A tight coalition whose payoff cannot rise above v(S) - z* on
+    the optimal face (one LP per tight coalition, same constraints with z
+    pinned, only the objective changing) becomes an equality for later
+    stages.  Stops once the fixed system pins all L payoffs.
 
     The stage tolerances are absolute, so a game with values of 1 or more
     (source-induced values stay below H(X0) <= 1 bit) is solved scaled into
@@ -231,56 +139,53 @@ def nucleolus(game: CoalitionGame):
             stage.optimum = math.ldexp(stage.optimum, exponent)
         return np.ldexp(rates, exponent), trace
     L = game.num_agents
-    free = [m for m in range(1, game.full_mask)]
-    fixed: list[tuple[int, float]] = []
+    v = game.values
+    masks = np.arange(game.full_mask + 1)
+    rows = _incidence(masks, L)
+    stage_rows = np.hstack([rows, np.ones((len(masks), 1))])  # payoffs, then z
+    free = (masks > 0) & (masks < game.full_mask)
+    a_eq, b_eq = np.ones((1, L)), np.array([game.grand_value()])
+    payoffs = [(0.0, None)] * L
+    stage_c = np.zeros(L + 1)
+    stage_c[L] = 1.0
     trace = NucleolusTrace()
-
-    def current_rank() -> int:
-        rows = [np.ones(L)] + [_coalition_row(m, L) for m, _ in fixed]
-        return _row_rank(rows)
-
-    stage_count = 0
-    while current_rank() < L:
-        stage_count += 1
-        if stage_count > (1 << L):
+    rank = np.linalg.matrix_rank(a_eq, tol=PIVOT_TOL)
+    while rank < L:
+        if len(trace.stages) >= 1 << L:
             raise SolverError("nucleolus stage count exceeded 2^L without full rank")
-        status, z_star, sol = lp_solve(_stage_lp(game, free, fixed))
+        status, z_star, sol = lp_solve(
+            stage_c, -stage_rows[free], -v[free],
+            np.hstack([a_eq, np.zeros((len(a_eq), 1))]), b_eq, payoffs + [(None, None)])
         if status != "optimal":
             raise ValidationError(
                 f"nucleolus stage LP came back {status}; the game admits no "
                 "feasible excess level (empty-core style degeneracy)"
             )
-        x = sol[:L]
-        sums = coalition_sums(x)
-        tight = [m for m in free if abs(z_star + sums[m] - game.value(m)) <= TIGHT_TOL]
+        sums = coalition_sums(sol[:L])
+        tight = masks[free][np.abs(z_star + sums[free] - v[free]) <= TIGHT_TOL]
+        a_ub, b_ub = -rows[free], -(v[free] - z_star)
         binding = []
         for mask in tight:
-            status2, best, _ = lp_solve(
-                _stage_lp(game, free, fixed, minimize_z=False,
-                          z_value=z_star, maximize_mask=mask)
-            )
+            status2, best, _ = lp_solve(-rows[mask], a_ub, b_ub, a_eq, b_eq, payoffs)
             if status2 != "optimal":
                 raise SolverError(f"binding test LP came back {status2}")
             # -best = max payoff of the coalition over the optimal face;
             # if it can exceed v(S) - z*, the excess is not pinned yet
-            if -best > game.value(mask) - z_star + TIGHT_TOL:
-                continue
-            binding.append(mask)
+            if -best <= v[mask] - z_star + TIGHT_TOL:
+                binding.append(int(mask))
         if not binding:
             raise SolverError("nucleolus stage found no binding coalition; cannot progress")
-        fixed.extend((m, z_star) for m in binding)
-        free = [m for m in free if m not in set(binding)]
-        trace.stages.append(
-            NucleolusStage(optimum=z_star, fixed_coalitions=sorted(binding),
-                           system_rank=current_rank())
-        )
+        free[binding] = False
+        a_eq = np.vstack([a_eq, rows[binding]])
+        b_eq = np.concatenate([b_eq, v[binding] - z_star])
+        rank = np.linalg.matrix_rank(a_eq, tol=PIVOT_TOL)
+        trace.stages.append(NucleolusStage(optimum=z_star, fixed_coalitions=binding,
+                                           system_rank=int(rank)))
 
-    rows = [np.ones(L)] + [_coalition_row(m, L) for m, _ in fixed]
-    rhs = [game.grand_value()] + [game.value(m) - z for m, z in fixed]
-    solution, _, rank, _ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
+    solution, _, rank, _ = np.linalg.lstsq(a_eq, b_eq, rcond=None)
     if rank < L:
         raise SolverError("final nucleolus system is rank deficient")
-    residual = np.array(rows) @ solution - np.array(rhs)
+    residual = a_eq @ solution - b_eq
     if np.max(np.abs(residual)) > 1e-7:
         raise SolverError(f"final nucleolus system inconsistent, residual {residual}")
     return solution, trace
@@ -335,8 +240,7 @@ def brute_force_nucleolus(game: CoalitionGame, grid_step: float) -> np.ndarray:
     proper = [m for m in range(1, (1 << L) - 1)]
     if not proper:
         return pts[0]
-    masks = np.stack([_coalition_row(m, L) for m in proper])
-    exc = game.values[proper][None, :] - pts @ masks.T
+    exc = game.values[proper][None, :] - pts @ _incidence(proper, L).T
     exc_sorted = np.round(-np.sort(-exc, axis=1), 9)
     keys = tuple(exc_sorted[:, k] for k in range(exc_sorted.shape[1] - 1, -1, -1))
     best = np.lexsort(keys)[0]
@@ -354,13 +258,7 @@ def core_polytope_vertices(game: CoalitionGame) -> np.ndarray:
         raise CapacityError("core polytope vertex enumeration implemented for L = 3")
     v = game.values
     total = game.grand_value()
-    rows = []
-    rhs = []
-    for mask in range(1, 7):
-        rows.append(_coalition_row(mask, 3))
-        rhs.append(v[mask])
-    rows = np.array(rows)
-    rhs = np.array(rhs)
+    rows, rhs = _incidence(np.arange(1, 7), 3), v[1:7]
     cand = []
     for i in range(6):
         for j in range(i + 1, 6):

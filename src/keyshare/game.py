@@ -181,11 +181,18 @@ def is_supermodular(game: CoalitionGame, tol: float = DEFAULT_TOL):
     L = game.num_agents
     if L > MAX_EXHAUSTIVE_AGENTS:
         raise CapacityError(f"exhaustive supermodularity scan guarded at L <= {MAX_EXHAUSTIVE_AGENTS}")
-    v = game.values
-    for u in range(1 << L):
-        for w in range(u + 1, 1 << L):
-            if v[u] + v[w] > v[u | w] + v[u & w] + tol:
-                return False, (u, w)
+    return _first_supermodular_violation(game.values, tol)
+
+
+def _first_supermodular_violation(v: np.ndarray, tol: float):
+    """(ok, witness): first pair u < w, in row-major order, with
+    v[u] + v[w] > v[u|w] + v[u&w] + tol; one vectorised row per u."""
+    masks = np.arange(len(v))
+    for u in range(len(v)):
+        w = masks[u + 1:]
+        bad = np.flatnonzero(v[u] + v[w] > v[u | w] + v[u & w] + tol)
+        if bad.size:
+            return False, (u, int(w[bad[0]]))
     return True, None
 
 
@@ -249,8 +256,6 @@ def w_is_submodular(src: JointSource, s_mask: int, tol: float = DEFAULT_TOL):
     t = _member_masks([l for l in range(src.num_agents) if s_mask >> l & 1])[1:]
     w = np.zeros(len(t) + 1)
     w[1:] = _information(src, t << 1, 1, (full & ~s_mask) << 1)
-    for u in range(len(w)):
-        for v2 in range(u + 1, len(w)):
-            if w[u] + w[v2] < w[u | v2] + w[u & v2] - tol:
-                return False, (u, v2)
-    return True, None
+    # negation is exact, so -w breaks supermodularity exactly where w
+    # breaks w[u] + w[v] >= w[u|v] + w[u&v] - tol
+    return _first_supermodular_violation(-w, tol)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import CapacityError, ValidationError
 from .polar import build_index_sets, entropy_profile_exact, polar_transform
-from .protocol import toeplitz_from_index
+from .protocol import leakage_bound, toeplitz_from_index
 
 MAX_TOY_N = 8
 MAX_TOY_AGENTS = 2
@@ -131,7 +131,7 @@ def empirical_secrecy_check(q: float, p: tuple[float, ...], n: int,
     distance /= n_combos
 
     # exact average conditional min-entropies of every coalition given A
-    exponents = []
+    floors = {}
     for mask in range(1, 1 << agents):
         sel = [a for a in range(agents) if mask >> a & 1]
         comp_idx = np.zeros(len(prob), dtype=np.int64)
@@ -141,11 +141,8 @@ def empirical_secrecy_check(q: float, p: tuple[float, ...], n: int,
         joint = np.bincount(cell, weights=prob,
                             minlength=a_space * (1 << (n * len(sel))))
         guess = joint.reshape(a_space, -1).max(axis=1).sum()
-        h_inf = -math.log2(guess) if guess > 0 else math.inf
-        r_s = sum(r[a] for a in sel)
-        exponents.append(r_s - h_inf)
-    m = max(exponents)
-    bound = float(2.0 ** (m / 2) * math.sqrt(sum(2.0 ** (e - m) for e in exponents)))
+        floors[mask] = -math.log2(guess) if guess > 0 else math.inf
+    bound = leakage_bound(r, floors)
 
     return SecrecyCheckResult(distance=distance, bound=bound,
                               key_lengths=tuple(r), transcript_bits=tuple(a_bits))

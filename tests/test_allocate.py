@@ -1,12 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from keyshare import (CapacityError, CoalitionGame, DegradedSourceSpec,
-                      LinearProgram, ValidationError, brute_force_nucleolus,
+                      ValidationError, brute_force_nucleolus,
                       build_degraded_source, conditional_mi, core_contains,
                       core_polytope_vertices, lexicographic_less, lp_solve,
                       nucleolus, shapley_closed_form, shapley_from_game,
                       sorted_excess_vector, value_function)
+import keyshare.allocate as allocate
 from keyshare.game import coalition_sums
 
 from conftest import (NUCLEOLUS_INTERVALS, SHAPLEY_INTERVALS,
@@ -15,57 +18,43 @@ from conftest import (NUCLEOLUS_INTERVALS, SHAPLEY_INTERVALS,
 
 class TestLpSolve:
     def test_max_of_two_lower_bounds(self):
-        lp = LinearProgram(
-            objective=np.array([1.0]),
-            constraints=[(np.array([1.0]), ">=", 3.0), (np.array([1.0]), ">=", 5.0)],
-        )
-        status, opt, sol = lp_solve(lp)
+        # x >= 3 and x >= 5, negated into a_ub
+        status, opt, sol = lp_solve(np.array([1.0]), np.array([[-1.0], [-1.0]]),
+                                    np.array([-3.0, -5.0]))
         assert status == "optimal"
         assert opt == pytest.approx(5.0, abs=1e-9)
         assert sol[0] >= 5.0 - 1e-9
 
     def test_infeasible_pair(self):
-        lp = LinearProgram(
-            objective=np.array([1.0]),
-            constraints=[(np.array([1.0]), "<=", 0.0), (np.array([1.0]), ">=", 1.0)],
-        )
-        assert lp_solve(lp)[0] == "infeasible"
+        status = lp_solve(np.array([1.0]), np.array([[1.0], [-1.0]]),
+                          np.array([0.0, -1.0]))[0]
+        assert status == "infeasible"
 
     def test_unbounded(self):
-        lp = LinearProgram(objective=np.array([1.0]), constraints=[])
-        assert lp_solve(lp)[0] == "unbounded"
+        assert lp_solve(np.array([1.0]))[0] == "unbounded"
 
     def test_solution_feasibility_tolerance(self, example2_game):
         # stage-1 nucleolus LP: every constraint satisfied within 1e-9
         L = example2_game.num_agents
-        cons = []
-        for mask in range(1, example2_game.full_mask):
-            row = np.zeros(L + 1)
-            for l in range(L):
-                if mask >> l & 1:
-                    row[l] = 1.0
-            row[L] = 1.0
-            cons.append((row, ">=", example2_game.value(mask)))
-        eff = np.zeros(L + 1)
-        eff[:L] = 1.0
-        cons.append((eff, "=", example2_game.grand_value()))
+        masks = np.arange(1, example2_game.full_mask)
+        rows = np.hstack([allocate._incidence(masks, L), np.ones((len(masks), 1))])
+        eff = np.append(np.ones(L), 0.0)[None, :]
         obj = np.zeros(L + 1)
         obj[L] = 1.0
-        status, opt, sol = lp_solve(LinearProgram(
-            objective=obj, constraints=cons,
-            bounds=[(0.0, None)] * L + [(None, None)]))
+        status, opt, sol = lp_solve(
+            obj, -rows, -example2_game.values[masks], eff,
+            np.array([example2_game.grand_value()]), [(0.0, None)] * L + [(None, None)])
         assert status == "optimal"
-        for coeffs, rel, rhs in cons:
-            value = float(coeffs @ sol)
-            if rel == ">=":
-                assert value >= rhs - 1e-9
-            else:
-                assert value == pytest.approx(rhs, abs=1e-9)
+        assert np.all(rows @ sol >= example2_game.values[masks] - 1e-9)
+        assert float(eff[0] @ sol) == pytest.approx(example2_game.grand_value(), abs=1e-9)
 
-    def test_rejects_bad_relation(self):
-        with pytest.raises(ValidationError):
-            LinearProgram(objective=np.array([1.0]),
-                          constraints=[(np.array([1.0]), "<", 0.0)])
+    @pytest.mark.parametrize("part", ["c", "a_ub", "b_ub", "a_eq", "b_eq"])
+    def test_rejects_non_finite_entries(self, part):
+        lp = {"c": np.array([1.0]), "a_ub": np.array([[-1.0]]), "b_ub": np.array([0.0]),
+              "a_eq": np.array([[1.0]]), "b_eq": np.array([1.0])}
+        lp[part] = np.full_like(lp[part], np.nan)
+        with pytest.raises(ValidationError, match=part):
+            lp_solve(**lp)
 
 
 class TestShapley:
@@ -216,6 +205,49 @@ class TestNucleolus:
             game = value_function(build_degraded_source(spec))
             rates, _ = nucleolus(game)
             assert core_contains(game, rates, tol=1e-8)[0]
+
+
+class TestGoldenNucleolus:
+    """Pins the nucleolus bit for bit: the digest and the LP count were
+    recorded from the row-by-row LP builder that preceded the incidence
+    matrix, so any change in what reaches the solver shows up here."""
+
+    DIGEST = "6e21240f96c5cee67d3d118025e9b46ae99743fee16f78e07490825957a9ce58"
+    LP_SOLVES = 320
+
+    @staticmethod
+    def games():
+        rng = np.random.default_rng(43)
+        games = [value_function(build_degraded_source(random_degraded_spec(rng, L)))
+                 for L in range(3, 9)]
+        # values of 1 or more take the power-of-two scaling path
+        games.append(CoalitionGame(num_agents=4, values=np.array(
+            [0, 3, 5, 9, 2, 8, 10, 15, 4, 9, 11, 17, 7, 14, 16, 24], dtype=float)))
+        return games
+
+    def test_rates_and_stages_digest(self):
+        digest = hashlib.sha256()
+        for game in self.games():
+            rates, trace = nucleolus(game)
+            digest.update(rates.tobytes())
+            for stage in trace.stages:
+                digest.update(np.float64(stage.optimum).tobytes())
+                digest.update(np.array(stage.fixed_coalitions, dtype=np.int64).tobytes())
+                digest.update(np.int64(stage.system_rank).tobytes())
+        assert digest.hexdigest() == self.DIGEST
+
+    def test_lp_solve_count(self, monkeypatch):
+        calls = []
+        solve = allocate.lp_solve
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(allocate, "lp_solve", counting)
+        for game in self.games():
+            nucleolus(game)
+        assert len(calls) == self.LP_SOLVES
 
 
 class TestBruteForceOracle:
