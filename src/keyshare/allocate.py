@@ -5,8 +5,10 @@ weights over the value table, and the mutual-information closed form
 straight from the source) that must agree; the nucleolus runs the
 successive linear-program scheme, fixing at each stage the coalitions
 whose excess is pinned at the stage optimum across the entire optimal
-face.  Every LP is sliced from one coalition-incidence matrix and handed
-to linprog in matrix form.  A grid-sweep oracle validates small instances.
+face, found from the LP multipliers and one max-slack LP rather than one
+LP per tight coalition.  Every LP is sliced from one coalition-incidence
+matrix and handed to linprog in matrix form.  Two oracles validate it: a
+grid sweep on small instances and, for convex games, the prekernel gap.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .game import CoalitionGame, coalition_sums
 from .source import JointSource, _information, _member_masks
 
 TIGHT_TOL = 1e-8
+DUAL_TOL = 1e-9
 PIVOT_TOL = 1e-9
 
 
@@ -31,9 +34,10 @@ def lp_solve(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None):
 
     A thin call into linprog's matrix form (HiGHS); bounds lists one
     (low, high) pair per variable, None meaning unbounded on that side, and
-    defaults to free variables.  Returns (status, optimum, solution): status
-    is "optimal", "infeasible" or "unbounded"; optimum and solution are None
-    unless optimal.
+    defaults to free variables.  Returns (status, optimum, solution,
+    multipliers): status is "optimal", "infeasible" or "unbounded";
+    multipliers are the nonnegative dual values of the a_ub rows, one per
+    row; optimum, solution and multipliers are None unless optimal.
     """
     for name, part in (("c", c), ("a_ub", a_ub), ("b_ub", b_ub),
                        ("a_eq", a_eq), ("b_eq", b_eq)):
@@ -44,11 +48,12 @@ def lp_solve(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None):
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
                   bounds=bounds, method="highs")
     if res.status == 0:
-        return "optimal", float(res.fun), np.asarray(res.x, dtype=float)
+        return ("optimal", float(res.fun), np.asarray(res.x, dtype=float),
+                -np.asarray(res.ineqlin.marginals, dtype=float))
     if res.status == 2:
-        return "infeasible", None, None
+        return "infeasible", None, None, None
     if res.status == 3:
-        return "unbounded", None, None
+        return "unbounded", None, None, None
     raise SolverError(f"linear program solver failed: {res.message}")
 
 
@@ -122,18 +127,23 @@ def nucleolus(game: CoalitionGame):
     Successive LPs over the nonempty proper coalitions, all sliced from one
     coalition-incidence matrix: stage k minimizes the worst free excess z
     (free rows as >= constraints on payoffs plus z, negated into a_ub;
-    a_eq holds efficiency, then the fixed rows in the order they were
-    fixed).  A tight coalition whose payoff cannot rise above v(S) - z* on
-    the optimal face (one LP per tight coalition, same constraints with z
-    pinned, only the objective changing) becomes an equality for later
-    stages.  Stops once the fixed system pins all L payoffs.
+    a_eq holds efficiency, then the fixed rows stage by stage, each stage's
+    in ascending mask order).  The coalitions whose excess stays at z* on
+    the whole optimal face become equalities for later stages.  A tight
+    coalition with a positive stage multiplier is such a coalition; the
+    rest are settled by max-slack LPs (the known binding rows as
+    equalities, the other tight rows lifted by a common slack t <= 1): t* > 0
+    shows that none of the lifted rows is binding, and at t* = 0 the lifted
+    rows with a positive multiplier are binding and join the equalities
+    before the next max-slack LP.  Stops once the fixed system pins all L
+    payoffs.
 
-    The stage tolerances are absolute, so a game with values of 1 or more
-    (source-induced values stay below H(X0) <= 1 bit) is solved scaled into
-    [0, 1) by an exact power of two; the nucleolus scales with the game.
+    The stage tolerances are absolute, so every game with a positive value
+    is solved scaled by an exact power of two that puts its largest value
+    in [0.5, 1); the nucleolus scales with the game.
     """
     exponent = math.frexp(float(np.max(game.values)))[1]
-    if exponent > 0:
+    if exponent != 0:
         rates, trace = nucleolus(CoalitionGame(game.num_agents, np.ldexp(game.values, -exponent)))
         for stage in trace.stages:
             stage.optimum = math.ldexp(stage.optimum, exponent)
@@ -148,12 +158,13 @@ def nucleolus(game: CoalitionGame):
     payoffs = [(0.0, None)] * L
     stage_c = np.zeros(L + 1)
     stage_c[L] = 1.0
+    slack_c = -stage_c
     trace = NucleolusTrace()
     rank = np.linalg.matrix_rank(a_eq, tol=PIVOT_TOL)
     while rank < L:
         if len(trace.stages) >= 1 << L:
             raise SolverError("nucleolus stage count exceeded 2^L without full rank")
-        status, z_star, sol = lp_solve(
+        status, z_star, sol, duals = lp_solve(
             stage_c, -stage_rows[free], -v[free],
             np.hstack([a_eq, np.zeros((len(a_eq), 1))]), b_eq, payoffs + [(None, None)])
         if status != "optimal":
@@ -162,17 +173,32 @@ def nucleolus(game: CoalitionGame):
                 "feasible excess level (empty-core style degeneracy)"
             )
         sums = coalition_sums(sol[:L])
-        tight = masks[free][np.abs(z_star + sums[free] - v[free]) <= TIGHT_TOL]
-        a_ub, b_ub = -rows[free], -(v[free] - z_star)
-        binding = []
-        for mask in tight:
-            status2, best, _ = lp_solve(-rows[mask], a_ub, b_ub, a_eq, b_eq, payoffs)
-            if status2 != "optimal":
-                raise SolverError(f"binding test LP came back {status2}")
-            # -best = max payoff of the coalition over the optimal face;
-            # if it can exceed v(S) - z*, the excess is not pinned yet
-            if -best <= v[mask] - z_star + TIGHT_TOL:
-                binding.append(int(mask))
+        tight, fixing = np.zeros_like(free), np.zeros_like(free)
+        tight[free] = np.abs(z_star + sums[free] - v[free]) <= TIGHT_TOL
+        # by complementary slackness a positive multiplier pins its
+        # coalition's excess at z* on the whole optimal face
+        fixing[free] = duals > DUAL_TOL
+        fixing &= tight
+        while np.any(tight & ~fixing):
+            # max-slack LP over (payoffs, t): the pinned rows as equalities,
+            # every other tight row lifted by t; t* > 0 frees all of them
+            rest = free & ~fixing
+            lift = tight[rest]
+            status, neg_t, _, duals = lp_solve(
+                slack_c, np.hstack([-rows[rest], lift[:, None]]), -(v[rest] - z_star),
+                np.hstack([np.vstack([a_eq, rows[fixing]]),
+                           np.zeros((len(a_eq) + np.count_nonzero(fixing), 1))]),
+                np.concatenate([b_eq, v[fixing] - z_star]), payoffs + [(None, 1.0)])
+            if status != "optimal":
+                raise SolverError(f"max-slack LP came back {status}")
+            if -neg_t > TIGHT_TOL:
+                break
+            # t* = 0: a lifted row with a positive multiplier is pinned too
+            pinned = lift & (duals > DUAL_TOL)
+            if not np.any(pinned):
+                raise SolverError("max-slack LP pinned no tight coalition; cannot progress")
+            fixing[np.flatnonzero(rest)[pinned]] = True
+        binding = [int(mask) for mask in masks[fixing]]
         if not binding:
             raise SolverError("nucleolus stage found no binding coalition; cannot progress")
         free[binding] = False
@@ -189,6 +215,29 @@ def nucleolus(game: CoalitionGame):
     if np.max(np.abs(residual)) > 1e-7:
         raise SolverError(f"final nucleolus system inconsistent, residual {residual}")
     return solution, trace
+
+
+def prekernel_gap(game: CoalitionGame, rates: Sequence[float]) -> float:
+    """Largest |s_ij - s_ji| over agent pairs i != j, an LP-free oracle.
+
+    The surplus s_ij is the largest excess v(S) - x(S) over the coalitions
+    S that hold i but not j.  For a convex game the prekernel is a single
+    point and that point is the nucleolus (Maschler, Peleg & Shapley, IJGT
+    1, 1972), so a core allocation with a zero gap is the nucleolus.  One
+    vectorised pass per agent, O(L^2 2^L) in all.
+    """
+    L = game.num_agents
+    x = np.asarray(rates, dtype=float)
+    if x.shape != (L,):
+        raise ValidationError(f"allocation needs {L} rates, got shape {x.shape}")
+    excess = game.values - coalition_sums(x)
+    member = _incidence(np.arange(game.full_mask + 1), L).astype(bool)
+    surplus = np.empty((L, L))
+    for i in range(L):
+        holds_i = np.where(member[:, i], excess, -np.inf)
+        surplus[i] = np.max(np.where(member, -np.inf, holds_i[:, None]), axis=0)
+    pairs = ~np.eye(L, dtype=bool)
+    return float(np.max(np.abs(surplus[pairs] - surplus.T[pairs]), initial=0.0))
 
 
 def lexicographic_less(theta1: Sequence[float], theta2: Sequence[float]) -> bool:

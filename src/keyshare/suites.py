@@ -108,10 +108,23 @@ def allocation_suite(seed: int = 0, specs: int = 15) -> list[CheckResult]:
             ref = allocate.brute_force_nucleolus(g, grid_step=2e-3)
             if np.max(np.abs(ref - nuc)) > 4e-3:
                 oracle_ok, wit["oracle"] = False, f"spec {spec}: {nuc} vs grid {ref}"
+    # LP-free nucleolus oracle at sizes the grid sweep cannot reach: the
+    # source games are convex, where a core point with a zero prekernel gap
+    # is the nucleolus
+    cert_ok, cert_wit = True, ""
+    for num_agents in (8, 9, 10):
+        spec = _random_spec(rng, num_agents)
+        g = game_mod.value_function(build_degraded_source(spec))
+        nuc, _ = allocate.nucleolus(g)
+        gap = allocate.prekernel_gap(g, nuc)
+        in_core, w = game_mod.core_contains(g, nuc, tol=1e-9)
+        if gap > 1e-9 or not in_core:
+            cert_ok, cert_wit = False, f"spec {spec}: gap {gap:.3g}, core violation {w}"
     results.append(CheckResult("shapley_dual_route_agreement", dual_ok, wit["dual"]))
     results.append(CheckResult("allocations_efficient", eff_ok, wit["eff"]))
     results.append(CheckResult("allocations_in_core", core_ok, wit["core"]))
     results.append(CheckResult("nucleolus_matches_grid_oracle", oracle_ok, wit["oracle"]))
+    results.append(CheckResult("nucleolus_prekernel_certificate", cert_ok, cert_wit))
     return results
 
 

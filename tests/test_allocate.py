@@ -7,8 +7,8 @@ from keyshare import (CapacityError, CoalitionGame, DegradedSourceSpec,
                       ValidationError, brute_force_nucleolus,
                       build_degraded_source, conditional_mi, core_contains,
                       core_polytope_vertices, lexicographic_less, lp_solve,
-                      nucleolus, shapley_closed_form, shapley_from_game,
-                      sorted_excess_vector, value_function)
+                      nucleolus, prekernel_gap, shapley_closed_form,
+                      shapley_from_game, sorted_excess_vector, value_function)
 import keyshare.allocate as allocate
 from keyshare.game import coalition_sums
 
@@ -19,11 +19,17 @@ from conftest import (NUCLEOLUS_INTERVALS, SHAPLEY_INTERVALS,
 class TestLpSolve:
     def test_max_of_two_lower_bounds(self):
         # x >= 3 and x >= 5, negated into a_ub
-        status, opt, sol = lp_solve(np.array([1.0]), np.array([[-1.0], [-1.0]]),
-                                    np.array([-3.0, -5.0]))
+        status, opt, sol, _ = lp_solve(np.array([1.0]), np.array([[-1.0], [-1.0]]),
+                                       np.array([-3.0, -5.0]))
         assert status == "optimal"
         assert opt == pytest.approx(5.0, abs=1e-9)
         assert sol[0] >= 5.0 - 1e-9
+
+    def test_multipliers_of_two_lower_bounds(self):
+        # only x >= 5 holds the optimum up, so only its multiplier is positive
+        multipliers = lp_solve(np.array([1.0]), np.array([[-1.0], [-1.0]]),
+                               np.array([-3.0, -5.0]))[3]
+        assert np.max(np.abs(multipliers - [0.0, 1.0])) <= 1e-9
 
     def test_infeasible_pair(self):
         status = lp_solve(np.array([1.0]), np.array([[1.0], [-1.0]]),
@@ -41,7 +47,7 @@ class TestLpSolve:
         eff = np.append(np.ones(L), 0.0)[None, :]
         obj = np.zeros(L + 1)
         obj[L] = 1.0
-        status, opt, sol = lp_solve(
+        status, opt, sol, _ = lp_solve(
             obj, -rows, -example2_game.values[masks], eff,
             np.array([example2_game.grand_value()]), [(0.0, None)] * L + [(None, None)])
         assert status == "optimal"
@@ -131,7 +137,8 @@ class TestNucleolus:
         small = CoalitionGame(num_agents=3, values=np.array(
             [0.0, 0.1, 0.05, 0.2, 0.12, 0.3, 0.25, 0.6]))
         base, base_trace = nucleolus(small)
-        for factor in (4.0, 759248487.0, 1e12):
+        # small values must not fall below them either
+        for factor in (4.0, 759248487.0, 1e12, 2.0 ** -20, 2.0 ** -30):
             rates, trace = nucleolus(CoalitionGame(num_agents=3, values=small.values * factor))
             assert np.max(np.abs(rates / factor - base)) < 1e-9
             assert [s.fixed_coalitions for s in trace.stages] == [
@@ -208,12 +215,14 @@ class TestNucleolus:
 
 
 class TestGoldenNucleolus:
-    """Pins the nucleolus bit for bit: the digest and the LP count were
-    recorded from the row-by-row LP builder that preceded the incidence
-    matrix, so any change in what reaches the solver shows up here."""
+    """Pins the nucleolus bit for bit: the digest was recorded from the
+    row-by-row LP builder that preceded the incidence matrix, so any change
+    in what reaches the solver shows up here.  The LP count was recorded
+    when the binding sets came from stage multipliers and max-slack LPs
+    (the per-coalition binding tests before them made 320 LP solves)."""
 
     DIGEST = "6e21240f96c5cee67d3d118025e9b46ae99743fee16f78e07490825957a9ce58"
-    LP_SOLVES = 320
+    LP_SOLVES = 139
 
     @staticmethod
     def games():
@@ -248,6 +257,35 @@ class TestGoldenNucleolus:
         for game in self.games():
             nucleolus(game)
         assert len(calls) == self.LP_SOLVES
+
+
+class TestPrekernelGap:
+    def test_matches_a_loop_over_coalitions(self):
+        rng = np.random.default_rng(47)
+        game = value_function(build_degraded_source(random_degraded_spec(rng, 4)))
+        rates = rng.uniform(0.0, 0.2, size=4)
+        excess = game.values - coalition_sums(rates)
+        expected = 0.0
+        for i in range(4):
+            for j in range(4):
+                if i != j:
+                    s_ij = max(excess[m] for m in range(16) if m >> i & 1 and not m >> j & 1)
+                    s_ji = max(excess[m] for m in range(16) if m >> j & 1 and not m >> i & 1)
+                    expected = max(expected, abs(s_ij - s_ji))
+        assert prekernel_gap(game, rates) == expected
+
+    def test_certifies_the_nucleolus_not_the_shapley_value(self):
+        rng = np.random.default_rng(53)
+        for _ in range(5):
+            game = value_function(build_degraded_source(
+                random_degraded_spec(rng, int(rng.integers(3, 7)))))
+            rates, _ = nucleolus(game)
+            assert prekernel_gap(game, rates) <= 1e-9
+            assert prekernel_gap(game, shapley_from_game(game)) > 1e-6
+
+    def test_rejects_wrong_length(self, example2_game):
+        with pytest.raises(ValidationError):
+            prekernel_gap(example2_game, [0.1, 0.2])
 
 
 class TestBruteForceOracle:

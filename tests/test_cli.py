@@ -2,12 +2,14 @@ import json
 import tempfile
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from keyshare import allocate, suites
 from keyshare.cli import main
 
 from conftest import EXAMPLE2_VALUES, NUCLEOLUS_INTERVALS, SHAPLEY_INTERVALS
@@ -238,7 +240,23 @@ class TestVerify:
         code, out, _ = run_cli(["verify", "allocation"], capsys)
         assert code == 0
         assert "[PASS] shapley_dual_route_agreement" in out
+        assert "[PASS] nucleolus_prekernel_certificate" in out
         assert "FAIL" not in out
+
+    def test_allocation_suite_fails_a_shifted_nucleolus(self, capsys, monkeypatch):
+        # move 1e-6 of rate from agent 1 to agent 2 in every nucleolus the
+        # suite computes; the prekernel certificate must notice (seed 4
+        # draws large specs whose nucleoli take few stages)
+        def shifted(game):
+            rates, trace = allocate.nucleolus(game)
+            return rates + 1e-6 * np.eye(len(rates))[1] - 1e-6 * np.eye(len(rates))[0], trace
+
+        monkeypatch.setattr(suites, "allocate",
+                            SimpleNamespace(**{**vars(allocate), "nucleolus": shifted}))
+        code, out, _ = run_cli(["verify", "allocation", "--seed", "4"], capsys)
+        assert code == 2
+        line = next(l for l in out.splitlines() if "nucleolus_prekernel_certificate" in l)
+        assert line.startswith("[FAIL]") and "gap 2e-06" in line
 
     def test_secrecy_suite_passes(self, capsys):
         code, out, _ = run_cli(["verify", "secrecy"], capsys)
