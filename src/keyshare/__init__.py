@@ -12,9 +12,9 @@ from .allocate import (NucleolusTrace, brute_force_nucleolus,
                        shapley_from_game)
 from .errors import (CapacityError, ConsistencyError, SolverError,
                      ValidationError)
-from .game import (CoalitionGame, CoreBounds, clearance_level_games,
-                   core_bounds, core_contains, is_superadditive,
-                   is_supermodular, sorted_excess_vector, value_function,
+from .game import (CoalitionGame, clearance_level_games, core_bounds,
+                   core_contains, is_superadditive, is_supermodular,
+                   sorted_excess_vector, value_function,
                    value_function_conditional, w_is_submodular)
 from .polar import (EntropyProfile, PolarIndexSets, build_index_sets,
                     construct_profile, entropy_profile_exact,
@@ -24,9 +24,9 @@ from .protocol import (KeyMaterial, ProtocolConfig, ToeplitzHash, Transcript,
                        min_entropy_floor, privacy_amplify, reconcile,
                        run_protocol, sample_hash)
 from .secrecy import empirical_secrecy_check, toeplitz_collision_rate
-from .source import (DegradedSourceSpec, EntropyQuery, JointSource,
-                     binary_entropy, build_degraded_source,
-                     coalition_value_closed_form, conditional_mi, entropy,
-                     f_value, mutual_information, verify_markov)
+from .source import (DegradedSourceSpec, JointSource, binary_entropy,
+                     build_degraded_source, coalition_value_closed_form,
+                     conditional_mi, entropy, f_value, mutual_information,
+                     verify_markov)
 
 __version__ = "0.1.0"

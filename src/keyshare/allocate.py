@@ -22,7 +22,7 @@ from scipy.optimize import linprog
 
 from .errors import CapacityError, SolverError, ValidationError
 from .game import CoalitionGame, coalition_sums
-from .source import JointSource, _information, _member_masks
+from .source import JointSource, _member_masks, mutual_information
 
 TIGHT_TOL = 1e-8
 DUAL_TOL = 1e-9
@@ -98,8 +98,8 @@ def shapley_closed_form(src: JointSource) -> np.ndarray:
     for l in range(L):
         a = 1 << (l + 1)  # axis bitmask of agent l
         others = _member_masks([k for k in range(L) if k != l])
-        penalty = np.sum(_information(src, a, others << 1) / combs)
-        rates[l] = _information(src, a, 1) - penalty / L
+        penalty = np.sum(mutual_information(src, a, others << 1) / combs)
+        rates[l] = mutual_information(src, a, 1) - penalty / L
     return rates
 
 

@@ -36,8 +36,12 @@ def _parse_seed(text: str) -> int:
         raise ValidationError(f"seed {text!r} is not an integer (hex accepted)") from exc
 
 
-def _emit(payload: dict, out_path) -> None:
-    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
+def _emit(text: str, out_path) -> None:
+    """Write rendered output to out_path, or to stdout without one."""
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -49,12 +53,14 @@ def cmd_analyze(args) -> int:
     spec = DegradedSourceSpec.from_json(args.spec)
     src = build_degraded_source(spec)
     game = game_mod.value_function(src)
-    sup, sup_wit = game_mod.is_superadditive(game)
     mod, mod_wit = game_mod.is_supermodular(game)
-    bounds = []
-    for mask in range(1, game.full_mask + 1):
-        cb = game_mod.core_bounds(src, mask)
-        bounds.append({"coalition": mask, "lower": cb.lower, "upper": cb.upper})
+    # v(empty) = 0, so the supermodular pair scan over disjoint pairs is
+    # the superadditivity test at the same tolerance
+    sup, sup_wit = (True, None) if mod else game_mod.is_superadditive(game)
+    lower, upper = game_mod.core_bounds(src)
+    bounds = [{"coalition": mask, "lower": lo, "upper": up}
+              for mask, lo, up in zip(range(1, game.full_mask + 1),
+                                      lower[1:].tolist(), upper[1:].tolist())]
     payload = {
         "spec": spec.to_json(),
         "game": game.to_json(),
@@ -72,13 +78,13 @@ def cmd_analyze(args) -> int:
             {"agents": list(lev), "game": g.to_json()}
             for lev, g in zip(spec.z_levels, level_games)
         ]
-    _emit(payload, args.out)
+    _emit(_json(payload), args.out)
     return EXIT_OK
 
 
 def cmd_allocate(args) -> int:
-    if not (args.spec or args.game):
-        raise ValidationError("provide --spec or --game")
+    if bool(args.spec) == bool(args.game):
+        raise ValidationError("provide exactly one of --spec or --game")
     src = build_degraded_source(DegradedSourceSpec.from_json(args.spec)) if args.spec else None
     game = game_mod.CoalitionGame.load(args.game) if args.game else game_mod.value_function(src)
     payload = {"L": game.num_agents, "grand_value": game.grand_value()}
@@ -112,19 +118,12 @@ def cmd_allocate(args) -> int:
                 fh.write(",".join(f"{x:.10f}" for x in v) + "\n")
         payload["polytope_csv"] = args.polytope_csv
     if args.format == "csv":
-        header = "method," + ",".join(f"R{l + 1}" for l in range(game.num_agents))
-        lines = [header]
-        for method in methods:
-            rates = payload[method]["rates"]
-            lines.append(method + "," + ",".join(f"{x:.10f}" for x in rates))
+        lines = ["method," + ",".join(f"R{l + 1}" for l in range(game.num_agents))]
+        lines += [m + "," + ",".join(f"{x:.10f}" for x in payload[m]["rates"]) for m in methods]
         text = "\n".join(lines) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        return EXIT_OK
-    _emit(payload, args.out)
+    else:
+        text = _json(payload)
+    _emit(text, args.out)
     return EXIT_OK
 
 
@@ -145,7 +144,7 @@ def cmd_simulate(args) -> int:
         seed=_parse_seed(args.seed), coalition=args.coalition,
     )
     report = run_protocol(spec, cfg, args.runs)
-    _emit(report, args.out)
+    _emit(_json(report), args.out)
     return EXIT_OK
 
 

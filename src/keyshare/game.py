@@ -4,9 +4,10 @@ The value of coalition S is the conditional mutual information between the
 coalition's observations and the base station's, given everything the
 outsiders hold: v(S) = I(X_S ; X0 | X_{S^c}).  With an eavesdropper
 component the conditioning additionally includes Z.  Every such quantity
-is a vectorised lookup into the source's cached entropy table
-(JointSource.entropies).  Everything downstream (core tests, excesses,
-solution concepts) works on the resulting value table indexed by bitmask.
+is one vectorised source.mutual_information read of the source's cached
+entropy table, over all coalitions at once.  Everything downstream (core
+tests, excesses, solution concepts) works on the resulting value table
+indexed by bitmask; the core bounds are two more such tables (core_bounds).
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .source import (JointSource, _information, _json_reals, _member_masks,
-                     _read_json_object, _slot_mask, verify_markov)
+from .source import (JointSource, _json_reals, _member_masks, _read_json_object,
+                     mutual_information, verify_markov)
 
 DEFAULT_TOL = 1e-9
 MAX_EXHAUSTIVE_AGENTS = 12
@@ -87,20 +88,6 @@ class CoalitionGame:
             fh.write("\n")
 
 
-@dataclass(frozen=True)
-class CoreBounds:
-    coalition: int
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        if self.lower > self.upper + 1e-12:
-            raise ValidationError(
-                f"core bounds inverted for coalition {self.coalition}: "
-                f"[{self.lower}, {self.upper}]"
-            )
-
-
 def _require_markov(src: JointSource) -> None:
     if not (src.markov_degraded or verify_markov(src)):
         raise ValidationError(
@@ -114,9 +101,9 @@ def _value_table(src: JointSource, cond_z: bool) -> CoalitionGame:
     _require_markov(src)
     full = src.full_mask
     s = np.arange(1, full + 1)
-    z = _slot_mask(src, 0, with_z=cond_z)
+    z = 1 << (src.num_agents + 1) if cond_z else 0
     values = np.zeros(full + 1)
-    values[1:] = _information(src, s << 1, 1, (full & ~s) << 1 | z)
+    values[1:] = mutual_information(src, s << 1, 1, (full & ~s) << 1 | z)
     return CoalitionGame(num_agents=src.num_agents, values=values)
 
 
@@ -152,7 +139,7 @@ def clearance_level_games(src: JointSource,
         masks = _member_masks(sorted(a - 1 for a in level))
         s, level_mask = masks[1:], masks[-1]
         values = np.zeros(len(s) + 1)
-        values[1:] = _information(src, s << 1, 1, (level_mask & ~s | lower_mask) << 1)
+        values[1:] = mutual_information(src, s << 1, 1, (level_mask & ~s | lower_mask) << 1)
         games.append(CoalitionGame(num_agents=len(level), values=values))
         lower_mask |= level_mask
     return games[::-1]
@@ -196,19 +183,20 @@ def _first_supermodular_violation(v: np.ndarray, tol: float):
     return True, None
 
 
-def core_bounds(src: JointSource, coalition: int) -> CoreBounds:
-    """Feasible range of a coalition's payoff inside the core.
+def core_bounds(src: JointSource):
+    """(lower, upper): feasible range of every coalition's payoff inside
+    the core, indexed by coalition bitmask, entry 0 zero.
 
-    upper = I(X_S ; X0); lower = upper - I(X_S ; X_{S^c}), clamped at 0.
+    upper = I(X_S ; X0); lower = upper - I(X_S ; X_{S^c}), clamped at 0,
+    so 0 <= lower <= upper.
     """
     _require_markov(src)
-    s = _slot_mask(src, coalition)
-    if coalition == 0:
-        return CoreBounds(coalition=0, lower=0.0, upper=0.0)
-    upper = float(_information(src, s, 1))
-    leak = float(_information(src, s, _slot_mask(src, src.full_mask & ~coalition)))
-    lower = max(upper - leak, 0.0)
-    return CoreBounds(coalition=coalition, lower=lower, upper=upper)
+    full = src.full_mask
+    s = np.arange(1, full + 1) << 1
+    lower, upper = np.zeros(full + 1), np.zeros(full + 1)
+    upper[1:] = mutual_information(src, s, 1)
+    lower[1:] = np.maximum(upper[1:] - mutual_information(src, s, (full << 1) & ~s), 0.0)
+    return lower, upper
 
 
 def core_contains(game: CoalitionGame, rates: Sequence[float],
@@ -255,7 +243,7 @@ def w_is_submodular(src: JointSource, s_mask: int, tol: float = DEFAULT_TOL):
         raise ValidationError("w is defined for proper coalitions S only")
     t = _member_masks([l for l in range(src.num_agents) if s_mask >> l & 1])[1:]
     w = np.zeros(len(t) + 1)
-    w[1:] = _information(src, t << 1, 1, (full & ~s_mask) << 1)
+    w[1:] = mutual_information(src, t << 1, 1, (full & ~s_mask) << 1)
     # negation is exact, so -w breaks supermodularity exactly where w
     # breaks w[u] + w[v] >= w[u|v] + w[u&v] - tol
     return _first_supermodular_violation(-w, tol)

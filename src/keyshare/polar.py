@@ -73,7 +73,6 @@ class EntropyProfile:
     h: np.ndarray
     method: str  # "degrading_merge" | "exact" | "monte_carlo"
     theta: float
-    side_info: bool
     genie_error: Optional[np.ndarray] = None  # per-index single-bit decision error
 
 
@@ -160,11 +159,10 @@ def construct_profile(theta: float, n: int) -> EntropyProfile:
     h = np.clip(h, 0.0, 1.0)
     h.flags.writeable = False
     err.flags.writeable = False
-    return EntropyProfile(n=n, h=h, method="degrading_merge", theta=theta,
-                          side_info=True, genie_error=err)
+    return EntropyProfile(n=n, h=h, method="degrading_merge", theta=theta, genie_error=err)
 
 
-def entropy_profile_exact(theta: float, n: int, side_info: bool = True) -> EntropyProfile:
+def entropy_profile_exact(theta: float, n: int) -> EntropyProfile:
     """Exact profile by enumerating all 2^N block realizations.
 
     Also records, per index, the exact probability that a maximum-posterior
@@ -192,8 +190,7 @@ def entropy_profile_exact(theta: float, n: int, side_info: bool = True) -> Entro
         h[i] = float(tlogt.sum() - plogp.sum())
         err[i] = float(np.minimum(joint[:, 0], joint[:, 1]).sum())
     h = np.clip(h, 0.0, 1.0)
-    return EntropyProfile(n=n, h=h, method="exact", theta=theta, side_info=side_info,
-                          genie_error=err)
+    return EntropyProfile(n=n, h=h, method="exact", theta=theta, genie_error=err)
 
 
 def _boxplus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -251,8 +248,7 @@ def _sc_sweep(llr: np.ndarray, leaf: Callable[[int, np.ndarray], np.ndarray]) ->
     return rec(llr)
 
 
-def entropy_profile_mc(theta: float, n: int, num_samples: int, seed: int,
-                       side_info: bool = True) -> EntropyProfile:
+def entropy_profile_mc(theta: float, n: int, num_samples: int, seed: int) -> EntropyProfile:
     """Genie-aided Monte Carlo profile.
 
     Each sample draws a Bernoulli(theta) block, runs the SC recursion with
@@ -289,7 +285,7 @@ def entropy_profile_mc(theta: float, n: int, num_samples: int, seed: int,
         chunk_index += 1
     h = np.clip(h_sum / num_samples, 0.0, 1.0)
     return EntropyProfile(n=n, h=h, method="monte_carlo", theta=theta,
-                          side_info=side_info, genie_error=err_sum / num_samples)
+                          genie_error=err_sum / num_samples)
 
 
 def side_info_llrs(y: np.ndarray, crossover: float) -> np.ndarray:

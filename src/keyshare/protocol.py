@@ -33,14 +33,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
-from scipy.stats import chisquare
 
 from .errors import ConsistencyError, ValidationError
 from .game import coalition_sums, core_contains, value_function
 from .polar import (build_index_sets, construct_profile, polar_transform,
                     sc_decode, side_info_llrs)
-from .source import (DegradedSourceSpec, JointSource, _information,
-                     _member_masks, build_degraded_source, conditional_mi)
+from .source import (DegradedSourceSpec, JointSource, _member_masks,
+                     build_degraded_source, conditional_mi,
+                     mutual_information)
 
 DEFAULT_SEED = 0xC0A117
 FINAL_ROUND_BLOCK = 0xFFFE
@@ -330,7 +330,8 @@ class ProtocolEngine:
         subsets = _member_masks(self.members)
         outsider_mask = _member_masks(self.outsiders)[-1]
         self._member_info = np.zeros(len(subsets))
-        self._member_info[1:] = _information(self.src, subsets[1:] << 1, 1, outsider_mask << 1)
+        self._member_info[1:] = mutual_information(self.src, subsets[1:] << 1, 1,
+                                                   outsider_mask << 1)
         self._warn_if_target_outside_region(subsets)
         lengths = key_lengths_from_allocation(cfg.target, cfg.n, cfg.b, cfg.epsilon)
         self.plans: list[_AgentPlan] = []
@@ -541,6 +542,12 @@ def privacy_amplify(sequences: dict[int, np.ndarray], lengths: dict[int, int],
     return KeyMaterial(keys=keys, base_keys=base)
 
 
+def _balance_p_value(size: int, ones: int) -> float:
+    """Chi-square p-value of `ones` set bits among `size` fair coin flips;
+    1 dof, so P(chi2 > s) = erfc(sqrt(s / 2)).  1.0 for no bits."""
+    return math.erfc(math.sqrt((size - 2 * ones) ** 2 / size / 2)) if size else 1.0
+
+
 def run_protocol(spec: DegradedSourceSpec, cfg: ProtocolConfig, runs: int) -> dict:
     """Full pipeline over the given number of independent runs.
 
@@ -578,11 +585,7 @@ def run_protocol(spec: DegradedSourceSpec, cfg: ProtocolConfig, runs: int) -> di
             "final_round_bits": int(plan.suffix.size * cfg.b),
         }
     pool = np.concatenate(pooled) if pooled else np.zeros(0, dtype=np.uint8)
-    if pool.size:
-        ones = int(pool.sum())
-        chi2_p = float(chisquare([pool.size - ones, ones]).pvalue)
-    else:
-        chi2_p = 1.0
+    chi2_p = _balance_p_value(pool.size, int(pool.sum()))
 
     return {
         "config": cfg.to_json(),

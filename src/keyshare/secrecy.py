@@ -71,7 +71,7 @@ def empirical_secrecy_check(q: float, p: tuple[float, ...], n: int,
 
     h_masks = []
     for pl in p:
-        prof = entropy_profile_exact(pl, n, side_info=True)
+        prof = entropy_profile_exact(pl, n)
         h_masks.append(build_index_sets(prof, beta).h_mask)
 
     # enumerate the joint source: x0 block times one flip block per agent

@@ -7,8 +7,10 @@ an extra eavesdropper component Z) are supported for validation and for
 conditional games.
 
 Every entropy and mutual information is a lookup into one cached table
-per source, JointSource.entropies (the entropy of every axis subset); only
-its builder and the verify_markov oracle marginalise the dense table.
+per source, JointSource.entropies (the entropy of every axis subset):
+mutual_information(src, a, b, c) gives I(A ; B | C) and entropy(src, a, c)
+gives H(A | C), each on axis bitmasks, scalar or array.  Only the table's
+builder and the verify_markov oracle marginalise the dense table.
 
 Conventions, fixed repo-wide:
   * agent l (1-based) corresponds to bit (l-1) of a coalition bitmask;
@@ -211,26 +213,6 @@ class JointSource:
         return table
 
 
-@dataclass(frozen=True)
-class EntropyQuery:
-    """Index arithmetic for entropy / mutual-information lookups.
-
-    Each of the three slots (a, b, conditioning) selects a coalition
-    bitmask plus flags for including X0 and Z.  entropy() uses the a-slot
-    and the conditioning; mutual_information() uses all three.
-    """
-
-    subset_a: int = 0
-    a_x0: bool = False
-    a_z: bool = False
-    subset_b: int = 0
-    b_x0: bool = False
-    b_z: bool = False
-    cond: int = 0
-    cond_x0: bool = False
-    cond_z: bool = False
-
-
 def build_degraded_source(spec: DegradedSourceSpec) -> JointSource:
     """Materialize the dense joint table of the degraded family.
 
@@ -257,22 +239,32 @@ def _clamp(value, what: str):
     return np.maximum(value, 0.0)
 
 
-def _slot_mask(src: JointSource, mask: int, with_x0: bool = False, with_z: bool = False) -> int:
-    """Axis bitmask of one query slot: a coalition plus optional X0 and Z."""
-    src.agent_axes(mask)  # range check
-    bits = mask << 1 | int(with_x0)
-    if with_z:
-        if not src.has_z:
-            raise ValidationError("query touches Z but the source has no Z component")
-        bits |= 1 << src.z_axis
-    return bits
+def _check_masks(src: JointSource, *masks) -> None:
+    """Every axis bitmask (int or int array) must lie in [0, 2^ndim)."""
+    top = 1 << src.prob.ndim
+    for m in masks:
+        if np.any(m < 0) or np.any(m >= top):
+            raise ValidationError(
+                f"axis bitmask outside [0, {top}) for L={src.num_agents} "
+                f"({'with' if src.has_z else 'without'} a Z component)")
 
 
-def _information(src: JointSource, a, b, c=0):
-    """I(A ; B | C) from the entropy table, clamped like mutual_information;
-    a, b, c are axis bitmasks (ints or int arrays), a and b disjoint."""
+def mutual_information(src: JointSource, a, b, c=0):
+    """I(A ; B | C) in bits from the entropy table, clamped to zero from
+    tiny negative round-off.  a, b, c are axis bitmasks (ints or int
+    arrays): bit 0 is X0, bit l agent l, bit L+1 Z; a and b are disjoint."""
+    _check_masks(src, a, b, c)
+    if np.any(a & b):
+        raise ValidationError("a and b overlap in a mutual-information query")
     h = src.entropies
     return _clamp(h[a | c] + h[b | c] - h[a | b | c] - h[c], "mutual information")
+
+
+def entropy(src: JointSource, a, c=0):
+    """H(A | C) in bits on the same axis bitmasks as mutual_information."""
+    _check_masks(src, a, c)
+    h = src.entropies
+    return _clamp(h[a | c] - h[c], "conditional entropy")
 
 
 def _member_masks(members: Sequence[int]) -> np.ndarray:
@@ -284,37 +276,14 @@ def _member_masks(members: Sequence[int]) -> np.ndarray:
     return masks
 
 
-def entropy(src: JointSource, query: EntropyQuery) -> float:
-    """H(A | C) in bits for the query's a-slot given its conditioning slot."""
-    a = _slot_mask(src, query.subset_a, query.a_x0, query.a_z)
-    c = _slot_mask(src, query.cond, query.cond_x0, query.cond_z)
-    if not a:
-        return 0.0
-    h = src.entropies
-    return float(_clamp(h[a | c] - h[c], "conditional entropy"))
-
-
-def mutual_information(src: JointSource, query: EntropyQuery) -> float:
-    """I(A ; B | C) in bits, clamped to zero from tiny negative round-off."""
-    a = _slot_mask(src, query.subset_a, query.a_x0, query.a_z)
-    b = _slot_mask(src, query.subset_b, query.b_x0, query.b_z)
-    c = _slot_mask(src, query.cond, query.cond_x0, query.cond_z)
-    if not a:
-        raise ValidationError("mutual-information query requires a nonempty a-slot")
-    if not b:
-        return 0.0
-    if a & b:
-        raise ValidationError("a and b slots overlap in a mutual-information query")
-    return float(_information(src, a, b, c))
-
-
 def conditional_mi(src: JointSource, coalition: int, cond_mask: int = 0,
                    cond_z: bool = False) -> float:
     """I(X_S ; X0 | X_cond[, Z]) - the quantity the whole game is built from."""
-    return mutual_information(
-        src,
-        EntropyQuery(subset_a=coalition, b_x0=True, cond=cond_mask, cond_z=cond_z),
-    )
+    # coalition range checks: with Z present, 2^L would map onto the Z bit
+    src.agent_axes(coalition)
+    src.agent_axes(cond_mask)
+    z = 1 << (src.num_agents + 1) if cond_z else 0
+    return float(mutual_information(src, coalition << 1, 1, cond_mask << 1 | z))
 
 
 def verify_markov(src: JointSource, tol: float = 1e-10) -> bool:

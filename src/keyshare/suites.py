@@ -61,17 +61,13 @@ def game_suite(seed: int = 0, specs: int = 20) -> list[CheckResult]:
                 identity_ok, witness["identity"] = False, f"spec {spec}, S={mask}"
         # core bound equivalence on random allocations
         alloc = allocate.shapley_from_game(g)
+        lower, upper = game_mod.core_bounds(src)
         for _ in range(20):
             cand = np.abs(alloc + rng.normal(0, 0.05, size=len(alloc)))
             cand *= g.grand_value() / cand.sum()
             in_core, _ = game_mod.core_contains(g, cand, tol=1e-9)
             sums = game_mod.coalition_sums(cand)
-            via_bounds = True
-            for mask in range(1, full + 1):
-                cb = game_mod.core_bounds(src, mask)
-                if not (cb.lower - 1e-9 <= sums[mask] <= cb.upper + 1e-9):
-                    via_bounds = False
-                    break
+            via_bounds = bool(np.all((lower - 1e-9 <= sums) & (sums <= upper + 1e-9)))
             if in_core != via_bounds:
                 bounds_ok = False
                 bounds_wit = f"spec {spec}, allocation {cand}"

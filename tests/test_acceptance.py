@@ -75,8 +75,7 @@ def test_criterion_4_property_suite():
         assert core_contains(game, nuc, tol=1e-8)[0], spec
 
         full = game.full_mask
-        lowers = np.array([0.0] + [core_bounds(src, m).lower for m in range(1, full + 1)])
-        uppers = np.array([0.0] + [core_bounds(src, m).upper for m in range(1, full + 1)])
+        lowers, uppers = core_bounds(src)
         masks = np.stack([[1.0 if m >> l & 1 else 0.0 for l in range(num_agents)]
                           for m in range(full + 1)])
         base = np.asarray(shap)

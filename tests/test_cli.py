@@ -53,6 +53,47 @@ class TestAnalyze:
         levels = json.loads(out)["clearance_levels"]
         assert levels[0]["game"]["v"][1] == pytest.approx(EXAMPLE2_VALUES[0b001], abs=1e-5)
 
+    def test_supermodular_pass_skips_superadditivity_scan(self, example2_file, capsys,
+                                                          monkeypatch):
+        from keyshare import game as game_mod
+
+        def scan(*args, **kwargs):
+            raise AssertionError("superadditivity scanned after a passing supermodularity scan")
+
+        monkeypatch.setattr(game_mod, "is_superadditive", scan)
+        code, out, _ = run_cli(["analyze", "--spec", example2_file], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["superadditive"] is True and payload["supermodular"] is True
+        assert "superadditive_witness" not in payload
+
+    def test_supermodular_failure_runs_superadditivity_scan(self, example2_file, capsys,
+                                                            monkeypatch):
+        from keyshare import game as game_mod
+        calls = []
+
+        def scan(game, *args, **kwargs):
+            calls.append(game.num_agents)
+            return False, (1, 2)
+
+        monkeypatch.setattr(game_mod, "is_supermodular", lambda game: (False, (3, 5)))
+        monkeypatch.setattr(game_mod, "is_superadditive", scan)
+        code, out, _ = run_cli(["analyze", "--spec", example2_file], capsys)
+        assert code == 0 and calls == [3]
+        payload = json.loads(out)
+        assert payload["superadditive"] is False and payload["superadditive_witness"] == [1, 2]
+        assert payload["supermodular"] is False and payload["supermodular_witness"] == [3, 5]
+
+    def test_core_bounds_listed_per_coalition(self, example2_file, capsys):
+        code, out, _ = run_cli(["analyze", "--spec", example2_file], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        bounds = payload["core_bounds"]
+        assert [b["coalition"] for b in bounds] == list(range(1, 8))
+        for b in bounds:
+            value = payload["game"]["v"][b["coalition"]]
+            assert 0.0 <= b["lower"] <= value + 1e-12 and value <= b["upper"] + 1e-12
+
     def test_malformed_json_exits_one(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{oops")
@@ -124,10 +165,29 @@ class TestAllocate:
         for rate, (lo, hi) in zip(rates, SHAPLEY_INTERVALS):
             assert lo - 1e-10 <= rate <= hi + 1e-10
 
+    def test_csv_format_to_out_file(self, example2_file, tmp_path, capsys):
+        out_path = tmp_path / "rates.csv"
+        code, out, _ = run_cli(
+            ["allocate", "--spec", example2_file, "--method", "shapley",
+             "--format", "csv", "--out", str(out_path)], capsys)
+        assert code == 0 and out == ""
+        lines = out_path.read_text().splitlines()
+        assert lines[0] == "method,R1,R2,R3" and lines[1].startswith("shapley,")
+        assert len(lines) == 2
+
     def test_requires_spec_or_game(self, capsys):
         code, _, err = run_cli(["allocate"], capsys)
         assert code == 1
         assert "--spec or --game" in err
+
+    def test_spec_and_game_together_rejected(self, example2_file, tmp_path, capsys):
+        game_path = tmp_path / "game.json"
+        game_path.write_text(json.dumps(
+            {"L": 3, "v": [0.0, 0.1, 0.1, 0.3, 0.1, 0.3, 0.3, 0.6]}))
+        code, out, err = run_cli(
+            ["allocate", "--spec", example2_file, "--game", str(game_path)], capsys)
+        assert code == 1 and out == ""
+        assert "exactly one of --spec or --game" in err
 
     def test_nan_game_value_exits_one(self, tmp_path, capsys):
         path = tmp_path / "nan_game.json"

@@ -167,23 +167,41 @@ class TestGamePredicates:
 
 class TestCore:
     def test_grand_coalition_bounds_degenerate(self, example2_source, example2_game):
-        cb = core_bounds(example2_source, 0b111)
-        assert cb.lower == pytest.approx(cb.upper, abs=1e-12)
-        assert cb.upper == pytest.approx(example2_game.grand_value(), abs=1e-10)
+        lower, upper = core_bounds(example2_source)
+        assert lower[0b111] == pytest.approx(upper[0b111], abs=1e-12)
+        assert upper[0b111] == pytest.approx(example2_game.grand_value(), abs=1e-10)
 
     def test_example2_singleton_bounds(self, example2_source):
-        from keyshare import EntropyQuery, mutual_information
-        cb = core_bounds(example2_source, 0b001)
-        upper = mutual_information(example2_source, EntropyQuery(subset_a=1, b_x0=True))
-        leak = mutual_information(example2_source, EntropyQuery(subset_a=1, subset_b=0b110))
-        assert cb.upper == pytest.approx(upper, abs=1e-12)
-        assert cb.lower == pytest.approx(upper - leak, abs=1e-12)
+        from keyshare import mutual_information
+        lower, upper = core_bounds(example2_source)
+        # axis bitmasks: X0 is bit 0, agent l is bit l
+        info = mutual_information(example2_source, 0b0010, 0b0001)
+        leak = mutual_information(example2_source, 0b0010, 0b1100)
+        assert upper[0b001] == pytest.approx(info, abs=1e-12)
+        assert lower[0b001] == pytest.approx(info - leak, abs=1e-12)
+
+    def test_table_matches_per_coalition_lookups(self):
+        from keyshare import mutual_information
+        rng = np.random.default_rng(12)
+        src = build_degraded_source(random_degraded_spec(rng, 5))
+        lower, upper = core_bounds(src)
+        full = src.full_mask
+        for s in range(1, full + 1):
+            up = mutual_information(src, s << 1, 1)
+            leak = mutual_information(src, s << 1, (full & ~s) << 1)
+            assert upper[s] == up and lower[s] == max(up - leak, 0.0)
+
+    def test_bounds_table_shape_and_order(self, example2_source):
+        lower, upper = core_bounds(example2_source)
+        assert lower.shape == upper.shape == (8,)
+        assert lower[0] == upper[0] == 0.0
+        assert np.all((0.0 <= lower) & (lower <= upper))
 
     def test_uninformative_source_bounds_collapse(self):
         src = build_degraded_source(DegradedSourceSpec(q=0.5, p=(0.5, 0.5)))
-        cb = core_bounds(src, 0b01)
-        assert cb.lower == pytest.approx(0.0, abs=1e-10)
-        assert cb.upper == pytest.approx(0.0, abs=1e-10)
+        lower, upper = core_bounds(src)
+        assert lower[0b01] == pytest.approx(0.0, abs=1e-10)
+        assert upper[0b01] == pytest.approx(0.0, abs=1e-10)
 
     def test_shapley_in_core(self, example2_game):
         assert core_contains(example2_game, shapley_from_game(example2_game))[0]
@@ -206,7 +224,7 @@ class TestCore:
     def test_bounds_equivalence_random_allocations(self, example2_source, example2_game):
         rng = np.random.default_rng(9)
         full = example2_game.full_mask
-        bounds = {m: core_bounds(example2_source, m) for m in range(1, full + 1)}
+        lower, upper = core_bounds(example2_source)
         base = shapley_from_game(example2_game)
         for _ in range(300):
             cand = np.abs(base + rng.normal(0, 0.08, size=3))
@@ -215,7 +233,7 @@ class TestCore:
             in_core, _ = core_contains(example2_game, cand, tol=1e-11)
             sums = coalition_sums(cand)
             via_bounds = all(
-                bounds[m].lower - 1e-11 <= sums[m] <= bounds[m].upper + 1e-11
+                lower[m] - 1e-11 <= sums[m] <= upper[m] + 1e-11
                 for m in range(1, full + 1))
             assert in_core == via_bounds
 

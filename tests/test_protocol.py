@@ -10,7 +10,7 @@ from keyshare import (DegradedSourceSpec, ValidationError,
                       reconcile, run_protocol, sample_hash,
                       toeplitz_collision_rate, value_function)
 from keyshare.protocol import (ProtocolConfig, ProtocolEngine, ToeplitzHash,
-                               toeplitz_from_index)
+                               _balance_p_value, toeplitz_from_index)
 from keyshare.suites import toeplitz_matches_matrix
 
 
@@ -281,6 +281,30 @@ class TestRunProtocol:
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValidationError, match="target"):
                 small_config(target=(bad, 0.05))
+
+
+
+class TestBalancePValue:
+    @staticmethod
+    def _assert_matches_scipy(size, ones):
+        from scipy.stats import chisquare
+        ones = np.asarray(ones, dtype=np.int64)
+        ref = chisquare(np.stack([size - ones, ones]).astype(float), axis=0).pvalue
+        got = np.array([_balance_p_value(size, int(k)) for k in ones])
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+    def test_every_count_up_to_200_bits(self):
+        for size in range(1, 201):
+            self._assert_matches_scipy(size, np.arange(size + 1))
+
+    def test_large_pools(self):
+        for size in (4096 * 300, 10 ** 9, 2 ** 40):
+            sd = size ** 0.5 / 2
+            self._assert_matches_scipy(size, [size // 2 + int(k * sd)
+                                              for k in (-8, -3, -1, 0, 0.5, 2, 7)])
+
+    def test_empty_pool(self):
+        assert _balance_p_value(0, 0) == 1.0
 
 
 class TestGoldenReplay:

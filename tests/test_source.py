@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from keyshare import (CapacityError, DegradedSourceSpec, EntropyQuery,
-                      JointSource, ValidationError, binary_entropy,
+from keyshare import (CapacityError, DegradedSourceSpec, JointSource,
+                      ValidationError, binary_entropy,
                       build_degraded_source, coalition_value_closed_form,
                       conditional_mi, entropy, f_value, mutual_information,
                       verify_markov)
@@ -107,31 +107,32 @@ class TestVerifyMarkov:
 
 
 class TestEntropyQueries:
+    # axis bitmasks: bit 0 is X0, bit l agent l, bit L+1 Z
     def test_uniform_base_bit(self):
         src = build_degraded_source(DegradedSourceSpec(q=0.5, p=(0.2,)))
-        assert entropy(src, EntropyQuery(a_x0=True)) == pytest.approx(1.0, abs=1e-12)
+        assert entropy(src, 0b1) == pytest.approx(1.0, abs=1e-12)
 
     def test_base_bit_bias(self):
         src = build_degraded_source(DegradedSourceSpec(q=0.4, p=(0.2,)))
-        assert entropy(src, EntropyQuery(a_x0=True)) == pytest.approx(0.970951, abs=1e-6)
+        assert entropy(src, 0b1) == pytest.approx(0.970951, abs=1e-6)
 
     def test_channel_entropy(self):
         src = build_degraded_source(DegradedSourceSpec(q=0.4, p=(0.2,)))
-        h = entropy(src, EntropyQuery(subset_a=0b1, cond_x0=True))
+        h = entropy(src, 0b10, 0b1)
         assert h == pytest.approx(binary_entropy(0.2), abs=1e-12)
 
     def test_empty_subject_is_zero(self):
         src = build_degraded_source(DegradedSourceSpec(q=0.4, p=(0.2,)))
-        assert entropy(src, EntropyQuery()) == 0.0
+        assert entropy(src, 0) == 0.0
 
     def test_independent_agent_has_zero_information(self):
         src = build_degraded_source(DegradedSourceSpec(q=0.4, p=(0.5,)))
-        mi = mutual_information(src, EntropyQuery(subset_a=0b1, b_x0=True))
+        mi = mutual_information(src, 0b10, 0b1)
         assert mi == pytest.approx(0.0, abs=1e-12)
 
     def test_single_agent_information(self):
         src = build_degraded_source(DegradedSourceSpec(q=0.4, p=(0.2,)))
-        mi = mutual_information(src, EntropyQuery(subset_a=0b1, b_x0=True))
+        mi = mutual_information(src, 0b10, 0b1)
         # direct evaluation: H(X1) - H(X1|X0) with P(X1=1) = 0.44
         assert mi == pytest.approx(binary_entropy(0.44) - binary_entropy(0.2), abs=1e-12)
         assert mi == pytest.approx(0.267659, abs=1e-6)
@@ -160,14 +161,33 @@ class TestEntropyQueries:
         for _ in range(20):
             spec = random_degraded_spec(rng, 3)
             src = build_degraded_source(spec)
-            mi = mutual_information(
-                src, EntropyQuery(subset_a=0b001, subset_b=0b110, cond_x0=True))
+            mi = mutual_information(src, 0b0010, 0b1100, 0b0001)
             assert mi <= 1e-10
 
     def test_overlapping_slots_rejected(self, example2_source):
         with pytest.raises(ValidationError):
-            mutual_information(example2_source,
-                               EntropyQuery(subset_a=0b1, subset_b=0b1))
+            mutual_information(example2_source, 0b10, 0b10)
+
+    def test_masks_outside_the_axes_rejected(self, example2_source):
+        with_z = attach_z(example2_source, np.full(example2_source.prob.shape + (2,), 0.5))
+        for a, b, c in ((0b10000, 0b1, 0), (0b10, 0b1, -1), (0b10, np.array([0b1, 0b10000]), 0)):
+            with pytest.raises(ValidationError, match="outside"):
+                mutual_information(example2_source, a, b, c)
+        with pytest.raises(ValidationError, match="outside"):
+            entropy(example2_source, 0b1, 0b10000)  # Z on a source without Z
+        assert mutual_information(with_z, 0b10, 0b1, 0b10000) >= 0.0
+        with pytest.raises(ValidationError, match="outside"):
+            mutual_information(with_z, 0b100000, 0b1)
+        with pytest.raises(ValidationError, match="out of range"):
+            conditional_mi(with_z, 0b1000)  # coalition 2^L, the Z bit
+
+    def test_array_masks_match_scalar_lookups(self, example2_source):
+        a = np.array([0b0010, 0b0110, 0b1110])
+        c = np.array([0b1100, 0b1000, 0])
+        both = mutual_information(example2_source, a, 0b1, c)
+        for k in range(3):
+            assert both[k] == mutual_information(example2_source, int(a[k]), 0b1, int(c[k]))
+        assert both[0] == conditional_mi(example2_source, 0b001, 0b110)
 
     def test_clamp_raises_below_floor(self):
         with pytest.raises(ConsistencyError):
