@@ -19,6 +19,14 @@ is an upper bound, and it is a pure function of (theta, N).  Exact
 enumeration (N <= 16) and a genie-aided Monte Carlo estimate that runs the
 successive-cancellation recursion on true prefixes are kept as test
 oracles.
+
+Decoding and the Monte Carlo oracle share one successive-cancellation
+sweep.  When decoding, a subtree whose transform-domain indices are all
+known is transformed, not decoded: its source bits are the polar
+transform of its known bits, so no LLR below it is computed (the
+simplified SC decoder of Alamdar-Yazdi & Kschischang, IEEE Comm. Letters
+2011, without its rate-1 shortcut: with equal-magnitude LLRs ties occur,
+and ties-to-0 SC need not equal a hard decision).
 """
 
 from __future__ import annotations
@@ -223,29 +231,50 @@ def _llr_constant(theta: float) -> float:
     return float(np.clip(np.log((1.0 - theta) / theta), -LLR_CLAMP, LLR_CLAMP))
 
 
-def _sc_sweep(llr: np.ndarray, leaf: Callable[[int, np.ndarray], np.ndarray]) -> np.ndarray:
+def _sc_sweep(llr: np.ndarray, leaf: Callable[[int, np.ndarray], np.ndarray],
+              settled: Optional[tuple[np.ndarray, np.ndarray]] = None) -> np.ndarray:
     """Generic successive-cancellation recursion over a batch.
 
-    llr has shape (batch, N).  leaf(i, llr_column) must return the settled
-    bits for transform-domain index i; the sweep returns the source-domain
-    bits implied by those decisions.
-    """
-    counter = [0]
+    llr has shape (batch, N).  leaf(i, llr_column) must return the bits
+    decided at transform-domain index i; the sweep returns the
+    source-domain bits implied by those decisions.
 
-    def rec(cur: np.ndarray) -> np.ndarray:
+    settled, if given, is (mask, values): transform-domain indices whose
+    bits are fixed in advance, with values shaped like llr.  A subtree
+    whose leaves are all settled is not decoded: its output is the polar
+    transform of its settled bits, and neither its LLRs nor leaf calls are
+    computed.  Every LLR that is still computed is the same float as in
+    the full sweep, so the result is bit-identical to one whose leaf
+    returns the settled bits at those indices.
+    """
+    if settled is None:
+        open_before = None
+    else:
+        mask, values = settled
+        open_before = np.concatenate([[0], np.cumsum(~mask)])  # unsettled indices below i
+
+    def transformed(i0: int, m: int) -> Optional[np.ndarray]:
+        """Source-domain bits of a fully settled subtree [i0, i0+m), else None."""
+        if open_before is None or open_before[i0 + m] != open_before[i0]:
+            return None
+        return polar_transform(values[:, i0:i0 + m])
+
+    def rec(cur: np.ndarray, i0: int) -> np.ndarray:
         m = cur.shape[1]
         if m == 1:
-            i = counter[0]
-            counter[0] += 1
-            bits = leaf(i, cur[:, 0])
-            return bits[:, None]
+            return leaf(i0, cur[:, 0])[:, None]
         half = m // 2
-        left = rec(_boxplus(cur[:, :half], cur[:, half:]))
-        follow = cur[:, half:] + (1 - 2 * left.astype(np.int8)) * cur[:, :half]
-        right = rec(follow)
+        left = transformed(i0, half)
+        if left is None:
+            left = rec(_boxplus(cur[:, :half], cur[:, half:]), i0)
+        right = transformed(i0 + half, half)
+        if right is None:
+            follow = cur[:, half:] + (1 - 2 * left.astype(np.int8)) * cur[:, :half]
+            right = rec(follow, i0 + half)
         return np.concatenate([left ^ right, right], axis=1)
 
-    return rec(llr)
+    whole = transformed(0, llr.shape[1])
+    return rec(llr, 0) if whole is None else whole
 
 
 def entropy_profile_mc(theta: float, n: int, num_samples: int, seed: int) -> EntropyProfile:
@@ -299,14 +328,15 @@ def sc_decode(known_mask: np.ndarray, known_values: np.ndarray,
     """Successive-cancellation decode of source blocks from LLR evidence.
 
     known_mask marks transform-domain indices whose bits are given
-    (known_values, same layout as the blocks); the rest are settled by the
-    sign of the per-bit posterior, ties to 0.  Accepts a single block
-    (1-D) or a batch (2-D, one row per block); returns the decoded source
-    blocks in the same shape.
+    (known_values, 0 or 1, same layout as the blocks); the rest are settled
+    by the sign of the per-bit posterior, ties to 0.  Subtrees whose
+    indices are all known are transformed, not decoded (see _sc_sweep).
+    Accepts a single block (1-D) or a batch (2-D, one row per block) of
+    finite LLRs; returns the decoded source blocks in the same shape.
     """
     single = llr.ndim == 1
     llr2 = llr[None, :] if single else llr
-    kv = np.asarray(known_values, dtype=np.uint8)
+    kv = np.asarray(known_values)
     kv2 = kv[None, :] if kv.ndim == 1 else kv
     mask = np.asarray(known_mask, dtype=bool)
     if mask.shape != (llr2.shape[1],):
@@ -314,11 +344,13 @@ def sc_decode(known_mask: np.ndarray, known_values: np.ndarray,
     if kv2.shape != llr2.shape:
         raise ValidationError("known_values must match the block batch shape")
     _check_block_length(llr2.shape[1])
+    if not np.all((kv2 == 0) | (kv2 == 1)):
+        raise ValidationError("known_values must hold only 0 and 1")
+    if not np.all(np.isfinite(llr2)):
+        raise ValidationError("llr must be finite")
 
     def leaf(i: int, col: np.ndarray) -> np.ndarray:
-        if mask[i]:
-            return kv2[:, i].copy()
         return (col < 0).astype(np.uint8)
 
-    out = _sc_sweep(llr2, leaf)
+    out = _sc_sweep(llr2, leaf, (mask, kv2.astype(np.uint8, copy=False)))
     return out[0] if single else out

@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
-from .errors import ConsistencyError, ValidationError
+from .errors import CapacityError, ConsistencyError, ValidationError
 from .game import coalition_sums, core_contains, value_function
 from .polar import (build_index_sets, construct_profile, polar_transform,
                     sc_decode, side_info_llrs)
@@ -48,6 +48,14 @@ HASH_BITS_BLOCK = 0xFFFF
 _RUN_TAG = 0x52
 _CAL_TAG = 0x43
 _HASH_TAG = 0x48
+MAX_BLOCK_N = 2 ** 14  # construct_profile takes about 4 s per agent at this N
+# Decode-work limit, in decoded source bits: members x (runs + calibration
+# runs) x max(B x N, RUN_OVERHEAD_BITS).  Example 2 at the limit (N=1024,
+# B=4, 2680 runs) takes about 13 s and 0.54 GB; N=16384, B=1 with cold
+# profiles about 15 s.  Sampling, hashing and report objects cost about
+# as much per member-run as decoding RUN_OVERHEAD_BITS bits.
+MAX_DECODE_WORK = 2 ** 25
+RUN_OVERHEAD_BITS = 2 ** 10
 
 
 def _is_pow2(n: int) -> bool:
@@ -71,6 +79,8 @@ class ProtocolConfig:
     def __post_init__(self):
         if not _is_pow2(self.n) or not _is_pow2(self.b):
             raise ValidationError("N and B must be powers of two")
+        if self.n > MAX_BLOCK_N:
+            raise CapacityError(f"block length N={self.n} exceeds the limit {MAX_BLOCK_N}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValidationError(f"epsilon must lie in (0,1), got {self.epsilon}")
         if not 0.0 < self.beta < 0.5:
@@ -87,6 +97,16 @@ class ProtocolConfig:
         if mask <= 0 or mask > full:
             raise ValidationError(f"coalition mask {mask} out of range for L={num_agents}")
         return [l for l in range(num_agents) if mask >> l & 1]
+
+    def check_decode_work(self, num_members: int, runs: int) -> None:
+        """Raise CapacityError when runs plus calibration exceed MAX_DECODE_WORK."""
+        work = (num_members * (runs + max(self.calibration_runs, 0))
+                * max(self.b * self.n, RUN_OVERHEAD_BITS))
+        if work > MAX_DECODE_WORK:
+            raise CapacityError(
+                f"decode work members x (runs + calibration runs) x max(B*N, "
+                f"{RUN_OVERHEAD_BITS}) = {work} exceeds the limit {MAX_DECODE_WORK} "
+                "(about 13 s and 0.54 GB at N=1024, B=4 on 2 vCPUs)")
 
     def to_json(self) -> dict:
         return {
@@ -320,6 +340,7 @@ class ProtocolEngine:
         self.cfg = cfg
         self.num_agents = spec.num_agents
         self.members = cfg.members(self.num_agents)
+        cfg.check_decode_work(len(self.members), 0)
         if len(cfg.target) != self.num_agents:
             raise ValidationError(
                 f"target lists {len(cfg.target)} rates for {self.num_agents} agents"
@@ -559,6 +580,7 @@ def run_protocol(spec: DegradedSourceSpec, cfg: ProtocolConfig, runs: int) -> di
     """
     if runs < 1:
         raise ValidationError(f"runs must be positive, got {runs}")
+    cfg.check_decode_work(len(cfg.members(spec.num_agents)), runs)
     t0 = time.perf_counter()
     engine = ProtocolEngine(spec, cfg)
     res = engine.simulate_runs(range(runs))

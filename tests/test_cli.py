@@ -1,5 +1,6 @@
 import json
 import tempfile
+import time
 import warnings
 from pathlib import Path
 from types import SimpleNamespace
@@ -270,6 +271,16 @@ class TestSimulate:
              "--runs", "0"], capsys)
         assert code == 1
         assert "runs" in err
+
+    def test_huge_run_count_exits_one_at_once(self, tmp_path, capsys):
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"q": 0.4, "p": [0.08]}))
+        t0 = time.perf_counter()
+        code, out, err = run_cli(
+            ["simulate", "--spec", str(path), "--runs", "1000000"], capsys)
+        assert code == 1 and out == ""
+        assert "exceeds the limit 33554432" in err
+        assert time.perf_counter() - t0 < 5.0
 
     def test_output_file(self, tmp_path, capsys):
         path = tmp_path / "tiny.json"

@@ -5,6 +5,7 @@ from keyshare import (CapacityError, ValidationError, binary_entropy,
                       build_index_sets, construct_profile,
                       entropy_profile_exact, entropy_profile_mc,
                       polar_transform, sc_decode)
+from keyshare import polar
 from keyshare.polar import delta_threshold, side_info_llrs
 
 
@@ -219,4 +220,71 @@ class TestScDecode:
     def test_index_mask_length_checked(self):
         with pytest.raises(ValidationError):
             sc_decode(np.ones(3, dtype=bool), np.zeros(4, dtype=np.uint8), np.zeros(4))
+
+    def test_rejects_non_binary_known_values(self):
+        with pytest.raises(ValidationError, match="known_values"):
+            sc_decode(np.ones(4, dtype=bool), np.array([2, 0, 1, 0]), np.zeros(4))
+
+    def test_rejects_non_finite_llr(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            llr = np.zeros((2, 4))
+            llr[1, 2] = bad
+            with pytest.raises(ValidationError, match="llr"):
+                sc_decode(np.zeros(4, dtype=bool), np.zeros((2, 4), dtype=np.uint8), llr)
+
+
+class TestSettledSkip:
+    @staticmethod
+    def _unskipped(mask, values, llr):
+        """The full sweep: every leaf visited, known leaves return their bits."""
+        values2 = np.atleast_2d(values)
+
+        def leaf(i, col):
+            return values2[:, i].copy() if mask[i] else (col < 0).astype(np.uint8)
+
+        out = polar._sc_sweep(np.atleast_2d(llr), leaf)
+        return out[0] if llr.ndim == 1 else out
+
+    def test_matches_unskipped_sweep(self):
+        rng = np.random.default_rng(11)
+        c = float(side_info_llrs(np.zeros(1, dtype=np.uint8), 0.2)[0])
+        for n in (1, 2, 4, 8, 16, 32, 64, 128, 256):
+            for density in (0.0, 0.5, 0.9, 1.0):
+                for shape in ((n,), (5, n)):
+                    mask = rng.random(n) < density
+                    values = rng.integers(0, 2, shape, dtype=np.uint8)
+                    llr = rng.choice([0.0, c, -c, 0.7, -2.5], size=shape)
+                    got = sc_decode(mask, values, llr)
+                    assert got.shape == shape and got.dtype == np.uint8
+                    assert np.array_equal(got, self._unskipped(mask, values, llr))
+
+    @staticmethod
+    def _count_boxplus(monkeypatch, mask):
+        calls = []
+        real = polar._boxplus
+
+        def counted(a, b):
+            calls.append(1)
+            return real(a, b)
+
+        monkeypatch.setattr(polar, "_boxplus", counted)
+        n = mask.size
+        sc_decode(mask, np.zeros((3, n), dtype=np.uint8), np.full((3, n), 0.5))
+        return len(calls)
+
+    def test_all_known_decodes_nothing(self, monkeypatch):
+        assert self._count_boxplus(monkeypatch, np.ones(256, dtype=bool)) == 0
+
+    def test_single_unknown_index_walks_one_path(self, monkeypatch):
+        n = 256
+        first_open = np.ones(n, dtype=bool)
+        first_open[0] = False
+        last_open = np.ones(n, dtype=bool)
+        last_open[-1] = False
+        # a lone unknown index needs one LLR per level on its root path: a
+        # check-node (boxplus) step for every left turn, none for right turns
+        assert self._count_boxplus(monkeypatch, first_open) == int(np.log2(n))
+        assert self._count_boxplus(monkeypatch, last_open) == 0
+        # the full sweep makes one boxplus call per internal node
+        assert self._count_boxplus(monkeypatch, np.zeros(n, dtype=bool)) == n - 1
 

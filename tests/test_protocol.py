@@ -3,13 +3,15 @@ import hashlib
 import numpy as np
 import pytest
 
-from keyshare import (DegradedSourceSpec, ValidationError,
+from keyshare import (CapacityError, DegradedSourceSpec, ValidationError,
                       build_degraded_source, conditional_mi,
                       empirical_secrecy_check, key_lengths_from_allocation,
                       leakage_bound, min_entropy_floor, privacy_amplify,
                       reconcile, run_protocol, sample_hash,
                       toeplitz_collision_rate, value_function)
-from keyshare.protocol import (ProtocolConfig, ProtocolEngine, ToeplitzHash,
+from keyshare import protocol
+from keyshare.protocol import (MAX_BLOCK_N, MAX_DECODE_WORK, RUN_OVERHEAD_BITS,
+                               ProtocolConfig, ProtocolEngine, ToeplitzHash,
                                _balance_p_value, toeplitz_from_index)
 from keyshare.suites import toeplitz_matches_matrix
 
@@ -281,6 +283,32 @@ class TestRunProtocol:
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValidationError, match="target"):
                 small_config(target=(bad, 0.05))
+
+
+class TestCapacity:
+    @pytest.fixture(autouse=True)
+    def no_profiles(self, monkeypatch):
+        def refuse(theta, n):
+            raise AssertionError("profile construction started before the guard")
+
+        monkeypatch.setattr(protocol, "construct_profile", refuse)
+
+    def test_block_length_guard(self):
+        with pytest.raises(CapacityError, match=str(MAX_BLOCK_N)):
+            small_config(n=2 * MAX_BLOCK_N, b=1)
+
+    def test_run_count_guard(self):
+        # 2 members x (runs + 10 calibration runs) x max(B*N = 128, 1024)
+        runs = MAX_DECODE_WORK // (2 * RUN_OVERHEAD_BITS) - 10
+        with pytest.raises(CapacityError, match=str(MAX_DECODE_WORK)):
+            run_protocol(SMALL_SPEC, small_config(), runs=runs + 1)
+        with pytest.raises(AssertionError, match="before the guard"):
+            run_protocol(SMALL_SPEC, small_config(), runs=runs)
+
+    def test_calibration_runs_guarded(self):
+        cfg = small_config(calibration_runs=MAX_DECODE_WORK)
+        with pytest.raises(CapacityError, match="calibration"):
+            ProtocolEngine(SMALL_SPEC, cfg)
 
 
 
