@@ -31,9 +31,12 @@ EXIT_COMPUTE = 2
 
 def _parse_seed(text: str) -> int:
     try:
-        return int(text, 0)
+        seed = int(text, 0)
     except ValueError as exc:
         raise ValidationError(f"seed {text!r} is not an integer (hex accepted)") from exc
+    if seed < 0:
+        raise ValidationError(f"seed {text!r} must be nonnegative")
+    return seed
 
 
 def _json(payload: dict) -> str:
@@ -57,7 +60,7 @@ def cmd_analyze(args) -> int:
     # v(empty) = 0, so the supermodular pair scan over disjoint pairs is
     # the superadditivity test at the same tolerance
     sup, sup_wit = (True, None) if mod else game_mod.is_superadditive(game)
-    lower, upper = game_mod.core_bounds(src)
+    lower, upper = game_mod.core_bounds(game)
     bounds = [{"coalition": mask, "lower": lo, "upper": up}
               for mask, lo, up in zip(range(1, game.full_mask + 1),
                                       lower[1:].tolist(), upper[1:].tolist())]

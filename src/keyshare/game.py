@@ -6,8 +6,8 @@ outsiders hold: v(S) = I(X_S ; X0 | X_{S^c}).  With an eavesdropper
 component the conditioning additionally includes Z.  Every such quantity
 is one vectorised source.mutual_information read of the source's cached
 entropy table, over all coalitions at once.  Everything downstream (core
-tests, excesses, solution concepts) works on the resulting value table
-indexed by bitmask; the core bounds are two more such tables (core_bounds).
+tests, core bounds, excesses, solution concepts) works on the resulting
+value table indexed by bitmask.
 """
 
 from __future__ import annotations
@@ -183,20 +183,17 @@ def _first_supermodular_violation(v: np.ndarray, tol: float):
     return True, None
 
 
-def core_bounds(src: JointSource):
-    """(lower, upper): feasible range of every coalition's payoff inside
-    the core, indexed by coalition bitmask, entry 0 zero.
+def core_bounds(game: CoalitionGame):
+    """(lower, upper): range of every coalition's payoff inside the core,
+    indexed by coalition bitmask, entry 0 zero.
 
-    upper = I(X_S ; X0); lower = upper - I(X_S ; X_{S^c}), clamped at 0,
-    so 0 <= lower <= upper.
+    lower[S] = v(S) and upper[S] = v(N) - v(S^c), for any game: a core
+    allocation gives S at least v(S) and S^c at least v(S^c).  For a
+    degraded source these are I(X_S ; X0) - I(X_S ; X_{S^c}) and
+    I(X_S ; X0).
     """
-    _require_markov(src)
-    full = src.full_mask
-    s = np.arange(1, full + 1) << 1
-    lower, upper = np.zeros(full + 1), np.zeros(full + 1)
-    upper[1:] = mutual_information(src, s, 1)
-    lower[1:] = np.maximum(upper[1:] - mutual_information(src, s, (full << 1) & ~s), 0.0)
-    return lower, upper
+    v = game.values
+    return v.copy(), v[-1] - v[::-1]
 
 
 def core_contains(game: CoalitionGame, rates: Sequence[float],

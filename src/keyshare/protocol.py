@@ -4,7 +4,10 @@ One run: sample N*B source symbols, reconcile every participating agent's
 blocks to the base station (per-block polar source coding against the base
 observation, then a cross-block clean-up round), hash each agent's full
 sequence down to its target key length with a fresh Toeplitz matrix, and
-compare agent keys with the base station's reconstructions.  The Toeplitz
+compare agent keys with the base station's reconstructions.  One pass,
+ProtocolEngine._reconcile, runs both stages over a stacked batch and
+builds each run's Transcript; simulate_runs adds hash bits and keys, and
+reconcile() runs the pass on one explicit realization.  The Toeplitz
 product is an exact real-FFT convolution (see ToeplitzHash); an agent's
 sequence and the base station's reconstruction share one matrix and are
 hashed in one call.
@@ -90,6 +93,12 @@ class ProtocolConfig:
             raise ValidationError(f"target rates must be finite, got {self.target}")
         if any(r < 0 for r in self.target):
             raise ValidationError("target rates must be nonnegative")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        if not (math.isfinite(self.onset_risk) and self.onset_risk >= 0):
+            raise ValidationError(f"onset_risk must be finite and >= 0, got {self.onset_risk}")
+        if self.calibration_runs < 0:
+            raise ValidationError(f"calibration_runs must be >= 0, got {self.calibration_runs}")
 
     def members(self, num_agents: int) -> list[int]:
         full = (1 << num_agents) - 1
@@ -100,7 +109,7 @@ class ProtocolConfig:
 
     def check_decode_work(self, num_members: int, runs: int) -> None:
         """Raise CapacityError when runs plus calibration exceed MAX_DECODE_WORK."""
-        work = (num_members * (runs + max(self.calibration_runs, 0))
+        work = (num_members * (runs + self.calibration_runs)
                 * max(self.b * self.n, RUN_OVERHEAD_BITS))
         if work > MAX_DECODE_WORK:
             raise CapacityError(
@@ -248,13 +257,6 @@ class Transcript:
                 frame(agent, blk, blocks[blk])
         return bytes(frames)
 
-    def total_bits(self) -> dict[str, int]:
-        return {
-            "first_stage": sum(int(m.size) for m in self.block_messages.values()),
-            "final_round": sum(int(m.size) for m in self.final_messages.values()),
-            "disclosed": sum(int(d.size) for d in self.disclosures.values()),
-        }
-
 
 @dataclass
 class KeyMaterial:
@@ -282,34 +284,31 @@ def min_entropy_floor(n: int, b: int, epsilon: float, src: JointSource,
     return (1.0 - epsilon) * n * b * conditional_mi(src, coalition, cond_mask)
 
 
-def leakage_bound(lengths: Sequence[int], floors: dict[int, float]) -> float:
+def leakage_bound(lengths: Sequence[int], floors: Sequence[float]) -> float:
     """Concatenated leftover-hash bound.
 
     sqrt of the sum over nonempty coalitions S of 2^(r_S - H_S), with
-    r_S the summed key lengths and H_S the supplied min-entropy lower
-    bound.  Values above 1 are vacuous; inf when the exponent overflows
-    double range.
+    r_S the summed key lengths and H_S = floors[S] the supplied
+    min-entropy lower bound; floors has one entry per coalition bitmask
+    (2^L entries, entry 0 ignored).  Values above 1 are vacuous; inf when
+    the exponent overflows double range.
     """
     r = np.asarray(lengths, dtype=float)
-    num = len(r)
-    exps = []
-    for mask in range(1, 1 << num):
-        if mask not in floors:
-            raise ValidationError(f"missing min-entropy floor for coalition {mask}")
-        r_s = sum(r[l] for l in range(num) if mask >> l & 1)
-        exps.append(r_s - floors[mask])
-    m = max(exps)
+    floors = np.asarray(floors, dtype=float)
+    if floors.shape != (1 << len(r),):
+        raise ValidationError(f"min-entropy floors need one entry per coalition bitmask "
+                              f"({1 << len(r)}), got shape {floors.shape}")
+    exps = coalition_sums(r)[1:] - floors[1:]
+    m = float(exps.max())
     if m / 2 > 1000:
         return float("inf")
-    return float(2.0 ** (m / 2) * math.sqrt(sum(2.0 ** (e - m) for e in exps)))
+    return float(2.0 ** (m / 2) * math.sqrt(sum((2.0 ** (exps - m)).tolist())))
 
 
 def _risk_suffix(profile, h_mask: np.ndarray, onset_risk: float) -> np.ndarray:
     """Free-index suffix whose uncovered prefix carries at most onset_risk
     cumulative first-error probability."""
     free = np.where(~h_mask)[0]
-    if free.size == 0:
-        return free
     cum = np.cumsum(profile.genie_error[free])
     start = int(np.searchsorted(cum, onset_risk, side="right"))
     return free[start:]
@@ -332,7 +331,8 @@ class ProtocolEngine:
     crossover (construct_profile, memoised per process on (crossover, N)),
     then a calibration pre-run may widen the suffixes.  Each run k is then
     a pure function of (seed, k), so batches of runs and a single replayed
-    run produce bit-identical transcripts and keys.
+    run produce bit-identical transcripts and keys.  _reconcile is the one
+    reconciliation pass; simulate_runs and reconcile() both call it.
     """
 
     def __init__(self, spec: DegradedSourceSpec, cfg: ProtocolConfig):
@@ -391,26 +391,21 @@ class ProtocolEngine:
         cfg = self.cfg
         runs = cfg.calibration_runs
         stats = {"runs": runs, "per_agent": {}}
-        if runs <= 0:
+        if runs == 0:
             return stats
         x0, xs = self._sample_batch(_CAL_TAG, range(runs))
         for plan in self.plans:
             x = xs[plan.index]
             u = polar_transform(x)
-            xb = self._first_stage_decode(plan, x0, u)
-            ub = polar_transform(xb)
-            bad_blocks = (x != xb).any(axis=1)
+            xb = sc_decode(plan.h_mask, u, side_info_llrs(x0, plan.crossover))
             # wrong transform-domain decisions sit outside the published
             # set; the suffix must cover every position observed wrong
-            wrong = (u != ub) & ~plan.h_mask[None, :]
-            wrong_idx = np.where(wrong.any(axis=0))[0]
-            if wrong_idx.size:
-                first = int(wrong_idx.min())
-                if plan.suffix.size == 0 or first < int(plan.suffix.min()):
-                    free = np.where(~plan.h_mask)[0]
-                    plan.suffix = free[free >= first]
+            wrong = np.flatnonzero(((u != polar_transform(xb)) & ~plan.h_mask).any(axis=0))
+            if wrong.size and (plan.suffix.size == 0 or wrong[0] < plan.suffix[0]):
+                free = np.where(~plan.h_mask)[0]
+                plan.suffix = free[free >= wrong[0]]
             stats["per_agent"][plan.index + 1] = {
-                "block_error_rate": float(bad_blocks.mean()),
+                "block_error_rate": float((x != xb).any(axis=1).mean()),
                 "bit_flip_rate": float((x != xb).mean()),
                 "suffix_bits": int(plan.suffix.size),
             }
@@ -445,107 +440,81 @@ class ProtocolEngine:
         rng = self._run_rng(_HASH_TAG, (k << 8) | agent)
         return int(rng.integers(0, 2 ** 62))
 
-    def _first_stage_decode(self, plan: _AgentPlan, x0: np.ndarray,
-                            u_true: np.ndarray) -> np.ndarray:
-        llr = side_info_llrs(x0, plan.crossover)
-        return sc_decode(plan.h_mask, u_true, llr)
-
-    def _final_mask(self, plan: _AgentPlan) -> np.ndarray:
-        mask = np.zeros(self.cfg.n * self.cfg.b, dtype=bool)
-        for c in range(self.cfg.b):
-            mask[c * self.cfg.n + plan.suffix] = True
-        return mask
-
-    def reconcile_batch(self, x0: np.ndarray, xs: dict[int, np.ndarray],
-                        runs: int) -> dict:
+    def _reconcile(self, x0: np.ndarray, xs: dict[int, np.ndarray], runs: int):
         """Both reconciliation stages over stacked realizations.
 
-        x0 and each xs[agent] have shape (runs*B, N).  Returns per-agent
-        truth, per-block estimates, cleaned-up estimates and the public
-        messages, all batched by run.
+        x0 and xs[l] (0-based agent l, every agent) have shape (runs*B, N).
+        Returns (transcripts, block_estimates, estimates): one Transcript
+        per run with the first-stage messages, the clean-up messages and
+        the outsider disclosures; each member's per-block estimates, shape
+        (runs*B, N); and its cleaned-up estimates, shape (runs, N*B).  Both
+        dicts are keyed by 1-based member.
         """
         cfg = self.cfg
         nb = cfg.n * cfg.b
-        out = {"truth": {}, "block_estimates": {}, "estimates": {},
-               "block_messages": {}, "final_messages": {}, "final_masks": {}}
+        transcripts = [Transcript(n=cfg.n, b=cfg.b,
+                                  disclosures={l + 1: xs[l][k * cfg.b:(k + 1) * cfg.b]
+                                               for l in self.outsiders})
+                       for k in range(runs)]
+        block_estimates, estimates = {}, {}
         for plan in self.plans:
-            agent = plan.index
-            x = xs[agent]
+            agent = plan.index + 1
+            x = xs[plan.index]
             u = polar_transform(x)
-            xb = self._first_stage_decode(plan, x0, u)
-            x_nb = x.reshape(runs, nb)
-            v = polar_transform(x_nb)
+            xb = sc_decode(plan.h_mask, u, side_info_llrs(x0, plan.crossover))
+            v = polar_transform(x.reshape(runs, nb))
             vb = polar_transform(xb.reshape(runs, nb))
-            fmask = self._final_mask(plan)
-            delta = np.zeros((runs, nb), dtype=np.uint8)
-            delta[:, fmask] = v[:, fmask] ^ vb[:, fmask]
-            xhat = polar_transform(vb ^ delta)
-            out["truth"][agent] = x_nb
-            out["block_estimates"][agent] = xb
-            out["estimates"][agent] = xhat
-            out["block_messages"][agent] = u[:, plan.h_mask].reshape(runs, cfg.b, -1)
-            out["final_messages"][agent] = v[:, fmask]
-            out["final_masks"][agent] = fmask
-        return out
+            # the clean-up round publishes v on every block's suffix; the
+            # base station takes those positions from v, the rest from vb
+            final = np.tile(np.isin(np.arange(cfg.n), plan.suffix), cfg.b)
+            block_estimates[agent] = xb
+            estimates[agent] = polar_transform(np.where(final, v, vb))
+            block_msgs = u[:, plan.h_mask].reshape(runs, cfg.b, -1)
+            final_msgs = v[:, final]
+            for k, tr in enumerate(transcripts):
+                tr.block_messages[agent] = block_msgs[k]
+                tr.final_messages[agent] = final_msgs[k]
+        return transcripts, block_estimates, estimates
 
     def simulate_runs(self, run_indices) -> dict:
-        """Sample, reconcile and hash the listed runs."""
-        cfg = self.cfg
+        """Sample, reconcile and hash the listed runs.
+
+        Returns {"transcripts": [...], "keys": [...]}, one Transcript and
+        one KeyMaterial per listed run, in order.
+        """
         ks = list(run_indices)
-        runs = len(ks)
-        nb = cfg.n * cfg.b
+        nb = self.cfg.n * self.cfg.b
         x0, xs = self._sample_batch(_RUN_TAG, ks)
-        rec = self.reconcile_batch(x0, xs, runs)
-        transcripts = [Transcript(n=cfg.n, b=cfg.b) for _ in ks]
+        transcripts, _, estimates = self._reconcile(x0, xs, len(ks))
         keymats = [KeyMaterial(keys={}, base_keys={}) for _ in ks]
-        for k_pos in range(runs):
-            for l in self.outsiders:
-                transcripts[k_pos].disclosures[l + 1] = (
-                    xs[l][k_pos * cfg.b:(k_pos + 1) * cfg.b]
-                )
         for plan in self.plans:
-            agent = plan.index
-            x_nb = rec["truth"][agent]
-            xhat = rec["estimates"][agent]
-            for k_pos, k in enumerate(ks):
-                tr = transcripts[k_pos]
-                tr.block_messages[agent + 1] = rec["block_messages"][agent][k_pos]
-                tr.final_messages[agent + 1] = rec["final_messages"][agent][k_pos]
-                seed = self._hash_seed(k, agent)
-                hasher = sample_hash(seed, nb, plan.key_len)
-                tr.hash_bits[agent + 1] = hasher.bits
+            agent = plan.index + 1
+            x_nb = xs[plan.index].reshape(len(ks), nb)
+            for pos, k in enumerate(ks):
+                hasher = sample_hash(self._hash_seed(k, plan.index), nb, plan.key_len)
+                transcripts[pos].hash_bits[agent] = hasher.bits
                 # x and x-hat share the matrix: one call hashes both
-                keymats[k_pos].keys[agent + 1], keymats[k_pos].base_keys[agent + 1] = (
-                    hasher.apply(np.stack([x_nb[k_pos], xhat[k_pos]])))
-        return {"transcripts": transcripts, "keys": keymats,
-                "truth": rec["truth"], "estimates": rec["estimates"]}
+                keymats[pos].keys[agent], keymats[pos].base_keys[agent] = (
+                    hasher.apply(np.stack([x_nb[pos], estimates[agent][pos]])))
+        return {"transcripts": transcripts, "keys": keymats}
 
 
 def reconcile(spec: DegradedSourceSpec, cfg: ProtocolConfig,
               x0_blocks: np.ndarray, agent_blocks: dict[int, np.ndarray]):
     """Run both reconciliation stages on explicit realizations.
 
-    x0_blocks has shape (B, N); agent_blocks maps 1-based agent ids to
-    same-shape arrays.  Returns (transcript, per_block_estimates,
-    full_estimates) with 1-based agent keys; decoding failures show up in
+    x0_blocks has shape (B, N); agent_blocks maps every 1-based agent id
+    to a same-shape array.  Builds a ProtocolEngine (calibration included;
+    cfg.calibration_runs=0 skips it) and runs its reconciliation pass on
+    this one realization.  Returns (transcript, per_block_estimates,
+    full_estimates) with 1-based member keys; decoding failures show up in
     the estimates, they are not raised.
     """
     engine = ProtocolEngine(spec, cfg)
-    xs = {l: np.asarray(agent_blocks[l + 1], dtype=np.uint8) for l in engine.members}
-    for l in engine.outsiders:
-        xs[l] = np.asarray(agent_blocks[l + 1], dtype=np.uint8)
-    rec = engine.reconcile_batch(np.asarray(x0_blocks, dtype=np.uint8), xs, runs=1)
-    tr = Transcript(n=cfg.n, b=cfg.b)
-    per_block, full = {}, {}
-    for plan in engine.plans:
-        agent = plan.index
-        tr.block_messages[agent + 1] = rec["block_messages"][agent][0]
-        tr.final_messages[agent + 1] = rec["final_messages"][agent][0]
-        per_block[agent + 1] = rec["block_estimates"][agent][:cfg.b]
-        full[agent + 1] = rec["estimates"][agent][0]
-    for l in engine.outsiders:
-        tr.disclosures[l + 1] = xs[l]
-    return tr, per_block, full
+    xs = {l: np.asarray(agent_blocks[l + 1], dtype=np.uint8) for l in range(engine.num_agents)}
+    (transcript,), per_block, full = engine._reconcile(
+        np.asarray(x0_blocks, dtype=np.uint8), xs, 1)
+    return transcript, per_block, {agent: est[0] for agent, est in full.items()}
 
 
 def privacy_amplify(sequences: dict[int, np.ndarray], lengths: dict[int, int],
@@ -589,7 +558,7 @@ def run_protocol(spec: DegradedSourceSpec, cfg: ProtocolConfig, runs: int) -> di
     member_lengths = [plan.key_len for plan in engine.plans]
     # min_entropy_floor of every member submask, given the outsiders
     floors = (1.0 - cfg.epsilon) * nb * engine._member_info
-    bound = leakage_bound(member_lengths, dict(enumerate(floors)))
+    bound = leakage_bound(member_lengths, floors)
 
     per_agent = {}
     failures = np.zeros(runs, dtype=bool)

@@ -131,7 +131,7 @@ def empirical_secrecy_check(q: float, p: tuple[float, ...], n: int,
     distance /= n_combos
 
     # exact average conditional min-entropies of every coalition given A
-    floors = {}
+    floors = np.zeros(1 << agents)
     for mask in range(1, 1 << agents):
         sel = [a for a in range(agents) if mask >> a & 1]
         comp_idx = np.zeros(len(prob), dtype=np.int64)

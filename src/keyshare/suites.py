@@ -61,7 +61,7 @@ def game_suite(seed: int = 0, specs: int = 20) -> list[CheckResult]:
                 identity_ok, witness["identity"] = False, f"spec {spec}, S={mask}"
         # core bound equivalence on random allocations
         alloc = allocate.shapley_from_game(g)
-        lower, upper = game_mod.core_bounds(src)
+        lower, upper = game_mod.core_bounds(g)
         for _ in range(20):
             cand = np.abs(alloc + rng.normal(0, 0.05, size=len(alloc)))
             cand *= g.grand_value() / cand.sum()

@@ -75,7 +75,7 @@ def test_criterion_4_property_suite():
         assert core_contains(game, nuc, tol=1e-8)[0], spec
 
         full = game.full_mask
-        lowers, uppers = core_bounds(src)
+        lowers, uppers = core_bounds(game)
         masks = np.stack([[1.0 if m >> l & 1 else 0.0 for l in range(num_agents)]
                           for m in range(full + 1)])
         base = np.asarray(shap)

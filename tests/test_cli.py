@@ -272,6 +272,15 @@ class TestSimulate:
         assert code == 1
         assert "runs" in err
 
+    def test_negative_seed_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"q": 0.4, "p": [0.08]}))
+        code, out, err = run_cli(
+            ["simulate", "--spec", str(path), "--N", "64", "--B", "2",
+             "--runs", "1", "--seed", "-1"], capsys)
+        assert code == 1 and out == ""
+        assert "seed '-1'" in err
+
     def test_huge_run_count_exits_one_at_once(self, tmp_path, capsys):
         path = tmp_path / "tiny.json"
         path.write_text(json.dumps({"q": 0.4, "p": [0.08]}))
@@ -334,6 +343,11 @@ class TestVerify:
         assert code == 0
         assert "[PASS] toeplitz_matches_matrix" in out
         assert "FAIL" not in out
+
+    def test_negative_seed_exits_one(self, capsys):
+        code, out, err = run_cli(["verify", "polar", "--seed", "-5"], capsys)
+        assert code == 1 and out == ""
+        assert "seed '-5'" in err
 
     def test_unknown_suite_is_validation_error(self, capsys):
         code, _, err = run_cli(["verify", "nonsense"], capsys)

@@ -166,14 +166,14 @@ class TestGamePredicates:
 
 
 class TestCore:
-    def test_grand_coalition_bounds_degenerate(self, example2_source, example2_game):
-        lower, upper = core_bounds(example2_source)
+    def test_grand_coalition_bounds_degenerate(self, example2_game):
+        lower, upper = core_bounds(example2_game)
         assert lower[0b111] == pytest.approx(upper[0b111], abs=1e-12)
         assert upper[0b111] == pytest.approx(example2_game.grand_value(), abs=1e-10)
 
-    def test_example2_singleton_bounds(self, example2_source):
+    def test_example2_singleton_bounds(self, example2_source, example2_game):
         from keyshare import mutual_information
-        lower, upper = core_bounds(example2_source)
+        lower, upper = core_bounds(example2_game)
         # axis bitmasks: X0 is bit 0, agent l is bit l
         info = mutual_information(example2_source, 0b0010, 0b0001)
         leak = mutual_information(example2_source, 0b0010, 0b1100)
@@ -184,22 +184,23 @@ class TestCore:
         from keyshare import mutual_information
         rng = np.random.default_rng(12)
         src = build_degraded_source(random_degraded_spec(rng, 5))
-        lower, upper = core_bounds(src)
+        lower, upper = core_bounds(value_function(src))
         full = src.full_mask
         for s in range(1, full + 1):
             up = mutual_information(src, s << 1, 1)
             leak = mutual_information(src, s << 1, (full & ~s) << 1)
-            assert upper[s] == up and lower[s] == max(up - leak, 0.0)
+            assert upper[s] == pytest.approx(up, abs=1e-12)
+            assert lower[s] == pytest.approx(max(up - leak, 0.0), abs=1e-12)
 
-    def test_bounds_table_shape_and_order(self, example2_source):
-        lower, upper = core_bounds(example2_source)
+    def test_bounds_table_shape_and_order(self, example2_game):
+        lower, upper = core_bounds(example2_game)
         assert lower.shape == upper.shape == (8,)
         assert lower[0] == upper[0] == 0.0
         assert np.all((0.0 <= lower) & (lower <= upper))
 
     def test_uninformative_source_bounds_collapse(self):
         src = build_degraded_source(DegradedSourceSpec(q=0.5, p=(0.5, 0.5)))
-        lower, upper = core_bounds(src)
+        lower, upper = core_bounds(value_function(src))
         assert lower[0b01] == pytest.approx(0.0, abs=1e-10)
         assert upper[0b01] == pytest.approx(0.0, abs=1e-10)
 
@@ -221,10 +222,10 @@ class TestCore:
             ok, witness = core_contains(example2_game, [bad, 0.1, 0.1])
             assert not ok and witness == example2_game.full_mask
 
-    def test_bounds_equivalence_random_allocations(self, example2_source, example2_game):
+    def test_bounds_equivalence_random_allocations(self, example2_game):
         rng = np.random.default_rng(9)
         full = example2_game.full_mask
-        lower, upper = core_bounds(example2_source)
+        lower, upper = core_bounds(example2_game)
         base = shapley_from_game(example2_game)
         for _ in range(300):
             cand = np.abs(base + rng.normal(0, 0.08, size=3))

@@ -109,21 +109,23 @@ class TestToeplitzHash:
 
 
 class TestLeakageBound:
+    # floors are indexed by coalition bitmask; entry 0 is ignored
     def test_single_agent_values(self):
-        assert leakage_bound([0], {1: 2.0}) == pytest.approx(0.5)
-        assert leakage_bound([1], {1: 2.0}) == pytest.approx(2 ** -0.5)
+        assert leakage_bound([0], [0.0, 2.0]) == pytest.approx(0.5)
+        assert leakage_bound([1], [0.0, 2.0]) == pytest.approx(2 ** -0.5)
 
     def test_vacuous_when_rate_exceeds_entropy(self):
-        assert leakage_bound([10], {1: 2.0}) > 1.0
+        assert leakage_bound([10], [0.0, 2.0]) > 1.0
 
     def test_two_agent_sum(self):
-        floors = {1: 3.0, 2: 4.0, 3: 6.0}
+        floors = [0.0, 3.0, 4.0, 6.0]
         expected = np.sqrt(2.0 ** (1 - 3) + 2.0 ** (1 - 4) + 2.0 ** (2 - 6))
         assert leakage_bound([1, 1], floors) == pytest.approx(expected, rel=1e-12)
 
     def test_missing_floor_rejected(self):
-        with pytest.raises(ValidationError):
-            leakage_bound([1, 1], {1: 3.0})
+        for floors in ([0.0, 3.0], [0.0, 3.0, 4.0, 6.0, 7.0]):
+            with pytest.raises(ValidationError, match="floors"):
+                leakage_bound([1, 1], floors)
 
 
 class TestMinEntropyFloor:
@@ -285,6 +287,22 @@ class TestRunProtocol:
                 small_config(target=(bad, 0.05))
 
 
+class TestConfigValidation:
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValidationError, match="seed"):
+            small_config(seed=-1)
+
+    def test_rejects_bad_onset_risk(self):
+        for bad in (float("nan"), float("inf"), -1e-4):
+            with pytest.raises(ValidationError, match="onset_risk"):
+                small_config(onset_risk=bad)
+        assert small_config(onset_risk=1e9).onset_risk == 1e9
+
+    def test_rejects_negative_calibration_runs(self):
+        with pytest.raises(ValidationError, match="calibration_runs"):
+            small_config(calibration_runs=-1)
+
+
 class TestCapacity:
     @pytest.fixture(autouse=True)
     def no_profiles(self, monkeypatch):
@@ -352,6 +370,46 @@ class TestGoldenReplay:
                 digest.update(km.keys[agent].tobytes())
                 digest.update(km.base_keys[agent].tobytes())
         assert digest.hexdigest() == self.DIGEST
+
+
+class TestGoldenReconcile:
+    # digests recorded before simulate_runs and reconcile() shared one pass
+    RECONCILE_DIGEST = "12f482412bd28e75136d5c0c9ae86e0d6a88860466de96b5d29d642818ffcdba"
+    COALITION_DIGEST = "fe956cc9ba2bf5bbe5267f73070838a6fce06c007b8392e0949bafb2c905b714"
+    COALITION = dict(n=64, b=2, target=(0.1, 0.05, 0.0), epsilon=0.05, coalition=0b011)
+
+    def test_reconcile_example2_realizations(self, example2_spec, example2_game):
+        from keyshare import shapley_from_game
+        configs = [(ProtocolConfig(n=1024, b=4, epsilon=0.05,
+                                   target=tuple(shapley_from_game(example2_game))), 3),
+                   (ProtocolConfig(**self.COALITION), 2)]
+        rng = np.random.default_rng(5)
+        digest = hashlib.sha256()
+        for cfg, count in configs:
+            for _ in range(count):
+                x0 = (rng.random((cfg.b, cfg.n)) < example2_spec.q).astype(np.uint8)
+                blocks = {l + 1: x0 ^ (rng.random((cfg.b, cfg.n)) < p).astype(np.uint8)
+                          for l, p in enumerate(example2_spec.p)}
+                transcript, per_block, full = reconcile(example2_spec, cfg, x0, blocks)
+                assert sorted(per_block) == sorted(full) == sorted(transcript.block_messages)
+                digest.update(transcript.to_bytes())
+                for agent in sorted(per_block):
+                    digest.update(per_block[agent].tobytes())
+                    digest.update(full[agent].tobytes())
+        assert digest.hexdigest() == self.RECONCILE_DIGEST
+
+    def test_coalition_mode_runs(self, example2_spec):
+        cfg = ProtocolConfig(seed=7, **self.COALITION)
+        res = ProtocolEngine(example2_spec, cfg).simulate_runs(range(20))
+        digest = hashlib.sha256()
+        for tr, km in zip(res["transcripts"], res["keys"]):
+            assert sorted(tr.disclosures) == [3]
+            assert tr.disclosures[3].shape == (cfg.b, cfg.n)
+            digest.update(tr.to_bytes())
+            for agent in sorted(km.keys):
+                digest.update(km.keys[agent].tobytes())
+                digest.update(km.base_keys[agent].tobytes())
+        assert digest.hexdigest() == self.COALITION_DIGEST
 
 
 class TestTranscriptDump:
