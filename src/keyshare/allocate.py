@@ -6,7 +6,10 @@ straight from the source) that must agree; the nucleolus runs the
 successive linear-program scheme, fixing at each stage the coalitions
 whose excess is pinned at the stage optimum across the entire optimal
 face, found from the LP multipliers and one max-slack LP rather than one
-LP per tight coalition.  Every LP is sliced from one coalition-incidence
+LP per tight coalition.  A coalition whose row falls in the span of the
+fixed system has a constant excess from then on and leaves the free set,
+so every stage raises the rank of the fixed system and L agents take at
+most L - 1 stages.  Every LP is sliced from one coalition-incidence
 matrix and handed to linprog in matrix form.  Two oracles validate it: a
 grid sweep on small instances and, for convex games, the prekernel gap.
 """
@@ -121,6 +124,21 @@ class NucleolusTrace:
         ]
 
 
+def _drop_spanned(free: np.ndarray, rows: np.ndarray, a_eq: np.ndarray) -> int:
+    """Unfree every free row in the row space of a_eq; returns its rank.
+
+    Such a row has a constant excess on the set a_eq fixes, so it can no
+    longer order the points left.  Membership is a projection residual
+    against an orthonormal basis of a_eq (its right singular vectors with
+    singular values above PIVOT_TOL), at PIVOT_TOL.
+    """
+    _, singular, vt = np.linalg.svd(a_eq, full_matrices=False)
+    basis = vt[singular > PIVOT_TOL]
+    residual = rows[free] @ (np.eye(a_eq.shape[1]) - basis.T @ basis)
+    free[free] = np.linalg.norm(residual, axis=1) > PIVOT_TOL
+    return len(basis)
+
+
 def nucleolus(game: CoalitionGame):
     """Lexicographically optimal allocation plus the stage trace.
 
@@ -137,6 +155,14 @@ def nucleolus(game: CoalitionGame):
     rows with a positive multiplier are binding and join the equalities
     before the next max-slack LP.  Stops once the fixed system pins all L
     payoffs.
+
+    Before the first stage and after every stage, every free coalition
+    whose incidence row lies in the row space of a_eq leaves the free set,
+    the ones just fixed included: its excess is constant on the rest of the feasible set, so it cannot affect
+    the lexicographic order (Maschler, Peleg & Shapley, Math. Oper. Res. 4,
+    1979).  Every coalition a stage fixes is then outside the span, the rank
+    rises at every stage and there are at most L - 1 stages; a stage that
+    does not raise it is a SolverError.
 
     The stage tolerances are absolute, so every game with a positive value
     is solved scaled by an exact power of two that puts its largest value
@@ -160,10 +186,8 @@ def nucleolus(game: CoalitionGame):
     stage_c[L] = 1.0
     slack_c = -stage_c
     trace = NucleolusTrace()
-    rank = np.linalg.matrix_rank(a_eq, tol=PIVOT_TOL)
+    rank = _drop_spanned(free, rows, a_eq)
     while rank < L:
-        if len(trace.stages) >= 1 << L:
-            raise SolverError("nucleolus stage count exceeded 2^L without full rank")
         status, z_star, sol, duals = lp_solve(
             stage_c, -stage_rows[free], -v[free],
             np.hstack([a_eq, np.zeros((len(a_eq), 1))]), b_eq, payoffs + [(None, None)])
@@ -201,12 +225,14 @@ def nucleolus(game: CoalitionGame):
         binding = [int(mask) for mask in masks[fixing]]
         if not binding:
             raise SolverError("nucleolus stage found no binding coalition; cannot progress")
-        free[binding] = False
         a_eq = np.vstack([a_eq, rows[binding]])
         b_eq = np.concatenate([b_eq, v[binding] - z_star])
-        rank = np.linalg.matrix_rank(a_eq, tol=PIVOT_TOL)
+        prior, rank = rank, _drop_spanned(free, rows, a_eq)
+        if rank <= prior:
+            raise SolverError(f"nucleolus stage {len(trace.stages) + 1} fixed {binding} "
+                              f"without raising the system rank {prior}")
         trace.stages.append(NucleolusStage(optimum=z_star, fixed_coalitions=binding,
-                                           system_rank=int(rank)))
+                                           system_rank=rank))
 
     solution, _, rank, _ = np.linalg.lstsq(a_eq, b_eq, rcond=None)
     if rank < L:

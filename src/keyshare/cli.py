@@ -19,7 +19,7 @@ import numpy as np
 from . import allocate as alloc_mod
 from . import game as game_mod
 from . import suites
-from .errors import ValidationError
+from .errors import CapacityError, ValidationError
 from .protocol import DEFAULT_SEED, ProtocolConfig, run_protocol
 from .source import (DegradedSourceSpec, _json_reals, _read_json_object,
                      build_degraded_source)
@@ -54,6 +54,10 @@ def _emit(text: str, out_path) -> None:
 
 def cmd_analyze(args) -> int:
     spec = DegradedSourceSpec.from_json(args.spec)
+    if spec.num_agents > game_mod.MAX_EXHAUSTIVE_AGENTS:
+        # refuse before building a value table the pair scans would reject
+        raise CapacityError(f"analyze scans every coalition pair, guarded at "
+                            f"L <= {game_mod.MAX_EXHAUSTIVE_AGENTS}, got L={spec.num_agents}")
     src = build_degraded_source(spec)
     game = game_mod.value_function(src)
     mod, mod_wit = game_mod.is_supermodular(game)
@@ -105,6 +109,7 @@ def cmd_allocate(args) -> int:
                 "method": "nucleolus",
                 "rates": [float(x) for x in rates],
                 "trace": trace.to_json(),
+                "prekernel_gap": alloc_mod.prekernel_gap(game, rates),
             }
         ok, witness = game_mod.core_contains(game, rates, tol=1e-8)
         entry["in_core"] = ok

@@ -51,7 +51,7 @@ HASH_BITS_BLOCK = 0xFFFF
 _RUN_TAG = 0x52
 _CAL_TAG = 0x43
 _HASH_TAG = 0x48
-MAX_BLOCK_N = 2 ** 14  # construct_profile takes about 4 s per agent at this N
+MAX_BLOCK_N = 2 ** 14  # construct_profile takes 1.4-2.1 s per agent at this N
 # Decode-work limit, in decoded source bits: members x (runs + calibration
 # runs) x max(B x N, RUN_OVERHEAD_BITS).  Example 2 at the limit (N=1024,
 # B=4, 2680 runs) takes about 13 s and 0.54 GB; N=16384, B=1 with cold
@@ -510,10 +510,11 @@ def reconcile(spec: DegradedSourceSpec, cfg: ProtocolConfig,
     full_estimates) with 1-based member keys; decoding failures show up in
     the estimates, they are not raised.
     """
+    x0 = _binary(x0_blocks, "x0_blocks")
+    xs = {l: _binary(agent_blocks[l + 1], f"agent_blocks[{l + 1}]")
+          for l in range(spec.num_agents)}
     engine = ProtocolEngine(spec, cfg)
-    xs = {l: np.asarray(agent_blocks[l + 1], dtype=np.uint8) for l in range(engine.num_agents)}
-    (transcript,), per_block, full = engine._reconcile(
-        np.asarray(x0_blocks, dtype=np.uint8), xs, 1)
+    (transcript,), per_block, full = engine._reconcile(x0, xs, 1)
     return transcript, per_block, {agent: est[0] for agent, est in full.items()}
 
 

@@ -1,10 +1,12 @@
 import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from keyshare import (CapacityError, CoalitionGame, DegradedSourceSpec,
-                      ValidationError, brute_force_nucleolus,
+                      SolverError, ValidationError, brute_force_nucleolus,
                       build_degraded_source, conditional_mi, core_contains,
                       core_polytope_vertices, lexicographic_less, lp_solve,
                       nucleolus, prekernel_gap, shapley_closed_form,
@@ -215,14 +217,16 @@ class TestNucleolus:
 
 
 class TestGoldenNucleolus:
-    """Pins the nucleolus bit for bit: the digest was recorded from the
-    row-by-row LP builder that preceded the incidence matrix, so any change
-    in what reaches the solver shows up here.  The LP count was recorded
-    when the binding sets came from stage multipliers and max-slack LPs
-    (the per-coalition binding tests before them made 320 LP solves)."""
+    """Pins the nucleolus bit for bit, so any change in what reaches the
+    solver shows up here.  The digest hashes the stage traces and was
+    recorded when each stage began dropping the free coalitions in the span
+    of the fixed system; TestRecordedRates holds the rates to the values
+    before that change.  The LP count was recorded at the same time (binding
+    sets from stage multipliers and max-slack LPs made 139 LP solves without
+    the span pruning, and the per-coalition binding tests before them 320)."""
 
-    DIGEST = "6e21240f96c5cee67d3d118025e9b46ae99743fee16f78e07490825957a9ce58"
-    LP_SOLVES = 139
+    DIGEST = "15391ae3ea6093d1e763a8363a154c589f7a2d37c3ac8c80ba9fd55cf962f9f9"
+    LP_SOLVES = 43
 
     @staticmethod
     def games():
@@ -257,6 +261,67 @@ class TestGoldenNucleolus:
         for game in self.games():
             nucleolus(game)
         assert len(calls) == self.LP_SOLVES
+
+
+RECORDED = Path(__file__).parent / "data" / "nucleolus_rates.json"
+
+
+def stream0_games(count=12, num_agents=10):
+    """The first draws of stream 0 of the verify-suite spec distribution."""
+    rng = np.random.default_rng(0)
+    games = []
+    for _ in range(count):
+        q = float(rng.uniform(0.15, 0.85))
+        p = tuple(float(rng.uniform(0.05, 0.45)) for _ in range(num_agents))
+        games.append(value_function(build_degraded_source(DegradedSourceSpec(q=q, p=p))))
+    return games
+
+
+def tiered_game():
+    p = (0.08,) * 5 + (0.24,) * 5 + (0.40,) * 2
+    return value_function(build_degraded_source(DegradedSourceSpec(q=0.40, p=p)))
+
+
+@pytest.fixture(scope="module")
+def solved_games():
+    """(set name, game, rates, trace) for every game of the recorded sets."""
+    sets = {"golden": TestGoldenNucleolus.games(), "stream0_L10": stream0_games(),
+            "tiered_L12": [tiered_game()]}
+    return [(name, game, *nucleolus(game)) for name, games in sets.items() for game in games]
+
+
+class TestRecordedRates:
+    """The span pruning changes the stage LPs but not the nucleolus: the rates
+    stay within 1e-12 of those recorded before it."""
+
+    def test_rates_match_the_recorded_values(self, solved_games):
+        recorded = json.loads(RECORDED.read_text())
+        for name in ("golden", "stream0_L10", "tiered_L12"):
+            rates = [r for n, _, r, _ in solved_games if n == name]
+            assert len(rates) == len(recorded[name])
+            for ours, theirs in zip(rates, recorded[name]):
+                assert np.max(np.abs(ours - np.array(theirs))) <= 1e-12
+
+
+class TestStageBound:
+    def test_at_most_L_minus_1_rank_raising_stages(self, solved_games):
+        for _, game, _, trace in solved_games:
+            ranks = [1] + [s.system_rank for s in trace.stages]
+            assert len(trace.stages) <= game.num_agents - 1
+            assert all(a < b for a, b in zip(ranks, ranks[1:]))
+            assert ranks[-1] == game.num_agents
+
+    def test_a_stage_that_does_not_raise_the_rank_is_an_error(self, monkeypatch):
+        # without the span pruning (only the fixed coalitions leave the free
+        # set) the first golden L=4 game fixes, at its third stage, a
+        # coalition already in the span of the fixed system
+        def fixed_rows_only(free, rows, a_eq):
+            free &= ~np.any(np.all(rows[:, None, :] == a_eq, axis=2), axis=1)
+            return int(np.linalg.matrix_rank(a_eq, tol=allocate.PIVOT_TOL))
+
+        monkeypatch.setattr(allocate, "_drop_spanned", fixed_rows_only)
+        with pytest.raises(SolverError, match="stage 3 fixed .* without raising the system rank 3"):
+            nucleolus(TestGoldenNucleolus.games()[1])
 
 
 class TestPrekernelGap:

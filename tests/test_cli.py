@@ -109,6 +109,19 @@ class TestAnalyze:
         assert code == 1
         assert "'p'" in err
 
+    def test_agent_limit_checked_before_any_work(self, tmp_path, capsys, monkeypatch):
+        from keyshare import cli, game as game_mod
+
+        def build(spec):
+            raise AssertionError("source built for a spec past the analyze limit")
+
+        monkeypatch.setattr(cli, "build_degraded_source", build)
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"q": 0.4, "p": [0.2] * (game_mod.MAX_EXHAUSTIVE_AGENTS + 1)}))
+        code, _, err = run_cli(["analyze", "--spec", str(path)], capsys)
+        assert code == 1
+        assert f"L <= {game_mod.MAX_EXHAUSTIVE_AGENTS}" in err
+
 
 class TestAllocate:
     def test_example2_both_methods(self, example2_file, capsys):
@@ -122,6 +135,14 @@ class TestAllocate:
             assert lo <= rate <= hi
         assert payload["shapley"]["in_core"] and payload["nucleolus"]["in_core"]
         assert payload["shapley"]["closed_form_gap"] < 1e-9
+
+    def test_nucleolus_reports_prekernel_gap(self, tmp_path, capsys):
+        path = tmp_path / "five.json"
+        path.write_text(json.dumps({"q": 0.35, "p": [0.08, 0.15, 0.22, 0.3, 0.41]}))
+        code, out, _ = run_cli(["allocate", "--spec", str(path), "--method", "nucleolus"],
+                               capsys)
+        assert code == 0
+        assert 0.0 <= json.loads(out)["nucleolus"]["prekernel_gap"] <= 1e-9
 
     def test_game_file_round_trip(self, example2_file, tmp_path, capsys):
         code, out, _ = run_cli(["analyze", "--spec", example2_file], capsys)

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -181,6 +182,21 @@ class TestReconcile:
                   for a in (1, 2)}
         transcript, per_block, full = reconcile(spec, cfg, x0, blocks)
         assert set(full) == {1, 2}
+
+    @pytest.mark.parametrize("argument, agent, entry", [
+        ("x0_blocks", None, np.nan),
+        ("agent_blocks[1]", 1, 1.7),
+        ("x0_blocks", None, 2),
+        ("agent_blocks[2]", 2, 2),
+    ])
+    def test_non_binary_blocks_rejected_by_name(self, argument, agent, entry):
+        cfg = small_config()
+        x0 = np.zeros((cfg.b, cfg.n))
+        blocks = {1: x0.copy(), 2: x0.copy()}
+        target = x0 if agent is None else blocks[agent]
+        target[:] = entry
+        with pytest.raises(ValidationError, match=re.escape(argument)):
+            reconcile(SMALL_SPEC, cfg, x0, blocks)
 
 
 class TestPrivacyAmplify:
