@@ -16,6 +16,7 @@ grid sweep on small instances and, for convex games, the prekernel gap.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -249,21 +250,22 @@ def prekernel_gap(game: CoalitionGame, rates: Sequence[float]) -> float:
     The surplus s_ij is the largest excess v(S) - x(S) over the coalitions
     S that hold i but not j.  For a convex game the prekernel is a single
     point and that point is the nucleolus (Maschler, Peleg & Shapley, IJGT
-    1, 1972), so a core allocation with a zero gap is the nucleolus.  One
-    vectorised pass per agent, O(L^2 2^L) in all.
+    1, 1972), so a core allocation with a zero gap is the nucleolus.  The
+    excess vector is viewed as a (2,)*L table, bit l of the mask on axis
+    L-1-l; each s_ij is the max of its strided slice with agent i's axis
+    at 1 and agent j's at 0, O(L^2 2^L) in all with no larger temporary.
     """
     L = game.num_agents
     x = np.asarray(rates, dtype=float)
     if x.shape != (L,):
         raise ValidationError(f"allocation needs {L} rates, got shape {x.shape}")
-    excess = game.values - coalition_sums(x)
-    member = _incidence(np.arange(game.full_mask + 1), L).astype(bool)
-    surplus = np.empty((L, L))
-    for i in range(L):
-        holds_i = np.where(member[:, i], excess, -np.inf)
-        surplus[i] = np.max(np.where(member, -np.inf, holds_i[:, None]), axis=0)
-    pairs = ~np.eye(L, dtype=bool)
-    return float(np.max(np.abs(surplus[pairs] - surplus.T[pairs]), initial=0.0))
+    excess = (game.values - coalition_sums(x)).reshape((2,) * L)
+    surplus = np.zeros((L, L))
+    for i, j in itertools.permutations(range(L), 2):
+        view = [slice(None)] * L
+        view[L - 1 - i], view[L - 1 - j] = 1, 0
+        surplus[i, j] = excess[tuple(view)].max()
+    return float(np.max(np.abs(surplus - surplus.T), initial=0.0))
 
 
 def lexicographic_less(theta1: Sequence[float], theta2: Sequence[float]) -> bool:

@@ -145,8 +145,6 @@ def cmd_simulate(args) -> int:
     else:
         game = game_mod.value_function(build_degraded_source(spec))
         target = tuple(float(x) for x in alloc_mod.shapley_from_game(game))
-    if args.runs < 1:
-        raise ValidationError("--runs must be at least 1")
     cfg = ProtocolConfig(
         n=args.N, b=args.B, target=target, epsilon=args.eps,
         seed=_parse_seed(args.seed), coalition=args.coalition,

@@ -6,11 +6,13 @@ observation, then a cross-block clean-up round), hash each agent's full
 sequence down to its target key length with a fresh Toeplitz matrix, and
 compare agent keys with the base station's reconstructions.  One pass,
 ProtocolEngine._reconcile, runs both stages over a stacked batch and
-builds each run's Transcript; simulate_runs adds hash bits and keys, and
-reconcile() runs the pass on one explicit realization.  The Toeplitz
-product is an exact real-FFT convolution (see ToeplitzHash); an agent's
-sequence and the base station's reconstruction share one matrix and are
-hashed in one call.
+builds each run's Transcript; simulate_runs adds hash bits and keys (its
+hash loop is the only privacy-amplification route), and reconcile() runs
+the pass on one explicit realization.  run_protocol streams its runs
+through simulate_runs in batches of RUN_BATCH and keeps only counts
+between batches.  The Toeplitz product is an exact real-FFT convolution
+(see ToeplitzHash); an agent's sequence and the base station's
+reconstruction share one matrix and are hashed in one call.
 
 Reliability at finite length comes from the clean-up round.  Its message
 is the transform of the whole N*B sequence restricted to the cross-block
@@ -41,8 +43,7 @@ from .errors import CapacityError, ConsistencyError, ValidationError
 from .game import coalition_sums, core_contains, value_function
 from .polar import (build_index_sets, construct_profile, polar_transform,
                     sc_decode, side_info_llrs)
-from .source import (DegradedSourceSpec, JointSource, _member_masks,
-                     build_degraded_source, conditional_mi,
+from .source import (DegradedSourceSpec, _member_masks, build_degraded_source,
                      mutual_information)
 
 DEFAULT_SEED = 0xC0A117
@@ -54,11 +55,14 @@ _HASH_TAG = 0x48
 MAX_BLOCK_N = 2 ** 14  # construct_profile takes 1.4-2.1 s per agent at this N
 # Decode-work limit, in decoded source bits: members x (runs + calibration
 # runs) x max(B x N, RUN_OVERHEAD_BITS).  Example 2 at the limit (N=1024,
-# B=4, 2680 runs) takes about 13 s and 0.54 GB; N=16384, B=1 with cold
-# profiles about 15 s.  Sampling, hashing and report objects cost about
-# as much per member-run as decoding RUN_OVERHEAD_BITS bits.
+# B=4, 2680 runs) takes about 9 s at a peak RSS of 0.10 GB; N=16384, B=1
+# with cold profiles about 15 s.  Sampling, hashing and report objects
+# cost about as much per member-run as decoding RUN_OVERHEAD_BITS bits.
 MAX_DECODE_WORK = 2 ** 25
 RUN_OVERHEAD_BITS = 2 ** 10
+# Runs per simulate_runs call in run_protocol.  At least 100: a caller that
+# captures run_protocol's first batch can replay any run below 100 from it.
+RUN_BATCH = 100
 
 
 def _is_pow2(n: int) -> bool:
@@ -115,7 +119,7 @@ class ProtocolConfig:
             raise CapacityError(
                 f"decode work members x (runs + calibration runs) x max(B*N, "
                 f"{RUN_OVERHEAD_BITS}) = {work} exceeds the limit {MAX_DECODE_WORK} "
-                "(about 13 s and 0.54 GB at N=1024, B=4 on 2 vCPUs)")
+                "(about 9 s and 0.10 GB at N=1024, B=4 on 2 vCPUs)")
 
     def to_json(self) -> dict:
         return {
@@ -136,9 +140,11 @@ def key_lengths_from_allocation(target: Sequence[float], n: int, b: int,
     if not 0.0 < epsilon < 1.0:
         raise ValidationError(f"epsilon must lie in (0,1), got {epsilon}")
     r = np.asarray(target, dtype=float)
+    if not np.all(np.isfinite(r)):
+        raise ValidationError(f"target rates must be finite, got {r.tolist()}")
     lengths = np.maximum(np.floor(n * b * (r - epsilon)), 0.0)
     if np.any(lengths > n * b):
-        raise ValidationError(f"target rates {list(r)} ask for keys longer than N*B = {n * b}")
+        raise ValidationError(f"target rates {r.tolist()} ask for keys longer than N*B = {n * b}")
     return lengths.astype(np.int64)
 
 
@@ -267,21 +273,6 @@ class KeyMaterial:
 
     def agree(self, agent: int) -> bool:
         return bool(np.array_equal(self.keys[agent], self.base_keys[agent]))
-
-
-def min_entropy_floor(n: int, b: int, epsilon: float, src: JointSource,
-                      coalition: int, cond_mask: int = 0) -> float:
-    """Leading term of the coalition min-entropy budget.
-
-    (1-eps) * N * B * I(X_S ; X0 | X_cond); the vanishing corrections of
-    the underlying concentration argument are absorbed into eps rather
-    than computed.
-    """
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValidationError(f"epsilon must lie in [0,1], got {epsilon}")
-    if coalition == 0:
-        raise ValidationError("min-entropy floor needs a nonempty coalition")
-    return (1.0 - epsilon) * n * b * conditional_mi(src, coalition, cond_mask)
 
 
 def leakage_bound(lengths: Sequence[int], floors: Sequence[float]) -> float:
@@ -518,21 +509,6 @@ def reconcile(spec: DegradedSourceSpec, cfg: ProtocolConfig,
     return transcript, per_block, {agent: est[0] for agent, est in full.items()}
 
 
-def privacy_amplify(sequences: dict[int, np.ndarray], lengths: dict[int, int],
-                    seeds: dict[int, int],
-                    base_sequences: Optional[dict[int, np.ndarray]] = None) -> KeyMaterial:
-    """Hash each agent's sequence (and the base station's reconstruction)."""
-    keys, base = {}, {}
-    for agent, seq in sequences.items():
-        hasher = sample_hash(seeds[agent], len(seq), lengths[agent])
-        ref = base_sequences[agent] if base_sequences is not None else seq
-        if np.shape(ref) != np.shape(seq):
-            raise ValidationError(f"agent {agent}: base sequence shape {np.shape(ref)}, "
-                                  f"expected {np.shape(seq)}")
-        keys[agent], base[agent] = hasher.apply(np.stack([seq, ref]))
-    return KeyMaterial(keys=keys, base_keys=base)
-
-
 def _balance_p_value(size: int, ones: int) -> float:
     """Chi-square p-value of `ones` set bits among `size` fair coin flips;
     1 dof, so P(chi2 > s) = erfc(sqrt(s / 2)).  1.0 for no bits."""
@@ -542,6 +518,10 @@ def _balance_p_value(size: int, ones: int) -> float:
 def run_protocol(spec: DegradedSourceSpec, cfg: ProtocolConfig, runs: int) -> dict:
     """Full pipeline over the given number of independent runs.
 
+    The runs go through engine.simulate_runs in consecutive batches of
+    RUN_BATCH; between batches only the per-agent agreement-failure
+    counts, the count of runs where any member disagreed and the pooled
+    key-bit and ones counts are kept, so memory does not grow with runs.
     The report carries per-agent key lengths and achieved rates, the
     empirical agreement failure rate, the analytic leftover-hash bound at
     the configured margin (None when it overflows double range, which is
@@ -553,41 +533,44 @@ def run_protocol(spec: DegradedSourceSpec, cfg: ProtocolConfig, runs: int) -> di
     cfg.check_decode_work(len(cfg.members(spec.num_agents)), runs)
     t0 = time.perf_counter()
     engine = ProtocolEngine(spec, cfg)
-    res = engine.simulate_runs(range(runs))
     nb = cfg.n * cfg.b
 
     member_lengths = [plan.key_len for plan in engine.plans]
-    # min_entropy_floor of every member submask, given the outsiders
+    # (1 - eps) N B I(X_S ; X0 | X_outsiders) for every member submask S
     floors = (1.0 - cfg.epsilon) * nb * engine._member_info
     bound = leakage_bound(member_lengths, floors)
 
-    per_agent = {}
-    failures = np.zeros(runs, dtype=bool)
-    pooled = []
-    for plan in engine.plans:
-        agent = plan.index + 1
-        disagree = np.array([not res["keys"][k].agree(agent) for k in range(runs)])
-        failures |= disagree
-        pooled.extend(res["keys"][k].keys[agent] for k in range(runs))
-        per_agent[agent] = {
+    failures = {plan.index + 1: 0 for plan in engine.plans}
+    failed_runs = pool_size = pool_ones = 0
+    for start in range(0, runs, RUN_BATCH):
+        batch = engine.simulate_runs(range(start, min(start + RUN_BATCH, runs)))
+        for km in batch["keys"]:
+            disagree = [agent for agent in failures if not km.agree(agent)]
+            for agent in disagree:
+                failures[agent] += 1
+            failed_runs += bool(disagree)
+            for key in km.keys.values():
+                pool_size += key.size
+                pool_ones += int(key.sum())
+
+    per_agent = {
+        plan.index + 1: {
             "r": plan.key_len,
             "achieved_rate": plan.key_len / nb,
-            "agreement_failures": int(disagree.sum()),
+            "agreement_failures": failures[plan.index + 1],
             "first_stage_bits_per_block": int(plan.h_mask.sum()),
             "final_round_bits": int(plan.suffix.size * cfg.b),
-        }
-    pool = np.concatenate(pooled) if pooled else np.zeros(0, dtype=np.uint8)
-    chi2_p = _balance_p_value(pool.size, int(pool.sum()))
+        } for plan in engine.plans}
 
     return {
         "config": cfg.to_json(),
         "runs": runs,
         "per_agent": per_agent,
-        "failure_rate": float(failures.mean()),
+        "failure_rate": failed_runs / runs,
         "sum_rate": float(sum(member_lengths) / nb),
         "leakage_bound": bound if math.isfinite(bound) else None,
         "leakage_vacuous": not (bound <= 1.0),
-        "chi2_p": chi2_p,
+        "chi2_p": _balance_p_value(pool_size, pool_ones),
         "calibration": engine.calibration,
         "runtime_sec": time.perf_counter() - t0,
     }

@@ -327,17 +327,20 @@ class TestStageBound:
 class TestPrekernelGap:
     def test_matches_a_loop_over_coalitions(self):
         rng = np.random.default_rng(47)
-        game = value_function(build_degraded_source(random_degraded_spec(rng, 4)))
-        rates = rng.uniform(0.0, 0.2, size=4)
-        excess = game.values - coalition_sums(rates)
-        expected = 0.0
-        for i in range(4):
-            for j in range(4):
-                if i != j:
-                    s_ij = max(excess[m] for m in range(16) if m >> i & 1 and not m >> j & 1)
-                    s_ji = max(excess[m] for m in range(16) if m >> j & 1 and not m >> i & 1)
-                    expected = max(expected, abs(s_ij - s_ji))
-        assert prekernel_gap(game, rates) == expected
+        for L in (1, 2, 4, 7):
+            game = value_function(build_degraded_source(random_degraded_spec(rng, L)))
+            rates = rng.uniform(0.0, 0.2, size=L)
+            excess = game.values - coalition_sums(rates)
+            expected = 0.0
+            for i in range(L):
+                for j in range(L):
+                    if i != j:
+                        s_ij = max(excess[m] for m in range(1 << L)
+                                   if m >> i & 1 and not m >> j & 1)
+                        s_ji = max(excess[m] for m in range(1 << L)
+                                   if m >> j & 1 and not m >> i & 1)
+                        expected = max(expected, abs(s_ij - s_ji))
+            assert prekernel_gap(game, rates) == expected, L
 
     def test_certifies_the_nucleolus_not_the_shapley_value(self):
         rng = np.random.default_rng(53)

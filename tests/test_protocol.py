@@ -1,4 +1,5 @@
 import hashlib
+import json
 import re
 
 import numpy as np
@@ -7,13 +8,13 @@ import pytest
 from keyshare import (CapacityError, DegradedSourceSpec, ValidationError,
                       build_degraded_source, conditional_mi,
                       empirical_secrecy_check, key_lengths_from_allocation,
-                      leakage_bound, min_entropy_floor, privacy_amplify,
-                      reconcile, run_protocol, sample_hash,
-                      toeplitz_collision_rate, value_function)
+                      leakage_bound, reconcile, run_protocol, sample_hash,
+                      shapley_from_game, toeplitz_collision_rate,
+                      value_function)
 from keyshare import protocol
-from keyshare.protocol import (MAX_BLOCK_N, MAX_DECODE_WORK, RUN_OVERHEAD_BITS,
-                               ProtocolConfig, ProtocolEngine, ToeplitzHash,
-                               _balance_p_value, toeplitz_from_index)
+from keyshare.protocol import (MAX_BLOCK_N, MAX_DECODE_WORK, RUN_BATCH,
+                               RUN_OVERHEAD_BITS, ProtocolConfig, ProtocolEngine,
+                               ToeplitzHash, _balance_p_value, toeplitz_from_index)
 from keyshare.suites import toeplitz_matches_matrix
 
 
@@ -21,7 +22,6 @@ SMALL_SPEC = DegradedSourceSpec(q=0.40, p=(0.08, 0.12))
 
 
 def _shapley_target(spec):
-    from keyshare import shapley_from_game
     return tuple(shapley_from_game(value_function(build_degraded_source(spec))))
 
 
@@ -51,6 +51,12 @@ class TestKeyLengths:
         for rate in (1.5, 1e20):
             with pytest.raises(ValidationError, match="longer"):
                 key_lengths_from_allocation([0.1, rate], 16, 4, 0.05)
+
+    def test_rejects_non_finite_rate(self):
+        # a NaN rate used to become the length -2^63 behind a RuntimeWarning
+        for rate in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValidationError, match="target rates"):
+                key_lengths_from_allocation([rate, 0.3], 64, 2, 0.05)
 
 
 class TestToeplitzHash:
@@ -108,6 +114,24 @@ class TestToeplitzHash:
             with pytest.raises(ValidationError, match="input"):
                 h.apply(np.array([1, 0, bad, 1]))
 
+    # an agent's sequence and the base station's estimate share one matrix
+    def test_zero_length_keys_empty(self):
+        seq = np.ones(16, dtype=np.uint8)
+        keys = sample_hash(123, 16, 0).apply(np.stack([seq, seq]))
+        assert keys.shape == (2, 0)
+
+    def test_identical_rows_agree(self):
+        seq = np.random.default_rng(3).integers(0, 2, 64, dtype=np.uint8)
+        key, base_key = sample_hash(5, 64, 10).apply(np.stack([seq, seq]))
+        assert key.size == 10 and np.array_equal(key, base_key)
+
+    def test_one_bit_corruption_changes_key(self):
+        seq = np.random.default_rng(4).integers(0, 2, 256, dtype=np.uint8)
+        corrupted = seq.copy()
+        corrupted[17] ^= 1
+        key, base_key = sample_hash(9, 256, 64).apply(np.stack([seq, corrupted]))
+        assert not np.array_equal(key, base_key)
+
 
 class TestLeakageBound:
     # floors are indexed by coalition bitmask; entry 0 is ignored
@@ -129,23 +153,26 @@ class TestLeakageBound:
                 leakage_bound([1, 1], floors)
 
 
-class TestMinEntropyFloor:
-    def test_full_margin_gives_zero(self, example2_source):
-        assert min_entropy_floor(8, 2, 1.0, example2_source, 0b111) == 0.0
+class TestReportedLeakageBound:
+    # the report's bound uses floors[S] = (1 - eps) N B I(X_S ; X0 | X_outsiders)
+    def test_grand_coalition_floors(self, example2_spec, example2_source, example2_game):
+        cfg = ProtocolConfig(n=1024, b=4, epsilon=0.05,
+                             target=tuple(shapley_from_game(example2_game)))
+        rep = run_protocol(example2_spec, cfg, runs=1)
+        lengths = [rep["per_agent"][agent]["r"] for agent in (1, 2, 3)]
+        floors = [0.95 * 4096 * conditional_mi(example2_source, mask) if mask else 0.0
+                  for mask in range(8)]
+        assert floors[0b111] == pytest.approx(1825.8, abs=0.1)
+        assert rep["leakage_bound"] == pytest.approx(leakage_bound(lengths, floors), rel=1e-12)
 
-    def test_desk_scale_arithmetic(self, example2_source, example2_game):
-        floor = min_entropy_floor(1024, 4, 0.05, example2_source, 0b111)
-        assert floor == pytest.approx(0.95 * 4096 * example2_game.grand_value(), abs=1e-6)
-        assert floor == pytest.approx(1825.8, abs=0.1)
-
-    def test_conditioning_reduces_floor(self, example2_source):
-        plain = min_entropy_floor(64, 2, 0.1, example2_source, 0b001)
-        cond = min_entropy_floor(64, 2, 0.1, example2_source, 0b001, cond_mask=0b110)
-        assert cond <= plain + 1e-12
-
-    def test_empty_coalition_rejected(self, example2_source):
-        with pytest.raises(ValidationError):
-            min_entropy_floor(8, 2, 0.1, example2_source, 0)
+    def test_coalition_floors_condition_on_outsiders(self, example2_spec, example2_source):
+        cfg = ProtocolConfig(n=64, b=2, epsilon=0.1, target=(0.15, 0.0, 0.0),
+                             coalition=0b001, calibration_runs=5)
+        rep = run_protocol(example2_spec, cfg, runs=1)
+        cond = 0.9 * 128 * conditional_mi(example2_source, 0b001, cond_mask=0b110)
+        assert cond <= 0.9 * 128 * conditional_mi(example2_source, 0b001) + 1e-12
+        bound = leakage_bound([rep["per_agent"][1]["r"]], [0.0, cond])
+        assert rep["leakage_bound"] == pytest.approx(bound, rel=1e-12)
 
 
 class TestReconcile:
@@ -199,28 +226,6 @@ class TestReconcile:
             reconcile(SMALL_SPEC, cfg, x0, blocks)
 
 
-class TestPrivacyAmplify:
-    def test_zero_length_keys_empty(self):
-        seqs = {1: np.ones(16, dtype=np.uint8)}
-        km = privacy_amplify(seqs, {1: 0}, {1: 123})
-        assert km.keys[1].size == 0 and km.agree(1)
-
-    def test_perfect_reconciliation_agrees(self):
-        rng = np.random.default_rng(3)
-        seqs = {1: rng.integers(0, 2, 64, dtype=np.uint8)}
-        km = privacy_amplify(seqs, {1: 10}, {1: 5}, base_sequences=seqs)
-        assert km.agree(1)
-
-    def test_fault_injection_detected(self):
-        rng = np.random.default_rng(4)
-        seq = rng.integers(0, 2, 256, dtype=np.uint8)
-        corrupted = seq.copy()
-        corrupted[17] ^= 1
-        km = privacy_amplify({1: seq}, {1: 64}, {1: 9},
-                             base_sequences={1: corrupted})
-        assert not km.agree(1)
-
-
 class TestRunProtocol:
     def test_deterministic_replay(self):
         rep1 = run_protocol(SMALL_SPEC, small_config(), runs=4)
@@ -253,7 +258,6 @@ class TestRunProtocol:
     def test_key_rate_ceiling_for_core_targets(self):
         src = build_degraded_source(SMALL_SPEC)
         game = value_function(src)
-        from keyshare import shapley_from_game
         target = tuple(shapley_from_game(game))
         cfg = small_config(target=target)
         rep = run_protocol(SMALL_SPEC, cfg, runs=2)
@@ -301,6 +305,38 @@ class TestRunProtocol:
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValidationError, match="target"):
                 small_config(target=(bad, 0.05))
+
+
+class TestStreamedRuns:
+    # SHA-256 of the reports without runtime_sec, recorded while run_protocol
+    # still held every run until it returned
+    EXAMPLE2_DIGEST = "977b21db825a74678fbe675442ed511c09ab7efec5f738f8fbb7437063eb8e07"
+    COALITION_DIGEST = "9a1d78b84e027483d7e75d80980aca2559e9e8f12f210a540427e2246a0bd11f"
+
+    @staticmethod
+    def _digest(report):
+        report = dict(report)
+        report.pop("runtime_sec")
+        return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+    def test_reports_match_unbatched_digests(self, example2_spec, example2_game):
+        cfg = ProtocolConfig(n=1024, b=4, epsilon=0.05,
+                             target=tuple(shapley_from_game(example2_game)))
+        assert self._digest(run_protocol(example2_spec, cfg, runs=100)) == self.EXAMPLE2_DIGEST
+        cfg = small_config(coalition=0b001, target=(0.2, 0.0))
+        assert self._digest(run_protocol(SMALL_SPEC, cfg, runs=250)) == self.COALITION_DIGEST
+
+    def test_runs_go_in_consecutive_batches(self, monkeypatch):
+        assert RUN_BATCH == 100
+        seen, simulate = [], ProtocolEngine.simulate_runs
+
+        def record(engine, run_indices):
+            seen.append(list(run_indices))
+            return simulate(engine, run_indices)
+
+        monkeypatch.setattr(ProtocolEngine, "simulate_runs", record)
+        run_protocol(SMALL_SPEC, small_config(coalition=0b001, target=(0.2, 0.0)), runs=250)
+        assert seen == [list(range(0, 100)), list(range(100, 200)), list(range(200, 250))]
 
 
 class TestConfigValidation:
