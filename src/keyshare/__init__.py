@@ -7,9 +7,8 @@ simulator with leftover-hash secrecy accounting.
 """
 
 from .allocate import (NucleolusTrace, brute_force_nucleolus,
-                       core_polytope_vertices, lexicographic_less, lp_solve,
-                       nucleolus, prekernel_gap, shapley_closed_form,
-                       shapley_from_game)
+                       core_polytope_vertices, lp_solve, nucleolus,
+                       prekernel_gap, shapley_closed_form, shapley_from_game)
 from .errors import (CapacityError, ConsistencyError, SolverError,
                      ValidationError)
 from .game import (CoalitionGame, clearance_level_games, core_bounds,

@@ -268,20 +268,6 @@ def prekernel_gap(game: CoalitionGame, rates: Sequence[float]) -> float:
     return float(np.max(np.abs(surplus - surplus.T), initial=0.0))
 
 
-def lexicographic_less(theta1: Sequence[float], theta2: Sequence[float]) -> bool:
-    """Strict lexicographic order on equal-length excess vectors."""
-    a = np.asarray(theta1, dtype=float)
-    b = np.asarray(theta2, dtype=float)
-    if a.shape != b.shape:
-        raise ValidationError(f"length mismatch: {a.shape} vs {b.shape}")
-    for x, y in zip(a, b):
-        if x < y:
-            return True
-        if x > y:
-            return False
-    return False
-
-
 def brute_force_nucleolus(game: CoalitionGame, grid_step: float) -> np.ndarray:
     """Grid-sweep oracle: lexicographic minimum over the efficiency simplex.
 

@@ -92,8 +92,13 @@ def cmd_analyze(args) -> int:
 def cmd_allocate(args) -> int:
     if bool(args.spec) == bool(args.game):
         raise ValidationError("provide exactly one of --spec or --game")
-    src = build_degraded_source(DegradedSourceSpec.from_json(args.spec)) if args.spec else None
-    game = game_mod.CoalitionGame.load(args.game) if args.game else game_mod.value_function(src)
+    spec = DegradedSourceSpec.from_json(args.spec) if args.spec else None
+    game = game_mod.CoalitionGame.load(args.game) if args.game else None
+    if args.polytope_csv and (spec or game).num_agents != 3:
+        # refuse before any value table or allocation is computed
+        raise ValidationError("core polytope CSV is defined for 3-agent games")
+    src = build_degraded_source(spec) if spec else None
+    game = game or game_mod.value_function(src)
     payload = {"L": game.num_agents, "grand_value": game.grand_value()}
     methods = ("shapley", "nucleolus") if args.method == "both" else (args.method,)
     for method in methods:
@@ -117,8 +122,6 @@ def cmd_allocate(args) -> int:
             entry["core_witness"] = witness
         payload[method] = entry
     if args.polytope_csv:
-        if game.num_agents != 3:
-            raise ValidationError("core polytope CSV is defined for 3-agent games")
         verts = alloc_mod.core_polytope_vertices(game)
         with open(args.polytope_csv, "w") as fh:
             fh.write("R1,R2,R3\n")

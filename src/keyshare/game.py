@@ -215,14 +215,14 @@ def core_contains(game: CoalitionGame, rates: Sequence[float],
 
 
 def coalition_sums(rates: Sequence[float]) -> np.ndarray:
-    """sum_{i in S} rates_i for every bitmask S, by subset dynamic programming."""
+    """sum_{i in S} rates_i for every bitmask S, by subset dynamic
+    programming; leading axes of rates are a batch of allocations."""
     r = np.asarray(rates, dtype=float)
-    L = len(r)
-    sums = np.zeros(1 << L)
+    L = r.shape[-1]
+    sums = np.zeros(r.shape[:-1] + (1 << L,))
     for l in range(L):
         bit = 1 << l
-        half = sums[:bit]
-        sums[bit:2 * bit] = half + r[l]
+        sums[..., bit:2 * bit] = sums[..., :bit] + r[..., l, None]
     return sums
 
 

@@ -170,6 +170,8 @@ class JointSource:
             raise ValidationError(
                 f"probability table has {self.prob.ndim} axes, expected {expected_dims}"
             )
+        if not np.all(np.isfinite(self.prob)):
+            raise ValidationError("probability table has non-finite entries")
         if np.any(self.prob < 0):
             raise ValidationError("probability table has negative entries")
         total = float(self.prob.sum())

@@ -1,22 +1,24 @@
-"""Invariant suites behind the `verify` CLI command.
+"""Invariant checks, shared by the `verify` CLI command and the tests.
 
-Each suite runs a battery of structural properties at a size that keeps
-the command interactive, returning one (name, passed, witness) triple per
-property.  Failures carry a printable witness; the CLI turns any failure
-into a nonzero exit.
+Each check is named after its `verify` line, fixes its own tolerance and
+takes the instances it runs on: games, sources, sizes, cells, a seed or a
+sample count.  The suites build instances at a size that keeps `verify`
+interactive; the tests pass their own.  A failure's witness names the
+first failing instance, and the CLI turns any failure into exit code 2.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import allocate, game as game_mod, polar, protocol, secrecy
+from . import allocate, polar, protocol, secrecy
+from .game import (coalition_sums, core_bounds, core_contains,
+                   is_superadditive, is_supermodular, value_function)
 from .source import (DegradedSourceSpec, build_degraded_source,
-                     conditional_mi, verify_markov)
-
-SUITE_NAMES = ("game", "allocation", "polar", "secrecy", "all")
+                     mutual_information, verify_markov)
 
 
 @dataclass
@@ -26,149 +28,191 @@ class CheckResult:
     witness: str = ""
 
 
-def _random_spec(rng, num_agents: int) -> DegradedSourceSpec:
-    q = rng.uniform(0.15, 0.85)
-    p = tuple(rng.uniform(0.05, 0.45) for _ in range(num_agents))
-    return DegradedSourceSpec(q=q, p=p)
+def check(witnesses):
+    """Turn a generator of failure witnesses into a check named after it:
+    the first witness fails the check, and no witness passes it."""
+    @functools.wraps(witnesses)
+    def run(*args, **kwargs) -> CheckResult:
+        witness = next(witnesses(*args, **kwargs), None)
+        return CheckResult(witnesses.__name__, witness is None, witness or "")
+    return run
 
 
-def game_suite(seed: int = 0, specs: int = 20) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
-    results = []
-    sup_ok, mod_ok, markov_ok, mono_ok, identity_ok = True, True, True, True, True
-    witness = {"sup": "", "mod": "", "markov": "", "mono": "", "identity": ""}
-    bounds_ok, bounds_wit = True, ""
-    for t in range(specs):
-        spec = _random_spec(rng, int(rng.integers(2, 5)))
-        src = build_degraded_source(spec)
-        if not verify_markov(src, tol=1e-10):
-            markov_ok, witness["markov"] = False, f"spec {spec}"
-        g = game_mod.value_function(src)
-        ok, wit = game_mod.is_superadditive(g, tol=1e-10)
+@check
+def value_function_superadditive(games):
+    """v(S) + v(T) <= v(S|T) + 1e-10 for all disjoint S, T."""
+    for i, g in enumerate(games):
+        ok, pair = is_superadditive(g, tol=1e-10)
         if not ok:
-            sup_ok, witness["sup"] = False, f"spec {spec}, pair {wit}"
-        ok, wit = game_mod.is_supermodular(g, tol=1e-10)
+            yield f"game {i}, pair {pair}"
+
+
+@check
+def value_function_supermodular(games):
+    """v(U) + v(V) <= v(U|V) + v(U&V) + 1e-10 for all U, V."""
+    for i, g in enumerate(games):
+        ok, pair = is_supermodular(g, tol=1e-10)
         if not ok:
-            mod_ok, witness["mod"] = False, f"spec {spec}, pair {wit}"
-        full = g.full_mask
-        for mask in range(1, full + 1):
-            sub = (mask - 1) & mask
-            if g.values[sub] > g.values[mask] + 1e-12:
-                mono_ok, witness["mono"] = False, f"spec {spec}, {sub} in {mask}"
-            ident = g.grand_value() - g.value(full & ~mask)
-            direct = conditional_mi(src, mask)
-            if abs(ident - direct) > 1e-10:
-                identity_ok, witness["identity"] = False, f"spec {spec}, S={mask}"
-        # core bound equivalence on random allocations
-        alloc = allocate.shapley_from_game(g)
-        lower, upper = game_mod.core_bounds(g)
-        for _ in range(20):
-            cand = np.abs(alloc + rng.normal(0, 0.05, size=len(alloc)))
-            cand *= g.grand_value() / cand.sum()
-            in_core, _ = game_mod.core_contains(g, cand, tol=1e-9)
-            sums = game_mod.coalition_sums(cand)
-            via_bounds = bool(np.all((lower - 1e-9 <= sums) & (sums <= upper + 1e-9)))
-            if in_core != via_bounds:
-                bounds_ok = False
-                bounds_wit = f"spec {spec}, allocation {cand}"
-    results.append(CheckResult("markov_chain_verified", markov_ok, witness["markov"]))
-    results.append(CheckResult("value_function_superadditive", sup_ok, witness["sup"]))
-    results.append(CheckResult("value_function_supermodular", mod_ok, witness["mod"]))
-    results.append(CheckResult("value_function_monotone", mono_ok, witness["mono"]))
-    results.append(CheckResult("grand_minus_complement_identity", identity_ok, witness["identity"]))
-    results.append(CheckResult("core_bounds_equivalence", bounds_ok, bounds_wit))
-    return results
+            yield f"game {i}, pair {pair}"
 
 
-def allocation_suite(seed: int = 0, specs: int = 15) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
-    results = []
-    dual_ok, eff_ok, core_ok, oracle_ok = True, True, True, True
-    wit = {"dual": "", "eff": "", "core": "", "oracle": ""}
-    for t in range(specs):
-        spec = _random_spec(rng, int(rng.integers(2, 4)))
-        src = build_degraded_source(spec)
-        g = game_mod.value_function(src)
-        s1 = allocate.shapley_from_game(g)
-        s2 = allocate.shapley_closed_form(src)
-        if np.max(np.abs(s1 - s2)) > 1e-9:
-            dual_ok, wit["dual"] = False, f"spec {spec}: {s1} vs {s2}"
-        nuc, _ = allocate.nucleolus(g)
-        for name, alloc in (("shapley", s1), ("nucleolus", nuc)):
-            if abs(alloc.sum() - g.grand_value()) > 1e-9:
-                eff_ok, wit["eff"] = False, f"{name} on {spec}"
-            ok, w = game_mod.core_contains(g, alloc, tol=1e-8)
+@check
+def value_function_monotone(games):
+    """v(S minus l) <= v(S) + 1e-12 for every coalition S and member l."""
+    for i, g in enumerate(games):
+        masks = np.arange(g.full_mask + 1)
+        for l in range(g.num_agents):
+            s = masks[masks & 1 << l > 0]
+            bad = s[g.values[s ^ 1 << l] > g.values[s] + 1e-12]
+            if bad.size:
+                yield f"game {i}, {bad[0] ^ 1 << l} in {bad[0]}"
+
+
+@check
+def grand_minus_complement_identity(sources):
+    """v(N) - v(S^c) = I(X_S ; X0) within 1e-10 for every coalition S."""
+    for i, src in enumerate(sources):
+        g = value_function(src)
+        s = np.arange(1, g.full_mask + 1)
+        gap = g.grand_value() - g.values[g.full_mask & ~s] - mutual_information(src, s << 1, 1)
+        bad = np.flatnonzero(np.abs(gap) > 1e-10)
+        if bad.size:
+            yield f"source {i}, S={s[bad[0]]}"
+
+
+@check
+def core_bounds_equivalence(cases):
+    """Core bounds and core_contains agree at 1e-11 on (game, allocation rows) cases."""
+    for i, (g, allocations) in enumerate(cases):
+        lower, upper = core_bounds(g)
+        sums = coalition_sums(allocations)
+        via_bounds = np.all((lower - 1e-11 <= sums) & (sums <= upper + 1e-11), axis=1)
+        for x, inside in zip(allocations, via_bounds):
+            if inside != core_contains(g, x, tol=1e-11)[0]:
+                yield f"game {i}, allocation {x.tolist()}"
+
+
+@check
+def shapley_dual_route_agreement(sources):
+    """Shapley value from the value table and in closed form within 1e-9."""
+    for i, src in enumerate(sources):
+        a = allocate.shapley_from_game(value_function(src))
+        b = allocate.shapley_closed_form(src)
+        if not np.max(np.abs(a - b)) < 1e-9:
+            yield f"source {i}: {a} vs {b}"
+
+
+def _solutions(g):  # looks allocate.nucleolus up per call, so a test can replace it
+    return ("shapley", allocate.shapley_from_game(g)), ("nucleolus", allocate.nucleolus(g)[0])
+
+
+@check
+def allocations_efficient(games):
+    """The Shapley value and the nucleolus sum to v(N) within 1e-9."""
+    for i, g in enumerate(games):
+        for name, x in _solutions(g):
+            if abs(x.sum() - g.grand_value()) > 1e-9:
+                yield f"{name} on game {i}"
+
+
+@check
+def allocations_in_core(games):
+    """The Shapley value and the nucleolus lie in the core within 1e-8."""
+    for i, g in enumerate(games):
+        for name, x in _solutions(g):
+            ok, coalition = core_contains(g, x, tol=1e-8)
             if not ok:
-                core_ok, wit["core"] = False, f"{name} on {spec}, coalition {w}"
-        if g.num_agents <= 3 and t < 5:
-            ref = allocate.brute_force_nucleolus(g, grid_step=2e-3)
-            if np.max(np.abs(ref - nuc)) > 4e-3:
-                oracle_ok, wit["oracle"] = False, f"spec {spec}: {nuc} vs grid {ref}"
-    # LP-free nucleolus oracle at sizes the grid sweep cannot reach: the
-    # source games are convex, where a core point with a zero prekernel gap
-    # is the nucleolus
-    cert_ok, cert_wit = True, ""
-    for num_agents in (8, 9, 10):
-        spec = _random_spec(rng, num_agents)
-        g = game_mod.value_function(build_degraded_source(spec))
+                yield f"{name} on game {i}, coalition {coalition}"
+
+
+@check
+def nucleolus_matches_grid_oracle(games, grid_step):
+    """Nucleolus within two grid steps of the grid-sweep oracle (L <= 3)."""
+    for i, g in enumerate(games):
+        nuc, _ = allocate.nucleolus(g)
+        ref = allocate.brute_force_nucleolus(g, grid_step=grid_step)
+        if np.max(np.abs(ref - nuc)) > 2 * grid_step:
+            yield f"game {i}: {nuc} vs grid {ref}"
+
+
+@check
+def nucleolus_prekernel_certificate(games):
+    """LP-free nucleolus oracle at sizes the grid sweep cannot reach: on a
+    convex game a core point with a zero prekernel gap (both 1e-9) is it."""
+    for i, g in enumerate(games):
         nuc, _ = allocate.nucleolus(g)
         gap = allocate.prekernel_gap(g, nuc)
-        in_core, w = game_mod.core_contains(g, nuc, tol=1e-9)
+        in_core, coalition = core_contains(g, nuc, tol=1e-9)
         if gap > 1e-9 or not in_core:
-            cert_ok, cert_wit = False, f"spec {spec}: gap {gap:.3g}, core violation {w}"
-    results.append(CheckResult("shapley_dual_route_agreement", dual_ok, wit["dual"]))
-    results.append(CheckResult("allocations_efficient", eff_ok, wit["eff"]))
-    results.append(CheckResult("allocations_in_core", core_ok, wit["core"]))
-    results.append(CheckResult("nucleolus_matches_grid_oracle", oracle_ok, wit["oracle"]))
-    results.append(CheckResult("nucleolus_prekernel_certificate", cert_ok, cert_wit))
-    return results
+            yield f"game {i} (L={g.num_agents}): gap {gap:.3g}, core violation {coalition}"
 
 
-def polar_suite(seed: int = 0) -> list[CheckResult]:
+def transform_involution_and_linear(sizes, seed) -> list[CheckResult]:
+    """Polar transform involution and GF(2) linearity on seeded words."""
     rng = np.random.default_rng(seed)
-    results = []
-    ok, wit = True, ""
-    for n in (2, 4, 8, 64, 256, 1024):
-        x = rng.integers(0, 2, n, dtype=np.uint8)
-        if not np.array_equal(polar.polar_transform(polar.polar_transform(x)), x):
-            ok, wit = False, f"N={n}"
-    results.append(CheckResult("transform_involution", ok, wit))
-    ok, wit = True, ""
-    for n in (4, 32, 128):
+    involution, linear = "", ""
+    for n in sizes:
         x = rng.integers(0, 2, n, dtype=np.uint8)
         y = rng.integers(0, 2, n, dtype=np.uint8)
-        lhs = polar.polar_transform(x ^ y)
-        rhs = polar.polar_transform(x) ^ polar.polar_transform(y)
-        if not np.array_equal(lhs, rhs):
-            ok, wit = False, f"N={n}"
-    results.append(CheckResult("transform_linear", ok, wit))
-    ok, wit = True, ""
-    for n, p in ((8, 0.2), (16, 0.35)):
+        tx = polar.polar_transform(x)
+        if not np.array_equal(polar.polar_transform(tx), x):
+            involution = involution or f"N={n}"
+        if not np.array_equal(polar.polar_transform(x ^ y), tx ^ polar.polar_transform(y)):
+            linear = linear or f"N={n}"
+    return [CheckResult("transform_involution", not involution, involution),
+            CheckResult("transform_linear", not linear, linear)]
+
+
+@check
+def mc_profile_matches_exact(cells, num_samples, seed):
+    """Monte Carlo entropy profile within 0.02 of the exact one per (N, p) cell."""
+    for n, p in cells:
         exact = polar.entropy_profile_exact(p, n)
-        mc = polar.entropy_profile_mc(p, n, 20000, seed=7)
+        mc = polar.entropy_profile_mc(p, n, num_samples, seed=seed)
         gap = float(np.max(np.abs(exact.h - mc.h)))
         if gap > 0.02:
-            ok, wit = False, f"N={n} p={p} gap={gap:.4f}"
-    results.append(CheckResult("mc_profile_matches_exact", ok, wit))
-    ok, wit = True, ""
-    for n in (8, 16):
-        for p in (0.11, 0.2, 0.3):
-            exact = polar.entropy_profile_exact(p, n)
-            prof = polar.construct_profile(p, n)
-            for field in ("h", "genie_error"):
-                slack = float(np.min(getattr(prof, field) - getattr(exact, field)))
-                if slack < -1e-12:
-                    ok, wit = False, f"N={n} p={p} {field} below exact by {-slack:.3g}"
-    results.append(CheckResult("deterministic_profile_brackets_exact", ok, wit))
-    ok, wit = True, ""
-    exact_sums = [polar.entropy_profile_exact(p, 16).h.sum() for p in (0.1, 0.2, 0.3)]
-    if not all(a <= b + 1e-12 for a, b in zip(exact_sums, exact_sums[1:])):
-        ok, wit = False, f"sums {exact_sums}"
-    results.append(CheckResult("profile_monotone_in_crossover", ok, wit))
-    return results
+            yield f"N={n} p={p} gap={gap:.4f}"
 
 
-def toeplitz_matches_matrix(seed: int = 0) -> CheckResult:
+@check
+def deterministic_profile_brackets_exact(cells):
+    """Constructed profile at or above the exact one per index and (N, p) cell."""
+    for n, p in cells:
+        exact = polar.entropy_profile_exact(p, n)
+        prof = polar.construct_profile(p, n)
+        for field in ("h", "genie_error"):
+            slack = float(np.min(getattr(prof, field) - getattr(exact, field)))
+            if slack < -1e-12:
+                yield f"N={n} p={p} {field} below exact by {-slack:.3g}"
+
+
+@check
+def profile_monotone_in_crossover(n, crossovers):
+    """Exact profile's total entropy nondecreasing along ascending crossovers."""
+    sums = [polar.entropy_profile_exact(p, n).h.sum() for p in crossovers]
+    if not all(a <= b + 1e-12 for a, b in zip(sums, sums[1:])):
+        yield f"sums {sums}"
+
+
+@check
+def leftover_hash_bound_holds(cells):
+    """Exact distance within the leftover-hash bound per (q, p, N, r) cell."""
+    for q, p, n, r in cells:
+        res = secrecy.empirical_secrecy_check(q, p, n, r)
+        if not res.holds:
+            yield f"q={q} p={p} N={n} r={r}: {res.distance} > {res.bound}"
+
+
+@check
+def toeplitz_two_universal(n, r):
+    """Brute-force worst collision rate of the n-to-r Toeplitz family <= 2^-r."""
+    worst = secrecy.toeplitz_collision_rate(n, r)
+    if worst > 2.0 ** -r + 1e-12:
+        yield f"worst collision {worst}"
+
+
+@check
+def toeplitz_matches_matrix(seed=0):
     """ToeplitzHash.apply against an explicit GF(2) matrix product at
     production size: n = 4096, r in {1, 682, 4096} on seeded random rows,
     plus the all-ones n = r = 4096 case where every sum reaches n."""
@@ -183,43 +227,69 @@ def toeplitz_matches_matrix(seed: int = 0) -> CheckResult:
         t = np.lib.stride_tricks.sliding_window_view(h.bits, n)[:, ::-1]
         expected = ((t.astype(np.int32) @ x.T) & 1).T
         if not np.array_equal(h.apply(x), expected):
-            return CheckResult("toeplitz_matches_matrix", False, f"n={n} r={h.r_out}")
-    return CheckResult("toeplitz_matches_matrix", True)
+            yield f"n={n} r={h.r_out}"
+
+
+def _random_spec(rng, num_agents: int) -> DegradedSourceSpec:
+    q = rng.uniform(0.15, 0.85)
+    p = tuple(rng.uniform(0.05, 0.45) for _ in range(num_agents))
+    return DegradedSourceSpec(q=q, p=p)
+
+
+def game_suite(seed: int = 0) -> list[CheckResult]:
+    rng = np.random.default_rng(seed)
+    sources, games, cases, markov_witness = [], [], [], ""
+    for _ in range(20):
+        spec = _random_spec(rng, int(rng.integers(2, 5)))
+        src = build_degraded_source(spec)
+        if not verify_markov(src, tol=1e-10):
+            markov_witness = f"spec {spec}"
+        g = value_function(src)
+        # twenty efficient allocations scattered around the Shapley value
+        x = np.abs(allocate.shapley_from_game(g) + rng.normal(0, 0.05, size=(20, g.num_agents)))
+        cases.append((g, x * (g.grand_value() / x.sum(axis=1))[:, None]))
+        sources.append(src)
+        games.append(g)
+    return [CheckResult("markov_chain_verified", not markov_witness, markov_witness),
+            value_function_superadditive(games), value_function_supermodular(games),
+            value_function_monotone(games), grand_minus_complement_identity(sources),
+            core_bounds_equivalence(cases)]
+
+
+def allocation_suite(seed: int = 0) -> list[CheckResult]:
+    rng = np.random.default_rng(seed)
+    sources = [build_degraded_source(_random_spec(rng, int(rng.integers(2, 4))))
+               for _ in range(15)]
+    games = [value_function(src) for src in sources]
+    large = [value_function(build_degraded_source(_random_spec(rng, num_agents)))
+             for num_agents in (8, 9, 10)]
+    return [shapley_dual_route_agreement(sources), allocations_efficient(games),
+            allocations_in_core(games), nucleolus_matches_grid_oracle(games[:5], 2e-3),
+            nucleolus_prekernel_certificate(large)]
+
+
+def polar_suite(seed: int = 0) -> list[CheckResult]:
+    return [*transform_involution_and_linear((2, 4, 8, 32, 64, 128, 256, 1024), seed),
+            mc_profile_matches_exact(((8, 0.2), (16, 0.35)), 20_000, seed=7),
+            deterministic_profile_brackets_exact(
+                [(n, p) for n in (8, 16) for p in (0.11, 0.2, 0.3)]),
+            profile_monotone_in_crossover(16, (0.1, 0.2, 0.3))]
 
 
 def secrecy_suite(seed: int = 0) -> list[CheckResult]:
-    results = []
-    ok, wit = True, ""
-    for n in (2, 4):
-        for p in (0.1, 0.3):
-            for r in (0, 1):
-                res = secrecy.empirical_secrecy_check(0.4, (p,), n, (r,))
-                if not res.holds:
-                    ok, wit = False, f"N={n} p={p} r={r}: {res.distance} > {res.bound}"
-    res2 = secrecy.empirical_secrecy_check(0.4, (0.1, 0.3), 2, (1, 1))
-    if not res2.holds:
-        ok, wit = False, f"two-agent cell: {res2.distance} > {res2.bound}"
-    results.append(CheckResult("leftover_hash_bound_holds", ok, wit))
-    worst = secrecy.toeplitz_collision_rate(4, 2)
-    results.append(CheckResult(
-        "toeplitz_two_universal", worst <= 0.25 + 1e-12, f"worst collision {worst}"
-    ))
-    results.append(toeplitz_matches_matrix(seed))
-    return results
+    cells = [(0.4, (p,), n, (r,)) for n in (2, 4) for p in (0.1, 0.3) for r in (0, 1)]
+    cells.append((0.4, (0.1, 0.3), 2, (1, 1)))
+    return [leftover_hash_bound_holds(cells), toeplitz_two_universal(4, 2),
+            toeplitz_matches_matrix(seed)]
+
+
+SUITES = {"game": game_suite, "allocation": allocation_suite,
+          "polar": polar_suite, "secrecy": secrecy_suite}
+SUITE_NAMES = (*SUITES, "all")
 
 
 def run_suite(name: str, seed: int = 0) -> list[CheckResult]:
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    if name == "game":
-        return game_suite(seed)
-    if name == "allocation":
-        return allocation_suite(seed)
-    if name == "polar":
-        return polar_suite(seed)
-    if name == "secrecy":
-        return secrecy_suite(seed)
-    out = []
-    for sub in ("game", "allocation", "polar", "secrecy"):
-        out.extend(run_suite(sub, seed))
-    return out
+    names = SUITES if name == "all" else (name,)
+    return [result for n in names for result in SUITES[n](seed)]

@@ -11,14 +11,16 @@ import time
 import numpy as np
 import pytest
 
-from keyshare import (binary_entropy, brute_force_nucleolus,
-                      build_degraded_source, build_index_sets,
-                      clearance_level_games, core_bounds, core_contains,
-                      empirical_secrecy_check, entropy_profile_exact,
-                      entropy_profile_mc, is_superadditive, is_supermodular,
-                      nucleolus, polar_transform, run_protocol,
-                      shapley_closed_form, shapley_from_game,
-                      toeplitz_collision_rate, value_function)
+from keyshare import (binary_entropy, build_degraded_source, build_index_sets,
+                      clearance_level_games, entropy_profile_mc, nucleolus,
+                      run_protocol, shapley_from_game, value_function)
+from keyshare.suites import (allocations_in_core, core_bounds_equivalence,
+                             leftover_hash_bound_holds, mc_profile_matches_exact,
+                             nucleolus_matches_grid_oracle,
+                             shapley_dual_route_agreement, toeplitz_two_universal,
+                             transform_involution_and_linear,
+                             value_function_superadditive,
+                             value_function_supermodular)
 from keyshare.protocol import ProtocolConfig
 
 from conftest import (EXAMPLE2, EXAMPLE2_VALUES, NUCLEOLUS_INTERVALS,
@@ -40,11 +42,10 @@ def test_criterion_1_example2_value_table(example2_game):
 
 def test_criterion_2_shapley(example2_source, example2_game):
     t0 = time.perf_counter()
-    table_route = shapley_from_game(example2_game)
-    closed_route = shapley_closed_form(example2_source)
-    for rate, (lo, hi) in zip(table_route, SHAPLEY_INTERVALS):
+    for rate, (lo, hi) in zip(shapley_from_game(example2_game), SHAPLEY_INTERVALS):
         assert lo <= rate <= hi
-    assert np.max(np.abs(table_route - closed_route)) < 1e-9
+    result = shapley_dual_route_agreement([example2_source])
+    assert result.passed, result.witness
     _report(2, "Shapley value in published intervals, dual routes agree", t0, 1.0)
 
 
@@ -53,61 +54,39 @@ def test_criterion_3_nucleolus(example2_game):
     rates, trace = nucleolus(example2_game)
     for rate, (lo, hi) in zip(rates, NUCLEOLUS_INTERVALS):
         assert lo <= rate <= hi
-    oracle = brute_force_nucleolus(example2_game, grid_step=1e-3)
-    assert np.max(np.abs(rates - oracle)) <= 2e-3
+    result = nucleolus_matches_grid_oracle([example2_game], grid_step=1e-3)
+    assert result.passed, result.witness
     _report(3, "nucleolus in published intervals, matches grid oracle", t0, 30.0)
 
 
 def test_criterion_4_property_suite():
     t0 = time.perf_counter()
     rng = np.random.default_rng(20260809)
+    games, cases = [], []
     for trial in range(100):
         num_agents = int(rng.integers(2, 5))
         spec = random_degraded_spec(rng, num_agents)
-        src = build_degraded_source(spec)
-        game = value_function(src)
-        assert is_superadditive(game, tol=1e-10)[0], spec
-        assert is_supermodular(game, tol=1e-10)[0], spec
-
-        shap = shapley_from_game(game)
-        nuc, _ = nucleolus(game)
-        assert core_contains(game, shap, tol=1e-8)[0], spec
-        assert core_contains(game, nuc, tol=1e-8)[0], spec
-
-        full = game.full_mask
-        lowers, uppers = core_bounds(game)
-        masks = np.stack([[1.0 if m >> l & 1 else 0.0 for l in range(num_agents)]
-                          for m in range(full + 1)])
-        base = np.asarray(shap)
-        cand = np.abs(base[None, :] + rng.normal(0, 0.08, size=(1000, num_agents)))
+        game = value_function(build_degraded_source(spec))
+        # 1000 allocations around the Shapley value, 70 % rescaled to efficiency
+        cand = np.abs(shapley_from_game(game) + rng.normal(0, 0.08, size=(1000, num_agents)))
         rescale = rng.random(1000) < 0.7
         cand[rescale] *= (game.grand_value() / cand[rescale].sum(axis=1))[:, None]
-        sums = cand @ masks.T
-        tol = 1e-9
-        via_bounds = np.all((sums >= lowers - tol) & (sums <= uppers + tol), axis=1)
-        efficiency = np.abs(sums[:, full] - game.grand_value()) <= tol
-        rationality = np.all(sums[:, 1:full] >= game.values[1:full] - tol, axis=1)
-        via_definition = efficiency & rationality
-        assert np.array_equal(via_bounds, via_definition), spec
+        games.append(game)
+        cases.append((game, cand))
+    for result in (value_function_superadditive(games), value_function_supermodular(games),
+                   allocations_in_core(games), core_bounds_equivalence(cases)):
+        assert result.passed, (result.name, result.witness)
     _report(4, "100 random degraded games: convexity, core membership, "
                "bound equivalence on 1000 allocations each", t0, 120.0)
 
 
 def test_criterion_5_polar_suite():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(5)
-    for n in (2, 4, 8, 16, 32, 64, 128, 256, 512, 1024):
-        x = rng.integers(0, 2, n, dtype=np.uint8)
-        y = rng.integers(0, 2, n, dtype=np.uint8)
-        assert np.array_equal(polar_transform(polar_transform(x)), x)
-        assert np.array_equal(polar_transform(x ^ y),
-                              polar_transform(x) ^ polar_transform(y))
-
-    for n in (8, 16):
-        for p in (0.11, 0.3):
-            exact = entropy_profile_exact(p, n)
-            mc = entropy_profile_mc(p, n, 100_000, seed=17)
-            assert np.max(np.abs(exact.h - mc.h)) <= 0.02
+    for result in (*transform_involution_and_linear(
+                       (2, 4, 8, 16, 32, 64, 128, 256, 512, 1024), seed=5),
+                   mc_profile_matches_exact(
+                       [(n, p) for n in (8, 16) for p in (0.11, 0.3)], 100_000, seed=17)):
+        assert result.passed, (result.name, result.witness)
 
     p = 0.11
     target = binary_entropy(p)
@@ -151,20 +130,13 @@ def test_criterion_6_protocol_desk_scale(example2_game):
 
 def test_criterion_7_leftover_hash_grid():
     t0 = time.perf_counter()
-    cells = 0
-    for n in (2, 4):
-        for num_agents in (1, 2):
-            for r in (0, 1, 2):
-                if r > n:
-                    continue
-                for p in (0.1, 0.3):
-                    res = empirical_secrecy_check(
-                        0.4, (p,) * num_agents, n, (r,) * num_agents)
-                    assert res.distance <= res.bound + 1e-9, (n, num_agents, r, p)
-                    cells += 1
-    assert cells == 24
-    assert toeplitz_collision_rate(4, 2) <= 0.25 + 1e-12
-    _report(7, f"exact variational distance within the bound in {cells} cells; "
+    cells = [(0.4, (p,) * num_agents, n, (r,) * num_agents)
+             for n in (2, 4) for num_agents in (1, 2) for r in (0, 1, 2) if r <= n
+             for p in (0.1, 0.3)]
+    assert len(cells) == 24
+    for result in (leftover_hash_bound_holds(cells), toeplitz_two_universal(4, 2)):
+        assert result.passed, (result.name, result.witness)
+    _report(7, f"exact variational distance within the bound in {len(cells)} cells; "
                "Toeplitz family two-universal by brute force", t0, 300.0)
 
 

@@ -7,12 +7,14 @@ import pytest
 
 from keyshare import (CapacityError, CoalitionGame, DegradedSourceSpec,
                       SolverError, ValidationError, brute_force_nucleolus,
-                      build_degraded_source, conditional_mi, core_contains,
-                      core_polytope_vertices, lexicographic_less, lp_solve,
-                      nucleolus, prekernel_gap, shapley_closed_form,
-                      shapley_from_game, sorted_excess_vector, value_function)
+                      build_degraded_source, conditional_mi,
+                      core_polytope_vertices, lp_solve, nucleolus, prekernel_gap,
+                      shapley_closed_form, shapley_from_game,
+                      sorted_excess_vector, value_function)
 import keyshare.allocate as allocate
 from keyshare.game import coalition_sums
+from keyshare.suites import (allocations_in_core, nucleolus_matches_grid_oracle,
+                             shapley_dual_route_agreement)
 
 from conftest import (NUCLEOLUS_INTERVALS, SHAPLEY_INTERVALS,
                       random_degraded_spec)
@@ -104,12 +106,10 @@ class TestShapley:
 
     def test_dual_route_agreement_random(self):
         rng = np.random.default_rng(13)
-        for _ in range(30):
-            spec = random_degraded_spec(rng, int(rng.integers(1, 5)))
-            src = build_degraded_source(spec)
-            a = shapley_from_game(value_function(src))
-            b = shapley_closed_form(src)
-            assert np.max(np.abs(a - b)) < 1e-9
+        sources = [build_degraded_source(random_degraded_spec(rng, int(rng.integers(1, 5))))
+                   for _ in range(30)]
+        result = shapley_dual_route_agreement(sources)
+        assert result.passed, result.witness
 
 
 class TestNucleolus:
@@ -154,19 +154,12 @@ class TestNucleolus:
         assert rates[0] == pytest.approx(0.7, abs=1e-12)
         assert trace.stages == []
 
-    def test_matches_grid_oracle_example2(self, example2_game):
-        rates, _ = nucleolus(example2_game)
-        ref = brute_force_nucleolus(example2_game, grid_step=1e-3)
-        assert np.max(np.abs(rates - ref)) <= 2e-3
-
     def test_matches_grid_oracle_random(self):
         rng = np.random.default_rng(23)
-        for _ in range(5):
-            spec = random_degraded_spec(rng, 3)
-            game = value_function(build_degraded_source(spec))
-            rates, _ = nucleolus(game)
-            ref = brute_force_nucleolus(game, grid_step=1e-3)
-            assert np.max(np.abs(rates - ref)) <= 2e-3
+        games = [value_function(build_degraded_source(random_degraded_spec(rng, 3)))
+                 for _ in range(5)]
+        result = nucleolus_matches_grid_oracle(games, grid_step=1e-3)
+        assert result.passed, result.witness
 
     def test_degenerate_first_stage_face(self):
         # stage-1 binding pair {1,2} and {3} spans efficiency: the optimal
@@ -177,15 +170,15 @@ class TestNucleolus:
         game = value_function(build_degraded_source(spec))
         rates, trace = nucleolus(game)
         assert len(trace.stages) >= 2
-        ref = brute_force_nucleolus(game, grid_step=1e-3)
-        assert np.max(np.abs(rates - ref)) <= 2e-3
+        result = nucleolus_matches_grid_oracle([game], grid_step=1e-3)
+        assert result.passed, result.witness
         # exact lexicographic optimality against a sweep of segment points
         ours = np.round(sorted_excess_vector(game, rates), 9)
         y3 = rates[2]
         for y1 in np.linspace(0.0, game.grand_value() - y3, 301):
             cand = np.array([y1, game.grand_value() - y3 - y1, y3])
             theirs = np.round(sorted_excess_vector(game, cand), 9)
-            assert not lexicographic_less(list(theirs), list(ours))
+            assert not tuple(theirs) < tuple(ours)
 
     def test_stage_optima_nonincreasing(self):
         rng = np.random.default_rng(29)
@@ -205,15 +198,15 @@ class TestNucleolus:
         for _ in range(500):
             cand = rng.dirichlet(np.ones(3)) * total
             theirs = sorted_excess_vector(example2_game, cand)
-            assert not lexicographic_less(theirs + 1e-9, ours)
+            assert not tuple(theirs + 1e-9) < tuple(ours)
 
     def test_in_core_for_random_convex_games(self):
         rng = np.random.default_rng(37)
-        for _ in range(10):
-            spec = random_degraded_spec(rng, int(rng.integers(2, 5)))
-            game = value_function(build_degraded_source(spec))
-            rates, _ = nucleolus(game)
-            assert core_contains(game, rates, tol=1e-8)[0]
+        games = [value_function(build_degraded_source(
+                     random_degraded_spec(rng, int(rng.integers(2, 5)))))
+                 for _ in range(10)]
+        result = allocations_in_core(games)
+        assert result.passed, result.witness
 
 
 class TestGoldenNucleolus:
@@ -372,19 +365,6 @@ class TestBruteForceOracle:
         game = CoalitionGame(num_agents=4, values=np.zeros(16))
         with pytest.raises(CapacityError):
             brute_force_nucleolus(game, grid_step=0.1)
-
-
-class TestLexicographic:
-    def test_equal_is_not_less(self):
-        assert not lexicographic_less([1.0, 0.0], [1.0, 0.0])
-
-    def test_strict(self):
-        assert lexicographic_less([1.0, 0.0], [1.0, 1.0])
-        assert not lexicographic_less([1.0, 1.0], [1.0, 0.0])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValidationError):
-            lexicographic_less([1.0], [1.0, 2.0])
 
 
 class TestCorePolytope:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from keyshare import allocate, suites
+from keyshare import CoalitionGame, allocate, suites
 from keyshare.cli import main
 
 from conftest import EXAMPLE2_VALUES, NUCLEOLUS_INTERVALS, SHAPLEY_INTERVALS
@@ -175,6 +175,25 @@ class TestAllocate:
         assert lines[0] == "R1,R2,R3"
         assert len(lines) >= 4
 
+    @pytest.mark.parametrize("flag, content", [
+        ("--spec", {"q": 0.4, "p": [0.08, 0.12]}),
+        ("--game", {"L": 2, "v": [0.0, 0.1, 0.1, 0.3]})], ids=["spec", "game"])
+    def test_polytope_agent_count_checked_before_any_work(self, flag, content, tmp_path,
+                                                          capsys, monkeypatch):
+        from keyshare import cli
+
+        def fail(*args):
+            raise AssertionError("work done for a polytope the agent count rules out")
+
+        monkeypatch.setattr(cli, "build_degraded_source", fail)
+        for name in ("shapley_from_game", "shapley_closed_form", "nucleolus"):
+            monkeypatch.setattr(allocate, name, fail)
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps(content))
+        code, _, err = run_cli(["allocate", flag, str(path), "--polytope-csv",
+                                str(tmp_path / "core.csv")], capsys)
+        assert code == 1 and "3-agent" in err
+
     def test_csv_format(self, example2_file, capsys):
         code, out, _ = run_cli(
             ["allocate", "--spec", example2_file, "--method", "both",
@@ -337,6 +356,15 @@ class TestVerify:
         assert "[PASS] core_bounds_equivalence" in out
         assert "FAIL" not in out
 
+    def test_game_suite_fails_a_non_monotone_game(self, capsys, monkeypatch):
+        # v({1}) = 0.5 > v({1,2}) = 0.3, while v({2}) = 0 <= v({1,2})
+        monkeypatch.setattr(suites, "value_function", lambda src: CoalitionGame(
+            num_agents=2, values=np.array([0.0, 0.5, 0.0, 0.3])))
+        code, out, _ = run_cli(["verify", "game"], capsys)
+        assert code == 2
+        line = next(l for l in out.splitlines() if "value_function_monotone" in l)
+        assert line.startswith("[FAIL]")
+
     def test_allocation_suite_passes(self, capsys):
         code, out, _ = run_cli(["verify", "allocation"], capsys)
         assert code == 0
@@ -364,6 +392,18 @@ class TestVerify:
         assert code == 0
         assert "[PASS] toeplitz_matches_matrix" in out
         assert "FAIL" not in out
+
+    def test_all_runs_every_suite_in_order(self, capsys):
+        code, out, _ = run_cli(["verify", "all"], capsys)
+        assert code == 0
+        assert out.splitlines() == [f"[PASS] {name}" for name in (
+            "markov_chain_verified", "value_function_superadditive", "value_function_supermodular",
+            "value_function_monotone", "grand_minus_complement_identity", "core_bounds_equivalence",
+            "shapley_dual_route_agreement", "allocations_efficient", "allocations_in_core",
+            "nucleolus_matches_grid_oracle", "nucleolus_prekernel_certificate",
+            "transform_involution", "transform_linear", "mc_profile_matches_exact",
+            "deterministic_profile_brackets_exact", "profile_monotone_in_crossover",
+            "leftover_hash_bound_holds", "toeplitz_two_universal", "toeplitz_matches_matrix")]
 
     def test_negative_seed_exits_one(self, capsys):
         code, out, err = run_cli(["verify", "polar", "--seed", "-5"], capsys)

@@ -12,6 +12,11 @@ from keyshare import (CoalitionGame, DegradedSourceSpec, ValidationError,
                       w_is_submodular)
 from keyshare.game import coalition_sums
 from keyshare.source import JointSource, attach_z
+from keyshare.suites import (core_bounds_equivalence,
+                             grand_minus_complement_identity,
+                             value_function_monotone,
+                             value_function_superadditive,
+                             value_function_supermodular)
 
 from conftest import (EXAMPLE2_VALUES, brute_conditional_mi,
                       random_degraded_spec)
@@ -43,20 +48,13 @@ class TestValueFunction:
         with pytest.raises(ValidationError):
             value_function(src)
 
-    def test_grand_minus_complement_identity(self, example2_source, example2_game):
-        full = example2_game.full_mask
-        for mask in range(1, full + 1):
-            lhs = example2_game.grand_value() - example2_game.value(full & ~mask)
-            rhs = conditional_mi(example2_source, mask)
-            assert lhs == pytest.approx(rhs, abs=1e-10)
+    def test_grand_minus_complement_identity(self, example2_source):
+        result = grand_minus_complement_identity([example2_source])
+        assert result.passed, result.witness
 
     def test_monotone(self, example2_game):
-        full = example2_game.full_mask
-        for mask in range(1, full + 1):
-            sub = mask
-            while sub:
-                sub = (sub - 1) & mask
-                assert example2_game.value(sub) <= example2_game.value(mask) + 1e-12
+        result = value_function_monotone([example2_game])
+        assert result.passed, result.witness
 
 
 class TestConditionalValueFunction:
@@ -158,11 +156,11 @@ class TestGamePredicates:
 
     def test_random_degraded_games_convex(self):
         rng = np.random.default_rng(5)
-        for _ in range(25):
-            spec = random_degraded_spec(rng, int(rng.integers(2, 5)))
-            game = value_function(build_degraded_source(spec))
-            assert is_superadditive(game, tol=1e-10)[0]
-            assert is_supermodular(game, tol=1e-10)[0]
+        games = [value_function(build_degraded_source(
+                     random_degraded_spec(rng, int(rng.integers(2, 5)))))
+                 for _ in range(25)]
+        for result in (value_function_superadditive(games), value_function_supermodular(games)):
+            assert result.passed, (result.name, result.witness)
 
 
 class TestCore:
@@ -224,19 +222,15 @@ class TestCore:
 
     def test_bounds_equivalence_random_allocations(self, example2_game):
         rng = np.random.default_rng(9)
-        full = example2_game.full_mask
-        lower, upper = core_bounds(example2_game)
         base = shapley_from_game(example2_game)
+        cands = []
         for _ in range(300):
             cand = np.abs(base + rng.normal(0, 0.08, size=3))
             if rng.random() < 0.8:
                 cand *= example2_game.grand_value() / cand.sum()
-            in_core, _ = core_contains(example2_game, cand, tol=1e-11)
-            sums = coalition_sums(cand)
-            via_bounds = all(
-                lower[m] - 1e-11 <= sums[m] <= upper[m] + 1e-11
-                for m in range(1, full + 1))
-            assert in_core == via_bounds
+            cands.append(cand)
+        result = core_bounds_equivalence([(example2_game, np.array(cands))])
+        assert result.passed, result.witness
 
 
 class TestExcess:

@@ -7,6 +7,9 @@ from keyshare import (CapacityError, ValidationError, binary_entropy,
                       polar_transform, sc_decode)
 from keyshare import polar
 from keyshare.polar import delta_threshold, side_info_llrs
+from keyshare.suites import (mc_profile_matches_exact,
+                             profile_monotone_in_crossover,
+                             transform_involution_and_linear)
 
 
 class TestTransform:
@@ -15,18 +18,12 @@ class TestTransform:
         assert np.array_equal(polar_transform(np.array([1, 0])), [1, 0])
 
     def test_involution_across_sizes(self):
-        rng = np.random.default_rng(0)
-        for n in (1, 2, 4, 8, 16, 64, 256, 1024):
-            x = rng.integers(0, 2, n, dtype=np.uint8)
-            assert np.array_equal(polar_transform(polar_transform(x)), x)
+        for result in transform_involution_and_linear((1, 2, 4, 8, 16, 64, 256, 1024), seed=0):
+            assert result.passed, (result.name, result.witness)
 
     def test_linearity(self):
-        rng = np.random.default_rng(1)
-        for n in (4, 32, 512):
-            x = rng.integers(0, 2, n, dtype=np.uint8)
-            y = rng.integers(0, 2, n, dtype=np.uint8)
-            assert np.array_equal(
-                polar_transform(x ^ y), polar_transform(x) ^ polar_transform(y))
+        for result in transform_involution_and_linear((4, 32, 512), seed=1):
+            assert result.passed, (result.name, result.witness)
 
     def test_batch_matches_rows(self):
         rng = np.random.default_rng(2)
@@ -60,8 +57,8 @@ class TestExactProfile:
             assert prof.h.sum() == pytest.approx(n * binary_entropy(p), abs=1e-9)
 
     def test_monotone_in_crossover(self):
-        sums = [entropy_profile_exact(p, 16).h.sum() for p in (0.05, 0.2, 0.35, 0.5)]
-        assert all(a <= b + 1e-12 for a, b in zip(sums, sums[1:]))
+        result = profile_monotone_in_crossover(16, (0.05, 0.2, 0.35, 0.5))
+        assert result.passed, result.witness
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
@@ -84,10 +81,8 @@ class TestExactProfile:
 
 class TestMonteCarloProfile:
     def test_matches_exact_small(self):
-        for n, p in ((8, 0.2), (16, 0.3)):
-            exact = entropy_profile_exact(p, n)
-            mc = entropy_profile_mc(p, n, 100_000, seed=11)
-            assert np.max(np.abs(exact.h - mc.h)) <= 0.02
+        result = mc_profile_matches_exact(((8, 0.2), (16, 0.3)), 100_000, seed=11)
+        assert result.passed, result.witness
 
     def test_genie_error_matches_exact_small(self):
         for n, p in ((8, 0.2), (16, 0.3), (16, 0.11)):

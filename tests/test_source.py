@@ -225,6 +225,13 @@ class TestEntropyTable:
         prob[0, 0] = 0.5  # the caller's array is not the source's table
         assert src.prob[0, 0] == 0.25
 
+    def test_rejects_non_finite_cells(self):
+        # NaN slips past both the sign and the sum check
+        prob = np.full((2, 2, 2), 0.125)
+        prob[1, 0, 1] = np.nan
+        with pytest.raises(ValidationError, match="probability table has non-finite"):
+            JointSource(num_agents=2, prob=prob)
+
 
 class TestFValue:
     def test_hand_arithmetic(self):
