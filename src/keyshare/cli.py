@@ -110,11 +110,14 @@ def cmd_allocate(args) -> int:
                 entry["closed_form_gap"] = float(np.max(np.abs(rates - closed)))
         else:
             rates, trace = alloc_mod.nucleolus(game)
+            gap = alloc_mod.prekernel_gap(game, rates)
             entry = {
                 "method": "nucleolus",
                 "rates": [float(x) for x in rates],
                 "trace": trace.to_json(),
-                "prekernel_gap": alloc_mod.prekernel_gap(game, rates),
+                "prekernel_gap": gap,
+                # a convex game's prekernel is its nucleolus alone
+                "certified": gap <= 1e-9 and game_mod.is_supermodular(game)[0],
             }
         ok, witness = game_mod.core_contains(game, rates, tol=1e-8)
         entry["in_core"] = ok

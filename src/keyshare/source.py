@@ -9,8 +9,10 @@ conditional games.
 Every entropy and mutual information is a lookup into one cached table
 per source, JointSource.entropies (the entropy of every axis subset):
 mutual_information(src, a, b, c) gives I(A ; B | C) and entropy(src, a, c)
-gives H(A | C), each on axis bitmasks, scalar or array.  Only the table's
-builder and the verify_markov oracle marginalise the dense table.
+gives H(A | C), each on axis bitmasks, scalar or array.  A source built
+from a spec (DegradedSource) fills the table from the family's product
+form; only a hand-built table (including every source with Z) and the
+verify_markov oracle marginalise the dense table.
 
 Conventions, fixed repo-wide:
   * agent l (1-based) corresponds to bit (l-1) of a coalition bitmask;
@@ -27,7 +29,7 @@ import functools
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,6 +38,7 @@ from .errors import CapacityError, ConsistencyError, ValidationError
 
 MAX_DENSE_AGENTS = 20
 NEG_ENTROPY_FLOOR = -1e-12
+LOW_BLOCK_AGENTS = 9  # agents in the vectorised block of the product form
 
 
 def binary_entropy(p: float) -> float:
@@ -196,8 +199,10 @@ class JointSource:
         """Entropy (bits) of the marginal on every axis subset, read-only.
 
         Indexed by axis bitmask: bit 0 is X0, bit l agent l, bit L+1 Z.
-        Each marginal is its parent's with one more axis summed out, in
-        increasing axis order, so every subset is reached once and only
+        This is the route for any joint table, and the oracle for the
+        product form of DegradedSource: a depth-first marginalisation in
+        which each marginal is its parent's with one more axis summed out,
+        in increasing axis order, so every subset is reached once and only
         one chain of marginals (under twice the joint table) is alive.
         """
         ndim = self.prob.ndim
@@ -215,7 +220,87 @@ class JointSource:
         return table
 
 
-def build_degraded_source(spec: DegradedSourceSpec) -> JointSource:
+def coalition_sums(rates: Sequence[float]) -> np.ndarray:
+    """sum_{i in S} rates_i for every bitmask S, by subset dynamic
+    programming; leading axes of rates are a batch of allocations."""
+    r = np.asarray(rates, dtype=float)
+    L = r.shape[-1]
+    sums = np.zeros(r.shape[:-1] + (1 << L,))
+    for l in range(L):
+        bit = 1 << l
+        sums[..., bit:2 * bit] = sums[..., :bit] + r[..., l, None]
+    return sums
+
+
+def _patterns(p: Sequence[float]):
+    """(given1, given0) over the 3^n absent/0/1 patterns of agents with
+    crossovers p: the probability of the observed values given X0 = 1 and
+    given X0 = 0.  Agent j is digit j of the pattern index (weight 3^j),
+    absent first."""
+    a, b = np.ones(1), np.ones(1)
+    for pj in p:
+        # x_j = 0 flips X0 = 1 (probability pj) and keeps X0 = 0 (1 - pj)
+        a = np.concatenate([a, a * pj, a * (1.0 - pj)])
+        b = np.concatenate([b, b * (1.0 - pj), b * pj])
+    return a, b
+
+
+def _fold(terms: np.ndarray, n: int) -> np.ndarray:
+    """Sum per-pattern terms over the 3^n patterns of n agents onto the 2^n
+    masks of observed agents, one agent at a time, so each mask's sum is a
+    pairwise tree."""
+    for i in range(n):  # the most significant digit first
+        terms = terms.reshape(1 << i, 3, -1)
+        terms = np.concatenate([terms[:, :1], terms[:, 1:2] + terms[:, 2:]], axis=1)
+    return terms.reshape(-1)
+
+
+@dataclass(frozen=True)
+class DegradedSource(JointSource):
+    """The dense joint table of a DegradedSourceSpec, as build_degraded_source
+    makes it, with the entropy table read off the family's product form."""
+
+    spec: DegradedSourceSpec = field(kw_only=True)
+
+    @functools.cached_property
+    def entropies(self) -> np.ndarray:
+        """JointSource.entropies without marginalising the joint table.
+
+        Given X0 the observations are independent, so every mask holding X0
+        has H(X0, X_T) = h(q) + sum_{l in T} h(p_l).  Without X0,
+        H(X_T) = -sum f log2 f over the values x_T, with the mixture weight
+        f = q prod P(x_l | X0 = 1) + (1 - q) prod P(x_l | X0 = 0): each
+        agent is absent, 0 or 1 in one of 3^L patterns.  The first
+        LOW_BLOCK_AGENTS agents form one vectorised block, a depth-first
+        walk covers the rest, and the f log2 f terms are folded onto
+        observed-agent masks.
+        """
+        spec = self.spec
+        k = min(self.num_agents, LOW_BLOCK_AGENTS)
+        block_a, block_b = _patterns(spec.p[:k])
+
+        def walk(a: float, b: float, top: int) -> np.ndarray:
+            # sum f log2 f onto the masks of agents 0..top-1
+            if top == k:
+                f = a * block_a
+                f += b * block_b
+                terms = np.log2(f, out=np.zeros_like(f), where=f > 0)
+                terms *= f
+                return _fold(terms, k)
+            p = spec.p[top - 1]
+            return np.concatenate([walk(a, b, top - 1), walk(a * p, b * (1.0 - p), top - 1)
+                                   + walk(a * (1.0 - p), b * p, top - 1)])
+
+        table = np.empty(2 << self.num_agents)
+        table[0::2] = -walk(spec.q, 1.0 - spec.q, self.num_agents)
+        table[1::2] = binary_entropy(spec.q) + coalition_sums(
+            [binary_entropy(pl) for pl in spec.p])
+        table[0] = 0.0
+        table.flags.writeable = False
+        return table
+
+
+def build_degraded_source(spec: DegradedSourceSpec) -> DegradedSource:
     """Materialize the dense joint table of the degraded family.
 
     p(x0, x1..xL) = P(X0=x0) * prod_l P(B_l = x_l xor x0).  Guarded at
@@ -231,7 +316,7 @@ def build_degraded_source(spec: DegradedSourceSpec) -> JointSource:
         xl = np.arange(2).reshape((1,) * (l + 1) + (2,) + (1,) * (L - l - 1))
         flip = xl ^ x0
         table = table * np.where(flip == 1, pl, 1.0 - pl)
-    return JointSource(num_agents=L, prob=table, markov_degraded=True)
+    return DegradedSource(num_agents=L, prob=table, markov_degraded=True, spec=spec)
 
 
 def _clamp(value, what: str):

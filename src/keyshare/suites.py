@@ -1,10 +1,11 @@
 """Invariant checks, shared by the `verify` CLI command and the tests.
 
 Each check is named after its `verify` line, fixes its own tolerance and
-takes the instances it runs on: games, sources, sizes, cells, a seed or a
-sample count.  The suites build instances at a size that keeps `verify`
-interactive; the tests pass their own.  A failure's witness names the
-first failing instance, and the CLI turns any failure into exit code 2.
+takes the instances it runs on: games, games with their allocations from
+`solve`, sources, specs, sizes, cells, a seed or a sample count.  The
+suites build instances at a size that keeps `verify` interactive; the
+tests pass their own.  A failure's witness names the first failing
+instance, and the CLI turns any failure into exit code 2.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from . import allocate, polar, protocol, secrecy
 from .game import (coalition_sums, core_bounds, core_contains,
                    is_superadditive, is_supermodular, value_function)
-from .source import (DegradedSourceSpec, build_degraded_source,
+from .source import (DegradedSourceSpec, JointSource, build_degraded_source,
                      mutual_information, verify_markov)
 
 
@@ -102,34 +103,37 @@ def shapley_dual_route_agreement(sources):
             yield f"source {i}: {a} vs {b}"
 
 
-def _solutions(g):  # looks allocate.nucleolus up per call, so a test can replace it
-    return ("shapley", allocate.shapley_from_game(g)), ("nucleolus", allocate.nucleolus(g)[0])
+def solve(games):
+    """Each game with its Shapley value and nucleolus, each solved once.
+    Looks allocate.nucleolus up per call, so a test can replace it."""
+    return [(g, {"shapley": allocate.shapley_from_game(g), "nucleolus": allocate.nucleolus(g)[0]})
+            for g in games]
 
 
 @check
-def allocations_efficient(games):
+def allocations_efficient(solved):
     """The Shapley value and the nucleolus sum to v(N) within 1e-9."""
-    for i, g in enumerate(games):
-        for name, x in _solutions(g):
+    for i, (g, solutions) in enumerate(solved):
+        for name, x in solutions.items():
             if abs(x.sum() - g.grand_value()) > 1e-9:
                 yield f"{name} on game {i}"
 
 
 @check
-def allocations_in_core(games):
+def allocations_in_core(solved):
     """The Shapley value and the nucleolus lie in the core within 1e-8."""
-    for i, g in enumerate(games):
-        for name, x in _solutions(g):
+    for i, (g, solutions) in enumerate(solved):
+        for name, x in solutions.items():
             ok, coalition = core_contains(g, x, tol=1e-8)
             if not ok:
                 yield f"{name} on game {i}, coalition {coalition}"
 
 
 @check
-def nucleolus_matches_grid_oracle(games, grid_step):
+def nucleolus_matches_grid_oracle(solved, grid_step):
     """Nucleolus within two grid steps of the grid-sweep oracle (L <= 3)."""
-    for i, g in enumerate(games):
-        nuc, _ = allocate.nucleolus(g)
+    for i, (g, solutions) in enumerate(solved):
+        nuc = solutions["nucleolus"]
         ref = allocate.brute_force_nucleolus(g, grid_step=grid_step)
         if np.max(np.abs(ref - nuc)) > 2 * grid_step:
             yield f"game {i}: {nuc} vs grid {ref}"
@@ -138,13 +142,27 @@ def nucleolus_matches_grid_oracle(games, grid_step):
 @check
 def nucleolus_prekernel_certificate(games):
     """LP-free nucleolus oracle at sizes the grid sweep cannot reach: on a
-    convex game a core point with a zero prekernel gap (both 1e-9) is it."""
+    convex game (adjacent-pair check at 1e-9) a core point with a zero
+    prekernel gap (both 1e-9) is it."""
     for i, g in enumerate(games):
         nuc, _ = allocate.nucleolus(g)
         gap = allocate.prekernel_gap(g, nuc)
         in_core, coalition = core_contains(g, nuc, tol=1e-9)
-        if gap > 1e-9 or not in_core:
-            yield f"game {i} (L={g.num_agents}): gap {gap:.3g}, core violation {coalition}"
+        convex, pair = is_supermodular(g, tol=1e-9)
+        if gap > 1e-9 or not in_core or not convex:
+            yield (f"game {i} (L={g.num_agents}): gap {gap:.3g}, core violation {coalition}, "
+                   f"supermodularity violation {pair}")
+
+
+@check
+def degraded_table_matches_dense(specs):
+    """Product-form entropy table within 1e-12 of the dense marginalisation."""
+    for i, spec in enumerate(specs):
+        src = build_degraded_source(spec)
+        dense = JointSource(num_agents=src.num_agents, prob=src.prob).entropies
+        gap = float(np.max(np.abs(src.entropies - dense)))
+        if not gap <= 1e-12:
+            yield f"spec {i} (L={spec.num_agents}): gap {gap:.3g}"
 
 
 def transform_involution_and_linear(sizes, seed) -> list[CheckResult]:
@@ -250,7 +268,12 @@ def game_suite(seed: int = 0) -> list[CheckResult]:
         cases.append((g, x * (g.grand_value() / x.sum(axis=1))[:, None]))
         sources.append(src)
         games.append(g)
+    # extreme crossovers and priors next to seeded draws up to L = 10
+    edge = [DegradedSourceSpec(q=q, p=(1e-9, 0.5, 1 - 1e-9) * 2)
+            for q in (1e-9, 0.5, 1 - 1e-9)]
+    tables = [_random_spec(rng, num_agents) for num_agents in (5, 8, 10)] + edge
     return [CheckResult("markov_chain_verified", not markov_witness, markov_witness),
+            degraded_table_matches_dense(tables),
             value_function_superadditive(games), value_function_supermodular(games),
             value_function_monotone(games), grand_minus_complement_identity(sources),
             core_bounds_equivalence(cases)]
@@ -260,11 +283,11 @@ def allocation_suite(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     sources = [build_degraded_source(_random_spec(rng, int(rng.integers(2, 4))))
                for _ in range(15)]
-    games = [value_function(src) for src in sources]
+    solved = solve(value_function(src) for src in sources)
     large = [value_function(build_degraded_source(_random_spec(rng, num_agents)))
              for num_agents in (8, 9, 10)]
-    return [shapley_dual_route_agreement(sources), allocations_efficient(games),
-            allocations_in_core(games), nucleolus_matches_grid_oracle(games[:5], 2e-3),
+    return [shapley_dual_route_agreement(sources), allocations_efficient(solved),
+            allocations_in_core(solved), nucleolus_matches_grid_oracle(solved[:5], 2e-3),
             nucleolus_prekernel_certificate(large)]
 
 

@@ -17,7 +17,8 @@ from keyshare import (binary_entropy, build_degraded_source, build_index_sets,
 from keyshare.suites import (allocations_in_core, core_bounds_equivalence,
                              leftover_hash_bound_holds, mc_profile_matches_exact,
                              nucleolus_matches_grid_oracle,
-                             shapley_dual_route_agreement, toeplitz_two_universal,
+                             shapley_dual_route_agreement, solve,
+                             toeplitz_two_universal,
                              transform_involution_and_linear,
                              value_function_superadditive,
                              value_function_supermodular)
@@ -54,7 +55,8 @@ def test_criterion_3_nucleolus(example2_game):
     rates, trace = nucleolus(example2_game)
     for rate, (lo, hi) in zip(rates, NUCLEOLUS_INTERVALS):
         assert lo <= rate <= hi
-    result = nucleolus_matches_grid_oracle([example2_game], grid_step=1e-3)
+    result = nucleolus_matches_grid_oracle([(example2_game, {"nucleolus": rates})],
+                                           grid_step=1e-3)
     assert result.passed, result.witness
     _report(3, "nucleolus in published intervals, matches grid oracle", t0, 30.0)
 
@@ -74,7 +76,7 @@ def test_criterion_4_property_suite():
         games.append(game)
         cases.append((game, cand))
     for result in (value_function_superadditive(games), value_function_supermodular(games),
-                   allocations_in_core(games), core_bounds_equivalence(cases)):
+                   allocations_in_core(solve(games)), core_bounds_equivalence(cases)):
         assert result.passed, (result.name, result.witness)
     _report(4, "100 random degraded games: convexity, core membership, "
                "bound equivalence on 1000 allocations each", t0, 120.0)

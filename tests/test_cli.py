@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import tempfile
 import time
@@ -142,7 +144,20 @@ class TestAllocate:
         code, out, _ = run_cli(["allocate", "--spec", str(path), "--method", "nucleolus"],
                                capsys)
         assert code == 0
-        assert 0.0 <= json.loads(out)["nucleolus"]["prekernel_gap"] <= 1e-9
+        entry = json.loads(out)["nucleolus"]
+        assert 0.0 <= entry["prekernel_gap"] <= 1e-9
+        assert entry["certified"] is True
+
+    def test_nucleolus_of_a_non_convex_game_is_not_certified(self, tmp_path, capsys):
+        # v({1,2}) = v({2,3}) = v(N) = 1: the core is the point (0, 1, 0)
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps({"L": 3, "v": [0, 0, 0, 1, 0, 0, 1, 1]}))
+        code, out, _ = run_cli(["allocate", "--game", str(path), "--method", "nucleolus"],
+                               capsys)
+        assert code == 0
+        entry = json.loads(out)["nucleolus"]
+        assert entry["prekernel_gap"] <= 1e-9 and entry["in_core"]
+        assert entry["certified"] is False
 
     def test_game_file_round_trip(self, example2_file, tmp_path, capsys):
         code, out, _ = run_cli(["analyze", "--spec", example2_file], capsys)
@@ -342,19 +357,33 @@ class TestSimulate:
         assert json.loads(out_path.read_text())["runs"] == 1
 
 
-class TestVerify:
-    def test_polar_suite_passes(self, capsys):
-        code, out, _ = run_cli(["verify", "polar"], capsys)
-        assert code == 0
-        assert "[PASS] transform_involution" in out
-        assert "FAIL" not in out
+@pytest.fixture(scope="module")
+def suite_runs():
+    """`verify NAME` for every single suite at seed 0, each run once:
+    NAME -> (exit code, stdout lines)."""
+    runs = {}
+    for name in suites.SUITES:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["verify", name])
+        runs[name] = (code, out.getvalue().splitlines())
+    return runs
 
-    def test_game_suite_passes(self, capsys):
-        code, out, _ = run_cli(["verify", "game"], capsys)
+
+class TestVerify:
+    def test_polar_suite_passes(self, suite_runs):
+        code, lines = suite_runs["polar"]
         assert code == 0
-        assert "[PASS] grand_minus_complement_identity" in out
-        assert "[PASS] core_bounds_equivalence" in out
-        assert "FAIL" not in out
+        assert "[PASS] transform_involution" in lines
+        assert not any("FAIL" in line for line in lines)
+
+    def test_game_suite_passes(self, suite_runs):
+        code, lines = suite_runs["game"]
+        assert code == 0
+        assert "[PASS] degraded_table_matches_dense" in lines
+        assert "[PASS] grand_minus_complement_identity" in lines
+        assert "[PASS] core_bounds_equivalence" in lines
+        assert not any("FAIL" in line for line in lines)
 
     def test_game_suite_fails_a_non_monotone_game(self, capsys, monkeypatch):
         # v({1}) = 0.5 > v({1,2}) = 0.3, while v({2}) = 0 <= v({1,2})
@@ -365,12 +394,12 @@ class TestVerify:
         line = next(l for l in out.splitlines() if "value_function_monotone" in l)
         assert line.startswith("[FAIL]")
 
-    def test_allocation_suite_passes(self, capsys):
-        code, out, _ = run_cli(["verify", "allocation"], capsys)
+    def test_allocation_suite_passes(self, suite_runs):
+        code, lines = suite_runs["allocation"]
         assert code == 0
-        assert "[PASS] shapley_dual_route_agreement" in out
-        assert "[PASS] nucleolus_prekernel_certificate" in out
-        assert "FAIL" not in out
+        assert "[PASS] shapley_dual_route_agreement" in lines
+        assert "[PASS] nucleolus_prekernel_certificate" in lines
+        assert not any("FAIL" in line for line in lines)
 
     def test_allocation_suite_fails_a_shifted_nucleolus(self, capsys, monkeypatch):
         # move 1e-6 of rate from agent 1 to agent 2 in every nucleolus the
@@ -387,23 +416,35 @@ class TestVerify:
         line = next(l for l in out.splitlines() if "nucleolus_prekernel_certificate" in l)
         assert line.startswith("[FAIL]") and "gap 2e-06" in line
 
-    def test_secrecy_suite_passes(self, capsys):
-        code, out, _ = run_cli(["verify", "secrecy"], capsys)
+    def test_secrecy_suite_passes(self, suite_runs):
+        code, lines = suite_runs["secrecy"]
         assert code == 0
-        assert "[PASS] toeplitz_matches_matrix" in out
-        assert "FAIL" not in out
+        assert "[PASS] toeplitz_matches_matrix" in lines
+        assert not any("FAIL" in line for line in lines)
 
-    def test_all_runs_every_suite_in_order(self, capsys):
-        code, out, _ = run_cli(["verify", "all"], capsys)
+    def test_all_runs_every_suite_in_order(self, suite_runs, capsys, monkeypatch):
+        # the single suites' real lines, in the order `verify all` runs them
+        assert [line for name in suites.SUITES for line in suite_runs[name][1]] == [
+            f"[PASS] {name}" for name in (
+                "markov_chain_verified", "degraded_table_matches_dense",
+                "value_function_superadditive", "value_function_supermodular",
+                "value_function_monotone", "grand_minus_complement_identity",
+                "core_bounds_equivalence", "shapley_dual_route_agreement",
+                "allocations_efficient", "allocations_in_core",
+                "nucleolus_matches_grid_oracle", "nucleolus_prekernel_certificate",
+                "transform_involution", "transform_linear", "mc_profile_matches_exact",
+                "deterministic_profile_brackets_exact", "profile_monotone_in_crossover",
+                "leftover_hash_bound_holds", "toeplitz_two_universal", "toeplitz_matches_matrix")]
+        # `verify all` runs every suite once, in that order, with the seed given
+        calls = []
+        monkeypatch.setattr(suites, "SUITES", {
+            name: lambda seed, name=name: calls.append((name, seed)) or [
+                suites.CheckResult(f"{name}_check", True)]
+            for name in suites.SUITES})
+        code, out, _ = run_cli(["verify", "all", "--seed", "3"], capsys)
         assert code == 0
-        assert out.splitlines() == [f"[PASS] {name}" for name in (
-            "markov_chain_verified", "value_function_superadditive", "value_function_supermodular",
-            "value_function_monotone", "grand_minus_complement_identity", "core_bounds_equivalence",
-            "shapley_dual_route_agreement", "allocations_efficient", "allocations_in_core",
-            "nucleolus_matches_grid_oracle", "nucleolus_prekernel_certificate",
-            "transform_involution", "transform_linear", "mc_profile_matches_exact",
-            "deterministic_profile_brackets_exact", "profile_monotone_in_crossover",
-            "leftover_hash_bound_holds", "toeplitz_two_universal", "toeplitz_matches_matrix")]
+        assert calls == [(name, 3) for name in ("game", "allocation", "polar", "secrecy")]
+        assert out.splitlines() == [f"[PASS] {name}_check" for name, _ in calls]
 
     def test_negative_seed_exits_one(self, capsys):
         code, out, err = run_cli(["verify", "polar", "--seed", "-5"], capsys)

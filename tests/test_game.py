@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from keyshare import (CoalitionGame, DegradedSourceSpec, ValidationError,
                       build_degraded_source, clearance_level_games,
@@ -20,6 +22,36 @@ from keyshare.suites import (core_bounds_equivalence,
 
 from conftest import (EXAMPLE2_VALUES, brute_conditional_mi,
                       random_degraded_spec)
+
+
+def pair_scan(v: np.ndarray, tol: float):
+    """Supermodularity oracle: (ok, witness), the first pair u < w, in
+    row-major order, with v[u] + v[w] > v[u|w] + v[u&w] + tol; 4^L/2 pairs."""
+    masks = np.arange(len(v))
+    for u in range(len(v)):
+        w = masks[u + 1:]
+        bad = np.flatnonzero(v[u] + v[w] > v[u | w] + v[u & w] + tol)
+        if bad.size:
+            return False, (u, int(w[bad[0]]))
+    return True, None
+
+
+@st.composite
+def integer_games(draw):
+    """Integer-valued games, exact in floating point: a supermodular base
+    (nonnegative singleton and pairwise weights) with up to three
+    coalition values shifted, which may or may not break convexity."""
+    L = draw(st.integers(1, 5))
+    singles = np.array(draw(st.lists(st.integers(0, 5), min_size=L, max_size=L)))
+    pairs = draw(st.lists(st.integers(0, 3), min_size=L * L, max_size=L * L))
+    members = (np.arange(1 << L)[:, None] >> np.arange(L)) & 1
+    values = (members @ singles
+              + np.einsum("si,ij,sj->s", members, np.triu(np.reshape(pairs, (L, L)), 1),
+                          members)).astype(float)
+    for mask, shift in draw(st.lists(st.tuples(st.integers(1, (1 << L) - 1),
+                                               st.integers(-4, 4)), max_size=3)):
+        values[mask] = max(values[mask] + shift, 0.0)
+    return CoalitionGame(num_agents=L, values=values)
 
 
 class TestValueFunction:
@@ -154,6 +186,51 @@ class TestGamePredicates:
         u, v = witness
         assert game.values[u] + game.values[v] > game.values[u | v] + game.values[u & v]
 
+    def test_witness_is_the_first_adjacent_pair(self):
+        # the pair {1,2}, {2,3} violates only through S = {2}: agents 1 < 3
+        values = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 1.0])
+        assert is_supermodular(CoalitionGame(num_agents=3, values=values)) == (False, (3, 6))
+
+    def test_no_capacity_guard_past_twelve_agents(self):
+        game = CoalitionGame(num_agents=14, values=coalition_sums(np.arange(1.0, 15.0)))
+        assert is_supermodular(game, tol=0.0) == (True, None)
+        game.values[-1] -= 1e-6
+        ok, (u, w) = is_supermodular(game)
+        assert not ok and u | w == game.full_mask and bin(u ^ w).count("1") == 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(integer_games())
+    def test_matches_pair_scan_on_exact_games(self, game):
+        # exact arithmetic: adjacent pairs decide convexity exactly
+        ok, witness = is_supermodular(game, tol=0.0)
+        assert ok == pair_scan(game.values, 0.0)[0]
+        if not ok:
+            v = game.values
+            u, w = witness
+            assert bin(u ^ w).count("1") == 2 and u < w
+            assert v[u] + v[w] > v[u | w] + v[u & w]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 5),
+           st.lists(st.tuples(st.integers(1, 31), st.floats(-0.05, 0.05)), max_size=2))
+    def test_agrees_with_pair_scan_on_perturbed_degraded_games(self, seed, num_agents,
+                                                              shifts):
+        game = value_function(build_degraded_source(
+            random_degraded_spec(np.random.default_rng(seed), num_agents)))
+        for mask, shift in shifts:
+            mask &= game.full_mask
+            game.values[mask] = max(game.values[mask] + shift, 0.0) if mask else 0.0
+        v, tol = game.values, 1e-9
+        ok, witness = is_supermodular(game, tol=tol)
+        if pair_scan(v, tol)[0]:
+            assert ok
+        if ok:
+            # every pair's gap is the sum of at most L^2 / 4 adjacent gaps
+            assert pair_scan(v, tol * num_agents ** 2)[0]
+        else:
+            u, w = witness
+            assert v[u] + v[w] > v[u | w] + v[u & w] + tol
+
     def test_random_degraded_games_convex(self):
         rng = np.random.default_rng(5)
         games = [value_function(build_degraded_source(
@@ -272,6 +349,15 @@ class TestWSubmodularity:
     def test_rejects_grand_coalition(self, example2_source):
         with pytest.raises(ValidationError):
             w_is_submodular(example2_source, 0b111)
+
+    def test_witness_is_coalition_masks(self, monkeypatch):
+        # a w that is supermodular on {2, 3}, S = 0b110: the witness names
+        # the coalitions {2} and {3}, not their positions among S's members
+        import keyshare.game as game_mod
+        src = build_degraded_source(DegradedSourceSpec(q=0.4, p=(0.2, 0.27, 0.25)))
+        monkeypatch.setattr(game_mod, "mutual_information",
+                            lambda src, t, x0, cond: np.array([0.1, 0.1, 0.3]))
+        assert w_is_submodular(src, 0b110) == (False, (0b010, 0b100))
 
 
 class TestGameIO:

@@ -10,6 +10,7 @@ from keyshare import (CapacityError, DegradedSourceSpec, JointSource,
                       conditional_mi, entropy, f_value, mutual_information,
                       verify_markov)
 from keyshare.source import ConsistencyError, _clamp, attach_z
+from keyshare.suites import degraded_table_matches_dense
 
 from conftest import (EXAMPLE2_VALUES, brute_entropy,
                       random_degraded_spec)
@@ -216,6 +217,28 @@ class TestEntropyTable:
         assert example2_source.entropies is example2_source.entropies
         with pytest.raises(ValueError):
             example2_source.entropies[1] = 0.0
+
+    def test_hand_built_table_of_a_spec_marginalises(self, example2_source):
+        # the same distribution without its spec takes the dense route
+        dense = JointSource(num_agents=3, prob=example2_source.prob)
+        assert type(dense) is JointSource
+        assert np.max(np.abs(dense.entropies - example2_source.entropies)) <= 1e-15
+        assert type(attach_z(example2_source, np.ones(example2_source.prob.shape + (1,)))) \
+            is JointSource
+
+    def test_product_form_matches_dense_random_specs(self):
+        rng = np.random.default_rng(31)
+        specs = [random_degraded_spec(rng, num_agents) for num_agents in range(1, 13)]
+        result = degraded_table_matches_dense(specs)
+        assert result.passed, result.witness
+
+    def test_product_form_matches_dense_edge_specs(self):
+        specs = [DegradedSourceSpec(q=q, p=p)
+                 for q in (1e-12, 1e-9, 0.5, 1 - 1e-9, 1 - 1e-12)
+                 for p in ((1e-9, 0.5, 1 - 1e-9), (1e-9,) * 4, (1 - 1e-9,) * 4,
+                           (0.5,) * 10, (1e-9, 0.5, 1 - 1e-9) * 3)]
+        result = degraded_table_matches_dense(specs)
+        assert result.passed, result.witness
 
     def test_table_is_a_read_only_copy(self):
         prob = np.full((2, 2), 0.25)
