@@ -2,16 +2,22 @@
 
 The Shapley value comes in two independent routes (marginal-contribution
 weights over the value table, and the mutual-information closed form
-straight from the source) that must agree; the nucleolus runs the
-successive linear-program scheme, fixing at each stage the coalitions
-whose excess is pinned at the stage optimum across the entire optimal
-face, found from the LP multipliers and one max-slack LP rather than one
-LP per tight coalition.  A coalition whose row falls in the span of the
-fixed system has a constant excess from then on and leaves the free set,
-so every stage raises the rank of the fixed system and L agents take at
-most L - 1 stages.  Every LP is sliced from one coalition-incidence
-matrix and handed to linprog in matrix form.  Two oracles validate it: a
-grid sweep on small instances and, for convex games, the prekernel gap.
+straight from the source) that must agree.  The nucleolus has two routes.
+A convex game, which every spec game is, takes the prekernel route: its
+prekernel is a single point and that point is the nucleolus (Maschler,
+Peleg & Shapley, IJGT 1, 1972), reached from the Shapley value by a few
+least-squares solves that balance the pairwise surpluses (Meinhardt, The
+Pre-Kernel as a Tractable Solution for Cooperative Games, 2014); the stage
+trace is then read off the excess levels at that point (Kohlberg, SIAM J.
+Appl. Math. 20, 1971).  Every other game, and a convex one whose iteration
+stalls, takes the successive linear-program scheme, which fixes at each
+stage the coalitions whose excess is pinned at the stage optimum across
+the entire optimal face, found from the LP multipliers and one max-slack
+LP rather than one LP per tight coalition.  On both routes a coalition
+whose row falls in the span of the fixed system leaves the free set, so
+every stage raises the rank of the fixed system and L agents take at most
+L - 1 stages.  Three oracles validate them: the two routes against each
+other, a grid sweep on small instances and the prekernel gap.
 """
 
 from __future__ import annotations
@@ -22,15 +28,18 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import CapacityError, SolverError, ValidationError
-from .game import CoalitionGame, coalition_sums
+from .game import CoalitionGame, coalition_sums, is_supermodular
 from .source import JointSource, _member_masks, mutual_information
 
 TIGHT_TOL = 1e-8
 DUAL_TOL = 1e-9
 PIVOT_TOL = 1e-9
+# the prekernel iteration stops at a pairwise surplus gap of PREKERNEL_GAP
+# times v(N) and hands the game to the LP route after this many steps per agent
+PREKERNEL_GAP = 1e-13
+PREKERNEL_STEPS_PER_AGENT = 2
 
 
 def lp_solve(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None):
@@ -42,7 +51,11 @@ def lp_solve(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None):
     multipliers): status is "optimal", "infeasible" or "unbounded";
     multipliers are the nonnegative dual values of the a_ub rows, one per
     row; optimum, solution and multipliers are None unless optimal.
+    scipy.optimize is imported here, on the first LP, and not with the
+    package: only games that are not convex reach it.
     """
+    from scipy.optimize import linprog
+
     for name, part in (("c", c), ("a_ub", a_ub), ("b_ub", b_ub),
                        ("a_eq", a_eq), ("b_eq", b_eq)):
         if part is not None and not np.all(np.isfinite(part)):
@@ -116,7 +129,19 @@ class NucleolusStage:
 
 @dataclass
 class NucleolusTrace:
+    """The stages, plus the route that found them: "prekernel" or "lp".
+    iterations counts the prekernel steps taken, the ones before a fallback
+    to the LP route included; it is None when the game failed the
+    convexity check and the iteration never ran."""
+
     stages: list[NucleolusStage] = field(default_factory=list)
+    route: str = "lp"
+    iterations: int | None = None
+
+    @property
+    def convex(self) -> bool:
+        """nucleolus found the game convex (a bare nucleolus_lp trace reads False)."""
+        return self.iterations is not None
 
     def to_json(self) -> list[dict]:
         return [
@@ -142,6 +167,90 @@ def _drop_spanned(free: np.ndarray, rows: np.ndarray, a_eq: np.ndarray) -> int:
 
 def nucleolus(game: CoalitionGame):
     """Lexicographically optimal allocation plus the stage trace.
+
+    The game is solved scaled by the power of two that nucleolus_lp uses,
+    which puts its largest value in [0.5, 1).  A game that passes
+    is_supermodular there takes the prekernel route: from the Shapley value,
+    each step picks for every ordered agent pair (i, j) the coalition S_ij
+    of largest excess among those holding i but not j (the lowest mask on
+    a tie) and solves efficiency plus x(S_ji) - x(S_ij) = v(S_ji) - v(S_ij)
+    for all i < j by least squares.  It stops once the prekernel gap is at
+    most PREKERNEL_GAP * v(N), and the stage trace is read off the excess
+    levels at that point (_excess_levels).  Every other game, and a convex
+    one still above the gap after PREKERNEL_STEPS_PER_AGENT * L steps,
+    takes nucleolus_lp.
+
+    Both routes define the same point.  Game values are clipped to >= 0 and
+    a convex game's prenucleolus lies in its core, so it pays every agent
+    x_i >= v({i}) >= 0: the LP route's bounds x >= 0 never bind, and its
+    nucleolus is that prenucleolus, the game's one prekernel point.
+    """
+    exponent = math.frexp(float(np.max(game.values)))[1]
+    scaled = CoalitionGame(game.num_agents, np.ldexp(game.values, -exponent))
+    rates, steps = _prekernel_point(scaled) if is_supermodular(scaled)[0] else (None, None)
+    if rates is None:
+        rates, trace = nucleolus_lp(scaled)
+    else:
+        trace = _excess_levels(scaled, rates)
+    trace.iterations = steps
+    for stage in trace.stages:
+        stage.optimum = math.ldexp(stage.optimum, exponent)
+    return np.ldexp(rates, exponent), trace
+
+
+def _prekernel_point(game: CoalitionGame):
+    """(rates, steps) at the prekernel point of a convex game, or (None,
+    steps) when the gap is still above PREKERNEL_GAP * v(N) after the step cap."""
+    L = game.num_agents
+    upper = np.triu_indices(L, 1)
+    tol = PREKERNEL_GAP * game.grand_value()
+    x, steps = shapley_from_game(game), 0
+    while True:
+        surplus, argmax = _surpluses(game, x)
+        if np.max(np.abs(surplus - surplus.T), initial=0.0) <= tol:
+            return x, steps
+        if steps == PREKERNEL_STEPS_PER_AGENT * L:
+            return None, steps
+        s_ij, s_ji = argmax[upper], argmax.T[upper]
+        a = np.vstack([np.ones(L), _incidence(s_ji, L) - _incidence(s_ij, L)])
+        b = np.concatenate([[game.grand_value()], game.values[s_ji] - game.values[s_ij]])
+        x = np.linalg.lstsq(a, b, rcond=None)[0]
+        steps += 1
+
+
+def _excess_levels(game: CoalitionGame, x: np.ndarray) -> NucleolusTrace:
+    """The stage trace at the nucleolus x, without LPs.
+
+    The distinct excess levels of the free coalitions, walked downwards and
+    grouped at TIGHT_TOL, are the stage optima, and the coalitions on each
+    level the stage's fixed set (Kohlberg, SIAM J. Appl. Math. 20, 1971).
+    Each level joins the fixed system in ascending mask order and
+    _drop_spanned prunes the free set as in nucleolus_lp; a level that does
+    not raise the rank is a SolverError.
+    """
+    L = game.num_agents
+    masks = np.arange(game.full_mask + 1)
+    rows = _incidence(masks, L)
+    excess = game.values - coalition_sums(x)
+    free = (masks > 0) & (masks < game.full_mask)
+    a_eq = np.ones((1, L))
+    trace = NucleolusTrace(route="prekernel")
+    rank = _drop_spanned(free, rows, a_eq)
+    while rank < L:
+        z = float(np.max(excess[free]))
+        binding = [int(mask) for mask in masks[free & (excess >= z - TIGHT_TOL)]]
+        a_eq = np.vstack([a_eq, rows[binding]])
+        prior, rank = rank, _drop_spanned(free, rows, a_eq)
+        if rank <= prior:
+            raise SolverError(f"nucleolus stage {len(trace.stages) + 1} fixed {binding} "
+                              f"without raising the system rank {prior}")
+        trace.stages.append(NucleolusStage(optimum=z, fixed_coalitions=binding,
+                                           system_rank=rank))
+    return trace
+
+
+def nucleolus_lp(game: CoalitionGame):
+    """Lexicographically optimal allocation plus the stage trace, by LPs.
 
     Successive LPs over the nonempty proper coalitions, all sliced from one
     coalition-incidence matrix: stage k minimizes the worst free excess z
@@ -171,7 +280,7 @@ def nucleolus(game: CoalitionGame):
     """
     exponent = math.frexp(float(np.max(game.values)))[1]
     if exponent != 0:
-        rates, trace = nucleolus(CoalitionGame(game.num_agents, np.ldexp(game.values, -exponent)))
+        rates, trace = nucleolus_lp(CoalitionGame(game.num_agents, np.ldexp(game.values, -exponent)))
         for stage in trace.stages:
             stage.optimum = math.ldexp(stage.optimum, exponent)
         return np.ldexp(rates, exponent), trace
@@ -244,27 +353,42 @@ def nucleolus(game: CoalitionGame):
     return solution, trace
 
 
+def _surpluses(game: CoalitionGame, x: np.ndarray):
+    """(surplus, argmax): surplus[i, j] is s_ij, the largest excess
+    v(S) - x(S) over the coalitions S that hold i but not j, and argmax[i, j]
+    the lowest mask that attains it.  The excess vector is viewed as a
+    (2,)*L table, bit l of the mask on axis L-1-l; each s_ij is the max of
+    its strided slice with agent i's axis at 1 and agent j's at 0,
+    O(L^2 2^L) in all with no larger temporary."""
+    L = game.num_agents
+    excess = (game.values - coalition_sums(x)).reshape((2,) * L)
+    masks = np.arange(game.full_mask + 1).reshape((2,) * L)
+    surplus, argmax = np.zeros((L, L)), np.zeros((L, L), dtype=np.int64)
+    for i, j in itertools.permutations(range(L), 2):
+        view = [slice(None)] * L
+        view[L - 1 - i], view[L - 1 - j] = 1, 0
+        view = tuple(view)
+        # the first maximum in C order is the lowest mask
+        best = int(np.argmax(excess[view]))
+        surplus[i, j] = excess[view].flat[best]
+        argmax[i, j] = masks[view].flat[best]
+    return surplus, argmax
+
+
 def prekernel_gap(game: CoalitionGame, rates: Sequence[float]) -> float:
     """Largest |s_ij - s_ji| over agent pairs i != j, an LP-free oracle.
 
     The surplus s_ij is the largest excess v(S) - x(S) over the coalitions
-    S that hold i but not j.  For a convex game the prekernel is a single
-    point and that point is the nucleolus (Maschler, Peleg & Shapley, IJGT
-    1, 1972), so a core allocation with a zero gap is the nucleolus.  The
-    excess vector is viewed as a (2,)*L table, bit l of the mask on axis
-    L-1-l; each s_ij is the max of its strided slice with agent i's axis
-    at 1 and agent j's at 0, O(L^2 2^L) in all with no larger temporary.
+    S that hold i but not j (_surpluses).  For a convex game the prekernel
+    is a single point and that point is the nucleolus (Maschler, Peleg &
+    Shapley, IJGT 1, 1972), so a core allocation with a zero gap is the
+    nucleolus.
     """
     L = game.num_agents
     x = np.asarray(rates, dtype=float)
     if x.shape != (L,):
         raise ValidationError(f"allocation needs {L} rates, got shape {x.shape}")
-    excess = (game.values - coalition_sums(x)).reshape((2,) * L)
-    surplus = np.zeros((L, L))
-    for i, j in itertools.permutations(range(L), 2):
-        view = [slice(None)] * L
-        view[L - 1 - i], view[L - 1 - j] = 1, 0
-        surplus[i, j] = excess[tuple(view)].max()
+    surplus, _ = _surpluses(game, x)
     return float(np.max(np.abs(surplus - surplus.T), initial=0.0))
 
 

@@ -40,7 +40,8 @@ def _parse_seed(text: str) -> int:
 
 
 def _json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    # compact: an indent makes the json module fall back to its pure-Python encoder
+    return json.dumps(payload, allow_nan=False) + "\n"
 
 
 def _emit(text: str, out_path) -> None:
@@ -115,9 +116,10 @@ def cmd_allocate(args) -> int:
                 "method": "nucleolus",
                 "rates": [float(x) for x in rates],
                 "trace": trace.to_json(),
+                "route": trace.route,
                 "prekernel_gap": gap,
                 # a convex game's prekernel is its nucleolus alone
-                "certified": gap <= 1e-9 and game_mod.is_supermodular(game)[0],
+                "certified": gap <= 1e-9 and trace.convex,
             }
         ok, witness = game_mod.core_contains(game, rates, tol=1e-8)
         entry["in_core"] = ok

@@ -155,6 +155,26 @@ def nucleolus_prekernel_certificate(games):
 
 
 @check
+def nucleolus_routes_agree(games):
+    """On convex games nucleolus takes the prekernel route and matches
+    nucleolus_lp: rates and stage optima within 1e-12 v(N), the same fixed
+    sets and ranks stage by stage."""
+    for i, g in enumerate(games):
+        rates, trace = allocate.nucleolus(g)
+        lp_rates, lp_trace = allocate.nucleolus_lp(g)
+        tol = 1e-12 * g.grand_value()
+        gaps = [abs(a.optimum - b.optimum) for a, b in zip(trace.stages, lp_trace.stages)]
+        if trace.route != "prekernel":
+            yield f"game {i} (L={g.num_agents}): {trace.route} route"
+        elif ([(s.fixed_coalitions, s.system_rank) for s in trace.stages]
+              != [(s.fixed_coalitions, s.system_rank) for s in lp_trace.stages]):
+            yield f"game {i} (L={g.num_agents}): {trace.to_json()} vs {lp_trace.to_json()}"
+        elif np.max(np.abs(rates - lp_rates)) > tol or max(gaps, default=0.0) > tol:
+            yield (f"game {i} (L={g.num_agents}): rates {rates} vs {lp_rates}, "
+                   f"stage optima apart by {max(gaps, default=0.0):.3g}")
+
+
+@check
 def degraded_table_matches_dense(specs):
     """Product-form entropy table within 1e-12 of the dense marginalisation."""
     for i, spec in enumerate(specs):
@@ -288,7 +308,7 @@ def allocation_suite(seed: int = 0) -> list[CheckResult]:
              for num_agents in (8, 9, 10)]
     return [shapley_dual_route_agreement(sources), allocations_efficient(solved),
             allocations_in_core(solved), nucleolus_matches_grid_oracle(solved[:5], 2e-3),
-            nucleolus_prekernel_certificate(large)]
+            nucleolus_prekernel_certificate(large), nucleolus_routes_agree(large)]
 
 
 def polar_suite(seed: int = 0) -> list[CheckResult]:

@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import keyshare
 from keyshare import (CapacityError, CoalitionGame, DegradedSourceSpec,
                       SolverError, ValidationError, brute_force_nucleolus,
                       build_degraded_source, conditional_mi,
@@ -14,7 +18,8 @@ from keyshare import (CapacityError, CoalitionGame, DegradedSourceSpec,
 import keyshare.allocate as allocate
 from keyshare.game import coalition_sums
 from keyshare.suites import (allocations_in_core, nucleolus_matches_grid_oracle,
-                             shapley_dual_route_agreement, solve)
+                             nucleolus_routes_agree, shapley_dual_route_agreement,
+                             solve)
 
 from conftest import (NUCLEOLUS_INTERVALS, SHAPLEY_INTERVALS,
                       random_degraded_spec)
@@ -65,6 +70,13 @@ class TestLpSolve:
         lp[part] = np.full_like(lp[part], np.nan)
         with pytest.raises(ValidationError, match=part):
             lp_solve(**lp)
+
+    def test_import_leaves_scipy_optimize_unloaded(self):
+        src = os.path.dirname(os.path.dirname(keyshare.__file__))
+        probe = "import sys, keyshare; print('scipy.optimize' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+        assert out.strip() == "False"
 
 
 class TestShapley:
@@ -139,14 +151,18 @@ class TestNucleolus:
         small = CoalitionGame(num_agents=3, values=np.array(
             [0.0, 0.1, 0.05, 0.2, 0.12, 0.3, 0.25, 0.6]))
         base, base_trace = nucleolus(small)
+        assert base_trace.route == "prekernel"
         # small values must not fall below them either
         for factor in (4.0, 759248487.0, 1e12, 2.0 ** -20, 2.0 ** -30):
             rates, trace = nucleolus(CoalitionGame(num_agents=3, values=small.values * factor))
+            assert trace.route == "prekernel"
             assert np.max(np.abs(rates / factor - base)) < 1e-9
             assert [s.fixed_coalitions for s in trace.stages] == [
                 s.fixed_coalitions for s in base_trace.stages]
         pair = CoalitionGame(num_agents=2, values=np.array([0.0, 0.0, 0.0, 759248487.0]))
-        assert np.allclose(nucleolus(pair)[0], 759248487.0 / 2, rtol=1e-12)
+        rates, trace = nucleolus(pair)
+        assert trace.route == "prekernel"
+        assert np.allclose(rates, 759248487.0 / 2, rtol=1e-12)
 
     def test_single_agent(self):
         game = CoalitionGame(num_agents=1, values=np.array([0.0, 0.7]))
@@ -211,7 +227,7 @@ class TestNucleolus:
 
 
 class TestGoldenNucleolus:
-    """Pins the nucleolus bit for bit, so any change in what reaches the
+    """Pins nucleolus_lp bit for bit, so any change in what reaches the
     solver shows up here.  The digest hashes the stage traces and was
     recorded when each stage began dropping the free coalitions in the span
     of the fixed system; TestRecordedRates holds the rates to the values
@@ -238,7 +254,7 @@ class TestGoldenNucleolus:
     def test_rates_and_stages_digest(self):
         digest = hashlib.sha256()
         for game in self.games():
-            rates, trace = nucleolus(game)
+            rates, trace = allocate.nucleolus_lp(game)
             digest.update(rates.tobytes())
             for stage in trace.stages:
                 digest.update(np.float64(stage.optimum).tobytes())
@@ -256,7 +272,7 @@ class TestGoldenNucleolus:
 
         monkeypatch.setattr(allocate, "lp_solve", counting)
         for game in self.games():
-            nucleolus(game)
+            allocate.nucleolus_lp(game)
         assert len(calls) == self.LP_SOLVES
 
 
@@ -300,6 +316,12 @@ class TestRecordedRates:
                 assert np.max(np.abs(ours - np.array(theirs))) <= 1e-12
 
 
+def fixed_rows_only(free, rows, a_eq):
+    """_drop_spanned without the span pruning: only the fixed rows leave."""
+    free &= ~np.any(np.all(rows[:, None, :] == a_eq, axis=2), axis=1)
+    return int(np.linalg.matrix_rank(a_eq, tol=allocate.PIVOT_TOL))
+
+
 class TestStageBound:
     def test_at_most_L_minus_1_rank_raising_stages(self, solved_games):
         for _, game, _, trace in solved_games:
@@ -312,13 +334,42 @@ class TestStageBound:
         # without the span pruning (only the fixed coalitions leave the free
         # set) the first golden L=4 game fixes, at its third stage, a
         # coalition already in the span of the fixed system
-        def fixed_rows_only(free, rows, a_eq):
-            free &= ~np.any(np.all(rows[:, None, :] == a_eq, axis=2), axis=1)
-            return int(np.linalg.matrix_rank(a_eq, tol=allocate.PIVOT_TOL))
-
         monkeypatch.setattr(allocate, "_drop_spanned", fixed_rows_only)
         with pytest.raises(SolverError, match="stage 3 fixed .* without raising the system rank 3"):
-            nucleolus(TestGoldenNucleolus.games()[1])
+            allocate.nucleolus_lp(TestGoldenNucleolus.games()[1])
+
+
+class TestRoutes:
+    def test_convex_games_take_the_prekernel_route_and_match_the_lps(self):
+        result = nucleolus_routes_agree(stream0_games() + [tiered_game()])
+        assert result.passed, result.witness
+
+    def test_non_convex_game_takes_the_lp_route(self):
+        # the hand-built L=4 golden game fails the convexity check
+        game = TestGoldenNucleolus.games()[-1]
+        rates, trace = nucleolus(game)
+        lp_rates, lp_trace = allocate.nucleolus_lp(game)
+        assert (trace.route, trace.iterations, trace.convex) == ("lp", None, False)
+        assert np.array_equal(rates, lp_rates) and trace.to_json() == lp_trace.to_json()
+
+    def test_stalled_iteration_falls_back_to_the_lps(self, monkeypatch):
+        # with no steps allowed only the Shapley value is tried, and on this
+        # game it is not the nucleolus
+        monkeypatch.setattr(allocate, "PREKERNEL_STEPS_PER_AGENT", 0)
+        game = tiered_game()
+        rates, trace = nucleolus(game)
+        lp_rates, lp_trace = allocate.nucleolus_lp(game)
+        assert (trace.route, trace.iterations, trace.convex) == ("lp", 0, True)
+        assert np.array_equal(rates, lp_rates) and trace.to_json() == lp_trace.to_json()
+
+    def test_a_level_that_does_not_raise_the_rank_is_an_error(self, monkeypatch):
+        # with only the fixed coalitions leaving the free set, the nucleolus of
+        # the first golden L=4 game has a level already in the fixed span
+        game = TestGoldenNucleolus.games()[1]
+        rates, _ = nucleolus(game)
+        monkeypatch.setattr(allocate, "_drop_spanned", fixed_rows_only)
+        with pytest.raises(SolverError, match="without raising the system rank"):
+            allocate._excess_levels(game, rates)
 
 
 class TestPrekernelGap:

@@ -432,8 +432,9 @@ class TestVerify:
                 "core_bounds_equivalence", "shapley_dual_route_agreement",
                 "allocations_efficient", "allocations_in_core",
                 "nucleolus_matches_grid_oracle", "nucleolus_prekernel_certificate",
-                "transform_involution", "transform_linear", "mc_profile_matches_exact",
-                "deterministic_profile_brackets_exact", "profile_monotone_in_crossover",
+                "nucleolus_routes_agree", "transform_involution", "transform_linear",
+                "mc_profile_matches_exact", "deterministic_profile_brackets_exact",
+                "profile_monotone_in_crossover",
                 "leftover_hash_bound_holds", "toeplitz_two_universal", "toeplitz_matches_matrix")]
         # `verify all` runs every suite once, in that order, with the seed given
         calls = []
