@@ -13,8 +13,7 @@ from .errors import (CapacityError, ConsistencyError, SolverError,
                      ValidationError)
 from .game import (CoalitionGame, clearance_level_games, core_bounds,
                    core_contains, is_superadditive, is_supermodular,
-                   sorted_excess_vector, value_function,
-                   value_function_conditional, w_is_submodular)
+                   value_function)
 from .polar import (EntropyProfile, PolarIndexSets, build_index_sets,
                     construct_profile, entropy_profile_exact,
                     entropy_profile_mc, polar_transform, sc_decode)
@@ -23,8 +22,7 @@ from .protocol import (KeyMaterial, ProtocolConfig, ToeplitzHash, Transcript,
                        run_protocol, sample_hash)
 from .secrecy import empirical_secrecy_check, toeplitz_collision_rate
 from .source import (DegradedSourceSpec, JointSource, binary_entropy,
-                     build_degraded_source, coalition_value_closed_form,
-                     conditional_mi, entropy, f_value, mutual_information,
+                     build_degraded_source, entropy, mutual_information,
                      verify_markov)
 
 __version__ = "0.1.0"

@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapacityError, SolverError, ValidationError
-from .game import CoalitionGame, coalition_sums, is_supermodular
+from .game import CoalitionGame, _require_markov, coalition_sums, is_supermodular
 from .source import JointSource, _member_masks, mutual_information
 
 TIGHT_TOL = 1e-8
@@ -104,8 +104,6 @@ def shapley_closed_form(src: JointSource) -> np.ndarray:
     Works only for degraded sources (the derivation uses the Markov chain),
     and must agree with shapley_from_game(value_function(src)).
     """
-    from .game import _require_markov
-
     _require_markov(src)
     L = src.num_agents
     # S runs over the coalitions of the other agents (I(X_l ; nothing) = 0)
@@ -165,11 +163,22 @@ def _drop_spanned(free: np.ndarray, rows: np.ndarray, a_eq: np.ndarray) -> int:
     return len(basis)
 
 
+def _solve_scaled(solve, game: CoalitionGame):
+    """(rates, trace) of solve on the game scaled by the exact power of two
+    that puts its largest value in [0.5, 1), scaled back: the rates and the
+    stage optima."""
+    exponent = math.frexp(float(np.max(game.values)))[1]
+    rates, trace = solve(CoalitionGame(game.num_agents, np.ldexp(game.values, -exponent)))
+    for stage in trace.stages:
+        stage.optimum = math.ldexp(stage.optimum, exponent)
+    return np.ldexp(rates, exponent), trace
+
+
 def nucleolus(game: CoalitionGame):
     """Lexicographically optimal allocation plus the stage trace.
 
-    The game is solved scaled by the power of two that nucleolus_lp uses,
-    which puts its largest value in [0.5, 1).  A game that passes
+    The game is solved scaled as in nucleolus_lp, by the power of two
+    that puts its largest value in [0.5, 1).  A game that passes
     is_supermodular there takes the prekernel route: from the Shapley value,
     each step picks for every ordered agent pair (i, j) the coalition S_ij
     of largest excess among those holding i but not j (the lowest mask on
@@ -185,17 +194,17 @@ def nucleolus(game: CoalitionGame):
     x_i >= v({i}) >= 0: the LP route's bounds x >= 0 never bind, and its
     nucleolus is that prenucleolus, the game's one prekernel point.
     """
-    exponent = math.frexp(float(np.max(game.values)))[1]
-    scaled = CoalitionGame(game.num_agents, np.ldexp(game.values, -exponent))
-    rates, steps = _prekernel_point(scaled) if is_supermodular(scaled)[0] else (None, None)
+    return _solve_scaled(_nucleolus_scaled, game)
+
+
+def _nucleolus_scaled(game: CoalitionGame):
+    rates, steps = _prekernel_point(game) if is_supermodular(game)[0] else (None, None)
     if rates is None:
-        rates, trace = nucleolus_lp(scaled)
+        rates, trace = _nucleolus_lp_scaled(game)
     else:
-        trace = _excess_levels(scaled, rates)
+        trace = _excess_levels(game, rates)
     trace.iterations = steps
-    for stage in trace.stages:
-        stage.optimum = math.ldexp(stage.optimum, exponent)
-    return np.ldexp(rates, exponent), trace
+    return rates, trace
 
 
 def _prekernel_point(game: CoalitionGame):
@@ -278,12 +287,10 @@ def nucleolus_lp(game: CoalitionGame):
     is solved scaled by an exact power of two that puts its largest value
     in [0.5, 1); the nucleolus scales with the game.
     """
-    exponent = math.frexp(float(np.max(game.values)))[1]
-    if exponent != 0:
-        rates, trace = nucleolus_lp(CoalitionGame(game.num_agents, np.ldexp(game.values, -exponent)))
-        for stage in trace.stages:
-            stage.optimum = math.ldexp(stage.optimum, exponent)
-        return np.ldexp(rates, exponent), trace
+    return _solve_scaled(_nucleolus_lp_scaled, game)
+
+
+def _nucleolus_lp_scaled(game: CoalitionGame):
     L = game.num_agents
     v = game.values
     masks = np.arange(game.full_mask + 1)

@@ -2,9 +2,8 @@
 
 The value of coalition S is the conditional mutual information between the
 coalition's observations and the base station's, given everything the
-outsiders hold: v(S) = I(X_S ; X0 | X_{S^c}).  With an eavesdropper
-component the conditioning additionally includes Z.  Every such quantity
-is one vectorised source.mutual_information read of the source's cached
+outsiders hold: v(S) = I(X_S ; X0 | X_{S^c}).  Every such quantity is one
+vectorised source.mutual_information read of the source's cached
 entropy table, over all coalitions at once.  Everything downstream (core
 tests, core bounds, excesses, solution concepts) works on the resulting
 value table indexed by bitmask.  Convexity (supermodularity) is checked on
@@ -15,7 +14,6 @@ enumerates pairs of coalitions (3^L), and it is guarded at L <= 12.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -85,11 +83,6 @@ class CoalitionGame:
     def load(cls, path: str) -> "CoalitionGame":
         return cls.from_json(_read_json_object(path, "game"))
 
-    def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2)
-            fh.write("\n")
-
 
 def _require_markov(src: JointSource) -> None:
     if not (src.markov_degraded or verify_markov(src)):
@@ -99,27 +92,14 @@ def _require_markov(src: JointSource) -> None:
         )
 
 
-def _value_table(src: JointSource, cond_z: bool) -> CoalitionGame:
-    """v(S) = I(X_S ; X0 | X_{S^c}[, Z]) for every coalition bitmask S."""
+def value_function(src: JointSource) -> CoalitionGame:
+    """v(S) = I(X_S ; X0 | X_{S^c}) for every coalition bitmask S."""
     _require_markov(src)
     full = src.full_mask
     s = np.arange(1, full + 1)
-    z = 1 << (src.num_agents + 1) if cond_z else 0
     values = np.zeros(full + 1)
-    values[1:] = mutual_information(src, s << 1, 1, (full & ~s) << 1 | z)
+    values[1:] = mutual_information(src, s << 1, 1, (full & ~s) << 1)
     return CoalitionGame(num_agents=src.num_agents, values=values)
-
-
-def value_function(src: JointSource) -> CoalitionGame:
-    """v(S) = I(X_S ; X0 | X_{S^c}) for every coalition bitmask S."""
-    return _value_table(src, cond_z=False)
-
-
-def value_function_conditional(src: JointSource) -> CoalitionGame:
-    """Eavesdropper variant: v(S) = I(X_S ; X0 | X_{S^c}, Z)."""
-    if not src.has_z:
-        raise ValidationError("conditional value function needs a source with a Z component")
-    return _value_table(src, cond_z=True)
 
 
 def clearance_level_games(src: JointSource,
@@ -237,24 +217,3 @@ def core_contains(game: CoalitionGame, rates: Sequence[float],
     short = np.flatnonzero(coalition_sums(r)[1:-1] < game.values[1:-1] - tol)
     return (False, int(short[0]) + 1) if short.size else (True, None)
 
-
-def sorted_excess_vector(game: CoalitionGame, rates: Sequence[float]) -> np.ndarray:
-    """Excesses over all 2^L coalitions, sorted nonincreasing."""
-    exc = game.values - coalition_sums(rates)
-    return np.sort(exc)[::-1]
-
-
-def w_is_submodular(src: JointSource, s_mask: int, tol: float = DEFAULT_TOL):
-    """(ok, witness) for T -> I(X_T ; X0 | X_{S^c}) being submodular on subsets of S."""
-    _require_markov(src)
-    full = src.full_mask
-    if s_mask == full:
-        raise ValidationError("w is defined for proper coalitions S only")
-    t = _member_masks([l for l in range(src.num_agents) if s_mask >> l & 1])
-    w = np.zeros(len(t))
-    w[1:] = mutual_information(src, t[1:] << 1, 1, (full & ~s_mask) << 1)
-    # negation is exact, so -w breaks supermodularity exactly where w
-    # breaks w[u] + w[v] >= w[u|v] + w[u&v] - tol; the witness pair is
-    # mapped from positions among S's members back to coalition bitmasks
-    ok, witness = _first_adjacent_violation(-w, tol)
-    return ok, witness and tuple(int(t[u]) for u in witness)

@@ -2,22 +2,20 @@
 
 The workhorse model is the binary degraded family: a base-station bit X0
 with P(X0=1) = q, and per-agent observations X_l = X0 xor B_l where the
-B_l are independent Bernoulli(p_l).  General joint tables (optionally with
-an extra eavesdropper component Z) are supported for validation and for
-conditional games.
+B_l are independent Bernoulli(p_l).  General joint tables are supported
+for validation.
 
 Every entropy and mutual information is a lookup into one cached table
 per source, JointSource.entropies (the entropy of every axis subset):
 mutual_information(src, a, b, c) gives I(A ; B | C) and entropy(src, a, c)
 gives H(A | C), each on axis bitmasks, scalar or array.  A source built
 from a spec (DegradedSource) fills the table from the family's product
-form; only a hand-built table (including every source with Z) and the
-verify_markov oracle marginalise the dense table.
+form; only a hand-built table and the verify_markov oracle marginalise
+the dense table.
 
 Conventions, fixed repo-wide:
   * agent l (1-based) corresponds to bit (l-1) of a coalition bitmask;
-  * axis 0 of the probability table is X0, axis l is agent l, and the
-    trailing axis (when present) is Z;
+  * axis 0 of the probability table is X0, axis l is agent l;
   * an axis bitmask has bit a for axis a, so coalition S maps to S << 1
     and X0 is bit 0;
   * all entropies are base-2, 0*log(0) = 0.
@@ -152,23 +150,21 @@ class DegradedSourceSpec:
 
 @dataclass(frozen=True)
 class JointSource:
-    """Dense joint distribution over (X0, X1..XL[, Z]).
+    """Dense joint distribution over (X0, X1..XL).
 
-    prob has one axis per component in that order; every component is
-    binary except the optional trailing Z axis, which may have any finite
-    cardinality.  The table is copied on construction and read-only, so
-    the cached entropy table always describes it.
+    prob has one binary axis per component in that order.  The table is
+    copied on construction and read-only, so the cached entropy table
+    always describes it.
     """
 
     num_agents: int
     prob: np.ndarray
-    has_z: bool = False
     markov_degraded: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "prob", np.array(self.prob, dtype=float))
         self.prob.flags.writeable = False
-        expected_dims = self.num_agents + 1 + (1 if self.has_z else 0)
+        expected_dims = self.num_agents + 1
         if self.prob.ndim != expected_dims:
             raise ValidationError(
                 f"probability table has {self.prob.ndim} axes, expected {expected_dims}"
@@ -180,10 +176,6 @@ class JointSource:
         total = float(self.prob.sum())
         if abs(total - 1.0) > 1e-12:
             raise ValidationError(f"probability table sums to {total}, expected 1 within 1e-12")
-
-    @property
-    def z_axis(self) -> Optional[int]:
-        return self.num_agents + 1 if self.has_z else None
 
     @property
     def full_mask(self) -> int:
@@ -198,7 +190,7 @@ class JointSource:
     def entropies(self) -> np.ndarray:
         """Entropy (bits) of the marginal on every axis subset, read-only.
 
-        Indexed by axis bitmask: bit 0 is X0, bit l agent l, bit L+1 Z.
+        Indexed by axis bitmask: bit 0 is X0, bit l agent l.
         This is the route for any joint table, and the oracle for the
         product form of DegradedSource: a depth-first marginalisation in
         which each marginal is its parent's with one more axis summed out,
@@ -331,15 +323,13 @@ def _check_masks(src: JointSource, *masks) -> None:
     top = 1 << src.prob.ndim
     for m in masks:
         if np.any(m < 0) or np.any(m >= top):
-            raise ValidationError(
-                f"axis bitmask outside [0, {top}) for L={src.num_agents} "
-                f"({'with' if src.has_z else 'without'} a Z component)")
+            raise ValidationError(f"axis bitmask outside [0, {top}) for L={src.num_agents}")
 
 
 def mutual_information(src: JointSource, a, b, c=0):
     """I(A ; B | C) in bits from the entropy table, clamped to zero from
     tiny negative round-off.  a, b, c are axis bitmasks (ints or int
-    arrays): bit 0 is X0, bit l agent l, bit L+1 Z; a and b are disjoint."""
+    arrays): bit 0 is X0, bit l agent l; a and b are disjoint."""
     _check_masks(src, a, b, c)
     if np.any(a & b):
         raise ValidationError("a and b overlap in a mutual-information query")
@@ -363,23 +353,11 @@ def _member_masks(members: Sequence[int]) -> np.ndarray:
     return masks
 
 
-def conditional_mi(src: JointSource, coalition: int, cond_mask: int = 0,
-                   cond_z: bool = False) -> float:
-    """I(X_S ; X0 | X_cond[, Z]) - the quantity the whole game is built from."""
-    # coalition range checks: with Z present, 2^L would map onto the Z bit
-    src.agent_axes(coalition)
-    src.agent_axes(cond_mask)
-    z = 1 << (src.num_agents + 1) if cond_z else 0
-    return float(mutual_information(src, coalition << 1, 1, cond_mask << 1 | z))
-
-
 def verify_markov(src: JointSource, tol: float = 1e-10) -> bool:
     """Check conditional independence of disjoint agent groups given X0.
 
     True iff p(x_S, x_T | x0) = p(x_S | x0) p(x_T | x0) within tol for
     every pair of disjoint nonempty coalitions, everywhere p(x0) > 0.
-    When Z is present the second group is augmented with Z, so the check
-    covers X_S - X0 - (X_T, Z) including T empty.
     """
     L = src.num_agents
     if L > 12:
@@ -393,21 +371,13 @@ def verify_markov(src: JointSource, tol: float = 1e-10) -> bool:
         m = joint.sum(axis=drop) if drop else joint
         return m[x0] / p_x0[x0]
 
-    z_ax = src.z_axis
     for s_mask in range(1, 1 << L):
-        for t_mask in range(1 << L):
+        # the relation is symmetric: visit each unordered pair once
+        for t_mask in range(s_mask + 1, 1 << L):
             if s_mask & t_mask:
                 continue
-            if not src.has_z:
-                # plain pairs are symmetric: visit each unordered pair once
-                if t_mask == 0 or t_mask < s_mask:
-                    continue
             s_axes = src.agent_axes(s_mask)
             t_axes = src.agent_axes(t_mask)
-            if src.has_z:
-                # with Z glued to the right-hand group the relation is
-                # one-sided, so ordered pairs (T possibly empty) all matter
-                t_axes = t_axes + (z_ax,)
             for x0 in range(2):
                 if p_x0[x0] <= 0:
                     continue
@@ -421,82 +391,3 @@ def verify_markov(src: JointSource, tol: float = 1e-10) -> bool:
                     return False
     return True
 
-
-def f_value(spec: DegradedSourceSpec, s_mask: int, t_mask: int) -> float:
-    """Mixture weight f_S(T) of the degraded family, T a subset of S.
-
-    f_S(T) = q prod_{i in T} p_i prod_{j in S\\T} (1-p_j)
-           + (1-q) prod_{i in T} (1-p_i) prod_{j in S\\T} p_j.
-    """
-    if t_mask & ~s_mask:
-        raise ValidationError(f"T={t_mask:b} is not a subset of S={s_mask:b}")
-    a, b = spec.q, 1.0 - spec.q
-    for l in range(spec.num_agents):
-        bit = 1 << l
-        if not s_mask & bit:
-            continue
-        pl = spec.p[l]
-        if t_mask & bit:
-            a *= pl
-            b *= 1.0 - pl
-        else:
-            a *= 1.0 - pl
-            b *= pl
-    return a + b
-
-
-def _submask_iter(mask: int):
-    """All submasks of mask, including 0 and mask itself."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
-def coalition_value_closed_form(spec: DegradedSourceSpec, s_mask: int) -> float:
-    """Coalition value of the degraded family via the product-form mixture.
-
-    Avoids the dense joint table: sums -f_L(T) log f_L(T) over all T,
-    adds back the same sum over the complement, and subtracts the agents'
-    channel entropies.
-    """
-    L = spec.num_agents
-    full = (1 << L) - 1
-    if s_mask < 0 or s_mask > full:
-        raise ValidationError(f"coalition bitmask {s_mask} out of range for L={L}")
-    if s_mask == 0:
-        return 0.0
-    sc_mask = full & ~s_mask
-    total = 0.0
-    for t in _submask_iter(full):
-        fv = f_value(spec, full, t)
-        if fv > 0:
-            total -= fv * math.log2(fv)
-    for t in _submask_iter(sc_mask):
-        fv = f_value(spec, sc_mask, t)
-        if fv > 0:
-            total += fv * math.log2(fv)
-    for l in range(L):
-        if s_mask >> l & 1:
-            total -= binary_entropy(spec.p[l])
-    return max(total, 0.0)
-
-
-def attach_z(src: JointSource, z_given: np.ndarray) -> JointSource:
-    """Extend a source with an eavesdropper component.
-
-    z_given maps every (x0, x1..xL) cell to a distribution over Z values:
-    shape = src.prob.shape + (nz,), rows summing to 1.
-    """
-    if src.has_z:
-        raise ValidationError("source already has a Z component")
-    if z_given.shape[:-1] != src.prob.shape:
-        raise ValidationError("z_given shape does not match the source table")
-    rows = z_given.sum(axis=-1)
-    if np.max(np.abs(rows - 1.0)) > 1e-12:
-        raise ValidationError("z_given rows must sum to 1")
-    prob = src.prob[..., None] * z_given
-    return JointSource(num_agents=src.num_agents, prob=prob, has_z=True,
-                       markov_degraded=False)

@@ -47,13 +47,6 @@ def brute_entropy(prob: np.ndarray, axes) -> float:
     return total
 
 
-def brute_conditional_mi(prob: np.ndarray, a_axes, b_axes, c_axes=()) -> float:
-    """I(A ; B | C) assembled from four brute-force entropies."""
-    a, b, c = set(a_axes), set(b_axes), set(c_axes)
-    return (brute_entropy(prob, a | c) + brute_entropy(prob, b | c)
-            - brute_entropy(prob, a | b | c) - (brute_entropy(prob, c) if c else 0.0))
-
-
 def random_degraded_spec(rng, num_agents: int) -> DegradedSourceSpec:
     q = float(rng.uniform(0.1, 0.9))
     p = tuple(float(rng.uniform(0.03, 0.47)) for _ in range(num_agents))

@@ -11,10 +11,9 @@ import pytest
 import keyshare
 from keyshare import (CapacityError, CoalitionGame, DegradedSourceSpec,
                       SolverError, ValidationError, brute_force_nucleolus,
-                      build_degraded_source, conditional_mi,
-                      core_polytope_vertices, lp_solve, nucleolus, prekernel_gap,
-                      shapley_closed_form, shapley_from_game,
-                      sorted_excess_vector, value_function)
+                      build_degraded_source, core_polytope_vertices, lp_solve,
+                      mutual_information, nucleolus, prekernel_gap,
+                      shapley_closed_form, shapley_from_game, value_function)
 import keyshare.allocate as allocate
 from keyshare.game import coalition_sums
 from keyshare.suites import (allocations_in_core, nucleolus_matches_grid_oracle,
@@ -23,6 +22,11 @@ from keyshare.suites import (allocations_in_core, nucleolus_matches_grid_oracle,
 
 from conftest import (NUCLEOLUS_INTERVALS, SHAPLEY_INTERVALS,
                       random_degraded_spec)
+
+
+def sorted_excesses(game, rates):
+    """Excesses over all 2^L coalitions, sorted nonincreasing."""
+    return np.sort(game.values - coalition_sums(rates))[::-1]
 
 
 class TestLpSolve:
@@ -114,7 +118,7 @@ class TestShapley:
     def test_closed_form_single_agent(self):
         src = build_degraded_source(DegradedSourceSpec(q=0.4, p=(0.2,)))
         rates = shapley_closed_form(src)
-        assert rates[0] == pytest.approx(conditional_mi(src, 1), abs=1e-12)
+        assert rates[0] == pytest.approx(mutual_information(src, 1 << 1, 1), abs=1e-12)
 
     def test_dual_route_agreement_random(self):
         rng = np.random.default_rng(13)
@@ -190,11 +194,11 @@ class TestNucleolus:
                                                grid_step=1e-3)
         assert result.passed, result.witness
         # exact lexicographic optimality against a sweep of segment points
-        ours = np.round(sorted_excess_vector(game, rates), 9)
+        ours = np.round(sorted_excesses(game, rates), 9)
         y3 = rates[2]
         for y1 in np.linspace(0.0, game.grand_value() - y3, 301):
             cand = np.array([y1, game.grand_value() - y3 - y1, y3])
-            theirs = np.round(sorted_excess_vector(game, cand), 9)
+            theirs = np.round(sorted_excesses(game, cand), 9)
             assert not tuple(theirs) < tuple(ours)
 
     def test_stage_optima_nonincreasing(self):
@@ -209,12 +213,12 @@ class TestNucleolus:
 
     def test_nucleolus_not_lexicographically_beaten(self, example2_game):
         rates, _ = nucleolus(example2_game)
-        ours = sorted_excess_vector(example2_game, rates)
+        ours = sorted_excesses(example2_game, rates)
         rng = np.random.default_rng(31)
         total = example2_game.grand_value()
         for _ in range(500):
             cand = rng.dirichlet(np.ones(3)) * total
-            theirs = sorted_excess_vector(example2_game, cand)
+            theirs = sorted_excesses(example2_game, cand)
             assert not tuple(theirs + 1e-9) < tuple(ours)
 
     def test_in_core_for_random_convex_games(self):

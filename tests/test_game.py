@@ -1,27 +1,25 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from keyshare import (CoalitionGame, DegradedSourceSpec, ValidationError,
-                      build_degraded_source, clearance_level_games,
-                      conditional_mi, core_bounds, core_contains,
-                      is_superadditive, is_supermodular,
-                      shapley_from_game, sorted_excess_vector, nucleolus,
-                      value_function, value_function_conditional,
-                      w_is_submodular)
-from keyshare.game import coalition_sums
-from keyshare.source import JointSource, attach_z
+from keyshare import (CoalitionGame, DegradedSourceSpec, JointSource,
+                      ValidationError, build_degraded_source,
+                      clearance_level_games, core_bounds, core_contains,
+                      is_superadditive, is_supermodular, mutual_information,
+                      shapley_from_game, nucleolus, value_function)
+from keyshare.game import _first_adjacent_violation, coalition_sums
+from keyshare.source import _member_masks
 from keyshare.suites import (core_bounds_equivalence,
                              grand_minus_complement_identity,
                              value_function_monotone,
                              value_function_superadditive,
                              value_function_supermodular)
 
-from conftest import (EXAMPLE2_VALUES, brute_conditional_mi,
-                      random_degraded_spec)
+from conftest import EXAMPLE2_VALUES, random_degraded_spec
 
 
 def pair_scan(v: np.ndarray, tol: float):
@@ -34,6 +32,22 @@ def pair_scan(v: np.ndarray, tol: float):
         if bad.size:
             return False, (u, int(w[bad[0]]))
     return True, None
+
+
+def w_is_submodular(src, s_mask: int, tol: float = 1e-9):
+    """(ok, witness) for T -> I(X_T ; X0 | X_{S^c}) being submodular on
+    subsets of S, the lemma behind the game's convexity.  Negation is
+    exact, so -w breaks supermodularity exactly where w breaks
+    w[u] + w[v] >= w[u|v] + w[u&v] - tol; the witness pair is mapped from
+    positions among S's members back to coalition bitmasks."""
+    full = src.full_mask
+    if s_mask == full:
+        raise ValidationError("w is defined for proper coalitions S only")
+    t = _member_masks([l for l in range(src.num_agents) if s_mask >> l & 1])
+    w = np.zeros(len(t))
+    w[1:] = mutual_information(src, t[1:] << 1, 1, (full & ~s_mask) << 1)
+    ok, witness = _first_adjacent_violation(-w, tol)
+    return ok, witness and tuple(int(t[u]) for u in witness)
 
 
 @st.composite
@@ -67,7 +81,7 @@ class TestValueFunction:
     def test_single_agent(self):
         src = build_degraded_source(DegradedSourceSpec(q=0.4, p=(0.2,)))
         game = value_function(src)
-        assert game.value(1) == pytest.approx(conditional_mi(src, 1), abs=1e-12)
+        assert game.value(1) == pytest.approx(mutual_information(src, 1 << 1, 1), abs=1e-12)
 
     def test_rejects_non_degraded_source(self):
         prob = np.zeros((2, 2, 2))
@@ -89,43 +103,6 @@ class TestValueFunction:
         assert result.passed, result.witness
 
 
-class TestConditionalValueFunction:
-    def test_independent_z_changes_nothing(self, example2_source, example2_game):
-        z_given = np.full(example2_source.prob.shape + (2,), 0.5)
-        src_z = attach_z(example2_source, z_given)
-        game = value_function_conditional(src_z)
-        assert np.allclose(game.values, example2_game.values, atol=1e-10)
-
-    def test_z_equals_base_kills_game(self, example2_source):
-        shape = example2_source.prob.shape
-        z_given = np.zeros(shape + (2,))
-        for x0 in (0, 1):
-            z_given[x0, ..., x0] = 1.0
-        src_z = attach_z(example2_source, z_given)
-        game = value_function_conditional(src_z)
-        assert np.allclose(game.values, 0.0, atol=1e-10)
-
-    def test_missing_z_rejected(self, example2_source):
-        with pytest.raises(ValidationError):
-            value_function_conditional(example2_source)
-
-    def test_third_agent_as_eavesdropper(self, example2_source):
-        # fold agent 3 of the three-agent source into an explicit Z component
-        prob3 = example2_source.prob
-        prob_z = np.moveaxis(prob3, 3, -1)  # (x0, x1, x2, z)
-        src_z = JointSource(num_agents=2, prob=prob_z, has_z=True)
-        game = value_function_conditional(src_z)
-        for sub, s_mask in ((0b01, 0b001), (0b10, 0b010), (0b11, 0b011)):
-            peers = 0b011 & ~s_mask
-            expected = brute_conditional_mi(
-                prob3,
-                [l + 1 for l in range(2) if s_mask >> l & 1],
-                [0],
-                [l + 1 for l in range(2) if peers >> l & 1] + [3],
-            )
-            assert game.value(sub) == pytest.approx(expected, abs=1e-10)
-
-
 class TestClearanceLevels:
     def test_single_level_equals_value_function(self, example2_source, example2_game):
         games = clearance_level_games(example2_source, [(1, 2, 3)])
@@ -136,11 +113,11 @@ class TestClearanceLevels:
         games = clearance_level_games(example2_source, [(1,), (2,), (3,)])
         # level q sees all strictly lower levels as the eavesdropper
         assert games[0].value(1) == pytest.approx(
-            conditional_mi(example2_source, 0b001, 0b110), abs=1e-12)
+            mutual_information(example2_source, 0b001 << 1, 1, 0b110 << 1), abs=1e-12)
         assert games[1].value(1) == pytest.approx(
-            conditional_mi(example2_source, 0b010, 0b100), abs=1e-12)
+            mutual_information(example2_source, 0b010 << 1, 1, 0b100 << 1), abs=1e-12)
         assert games[2].value(1) == pytest.approx(
-            conditional_mi(example2_source, 0b100, 0b000), abs=1e-12)
+            mutual_information(example2_source, 0b100 << 1, 1, 0b000 << 1), abs=1e-12)
 
     def test_example2_two_levels(self, example2_source, example2_spec):
         games = clearance_level_games(example2_source, [(1,), (2, 3)])
@@ -325,11 +302,6 @@ class TestExcess:
         proper = (example2_game.values - coalition_sums(rates))[1:example2_game.full_mask]
         assert max(proper) == pytest.approx(trace.stages[0].optimum, abs=1e-8)
 
-    def test_sorted_vector_is_nonincreasing(self, example2_game):
-        vec = sorted_excess_vector(example2_game, [0.1, 0.2, 0.15])
-        assert np.all(np.diff(vec) <= 1e-15)
-        assert len(vec) == 8
-
 
 class TestWSubmodularity:
     def test_example2_pair(self, example2_source):
@@ -353,9 +325,8 @@ class TestWSubmodularity:
     def test_witness_is_coalition_masks(self, monkeypatch):
         # a w that is supermodular on {2, 3}, S = 0b110: the witness names
         # the coalitions {2} and {3}, not their positions among S's members
-        import keyshare.game as game_mod
         src = build_degraded_source(DegradedSourceSpec(q=0.4, p=(0.2, 0.27, 0.25)))
-        monkeypatch.setattr(game_mod, "mutual_information",
+        monkeypatch.setattr(sys.modules[__name__], "mutual_information",
                             lambda src, t, x0, cond: np.array([0.1, 0.1, 0.3]))
         assert w_is_submodular(src, 0b110) == (False, (0b010, 0b100))
 
@@ -363,7 +334,7 @@ class TestWSubmodularity:
 class TestGameIO:
     def test_round_trip(self, example2_game, tmp_path):
         path = tmp_path / "game.json"
-        example2_game.save(str(path))
+        path.write_text(json.dumps(example2_game.to_json()))
         loaded = CoalitionGame.load(str(path))
         assert loaded.num_agents == example2_game.num_agents
         assert np.allclose(loaded.values, example2_game.values)

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from keyshare import (CapacityError, DegradedSourceSpec, ValidationError,
-                      build_degraded_source, conditional_mi,
-                      empirical_secrecy_check, key_lengths_from_allocation,
-                      leakage_bound, reconcile, run_protocol, sample_hash,
-                      shapley_from_game, value_function)
+                      build_degraded_source, empirical_secrecy_check,
+                      key_lengths_from_allocation, leakage_bound,
+                      mutual_information, reconcile, run_protocol,
+                      sample_hash, shapley_from_game, value_function)
 from keyshare import protocol
 from keyshare.protocol import (MAX_BLOCK_N, MAX_DECODE_WORK, RUN_BATCH,
                                RUN_OVERHEAD_BITS, ProtocolConfig, ProtocolEngine,
@@ -156,7 +156,7 @@ class TestReportedLeakageBound:
                              target=tuple(shapley_from_game(example2_game)))
         rep = run_protocol(example2_spec, cfg, runs=1)
         lengths = [rep["per_agent"][agent]["r"] for agent in (1, 2, 3)]
-        floors = [0.95 * 4096 * conditional_mi(example2_source, mask) if mask else 0.0
+        floors = [0.95 * 4096 * mutual_information(example2_source, mask << 1, 1) if mask else 0.0
                   for mask in range(8)]
         assert floors[0b111] == pytest.approx(1825.8, abs=0.1)
         assert rep["leakage_bound"] == pytest.approx(leakage_bound(lengths, floors), rel=1e-12)
@@ -165,8 +165,8 @@ class TestReportedLeakageBound:
         cfg = ProtocolConfig(n=64, b=2, epsilon=0.1, target=(0.15, 0.0, 0.0),
                              coalition=0b001, calibration_runs=5)
         rep = run_protocol(example2_spec, cfg, runs=1)
-        cond = 0.9 * 128 * conditional_mi(example2_source, 0b001, cond_mask=0b110)
-        assert cond <= 0.9 * 128 * conditional_mi(example2_source, 0b001) + 1e-12
+        cond = 0.9 * 128 * mutual_information(example2_source, 0b001 << 1, 1, 0b110 << 1)
+        assert cond <= 0.9 * 128 * mutual_information(example2_source, 0b001 << 1, 1) + 1e-12
         bound = leakage_bound([rep["per_agent"][1]["r"]], [0.0, cond])
         assert rep["leakage_bound"] == pytest.approx(bound, rel=1e-12)
 
@@ -260,7 +260,7 @@ class TestRunProtocol:
         nb = cfg.n * cfg.b
         for mask in (0b01, 0b10, 0b11):
             r_sum = sum(rep["per_agent"][l + 1]["r"] for l in range(2) if mask >> l & 1)
-            assert r_sum / nb <= conditional_mi(src, mask) + 1e-9
+            assert r_sum / nb <= mutual_information(src, mask << 1, 1) + 1e-9
 
     def test_coalition_mode_restricts_members(self):
         spec = DegradedSourceSpec(q=0.40, p=(0.08, 0.12, 0.15))
@@ -269,7 +269,7 @@ class TestRunProtocol:
         rep = run_protocol(spec, cfg, runs=2)
         assert set(rep["per_agent"]) == {1, 2}
         src = build_degraded_source(spec)
-        cap = conditional_mi(src, 0b011, 0b100)
+        cap = mutual_information(src, 0b011 << 1, 1, 0b100 << 1)
         assert rep["sum_rate"] <= cap + 1e-9
 
     def test_coalition_target_monotone(self):
@@ -281,8 +281,8 @@ class TestRunProtocol:
         for small, big in chains:
             outs_small = 0b111 & ~small
             outs_big = 0b111 & ~big
-            v_small = conditional_mi(src, small, outs_small)
-            v_big = conditional_mi(src, big, outs_big)
+            v_small = mutual_information(src, small << 1, 1, outs_small << 1)
+            v_big = mutual_information(src, big << 1, 1, outs_big << 1)
             assert v_small <= v_big + 1e-12
             r_small = key_lengths_from_allocation([v_small], 64, 2, 0.05)[0]
             r_big = key_lengths_from_allocation([v_big], 64, 2, 0.05)[0]

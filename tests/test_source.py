@@ -6,11 +6,9 @@ import pytest
 
 from keyshare import (CapacityError, DegradedSourceSpec, JointSource,
                       ValidationError, binary_entropy,
-                      build_degraded_source, coalition_value_closed_form,
-                      conditional_mi, entropy, f_value, mutual_information,
-                      verify_markov)
-from keyshare.source import ConsistencyError, _clamp, attach_z
-from keyshare.suites import degraded_table_matches_dense
+                      build_degraded_source, entropy, mutual_information)
+from keyshare.source import ConsistencyError, _clamp
+from keyshare.suites import degraded_table_matches_dense, markov_chain_verified
 
 from conftest import (EXAMPLE2_VALUES, brute_entropy,
                       random_degraded_spec)
@@ -89,7 +87,8 @@ class TestBuildDegradedSource:
 class TestVerifyMarkov:
     def test_degraded_construction_passes(self):
         src = build_degraded_source(DegradedSourceSpec(q=0.3, p=(0.1, 0.2, 0.4)))
-        assert verify_markov(src, tol=1e-10)
+        result = markov_chain_verified([src])
+        assert result.passed, result.witness
 
     def test_coupled_agents_fail(self):
         # x1 = x2 = x0 xor b with a shared flip: dependent given x0
@@ -99,16 +98,17 @@ class TestVerifyMarkov:
             for b in (0, 1):
                 x = x0 ^ b
                 prob[x0, x, x] += (q if x0 else 1 - q) * (p if b else 1 - p)
-        src = JointSource(num_agents=2, prob=prob)
-        assert not verify_markov(src)
+        degraded = build_degraded_source(DegradedSourceSpec(q=q, p=(p, p)))
+        result = markov_chain_verified([degraded, JointSource(num_agents=2, prob=prob)])
+        assert not result.passed and result.witness == "source 1"
 
     def test_single_agent_trivially_true(self):
         src = build_degraded_source(DegradedSourceSpec(q=0.4, p=(0.2,)))
-        assert verify_markov(src)
+        assert markov_chain_verified([src]).passed
 
 
 class TestEntropyQueries:
-    # axis bitmasks: bit 0 is X0, bit l agent l, bit L+1 Z
+    # axis bitmasks: bit 0 is X0, bit l agent l
     def test_uniform_base_bit(self):
         src = build_degraded_source(DegradedSourceSpec(q=0.5, p=(0.2,)))
         assert entropy(src, 0b1) == pytest.approx(1.0, abs=1e-12)
@@ -139,7 +139,7 @@ class TestEntropyQueries:
         assert mi == pytest.approx(0.267659, abs=1e-6)
 
     def test_example2_singleton(self, example2_source):
-        mi = conditional_mi(example2_source, 0b001, 0b110)
+        mi = mutual_information(example2_source, 0b001 << 1, 1, 0b110 << 1)
         assert mi == pytest.approx(EXAMPLE2_VALUES[0b001], abs=1e-5)
 
     def test_chain_rule_random_queries(self, example2_source):
@@ -170,17 +170,11 @@ class TestEntropyQueries:
             mutual_information(example2_source, 0b10, 0b10)
 
     def test_masks_outside_the_axes_rejected(self, example2_source):
-        with_z = attach_z(example2_source, np.full(example2_source.prob.shape + (2,), 0.5))
         for a, b, c in ((0b10000, 0b1, 0), (0b10, 0b1, -1), (0b10, np.array([0b1, 0b10000]), 0)):
             with pytest.raises(ValidationError, match="outside"):
                 mutual_information(example2_source, a, b, c)
         with pytest.raises(ValidationError, match="outside"):
-            entropy(example2_source, 0b1, 0b10000)  # Z on a source without Z
-        assert mutual_information(with_z, 0b10, 0b1, 0b10000) >= 0.0
-        with pytest.raises(ValidationError, match="outside"):
-            mutual_information(with_z, 0b100000, 0b1)
-        with pytest.raises(ValidationError, match="out of range"):
-            conditional_mi(with_z, 0b1000)  # coalition 2^L, the Z bit
+            entropy(example2_source, 0b1, 0b10000)  # the bit past agent L
 
     def test_array_masks_match_scalar_lookups(self, example2_source):
         a = np.array([0b0010, 0b0110, 0b1110])
@@ -188,7 +182,7 @@ class TestEntropyQueries:
         both = mutual_information(example2_source, a, 0b1, c)
         for k in range(3):
             assert both[k] == mutual_information(example2_source, int(a[k]), 0b1, int(c[k]))
-        assert both[0] == conditional_mi(example2_source, 0b001, 0b110)
+        assert both[0] == mutual_information(example2_source, 0b001 << 1, 1, 0b110 << 1)
 
     def test_clamp_raises_below_floor(self):
         with pytest.raises(ConsistencyError):
@@ -209,9 +203,9 @@ class TestEntropyTable:
     def test_every_subset_example2(self, example2_source):
         self._assert_matches_brute_force(example2_source)
 
-    def test_every_subset_with_three_valued_z(self, example2_source):
-        z_given = np.random.default_rng(4).dirichlet(np.ones(3), size=example2_source.prob.shape)
-        self._assert_matches_brute_force(attach_z(example2_source, z_given))
+    def test_every_subset_of_a_hand_built_table(self):
+        prob = np.random.default_rng(4).dirichlet(np.ones(16)).reshape((2,) * 4)
+        self._assert_matches_brute_force(JointSource(num_agents=3, prob=prob))
 
     def test_built_once(self, example2_source):
         assert example2_source.entropies is example2_source.entropies
@@ -223,8 +217,6 @@ class TestEntropyTable:
         dense = JointSource(num_agents=3, prob=example2_source.prob)
         assert type(dense) is JointSource
         assert np.max(np.abs(dense.entropies - example2_source.entropies)) <= 1e-15
-        assert type(attach_z(example2_source, np.ones(example2_source.prob.shape + (1,)))) \
-            is JointSource
 
     def test_product_form_matches_dense_random_specs(self):
         rng = np.random.default_rng(31)
@@ -254,74 +246,3 @@ class TestEntropyTable:
         prob[1, 0, 1] = np.nan
         with pytest.raises(ValidationError, match="probability table has non-finite"):
             JointSource(num_agents=2, prob=prob)
-
-
-class TestFValue:
-    def test_hand_arithmetic(self):
-        spec = DegradedSourceSpec(q=0.4, p=(0.2,))
-        assert f_value(spec, 0b1, 0b1) == pytest.approx(0.56, abs=1e-15)
-        assert f_value(spec, 0b1, 0b0) == pytest.approx(0.44, abs=1e-15)
-
-    def test_empty_products(self):
-        spec = DegradedSourceSpec(q=0.4, p=(0.2,))
-        assert f_value(spec, 0, 0) == pytest.approx(1.0)
-
-    def test_rejects_non_subset(self):
-        spec = DegradedSourceSpec(q=0.4, p=(0.2, 0.3))
-        with pytest.raises(ValidationError):
-            f_value(spec, 0b01, 0b10)
-
-    def test_sums_to_one_all_coalitions(self, example2_spec):
-        for s_mask in range(8):
-            total = 0.0
-            sub = s_mask
-            while True:
-                total += f_value(example2_spec, s_mask, sub)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & s_mask
-            assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_matches_joint_table_marginal(self, example2_spec, example2_source):
-        # f_S(T) is the probability of the agent pattern "T observes 0,
-        # the rest of S observes 1" (hence it sums to 1 over T)
-        prob = example2_source.prob
-        for s_mask in (0b011, 0b111):
-            for t_mask in (0, s_mask, s_mask & (s_mask - 1)):
-                total = 0.0
-                for idx in itertools.product((0, 1), repeat=4):
-                    ok = True
-                    for l in range(3):
-                        if not s_mask >> l & 1:
-                            continue
-                        want = 0 if t_mask >> l & 1 else 1
-                        if idx[l + 1] != want:
-                            ok = False
-                            break
-                    if ok:
-                        total += prob[idx]
-                assert f_value(example2_spec, s_mask, t_mask) == pytest.approx(total, abs=1e-12)
-
-
-class TestClosedFormValue:
-    def test_example2_pair(self, example2_spec):
-        assert coalition_value_closed_form(example2_spec, 0b011) == pytest.approx(
-            EXAMPLE2_VALUES[0b011], abs=1e-5)
-
-    def test_example2_grand(self, example2_spec):
-        assert coalition_value_closed_form(example2_spec, 0b111) == pytest.approx(
-            EXAMPLE2_VALUES[0b111], abs=1e-5)
-
-    def test_empty_coalition(self, example2_spec):
-        assert coalition_value_closed_form(example2_spec, 0) == 0.0
-
-    def test_agrees_with_information_route(self):
-        rng = np.random.default_rng(7)
-        for _ in range(100):
-            spec = random_degraded_spec(rng, int(rng.integers(1, 5)))
-            src = build_degraded_source(spec)
-            full = (1 << spec.num_agents) - 1
-            for mask in range(full + 1):
-                direct = conditional_mi(src, mask, full & ~mask) if mask else 0.0
-                closed = coalition_value_closed_form(spec, mask)
-                assert closed == pytest.approx(direct, abs=1e-9)
