@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import CapacityError, SolverError, ValidationError
 from .game import CoalitionGame, _require_markov, coalition_sums, is_supermodular
-from .source import JointSource, _member_masks, mutual_information
+from .source import DegradedSource, JointSource, _member_masks, mutual_information
 
 TIGHT_TOL = 1e-8
 DUAL_TOL = 1e-9
@@ -97,7 +97,7 @@ def shapley_from_game(game: CoalitionGame) -> np.ndarray:
     return rates
 
 
-def shapley_closed_form(src: JointSource) -> np.ndarray:
+def shapley_closed_form(src: JointSource | DegradedSource) -> np.ndarray:
     """Shapley value straight from the source statistics.
 
     R_l = I(X_l ; X0) - (1/L) sum_{S not cont. l} C(L-1, |S|)^-1 I(X_l ; X_S).

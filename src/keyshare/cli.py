@@ -19,7 +19,7 @@ import numpy as np
 from . import allocate as alloc_mod
 from . import game as game_mod
 from . import suites
-from .errors import CapacityError, ValidationError
+from .errors import ValidationError
 from .protocol import DEFAULT_SEED, ProtocolConfig, run_protocol
 from .source import (DegradedSourceSpec, _json_reals, _read_json_object,
                      build_degraded_source)
@@ -55,36 +55,30 @@ def _emit(text: str, out_path) -> None:
 
 def cmd_analyze(args) -> int:
     spec = DegradedSourceSpec.from_json(args.spec)
-    if spec.num_agents > game_mod.MAX_EXHAUSTIVE_AGENTS:
-        # refuse before building a value table the pair scans would reject
-        raise CapacityError(f"analyze scans every coalition pair, guarded at "
-                            f"L <= {game_mod.MAX_EXHAUSTIVE_AGENTS}, got L={spec.num_agents}")
     src = build_degraded_source(spec)
     game = game_mod.value_function(src)
     mod, mod_wit = game_mod.is_supermodular(game)
     # v(empty) = 0, so the supermodular pair scan over disjoint pairs is
     # the superadditivity test at the same tolerance
     sup, sup_wit = (True, None) if mod else game_mod.is_superadditive(game)
-    lower, upper = game_mod.core_bounds(game)
-    bounds = [{"coalition": mask, "lower": lo, "upper": up}
-              for mask, lo, up in zip(range(1, game.full_mask + 1),
-                                      lower[1:].tolist(), upper[1:].tolist())]
+    # the core's lower bounds are game.v itself; print the upper ones only
+    _, upper = game_mod.core_bounds(game)
     payload = {
         "spec": spec.to_json(),
         "game": game.to_json(),
         "superadditive": sup,
         "supermodular": mod,
-        "core_bounds": bounds,
+        "core_upper": upper.tolist(),
     }
     if not sup:
         payload["superadditive_witness"] = list(sup_wit)
     if not mod:
         payload["supermodular_witness"] = list(mod_wit)
-    if spec.z_levels:
-        level_games = game_mod.clearance_level_games(src, spec.z_levels)
+    if spec.levels:
+        level_games = game_mod.clearance_level_games(src, spec.levels)
         payload["clearance_levels"] = [
             {"agents": list(lev), "game": g.to_json()}
-            for lev, g in zip(spec.z_levels, level_games)
+            for lev, g in zip(spec.levels, level_games)
         ]
     _emit(_json(payload), args.out)
     return EXIT_OK

@@ -20,8 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .source import (JointSource, _json_reals, _member_masks, _read_json_object,
-                     coalition_sums, mutual_information, verify_markov)
+from .source import (DegradedSource, JointSource, _json_reals, _member_masks,
+                     _read_json_object, coalition_sums, mutual_information, verify_markov)
 
 DEFAULT_TOL = 1e-9
 MAX_EXHAUSTIVE_AGENTS = 12
@@ -35,7 +35,7 @@ class CoalitionGame:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+        self.values = np.array(self.values, dtype=float)  # a copy: zeroed and clipped below
         if self.values.shape != (1 << self.num_agents,):
             raise ValidationError(
                 f"value table needs {1 << self.num_agents} entries, got {self.values.shape}"
@@ -84,15 +84,15 @@ class CoalitionGame:
         return cls.from_json(_read_json_object(path, "game"))
 
 
-def _require_markov(src: JointSource) -> None:
-    if not (src.markov_degraded or verify_markov(src)):
+def _require_markov(src: JointSource | DegradedSource) -> None:
+    if not (isinstance(src, DegradedSource) or verify_markov(src)):
         raise ValidationError(
             "source fails the degradedness check; the closed-form value "
             "function only holds for conditionally independent observations"
         )
 
 
-def value_function(src: JointSource) -> CoalitionGame:
+def value_function(src: JointSource | DegradedSource) -> CoalitionGame:
     """v(S) = I(X_S ; X0 | X_{S^c}) for every coalition bitmask S."""
     _require_markov(src)
     full = src.full_mask
@@ -102,7 +102,7 @@ def value_function(src: JointSource) -> CoalitionGame:
     return CoalitionGame(num_agents=src.num_agents, values=values)
 
 
-def clearance_level_games(src: JointSource,
+def clearance_level_games(src: JointSource | DegradedSource,
                           levels: Sequence[Sequence[int]]) -> list[CoalitionGame]:
     """One conditional game per clearance level.
 

@@ -80,7 +80,6 @@ class EntropyProfile:
     n: int
     h: np.ndarray
     method: str  # "degrading_merge" | "exact" | "monte_carlo"
-    theta: float
     genie_error: Optional[np.ndarray] = None  # per-index single-bit decision error
 
 
@@ -90,8 +89,6 @@ class PolarIndexSets:
 
     h_mask: np.ndarray
     v_mask: np.ndarray
-    delta: float
-    beta: float
 
 
 def build_index_sets(profile: EntropyProfile, beta: float) -> PolarIndexSets:
@@ -99,7 +96,7 @@ def build_index_sets(profile: EntropyProfile, beta: float) -> PolarIndexSets:
     delta = delta_threshold(profile.n, beta)
     h_mask = profile.h >= delta
     v_mask = profile.h >= 1.0 - delta
-    return PolarIndexSets(h_mask=h_mask, v_mask=v_mask, delta=delta, beta=beta)
+    return PolarIndexSets(h_mask=h_mask, v_mask=v_mask)
 
 
 def _bsc_entropy(eps: np.ndarray) -> np.ndarray:
@@ -167,7 +164,7 @@ def construct_profile(theta: float, n: int) -> EntropyProfile:
     h = np.clip(h, 0.0, 1.0)
     h.flags.writeable = False
     err.flags.writeable = False
-    return EntropyProfile(n=n, h=h, method="degrading_merge", theta=theta, genie_error=err)
+    return EntropyProfile(n=n, h=h, method="degrading_merge", genie_error=err)
 
 
 def entropy_profile_exact(theta: float, n: int) -> EntropyProfile:
@@ -198,7 +195,7 @@ def entropy_profile_exact(theta: float, n: int) -> EntropyProfile:
         h[i] = float(tlogt.sum() - plogp.sum())
         err[i] = float(np.minimum(joint[:, 0], joint[:, 1]).sum())
     h = np.clip(h, 0.0, 1.0)
-    return EntropyProfile(n=n, h=h, method="exact", theta=theta, genie_error=err)
+    return EntropyProfile(n=n, h=h, method="exact", genie_error=err)
 
 
 def _boxplus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -313,8 +310,7 @@ def entropy_profile_mc(theta: float, n: int, num_samples: int, seed: int) -> Ent
         done += size
         chunk_index += 1
     h = np.clip(h_sum / num_samples, 0.0, 1.0)
-    return EntropyProfile(n=n, h=h, method="monte_carlo", theta=theta,
-                          genie_error=err_sum / num_samples)
+    return EntropyProfile(n=n, h=h, method="monte_carlo", genie_error=err_sum / num_samples)
 
 
 def side_info_llrs(y: np.ndarray, crossover: float) -> np.ndarray:

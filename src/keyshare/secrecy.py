@@ -23,6 +23,7 @@ from .polar import build_index_sets, entropy_profile_exact, polar_transform
 from .protocol import leakage_bound, toeplitz_from_index
 
 MAX_TOY_N = 8
+TOY_BETA = 0.3  # exponent of the index-set threshold delta_N = 2^(-N^beta)
 MAX_TOY_AGENTS = 2
 
 
@@ -30,8 +31,6 @@ MAX_TOY_AGENTS = 2
 class SecrecyCheckResult:
     distance: float
     bound: float
-    key_lengths: tuple[int, ...]
-    transcript_bits: tuple[int, ...]
 
     @property
     def holds(self) -> bool:
@@ -51,7 +50,7 @@ def _bits_to_int(bits: np.ndarray) -> np.ndarray:
 
 
 def empirical_secrecy_check(q: float, p: tuple[float, ...], n: int,
-                            r: tuple[int, ...], beta: float = 0.3) -> SecrecyCheckResult:
+                            r: tuple[int, ...]) -> SecrecyCheckResult:
     """Exact variational distance vs the concatenated leftover-hash bound.
 
     q is the base-station bit bias, p the per-agent crossovers, n the
@@ -72,7 +71,7 @@ def empirical_secrecy_check(q: float, p: tuple[float, ...], n: int,
     h_masks = []
     for pl in p:
         prof = entropy_profile_exact(pl, n)
-        h_masks.append(build_index_sets(prof, beta).h_mask)
+        h_masks.append(build_index_sets(prof, TOY_BETA).h_mask)
 
     # enumerate the joint source: x0 block times one flip block per agent
     pat = _pattern_bits(n)
@@ -144,8 +143,7 @@ def empirical_secrecy_check(q: float, p: tuple[float, ...], n: int,
         floors[mask] = -math.log2(guess) if guess > 0 else math.inf
     bound = leakage_bound(r, floors)
 
-    return SecrecyCheckResult(distance=distance, bound=bound,
-                              key_lengths=tuple(r), transcript_bits=tuple(a_bits))
+    return SecrecyCheckResult(distance=distance, bound=bound)
 
 
 def toeplitz_collision_rate(n: int, r: int) -> float:

@@ -6,12 +6,12 @@ B_l are independent Bernoulli(p_l).  General joint tables are supported
 for validation.
 
 Every entropy and mutual information is a lookup into one cached table
-per source, JointSource.entropies (the entropy of every axis subset):
+per source, its entropies (the entropy of every axis subset):
 mutual_information(src, a, b, c) gives I(A ; B | C) and entropy(src, a, c)
 gives H(A | C), each on axis bitmasks, scalar or array.  A source built
-from a spec (DegradedSource) fills the table from the family's product
-form; only a hand-built table and the verify_markov oracle marginalise
-the dense table.
+from a spec (DegradedSource) is the spec, with the table filled from the
+family's product form.  Only a dense JointSource (hand built, or the
+oracle JointSource.from_spec) marginalises a joint table.
 
 Conventions, fixed repo-wide:
   * agent l (1-based) corresponds to bit (l-1) of a coalition bitmask;
@@ -27,7 +27,7 @@ import functools
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -83,20 +83,20 @@ def _level_id(a) -> int:
 class DegradedSourceSpec:
     """Parameters of the binary degraded family.
 
-    q is P(X0 = 1); p holds one crossover probability per agent; z_levels,
+    q is P(X0 = 1); p holds one crossover probability per agent; levels,
     when given, partitions agents 1..L into clearance levels, highest
     clearance first.
     """
 
     q: float
     p: tuple[float, ...]
-    z_levels: Optional[tuple[tuple[int, ...], ...]] = None
+    levels: Optional[tuple[tuple[int, ...], ...]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "p", tuple(float(x) for x in self.p))
-        if self.z_levels is not None:
+        if self.levels is not None:
             object.__setattr__(
-                self, "z_levels", tuple(tuple(_level_id(a) for a in lev) for lev in self.z_levels)
+                self, "levels", tuple(tuple(_level_id(a) for a in lev) for lev in self.levels)
             )
         self.validate()
 
@@ -112,14 +112,14 @@ class DegradedSourceSpec:
         for i, pl in enumerate(self.p):
             if not 0.0 < pl < 1.0:
                 raise ValidationError(f"p[{i}] must lie in (0,1), got {pl}")
-        if self.z_levels is not None:
-            flat = [a for lev in self.z_levels for a in lev]
+        if self.levels is not None:
+            flat = [a for lev in self.levels for a in lev]
             expected = set(range(1, self.num_agents + 1))
             if sorted(flat) != sorted(expected) or len(flat) != len(set(flat)):
                 raise ValidationError(
-                    f"levels must partition agents 1..{self.num_agents} exactly once, got {self.z_levels}"
+                    f"levels must partition agents 1..{self.num_agents} exactly once, got {self.levels}"
                 )
-            if any(len(lev) == 0 for lev in self.z_levels):
+            if any(len(lev) == 0 for lev in self.levels):
                 raise ValidationError("levels must not contain an empty group")
 
     @classmethod
@@ -139,12 +139,12 @@ class DegradedSourceSpec:
                 raise ValidationError(
                     "spec field 'levels' must be a list of lists of integer agent ids")
             levels = tuple(tuple(g) for g in levels)
-        return cls(q=q[0], p=tuple(p), z_levels=levels)
+        return cls(q=q[0], p=tuple(p), levels=levels)
 
     def to_json(self) -> dict:
         out = {"q": self.q, "p": list(self.p)}
-        if self.z_levels is not None:
-            out["levels"] = [list(g) for g in self.z_levels]
+        if self.levels is not None:
+            out["levels"] = [list(g) for g in self.levels]
         return out
 
 
@@ -154,12 +154,11 @@ class JointSource:
 
     prob has one binary axis per component in that order.  The table is
     copied on construction and read-only, so the cached entropy table
-    always describes it.
+    always describes it.  From a spec, it is DegradedSource's oracle.
     """
 
     num_agents: int
     prob: np.ndarray
-    markov_degraded: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "prob", np.array(self.prob, dtype=float))
@@ -176,6 +175,18 @@ class JointSource:
         total = float(self.prob.sum())
         if abs(total - 1.0) > 1e-12:
             raise ValidationError(f"probability table sums to {total}, expected 1 within 1e-12")
+
+    @classmethod
+    def from_spec(cls, spec: DegradedSourceSpec) -> "JointSource":
+        """The dense joint table of the degraded family,
+        p(x0, x1..xL) = P(X0=x0) * prod_l P(B_l = x_l xor x0)."""
+        L = spec.num_agents
+        table = np.array([1.0 - spec.q, spec.q]).reshape((2,) + (1,) * L)
+        x0 = np.arange(2).reshape((2,) + (1,) * L)
+        for l, pl in enumerate(spec.p):
+            xl = np.arange(2).reshape((1,) * (l + 1) + (2,) + (1,) * (L - l - 1))
+            table = table * np.where((xl ^ x0) == 1, pl, 1.0 - pl)
+        return cls(num_agents=L, prob=table)
 
     @property
     def full_mask(self) -> int:
@@ -248,15 +259,24 @@ def _fold(terms: np.ndarray, n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DegradedSource(JointSource):
-    """The dense joint table of a DegradedSourceSpec, as build_degraded_source
-    makes it, with the entropy table read off the family's product form."""
+class DegradedSource:
+    """The source of a DegradedSourceSpec, as build_degraded_source makes
+    it: the spec and its entropy table, read off the family's product form.
+    Its agents are conditionally independent given X0 by construction."""
 
-    spec: DegradedSourceSpec = field(kw_only=True)
+    spec: DegradedSourceSpec
+
+    @property
+    def num_agents(self) -> int:
+        return self.spec.num_agents
+
+    @property
+    def full_mask(self) -> int:
+        return (1 << self.num_agents) - 1
 
     @functools.cached_property
     def entropies(self) -> np.ndarray:
-        """JointSource.entropies without marginalising the joint table.
+        """JointSource.entropies of the spec's joint table, without building it.
 
         Given X0 the observations are independent, so every mask holding X0
         has H(X0, X_T) = h(q) + sum_{l in T} h(p_l).  Without X0,
@@ -293,22 +313,12 @@ class DegradedSource(JointSource):
 
 
 def build_degraded_source(spec: DegradedSourceSpec) -> DegradedSource:
-    """Materialize the dense joint table of the degraded family.
-
-    p(x0, x1..xL) = P(X0=x0) * prod_l P(B_l = x_l xor x0).  Guarded at
-    L <= 20 so the table stays dense and exact.
-    """
+    """The source of a spec; guarded at L <= 20 so its entropy table
+    (2^(L+1) floats, built on first use) stays in memory."""
     L = spec.num_agents
     if L > MAX_DENSE_AGENTS:
-        raise CapacityError(f"dense joint table limited to L <= {MAX_DENSE_AGENTS}, got L={L}")
-    prob = np.array([1.0 - spec.q, spec.q])
-    table = prob.reshape((2,) + (1,) * L)
-    x0 = np.arange(2).reshape((2,) + (1,) * L)
-    for l, pl in enumerate(spec.p):
-        xl = np.arange(2).reshape((1,) * (l + 1) + (2,) + (1,) * (L - l - 1))
-        flip = xl ^ x0
-        table = table * np.where(flip == 1, pl, 1.0 - pl)
-    return DegradedSource(num_agents=L, prob=table, markov_degraded=True, spec=spec)
+        raise CapacityError(f"entropy table limited to L <= {MAX_DENSE_AGENTS}, got L={L}")
+    return DegradedSource(spec)
 
 
 def _clamp(value, what: str):
@@ -318,15 +328,15 @@ def _clamp(value, what: str):
     return np.maximum(value, 0.0)
 
 
-def _check_masks(src: JointSource, *masks) -> None:
-    """Every axis bitmask (int or int array) must lie in [0, 2^ndim)."""
-    top = 1 << src.prob.ndim
+def _check_masks(src: JointSource | DegradedSource, *masks) -> None:
+    """Every axis bitmask (int or int array) must lie in [0, 2^(L+1))."""
+    top = 2 << src.num_agents
     for m in masks:
         if np.any(m < 0) or np.any(m >= top):
             raise ValidationError(f"axis bitmask outside [0, {top}) for L={src.num_agents}")
 
 
-def mutual_information(src: JointSource, a, b, c=0):
+def mutual_information(src: JointSource | DegradedSource, a, b, c=0):
     """I(A ; B | C) in bits from the entropy table, clamped to zero from
     tiny negative round-off.  a, b, c are axis bitmasks (ints or int
     arrays): bit 0 is X0, bit l agent l; a and b are disjoint."""
@@ -337,7 +347,7 @@ def mutual_information(src: JointSource, a, b, c=0):
     return _clamp(h[a | c] + h[b | c] - h[a | b | c] - h[c], "mutual information")
 
 
-def entropy(src: JointSource, a, c=0):
+def entropy(src: JointSource | DegradedSource, a, c=0):
     """H(A | C) in bits on the same axis bitmasks as mutual_information."""
     _check_masks(src, a, c)
     h = src.entropies

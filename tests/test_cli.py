@@ -91,11 +91,14 @@ class TestAnalyze:
         code, out, _ = run_cli(["analyze", "--spec", example2_file], capsys)
         assert code == 0
         payload = json.loads(out)
-        bounds = payload["core_bounds"]
-        assert [b["coalition"] for b in bounds] == list(range(1, 8))
-        for b in bounds:
-            value = payload["game"]["v"][b["coalition"]]
-            assert 0.0 <= b["lower"] <= value + 1e-12 and value <= b["upper"] + 1e-12
+        # the lower bounds are game.v itself; core_upper is indexed like it
+        v, upper = payload["game"]["v"], payload["core_upper"]
+        assert "core_bounds" not in payload
+        assert len(upper) == 1 << payload["game"]["L"] and upper[0] == 0.0
+        full = len(v) - 1
+        for s in range(1, full + 1):
+            assert upper[s] == v[full] - v[full & ~s]
+            assert v[s] <= upper[s] + 1e-12
 
     def test_malformed_json_exits_one(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -111,18 +114,47 @@ class TestAnalyze:
         assert code == 1
         assert "'p'" in err
 
-    def test_agent_limit_checked_before_any_work(self, tmp_path, capsys, monkeypatch):
-        from keyshare import cli, game as game_mod
+    def test_agent_limit_checked_before_any_table(self, tmp_path, capsys, monkeypatch):
+        from keyshare import source
 
-        def build(spec):
-            raise AssertionError("source built for a spec past the analyze limit")
+        def build(self):
+            raise AssertionError("entropy table built for a spec past the agent limit")
 
-        monkeypatch.setattr(cli, "build_degraded_source", build)
+        monkeypatch.setattr(source.DegradedSource, "entropies", property(build))
         path = tmp_path / "wide.json"
-        path.write_text(json.dumps({"q": 0.4, "p": [0.2] * (game_mod.MAX_EXHAUSTIVE_AGENTS + 1)}))
+        path.write_text(json.dumps({"q": 0.4, "p": [0.2] * (source.MAX_DENSE_AGENTS + 1)}))
         code, _, err = run_cli(["analyze", "--spec", str(path)], capsys)
         assert code == 1
-        assert f"L <= {game_mod.MAX_EXHAUSTIVE_AGENTS}" in err
+        assert f"L <= {source.MAX_DENSE_AGENTS}" in err
+
+    def test_convex_game_past_the_pair_scan_limit(self, tmp_path, capsys, monkeypatch):
+        from keyshare import game as game_mod
+
+        def scan(*args, **kwargs):
+            raise AssertionError("superadditivity scanned for a supermodular game")
+
+        monkeypatch.setattr(game_mod, "is_superadditive", scan)
+        num_agents = game_mod.MAX_EXHAUSTIVE_AGENTS + 1
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"q": 0.4, "p": np.linspace(0.05, 0.45, num_agents).tolist()}))
+        code, out, _ = run_cli(["analyze", "--spec", str(path)], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["supermodular"] is True and payload["superadditive"] is True
+        assert len(payload["game"]["v"]) == len(payload["core_upper"]) == 1 << num_agents
+
+
+def test_spec_commands_build_no_joint_table(example2_file, capsys, monkeypatch):
+    from keyshare import source
+
+    def refuse(self):
+        raise AssertionError("dense joint table built from a spec")
+
+    monkeypatch.setattr(source.JointSource, "__post_init__", refuse)
+    for command, *extra in (("analyze",), ("allocate", "--method", "both"),
+                            ("simulate", "--runs", "2")):
+        code, _, err = run_cli([command, "--spec", example2_file, *extra], capsys)
+        assert code == 0, f"{command}: {err}"
 
 
 class TestAllocate:

@@ -348,3 +348,10 @@ class TestGameIO:
     def test_rejects_nonzero_empty_value(self):
         with pytest.raises(ValidationError):
             CoalitionGame(num_agents=1, values=np.array([0.5, 1.0]))
+
+    def test_caller_table_is_copied(self):
+        v = np.array([1e-13, 0.5, -1e-13, 0.7])
+        game = CoalitionGame(2, v)
+        assert game.values is not v
+        assert v.tolist() == [1e-13, 0.5, -1e-13, 0.7]
+        assert game.values.tolist() == [0.0, 0.5, 0.0, 0.7]

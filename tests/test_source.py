@@ -6,7 +6,8 @@ import pytest
 
 from keyshare import (CapacityError, DegradedSourceSpec, JointSource,
                       ValidationError, binary_entropy,
-                      build_degraded_source, entropy, mutual_information)
+                      build_degraded_source, entropy, mutual_information,
+                      value_function)
 from keyshare.source import ConsistencyError, _clamp
 from keyshare.suites import degraded_table_matches_dense, markov_chain_verified
 
@@ -25,15 +26,15 @@ class TestSpecValidation:
 
     def test_rejects_bad_levels(self):
         with pytest.raises(ValidationError, match="levels"):
-            DegradedSourceSpec(q=0.4, p=(0.2, 0.3), z_levels=((1,), (1, 2)))
+            DegradedSourceSpec(q=0.4, p=(0.2, 0.3), levels=((1,), (1, 2)))
 
     def test_rejects_non_integral_level_ids(self):
         for bad in (1.9, True, float("nan"), "1"):
             with pytest.raises(ValidationError, match="levels"):
-                DegradedSourceSpec(q=0.4, p=(0.2, 0.3), z_levels=((bad,), (2,)))
-        spec = DegradedSourceSpec(q=0.4, p=(0.2, 0.3), z_levels=((np.int64(1),), (2.0,)))
-        assert spec.z_levels == ((1,), (2,))
-        assert all(type(a) is int for lev in spec.z_levels for a in lev)
+                DegradedSourceSpec(q=0.4, p=(0.2, 0.3), levels=((bad,), (2,)))
+        spec = DegradedSourceSpec(q=0.4, p=(0.2, 0.3), levels=((np.int64(1),), (2.0,)))
+        assert spec.levels == ((1,), (2,))
+        assert all(type(a) is int for lev in spec.levels for a in lev)
 
     def test_json_loader_names_missing_field(self, tmp_path):
         path = tmp_path / "spec.json"
@@ -48,7 +49,7 @@ class TestSpecValidation:
             DegradedSourceSpec.from_json(str(path))
 
     def test_json_round_trip(self, tmp_path):
-        spec = DegradedSourceSpec(q=0.4, p=(0.2, 0.3), z_levels=((2,), (1,)))
+        spec = DegradedSourceSpec(q=0.4, p=(0.2, 0.3), levels=((2,), (1,)))
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec.to_json()))
         again = DegradedSourceSpec.from_json(str(path))
@@ -57,17 +58,17 @@ class TestSpecValidation:
 
 class TestBuildDegradedSource:
     def test_uniform_independent(self):
-        src = build_degraded_source(DegradedSourceSpec(q=0.5, p=(0.5,)))
+        src = JointSource.from_spec(DegradedSourceSpec(q=0.5, p=(0.5,)))
         assert np.allclose(src.prob, 0.25)
 
     def test_marginal_by_direct_summation(self):
-        src = build_degraded_source(DegradedSourceSpec(q=0.4, p=(0.2,)))
+        src = JointSource.from_spec(DegradedSourceSpec(q=0.4, p=(0.2,)))
         p_x1 = src.prob.sum(axis=0)
         assert p_x1[1] == pytest.approx(0.4 * 0.8 + 0.6 * 0.2, abs=1e-15)
 
     def test_table_matches_loop_construction(self):
         spec = DegradedSourceSpec(q=0.37, p=(0.11, 0.42))
-        src = build_degraded_source(spec)
+        src = JointSource.from_spec(spec)
         for bits in itertools.product((0, 1), repeat=3):
             x0 = bits[0]
             expected = spec.q if x0 else 1 - spec.q
@@ -79,14 +80,21 @@ class TestBuildDegradedSource:
         with pytest.raises(CapacityError):
             build_degraded_source(DegradedSourceSpec(q=0.5, p=(0.1,) * 21))
 
-    def test_sets_markov_flag(self):
-        src = build_degraded_source(DegradedSourceSpec(q=0.4, p=(0.2, 0.3)))
-        assert src.markov_degraded
+    def test_spec_source_skips_verify_markov(self, example2_source, monkeypatch):
+        from keyshare import game as game_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify_markov ran on a source built from a spec")
+
+        monkeypatch.setattr(game_mod, "verify_markov", refuse)
+        assert not hasattr(example2_source, "prob")
+        game = value_function(example2_source)
+        assert game.value(0b001) == pytest.approx(EXAMPLE2_VALUES[0b001], abs=1e-5)
 
 
 class TestVerifyMarkov:
     def test_degraded_construction_passes(self):
-        src = build_degraded_source(DegradedSourceSpec(q=0.3, p=(0.1, 0.2, 0.4)))
+        src = JointSource.from_spec(DegradedSourceSpec(q=0.3, p=(0.1, 0.2, 0.4)))
         result = markov_chain_verified([src])
         assert result.passed, result.witness
 
@@ -98,12 +106,12 @@ class TestVerifyMarkov:
             for b in (0, 1):
                 x = x0 ^ b
                 prob[x0, x, x] += (q if x0 else 1 - q) * (p if b else 1 - p)
-        degraded = build_degraded_source(DegradedSourceSpec(q=q, p=(p, p)))
+        degraded = JointSource.from_spec(DegradedSourceSpec(q=q, p=(p, p)))
         result = markov_chain_verified([degraded, JointSource(num_agents=2, prob=prob)])
         assert not result.passed and result.witness == "source 1"
 
     def test_single_agent_trivially_true(self):
-        src = build_degraded_source(DegradedSourceSpec(q=0.4, p=(0.2,)))
+        src = JointSource.from_spec(DegradedSourceSpec(q=0.4, p=(0.2,)))
         assert markov_chain_verified([src]).passed
 
 
@@ -142,9 +150,9 @@ class TestEntropyQueries:
         mi = mutual_information(example2_source, 0b001 << 1, 1, 0b110 << 1)
         assert mi == pytest.approx(EXAMPLE2_VALUES[0b001], abs=1e-5)
 
-    def test_chain_rule_random_queries(self, example2_source):
+    def test_chain_rule_random_queries(self, example2_spec):
         rng = np.random.default_rng(3)
-        prob = example2_source.prob
+        prob = JointSource.from_spec(example2_spec).prob
         for _ in range(50):
             groups = rng.integers(0, 3, size=4)  # axis -> A, B, or C
             a = tuple(i for i in range(4) if groups[i] == 0)
@@ -192,29 +200,30 @@ class TestEntropyQueries:
 
 class TestEntropyTable:
     @staticmethod
-    def _assert_matches_brute_force(src):
-        table = src.entropies
-        ndim = src.prob.ndim
+    def _assert_matches_brute_force(table, prob):
+        ndim = prob.ndim
         assert table.shape == (1 << ndim,)
         for mask in range(1 << ndim):
             axes = [a for a in range(ndim) if mask >> a & 1]
-            assert table[mask] == pytest.approx(brute_entropy(src.prob, axes), abs=1e-12)
+            assert table[mask] == pytest.approx(brute_entropy(prob, axes), abs=1e-12)
 
-    def test_every_subset_example2(self, example2_source):
-        self._assert_matches_brute_force(example2_source)
+    def test_every_subset_example2(self, example2_source, example2_spec):
+        self._assert_matches_brute_force(example2_source.entropies,
+                                         JointSource.from_spec(example2_spec).prob)
 
     def test_every_subset_of_a_hand_built_table(self):
         prob = np.random.default_rng(4).dirichlet(np.ones(16)).reshape((2,) * 4)
-        self._assert_matches_brute_force(JointSource(num_agents=3, prob=prob))
+        src = JointSource(num_agents=3, prob=prob)
+        self._assert_matches_brute_force(src.entropies, src.prob)
 
     def test_built_once(self, example2_source):
         assert example2_source.entropies is example2_source.entropies
         with pytest.raises(ValueError):
             example2_source.entropies[1] = 0.0
 
-    def test_hand_built_table_of_a_spec_marginalises(self, example2_source):
-        # the same distribution without its spec takes the dense route
-        dense = JointSource(num_agents=3, prob=example2_source.prob)
+    def test_hand_built_table_of_a_spec_marginalises(self, example2_source, example2_spec):
+        # the same distribution as a dense table takes the marginalisation route
+        dense = JointSource.from_spec(example2_spec)
         assert type(dense) is JointSource
         assert np.max(np.abs(dense.entropies - example2_source.entropies)) <= 1e-15
 
