@@ -114,7 +114,7 @@ class TestAnalyze:
         assert code == 1
         assert "'p'" in err
 
-    def test_agent_limit_checked_before_any_table(self, tmp_path, capsys, monkeypatch):
+    def test_agent_limit_checked_before_any_work(self, tmp_path, capsys, monkeypatch):
         from keyshare import source
 
         def build(self):
