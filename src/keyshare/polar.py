@@ -44,6 +44,7 @@ LLR_CLAMP = 40.0
 MAX_EXACT_N = 16
 MC_CHUNK = 512  # frozen: results must not depend on scheduling
 MERGE_BINS = 64  # mu: BSC components kept per synthetic channel after each merge
+INDEX_BETA = 0.3  # exponent of the index-set threshold delta_N = 2^(-N^beta)
 
 
 def _check_block_length(n: int) -> None:

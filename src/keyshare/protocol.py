@@ -10,9 +10,11 @@ builds each run's Transcript; simulate_runs adds hash bits and keys (its
 hash loop is the only privacy-amplification route), and reconcile() runs
 the pass on one explicit realization.  run_protocol streams its runs
 through simulate_runs in batches of RUN_BATCH and keeps only counts
-between batches.  The Toeplitz product is an exact real-FFT convolution
-(see ToeplitzHash); an agent's sequence and the base station's
-reconstruction share one matrix and are hashed in one call.
+between batches.  The Toeplitz product is an exact numpy real-FFT circular
+convolution of length at least n+r-1, where n+r-1 is the number of
+diagonal bits (see ToeplitzHash for why that length is exact); an agent's
+sequence and the base station's reconstruction share one matrix and are
+hashed in one call.
 
 Reliability at finite length comes from the clean-up round.  Its message
 is the transform of the whole N*B sequence restricted to the cross-block
@@ -37,12 +39,12 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from numpy.fft import irfft, rfft
 
 from .errors import CapacityError, ConsistencyError, ValidationError
 from .game import coalition_sums, core_contains, value_function
-from .polar import (build_index_sets, construct_profile, polar_transform,
-                    sc_decode, side_info_llrs)
+from .polar import (INDEX_BETA, build_index_sets, construct_profile,
+                    polar_transform, sc_decode, side_info_llrs)
 from .source import (DegradedSourceSpec, _member_masks, build_degraded_source,
                      mutual_information)
 
@@ -77,7 +79,6 @@ class ProtocolConfig:
     b: int
     target: tuple[float, ...]
     epsilon: float
-    beta: float = 0.3
     seed: int = DEFAULT_SEED
     coalition: Optional[int] = None  # bitmask; None = grand coalition
     onset_risk: float = 1e-4  # residual per-block risk left uncovered by the clean-up round
@@ -90,8 +91,6 @@ class ProtocolConfig:
             raise CapacityError(f"block length N={self.n} exceeds the limit {MAX_BLOCK_N}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValidationError(f"epsilon must lie in (0,1), got {self.epsilon}")
-        if not 0.0 < self.beta < 0.5:
-            raise ValidationError(f"beta must lie in (0,1/2), got {self.beta}")
         self.target = tuple(float(r) for r in self.target)
         if not all(math.isfinite(r) for r in self.target):
             raise ValidationError(f"target rates must be finite, got {self.target}")
@@ -124,7 +123,7 @@ class ProtocolConfig:
     def to_json(self) -> dict:
         return {
             "N": self.n, "B": self.b, "target": list(self.target),
-            "epsilon": self.epsilon, "beta": self.beta, "seed": self.seed,
+            "epsilon": self.epsilon, "beta": INDEX_BETA, "seed": self.seed,
             "coalition": self.coalition, "onset_risk": self.onset_risk,
             "calibration_runs": self.calibration_runs,
         }
@@ -157,11 +156,15 @@ class ToeplitzHash:
 
     Row i of the product is entry n-1+i of the integer convolution of the
     diagonal bits with the input, reduced mod 2.  apply computes all rows
-    of a batch in one real-FFT convolution.  That is exact: every sum is an
-    integer of at most n << 2^53, so the float result rounds to it, and
-    apply raises ConsistencyError if any value lies more than 0.25 from
-    its rounding (a guard, never a second route).  Diagonal bits and
-    inputs must be 0 or 1.
+    of a batch in one numpy real-FFT circular convolution of length
+    M = _fast_len(n+r-1).  Circular length M adds entry k+M (and k-M) of
+    the linear convolution, whose entries run over 0 .. 2n+r-3, onto
+    entry k; for the kept k in n-1 .. n+r-2 both lie outside that range
+    once M >= n+r-1, so the kept entries are exact.  So are the sums:
+    each is an integer of at most n << 2^53, so the float result rounds
+    to it, and apply raises ConsistencyError if any value lies more than
+    0.25 from its rounding (a guard, never a second route).  Diagonal
+    bits and inputs must be 0 or 1.
     """
 
     def __init__(self, bits: np.ndarray, n_in: int, r_out: int):
@@ -187,7 +190,7 @@ class ToeplitzHash:
         if self.r_out == 0:
             out = np.zeros((x2.shape[0], 0), dtype=np.uint8)
         else:
-            size = next_fast_len(self.n_in + self.bits.size - 1, real=True)
+            size = _fast_len(self.bits.size)  # >= n_in, since r_out >= 1
             lo = self.n_in - 1
             conv = irfft(rfft(x2, size, axis=1) * rfft(self.bits, size), size,
                          axis=1)[:, lo:lo + self.r_out]
@@ -197,6 +200,20 @@ class ToeplitzHash:
                 raise ConsistencyError(f"FFT convolution residue {residue:.3g} exceeds 0.25")
             out = (sums.astype(np.int64) & 1).astype(np.uint8)
         return out[0] if single else out
+
+
+def _fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n (n >= 1), a length numpy's FFT runs fast."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # smallest power-of-two multiple of p35 that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _binary(a, name: str) -> np.ndarray:
@@ -349,7 +366,7 @@ class ProtocolEngine:
         self.plans: list[_AgentPlan] = []
         for l in self.members:
             prof = construct_profile(spec.p[l], cfg.n)
-            sets = build_index_sets(prof, cfg.beta)
+            sets = build_index_sets(prof, INDEX_BETA)
             suffix = _risk_suffix(prof, sets.h_mask, cfg.onset_risk)
             self.plans.append(_AgentPlan(index=l, crossover=spec.p[l],
                                          h_mask=sets.h_mask, suffix=suffix,

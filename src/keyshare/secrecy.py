@@ -19,11 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .polar import build_index_sets, entropy_profile_exact, polar_transform
+from .polar import (INDEX_BETA, build_index_sets, entropy_profile_exact,
+                    polar_transform)
 from .protocol import leakage_bound, toeplitz_from_index
 
 MAX_TOY_N = 8
-TOY_BETA = 0.3  # exponent of the index-set threshold delta_N = 2^(-N^beta)
 MAX_TOY_AGENTS = 2
 
 
@@ -71,7 +71,7 @@ def empirical_secrecy_check(q: float, p: tuple[float, ...], n: int,
     h_masks = []
     for pl in p:
         prof = entropy_profile_exact(pl, n)
-        h_masks.append(build_index_sets(prof, TOY_BETA).h_mask)
+        h_masks.append(build_index_sets(prof, INDEX_BETA).h_mask)
 
     # enumerate the joint source: x0 block times one flip block per agent
     pat = _pattern_bits(n)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import CapacityError, ConsistencyError, ValidationError
 
-MAX_DENSE_AGENTS = 20
+MAX_TABLE_AGENTS = 20  # largest L whose entropy table build_degraded_source admits
 NEG_ENTROPY_FLOOR = -1e-12
 LOW_BLOCK_AGENTS = 9  # agents in the vectorised block of the product form
 
@@ -290,14 +290,21 @@ class DegradedSource:
         spec = self.spec
         k = min(self.num_agents, LOW_BLOCK_AGENTS)
         block_a, block_b = _patterns(spec.p[:k])
+        # every leaf of the walk reuses these 3^k-float buffers: fresh ones
+        # would each be mapped from the OS and faulted in again
+        f, terms = np.empty_like(block_a), np.empty_like(block_a)
+        positive = np.empty(block_a.shape, dtype=bool)
 
         def walk(a: float, b: float, top: int) -> np.ndarray:
             # sum f log2 f onto the masks of agents 0..top-1
             if top == k:
-                f = a * block_a
-                f += b * block_b
-                terms = np.log2(f, out=np.zeros_like(f), where=f > 0)
-                terms *= f
+                np.multiply(a, block_a, out=f)
+                np.multiply(b, block_b, out=terms)
+                np.add(f, terms, out=f)
+                np.greater(f, 0, out=positive)
+                terms.fill(0.0)
+                np.log2(f, out=terms, where=positive)
+                np.multiply(terms, f, out=terms)
                 return _fold(terms, k)
             p = spec.p[top - 1]
             return np.concatenate([walk(a, b, top - 1), walk(a * p, b * (1.0 - p), top - 1)
@@ -316,8 +323,8 @@ def build_degraded_source(spec: DegradedSourceSpec) -> DegradedSource:
     """The source of a spec; guarded at L <= 20 so its entropy table
     (2^(L+1) floats, built on first use) stays in memory."""
     L = spec.num_agents
-    if L > MAX_DENSE_AGENTS:
-        raise CapacityError(f"entropy table limited to L <= {MAX_DENSE_AGENTS}, got L={L}")
+    if L > MAX_TABLE_AGENTS:
+        raise CapacityError(f"entropy table limited to L <= {MAX_TABLE_AGENTS}, got L={L}")
     return DegradedSource(spec)
 
 

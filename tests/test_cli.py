@@ -122,10 +122,10 @@ class TestAnalyze:
 
         monkeypatch.setattr(source.DegradedSource, "entropies", property(build))
         path = tmp_path / "wide.json"
-        path.write_text(json.dumps({"q": 0.4, "p": [0.2] * (source.MAX_DENSE_AGENTS + 1)}))
+        path.write_text(json.dumps({"q": 0.4, "p": [0.2] * (source.MAX_TABLE_AGENTS + 1)}))
         code, _, err = run_cli(["analyze", "--spec", str(path)], capsys)
         assert code == 1
-        assert f"L <= {source.MAX_DENSE_AGENTS}" in err
+        assert f"L <= {source.MAX_TABLE_AGENTS}" in err
 
     def test_convex_game_past_the_pair_scan_limit(self, tmp_path, capsys, monkeypatch):
         from keyshare import game as game_mod

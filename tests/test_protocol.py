@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -98,6 +101,45 @@ class TestToeplitzHash:
         monkeypatch.setattr(protocol, "irfft", lambda *a, **k: exact(*a, **k) + 0.3)
         with pytest.raises(ConsistencyError, match="residue"):
             sample_hash(3, 16, 4).apply(np.ones(16, dtype=np.uint8))
+
+    def test_import_loads_no_scipy(self):
+        # scipy serves only the nucleolus LP route, which imports it lazily
+        src = os.path.dirname(os.path.dirname(protocol.__file__))
+        probe = ("import sys, keyshare; print(sorted(m for m in sys.modules"
+                 " if m == 'scipy' or m.startswith('scipy.')))")
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+        assert out.strip() == "[]"
+
+    def test_fast_len_is_smallest_5_smooth(self):
+        smooth = np.sort([2 ** a * 3 ** b * 5 ** c
+                          for a in range(14) for b in range(9) for c in range(7)])
+        for n in range(1, 5001):
+            assert protocol._fast_len(n) == smooth[np.searchsorted(smooth, n)]
+
+    # n_in = 1; r_out = 1; r_out = n_in; n_in + r_out - 1 in {15, 60, 81}
+    # (5-smooth) and in {7, 17, 33, 61, 82} (one above a 5-smooth number)
+    @pytest.mark.parametrize("n_in, r_out", [(1, 1), (7, 1), (9, 9), (10, 6), (40, 21),
+                                             (64, 18), (20, 14), (40, 22), (64, 19)])
+    def test_wraparound_length_matches_matrix(self, monkeypatch, n_in, r_out):
+        sizes = []
+        exact = protocol.rfft
+
+        def recording_rfft(a, n, *args, **kwargs):
+            sizes.append(n)
+            return exact(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(protocol, "rfft", recording_rfft)
+        rng = np.random.default_rng(n_in * 100 + r_out)
+        for bits in (rng.integers(0, 2, n_in + r_out - 1, dtype=np.uint8),
+                     np.ones(n_in + r_out - 1, dtype=np.uint8)):
+            h = ToeplitzHash(bits, n_in, r_out)
+            x = np.vstack([rng.integers(0, 2, (4, n_in), dtype=np.uint8),
+                           np.ones((1, n_in), dtype=np.uint8)])
+            dense = np.array([[bits[i - j + n_in - 1] for j in range(n_in)]
+                              for i in range(r_out)], dtype=np.int64)
+            assert np.array_equal(h.apply(x), (x.astype(np.int64) @ dense.T) % 2)
+        assert set(sizes) == {protocol._fast_len(n_in + r_out - 1)}
 
     def test_rejects_non_binary_bits(self):
         for bad in (2, 0.5):
