@@ -163,6 +163,44 @@ def _drop_spanned(free: np.ndarray, rows: np.ndarray, a_eq: np.ndarray) -> int:
     return len(basis)
 
 
+def _fix_stages(game: CoalitionGame, route: str, stage):
+    """The stage loop both nucleolus routes share; returns (trace, a_eq, b_eq).
+
+    The fixed system a_eq x = b_eq starts as efficiency.  Each stage,
+    stage(rows, free, a_eq, b_eq) returns the stage optimum z and the
+    coalitions it fixes (ascending masks); their rows join a_eq with right
+    sides v(S) - z.  rows holds the coalition-incidence row of every mask,
+    and free marks the coalitions not yet fixed.
+
+    Before the first stage and after every stage, every free coalition
+    whose incidence row lies in the row space of a_eq leaves the free set,
+    the ones just fixed included (_drop_spanned): its excess is constant on
+    the rest of the feasible set, so it cannot affect the lexicographic
+    order (Maschler, Peleg & Shapley, Math. Oper. Res. 4, 1979).  Every
+    coalition a stage fixes is then outside the span, the rank rises at
+    every stage and there are at most L - 1 stages; a stage that does not
+    raise it is a SolverError.  The loop stops once a_eq pins all L payoffs.
+    """
+    L = game.num_agents
+    masks = np.arange(game.full_mask + 1)
+    rows = _incidence(masks, L)
+    free = (masks > 0) & (masks < game.full_mask)
+    a_eq, b_eq = np.ones((1, L)), np.array([game.grand_value()])
+    trace = NucleolusTrace(route=route)
+    rank = _drop_spanned(free, rows, a_eq)
+    while rank < L:
+        z, binding = stage(rows, free, a_eq, b_eq)
+        a_eq = np.vstack([a_eq, rows[binding]])
+        b_eq = np.concatenate([b_eq, game.values[binding] - z])
+        prior, rank = rank, _drop_spanned(free, rows, a_eq)
+        if rank <= prior:
+            raise SolverError(f"nucleolus stage {len(trace.stages) + 1} fixed {binding} "
+                              f"without raising the system rank {prior}")
+        trace.stages.append(NucleolusStage(optimum=z, fixed_coalitions=binding,
+                                           system_rank=rank))
+    return trace, a_eq, b_eq
+
+
 def _solve_scaled(solve, game: CoalitionGame):
     """(rates, trace) of solve on the game scaled by the exact power of two
     that puts its largest value in [0.5, 1), scaled back: the rates and the
@@ -215,8 +253,8 @@ def _prekernel_point(game: CoalitionGame):
     tol = PREKERNEL_GAP * game.grand_value()
     x, steps = shapley_from_game(game), 0
     while True:
-        surplus, argmax = _surpluses(game, x)
-        if np.max(np.abs(surplus - surplus.T), initial=0.0) <= tol:
+        gap, argmax = _surpluses(game, x)
+        if gap <= tol:
             return x, steps
         if steps == PREKERNEL_STEPS_PER_AGENT * L:
             return None, steps
@@ -232,30 +270,16 @@ def _excess_levels(game: CoalitionGame, x: np.ndarray) -> NucleolusTrace:
 
     The distinct excess levels of the free coalitions, walked downwards and
     grouped at TIGHT_TOL, are the stage optima, and the coalitions on each
-    level the stage's fixed set (Kohlberg, SIAM J. Appl. Math. 20, 1971).
-    Each level joins the fixed system in ascending mask order and
-    _drop_spanned prunes the free set as in nucleolus_lp; a level that does
-    not raise the rank is a SolverError.
+    level the stage's fixed set (Kohlberg, SIAM J. Appl. Math. 20, 1971),
+    run through _fix_stages like the LP route's stages.
     """
-    L = game.num_agents
-    masks = np.arange(game.full_mask + 1)
-    rows = _incidence(masks, L)
     excess = game.values - coalition_sums(x)
-    free = (masks > 0) & (masks < game.full_mask)
-    a_eq = np.ones((1, L))
-    trace = NucleolusTrace(route="prekernel")
-    rank = _drop_spanned(free, rows, a_eq)
-    while rank < L:
+
+    def stage(rows, free, a_eq, b_eq):
         z = float(np.max(excess[free]))
-        binding = [int(mask) for mask in masks[free & (excess >= z - TIGHT_TOL)]]
-        a_eq = np.vstack([a_eq, rows[binding]])
-        prior, rank = rank, _drop_spanned(free, rows, a_eq)
-        if rank <= prior:
-            raise SolverError(f"nucleolus stage {len(trace.stages) + 1} fixed {binding} "
-                              f"without raising the system rank {prior}")
-        trace.stages.append(NucleolusStage(optimum=z, fixed_coalitions=binding,
-                                           system_rank=rank))
-    return trace
+        return z, [int(mask) for mask in np.flatnonzero(free & (excess >= z - TIGHT_TOL))]
+
+    return _fix_stages(game, "prekernel", stage)[0]
 
 
 def nucleolus_lp(game: CoalitionGame):
@@ -272,16 +296,8 @@ def nucleolus_lp(game: CoalitionGame):
     equalities, the other tight rows lifted by a common slack t <= 1): t* > 0
     shows that none of the lifted rows is binding, and at t* = 0 the lifted
     rows with a positive multiplier are binding and join the equalities
-    before the next max-slack LP.  Stops once the fixed system pins all L
-    payoffs.
-
-    Before the first stage and after every stage, every free coalition
-    whose incidence row lies in the row space of a_eq leaves the free set,
-    the ones just fixed included: its excess is constant on the rest of the feasible set, so it cannot affect
-    the lexicographic order (Maschler, Peleg & Shapley, Math. Oper. Res. 4,
-    1979).  Every coalition a stage fixes is then outside the span, the rank
-    rises at every stage and there are at most L - 1 stages; a stage that
-    does not raise it is a SolverError.
+    before the next max-slack LP.  _fix_stages runs the stages, prunes the
+    free set and stops once the fixed system pins all L payoffs.
 
     The stage tolerances are absolute, so every game with a positive value
     is solved scaled by an exact power of two that puts its largest value
@@ -293,21 +309,17 @@ def nucleolus_lp(game: CoalitionGame):
 def _nucleolus_lp_scaled(game: CoalitionGame):
     L = game.num_agents
     v = game.values
-    masks = np.arange(game.full_mask + 1)
-    rows = _incidence(masks, L)
-    stage_rows = np.hstack([rows, np.ones((len(masks), 1))])  # payoffs, then z
-    free = (masks > 0) & (masks < game.full_mask)
-    a_eq, b_eq = np.ones((1, L)), np.array([game.grand_value()])
     payoffs = [(0.0, None)] * L
     stage_c = np.zeros(L + 1)
     stage_c[L] = 1.0
     slack_c = -stage_c
-    trace = NucleolusTrace()
-    rank = _drop_spanned(free, rows, a_eq)
-    while rank < L:
+
+    def stage(rows, free, a_eq, b_eq):
+        # stage LP over (payoffs, z): every free row as x(S) + z >= v(S)
         status, z_star, sol, duals = lp_solve(
-            stage_c, -stage_rows[free], -v[free],
-            np.hstack([a_eq, np.zeros((len(a_eq), 1))]), b_eq, payoffs + [(None, None)])
+            stage_c, np.hstack([-rows[free], np.full((np.count_nonzero(free), 1), -1.0)]),
+            -v[free], np.hstack([a_eq, np.zeros((len(a_eq), 1))]), b_eq,
+            payoffs + [(None, None)])
         if status != "optimal":
             raise ValidationError(
                 f"nucleolus stage LP came back {status}; the game admits no "
@@ -339,18 +351,9 @@ def _nucleolus_lp_scaled(game: CoalitionGame):
             if not np.any(pinned):
                 raise SolverError("max-slack LP pinned no tight coalition; cannot progress")
             fixing[np.flatnonzero(rest)[pinned]] = True
-        binding = [int(mask) for mask in masks[fixing]]
-        if not binding:
-            raise SolverError("nucleolus stage found no binding coalition; cannot progress")
-        a_eq = np.vstack([a_eq, rows[binding]])
-        b_eq = np.concatenate([b_eq, v[binding] - z_star])
-        prior, rank = rank, _drop_spanned(free, rows, a_eq)
-        if rank <= prior:
-            raise SolverError(f"nucleolus stage {len(trace.stages) + 1} fixed {binding} "
-                              f"without raising the system rank {prior}")
-        trace.stages.append(NucleolusStage(optimum=z_star, fixed_coalitions=binding,
-                                           system_rank=rank))
+        return z_star, [int(mask) for mask in np.flatnonzero(fixing)]
 
+    trace, a_eq, b_eq = _fix_stages(game, "lp", stage)
     solution, _, rank, _ = np.linalg.lstsq(a_eq, b_eq, rcond=None)
     if rank < L:
         raise SolverError("final nucleolus system is rank deficient")
@@ -361,9 +364,10 @@ def _nucleolus_lp_scaled(game: CoalitionGame):
 
 
 def _surpluses(game: CoalitionGame, x: np.ndarray):
-    """(surplus, argmax): surplus[i, j] is s_ij, the largest excess
-    v(S) - x(S) over the coalitions S that hold i but not j, and argmax[i, j]
-    the lowest mask that attains it.  The excess vector is viewed as a
+    """(gap, argmax): the surplus s_ij is the largest excess v(S) - x(S)
+    over the coalitions S that hold i but not j, argmax[i, j] the lowest
+    mask that attains it, and gap the largest |s_ij - s_ji| over agent
+    pairs (0 for L = 1).  The excess vector is viewed as a
     (2,)*L table, bit l of the mask on axis L-1-l; each s_ij is the max of
     its strided slice with agent i's axis at 1 and agent j's at 0,
     O(L^2 2^L) in all with no larger temporary."""
@@ -379,7 +383,7 @@ def _surpluses(game: CoalitionGame, x: np.ndarray):
         best = int(np.argmax(excess[view]))
         surplus[i, j] = excess[view].flat[best]
         argmax[i, j] = masks[view].flat[best]
-    return surplus, argmax
+    return float(np.max(np.abs(surplus - surplus.T), initial=0.0)), argmax
 
 
 def prekernel_gap(game: CoalitionGame, rates: Sequence[float]) -> float:
@@ -395,8 +399,7 @@ def prekernel_gap(game: CoalitionGame, rates: Sequence[float]) -> float:
     x = np.asarray(rates, dtype=float)
     if x.shape != (L,):
         raise ValidationError(f"allocation needs {L} rates, got shape {x.shape}")
-    surplus, _ = _surpluses(game, x)
-    return float(np.max(np.abs(surplus - surplus.T), initial=0.0))
+    return _surpluses(game, x)[0]
 
 
 def brute_force_nucleolus(game: CoalitionGame, grid_step: float) -> np.ndarray:

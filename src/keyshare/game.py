@@ -20,8 +20,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .source import (DegradedSource, JointSource, _json_reals, _member_masks,
-                     _read_json_object, coalition_sums, mutual_information, verify_markov)
+from .source import (MAX_TABLE_AGENTS, DegradedSource, JointSource, _json_reals,
+                     _member_masks, _read_json_object, coalition_sums,
+                     mutual_information, verify_markov)
 
 DEFAULT_TOL = 1e-9
 MAX_EXHAUSTIVE_AGENTS = 12
@@ -73,9 +74,10 @@ class CoalitionGame:
         L = raw["L"]
         if type(L) is not int or L < 1:
             raise ValidationError("game field 'L' must be a positive integer")
+        if L > MAX_TABLE_AGENTS:
+            raise CapacityError(f"game value table limited to L <= {MAX_TABLE_AGENTS}, got L={L}")
         values = _json_reals(raw["v"])
-        # no list holds 2^63 entries; the bound keeps 1 << L small
-        if values is None or L >= 63 or len(values) != 1 << L:
+        if values is None or len(values) != 1 << L:
             raise ValidationError(f"game field 'v' must list 2^L numbers for L={L}")
         return cls(num_agents=L, values=np.array(values))
 

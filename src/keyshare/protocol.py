@@ -24,9 +24,10 @@ high-entropy set and at or after the first wrong decision, so XOR-ing the
 received values against the base station's own transform recovers the
 error pattern exactly whenever every wrong decision falls inside the
 suffix.  The suffix is cut from the per-index decision-error upper bounds
-of the deterministic polar profile at a configurable residual-risk budget
-and widened if a calibration pre-run observes an earlier onset.  At
-desk-scale block lengths polarization is immature and the suffix typically spans most of the
+of the deterministic polar profile alone: its uncovered prefix carries at
+most the configured residual-risk budget onset_risk of first wrong
+decisions per block, by the union bound.  At desk-scale block lengths
+polarization is immature and the suffix typically spans most of the
 complement; the report states all published sizes so the trade is visible.
 """
 
@@ -52,14 +53,13 @@ DEFAULT_SEED = 0xC0A117
 FINAL_ROUND_BLOCK = 0xFFFE
 HASH_BITS_BLOCK = 0xFFFF
 _RUN_TAG = 0x52
-_CAL_TAG = 0x43
 _HASH_TAG = 0x48
 MAX_BLOCK_N = 2 ** 14  # construct_profile takes 1.4-2.1 s per agent at this N
-# Decode-work limit, in decoded source bits: members x (runs + calibration
-# runs) x max(B x N, RUN_OVERHEAD_BITS).  Example 2 at the limit (N=1024,
-# B=4, 2680 runs) takes about 9 s at a peak RSS of 0.10 GB; N=16384, B=1
-# with cold profiles about 15 s.  Sampling, hashing and report objects
-# cost about as much per member-run as decoding RUN_OVERHEAD_BITS bits.
+# Decode-work limit, in decoded source bits: members x runs x max(B x N,
+# RUN_OVERHEAD_BITS).  Example 2 reaches it at 2730 runs (N=1024, B=4),
+# which take about 8 s with built profiles at a peak RSS of 60 MB on a
+# 2-vCPU Xeon.  Sampling, hashing and report objects cost about as much
+# per member-run as decoding RUN_OVERHEAD_BITS bits.
 MAX_DECODE_WORK = 2 ** 25
 RUN_OVERHEAD_BITS = 2 ** 10
 # Runs per simulate_runs call in run_protocol.  At least 100: a caller that
@@ -82,7 +82,6 @@ class ProtocolConfig:
     seed: int = DEFAULT_SEED
     coalition: Optional[int] = None  # bitmask; None = grand coalition
     onset_risk: float = 1e-4  # residual per-block risk left uncovered by the clean-up round
-    calibration_runs: int = 50
 
     def __post_init__(self):
         if not _is_pow2(self.n) or not _is_pow2(self.b):
@@ -100,8 +99,6 @@ class ProtocolConfig:
             raise ValidationError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.onset_risk) and self.onset_risk >= 0):
             raise ValidationError(f"onset_risk must be finite and >= 0, got {self.onset_risk}")
-        if self.calibration_runs < 0:
-            raise ValidationError(f"calibration_runs must be >= 0, got {self.calibration_runs}")
 
     def members(self, num_agents: int) -> list[int]:
         full = (1 << num_agents) - 1
@@ -111,21 +108,19 @@ class ProtocolConfig:
         return [l for l in range(num_agents) if mask >> l & 1]
 
     def check_decode_work(self, num_members: int, runs: int) -> None:
-        """Raise CapacityError when runs plus calibration exceed MAX_DECODE_WORK."""
-        work = (num_members * (runs + self.calibration_runs)
-                * max(self.b * self.n, RUN_OVERHEAD_BITS))
+        """Raise CapacityError when the runs exceed MAX_DECODE_WORK."""
+        work = num_members * runs * max(self.b * self.n, RUN_OVERHEAD_BITS)
         if work > MAX_DECODE_WORK:
             raise CapacityError(
-                f"decode work members x (runs + calibration runs) x max(B*N, "
-                f"{RUN_OVERHEAD_BITS}) = {work} exceeds the limit {MAX_DECODE_WORK} "
-                "(about 9 s and 0.10 GB at N=1024, B=4 on 2 vCPUs)")
+                f"decode work members x runs x max(B*N, {RUN_OVERHEAD_BITS}) = "
+                f"{work} exceeds the limit {MAX_DECODE_WORK} "
+                "(about 8 s at N=1024, B=4 on 2 vCPUs)")
 
     def to_json(self) -> dict:
         return {
             "N": self.n, "B": self.b, "target": list(self.target),
             "epsilon": self.epsilon, "beta": INDEX_BETA, "seed": self.seed,
             "coalition": self.coalition, "onset_risk": self.onset_risk,
-            "calibration_runs": self.calibration_runs,
         }
 
 
@@ -334,13 +329,13 @@ class _AgentPlan:
 class ProtocolEngine:
     """Deterministic simulator bound to one (spec, config) pair.
 
-    Construction happens once: each member's published set and clean-up
-    suffix come from the deterministic degrading-merge profile of its
-    crossover (construct_profile, memoised per process on (crossover, N)),
-    then a calibration pre-run may widen the suffixes.  Each run k is then
-    a pure function of (seed, k), so batches of runs and a single replayed
-    run produce bit-identical transcripts and keys.  _reconcile is the one
-    reconciliation pass; simulate_runs and reconcile() both call it.
+    Construction happens once and decodes nothing: each member's published
+    set and clean-up suffix come from the deterministic degrading-merge
+    profile of its crossover (construct_profile, memoised per process on
+    (crossover, N)).  Each run k is then a pure function of (seed, k), so
+    batches of runs and a single replayed run produce bit-identical
+    transcripts and keys.  _reconcile is the one reconciliation pass;
+    simulate_runs and reconcile() both call it.
     """
 
     def __init__(self, spec: DegradedSourceSpec, cfg: ProtocolConfig):
@@ -348,7 +343,6 @@ class ProtocolEngine:
         self.cfg = cfg
         self.num_agents = spec.num_agents
         self.members = cfg.members(self.num_agents)
-        cfg.check_decode_work(len(self.members), 0)
         if len(cfg.target) != self.num_agents:
             raise ValidationError(
                 f"target lists {len(cfg.target)} rates for {self.num_agents} agents"
@@ -371,7 +365,6 @@ class ProtocolEngine:
             self.plans.append(_AgentPlan(index=l, crossover=spec.p[l],
                                          h_mask=sets.h_mask, suffix=suffix,
                                          key_len=int(lengths[l])))
-        self.calibration = self._calibrate()
 
     # -- construction --------------------------------------------------
 
@@ -394,31 +387,6 @@ class ProtocolEngine:
                 f"{int(subsets[sub]):#x}: {totals[sub]:.6f} > {self._member_info[sub]:.6f}",
                 stacklevel=3)
 
-    def _calibrate(self) -> dict:
-        """Measure first-stage behaviour; widen suffixes on early onsets."""
-        cfg = self.cfg
-        runs = cfg.calibration_runs
-        stats = {"runs": runs, "per_agent": {}}
-        if runs == 0:
-            return stats
-        x0, xs = self._sample_batch(_CAL_TAG, range(runs))
-        for plan in self.plans:
-            x = xs[plan.index]
-            u = polar_transform(x)
-            xb = sc_decode(plan.h_mask, u, side_info_llrs(x0, plan.crossover))
-            # wrong transform-domain decisions sit outside the published
-            # set; the suffix must cover every position observed wrong
-            wrong = np.flatnonzero(((u != polar_transform(xb)) & ~plan.h_mask).any(axis=0))
-            if wrong.size and (plan.suffix.size == 0 or wrong[0] < plan.suffix[0]):
-                free = np.where(~plan.h_mask)[0]
-                plan.suffix = free[free >= wrong[0]]
-            stats["per_agent"][plan.index + 1] = {
-                "block_error_rate": float((x != xb).any(axis=1).mean()),
-                "bit_flip_rate": float((x != xb).mean()),
-                "suffix_bits": int(plan.suffix.size),
-            }
-        return stats
-
     # -- per-run mechanics ----------------------------------------------
 
     def _run_rng(self, tag: int, k: int) -> np.random.Generator:
@@ -426,16 +394,16 @@ class ProtocolEngine:
             np.random.Philox(np.random.SeedSequence((self.cfg.seed, tag, k)))
         )
 
-    def _sample_batch(self, tag: int, ks) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    def _sample_batch(self, ks) -> tuple[np.ndarray, dict[int, np.ndarray]]:
         """Source realizations for the given run indices, stacked blockwise.
 
         Returns x0 of shape (runs*B, N) plus one same-shape array per
-        agent.  Each run's bits derive only from (seed, tag, k).
+        agent.  Each run's bits derive only from (seed, _RUN_TAG, k).
         """
         cfg = self.cfg
         x0_parts, agent_parts = [], {l: [] for l in range(self.num_agents)}
         for k in ks:
-            rng = self._run_rng(tag, k)
+            rng = self._run_rng(_RUN_TAG, k)
             x0 = (rng.random((cfg.b, cfg.n)) < self.spec.q).astype(np.uint8)
             x0_parts.append(x0)
             for l in range(self.num_agents):
@@ -492,7 +460,7 @@ class ProtocolEngine:
         """
         ks = list(run_indices)
         nb = self.cfg.n * self.cfg.b
-        x0, xs = self._sample_batch(_RUN_TAG, ks)
+        x0, xs = self._sample_batch(ks)
         transcripts, _, estimates = self._reconcile(x0, xs, len(ks))
         keymats = [KeyMaterial(keys={}, base_keys={}) for _ in ks]
         for plan in self.plans:
@@ -512,11 +480,11 @@ def reconcile(spec: DegradedSourceSpec, cfg: ProtocolConfig,
     """Run both reconciliation stages on explicit realizations.
 
     x0_blocks has shape (B, N); agent_blocks maps every 1-based agent id
-    to a same-shape array.  Builds a ProtocolEngine (calibration included;
-    cfg.calibration_runs=0 skips it) and runs its reconciliation pass on
-    this one realization.  Returns (transcript, per_block_estimates,
-    full_estimates) with 1-based member keys; decoding failures show up in
-    the estimates, they are not raised.
+    to a same-shape array.  Builds a ProtocolEngine, which decodes nothing
+    itself, and runs its reconciliation pass on this one realization.
+    Returns (transcript, per_block_estimates, full_estimates) with 1-based
+    member keys; decoding failures show up in the estimates, they are not
+    raised.
     """
     x0 = _binary(x0_blocks, "x0_blocks")
     xs = {l: _binary(agent_blocks[l + 1], f"agent_blocks[{l + 1}]")
@@ -588,6 +556,5 @@ def run_protocol(spec: DegradedSourceSpec, cfg: ProtocolConfig, runs: int) -> di
         "leakage_bound": bound if math.isfinite(bound) else None,
         "leakage_vacuous": not (bound <= 1.0),
         "chi2_p": _balance_p_value(pool_size, pool_ones),
-        "calibration": engine.calibration,
         "runtime_sec": time.perf_counter() - t0,
     }

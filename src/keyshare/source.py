@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import CapacityError, ConsistencyError, ValidationError
 
-MAX_TABLE_AGENTS = 20  # largest L whose entropy table build_degraded_source admits
+MAX_TABLE_AGENTS = 20  # largest L of an entropy table or of a game file's value table
 NEG_ENTROPY_FLOOR = -1e-12
 LOW_BLOCK_AGENTS = 9  # agents in the vectorised block of the product form
 

@@ -1,14 +1,10 @@
 import hashlib
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import keyshare
 from keyshare import (CapacityError, CoalitionGame, DegradedSourceSpec,
                       SolverError, ValidationError, brute_force_nucleolus,
                       build_degraded_source, core_polytope_vertices, lp_solve,
@@ -74,13 +70,6 @@ class TestLpSolve:
         lp[part] = np.full_like(lp[part], np.nan)
         with pytest.raises(ValidationError, match=part):
             lp_solve(**lp)
-
-    def test_import_leaves_scipy_optimize_unloaded(self):
-        src = os.path.dirname(os.path.dirname(keyshare.__file__))
-        probe = "import sys, keyshare; print('scipy.optimize' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": src}, check=True).stdout
-        assert out.strip() == "False"
 
 
 class TestShapley:

@@ -191,6 +191,15 @@ class TestAllocate:
         assert entry["prekernel_gap"] <= 1e-9 and entry["in_core"]
         assert entry["certified"] is False
 
+    def test_game_agent_limit_checked_before_the_values(self, tmp_path, capsys):
+        from keyshare import source
+
+        path = tmp_path / "wide_game.json"
+        path.write_text(json.dumps({"L": source.MAX_TABLE_AGENTS + 1, "v": [0, 1]}))
+        code, _, err = run_cli(["allocate", "--game", str(path)], capsys)
+        assert code == 1
+        assert f"L <= {source.MAX_TABLE_AGENTS}" in err
+
     def test_game_file_round_trip(self, example2_file, tmp_path, capsys):
         code, out, _ = run_cli(["analyze", "--spec", example2_file], capsys)
         game_path = tmp_path / "game.json"

@@ -28,8 +28,7 @@ def _shapley_target(spec):
 
 
 def small_config(**overrides):
-    defaults = dict(n=64, b=2, target=_shapley_target(SMALL_SPEC), epsilon=0.05,
-                    calibration_runs=10, seed=99)
+    defaults = dict(n=64, b=2, target=_shapley_target(SMALL_SPEC), epsilon=0.05, seed=99)
     defaults.update(overrides)
     return ProtocolConfig(**defaults)
 
@@ -205,7 +204,7 @@ class TestReportedLeakageBound:
 
     def test_coalition_floors_condition_on_outsiders(self, example2_spec, example2_source):
         cfg = ProtocolConfig(n=64, b=2, epsilon=0.1, target=(0.15, 0.0, 0.0),
-                             coalition=0b001, calibration_runs=5)
+                             coalition=0b001)
         rep = run_protocol(example2_spec, cfg, runs=1)
         cond = 0.9 * 128 * mutual_information(example2_source, 0b001 << 1, 1, 0b110 << 1)
         assert cond <= 0.9 * 128 * mutual_information(example2_source, 0b001 << 1, 1) + 1e-12
@@ -225,6 +224,14 @@ class TestReconcile:
         for agent in (1, 2):
             assert np.array_equal(per_block[agent], blocks[agent])
             assert np.array_equal(full[agent], blocks[agent].reshape(-1))
+
+    def test_engine_construction_decodes_nothing(self, monkeypatch):
+        # the clean-up suffix comes from the profile's bounds alone
+        def refuse(*args, **kwargs):
+            raise AssertionError("sc_decode called while building the engine")
+
+        monkeypatch.setattr(protocol, "sc_decode", refuse)
+        ProtocolEngine(SMALL_SPEC, small_config())
 
     def test_message_lengths_match_index_sets(self):
         cfg = small_config()
@@ -307,7 +314,7 @@ class TestRunProtocol:
     def test_coalition_mode_restricts_members(self):
         spec = DegradedSourceSpec(q=0.40, p=(0.08, 0.12, 0.15))
         cfg = ProtocolConfig(n=64, b=2, target=(0.2, 0.1, 0.0), epsilon=0.05,
-                             coalition=0b011, calibration_runs=5, seed=7)
+                             coalition=0b011, seed=7)
         rep = run_protocol(spec, cfg, runs=2)
         assert set(rep["per_agent"]) == {1, 2}
         src = build_degraded_source(spec)
@@ -349,9 +356,12 @@ class TestStreamedRuns:
     # SHA-256 of the reports without runtime_sec, recorded while run_protocol
     # still held every run until it returned; the Example-2 one re-recorded
     # when the product-form entropy table moved its target rates by at most
-    # 3e-16 and leakage_bound by 3e-13 relative (transcripts and keys unchanged)
-    EXAMPLE2_DIGEST = "2ef597e512ff030f57e14e6a535145095a1a95d8b37b299de0242a91966180de"
-    COALITION_DIGEST = "9a1d78b84e027483d7e75d80980aca2559e9e8f12f210a540427e2246a0bd11f"
+    # 3e-16 and leakage_bound by 3e-13 relative (transcripts and keys
+    # unchanged).  Both re-recorded when the calibration pre-run was removed,
+    # from the earlier reports minus their "calibration" block and
+    # config.calibration_runs entry, which hash to these values
+    EXAMPLE2_DIGEST = "f64e5e746a25b0f59a9b792075719e322f9afc4d209a5303c473c9918d122594"
+    COALITION_DIGEST = "729bfd0161f6f29781049e1d67515d8208fb9eb07e28627d537be52977002b60"
 
     @staticmethod
     def _digest(report):
@@ -390,10 +400,6 @@ class TestConfigValidation:
                 small_config(onset_risk=bad)
         assert small_config(onset_risk=1e9).onset_risk == 1e9
 
-    def test_rejects_negative_calibration_runs(self):
-        with pytest.raises(ValidationError, match="calibration_runs"):
-            small_config(calibration_runs=-1)
-
 
 class TestCapacity:
     @pytest.fixture(autouse=True)
@@ -408,17 +414,12 @@ class TestCapacity:
             small_config(n=2 * MAX_BLOCK_N, b=1)
 
     def test_run_count_guard(self):
-        # 2 members x (runs + 10 calibration runs) x max(B*N = 128, 1024)
-        runs = MAX_DECODE_WORK // (2 * RUN_OVERHEAD_BITS) - 10
+        # 2 members x runs x max(B*N = 128, 1024)
+        runs = MAX_DECODE_WORK // (2 * RUN_OVERHEAD_BITS)
         with pytest.raises(CapacityError, match=str(MAX_DECODE_WORK)):
             run_protocol(SMALL_SPEC, small_config(), runs=runs + 1)
         with pytest.raises(AssertionError, match="before the guard"):
             run_protocol(SMALL_SPEC, small_config(), runs=runs)
-
-    def test_calibration_runs_guarded(self):
-        cfg = small_config(calibration_runs=MAX_DECODE_WORK)
-        with pytest.raises(CapacityError, match="calibration"):
-            ProtocolEngine(SMALL_SPEC, cfg)
 
 
 
