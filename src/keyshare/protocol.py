@@ -18,17 +18,21 @@ hashed in one call.
 
 Reliability at finite length comes from the clean-up round.  Its message
 is the transform of the whole N*B sequence restricted to the cross-block
-images of the per-block "risky" index suffix: per-block decode errors can
-only disturb transform positions that are outside the published
-high-entropy set and at or after the first wrong decision, so XOR-ing the
-received values against the base station's own transform recovers the
-error pattern exactly whenever every wrong decision falls inside the
-suffix.  The suffix is cut from the per-index decision-error upper bounds
-of the deterministic polar profile alone: its uncovered prefix carries at
-most the configured residual-risk budget onset_risk of first wrong
-decisions per block, by the union bound.  At desk-scale block lengths
-polarization is immature and the suffix typically spans most of the
-complement; the report states all published sizes so the trade is visible.
+images of the per-block "risky" index suffix.  Since G_{N*B} = G_B (x) G_N,
+that is G_B across the B blocks of the per-block transforms on the suffix,
+so inverting it by G_B gives the base station every block's transform on
+the suffix.  The base station then decodes each member once, with the
+published set and the suffix known: SC decisions before the first suffix
+index do not depend on later ones, and the suffix takes the true values,
+so the estimate is exact unless a decision on the uncovered free prefix
+is wrong.  The suffix is cut from the per-index
+decision-error upper bounds of the deterministic polar profile alone: its
+uncovered prefix carries at most the configured residual-risk budget
+onset_risk of first wrong decisions per block, by the union bound.  At
+desk-scale block lengths polarization is immature and the suffix
+typically spans most of the complement (all of it for Example 2 at
+N=1024, whose decode is then a plain transform); the report states all published sizes
+so the trade is visible.
 """
 
 from __future__ import annotations
@@ -54,10 +58,11 @@ FINAL_ROUND_BLOCK = 0xFFFE
 HASH_BITS_BLOCK = 0xFFFF
 _RUN_TAG = 0x52
 _HASH_TAG = 0x48
-MAX_BLOCK_N = 2 ** 14  # construct_profile takes 1.4-2.1 s per agent at this N
+# construct_profile takes 2.2-3.5 s per distinct crossover at this N (2-vCPU Xeon)
+MAX_BLOCK_N = 2 ** 14
 # Decode-work limit, in decoded source bits: members x runs x max(B x N,
 # RUN_OVERHEAD_BITS).  Example 2 reaches it at 2730 runs (N=1024, B=4),
-# which take about 8 s with built profiles at a peak RSS of 60 MB on a
+# which take 4.3-5.3 s with built profiles at a peak RSS of 52 MB on a
 # 2-vCPU Xeon.  Sampling, hashing and report objects cost about as much
 # per member-run as decoding RUN_OVERHEAD_BITS bits.
 MAX_DECODE_WORK = 2 ** 25
@@ -114,7 +119,7 @@ class ProtocolConfig:
             raise CapacityError(
                 f"decode work members x runs x max(B*N, {RUN_OVERHEAD_BITS}) = "
                 f"{work} exceeds the limit {MAX_DECODE_WORK} "
-                "(about 8 s at N=1024, B=4 on 2 vCPUs)")
+                "(about 5 s at N=1024, B=4 on 2 vCPUs)")
 
     def to_json(self) -> dict:
         return {
@@ -317,12 +322,18 @@ def _risk_suffix(profile, h_mask: np.ndarray, onset_risk: float) -> np.ndarray:
     return free[start:]
 
 
+def _across_blocks(a: np.ndarray) -> np.ndarray:
+    """G_B over the block axis of a (runs, B, m) array."""
+    return polar_transform(a.swapaxes(1, 2)).swapaxes(1, 2)
+
+
 @dataclass
 class _AgentPlan:
     index: int              # 0-based agent position
     crossover: float
     h_mask: np.ndarray      # (N,) first-stage published set
     suffix: np.ndarray      # free-index suffix covered by the clean-up round
+    known: np.ndarray       # (N,) h_mask | suffix: indices the base station is given
     key_len: int
 
 
@@ -335,7 +346,9 @@ class ProtocolEngine:
     (crossover, N)).  Each run k is then a pure function of (seed, k), so
     batches of runs and a single replayed run produce bit-identical
     transcripts and keys.  _reconcile is the one reconciliation pass;
-    simulate_runs and reconcile() both call it.
+    simulate_runs and reconcile() both call it.  It decodes each member
+    once, with plan.known (the published set and the clean-up suffix)
+    given, so SC decisions are made only on the uncovered free prefix.
     """
 
     def __init__(self, spec: DegradedSourceSpec, cfg: ProtocolConfig):
@@ -362,9 +375,11 @@ class ProtocolEngine:
             prof = construct_profile(spec.p[l], cfg.n)
             sets = build_index_sets(prof, INDEX_BETA)
             suffix = _risk_suffix(prof, sets.h_mask, cfg.onset_risk)
+            known = sets.h_mask.copy()
+            known[suffix] = True
             self.plans.append(_AgentPlan(index=l, crossover=spec.p[l],
                                          h_mask=sets.h_mask, suffix=suffix,
-                                         key_len=int(lengths[l])))
+                                         known=known, key_len=int(lengths[l])))
 
     # -- construction --------------------------------------------------
 
@@ -420,37 +435,43 @@ class ProtocolEngine:
         """Both reconciliation stages over stacked realizations.
 
         x0 and xs[l] (0-based agent l, every agent) have shape (runs*B, N).
-        Returns (transcripts, block_estimates, estimates): one Transcript
-        per run with the first-stage messages, the clean-up messages and
-        the outsider disclosures; each member's per-block estimates, shape
-        (runs*B, N); and its cleaned-up estimates, shape (runs, N*B).  Both
-        dicts are keyed by 1-based member.
+        Returns (transcripts, estimates): one Transcript per run with the
+        first-stage messages, the clean-up messages and the outsider
+        disclosures, and each member's estimate of its sequence, shape
+        (runs, N*B), keyed by 1-based member.
+
+        The base station decodes each member once, with every index of
+        plan.known given: on H the first-stage values, on the suffix the
+        clean-up message inverted by G_B.  SC decisions before the first
+        suffix index do not depend on later indices, so this is the
+        estimate that decoding H alone and then overwriting the suffix from
+        the clean-up round would give; when H and the suffix cover every
+        index, the decode is a plain transform.
         """
         cfg = self.cfg
-        nb = cfg.n * cfg.b
         transcripts = [Transcript(n=cfg.n, b=cfg.b,
                                   disclosures={l + 1: xs[l][k * cfg.b:(k + 1) * cfg.b]
                                                for l in self.outsiders})
                        for k in range(runs)]
-        block_estimates, estimates = {}, {}
+        estimates = {}
         for plan in self.plans:
             agent = plan.index + 1
-            x = xs[plan.index]
-            u = polar_transform(x)
-            xb = sc_decode(plan.h_mask, u, side_info_llrs(x0, plan.crossover))
-            v = polar_transform(x.reshape(runs, nb))
-            vb = polar_transform(xb.reshape(runs, nb))
-            # the clean-up round publishes v on every block's suffix; the
-            # base station takes those positions from v, the rest from vb
-            final = np.tile(np.isin(np.arange(cfg.n), plan.suffix), cfg.b)
-            block_estimates[agent] = xb
-            estimates[agent] = polar_transform(np.where(final, v, vb))
-            block_msgs = u[:, plan.h_mask].reshape(runs, cfg.b, -1)
-            final_msgs = v[:, final]
+            u = polar_transform(xs[plan.index]).reshape(runs, cfg.b, cfg.n)
+            block_msgs = u[:, :, plan.h_mask]
+            # G_{N*B} = G_B (x) G_N: the N*B transform of a run on every
+            # block's suffix is G_B across the blocks of the per-block u
+            final_msgs = _across_blocks(u[:, :, plan.suffix])
+            received = np.zeros_like(u)
+            received[:, :, plan.h_mask] = block_msgs
+            received[:, :, plan.suffix] = _across_blocks(final_msgs)  # G_B is an involution
+            xb = sc_decode(plan.known, received.reshape(runs * cfg.b, cfg.n),
+                           side_info_llrs(x0, plan.crossover))
+            estimates[agent] = xb.reshape(runs, cfg.n * cfg.b)
+            final_msgs = final_msgs.reshape(runs, -1)
             for k, tr in enumerate(transcripts):
                 tr.block_messages[agent] = block_msgs[k]
                 tr.final_messages[agent] = final_msgs[k]
-        return transcripts, block_estimates, estimates
+        return transcripts, estimates
 
     def simulate_runs(self, run_indices) -> dict:
         """Sample, reconcile and hash the listed runs.
@@ -461,7 +482,7 @@ class ProtocolEngine:
         ks = list(run_indices)
         nb = self.cfg.n * self.cfg.b
         x0, xs = self._sample_batch(ks)
-        transcripts, _, estimates = self._reconcile(x0, xs, len(ks))
+        transcripts, estimates = self._reconcile(x0, xs, len(ks))
         keymats = [KeyMaterial(keys={}, base_keys={}) for _ in ks]
         for plan in self.plans:
             agent = plan.index + 1
@@ -482,16 +503,16 @@ def reconcile(spec: DegradedSourceSpec, cfg: ProtocolConfig,
     x0_blocks has shape (B, N); agent_blocks maps every 1-based agent id
     to a same-shape array.  Builds a ProtocolEngine, which decodes nothing
     itself, and runs its reconciliation pass on this one realization.
-    Returns (transcript, per_block_estimates, full_estimates) with 1-based
-    member keys; decoding failures show up in the estimates, they are not
-    raised.
+    Returns (transcript, estimates): estimates maps each 1-based member to
+    the base station's estimate of its N*B sequence, blocks in order.
+    Decoding failures show up in the estimates, they are not raised.
     """
     x0 = _binary(x0_blocks, "x0_blocks")
     xs = {l: _binary(agent_blocks[l + 1], f"agent_blocks[{l + 1}]")
           for l in range(spec.num_agents)}
     engine = ProtocolEngine(spec, cfg)
-    (transcript,), per_block, full = engine._reconcile(x0, xs, 1)
-    return transcript, per_block, {agent: est[0] for agent, est in full.items()}
+    (transcript,), estimates = engine._reconcile(x0, xs, 1)
+    return transcript, {agent: est[0] for agent, est in estimates.items()}
 
 
 def _balance_p_value(size: int, ones: int) -> float:
