@@ -12,9 +12,12 @@ the pass on one explicit realization.  run_protocol streams its runs
 through simulate_runs in batches of RUN_BATCH and keeps only counts
 between batches.  The Toeplitz product is an exact numpy real-FFT circular
 convolution of length at least n+r-1, where n+r-1 is the number of
-diagonal bits (see ToeplitzHash for why that length is exact); an agent's
-sequence and the base station's reconstruction share one matrix and are
-hashed in one call.
+diagonal bits (see ToeplitzHash for why that length is exact).  Every run
+draws its own matrix; simulate_runs stacks the matrices of HASH_CHUNK runs
+and hashes the agents' sequences in one call.  An agent's sequence and the
+base station's reconstruction share the run's matrix, so the base key is
+the agent key unless the reconstruction differs, and only those runs are
+hashed a second time.
 
 Reliability at finite length comes from the clean-up round.  Its message
 is the transform of the whole N*B sequence restricted to the cross-block
@@ -62,7 +65,7 @@ _HASH_TAG = 0x48
 MAX_BLOCK_N = 2 ** 14
 # Decode-work limit, in decoded source bits: members x runs x max(B x N,
 # RUN_OVERHEAD_BITS).  Example 2 reaches it at 2730 runs (N=1024, B=4),
-# which take 4.3-5.3 s with built profiles at a peak RSS of 52 MB on a
+# which take 2.8-3.7 s with built profiles at a peak RSS of 52 MB on a
 # 2-vCPU Xeon.  Sampling, hashing and report objects cost about as much
 # per member-run as decoding RUN_OVERHEAD_BITS bits.
 MAX_DECODE_WORK = 2 ** 25
@@ -70,6 +73,9 @@ RUN_OVERHEAD_BITS = 2 ** 10
 # Runs per simulate_runs call in run_protocol.  At least 100: a caller that
 # captures run_protocol's first batch can replay any run below 100 from it.
 RUN_BATCH = 100
+# Runs per stacked hash call in simulate_runs.  8-32 ran equally fast on
+# Example 2; stacking a whole RUN_BATCH raised the peak RSS by about 10 MB.
+HASH_CHUNK = 16
 
 
 def _is_pow2(n: int) -> bool:
@@ -119,7 +125,7 @@ class ProtocolConfig:
             raise CapacityError(
                 f"decode work members x runs x max(B*N, {RUN_OVERHEAD_BITS}) = "
                 f"{work} exceeds the limit {MAX_DECODE_WORK} "
-                "(about 5 s at N=1024, B=4 on 2 vCPUs)")
+                "(about 3.5 s at N=1024, B=4 on 2 vCPUs)")
 
     def to_json(self) -> dict:
         return {
@@ -148,23 +154,27 @@ def key_lengths_from_allocation(target: Sequence[float], n: int, b: int,
 
 
 class ToeplitzHash:
-    """Binary Toeplitz matrix hash: {0,1}^n -> {0,1}^r.
+    """Binary Toeplitz matrix hash: {0,1}^n -> {0,1}^r, or a stack of them.
 
-    The matrix is determined by n+r-1 diagonal bits (first column stacked
+    A matrix is determined by n+r-1 diagonal bits (first column stacked
     on the first row); row i, column j holds bits[i - j + n - 1].  Drawing
-    the bits uniformly makes the family two-universal.
+    the bits uniformly makes the family two-universal.  bits is one
+    diagonal string, shape (n+r-1,), or a stack of k of them, shape
+    (k, n+r-1): one matrix hashes every row of a batch, and a stack
+    hashes row i of a (k, n) batch with matrix i.
 
     Row i of the product is entry n-1+i of the integer convolution of the
     diagonal bits with the input, reduced mod 2.  apply computes all rows
     of a batch in one numpy real-FFT circular convolution of length
-    M = _fast_len(n+r-1).  Circular length M adds entry k+M (and k-M) of
-    the linear convolution, whose entries run over 0 .. 2n+r-3, onto
-    entry k; for the kept k in n-1 .. n+r-2 both lie outside that range
-    once M >= n+r-1, so the kept entries are exact.  So are the sums:
-    each is an integer of at most n << 2^53, so the float result rounds
-    to it, and apply raises ConsistencyError if any value lies more than
-    0.25 from its rounding (a guard, never a second route).  Diagonal
-    bits and inputs must be 0 or 1.
+    M = _fast_len(n+r-1): one rfft of the input rows, one of the diagonal
+    string or stack, and one irfft.  Circular length M adds entry k+M
+    (and k-M) of the linear convolution, whose entries run over
+    0 .. 2n+r-3, onto entry k; for the kept k in n-1 .. n+r-2 both lie
+    outside that range once M >= n+r-1, so the kept entries are exact.
+    So are the sums: each is an integer of at most n << 2^53, so the float
+    result rounds to it, and apply raises ConsistencyError if any value
+    lies more than 0.25 from its rounding (a guard, never a second route).
+    Diagonal bits and inputs must be 0 or 1.
     """
 
     def __init__(self, bits: np.ndarray, n_in: int, r_out: int):
@@ -174,23 +184,27 @@ class ToeplitzHash:
         if r_out > n_in:
             raise ValidationError(f"output length {r_out} exceeds input length {n_in}")
         expected = n_in + r_out - 1 if r_out > 0 else 0
-        if bits.shape != (expected,):
+        if bits.ndim not in (1, 2) or bits.shape[-1] != expected:
             raise ValidationError(f"diagonal bit string needs {expected} bits")
         self.bits = bits
         self.n_in = n_in
         self.r_out = r_out
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Hash one block (1-D) or a batch (2-D, row-wise)."""
+        """Hash one block (1-D) or a batch (2-D, row-wise); a stack of k
+        matrices takes exactly k rows."""
         x = _binary(x, "hash input")
         single = x.ndim == 1
         x2 = x[None, :] if single else x
         if x2.shape[1] != self.n_in:
             raise ValidationError(f"input length {x2.shape[1]}, expected {self.n_in}")
+        if self.bits.ndim == 2 and (single or x2.shape[0] != self.bits.shape[0]):
+            raise ValidationError(f"a stack of {self.bits.shape[0]} matrices hashes "
+                                  f"{self.bits.shape[0]} rows, got {x.shape}")
         if self.r_out == 0:
             out = np.zeros((x2.shape[0], 0), dtype=np.uint8)
         else:
-            size = _fast_len(self.bits.size)  # >= n_in, since r_out >= 1
+            size = _fast_len(self.bits.shape[-1])  # >= n_in, since r_out >= 1
             lo = self.n_in - 1
             conv = irfft(rfft(x2, size, axis=1) * rfft(self.bits, size), size,
                          axis=1)[:, lo:lo + self.r_out]
@@ -477,7 +491,11 @@ class ProtocolEngine:
         """Sample, reconcile and hash the listed runs.
 
         Returns {"transcripts": [...], "keys": [...]}, one Transcript and
-        one KeyMaterial per listed run, in order.
+        one KeyMaterial per listed run, in order.  Each run draws its own
+        matrix; a member's runs are hashed HASH_CHUNK at a time with the
+        chunk's matrices stacked.  The base station's key is the agent's
+        key wherever its estimate equals the agent's sequence, and is
+        hashed again with the run's own matrix only where it differs.
         """
         ks = list(run_indices)
         nb = self.cfg.n * self.cfg.b
@@ -487,12 +505,23 @@ class ProtocolEngine:
         for plan in self.plans:
             agent = plan.index + 1
             x_nb = xs[plan.index].reshape(len(ks), nb)
-            for pos, k in enumerate(ks):
-                hasher = sample_hash(self._hash_seed(k, plan.index), nb, plan.key_len)
-                transcripts[pos].hash_bits[agent] = hasher.bits
-                # x and x-hat share the matrix: one call hashes both
-                keymats[pos].keys[agent], keymats[pos].base_keys[agent] = (
-                    hasher.apply(np.stack([x_nb[pos], estimates[agent][pos]])))
+            for start in range(0, len(ks), HASH_CHUNK):
+                part = slice(start, start + HASH_CHUNK)
+                x, est = x_nb[part], estimates[agent][part]
+                hashers = [sample_hash(self._hash_seed(k, plan.index), nb, plan.key_len)
+                           for k in ks[part]]
+                stack = ToeplitzHash(np.stack([h.bits for h in hashers]), nb, plan.key_len)
+                keys = stack.apply(x)
+                base_keys = keys.copy()
+                differ = np.flatnonzero((est != x).any(axis=1))
+                if differ.size:
+                    base_keys[differ] = ToeplitzHash(stack.bits[differ], nb,
+                                                     plan.key_len).apply(est[differ])
+                for pos, hasher, key, base_key in zip(range(start, len(ks)), hashers,
+                                                      keys, base_keys):
+                    transcripts[pos].hash_bits[agent] = hasher.bits
+                    keymats[pos].keys[agent] = key
+                    keymats[pos].base_keys[agent] = base_key
         return {"transcripts": transcripts, "keys": keymats}
 
 

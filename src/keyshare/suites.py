@@ -193,7 +193,10 @@ def degraded_table_matches_dense(specs):
 
 
 def transform_involution_and_linear(sizes, seed) -> list[CheckResult]:
-    """Polar transform involution and GF(2) linearity on seeded words."""
+    """Polar transform involution and GF(2) linearity on seeded words; the
+    linearity line also compares the transform with x F^(x)n, the explicit
+    Kronecker power of F = [[1,0],[1,1]], at N = 1, 2, ..., 256 on 3-D,
+    non-contiguous and 1-D input."""
     rng = np.random.default_rng(seed)
     involution, linear = "", ""
     for n in sizes:
@@ -204,6 +207,17 @@ def transform_involution_and_linear(sizes, seed) -> list[CheckResult]:
             involution = involution or f"N={n}"
         if not np.array_equal(polar.polar_transform(x ^ y), tx ^ polar.polar_transform(y)):
             linear = linear or f"N={n}"
+    g = np.ones((1, 1), dtype=np.int64)
+    for _ in range(9):
+        n = g.shape[0]
+        x = rng.integers(0, 2, (2, 3, 2 * n), dtype=np.uint8)[..., ::2]
+        expected = (x.astype(np.int64) @ g) & 1
+        for got, want in ((polar.polar_transform(x), expected),
+                          (polar.polar_transform(np.ascontiguousarray(x)), expected),
+                          (polar.polar_transform(x[1, 2]), expected[1, 2])):
+            if not np.array_equal(got, want):
+                linear = linear or f"N={n}: not x F^(x)n on shape {want.shape}"
+        g = np.kron(g, [[1, 0], [1, 1]])
     return [CheckResult("transform_involution", not involution, involution),
             CheckResult("transform_linear", not linear, linear)]
 
@@ -260,19 +274,28 @@ def toeplitz_two_universal(n, r):
 def toeplitz_matches_matrix(seed=0):
     """ToeplitzHash.apply against an explicit GF(2) matrix product at
     production size: n = 4096, r in {1, 682, 4096} on seeded random rows,
-    plus the all-ones n = r = 4096 case where every sum reaches n."""
+    the all-ones n = r = 4096 case where every sum reaches n, and a stack
+    of three r = 682 matrices hashing one row each."""
     rng = np.random.default_rng(seed)
     n = 4096
+
+    def dense(bits):
+        # row i is bits[i:i+n] reversed, so T[i, j] = bits[i - j + n - 1]
+        return np.lib.stride_tricks.sliding_window_view(bits, n)[:, ::-1].astype(np.int32)
+
     cases = [(protocol.sample_hash(int(rng.integers(2 ** 62)), n, r),
               rng.integers(0, 2, (3, n), dtype=np.uint8)) for r in (1, 682, n)]
     cases.append((protocol.ToeplitzHash(np.ones(2 * n - 1, dtype=np.uint8), n, n),
                   np.ones((1, n), dtype=np.uint8)))
     for h, x in cases:
-        # row i is bits[i:i+n] reversed, so T[i, j] = bits[i - j + n - 1]
-        t = np.lib.stride_tricks.sliding_window_view(h.bits, n)[:, ::-1]
-        expected = ((t.astype(np.int32) @ x.T) & 1).T
-        if not np.array_equal(h.apply(x), expected):
+        if not np.array_equal(h.apply(x), ((dense(h.bits) @ x.T) & 1).T):
             yield f"n={n} r={h.r_out}"
+    singles = [protocol.sample_hash(int(rng.integers(2 ** 62)), n, 682) for _ in range(3)]
+    x = rng.integers(0, 2, (3, n), dtype=np.uint8)
+    stack = protocol.ToeplitzHash(np.stack([h.bits for h in singles]), n, 682)
+    expected = np.stack([(dense(h.bits) @ row) & 1 for h, row in zip(singles, x)])
+    if not np.array_equal(stack.apply(x), expected):
+        yield f"n={n} r=682, stack of 3"
 
 
 def _random_spec(rng, num_agents: int) -> DegradedSourceSpec:

@@ -62,9 +62,18 @@ class TestKeyLengths:
 
 
 class TestToeplitzHash:
+    # a stack of k matrices hashes row i of a (k, n) batch with matrix i
+    @staticmethod
+    def _stack(seeds, n_in, r_out):
+        singles = [sample_hash(seed, n_in, r_out) for seed in seeds]
+        return singles, ToeplitzHash(np.stack([h.bits for h in singles]), n_in, r_out)
+
     def test_zero_output_length(self):
         h = sample_hash(7, 8, 0)
         assert h.apply(np.ones(8, dtype=np.uint8)).size == 0
+        _, stack = self._stack(range(3), 8, 0)
+        assert stack.bits.shape == (3, 0)
+        assert stack.apply(np.ones((3, 8), dtype=np.uint8)).shape == (3, 0)
 
     def test_deterministic(self):
         x = np.arange(16, dtype=np.uint8) % 2
@@ -101,6 +110,9 @@ class TestToeplitzHash:
         monkeypatch.setattr(protocol, "irfft", lambda *a, **k: exact(*a, **k) + 0.3)
         with pytest.raises(ConsistencyError, match="residue"):
             sample_hash(3, 16, 4).apply(np.ones(16, dtype=np.uint8))
+        _, stack = self._stack(range(3), 16, 4)
+        with pytest.raises(ConsistencyError, match="residue"):
+            stack.apply(np.ones((3, 16), dtype=np.uint8))
 
     def test_import_loads_no_scipy(self):
         # scipy serves only the nucleolus LP route, which imports it lazily
@@ -145,6 +157,10 @@ class TestToeplitzHash:
         for bad in (2, 0.5):
             with pytest.raises(ValidationError, match="bits"):
                 ToeplitzHash(np.array([1, bad, 0]), 2, 2)
+            stack = np.ones((3, 9))
+            stack[1, 4] = bad
+            with pytest.raises(ValidationError, match="bits"):
+                ToeplitzHash(stack, 8, 2)
 
     def test_rejects_non_binary_input(self):
         h = sample_hash(3, 4, 2)
@@ -169,6 +185,26 @@ class TestToeplitzHash:
         corrupted[17] ^= 1
         key, base_key = sample_hash(9, 256, 64).apply(np.stack([seq, corrupted]))
         assert not np.array_equal(key, base_key)
+
+    @pytest.mark.parametrize("n_in, r_out", [(1, 1), (16, 5), (40, 21), (64, 64)])
+    def test_stack_matches_single_hashers_and_matrix(self, n_in, r_out):
+        singles, stack = self._stack(range(11, 16), n_in, r_out)
+        x = np.random.default_rng(n_in + r_out).integers(0, 2, (5, n_in), dtype=np.uint8)
+        out = stack.apply(x)
+        assert out.shape == (5, r_out) and out.dtype == np.uint8
+        for h, row, key in zip(singles, x, out):
+            assert np.array_equal(key, h.apply(row))
+            dense = np.array([[h.bits[i - j + n_in - 1] for j in range(n_in)]
+                              for i in range(r_out)], dtype=np.int64)
+            assert np.array_equal(key, (dense @ row) % 2)
+
+    def test_stack_rejects_shape_mismatch(self):
+        _, stack = self._stack(range(3), 8, 2)
+        for rows in (np.ones((2, 8)), np.ones((4, 8)), np.ones(8)):
+            with pytest.raises(ValidationError, match="stack of 3"):
+                stack.apply(rows)
+        with pytest.raises(ValidationError, match="9 bits"):
+            ToeplitzHash(np.ones((3, 8)), 8, 2)
 
 
 class TestLeakageBound:
@@ -434,6 +470,52 @@ class TestStreamedRuns:
         monkeypatch.setattr(ProtocolEngine, "simulate_runs", record)
         run_protocol(SMALL_SPEC, small_config(coalition=0b001, target=(0.2, 0.0)), runs=250)
         assert seen == [list(range(0, 100)), list(range(100, 200)), list(range(200, 250))]
+
+
+class TestStackedHashing:
+    # onset_risk 0.02 leaves free indices uncovered, so some estimates differ
+    DISAGREE = dict(n=512, b=4, target=(0.15, 0.1, 0.1), epsilon=0.05, onset_risk=0.02,
+                    seed=3)
+    RUNS = 200
+
+    @pytest.fixture(scope="class")
+    def disagreeing(self, example2_spec):
+        with pytest.warns(UserWarning, match="core"):
+            engine = ProtocolEngine(example2_spec, ProtocolConfig(**self.DISAGREE))
+        ks = range(self.RUNS)
+        x0, xs = engine._sample_batch(ks)
+        _, estimates = engine._reconcile(x0, xs, self.RUNS)
+        return engine, xs, estimates, engine.simulate_runs(ks)
+
+    def test_base_keys_hash_the_estimates(self, disagreeing):
+        engine, xs, estimates, res = disagreeing
+        nb = engine.cfg.n * engine.cfg.b
+        differ = 0
+        for plan in engine.plans:
+            agent = plan.index + 1
+            x = xs[plan.index].reshape(self.RUNS, nb)
+            for k, km in enumerate(res["keys"]):
+                hasher = sample_hash(engine._hash_seed(k, plan.index), nb, plan.key_len)
+                assert np.array_equal(res["transcripts"][k].hash_bits[agent], hasher.bits)
+                assert np.array_equal(km.keys[agent], hasher.apply(x[k]))
+                assert np.array_equal(km.base_keys[agent], hasher.apply(estimates[agent][k]))
+                differ += not np.array_equal(x[k], estimates[agent][k])
+        assert differ == 23
+        assert sum(not km.agree(a) for km in res["keys"] for a in km.keys) == 23
+
+    def test_hash_calls_per_chunk(self, monkeypatch, disagreeing):
+        engine = disagreeing[0]
+        calls, apply = [], ToeplitzHash.apply
+
+        def counted(hasher, x):
+            calls.append(len(x))
+            return apply(hasher, x)
+
+        monkeypatch.setattr(ToeplitzHash, "apply", counted)
+        engine.simulate_runs(range(self.RUNS))
+        chunks = -(-self.RUNS // protocol.HASH_CHUNK)
+        assert len(calls) <= 2 * len(engine.plans) * chunks
+        assert sum(calls) == len(engine.plans) * self.RUNS + 23
 
 
 class TestConfigValidation:
