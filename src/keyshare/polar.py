@@ -2,7 +2,7 @@
 
 The transform is the n-fold Kronecker power of [[1,0],[1,1]] applied as
 u = x G over GF(2) (self-inverse).  Index sets threshold a per-index
-conditional entropy profile at delta_N = 2^(-N^beta).
+conditional entropy profile at delta_N = 2^(-N^INDEX_BETA).
 
 For the degraded source family, conditioning an agent's block on the base
 station's block reduces to a binary symmetric relation with a single
@@ -44,7 +44,7 @@ LLR_CLAMP = 40.0
 MAX_EXACT_N = 16
 MC_CHUNK = 512  # frozen: results must not depend on scheduling
 MERGE_BINS = 64  # mu: BSC components kept per synthetic channel after each merge
-INDEX_BETA = 0.3  # exponent of the index-set threshold delta_N = 2^(-N^beta)
+INDEX_BETA = 0.3  # exponent of the index-set threshold delta_N = 2^(-N^INDEX_BETA)
 
 
 def _check_block_length(n: int) -> None:
@@ -79,10 +79,9 @@ def polar_transform(x: np.ndarray) -> np.ndarray:
     return u
 
 
-def delta_threshold(n: int, beta: float) -> float:
-    if not 0.0 < beta < 0.5:
-        raise ValidationError(f"beta must lie in (0, 1/2), got {beta}")
-    return float(2.0 ** (-(n ** beta)))
+def delta_threshold(n: int) -> float:
+    """delta_N = 2^(-N^INDEX_BETA)."""
+    return float(2.0 ** (-(n ** INDEX_BETA)))
 
 
 @dataclass
@@ -92,7 +91,7 @@ class EntropyProfile:
     n: int
     h: np.ndarray
     method: str  # "degrading_merge" | "exact" | "monte_carlo"
-    genie_error: Optional[np.ndarray] = None  # per-index single-bit decision error
+    genie_error: np.ndarray  # per-index single-bit decision error
 
 
 @dataclass
@@ -103,9 +102,10 @@ class PolarIndexSets:
     v_mask: np.ndarray
 
 
-def build_index_sets(profile: EntropyProfile, beta: float) -> PolarIndexSets:
-    """Threshold the profile: H = {h_i >= delta}, V = {h_i >= 1 - delta}."""
-    delta = delta_threshold(profile.n, beta)
+def build_index_sets(profile: EntropyProfile) -> PolarIndexSets:
+    """Threshold the profile: H = {h_i >= delta}, V = {h_i >= 1 - delta},
+    with delta = delta_N = 2^(-N^INDEX_BETA)."""
+    delta = delta_threshold(profile.n)
     h_mask = profile.h >= delta
     v_mask = profile.h >= 1.0 - delta
     return PolarIndexSets(h_mask=h_mask, v_mask=v_mask)

@@ -6,18 +6,17 @@ observation, then a cross-block clean-up round), hash each agent's full
 sequence down to its target key length with a fresh Toeplitz matrix, and
 compare agent keys with the base station's reconstructions.  One pass,
 ProtocolEngine._reconcile, runs both stages over a stacked batch and
-builds each run's Transcript; simulate_runs adds hash bits and keys (its
-hash loop is the only privacy-amplification route), and reconcile() runs
-the pass on one explicit realization.  run_protocol streams its runs
-through simulate_runs in batches of RUN_BATCH and keeps only counts
-between batches.  The Toeplitz product is an exact numpy real-FFT circular
-convolution of length at least n+r-1, where n+r-1 is the number of
-diagonal bits (see ToeplitzHash for why that length is exact).  Every run
-draws its own matrix; simulate_runs stacks the matrices of HASH_CHUNK runs
-and hashes the agents' sequences in one call.  An agent's sequence and the
-base station's reconstruction share the run's matrix, so the base key is
-the agent key unless the reconstruction differs, and only those runs are
-hashed a second time.
+builds each run's Transcript; simulate_runs, the only route to hash bits
+and keys, calls it.  run_protocol streams its runs through simulate_runs
+in batches of RUN_BATCH and keeps only counts between batches.  The
+Toeplitz product is an exact numpy real-FFT circular convolution of
+length at least n+r-1, where n+r-1 is the number of diagonal bits (see
+ToeplitzHash for why that length is exact).  Every run draws its own
+matrix; simulate_runs draws the diagonal bits of HASH_CHUNK runs into one
+stack and hashes the agents' sequences in one call.  An agent's sequence
+and the base station's reconstruction share the run's matrix, so the base
+key is the agent key unless the reconstruction differs, and only those
+runs are hashed a second time.
 
 Reliability at finite length comes from the clean-up round.  Its message
 is the transform of the whole N*B sequence restricted to the cross-block
@@ -194,6 +193,8 @@ class ToeplitzHash:
         """Hash one block (1-D) or a batch (2-D, row-wise); a stack of k
         matrices takes exactly k rows."""
         x = _binary(x, "hash input")
+        if x.ndim not in (1, 2):
+            raise ValidationError(f"hash input must be 1-D or 2-D, got shape {x.shape}")
         single = x.ndim == 1
         x2 = x[None, :] if single else x
         if x2.shape[1] != self.n_in:
@@ -209,7 +210,7 @@ class ToeplitzHash:
             conv = irfft(rfft(x2, size, axis=1) * rfft(self.bits, size), size,
                          axis=1)[:, lo:lo + self.r_out]
             sums = np.rint(conv)
-            residue = float(np.max(np.abs(conv - sums)))
+            residue = float(np.max(np.abs(conv - sums), initial=0.0))
             if residue > 0.25:
                 raise ConsistencyError(f"FFT convolution residue {residue:.3g} exceeds 0.25")
             out = (sums.astype(np.int64) & 1).astype(np.uint8)
@@ -238,15 +239,20 @@ def _binary(a, name: str) -> np.ndarray:
     return a.astype(np.uint8)
 
 
+def _diagonal_bits(seed: int, n_in: int, r_out: int) -> np.ndarray:
+    """The n_in+r_out-1 diagonal bits (none for r_out = 0) of the Toeplitz
+    member that the seeded public stream draws."""
+    if r_out == 0:
+        return np.zeros(0, dtype=np.uint8)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+    return rng.integers(0, 2, n_in + r_out - 1, dtype=np.uint8)
+
+
 def sample_hash(seed: int, n_in: int, r_out: int) -> ToeplitzHash:
     """Draw a Toeplitz member from the seeded public stream."""
-    if r_out > n_in:
-        raise ValidationError(f"output length {r_out} exceeds input length {n_in}")
-    if r_out == 0:
-        return ToeplitzHash(np.zeros(0, dtype=np.uint8), n_in, 0)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
-    bits = rng.integers(0, 2, n_in + r_out - 1, dtype=np.uint8)
-    return ToeplitzHash(bits, n_in, r_out)
+    if not 0 <= r_out <= n_in:
+        raise ValidationError(f"output length {r_out} must lie in 0..{n_in} (the input length)")
+    return ToeplitzHash(_diagonal_bits(seed, n_in, r_out), n_in, r_out)
 
 
 def toeplitz_from_index(index: int, n_in: int, r_out: int) -> ToeplitzHash:
@@ -359,10 +365,10 @@ class ProtocolEngine:
     profile of its crossover (construct_profile, memoised per process on
     (crossover, N)).  Each run k is then a pure function of (seed, k), so
     batches of runs and a single replayed run produce bit-identical
-    transcripts and keys.  _reconcile is the one reconciliation pass;
-    simulate_runs and reconcile() both call it.  It decodes each member
-    once, with plan.known (the published set and the clean-up suffix)
-    given, so SC decisions are made only on the uncovered free prefix.
+    transcripts and keys.  _reconcile is the one reconciliation pass, and
+    simulate_runs calls it.  It decodes each member once, with plan.known
+    (the published set and the clean-up suffix) given, so SC decisions are
+    made only on the uncovered free prefix.
     """
 
     def __init__(self, spec: DegradedSourceSpec, cfg: ProtocolConfig):
@@ -387,7 +393,7 @@ class ProtocolEngine:
         self.plans: list[_AgentPlan] = []
         for l in self.members:
             prof = construct_profile(spec.p[l], cfg.n)
-            sets = build_index_sets(prof, INDEX_BETA)
+            sets = build_index_sets(prof)
             suffix = _risk_suffix(prof, sets.h_mask, cfg.onset_risk)
             known = sets.h_mask.copy()
             known[suffix] = True
@@ -492,10 +498,12 @@ class ProtocolEngine:
 
         Returns {"transcripts": [...], "keys": [...]}, one Transcript and
         one KeyMaterial per listed run, in order.  Each run draws its own
-        matrix; a member's runs are hashed HASH_CHUNK at a time with the
-        chunk's matrices stacked.  The base station's key is the agent's
-        key wherever its estimate equals the agent's sequence, and is
-        hashed again with the run's own matrix only where it differs.
+        matrix; a member's runs are hashed HASH_CHUNK at a time, with the
+        chunk's diagonal bits drawn straight into one stack, and a run's
+        Transcript.hash_bits is its row of that stack.  The base station's
+        key is the agent's key wherever its estimate equals the agent's
+        sequence, and is hashed again with the run's own matrix only where
+        it differs.
         """
         ks = list(run_indices)
         nb = self.cfg.n * self.cfg.b
@@ -508,40 +516,21 @@ class ProtocolEngine:
             for start in range(0, len(ks), HASH_CHUNK):
                 part = slice(start, start + HASH_CHUNK)
                 x, est = x_nb[part], estimates[agent][part]
-                hashers = [sample_hash(self._hash_seed(k, plan.index), nb, plan.key_len)
-                           for k in ks[part]]
-                stack = ToeplitzHash(np.stack([h.bits for h in hashers]), nb, plan.key_len)
+                bits = np.stack([_diagonal_bits(self._hash_seed(k, plan.index), nb,
+                                                plan.key_len) for k in ks[part]])
+                stack = ToeplitzHash(bits, nb, plan.key_len)
                 keys = stack.apply(x)
                 base_keys = keys.copy()
                 differ = np.flatnonzero((est != x).any(axis=1))
                 if differ.size:
                     base_keys[differ] = ToeplitzHash(stack.bits[differ], nb,
                                                      plan.key_len).apply(est[differ])
-                for pos, hasher, key, base_key in zip(range(start, len(ks)), hashers,
-                                                      keys, base_keys):
-                    transcripts[pos].hash_bits[agent] = hasher.bits
+                for pos, row, key, base_key in zip(range(start, len(ks)), stack.bits,
+                                                   keys, base_keys):
+                    transcripts[pos].hash_bits[agent] = row
                     keymats[pos].keys[agent] = key
                     keymats[pos].base_keys[agent] = base_key
         return {"transcripts": transcripts, "keys": keymats}
-
-
-def reconcile(spec: DegradedSourceSpec, cfg: ProtocolConfig,
-              x0_blocks: np.ndarray, agent_blocks: dict[int, np.ndarray]):
-    """Run both reconciliation stages on explicit realizations.
-
-    x0_blocks has shape (B, N); agent_blocks maps every 1-based agent id
-    to a same-shape array.  Builds a ProtocolEngine, which decodes nothing
-    itself, and runs its reconciliation pass on this one realization.
-    Returns (transcript, estimates): estimates maps each 1-based member to
-    the base station's estimate of its N*B sequence, blocks in order.
-    Decoding failures show up in the estimates, they are not raised.
-    """
-    x0 = _binary(x0_blocks, "x0_blocks")
-    xs = {l: _binary(agent_blocks[l + 1], f"agent_blocks[{l + 1}]")
-          for l in range(spec.num_agents)}
-    engine = ProtocolEngine(spec, cfg)
-    (transcript,), estimates = engine._reconcile(x0, xs, 1)
-    return transcript, {agent: est[0] for agent, est in estimates.items()}
 
 
 def _balance_p_value(size: int, ones: int) -> float:

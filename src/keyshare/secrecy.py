@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .polar import (INDEX_BETA, build_index_sets, entropy_profile_exact,
-                    polar_transform)
+from .polar import build_index_sets, entropy_profile_exact, polar_transform
 from .protocol import leakage_bound, toeplitz_from_index
 
 MAX_TOY_N = 8
@@ -49,6 +48,15 @@ def _bits_to_int(bits: np.ndarray) -> np.ndarray:
     return bits.astype(np.int64) @ weights
 
 
+def _key_table(n: int, r: int) -> np.ndarray:
+    """Key label of every block (columns, in _pattern_bits order) under every
+    Toeplitz matrix (rows, by diagonal-bit index); one row when r = 0."""
+    pat = _pattern_bits(n)
+    n_seeds = 1 << (n + r - 1) if r > 0 else 1
+    return np.stack([_bits_to_int(toeplitz_from_index(s, n, r).apply(pat))
+                     for s in range(n_seeds)])
+
+
 def empirical_secrecy_check(q: float, p: tuple[float, ...], n: int,
                             r: tuple[int, ...]) -> SecrecyCheckResult:
     """Exact variational distance vs the concatenated leftover-hash bound.
@@ -71,7 +79,7 @@ def empirical_secrecy_check(q: float, p: tuple[float, ...], n: int,
     h_masks = []
     for pl in p:
         prof = entropy_profile_exact(pl, n)
-        h_masks.append(build_index_sets(prof, INDEX_BETA).h_mask)
+        h_masks.append(build_index_sets(prof).h_mask)
 
     # enumerate the joint source: x0 block times one flip block per agent
     pat = _pattern_bits(n)
@@ -88,11 +96,11 @@ def empirical_secrecy_check(q: float, p: tuple[float, ...], n: int,
     # agent blocks, transcripts and key inputs as flat integer labels
     grids = np.meshgrid(*([np.arange(1 << n)] * (agents + 1)), indexing="ij")
     x0_idx = grids[0].reshape(-1)
+    u_all = polar_transform(pat)  # u pattern of every possible block
     x_idx, a_idx_parts, a_bits = [], [], []
     for a in range(agents):
         xi = (x0_idx ^ grids[a + 1].reshape(-1)).astype(np.int64)  # x = x0 xor flips
         x_idx.append(xi)
-        u_all = polar_transform(pat)  # u pattern of every possible block
         msg = u_all[:, h_masks[a]]
         a_bits.append(int(msg.shape[1]))
         a_idx_parts.append(_bits_to_int(msg)[xi])
@@ -102,14 +110,8 @@ def empirical_secrecy_check(q: float, p: tuple[float, ...], n: int,
     a_space = 1 << sum(a_bits)
 
     # keys for every (matrix choice, block) pair, per agent
-    seed_spaces = [1 << (n + rl - 1) if rl > 0 else 1 for rl in r]
-    key_tables = []
-    for a in range(agents):
-        table = np.zeros((seed_spaces[a], 1 << n), dtype=np.int64)
-        for s in range(seed_spaces[a]):
-            hasher = toeplitz_from_index(s, n, r[a])
-            table[s] = _bits_to_int(hasher.apply(pat))
-        key_tables.append(table)
+    key_tables = [_key_table(n, rl) for rl in r]
+    seed_spaces = [len(table) for table in key_tables]
 
     r_total = sum(r)
     k_space = 1 << r_total
@@ -155,11 +157,8 @@ def toeplitz_collision_rate(n: int, r: int) -> float:
     """
     if n > 6:
         raise CapacityError("collision brute force enumerates 2^(n+r-1) matrices; n <= 6")
-    pat = _pattern_bits(n)
-    n_seeds = 1 << (n + r - 1) if r > 0 else 1
-    keys = np.zeros((n_seeds, 1 << n), dtype=np.int64)
-    for s in range(n_seeds):
-        keys[s] = _bits_to_int(toeplitz_from_index(s, n, r).apply(pat))
+    keys = _key_table(n, r)
+    n_seeds = len(keys)
     worst = 0.0
     for i in range(1 << n):
         same = keys == keys[:, i][:, None]

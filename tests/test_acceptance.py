@@ -95,7 +95,7 @@ def test_criterion_5_polar_suite():
     h_frac, v_frac = [], []
     for n in (64, 128, 256, 512, 1024):
         prof = entropy_profile_mc(p, n, 40_000, seed=23)
-        sets = build_index_sets(prof, beta=0.3)
+        sets = build_index_sets(prof)
         h_frac.append(sets.h_mask.mean())
         v_frac.append(sets.v_mask.mean())
     # H approaches the conditional entropy from above, V from below,

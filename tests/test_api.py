@@ -4,10 +4,9 @@ from pathlib import Path
 import keyshare
 
 PACKAGE = Path(keyshare.__file__).parent
-# public by design although no module reads them: H(A | C), the counterpart
-# of mutual_information, and the one-realization reconciliation entry
-# point that TestGoldenReconcile pins
-API_ONLY = {"entropy", "reconcile"}
+# public by design although no module reads it: H(A | C), the counterpart
+# of mutual_information
+API_ONLY = {"entropy"}
 
 
 def test_every_export_is_used_inside_the_package():

@@ -6,7 +6,7 @@ from keyshare import (CapacityError, ValidationError, binary_entropy,
                       entropy_profile_exact, entropy_profile_mc,
                       polar_transform, sc_decode)
 from keyshare import polar
-from keyshare.polar import delta_threshold, side_info_llrs
+from keyshare.polar import INDEX_BETA, delta_threshold, side_info_llrs
 from keyshare.suites import (mc_profile_matches_exact,
                              profile_monotone_in_crossover,
                              transform_involution_and_linear)
@@ -107,11 +107,11 @@ class TestMonteCarloProfile:
 
     def test_high_entropy_fraction_at_production_length(self):
         # polarization at N=1024 is far from mature: the published-set
-        # fraction overshoots H_b(p) by ~0.18 at beta=0.3 (measured; the
+        # fraction overshoots H_b(p) by ~0.18 at INDEX_BETA = 0.3 (measured; the
         # overshoot shrinks with N, see the acceptance trend test)
         for prof in (entropy_profile_mc(0.11, 1024, 20_000, seed=61),
                      construct_profile(0.11, 1024)):
-            sets = build_index_sets(prof, beta=0.3)
+            sets = build_index_sets(prof)
             overshoot = float(sets.h_mask.mean()) - binary_entropy(0.11)
             assert 0.0 <= overshoot <= 0.20, prof.method
 
@@ -155,29 +155,24 @@ class TestConstructProfile:
 class TestIndexSets:
     def test_empty_and_full(self):
         prof = entropy_profile_exact(0.0, 4)
-        sets = build_index_sets(prof, beta=0.3)
+        sets = build_index_sets(prof)
         assert sets.h_mask.sum() == 0 and sets.v_mask.sum() == 0
         prof2 = entropy_profile_exact(0.5, 4)  # h = 1 everywhere
-        sets2 = build_index_sets(prof2, beta=0.3)
+        sets2 = build_index_sets(prof2)
         assert sets2.h_mask.all() and sets2.v_mask.all()
 
     def test_hand_thresholding(self):
         prof = entropy_profile_exact(0.2, 16)
-        beta = 0.3
-        sets = build_index_sets(prof, beta)
-        delta = delta_threshold(16, beta)
+        sets = build_index_sets(prof)
+        delta = 2.0 ** -(16 ** INDEX_BETA)
+        assert delta_threshold(16) == delta
         assert np.array_equal(sets.h_mask, prof.h >= delta)
         assert np.array_equal(sets.v_mask, prof.h >= 1 - delta)
 
     def test_v_subset_of_h(self):
         prof = entropy_profile_exact(0.35, 16)
-        sets = build_index_sets(prof, 0.25)
+        sets = build_index_sets(prof)
         assert not np.any(sets.v_mask & ~sets.h_mask)
-
-    def test_rejects_bad_beta(self):
-        prof = entropy_profile_exact(0.2, 4)
-        with pytest.raises(ValidationError):
-            build_index_sets(prof, beta=0.5)
 
 
 class TestScDecode:
@@ -201,9 +196,9 @@ class TestScDecode:
         assert np.array_equal(out, [0, 0])
 
     def test_reliability_at_production_length(self):
-        p, n, beta, trials = 0.05, 1024, 0.3, 200
+        p, n, trials = 0.05, 1024, 200
         for prof in (entropy_profile_mc(p, n, 20_000, seed=42), construct_profile(p, n)):
-            sets = build_index_sets(prof, beta)
+            sets = build_index_sets(prof)
             rng = np.random.default_rng(43)
             y = rng.integers(0, 2, (trials, n), dtype=np.uint8)
             x = y ^ (rng.random((trials, n)) < p).astype(np.uint8)
