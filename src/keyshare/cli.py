@@ -46,11 +46,14 @@ def _json(payload: dict) -> str:
 
 def _emit(text: str, out_path) -> None:
     """Write rendered output to out_path, or to stdout without one."""
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {out_path}: {exc.strerror or exc}") from exc
 
 
 def cmd_analyze(args) -> int:
@@ -122,10 +125,8 @@ def cmd_allocate(args) -> int:
         payload[method] = entry
     if args.polytope_csv:
         verts = alloc_mod.core_polytope_vertices(game)
-        with open(args.polytope_csv, "w") as fh:
-            fh.write("R1,R2,R3\n")
-            for v in verts:
-                fh.write(",".join(f"{x:.10f}" for x in v) + "\n")
+        _emit("R1,R2,R3\n" + "".join(",".join(f"{x:.10f}" for x in v) + "\n" for v in verts),
+              args.polytope_csv)
         payload["polytope_csv"] = args.polytope_csv
     if args.format == "csv":
         lines = ["method," + ",".join(f"R{l + 1}" for l in range(game.num_agents))]

@@ -21,9 +21,10 @@ successive-cancellation recursion on true prefixes are kept as test
 oracles.
 
 Decoding and the Monte Carlo oracle share one successive-cancellation
-sweep.  When decoding, a subtree whose transform-domain indices are all
-known is transformed, not decoded: its source bits are the polar
-transform of its known bits, so no LLR below it is computed (the
+sweep, started from an observation of the block through a BSC(theta).  A
+subtree whose transform-domain indices are all known is transformed, not
+decoded: its source bits are the polar transform of its known bits, so no
+LLR below it is computed, and none at all when every index is known (the
 simplified SC decoder of Alamdar-Yazdi & Kschischang, IEEE Comm. Letters
 2011, without its rate-1 shortcut: with equal-magnitude LLRs ties occur,
 and ties-to-0 SC need not equal a hard decision).
@@ -50,6 +51,19 @@ INDEX_BETA = 0.3  # exponent of the index-set threshold delta_N = 2^(-N^INDEX_BE
 def _check_block_length(n: int) -> None:
     if n < 1 or n & (n - 1):
         raise ValidationError(f"block length must be a power of two, got {n}")
+
+
+def _check_theta(theta: float, name: str = "theta") -> None:
+    if not 0.0 <= theta <= 1.0:  # also rejects NaN
+        raise ValidationError(f"{name} must lie in [0,1], got {theta}")
+
+
+def _binary(a, name: str) -> np.ndarray:
+    """a as a uint8 array, after checking that every entry is 0 or 1."""
+    a = np.asarray(a)
+    if not np.all((a == 0) | (a == 1)):
+        raise ValidationError(f"{name} must hold only 0 and 1")
+    return a.astype(np.uint8)
 
 
 def polar_transform(x: np.ndarray) -> np.ndarray:
@@ -158,8 +172,7 @@ def construct_profile(theta: float, n: int) -> EntropyProfile:
     on (theta, N): repeated calls return the same read-only profile.
     """
     _check_block_length(n)
-    if not 0.0 <= theta <= 1.0:
-        raise ValidationError(f"theta must lie in [0,1], got {theta}")
+    _check_theta(theta)
     h, err = np.zeros(n), np.zeros(n)
     index = 0
 
@@ -188,8 +201,7 @@ def entropy_profile_exact(theta: float, n: int) -> EntropyProfile:
     _check_block_length(n)
     if n > MAX_EXACT_N:
         raise CapacityError(f"exact profile enumerates 2^N blocks; N <= {MAX_EXACT_N}")
-    if not 0.0 <= theta <= 1.0:
-        raise ValidationError(f"theta must lie in [0,1], got {theta}")
+    _check_theta(theta)
     idx = np.arange(1 << n, dtype=np.uint32)
     # row r encodes u with u_0 as most significant bit
     u_bits = ((idx[:, None] >> np.arange(n - 1, -1, -1)[None, :]) & 1).astype(np.uint8)
@@ -240,21 +252,23 @@ def _llr_constant(theta: float) -> float:
     return float(np.clip(np.log((1.0 - theta) / theta), -LLR_CLAMP, LLR_CLAMP))
 
 
-def _sc_sweep(llr: np.ndarray, leaf: Callable[[int, np.ndarray], np.ndarray],
+def _sc_sweep(y: np.ndarray, theta: float, leaf: Callable[[int, np.ndarray], np.ndarray],
               settled: Optional[tuple[np.ndarray, np.ndarray]] = None) -> np.ndarray:
     """Generic successive-cancellation recursion over a batch.
 
-    llr has shape (batch, N).  leaf(i, llr_column) must return the bits
+    y, shape (batch, N), holds the 0/1 observations of the source blocks
+    through a BSC(theta).  leaf(i, llr_column) must return the bits
     decided at transform-domain index i; the sweep returns the
     source-domain bits implied by those decisions.
 
     settled, if given, is (mask, values): transform-domain indices whose
-    bits are fixed in advance, with values shaped like llr.  A subtree
+    bits are fixed in advance, with values shaped like y.  A subtree
     whose leaves are all settled is not decoded: its output is the polar
     transform of its settled bits, and neither its LLRs nor leaf calls are
     computed.  Every LLR that is still computed is the same float as in
     the full sweep, so the result is bit-identical to one whose leaf
-    returns the settled bits at those indices.
+    returns the settled bits at those indices; with every index settled,
+    not even the root LLRs are built.
     """
     if settled is None:
         open_before = None
@@ -282,8 +296,10 @@ def _sc_sweep(llr: np.ndarray, leaf: Callable[[int, np.ndarray], np.ndarray],
             right = rec(follow, i0 + half)
         return np.concatenate([left ^ right, right], axis=1)
 
-    whole = transformed(0, llr.shape[1])
-    return rec(llr, 0) if whole is None else whole
+    whole = transformed(0, y.shape[1])
+    if whole is not None:
+        return whole
+    return rec((1 - 2 * y.astype(np.int8)) * _llr_constant(theta), 0)
 
 
 def entropy_profile_mc(theta: float, n: int, num_samples: int, seed: int) -> EntropyProfile:
@@ -296,9 +312,9 @@ def entropy_profile_mc(theta: float, n: int, num_samples: int, seed: int) -> Ent
     so the result does not depend on how work is scheduled.
     """
     _check_block_length(n)
+    _check_theta(theta)
     if num_samples < 1000:
         raise ValidationError(f"num_samples must be at least 1000, got {num_samples}")
-    c = _llr_constant(theta)
     h_sum = np.zeros(n)
     err_sum = np.zeros(n)
     done = 0
@@ -316,7 +332,7 @@ def entropy_profile_mc(theta: float, n: int, num_samples: int, seed: int) -> Ent
             row["e"][i] = p_min.sum()
             return u_true[:, i].copy()
 
-        _sc_sweep(np.full((size, n), c), leaf)
+        _sc_sweep(np.zeros((size, n), np.uint8), theta, leaf)
         h_sum += row["h"]
         err_sum += row["e"]
         done += size
@@ -325,40 +341,29 @@ def entropy_profile_mc(theta: float, n: int, num_samples: int, seed: int) -> Ent
     return EntropyProfile(n=n, h=h, method="monte_carlo", genie_error=err_sum / num_samples)
 
 
-def side_info_llrs(y: np.ndarray, crossover: float) -> np.ndarray:
-    """Per-position LLRs for observing x through a BSC(crossover) as y."""
-    c = _llr_constant(crossover)
-    return (1 - 2 * np.asarray(y, dtype=np.int8)) * c
-
-
 def sc_decode(known_mask: np.ndarray, known_values: np.ndarray,
-              llr: np.ndarray) -> np.ndarray:
-    """Successive-cancellation decode of source blocks from LLR evidence.
+              y: np.ndarray, crossover: float) -> np.ndarray:
+    """Successive-cancellation decode of source blocks from side information.
 
+    y holds 0/1 observations of the blocks through a BSC(crossover).
     known_mask marks transform-domain indices whose bits are given
-    (known_values, 0 or 1, same layout as the blocks); the rest are settled
-    by the sign of the per-bit posterior, ties to 0.  Subtrees whose
-    indices are all known are transformed, not decoded (see _sc_sweep).
-    Accepts a single block (1-D) or a batch (2-D, one row per block) of
-    finite LLRs; returns the decoded source blocks in the same shape.
+    (known_values, 0 or 1, laid out like y); the rest are settled by the
+    sign of the per-bit posterior, ties to 0.  Subtrees whose indices are
+    all known are transformed, not decoded (see _sc_sweep).  y is one block
+    (1-D) or a batch (2-D, one row per block); the output has its shape.
     """
-    single = llr.ndim == 1
-    llr2 = llr[None, :] if single else llr
-    kv = np.asarray(known_values)
-    kv2 = kv[None, :] if kv.ndim == 1 else kv
+    y2 = np.atleast_2d(_binary(y, "y"))
+    kv2 = np.atleast_2d(_binary(known_values, "known_values"))
     mask = np.asarray(known_mask, dtype=bool)
-    if mask.shape != (llr2.shape[1],):
+    if mask.shape != (y2.shape[1],):
         raise ValidationError("known_mask length must match the block length")
-    if kv2.shape != llr2.shape:
+    if kv2.shape != y2.shape:
         raise ValidationError("known_values must match the block batch shape")
-    _check_block_length(llr2.shape[1])
-    if not np.all((kv2 == 0) | (kv2 == 1)):
-        raise ValidationError("known_values must hold only 0 and 1")
-    if not np.all(np.isfinite(llr2)):
-        raise ValidationError("llr must be finite")
+    _check_block_length(y2.shape[1])
+    _check_theta(crossover, "crossover")
 
     def leaf(i: int, col: np.ndarray) -> np.ndarray:
         return (col < 0).astype(np.uint8)
 
-    out = _sc_sweep(llr2, leaf, (mask, kv2.astype(np.uint8, copy=False)))
-    return out[0] if single else out
+    out = _sc_sweep(y2, crossover, leaf, (mask, kv2))
+    return out[0] if np.ndim(y) == 1 else out

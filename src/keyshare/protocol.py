@@ -50,8 +50,8 @@ from numpy.fft import irfft, rfft
 
 from .errors import CapacityError, ConsistencyError, ValidationError
 from .game import coalition_sums, core_contains, value_function
-from .polar import (INDEX_BETA, build_index_sets, construct_profile,
-                    polar_transform, sc_decode, side_info_llrs)
+from .polar import (INDEX_BETA, _binary, build_index_sets, construct_profile,
+                    polar_transform, sc_decode)
 from .source import (DegradedSourceSpec, _member_masks, build_degraded_source,
                      mutual_information)
 
@@ -62,6 +62,8 @@ _RUN_TAG = 0x52
 _HASH_TAG = 0x48
 # construct_profile takes 2.2-3.5 s per distinct crossover at this N (2-vCPU Xeon)
 MAX_BLOCK_N = 2 ** 14
+# Transcript.to_bytes writes block ids as u16 and reserves 0xFFFE and 0xFFFF
+MAX_BLOCKS = 2 ** 15
 # Decode-work limit, in decoded source bits: members x runs x max(B x N,
 # RUN_OVERHEAD_BITS).  Example 2 reaches it at 2730 runs (N=1024, B=4),
 # which take 2.8-3.7 s with built profiles at a peak RSS of 52 MB on a
@@ -77,10 +79,6 @@ RUN_BATCH = 100
 HASH_CHUNK = 16
 
 
-def _is_pow2(n: int) -> bool:
-    return n >= 1 and n & (n - 1) == 0
-
-
 @dataclass
 class ProtocolConfig:
     """Parameters of one simulated deployment."""
@@ -94,10 +92,12 @@ class ProtocolConfig:
     onset_risk: float = 1e-4  # residual per-block risk left uncovered by the clean-up round
 
     def __post_init__(self):
-        if not _is_pow2(self.n) or not _is_pow2(self.b):
+        if not all(v >= 1 and v & (v - 1) == 0 for v in (self.n, self.b)):
             raise ValidationError("N and B must be powers of two")
         if self.n > MAX_BLOCK_N:
             raise CapacityError(f"block length N={self.n} exceeds the limit {MAX_BLOCK_N}")
+        if self.b > MAX_BLOCKS:
+            raise CapacityError(f"block count B={self.b} exceeds the limit {MAX_BLOCKS}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValidationError(f"epsilon must lie in (0,1), got {self.epsilon}")
         self.target = tuple(float(r) for r in self.target)
@@ -229,14 +229,6 @@ def _fast_len(n: int) -> int:
             p35 *= 3
         p5 *= 5
     return best
-
-
-def _binary(a, name: str) -> np.ndarray:
-    """a as a uint8 array, after checking that every entry is 0 or 1."""
-    a = np.asarray(a)
-    if not np.all((a == 0) | (a == 1)):
-        raise ValidationError(f"{name} must hold only 0 and 1")
-    return a.astype(np.uint8)
 
 
 def _diagonal_bits(seed: int, n_in: int, r_out: int) -> np.ndarray:
@@ -460,13 +452,14 @@ class ProtocolEngine:
         disclosures, and each member's estimate of its sequence, shape
         (runs, N*B), keyed by 1-based member.
 
-        The base station decodes each member once, with every index of
+        The base station decodes each member once, from its observation x0
+        through the member's BSC(plan.crossover) and with every index of
         plan.known given: on H the first-stage values, on the suffix the
         clean-up message inverted by G_B.  SC decisions before the first
         suffix index do not depend on later indices, so this is the
         estimate that decoding H alone and then overwriting the suffix from
         the clean-up round would give; when H and the suffix cover every
-        index, the decode is a plain transform.
+        index, the decode is a plain transform and builds no LLRs.
         """
         cfg = self.cfg
         transcripts = [Transcript(n=cfg.n, b=cfg.b,
@@ -485,7 +478,7 @@ class ProtocolEngine:
             received[:, :, plan.h_mask] = block_msgs
             received[:, :, plan.suffix] = _across_blocks(final_msgs)  # G_B is an involution
             xb = sc_decode(plan.known, received.reshape(runs * cfg.b, cfg.n),
-                           side_info_llrs(x0, plan.crossover))
+                           x0, plan.crossover)
             estimates[agent] = xb.reshape(runs, cfg.n * cfg.b)
             final_msgs = final_msgs.reshape(runs, -1)
             for k, tr in enumerate(transcripts):

@@ -539,6 +539,22 @@ class TestLoaderInput:
         assert missing in err
 
 
+class TestUnwritableOutput:
+    """An output path that cannot be written exits 1 and names the path."""
+
+    @pytest.mark.parametrize("args", [
+        ["analyze", "--out"],
+        ["allocate", "--polytope-csv"],
+        ["simulate", "--N", "64", "--B", "2", "--runs", "1", "--out"],
+    ], ids=["analyze-out", "allocate-polytope-csv", "simulate-out"])
+    def test_exits_one(self, args, example2_file, tmp_path, capsys):
+        path = str(tmp_path / "absent-dir" / "out")
+        code, out, err = run_cli(args[:1] + ["--spec", example2_file] + args[1:] + [path],
+                                 capsys)
+        assert code == 1
+        assert path in err
+
+
 def _reject_constant(token):
     raise ValueError(f"non-standard JSON constant {token}")
 

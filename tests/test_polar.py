@@ -6,7 +6,7 @@ from keyshare import (CapacityError, ValidationError, binary_entropy,
                       entropy_profile_exact, entropy_profile_mc,
                       polar_transform, sc_decode)
 from keyshare import polar
-from keyshare.polar import INDEX_BETA, delta_threshold, side_info_llrs
+from keyshare.polar import INDEX_BETA, delta_threshold
 from keyshare.suites import (mc_profile_matches_exact,
                              profile_monotone_in_crossover,
                              transform_involution_and_linear)
@@ -152,6 +152,17 @@ class TestConstructProfile:
             construct_profile(0.2, 12)
 
 
+@pytest.mark.parametrize("build", [
+    construct_profile,
+    entropy_profile_exact,
+    lambda theta, n: entropy_profile_mc(theta, n, 1000, seed=0),
+], ids=["degrading_merge", "exact", "monte_carlo"])
+@pytest.mark.parametrize("theta", [np.nan, 1.5, -0.2])
+def test_profile_builders_reject_bad_theta(build, theta):
+    with pytest.raises(ValidationError, match="theta"):
+        build(theta, 8)
+
+
 class TestIndexSets:
     def test_empty_and_full(self):
         prof = entropy_profile_exact(0.0, 4)
@@ -180,19 +191,18 @@ class TestScDecode:
         rng = np.random.default_rng(7)
         x = rng.integers(0, 2, 64, dtype=np.uint8)
         u = polar_transform(x)
-        out = sc_decode(np.ones(64, dtype=bool), u, np.zeros(64))
+        out = sc_decode(np.ones(64, dtype=bool), u, np.zeros(64, dtype=np.uint8), 0.5)
         assert np.array_equal(out, x)
 
     def test_noiseless_side_info_copies(self):
         rng = np.random.default_rng(8)
         y = rng.integers(0, 2, 32, dtype=np.uint8)
-        out = sc_decode(np.zeros(32, dtype=bool), np.zeros(32, dtype=np.uint8),
-                        side_info_llrs(y, 0.0))
+        out = sc_decode(np.zeros(32, dtype=bool), np.zeros(32, dtype=np.uint8), y, 0.0)
         assert np.array_equal(out, y)
 
     def test_tie_breaks_to_zero(self):
         out = sc_decode(np.zeros(2, dtype=bool), np.zeros(2, dtype=np.uint8),
-                        side_info_llrs(np.array([0, 1], dtype=np.uint8), 0.5))
+                        np.array([0, 1], dtype=np.uint8), 0.5)
         assert np.array_equal(out, [0, 0])
 
     def test_reliability_at_production_length(self):
@@ -203,50 +213,59 @@ class TestScDecode:
             y = rng.integers(0, 2, (trials, n), dtype=np.uint8)
             x = y ^ (rng.random((trials, n)) < p).astype(np.uint8)
             u = polar_transform(x)
-            xhat = sc_decode(sets.h_mask, u, side_info_llrs(y, p))
+            xhat = sc_decode(sets.h_mask, u, y, p)
             block_errors = (xhat != x).any(axis=1).mean()
             assert block_errors <= 0.1, prof.method
 
     def test_index_mask_length_checked(self):
         with pytest.raises(ValidationError):
-            sc_decode(np.ones(3, dtype=bool), np.zeros(4, dtype=np.uint8), np.zeros(4))
+            sc_decode(np.ones(3, dtype=bool), np.zeros(4, dtype=np.uint8),
+                      np.zeros(4, dtype=np.uint8), 0.2)
 
     def test_rejects_non_binary_known_values(self):
         with pytest.raises(ValidationError, match="known_values"):
-            sc_decode(np.ones(4, dtype=bool), np.array([2, 0, 1, 0]), np.zeros(4))
+            sc_decode(np.ones(4, dtype=bool), np.array([2, 0, 1, 0]),
+                      np.zeros(4, dtype=np.uint8), 0.2)
 
-    def test_rejects_non_finite_llr(self):
-        for bad in (np.nan, np.inf, -np.inf):
-            llr = np.zeros((2, 4))
-            llr[1, 2] = bad
-            with pytest.raises(ValidationError, match="llr"):
-                sc_decode(np.zeros(4, dtype=bool), np.zeros((2, 4), dtype=np.uint8), llr)
+    def test_rejects_non_binary_y(self):
+        for bad in (2, -1, 0.5, np.nan):
+            y = np.zeros((2, 4))
+            y[1, 2] = bad
+            with pytest.raises(ValidationError, match="y must"):
+                sc_decode(np.zeros(4, dtype=bool), np.zeros((2, 4), dtype=np.uint8), y, 0.2)
+
+    def test_rejects_bad_crossover(self):
+        for bad in (np.nan, np.inf, -0.2, 1.5):
+            with pytest.raises(ValidationError, match="crossover"):
+                sc_decode(np.zeros(4, dtype=bool), np.zeros((2, 4), dtype=np.uint8),
+                          np.zeros((2, 4), dtype=np.uint8), bad)
 
 
 class TestSettledSkip:
     @staticmethod
-    def _unskipped(mask, values, llr):
+    def _unskipped(mask, values, y, crossover):
         """The full sweep: every leaf visited, known leaves return their bits."""
         values2 = np.atleast_2d(values)
 
         def leaf(i, col):
             return values2[:, i].copy() if mask[i] else (col < 0).astype(np.uint8)
 
-        out = polar._sc_sweep(np.atleast_2d(llr), leaf)
-        return out[0] if llr.ndim == 1 else out
+        out = polar._sc_sweep(np.atleast_2d(y), crossover, leaf)
+        return out[0] if y.ndim == 1 else out
 
     def test_matches_unskipped_sweep(self):
         rng = np.random.default_rng(11)
-        c = float(side_info_llrs(np.zeros(1, dtype=np.uint8), 0.2)[0])
-        for n in (1, 2, 4, 8, 16, 32, 64, 128, 256):
-            for density in (0.0, 0.5, 0.9, 1.0):
-                for shape in ((n,), (5, n)):
-                    mask = rng.random(n) < density
-                    values = rng.integers(0, 2, shape, dtype=np.uint8)
-                    llr = rng.choice([0.0, c, -c, 0.7, -2.5], size=shape)
-                    got = sc_decode(mask, values, llr)
-                    assert got.shape == shape and got.dtype == np.uint8
-                    assert np.array_equal(got, self._unskipped(mask, values, llr))
+        # crossover 0.5 gives all-zero LLRs, so every unknown leaf is a tie
+        for crossover in (0.0, 0.2, 0.5):
+            for n in (1, 2, 4, 8, 16, 32, 64, 128, 256):
+                for density in (0.0, 0.5, 0.9, 1.0):
+                    for shape in ((n,), (5, n)):
+                        mask = rng.random(n) < density
+                        values = rng.integers(0, 2, shape, dtype=np.uint8)
+                        y = rng.integers(0, 2, shape, dtype=np.uint8)
+                        got = sc_decode(mask, values, y, crossover)
+                        assert got.shape == shape and got.dtype == np.uint8
+                        assert np.array_equal(got, self._unskipped(mask, values, y, crossover))
 
     @staticmethod
     def _count_boxplus(monkeypatch, mask):
@@ -259,7 +278,7 @@ class TestSettledSkip:
 
         monkeypatch.setattr(polar, "_boxplus", counted)
         n = mask.size
-        sc_decode(mask, np.zeros((3, n), dtype=np.uint8), np.full((3, n), 0.5))
+        sc_decode(mask, np.zeros((3, n), dtype=np.uint8), np.zeros((3, n), dtype=np.uint8), 0.2)
         return len(calls)
 
     def test_all_known_decodes_nothing(self, monkeypatch):

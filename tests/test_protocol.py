@@ -13,8 +13,8 @@ from keyshare import (CapacityError, DegradedSourceSpec, ValidationError,
                       mutual_information, run_protocol, sample_hash,
                       shapley_from_game, value_function)
 from keyshare import polar, protocol
-from keyshare.polar import polar_transform, sc_decode, side_info_llrs
-from keyshare.protocol import (MAX_BLOCK_N, MAX_DECODE_WORK, RUN_BATCH,
+from keyshare.polar import polar_transform, sc_decode
+from keyshare.protocol import (MAX_BLOCK_N, MAX_BLOCKS, MAX_DECODE_WORK, RUN_BATCH,
                                RUN_OVERHEAD_BITS, ProtocolConfig, ProtocolEngine,
                                ToeplitzHash, _balance_p_value, toeplitz_from_index)
 from keyshare.suites import leftover_hash_bound_holds, toeplitz_matches_matrix
@@ -310,7 +310,7 @@ class TestReconcile:
             # the base station decodes H alone, then overwrites the suffix
             # with the clean-up round's values of the N*B transform
             u = polar_transform(x)
-            xb = sc_decode(plan.h_mask, u, side_info_llrs(x0, plan.crossover))
+            xb = sc_decode(plan.h_mask, u, x0, plan.crossover)
             v = polar_transform(x.reshape(runs, nb))
             vb = polar_transform(xb.reshape(runs, nb))
             final = np.tile(np.isin(np.arange(cfg.n), plan.suffix), cfg.b)
@@ -325,7 +325,8 @@ class TestReconcile:
         assert wrong > 0
 
     def test_example2_decodes_nothing(self, monkeypatch, example2_spec, example2_game):
-        # H and the clean-up suffix cover every index for all three agents
+        # H and the clean-up suffix cover every index for all three agents,
+        # so not even the root LLRs are built
         calls = []
         real = polar._boxplus
 
@@ -333,7 +334,11 @@ class TestReconcile:
             calls.append(1)
             return real(a, b)
 
+        def refuse(theta):
+            raise AssertionError("root LLRs built for a fully known decode")
+
         monkeypatch.setattr(polar, "_boxplus", counted)
+        monkeypatch.setattr(polar, "_llr_constant", refuse)
         cfg = ProtocolConfig(n=1024, b=4, epsilon=0.05,
                              target=tuple(shapley_from_game(example2_game)))
         engine = ProtocolEngine(example2_spec, cfg)
@@ -560,6 +565,12 @@ class TestCapacity:
     def test_block_length_guard(self):
         with pytest.raises(CapacityError, match=str(MAX_BLOCK_N)):
             small_config(n=2 * MAX_BLOCK_N, b=1)
+
+    def test_block_count_guard(self):
+        # block ids are u16 in Transcript.to_bytes, with 0xFFFE and 0xFFFF reserved
+        with pytest.raises(CapacityError, match=str(MAX_BLOCKS)):
+            small_config(n=1, b=2 * MAX_BLOCKS)
+        assert small_config(n=1, b=MAX_BLOCKS).b == MAX_BLOCKS
 
     def test_run_count_guard(self):
         # 2 members x runs x max(B*N = 128, 1024)
