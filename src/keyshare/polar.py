@@ -59,11 +59,16 @@ def _check_theta(theta: float, name: str = "theta") -> None:
 
 
 def _binary(a, name: str) -> np.ndarray:
-    """a as a uint8 array, after checking that every entry is 0 or 1."""
+    """a as a uint8 array (a itself when it already is one), after checking
+    that every entry is 0 or 1."""
     a = np.asarray(a)
-    if not np.all((a == 0) | (a == 1)):
+    if a.dtype.kind in "bu":  # no negative or fractional entries to rule out
+        valid = a.size == 0 or a.max() <= 1
+    else:
+        valid = np.all((a == 0) | (a == 1))
+    if not valid:
         raise ValidationError(f"{name} must hold only 0 and 1")
-    return a.astype(np.uint8)
+    return a.astype(np.uint8, copy=False)
 
 
 def polar_transform(x: np.ndarray) -> np.ndarray:

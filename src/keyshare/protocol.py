@@ -18,6 +18,15 @@ and the base station's reconstruction share the run's matrix, so the base
 key is the agent key unless the reconstruction differs, and only those
 runs are hashed a second time.
 
+Randomness: run k's source sample and each member's hash matrix come from
+Philox streams keyed by SeedSequence((seed, tag, k)), so any run replays
+bit-exactly on its own.  Philox is counter-based, so a stream is fixed by
+its 128-bit key: simulate_runs derives all keys of a batch in vectorised
+passes (_stream_keys, bit-identical to SeedSequence.generate_state) and
+resets one bit generator to each key, and the hash bits are read off the
+raw Philox words.  The streams thus depend only on SeedSequence and
+Philox, not on Generator.integers.
+
 Reliability at finite length comes from the clean-up round.  Its message
 is the transform of the whole N*B sequence restricted to the cross-block
 images of the per-block "risky" index suffix.  Since G_{N*B} = G_B (x) G_N,
@@ -79,6 +88,13 @@ RUN_BATCH = 100
 HASH_CHUNK = 16
 
 
+def _index(value, name: str) -> int:
+    """value as an int, after checking that it is a nonnegative integer."""
+    if not isinstance(value, (int, np.integer)) or value < 0:
+        raise ValidationError(f"{name} must be a nonnegative integer, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class ProtocolConfig:
     """Parameters of one simulated deployment."""
@@ -105,8 +121,7 @@ class ProtocolConfig:
             raise ValidationError(f"target rates must be finite, got {self.target}")
         if any(r < 0 for r in self.target):
             raise ValidationError("target rates must be nonnegative")
-        if self.seed < 0:
-            raise ValidationError(f"seed must be >= 0, got {self.seed}")
+        self.seed = _index(self.seed, "seed")
         if not (math.isfinite(self.onset_risk) and self.onset_risk >= 0):
             raise ValidationError(f"onset_risk must be finite and >= 0, got {self.onset_risk}")
 
@@ -182,7 +197,7 @@ class ToeplitzHash:
             raise ValidationError("need n_in >= 1 and r_out >= 0")
         if r_out > n_in:
             raise ValidationError(f"output length {r_out} exceeds input length {n_in}")
-        expected = n_in + r_out - 1 if r_out > 0 else 0
+        expected = _diagonal_len(n_in, r_out)
         if bits.ndim not in (1, 2) or bits.shape[-1] != expected:
             raise ValidationError(f"diagonal bit string needs {expected} bits")
         self.bits = bits
@@ -231,26 +246,122 @@ def _fast_len(n: int) -> int:
     return best
 
 
-def _diagonal_bits(seed: int, n_in: int, r_out: int) -> np.ndarray:
-    """The n_in+r_out-1 diagonal bits (none for r_out = 0) of the Toeplitz
-    member that the seeded public stream draws."""
-    if r_out == 0:
-        return np.zeros(0, dtype=np.uint8)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
-    return rng.integers(0, 2, n_in + r_out - 1, dtype=np.uint8)
+def _diagonal_len(n_in: int, r_out: int) -> int:
+    """Number of diagonal bits of an n_in -> r_out Toeplitz matrix."""
+    return n_in + r_out - 1 if r_out > 0 else 0
+
+
+# SeedSequence's hash constants (numpy.random.bit_generator)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_WORDS = 4  # entropy pool size in uint32 words
+
+
+def _hash_steps(init: int, mult: int):
+    """(xor, multiplier) of SeedSequence's successive hashmix steps."""
+    while True:
+        nxt = init * mult & _MASK32
+        yield np.uint32(init), np.uint32(nxt)
+        init = nxt
+
+
+def _hashmix(value: np.ndarray, step) -> np.ndarray:
+    value = (value ^ step[0]) * step[1]
+    return value ^ value >> np.uint32(16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return out ^ out >> np.uint32(16)
+
+
+def _stream_keys(entropies: Sequence[tuple]) -> np.ndarray:
+    """Philox keys of the given SeedSequence entropies, shape (len, 2).
+
+    Row i equals np.random.SeedSequence(entropies[i]).generate_state(2,
+    np.uint64), the key that seeds a Philox with that SeedSequence.  Each
+    entry contributes its little-endian uint32 words (0 gives one word),
+    and the rows with the same word count are mixed together: the hash
+    constants do not depend on the data, so only the mixing runs on uint32
+    arrays.
+    """
+    rows = []
+    for entropy_tuple in entropies:
+        words = []
+        for value in entropy_tuple:
+            value = _index(value, "stream key entry")
+            words.append(value & _MASK32)
+            while value > _MASK32:
+                value >>= 32
+                words.append(value & _MASK32)
+        rows.append(words)
+    by_count: dict[int, list[int]] = {}
+    for i, words in enumerate(rows):
+        by_count.setdefault(len(words), []).append(i)
+    keys = np.empty((len(rows), 2), np.uint64)
+    for count, members in by_count.items():
+        data = np.array([rows[i] for i in members], dtype=np.uint32).T
+        steps = _hash_steps(_INIT_A, _MULT_A)
+        pad = np.zeros(len(members), np.uint32)
+        pool = [_hashmix(data[i] if i < count else pad, next(steps))
+                for i in range(_POOL_WORDS)]
+        for src in range(_POOL_WORDS):
+            for dst in range(_POOL_WORDS):
+                if src != dst:
+                    pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(steps)))
+        for src in range(_POOL_WORDS, count):
+            for dst in range(_POOL_WORDS):
+                pool[dst] = _mix(pool[dst], _hashmix(data[src], next(steps)))
+        state = np.stack([_hashmix(word, step)
+                          for word, step in zip(pool, _hash_steps(_INIT_B, _MULT_B))], axis=1)
+        keys[members] = state.astype("<u4").view("<u8")
+    return keys
+
+
+def _reset(bitgen: np.random.Philox, key: np.ndarray) -> np.random.Philox:
+    """bitgen in the state of a fresh Philox with this key: counter 0 and
+    nothing buffered, so its stream depends on the key alone."""
+    bitgen.state = {"bit_generator": "Philox",
+                    "state": {"counter": np.zeros(4, np.uint64), "key": key},
+                    "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+                    "has_uint32": 0, "uinteger": 0}
+    return bitgen
+
+
+def _diagonal_stack(bitgen: np.random.Philox, keys: np.ndarray, m: int) -> np.ndarray:
+    """(len(keys), m) diagonal bits; row i comes from the stream of keys[i].
+
+    Bit j is the top bit of byte j of the stream's raw little-endian
+    words: what Generator.integers(0, 2, m, dtype=np.uint8) returns on
+    the fresh stream, since it reads the bytes of next_uint32 (low half of
+    each word first) and Lemire's bounded draw over a power-of-two range
+    never rejects.
+    """
+    bits = np.empty((len(keys), m), np.uint8)
+    words = -(-m // 8)
+    for row, key in zip(bits, keys):
+        raw = _reset(bitgen, key).random_raw(words).astype("<u8", copy=False)
+        np.right_shift(raw.view(np.uint8)[:m], 7, out=row)
+    return bits
 
 
 def sample_hash(seed: int, n_in: int, r_out: int) -> ToeplitzHash:
     """Draw a Toeplitz member from the seeded public stream."""
+    seed = _index(seed, "seed")
     if not 0 <= r_out <= n_in:
         raise ValidationError(f"output length {r_out} must lie in 0..{n_in} (the input length)")
-    return ToeplitzHash(_diagonal_bits(seed, n_in, r_out), n_in, r_out)
+    # the Philox's own seed is never used: the draw resets it to the seed's key
+    bits = _diagonal_stack(np.random.Philox(0), _stream_keys([(seed,)]),
+                           _diagonal_len(n_in, r_out))
+    return ToeplitzHash(bits[0], n_in, r_out)
 
 
 def toeplitz_from_index(index: int, n_in: int, r_out: int) -> ToeplitzHash:
     """Family member by explicit diagonal-bit index (exhaustive enumeration)."""
-    nbits = n_in + r_out - 1 if r_out > 0 else 0
-    bits = np.array([(index >> k) & 1 for k in range(nbits)], dtype=np.uint8)
+    bits = np.array([(index >> k) & 1 for k in range(_diagonal_len(n_in, r_out))],
+                    dtype=np.uint8)
     return ToeplitzHash(bits, n_in, r_out)
 
 
@@ -416,32 +527,40 @@ class ProtocolEngine:
 
     # -- per-run mechanics ----------------------------------------------
 
-    def _run_rng(self, tag: int, k: int) -> np.random.Generator:
-        return np.random.Generator(
-            np.random.Philox(np.random.SeedSequence((self.cfg.seed, tag, k)))
-        )
-
-    def _sample_batch(self, ks) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    def _sample_batch(self, ks: list[int], gen: np.random.Generator
+                      ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
         """Source realizations for the given run indices, stacked blockwise.
 
         Returns x0 of shape (runs*B, N) plus one same-shape array per
-        agent.  Each run's bits derive only from (seed, _RUN_TAG, k).
+        agent.  Run k's bits come from the Philox stream keyed by
+        (seed, _RUN_TAG, k) alone: gen is reset to that key, and one
+        random call fills 1+L blocks of B x N doubles, which are compared
+        against q (x0) and p_1..p_L (each agent's flips).
         """
         cfg = self.cfg
-        x0_parts, agent_parts = [], {l: [] for l in range(self.num_agents)}
-        for k in ks:
-            rng = self._run_rng(_RUN_TAG, k)
-            x0 = (rng.random((cfg.b, cfg.n)) < self.spec.q).astype(np.uint8)
-            x0_parts.append(x0)
-            for l in range(self.num_agents):
-                flips = (rng.random((cfg.b, cfg.n)) < self.spec.p[l]).astype(np.uint8)
-                agent_parts[l].append(x0 ^ flips)
-        x0_all = np.concatenate(x0_parts, axis=0)
-        return x0_all, {l: np.concatenate(p, axis=0) for l, p in agent_parts.items()}
+        thresholds = np.array([self.spec.q, *self.spec.p])[:, None, None]
+        draws = np.empty((1 + self.num_agents, cfg.b, cfg.n))
+        # source-major, so that x0 and each agent's bits are contiguous views
+        bits = np.empty((1 + self.num_agents, len(ks), cfg.b, cfg.n), np.uint8)
+        for i, key in enumerate(_stream_keys([(cfg.seed, _RUN_TAG, k) for k in ks])):
+            _reset(gen.bit_generator, key)
+            np.less(gen.random(out=draws), thresholds, out=bits[:, i])
+        bits[1:] ^= bits[0]
+        return (bits[0].reshape(-1, cfg.n),
+                {l: bits[1 + l].reshape(-1, cfg.n) for l in range(self.num_agents)})
 
-    def _hash_seed(self, k: int, agent: int) -> int:
-        rng = self._run_rng(_HASH_TAG, (k << 8) | agent)
-        return int(rng.integers(0, 2 ** 62))
+    def _hash_keys(self, bitgen: np.random.Philox, ks: list[int], agent: int) -> np.ndarray:
+        """Keys of the streams that draw the listed runs' Toeplitz members
+        for one 0-based agent, shape (runs, 2).
+
+        Run k's member seed is the first raw word >> 2 of the stream keyed
+        by (seed, _HASH_TAG, k << 8 | agent), which is what
+        Generator.integers(0, 2**62) draws from it (Lemire's bounded draw
+        over a power-of-two range never rejects); the seed keys the stream
+        of the member's diagonal bits.
+        """
+        keys = _stream_keys([(self.cfg.seed, _HASH_TAG, (k << 8) | agent) for k in ks])
+        return _stream_keys([(int(_reset(bitgen, key).random_raw()) >> 2,) for key in keys])
 
     def _reconcile(self, x0: np.ndarray, xs: dict[int, np.ndarray], runs: int):
         """Both reconciliation stages over stacked realizations.
@@ -490,28 +609,38 @@ class ProtocolEngine:
         """Sample, reconcile and hash the listed runs.
 
         Returns {"transcripts": [...], "keys": [...]}, one Transcript and
-        one KeyMaterial per listed run, in order.  Each run draws its own
-        matrix; a member's runs are hashed HASH_CHUNK at a time, with the
-        chunk's diagonal bits drawn straight into one stack, and a run's
-        Transcript.hash_bits is its row of that stack.  The base station's
-        key is the agent's key wherever its estimate equals the agent's
-        sequence, and is hashed again with the run's own matrix only where
-        it differs.
+        one KeyMaterial per listed run, in order; run indices must be
+        nonnegative integers.  Every stream of run k is keyed by (seed,
+        tag, k): the sample by _RUN_TAG, each member's Toeplitz matrix by
+        _HASH_TAG.  All keys of the call come from vectorised SeedSequence
+        passes (_stream_keys), and one Philox bit generator is reset to
+        each key in turn.  Each run draws its own matrix; a member's runs
+        are hashed HASH_CHUNK at a time, with the chunk's diagonal bits
+        drawn straight into one stack (drawing a whole batch's stack at
+        once raised the peak RSS), and a run's Transcript.hash_bits is its
+        row of that stack.  The base station's key is the agent's key
+        wherever its estimate equals the agent's sequence, and is hashed
+        again with the run's own matrix only where it differs.
         """
-        ks = list(run_indices)
+        ks = [_index(k, "run index") for k in run_indices]
+        if not ks:
+            return {"transcripts": [], "keys": []}
         nb = self.cfg.n * self.cfg.b
-        x0, xs = self._sample_batch(ks)
+        # the seed is never used: every draw resets the generator to its stream's key
+        gen = np.random.Generator(np.random.Philox(0))
+        x0, xs = self._sample_batch(ks, gen)
         transcripts, estimates = self._reconcile(x0, xs, len(ks))
         keymats = [KeyMaterial(keys={}, base_keys={}) for _ in ks]
         for plan in self.plans:
             agent = plan.index + 1
             x_nb = xs[plan.index].reshape(len(ks), nb)
+            hash_keys = self._hash_keys(gen.bit_generator, ks, plan.index)
+            m = _diagonal_len(nb, plan.key_len)
             for start in range(0, len(ks), HASH_CHUNK):
                 part = slice(start, start + HASH_CHUNK)
                 x, est = x_nb[part], estimates[agent][part]
-                bits = np.stack([_diagonal_bits(self._hash_seed(k, plan.index), nb,
-                                                plan.key_len) for k in ks[part]])
-                stack = ToeplitzHash(bits, nb, plan.key_len)
+                stack = ToeplitzHash(_diagonal_stack(gen.bit_generator, hash_keys[part], m),
+                                     nb, plan.key_len)
                 keys = stack.apply(x)
                 base_keys = keys.copy()
                 differ = np.flatnonzero((est != x).any(axis=1))

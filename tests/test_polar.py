@@ -234,6 +234,25 @@ class TestScDecode:
             with pytest.raises(ValidationError, match="y must"):
                 sc_decode(np.zeros(4, dtype=bool), np.zeros((2, 4), dtype=np.uint8), y, 0.2)
 
+    # unsigned and bool arrays are checked by their maximum, the rest
+    # elementwise; a uint8 array is used as it is, not copied.  A bool array
+    # holds nothing but 0 and 1, so it has no invalid case
+    @pytest.mark.parametrize("dtype, invalid", [(np.uint8, 2), (np.uint16, 256),
+                                                (np.bool_, None), (np.int8, -1),
+                                                (np.float64, 0.5)])
+    def test_binary_check_per_dtype(self, dtype, invalid):
+        y = np.array([[1, 0, 0, 1], [0, 1, 1, 1]], dtype=dtype)
+        mask, values = np.zeros(4, dtype=bool), np.zeros((2, 4), dtype=np.uint8)
+        assert np.array_equal(sc_decode(mask, values, y, 0.2),
+                              sc_decode(mask, values, y.astype(np.uint8), 0.2))
+        checked = polar._binary(y, "y")
+        assert checked.dtype == np.uint8 and np.array_equal(checked, y.astype(np.uint8))
+        assert (checked is y) == (dtype is np.uint8)
+        if invalid is not None:
+            y[1, 2] = invalid
+            with pytest.raises(ValidationError, match="y must"):
+                sc_decode(mask, values, y, 0.2)
+
     def test_rejects_bad_crossover(self):
         for bad in (np.nan, np.inf, -0.2, 1.5):
             with pytest.raises(ValidationError, match="crossover"):

@@ -14,7 +14,7 @@ from keyshare import (CapacityError, DegradedSourceSpec, ValidationError,
                       shapley_from_game, value_function)
 from keyshare import polar, protocol
 from keyshare.polar import polar_transform, sc_decode
-from keyshare.protocol import (MAX_BLOCK_N, MAX_BLOCKS, MAX_DECODE_WORK, RUN_BATCH,
+from keyshare.protocol import (DEFAULT_SEED, MAX_BLOCK_N, MAX_BLOCKS, MAX_DECODE_WORK, RUN_BATCH,
                                RUN_OVERHEAD_BITS, ProtocolConfig, ProtocolEngine,
                                ToeplitzHash, _balance_p_value, toeplitz_from_index)
 from keyshare.suites import leftover_hash_bound_holds, toeplitz_matches_matrix
@@ -31,6 +31,40 @@ def small_config(**overrides):
     defaults = dict(n=64, b=2, target=_shapley_target(SMALL_SPEC), epsilon=0.05, seed=99)
     defaults.update(overrides)
     return ProtocolConfig(**defaults)
+
+
+def sample_batch(engine, ks):
+    """The engine's source realizations for runs ks (x0 and every agent's
+    (runs*B, N) stack); the draws reset the generator to each run's key."""
+    return engine._sample_batch(list(ks), np.random.Generator(np.random.Philox()))
+
+
+# Reference streams: a fresh Generator(Philox(SeedSequence(...))) for every
+# run's sample and for every run x agent hash seed and matrix.  Each stream
+# the engine draws from a reset bit generator must equal its reference.
+def reference_rng(seed_words):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed_words)))
+
+
+def reference_sample(spec, cfg, k):
+    """Run k's x0 and per-agent blocks, each (B, N)."""
+    rng = reference_rng((cfg.seed, protocol._RUN_TAG, k))
+    x0 = (rng.random((cfg.b, cfg.n)) < spec.q).astype(np.uint8)
+    return x0, [x0 ^ (rng.random((cfg.b, cfg.n)) < p).astype(np.uint8) for p in spec.p]
+
+
+def reference_hasher_bits(hash_seed, n_in, r_out):
+    """Diagonal bits of the Toeplitz member that hash_seed's stream draws."""
+    if r_out == 0:
+        return np.zeros(0, dtype=np.uint8)
+    return reference_rng(hash_seed).integers(0, 2, n_in + r_out - 1, dtype=np.uint8)
+
+
+def reference_hasher(cfg, k, agent, n_in, r_out):
+    """Run k's Toeplitz member for 0-based agent."""
+    hash_seed = int(reference_rng((cfg.seed, protocol._HASH_TAG, (k << 8) | agent))
+                    .integers(0, 2 ** 62))
+    return ToeplitzHash(reference_hasher_bits(hash_seed, n_in, r_out), n_in, r_out)
 
 
 def reconcile_one(spec, cfg, x0, blocks):
@@ -87,6 +121,12 @@ class TestToeplitzHash:
         x = np.arange(16, dtype=np.uint8) % 2
         assert np.array_equal(sample_hash(5, 16, 4).apply(x),
                               sample_hash(5, 16, 4).apply(x))
+
+    # -1 used to raise numpy's ValueError, and 1.5 to hash with seed 1
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            sample_hash(seed, 8, 3)
 
     def test_rejects_expansion(self):
         # -10 used to reach numpy's negative-dimension ValueError
@@ -177,6 +217,23 @@ class TestToeplitzHash:
         for bad in (2, 3, 0.5, float("nan")):
             with pytest.raises(ValidationError, match="input"):
                 h.apply(np.array([1, 0, bad, 1]))
+
+    @pytest.mark.parametrize("dtype, invalid", [(np.uint8, 2), (np.uint16, 256),
+                                                (np.bool_, None), (np.int8, -1),
+                                                (np.float64, 0.5)])
+    def test_binary_check_per_dtype(self, dtype, invalid):
+        # a bool array holds nothing but 0 and 1, so it has no invalid case
+        bits = np.array([1, 0, 1, 1, 0], dtype=dtype)
+        x = np.array([[1, 1, 0, 1], [0, 0, 1, 1]], dtype=dtype)
+        h = ToeplitzHash(bits, 4, 2)
+        assert np.array_equal(h.apply(x),
+                              ToeplitzHash(bits.astype(np.uint8), 4, 2).apply(x.astype(np.uint8)))
+        if invalid is not None:
+            bits[3] = x[1, 0] = invalid
+            with pytest.raises(ValidationError, match="bits"):
+                ToeplitzHash(bits, 4, 2)
+            with pytest.raises(ValidationError, match="input"):
+                h.apply(x)
 
     # an agent's sequence and the base station's estimate share one matrix
     def test_zero_length_keys_empty(self):
@@ -302,7 +359,7 @@ class TestReconcile:
                              onset_risk=0.02)
         engine = ProtocolEngine(example2_spec, cfg)
         runs, nb = 100, cfg.n * cfg.b
-        x0, xs = engine._sample_batch(range(runs))
+        x0, xs = sample_batch(engine, range(runs))
         transcripts, estimates = engine._reconcile(x0, xs, runs)
         wrong = 0
         for plan in engine.plans:
@@ -498,7 +555,7 @@ class TestStackedHashing:
         with pytest.warns(UserWarning, match="core"):
             engine = ProtocolEngine(example2_spec, ProtocolConfig(**self.DISAGREE))
         ks = range(self.RUNS)
-        x0, xs = engine._sample_batch(ks)
+        x0, xs = sample_batch(engine, ks)
         _, estimates = engine._reconcile(x0, xs, self.RUNS)
         return engine, xs, estimates, engine.simulate_runs(ks)
 
@@ -510,7 +567,7 @@ class TestStackedHashing:
             agent = plan.index + 1
             x = xs[plan.index].reshape(self.RUNS, nb)
             for k, km in enumerate(res["keys"]):
-                hasher = sample_hash(engine._hash_seed(k, plan.index), nb, plan.key_len)
+                hasher = reference_hasher(engine.cfg, k, plan.index, nb, plan.key_len)
                 assert np.array_equal(res["transcripts"][k].hash_bits[agent], hasher.bits)
                 assert np.array_equal(km.keys[agent], hasher.apply(x[k]))
                 assert np.array_equal(km.base_keys[agent], hasher.apply(estimates[agent][k]))
@@ -541,17 +598,124 @@ class TestStackedHashing:
         assert 0 < len(builds) <= 2 * len(engine.plans) * chunks
         assert sum(calls) == len(engine.plans) * self.RUNS + 23
 
+    def test_streams_need_no_object_per_run(self, monkeypatch, disagreeing):
+        # every stream of the call is a reset of one bit generator; building
+        # a Generator, Philox and SeedSequence per stream took 1400 here
+        engine = disagreeing[0]
+        made = {}
+
+        def counted(name):
+            real = getattr(np.random, name)
+
+            def build(*args, **kwargs):
+                made[name] = made.get(name, 0) + 1
+                return real(*args, **kwargs)
+            return build
+
+        for name in ("SeedSequence", "Philox", "Generator"):
+            monkeypatch.setattr(protocol.np.random, name, counted(name))
+        engine.simulate_runs(range(self.RUNS))
+        per_call = dict(made)
+        made.clear()
+        engine.simulate_runs([0])
+        assert made == per_call and sum(per_call.values()) <= 3
+
 
 class TestConfigValidation:
     def test_rejects_negative_seed(self):
         with pytest.raises(ValidationError, match="seed"):
             small_config(seed=-1)
 
+    # 1.5 used to pass and fail at the first run with numpy's TypeError
+    @pytest.mark.parametrize("seed", [1.5, "7"])
+    def test_rejects_non_integer_seed(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            small_config(seed=seed)
+        assert small_config(seed=np.int64(7)).seed == 7
+
     def test_rejects_bad_onset_risk(self):
         for bad in (float("nan"), float("inf"), -1e-4):
             with pytest.raises(ValidationError, match="onset_risk"):
                 small_config(onset_risk=bad)
         assert small_config(onset_risk=1e9).onset_risk == 1e9
+
+
+class TestStreams:
+    # every stream is Philox keyed by SeedSequence((seed, tag, k)); the
+    # engine derives the keys in vectorised passes and resets one bit
+    # generator to each, and must draw what the per-stream Generators drew
+    def test_keys_match_seed_sequence(self):
+        rng = np.random.default_rng(17)
+        tuples = [(0,), (2 ** 32 - 1,), (2 ** 32,), (2 ** 64 + 5,), (0, 0, 0, 0, 0),
+                  (2 ** 64 + 5, 0x48, (2 ** 24 + 1) << 8 | 2), (1, 2 ** 40, 3, 4, 5, 6, 7),
+                  (DEFAULT_SEED, 0x52, 0)]
+        for _ in range(300):
+            tuples.append(tuple(int(v) >> int(rng.integers(0, 63))
+                                for v in rng.integers(0, 2 ** 63, rng.integers(1, 8))))
+        keys = protocol._stream_keys(tuples)
+        assert keys.shape == (len(tuples), 2) and keys.dtype == np.uint64
+        for words, key in zip(tuples, keys):
+            assert np.array_equal(key, np.random.SeedSequence(words).generate_state(2, np.uint64))
+        assert protocol._stream_keys([]).shape == (0, 2)
+
+    @pytest.mark.parametrize("bad", [-1, 1.5, "3", None])
+    def test_keys_reject_non_integer_entries(self, bad):
+        # uint32 arrays would wrap a negative entry silently
+        with pytest.raises(ValidationError, match="stream key entry"):
+            protocol._stream_keys([(1, 2), (3, bad)])
+
+    @pytest.mark.parametrize("words", [(5,), (2 ** 64 + 5, 0x48, 2 ** 32 + 7)])
+    def test_raw_draws_match_generator(self, words):
+        (key,) = protocol._stream_keys([words])
+        bitgen = np.random.Philox(0)
+        for m in (1, 7, 8, 9, 4777):
+            expected = reference_rng(words).integers(0, 2, m, dtype=np.uint8)
+            assert np.array_equal(protocol._diagonal_stack(bitgen, key[None], m)[0], expected)
+        seed = int(protocol._reset(bitgen, key).random_raw()) >> 2
+        assert seed == int(reference_rng(words).integers(0, 2 ** 62))
+
+    def test_runs_match_per_run_reference(self):
+        # a seed above 2^64 gives the run streams more than 4 entropy words,
+        # and run 2^24+1 a 2-word hash index (k << 8 | agent)
+        cfg = small_config(seed=2 ** 64 + 5)
+        engine = ProtocolEngine(SMALL_SPEC, cfg)
+        ks, nb = [0, 1, 2 ** 24 + 1], cfg.n * cfg.b
+        x0, xs = sample_batch(engine, ks)
+        res = engine.simulate_runs(ks)
+        _, estimates = engine._reconcile(x0, xs, len(ks))
+        for i, k in enumerate(ks):
+            ref_x0, ref_blocks = reference_sample(SMALL_SPEC, cfg, k)
+            rows = slice(i * cfg.b, (i + 1) * cfg.b)
+            assert np.array_equal(x0[rows], ref_x0)
+            for l, block in enumerate(ref_blocks):
+                assert np.array_equal(xs[l][rows], block)
+            km = res["keys"][i]
+            for plan in engine.plans:
+                agent = plan.index + 1
+                hasher = reference_hasher(cfg, k, plan.index, nb, plan.key_len)
+                assert plan.key_len > 0
+                assert np.array_equal(res["transcripts"][i].hash_bits[agent], hasher.bits)
+                assert np.array_equal(km.keys[agent],
+                                      hasher.apply(ref_blocks[plan.index].reshape(-1)))
+                assert np.array_equal(km.base_keys[agent], hasher.apply(estimates[agent][i]))
+
+    def test_sample_hash_matches_reference(self):
+        for seed, n_in, r_out in ((3, 8, 3), (2 ** 62 - 1, 64, 10), (2 ** 64 + 5, 16, 0)):
+            assert np.array_equal(sample_hash(seed, n_in, r_out).bits,
+                                  reference_hasher_bits(seed, n_in, r_out))
+
+    # -1 used to raise numpy's ValueError, 1.5 a TypeError, and [] a
+    # ValueError from np.concatenate
+    @pytest.mark.parametrize("ks", [[-1], [1.5], [0, -3], ["2"], [None]])
+    def test_rejects_bad_run_index(self, ks):
+        engine = ProtocolEngine(SMALL_SPEC, small_config())
+        with pytest.raises(ValidationError, match="run index"):
+            engine.simulate_runs(ks)
+
+    def test_no_runs(self):
+        engine = ProtocolEngine(SMALL_SPEC, small_config())
+        assert engine.simulate_runs([]) == {"transcripts": [], "keys": []}
+        assert len(engine.simulate_runs(np.arange(2))["keys"]) == 2
 
 
 class TestCapacity:
