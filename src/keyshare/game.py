@@ -28,6 +28,16 @@ DEFAULT_TOL = 1e-9
 MAX_EXHAUSTIVE_AGENTS = 12
 
 
+def _agent_count(L) -> int:
+    """A game's L as an int: a positive integer, never a boolean, at most
+    MAX_TABLE_AGENTS."""
+    if isinstance(L, bool) or not isinstance(L, (int, np.integer)) or L < 1:
+        raise ValidationError(f"game field 'L' must be a positive integer, got {L!r}")
+    if L > MAX_TABLE_AGENTS:
+        raise CapacityError(f"game value table limited to L <= {MAX_TABLE_AGENTS}, got L={L}")
+    return int(L)
+
+
 @dataclass
 class CoalitionGame:
     """Value table over all 2^L coalitions; index = coalition bitmask."""
@@ -36,6 +46,7 @@ class CoalitionGame:
     values: np.ndarray
 
     def __post_init__(self):
+        self.num_agents = _agent_count(self.num_agents)
         self.values = np.array(self.values, dtype=float)  # a copy: zeroed and clipped below
         if self.values.shape != (1 << self.num_agents,):
             raise ValidationError(
@@ -71,11 +82,7 @@ class CoalitionGame:
     def from_json(cls, raw: dict) -> "CoalitionGame":
         if "L" not in raw or "v" not in raw:
             raise ValidationError("game file must hold fields 'L' and 'v'")
-        L = raw["L"]
-        if type(L) is not int or L < 1:
-            raise ValidationError("game field 'L' must be a positive integer")
-        if L > MAX_TABLE_AGENTS:
-            raise CapacityError(f"game value table limited to L <= {MAX_TABLE_AGENTS}, got L={L}")
+        L = _agent_count(raw["L"])
         values = _json_reals(raw["v"])
         if values is None or len(values) != 1 << L:
             raise ValidationError(f"game field 'v' must list 2^L numbers for L={L}")

@@ -58,7 +58,7 @@ import numpy as np
 from numpy.fft import irfft, rfft
 
 from .errors import CapacityError, ConsistencyError, ValidationError
-from .game import coalition_sums, core_contains, value_function
+from .game import coalition_sums
 from .polar import (INDEX_BETA, _binary, build_index_sets, construct_profile,
                     polar_transform, sc_decode)
 from .source import (DegradedSourceSpec, _member_masks, build_degraded_source,
@@ -75,9 +75,10 @@ MAX_BLOCK_N = 2 ** 14
 MAX_BLOCKS = 2 ** 15
 # Decode-work limit, in decoded source bits: members x runs x max(B x N,
 # RUN_OVERHEAD_BITS).  Example 2 reaches it at 2730 runs (N=1024, B=4),
-# which take 2.8-3.7 s with built profiles at a peak RSS of 52 MB on a
-# 2-vCPU Xeon.  Sampling, hashing and report objects cost about as much
-# per member-run as decoding RUN_OVERHEAD_BITS bits.
+# which take 2.5-2.9 s with built profiles at a peak RSS of 50 MB on a
+# 2-vCPU Xeon; building the three profiles cold adds about 0.6 s.
+# Sampling, hashing and report objects cost about as much per member-run
+# as decoding RUN_OVERHEAD_BITS bits.
 MAX_DECODE_WORK = 2 ** 25
 RUN_OVERHEAD_BITS = 2 ** 10
 # Runs per simulate_runs call in run_protocol.  At least 100: a caller that
@@ -89,8 +90,9 @@ HASH_CHUNK = 16
 
 
 def _index(value, name: str) -> int:
-    """value as an int, after checking that it is a nonnegative integer."""
-    if not isinstance(value, (int, np.integer)) or value < 0:
+    """value as an int, after checking that it is a nonnegative integer
+    (a boolean is not one)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
         raise ValidationError(f"{name} must be a nonnegative integer, got {value!r}")
     return int(value)
 
@@ -108,6 +110,7 @@ class ProtocolConfig:
     onset_risk: float = 1e-4  # residual per-block risk left uncovered by the clean-up round
 
     def __post_init__(self):
+        self.n, self.b = _index(self.n, "N"), _index(self.b, "B")
         if not all(v >= 1 and v & (v - 1) == 0 for v in (self.n, self.b)):
             raise ValidationError("N and B must be powers of two")
         if self.n > MAX_BLOCK_N:
@@ -122,6 +125,8 @@ class ProtocolConfig:
         if any(r < 0 for r in self.target):
             raise ValidationError("target rates must be nonnegative")
         self.seed = _index(self.seed, "seed")
+        if self.coalition is not None:
+            self.coalition = _index(self.coalition, "coalition")
         if not (math.isfinite(self.onset_risk) and self.onset_risk >= 0):
             raise ValidationError(f"onset_risk must be finite and >= 0, got {self.onset_risk}")
 
@@ -139,7 +144,7 @@ class ProtocolConfig:
             raise CapacityError(
                 f"decode work members x runs x max(B*N, {RUN_OVERHEAD_BITS}) = "
                 f"{work} exceeds the limit {MAX_DECODE_WORK} "
-                "(about 3.5 s at N=1024, B=4 on 2 vCPUs)")
+                "(about 3 s at N=1024, B=4 on 2 vCPUs)")
 
     def to_json(self) -> dict:
         return {
@@ -422,15 +427,24 @@ def leakage_bound(lengths: Sequence[int], floors: Sequence[float]) -> float:
     r_S the summed key lengths and H_S = floors[S] the supplied
     min-entropy lower bound; floors has one entry per coalition bitmask
     (2^L entries, entry 0 ignored).  Values above 1 are vacuous; inf when
-    the exponent overflows double range.
+    the exponent overflows double range.  A floor may be +inf (a coalition
+    that cannot guess at all); lengths must be finite and no floor NaN.
     """
     r = np.asarray(lengths, dtype=float)
     floors = np.asarray(floors, dtype=float)
     if floors.shape != (1 << len(r),):
         raise ValidationError(f"min-entropy floors need one entry per coalition bitmask "
                               f"({1 << len(r)}), got shape {floors.shape}")
+    bad = np.flatnonzero(~np.isfinite(r))
+    if bad.size:
+        raise ValidationError(f"lengths must be finite, got {r[bad[0]]} for agent {bad[0] + 1}")
+    bad = np.flatnonzero(np.isnan(floors))
+    if bad.size:
+        raise ValidationError(f"floors must not be NaN, got NaN for coalition {bad[0]:#x}")
     exps = coalition_sums(r)[1:] - floors[1:]
     m = float(exps.max())
+    if m == -math.inf:  # every floor is +inf: nothing leaks
+        return 0.0
     if m / 2 > 1000:
         return float("inf")
     return float(2.0 ** (m / 2) * math.sqrt(sum((2.0 ** (exps - m)).tolist())))
@@ -507,23 +521,25 @@ class ProtocolEngine:
     # -- construction --------------------------------------------------
 
     def _warn_if_target_outside_region(self, subsets: np.ndarray):
-        if not self.outsiders:
-            game = value_function(self.src)
-            ok, witness = core_contains(game, list(self.cfg.target), tol=1e-9)
-            if not ok:
-                warnings.warn(
-                    f"target allocation is outside the core (witness coalition "
-                    f"{witness:#x}); the protocol still runs, the achievable "
-                    "region is larger than the core", stacklevel=3)
-            return
+        """Warn when some member subset S is given more than
+        _member_info[S] = I(X_S ; X0 | X_outsiders).  For the grand
+        coalition that is v(N) - v(S^c), the core's upper bound, so the
+        target is in the core exactly when no subset is over-allocated and
+        it sums to v(N) = _member_info[-1]; both within 1e-9."""
+        info = self._member_info
         totals = coalition_sums([self.cfg.target[l] for l in self.members])
-        over = np.flatnonzero(totals[1:] > self._member_info[1:] + 1e-9)
+        over = np.flatnonzero(totals[1:] > info[1:] + 1e-9)
         if over.size:
             sub = over[0] + 1
             warnings.warn(
                 f"coalition target exceeds the achievable sum-rate for member subset "
-                f"{int(subsets[sub]):#x}: {totals[sub]:.6f} > {self._member_info[sub]:.6f}",
+                f"{int(subsets[sub]):#x}: {totals[sub]:.6f} > {info[sub]:.6f}",
                 stacklevel=3)
+        if not self.outsiders and abs(totals[-1] - info[-1]) > 1e-9:
+            warnings.warn(
+                f"target allocation is outside the core: it sums to {totals[-1]:.6f}, "
+                f"not v(N) = {info[-1]:.6f}; the protocol still runs, the achievable "
+                "region is larger than the core", stacklevel=3)
 
     # -- per-run mechanics ----------------------------------------------
 
@@ -674,6 +690,7 @@ def run_protocol(spec: DegradedSourceSpec, cfg: ProtocolConfig, runs: int) -> di
     vacuous), and a chi-square uniformity p-value over the pooled key bits.
     Deterministic given (spec, cfg, runs).
     """
+    runs = _index(runs, "runs")
     if runs < 1:
         raise ValidationError(f"runs must be positive, got {runs}")
     cfg.check_decode_work(len(cfg.members(spec.num_agents)), runs)

@@ -345,6 +345,12 @@ class TestGameIO:
         with pytest.raises(ValidationError):
             CoalitionGame.load(str(path))
 
+    # L = 0 used to pass and fail later in shapley_from_game and nucleolus
+    @pytest.mark.parametrize("num_agents", [0, -1, True, 2.0])
+    def test_constructor_rejects_bad_agent_count(self, num_agents):
+        with pytest.raises(ValidationError, match="'L'"):
+            CoalitionGame(num_agents, [0.0])
+
     def test_rejects_nonzero_empty_value(self):
         with pytest.raises(ValidationError):
             CoalitionGame(num_agents=1, values=np.array([0.5, 1.0]))

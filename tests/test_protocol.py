@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -308,6 +309,20 @@ class TestLeakageBound:
             with pytest.raises(ValidationError, match="floors"):
                 leakage_bound([1, 1], floors)
 
+    # a NaN floor used to come back as a NaN bound
+    def test_nan_input_rejected(self):
+        with pytest.raises(ValidationError, match="floors"):
+            leakage_bound([1, 2], [0.0, 1.0, 2.0, float("nan")])
+        for lengths in ([float("nan"), 1], [1, float("inf")]):
+            with pytest.raises(ValidationError, match="lengths"):
+                leakage_bound(lengths, [0.0, 3.0, 4.0, 6.0])
+
+    def test_infinite_floors_leak_nothing(self):
+        # a coalition with guessing probability 0 has floor +inf
+        inf = float("inf")
+        assert leakage_bound([1, 1], [0.0, inf, 4.0, inf]) == pytest.approx(2 ** -1.5)
+        assert leakage_bound([3], [0.0, inf]) == 0.0
+
 
 class TestReportedLeakageBound:
     # the report's bound uses floors[S] = (1 - eps) N B I(X_S ; X0 | X_outsiders)
@@ -497,6 +512,20 @@ class TestRunProtocol:
         with pytest.warns(UserWarning, match="core|sum-rate"):
             run_protocol(SMALL_SPEC, bad, runs=1)
 
+    def test_shapley_target_needs_no_value_table(self, example2_spec, example2_game,
+                                                 monkeypatch):
+        # the core test reads the engine's own I(X_S ; X0) table
+        from keyshare import game as game_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the engine built a value table")
+
+        target = tuple(shapley_from_game(example2_game))
+        monkeypatch.setattr(game_mod.CoalitionGame, "__post_init__", refuse)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ProtocolEngine(example2_spec, ProtocolConfig(n=1024, b=4, epsilon=0.05, target=target))
+
     def test_rejects_zero_runs(self):
         with pytest.raises(ValidationError):
             run_protocol(SMALL_SPEC, small_config(), runs=0)
@@ -632,6 +661,26 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match="seed"):
             small_config(seed=seed)
         assert small_config(seed=np.int64(7)).seed == 7
+
+    # each used to raise a bare TypeError, fail later, or run as 1
+    @pytest.mark.parametrize("field, value", [
+        ("n", 64.0), ("n", "64"), ("n", True), ("b", 2.0), ("b", True),
+        ("seed", True), ("coalition", 1.5), ("coalition", True), ("coalition", "1"),
+    ])
+    def test_rejects_non_integer_fields(self, field, value):
+        name = {"n": "N", "b": "B"}.get(field, field)
+        with pytest.raises(ValidationError, match=name):
+            small_config(**{field: value})
+
+    @pytest.mark.parametrize("runs", [1.5, True, "3", -1])
+    def test_rejects_non_integer_runs(self, runs):
+        with pytest.raises(ValidationError, match="runs"):
+            run_protocol(SMALL_SPEC, small_config(), runs=runs)
+
+    def test_integer_fields_become_ints(self):
+        cfg = small_config(n=np.int64(64), b=np.int32(2), coalition=np.int64(1))
+        assert (cfg.n, cfg.b, cfg.coalition) == (64, 2, 1)
+        assert all(type(v) is int for v in (cfg.n, cfg.b, cfg.coalition))
 
     def test_rejects_bad_onset_risk(self):
         for bad in (float("nan"), float("inf"), -1e-4):

@@ -3,11 +3,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from keyshare import (CapacityError, DegradedSourceSpec, JointSource,
                       ValidationError, binary_entropy,
                       build_degraded_source, entropy, mutual_information,
-                      value_function)
+                      value_function, verify_markov)
 from keyshare.source import ConsistencyError, _clamp
 from keyshare.suites import degraded_table_matches_dense, markov_chain_verified
 
@@ -113,6 +115,61 @@ class TestVerifyMarkov:
     def test_single_agent_trivially_true(self):
         src = JointSource.from_spec(DegradedSourceSpec(q=0.4, p=(0.2,)))
         assert markov_chain_verified([src]).passed
+
+    def test_pairwise_but_not_jointly_independent_fails(self):
+        # x3 = x1 xor x2 xor x0 with x1, x2 uniform: every two agents are
+        # independent given x0, the three are not
+        prob = np.zeros((2,) * 4)
+        for x0, x1, x2 in itertools.product((0, 1), repeat=3):
+            prob[x0, x1, x2, x0 ^ x1 ^ x2] = (0.4 if x0 else 0.6) / 4
+        src = JointSource(num_agents=3, prob=prob)
+        assert not verify_markov(src)
+        with pytest.raises(ValidationError, match="degradedness"):
+            value_function(src)
+
+    def test_dense_values_past_twelve_agents(self):
+        spec = random_degraded_spec(np.random.default_rng(13), 13)
+        dense = value_function(JointSource.from_spec(spec))
+        product = value_function(build_degraded_source(spec))
+        assert np.max(np.abs(dense.values - product.values)) <= 1e-12
+
+    def test_dense_table_capacity(self):
+        with pytest.raises(CapacityError, match="16"):
+            JointSource.from_spec(DegradedSourceSpec(q=0.5, p=(0.1,) * 17))
+
+    @staticmethod
+    def _worst_pair_deviation(prob: np.ndarray) -> float:
+        """max |p(x_S, x_T | x0) - p(x_S | x0) p(x_T | x0)| over disjoint
+        nonempty coalitions S, T and x0 with p(x0) > 0, by direct summation."""
+        L = prob.ndim - 1
+        worst = 0.0
+        for x0 in (0, 1):
+            mass = prob[x0].sum()
+            if mass <= 0:
+                continue
+            cond = prob[x0] / mass
+
+            def marginal(keep):
+                return cond.sum(axis=tuple(a for a in range(L) if a not in keep), keepdims=True)
+
+            for groups in itertools.product((0, 1, 2), repeat=L):  # agent -> S, T or neither
+                s = [a for a in range(L) if groups[a] == 1]
+                t = [a for a in range(L) if groups[a] == 2]
+                if s and t:
+                    dev = np.abs(marginal(s + t) - marginal(s) * marginal(t)).max()
+                    worst = max(worst, float(dev))
+        return worst
+
+    @settings(max_examples=150, deadline=None)
+    @given(num_agents=st.integers(2, 4), seed=st.integers(0, 2 ** 32 - 1),
+           noise=st.sampled_from([0.0, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-6]))
+    def test_accepted_tables_have_every_pair_within_tol(self, num_agents, seed, noise):
+        rng = np.random.default_rng(seed)
+        prob = JointSource.from_spec(random_degraded_spec(rng, num_agents)).prob
+        prob = np.maximum(prob + noise * rng.standard_normal(prob.shape), 0.0)
+        src = JointSource(num_agents=num_agents, prob=prob / prob.sum())
+        if verify_markov(src, tol=1e-10):
+            assert self._worst_pair_deviation(src.prob) <= 1e-10
 
 
 class TestEntropyQueries:
