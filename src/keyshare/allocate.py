@@ -76,7 +76,7 @@ def lp_solve(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None):
 
 def _incidence(masks, L: int) -> np.ndarray:
     """0/1 float matrix whose row k marks the members of coalition masks[k]."""
-    return ((np.asarray(masks)[:, None] >> np.arange(L)) & 1).astype(float)
+    return ((np.asarray(masks, dtype=np.int64)[:, None] >> np.arange(L)) & 1).astype(float)
 
 
 def shapley_from_game(game: CoalitionGame) -> np.ndarray:
@@ -148,51 +148,54 @@ class NucleolusTrace:
         ]
 
 
-def _drop_spanned(free: np.ndarray, rows: np.ndarray, a_eq: np.ndarray) -> int:
-    """Unfree every free row in the row space of a_eq; returns its rank.
+def _drop_spanned(free: np.ndarray, a_eq: np.ndarray) -> int:
+    """Unfree every free coalition S in the row space of a_eq; returns its rank.
 
-    Such a row has a constant excess on the set a_eq fixes, so it can no
-    longer order the points left.  Membership is a projection residual
-    against an orthonormal basis of a_eq (its right singular vectors with
-    singular values above PIVOT_TOL), at PIVOT_TOL.
+    Such a coalition has a constant excess on the set a_eq fixes, so it can
+    no longer order the points left.  The right singular vectors d past the
+    rank (singular values at most PIVOT_TOL) span the null space, and S
+    stays free iff sum_d (sum_{i in S} d_i)^2 > PIVOT_TOL^2: its squared
+    residual off the row space, summed from coalition_sums(d) one d at a time.
     """
-    _, singular, vt = np.linalg.svd(a_eq, full_matrices=False)
-    basis = vt[singular > PIVOT_TOL]
-    residual = rows[free] @ (np.eye(a_eq.shape[1]) - basis.T @ basis)
-    free[free] = np.linalg.norm(residual, axis=1) > PIVOT_TOL
-    return len(basis)
+    _, singular, vt = np.linalg.svd(a_eq)
+    rank = int(np.count_nonzero(singular > PIVOT_TOL))
+    residual = np.zeros(len(free))
+    for d in vt[rank:]:
+        residual += coalition_sums(d) ** 2
+    free &= residual > PIVOT_TOL ** 2
+    return rank
 
 
 def _fix_stages(game: CoalitionGame, route: str, stage):
     """The stage loop both nucleolus routes share; returns (trace, a_eq, b_eq).
 
     The fixed system a_eq x = b_eq starts as efficiency.  Each stage,
-    stage(rows, free, a_eq, b_eq) returns the stage optimum z and the
-    coalitions it fixes (ascending masks); their rows join a_eq with right
-    sides v(S) - z.  rows holds the coalition-incidence row of every mask,
-    and free marks the coalitions not yet fixed.
+    stage(free, a_eq, b_eq) returns the stage optimum z and the coalitions
+    it fixes (ascending masks), free being a boolean array over masks that
+    marks the coalitions not yet fixed; their incidence rows join a_eq with
+    right sides v(S) - z.
 
     Before the first stage and after every stage, every free coalition
     whose incidence row lies in the row space of a_eq leaves the free set,
-    the ones just fixed included (_drop_spanned): its excess is constant on
-    the rest of the feasible set, so it cannot affect the lexicographic
-    order (Maschler, Peleg & Shapley, Math. Oper. Res. 4, 1979).  Every
-    coalition a stage fixes is then outside the span, the rank rises at
-    every stage and there are at most L - 1 stages; a stage that does not
-    raise it is a SolverError.  The loop stops once a_eq pins all L payoffs.
+    the ones just fixed included (_drop_spanned, on coalition sums of the
+    null directions of a_eq): its excess is constant on the rest of the
+    feasible set, so it cannot affect the lexicographic order (Maschler,
+    Peleg & Shapley, Math. Oper. Res. 4, 1979).  Every coalition a stage
+    fixes is then outside the span, the rank rises at every stage and
+    there are at most L - 1 stages; a stage that does not raise it is a
+    SolverError.  The loop stops once a_eq pins all L payoffs.
     """
     L = game.num_agents
-    masks = np.arange(game.full_mask + 1)
-    rows = _incidence(masks, L)
-    free = (masks > 0) & (masks < game.full_mask)
+    free = np.ones(game.full_mask + 1, dtype=bool)
+    free[[0, -1]] = False
     a_eq, b_eq = np.ones((1, L)), np.array([game.grand_value()])
     trace = NucleolusTrace(route=route)
-    rank = _drop_spanned(free, rows, a_eq)
+    rank = _drop_spanned(free, a_eq)
     while rank < L:
-        z, binding = stage(rows, free, a_eq, b_eq)
-        a_eq = np.vstack([a_eq, rows[binding]])
+        z, binding = stage(free, a_eq, b_eq)
+        a_eq = np.vstack([a_eq, _incidence(binding, L)])
         b_eq = np.concatenate([b_eq, game.values[binding] - z])
-        prior, rank = rank, _drop_spanned(free, rows, a_eq)
+        prior, rank = rank, _drop_spanned(free, a_eq)
         if rank <= prior:
             raise SolverError(f"nucleolus stage {len(trace.stages) + 1} fixed {binding} "
                               f"without raising the system rank {prior}")
@@ -275,7 +278,7 @@ def _excess_levels(game: CoalitionGame, x: np.ndarray) -> NucleolusTrace:
     """
     excess = game.values - coalition_sums(x)
 
-    def stage(rows, free, a_eq, b_eq):
+    def stage(free, a_eq, b_eq):
         z = float(np.max(excess[free]))
         return z, [int(mask) for mask in np.flatnonzero(free & (excess >= z - TIGHT_TOL))]
 
@@ -285,9 +288,9 @@ def _excess_levels(game: CoalitionGame, x: np.ndarray) -> NucleolusTrace:
 def nucleolus_lp(game: CoalitionGame):
     """Lexicographically optimal allocation plus the stage trace, by LPs.
 
-    Successive LPs over the nonempty proper coalitions, all sliced from one
-    coalition-incidence matrix: stage k minimizes the worst free excess z
-    (free rows as >= constraints on payoffs plus z, negated into a_ub;
+    Successive LPs over the nonempty proper coalitions, each building the
+    incidence rows of the masks it uses: stage k minimizes the worst free
+    excess z (free rows as >= constraints on payoffs plus z, negated into a_ub;
     a_eq holds efficiency, then the fixed rows stage by stage, each stage's
     in ascending mask order).  The coalitions whose excess stays at z* on
     the whole optimal face become equalities for later stages.  A tight
@@ -314,11 +317,12 @@ def _nucleolus_lp_scaled(game: CoalitionGame):
     stage_c[L] = 1.0
     slack_c = -stage_c
 
-    def stage(rows, free, a_eq, b_eq):
-        # stage LP over (payoffs, z): every free row as x(S) + z >= v(S)
+    def stage(free, a_eq, b_eq):
+        # stage LP over (payoffs, z): every free row as x(S) + z >= v(S),
+        # z the coefficient of bit L; a_eq gets a zero z column
+        a_eq = np.pad(a_eq, ((0, 0), (0, 1)))
         status, z_star, sol, duals = lp_solve(
-            stage_c, np.hstack([-rows[free], np.full((np.count_nonzero(free), 1), -1.0)]),
-            -v[free], np.hstack([a_eq, np.zeros((len(a_eq), 1))]), b_eq,
+            stage_c, -_incidence(np.flatnonzero(free) | 1 << L, L + 1), -v[free], a_eq, b_eq,
             payoffs + [(None, None)])
         if status != "optimal":
             raise ValidationError(
@@ -335,12 +339,11 @@ def _nucleolus_lp_scaled(game: CoalitionGame):
         while np.any(tight & ~fixing):
             # max-slack LP over (payoffs, t): the pinned rows as equalities,
             # every other tight row lifted by t; t* > 0 frees all of them
-            rest = free & ~fixing
+            rest = np.flatnonzero(free & ~fixing)
             lift = tight[rest]
             status, neg_t, _, duals = lp_solve(
-                slack_c, np.hstack([-rows[rest], lift[:, None]]), -(v[rest] - z_star),
-                np.hstack([np.vstack([a_eq, rows[fixing]]),
-                           np.zeros((len(a_eq) + np.count_nonzero(fixing), 1))]),
+                slack_c, np.hstack([-_incidence(rest, L), lift[:, None]]),
+                -(v[rest] - z_star), np.vstack([a_eq, _incidence(np.flatnonzero(fixing), L + 1)]),
                 np.concatenate([b_eq, v[fixing] - z_star]), payoffs + [(None, 1.0)])
             if status != "optimal":
                 raise SolverError(f"max-slack LP came back {status}")
@@ -350,7 +353,7 @@ def _nucleolus_lp_scaled(game: CoalitionGame):
             pinned = lift & (duals > DUAL_TOL)
             if not np.any(pinned):
                 raise SolverError("max-slack LP pinned no tight coalition; cannot progress")
-            fixing[np.flatnonzero(rest)[pinned]] = True
+            fixing[rest[pinned]] = True
         return z_star, [int(mask) for mask in np.flatnonzero(fixing)]
 
     trace, a_eq, b_eq = _fix_stages(game, "lp", stage)
@@ -397,8 +400,8 @@ def prekernel_gap(game: CoalitionGame, rates: Sequence[float]) -> float:
     """
     L = game.num_agents
     x = np.asarray(rates, dtype=float)
-    if x.shape != (L,):
-        raise ValidationError(f"allocation needs {L} rates, got shape {x.shape}")
+    if x.shape != (L,) or not np.all(np.isfinite(x)):
+        raise ValidationError(f"allocation needs {L} finite rates, got {x.tolist()}")
     return _surpluses(game, x)[0]
 
 
@@ -419,13 +422,13 @@ def brute_force_nucleolus(game: CoalitionGame, grid_step: float) -> np.ndarray:
     L = game.num_agents
     if L > 3:
         raise CapacityError("grid-sweep nucleolus oracle limited to L <= 3")
-    if grid_step <= 0:
-        raise ValidationError("grid_step must be positive")
+    if not (np.isfinite(grid_step) and grid_step > 0):
+        raise ValidationError(f"grid_step must be a finite positive number, got {grid_step}")
     total = game.grand_value()
-    axis = np.arange(0.0, total + grid_step / 2, grid_step)
     if L == 1:
-        pts = np.array([[total]])
-    elif L == 2:
+        return np.array([total])
+    axis = np.arange(0.0, total + grid_step / 2, grid_step)
+    if L == 2:
         pts = np.stack([axis, total - axis], axis=1)
         pts = pts[pts[:, 1] >= -1e-12]
     else:
@@ -434,10 +437,7 @@ def brute_force_nucleolus(game: CoalitionGame, grid_step: float) -> np.ndarray:
         keep = y3 >= -1e-12
         pts = np.stack([g1[keep], g2[keep], y3[keep]], axis=1)
     pts = np.clip(pts, 0.0, None)
-    proper = [m for m in range(1, (1 << L) - 1)]
-    if not proper:
-        return pts[0]
-    exc = game.values[proper][None, :] - pts @ _incidence(proper, L).T
+    exc = game.values[1:-1] - coalition_sums(pts)[:, 1:-1]
     exc_sorted = np.round(-np.sort(-exc, axis=1), 9)
     keys = tuple(exc_sorted[:, k] for k in range(exc_sorted.shape[1] - 1, -1, -1))
     best = np.lexsort(keys)[0]

@@ -20,9 +20,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapacityError, ValidationError
-from .source import (MAX_TABLE_AGENTS, DegradedSource, JointSource, _json_reals,
-                     _member_masks, _read_json_object, coalition_sums,
-                     mutual_information, verify_markov)
+from .source import (MAX_TABLE_AGENTS, DegradedSource, JointSource, _check_tol,
+                     _json_reals, _member_masks, _positive_count, _read_json_object,
+                     coalition_sums, mutual_information, verify_markov)
 
 DEFAULT_TOL = 1e-9
 MAX_EXHAUSTIVE_AGENTS = 12
@@ -31,11 +31,10 @@ MAX_EXHAUSTIVE_AGENTS = 12
 def _agent_count(L) -> int:
     """A game's L as an int: a positive integer, never a boolean, at most
     MAX_TABLE_AGENTS."""
-    if isinstance(L, bool) or not isinstance(L, (int, np.integer)) or L < 1:
-        raise ValidationError(f"game field 'L' must be a positive integer, got {L!r}")
+    L = _positive_count(L, "game field 'L'")
     if L > MAX_TABLE_AGENTS:
         raise CapacityError(f"game value table limited to L <= {MAX_TABLE_AGENTS}, got L={L}")
-    return int(L)
+    return L
 
 
 @dataclass
@@ -139,6 +138,7 @@ def clearance_level_games(src: JointSource | DegradedSource,
 
 def is_superadditive(game: CoalitionGame, tol: float = DEFAULT_TOL):
     """(ok, witness): v(S) + v(T) <= v(S|T) + tol for all disjoint S, T."""
+    _check_tol(tol)
     L = game.num_agents
     if L > MAX_EXHAUSTIVE_AGENTS:
         raise CapacityError(f"exhaustive superadditivity scan guarded at L <= {MAX_EXHAUSTIVE_AGENTS}")
@@ -167,6 +167,7 @@ def is_supermodular(game: CoalitionGame, tol: float = DEFAULT_TOL):
     the first violating pair (S|i, S|j) in _first_adjacent_violation's
     order.
     """
+    _check_tol(tol)
     return _first_adjacent_violation(game.values, tol)
 
 
@@ -218,6 +219,7 @@ def core_contains(game: CoalitionGame, rates: Sequence[float],
     coalition bitmask doubles as the efficiency witness, also for
     non-finite rates, which are never in the core.
     """
+    _check_tol(tol)
     r = np.asarray(rates, dtype=float)
     if r.shape != (game.num_agents,):
         raise ValidationError(f"allocation needs {game.num_agents} rates, got shape {r.shape}")

@@ -75,6 +75,19 @@ def _json_reals(values) -> Optional[list[float]]:
     return None
 
 
+def _positive_count(value, field: str) -> int:
+    """A count as an int: a positive integer, never a boolean."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValidationError(f"{field} must be a positive integer, got {value!r}")
+    return int(value)
+
+
+def _check_tol(tol) -> None:
+    """A tolerance must be finite and nonnegative: a NaN one passes every check."""
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValidationError(f"tol must be finite and nonnegative, got {tol!r}")
+
+
 def _level_id(a) -> int:
     """An agent id from a levels entry: integral values only, never booleans."""
     if (isinstance(a, (bool, np.bool_)) or not isinstance(a, numbers.Real)
@@ -166,6 +179,8 @@ class JointSource:
     prob: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "num_agents",
+                           _positive_count(self.num_agents, "source field 'num_agents'"))
         if self.num_agents > MAX_DENSE_AGENTS:
             raise CapacityError(f"dense joint table limited to L <= {MAX_DENSE_AGENTS}, "
                                 f"got L={self.num_agents}")
@@ -385,6 +400,7 @@ def verify_markov(src: JointSource, tol: float = 1e-10) -> bool:
     all within tol can still be refused, mostly when its deviations are
     near tol (per-cell noise of 1e-13 to 1e-10 at tol = 1e-10).
     """
+    _check_tol(tol)
     L = src.num_agents
     for cond in src.prob:
         mass = cond.sum()

@@ -309,10 +309,50 @@ class TestRecordedRates:
                 assert np.max(np.abs(ours - np.array(theirs))) <= 1e-12
 
 
-def fixed_rows_only(free, rows, a_eq):
+def fixed_rows_only(free, a_eq):
     """_drop_spanned without the span pruning: only the fixed rows leave."""
-    free &= ~np.any(np.all(rows[:, None, :] == a_eq, axis=2), axis=1)
+    free[(a_eq @ (1 << np.arange(a_eq.shape[1]))).astype(int)] = False
     return int(np.linalg.matrix_rank(a_eq, tol=allocate.PIVOT_TOL))
+
+
+def projector_drop_spanned(free, a_eq):
+    """The span test as a projection residual of every free incidence row
+    against an orthonormal basis of a_eq, at PIVOT_TOL: _drop_spanned's oracle."""
+    rows = allocate._incidence(np.arange(len(free)), a_eq.shape[1])
+    _, singular, vt = np.linalg.svd(a_eq, full_matrices=False)
+    basis = vt[singular > allocate.PIVOT_TOL]
+    residual = rows[free] @ (np.eye(a_eq.shape[1]) - basis.T @ basis)
+    free[free] = np.linalg.norm(residual, axis=1) > allocate.PIVOT_TOL
+    return len(basis)
+
+
+class TestDropSpanned:
+    @staticmethod
+    def systems(rng, L):
+        """Fixed systems as the stage loop builds them (efficiency plus
+        incidence rows, dependent ones among them) and random dense ones,
+        full rank and rank deficient, with fewer and more rows than L."""
+        masks = rng.integers(1, 1 << L, size=rng.integers(1, 2 * L))
+        yield np.vstack([np.ones(L), allocate._incidence(masks, L)])
+        # S, its complement and a repeated row are dependent on efficiency
+        s = int(rng.integers(1, (1 << L) - 1))
+        yield allocate._incidence([(1 << L) - 1, s, (1 << L) - 1 ^ s, s], L)
+        for rows in (L - 2, L + 3):
+            yield rng.normal(size=(rows, L))
+            rank = int(rng.integers(1, L))
+            yield rng.normal(size=(rows, rank)) @ rng.normal(size=(rank, L))
+
+    @pytest.mark.parametrize("L", range(3, 11))
+    def test_matches_the_projector_formula(self, L):
+        rng = np.random.default_rng(59 + L)
+        for _ in range(5):
+            for a_eq in self.systems(rng, L):
+                free = rng.random(1 << L) < 0.7
+                free[[0, -1]] = False
+                expected = free.copy()
+                rank = projector_drop_spanned(expected, a_eq)
+                assert allocate._drop_spanned(free, a_eq) == rank
+                assert np.array_equal(free, expected)
 
 
 class TestStageBound:
@@ -355,6 +395,24 @@ class TestRoutes:
         assert (trace.route, trace.iterations, trace.convex) == ("lp", 0, True)
         assert np.array_equal(rates, lp_rates) and trace.to_json() == lp_trace.to_json()
 
+    def test_prekernel_route_builds_no_coalition_table(self, monkeypatch):
+        # only the pair system and the fixed sets are incidence matrices: no
+        # table of every coalition is built on the way to the nucleolus
+        built = []
+        incidence = allocate._incidence
+
+        def recording(masks, L):
+            rows = incidence(masks, L)
+            built.append(len(rows))
+            return rows
+
+        monkeypatch.setattr(allocate, "_incidence", recording)
+        for game in stream0_games(count=4) + [tiered_game()]:
+            built.clear()
+            L = game.num_agents
+            assert nucleolus(game)[1].route == "prekernel"
+            assert built and max(built) <= L * (L - 1) // 2
+
     def test_a_level_that_does_not_raise_the_rank_is_an_error(self, monkeypatch):
         # with only the fixed coalitions leaving the free set, the nucleolus of
         # the first golden L=4 game has a level already in the fixed span
@@ -396,6 +454,12 @@ class TestPrekernelGap:
         with pytest.raises(ValidationError):
             prekernel_gap(example2_game, [0.1, 0.2])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_rates(self, bad):
+        game = CoalitionGame(num_agents=2, values=np.array([0.0, 0.2, 0.2, 0.5]))
+        with pytest.raises(ValidationError, match="finite rates"):
+            prekernel_gap(game, [bad, 0.3])
+
 
 class TestBruteForceOracle:
     def test_additive_point(self):
@@ -413,6 +477,16 @@ class TestBruteForceOracle:
         game = CoalitionGame(num_agents=4, values=np.zeros(16))
         with pytest.raises(CapacityError):
             brute_force_nucleolus(game, grid_step=0.1)
+
+    @pytest.mark.parametrize("step", [np.nan, np.inf, 0.0, -0.1])
+    def test_rejects_bad_grid_step(self, step):
+        game = CoalitionGame(num_agents=2, values=np.array([0.0, 0.1, 0.1, 0.8]))
+        with pytest.raises(ValidationError, match="grid_step"):
+            brute_force_nucleolus(game, grid_step=step)
+
+    def test_single_agent(self):
+        game = CoalitionGame(num_agents=1, values=np.array([0.0, 0.7]))
+        assert brute_force_nucleolus(game, grid_step=0.1).tolist() == [0.7]
 
 
 class TestCorePolytope:

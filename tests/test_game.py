@@ -10,7 +10,8 @@ from keyshare import (CoalitionGame, DegradedSourceSpec, JointSource,
                       ValidationError, build_degraded_source,
                       clearance_level_games, core_bounds, core_contains,
                       is_superadditive, is_supermodular, mutual_information,
-                      shapley_from_game, nucleolus, value_function)
+                      shapley_from_game, nucleolus, value_function,
+                      verify_markov)
 from keyshare.game import _first_adjacent_violation, coalition_sums
 from keyshare.source import _member_masks
 from keyshare.suites import (core_bounds_equivalence,
@@ -132,7 +133,24 @@ class TestClearanceLevels:
             clearance_level_games(example2_source, [(1,), (2,)])
 
 
+# 0.2 + 0.2 > 0.1: neither superadditive, supermodular nor with (0.05, 0.05) in its core
+NON_CONVEX_PAIR = CoalitionGame(num_agents=2, values=np.array([0.0, 0.2, 0.2, 0.1]))
+TOLERANCE_CHECKS = {
+    "is_superadditive": lambda tol: is_superadditive(NON_CONVEX_PAIR, tol=tol),
+    "is_supermodular": lambda tol: is_supermodular(NON_CONVEX_PAIR, tol=tol),
+    "core_contains": lambda tol: core_contains(NON_CONVEX_PAIR, [0.05, 0.05], tol=tol),
+    "verify_markov": lambda tol: verify_markov(
+        JointSource.from_spec(DegradedSourceSpec(q=0.4, p=(0.2, 0.3))), tol=tol),
+}
+
+
 class TestGamePredicates:
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-9])
+    @pytest.mark.parametrize("check", sorted(TOLERANCE_CHECKS))
+    def test_rejects_a_bad_tolerance(self, check, tol):
+        with pytest.raises(ValidationError, match="tol must be finite and nonnegative"):
+            TOLERANCE_CHECKS[check](tol)
+
     def test_example2_superadditive_and_supermodular(self, example2_game):
         assert is_superadditive(example2_game, tol=1e-10) == (True, None)
         assert is_supermodular(example2_game, tol=1e-10) == (True, None)

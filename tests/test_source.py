@@ -306,6 +306,11 @@ class TestEntropyTable:
         prob[0, 0] = 0.5  # the caller's array is not the source's table
         assert src.prob[0, 0] == 0.25
 
+    @pytest.mark.parametrize("num_agents", [0, -1, 1.5, True])
+    def test_rejects_a_bad_agent_count(self, num_agents):
+        with pytest.raises(ValidationError, match="'num_agents' must be a positive integer"):
+            JointSource(num_agents=num_agents, prob=np.full((2, 2), 0.25))
+
     def test_rejects_non_finite_cells(self):
         # NaN slips past both the sign and the sum check
         prob = np.full((2, 2, 2), 0.125)
