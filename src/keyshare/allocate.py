@@ -152,12 +152,12 @@ def _drop_spanned(free: np.ndarray, a_eq: np.ndarray) -> int:
     """Unfree every free coalition S in the row space of a_eq; returns its rank.
 
     Such a coalition has a constant excess on the set a_eq fixes, so it can
-    no longer order the points left.  The right singular vectors d past the
-    rank (singular values at most PIVOT_TOL) span the null space, and S
-    stays free iff sum_d (sum_{i in S} d_i)^2 > PIVOT_TOL^2: its squared
-    residual off the row space, summed from coalition_sums(d) one d at a time.
+    no longer order the points left.  S stays free iff sum_d (sum_{i in S}
+    d_i)^2 > PIVOT_TOL^2 over the null directions d past the rank (V^T in
+    full only below L rows, so U never outgrows a_eq): its squared residual
+    off the row space, summed from coalition_sums(d) one d at a time.
     """
-    _, singular, vt = np.linalg.svd(a_eq)
+    _, singular, vt = np.linalg.svd(a_eq, full_matrices=len(a_eq) < a_eq.shape[1])
     rank = int(np.count_nonzero(singular > PIVOT_TOL))
     residual = np.zeros(len(free))
     for d in vt[rank:]:

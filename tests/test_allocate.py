@@ -326,7 +326,32 @@ def projector_drop_spanned(free, a_eq):
     return len(basis)
 
 
+def additive_game(L):
+    """v(S) = sum of distinct single-agent values: every proper coalition
+    has excess 0 at the nucleolus, so the one stage fixes all of them."""
+    return CoalitionGame(num_agents=L, values=coalition_sums(np.arange(1, L + 1) / 64))
+
+
 class TestDropSpanned:
+    def test_a_tall_fixed_system_keeps_the_left_factor_small(self, monkeypatch):
+        # the fixed system of the additive game has 2^L - 1 rows; a full U
+        # would be 4095 x 4095 here and 2^20 x 2^20 at L = 20
+        factors = []
+        svd = np.linalg.svd
+
+        def recording(a, *args, **kwargs):
+            u, singular, vt = svd(a, *args, **kwargs)
+            factors.append((a.shape, u.shape))
+            return u, singular, vt
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        game = additive_game(12)
+        rates, trace = nucleolus(game)
+        assert np.allclose(rates, np.arange(1, 13) / 64, rtol=0, atol=1e-12)
+        assert [len(stage.fixed_coalitions) for stage in trace.stages] == [4094]
+        assert factors[-1] == ((4095, 12), (4095, 12))
+        assert all(u[1] <= min(a) for a, u in factors)
+
     @staticmethod
     def systems(rng, L):
         """Fixed systems as the stage loop builds them (efficiency plus
@@ -395,9 +420,10 @@ class TestRoutes:
         assert (trace.route, trace.iterations, trace.convex) == ("lp", 0, True)
         assert np.array_equal(rates, lp_rates) and trace.to_json() == lp_trace.to_json()
 
-    def test_prekernel_route_builds_no_coalition_table(self, monkeypatch):
-        # only the pair system and the fixed sets are incidence matrices: no
-        # table of every coalition is built on the way to the nucleolus
+    def test_prekernel_route_builds_only_pair_and_fixed_rows(self, monkeypatch):
+        # the incidence matrices are the pair system (at most L(L-1)/2 rows)
+        # and the coalitions a stage fixes, never a table of every mask; the
+        # additive game fixes all 2^L - 2 proper coalitions at its one stage
         built = []
         incidence = allocate._incidence
 
@@ -407,11 +433,13 @@ class TestRoutes:
             return rows
 
         monkeypatch.setattr(allocate, "_incidence", recording)
-        for game in stream0_games(count=4) + [tiered_game()]:
+        for game in stream0_games(count=4) + [tiered_game(), additive_game(12)]:
             built.clear()
             L = game.num_agents
-            assert nucleolus(game)[1].route == "prekernel"
-            assert built and max(built) <= L * (L - 1) // 2
+            trace = nucleolus(game)[1]
+            fixed = [len(stage.fixed_coalitions) for stage in trace.stages]
+            assert trace.route == "prekernel" and built
+            assert all(n <= L * (L - 1) // 2 or n in fixed for n in built)
 
     def test_a_level_that_does_not_raise_the_rank_is_an_error(self, monkeypatch):
         # with only the fixed coalitions leaving the free set, the nucleolus of
