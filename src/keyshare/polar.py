@@ -46,11 +46,26 @@ MAX_EXACT_N = 16
 MC_CHUNK = 512  # frozen: results must not depend on scheduling
 MERGE_BINS = 64  # mu: BSC components kept per synthetic channel after each merge
 INDEX_BETA = 0.3  # exponent of the index-set threshold delta_N = 2^(-N^INDEX_BETA)
+# construct_profile takes 1.4-3.5 s per distinct crossover in [0.05, 0.4] at
+# this N (2-vCPU Xeon)
+MAX_BLOCK_N = 2 ** 14
+_TINY = float(np.finfo(float).tiny)
+# Unordered component pairs (i, j), i <= j, ordered by j then i, so the pairs
+# of a k-component mixture are the first k(k+1)/2 entries (a merge keeps
+# k <= MERGE_BINS); a pair off the diagonal stands for both orders.
+_PAIR_J, _PAIR_I = np.tril_indices(MERGE_BINS)
+_PAIR_COUNT = np.where(_PAIR_I == _PAIR_J, 1.0, 2.0)
 
 
 def _check_block_length(n: int) -> None:
     if n < 1 or n & (n - 1):
         raise ValidationError(f"block length must be a power of two, got {n}")
+
+
+def _check_profile_length(n: int) -> None:
+    _check_block_length(n)
+    if n > MAX_BLOCK_N:
+        raise CapacityError(f"profile block length N={n} exceeds the limit {MAX_BLOCK_N}")
 
 
 def _check_theta(theta: float, name: str = "theta") -> None:
@@ -132,7 +147,7 @@ def build_index_sets(profile: EntropyProfile) -> PolarIndexSets:
 
 def _bsc_entropy(eps: np.ndarray) -> np.ndarray:
     """h2 of crossovers in [0, 1/2], with 0 log 0 = 0."""
-    return -(eps * np.log2(np.maximum(eps, np.finfo(float).tiny))
+    return -(eps * np.log2(np.maximum(eps, _TINY))
              + (1.0 - eps) * np.log2(1.0 - eps))
 
 
@@ -153,12 +168,19 @@ def _degrading_merge(w: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, np.nda
 
 def _polar_children(w: np.ndarray, eps: np.ndarray):
     """Check-node (minus) and variable-node (plus) transforms of a BSC mixture
-    combined with an independent copy of itself, each merged back down."""
-    ww = np.outer(w, w).ravel()
-    e1, e2 = eps[:, None], eps[None, :]
-    a, b = (e1 * (1.0 - e2)).ravel(), (e2 * (1.0 - e1)).ravel()
+    combined with an independent copy of itself, each merged back down.
+
+    The component pairs (i, j) and (j, i) give the same candidate BSCs, so
+    each unordered pair is formed once, with weight 2 w_i w_j off the
+    diagonal and w_i^2 on it.
+    """
+    m = w.size * (w.size + 1) // 2
+    i, j = _PAIR_I[:m], _PAIR_J[:m]
+    ww = _PAIR_COUNT[:m] * w[i] * w[j]
+    e1, e2 = eps[i], eps[j]
+    a, b = e1 * (1.0 - e2), e2 * (1.0 - e1)
     flip = a + b  # minus: crossover of the XOR; plus: P(the two outputs disagree)
-    agree_eps = (e1 * e2).ravel() / (1.0 - flip)
+    agree_eps = e1 * e2 / (1.0 - flip)
     disagree_eps = np.divide(np.minimum(a, b), flip, out=np.zeros_like(flip), where=flip > 0)
     minus = _degrading_merge(ww, flip)
     plus = _degrading_merge(np.concatenate([ww * (1.0 - flip), ww * flip]),
@@ -171,12 +193,14 @@ def construct_profile(theta: float, n: int) -> EntropyProfile:
     """Deterministic profile of the synthetic channels of a BSC(theta).
 
     Tracks each synthetic channel as a mixture of BSCs, applying the 2N-2
-    check/variable-node transforms of the polar tree depth first and
-    merging down to at most MERGE_BINS components after each one.  Every merge degrades, so both h and
-    genie_error are per-index upper bounds on the exact values.  Memoised
-    on (theta, N): repeated calls return the same read-only profile.
+    check/variable-node transforms of the polar tree depth first over the
+    unordered pairs of its components, and merging down to at most
+    MERGE_BINS components after each one.  Every merge degrades, so both h
+    and genie_error are per-index upper bounds on the exact values.
+    Memoised on (theta, N): repeated calls return the same read-only
+    profile.  Raises CapacityError when N > MAX_BLOCK_N.
     """
-    _check_block_length(n)
+    _check_profile_length(n)
     _check_theta(theta)
     h, err = np.zeros(n), np.zeros(n)
     index = 0
@@ -314,9 +338,10 @@ def entropy_profile_mc(theta: float, n: int, num_samples: int, seed: int) -> Ent
     the true transform-domain prefix, and averages the per-bit posterior
     entropies and maximum-posterior decision errors.  Deterministic given (seed, num_samples): sampling uses
     counter-based streams keyed by (seed, chunk) at a frozen chunk size,
-    so the result does not depend on how work is scheduled.
+    so the result does not depend on how work is scheduled.  Raises
+    CapacityError when N > MAX_BLOCK_N.
     """
-    _check_block_length(n)
+    _check_profile_length(n)
     _check_theta(theta)
     if num_samples < 1000:
         raise ValidationError(f"num_samples must be at least 1000, got {num_samples}")

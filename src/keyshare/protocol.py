@@ -59,8 +59,8 @@ from numpy.fft import irfft, rfft
 
 from .errors import CapacityError, ConsistencyError, ValidationError
 from .game import coalition_sums
-from .polar import (INDEX_BETA, _binary, build_index_sets, construct_profile,
-                    polar_transform, sc_decode)
+from .polar import (INDEX_BETA, MAX_BLOCK_N, _binary, build_index_sets,
+                    construct_profile, polar_transform, sc_decode)
 from .source import (DegradedSourceSpec, _member_masks, build_degraded_source,
                      mutual_information)
 
@@ -69,14 +69,12 @@ FINAL_ROUND_BLOCK = 0xFFFE
 HASH_BITS_BLOCK = 0xFFFF
 _RUN_TAG = 0x52
 _HASH_TAG = 0x48
-# construct_profile takes 2.2-3.5 s per distinct crossover at this N (2-vCPU Xeon)
-MAX_BLOCK_N = 2 ** 14
 # Transcript.to_bytes writes block ids as u16 and reserves 0xFFFE and 0xFFFF
 MAX_BLOCKS = 2 ** 15
 # Decode-work limit, in decoded source bits: members x runs x max(B x N,
 # RUN_OVERHEAD_BITS).  Example 2 reaches it at 2730 runs (N=1024, B=4),
-# which take 2.5-2.9 s with built profiles at a peak RSS of 50 MB on a
-# 2-vCPU Xeon; building the three profiles cold adds about 0.6 s.
+# which take 2.3-3.3 s with built profiles at a peak RSS of 50 MB on a
+# 2-vCPU Xeon; building the three profiles cold adds 0.3-0.55 s.
 # Sampling, hashing and report objects cost about as much per member-run
 # as decoding RUN_OVERHEAD_BITS bits.
 MAX_DECODE_WORK = 2 ** 25

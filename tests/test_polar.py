@@ -6,7 +6,8 @@ from keyshare import (CapacityError, ValidationError, binary_entropy,
                       entropy_profile_exact, entropy_profile_mc,
                       polar_transform, sc_decode)
 from keyshare import polar
-from keyshare.polar import INDEX_BETA, delta_threshold
+from keyshare.polar import INDEX_BETA, MAX_BLOCK_N, MERGE_BINS, delta_threshold
+from keyshare.protocol import _risk_suffix
 from keyshare.suites import (mc_profile_matches_exact,
                              profile_monotone_in_crossover,
                              transform_involution_and_linear)
@@ -152,6 +153,68 @@ class TestConstructProfile:
             construct_profile(0.2, 12)
 
 
+def _ordered_children(w, eps):
+    """The polar children over all k^2 ordered component pairs: the
+    reference for the unordered-pair walk."""
+    ww = np.outer(w, w).ravel()
+    e1, e2 = eps[:, None], eps[None, :]
+    a, b = (e1 * (1.0 - e2)).ravel(), (e2 * (1.0 - e1)).ravel()
+    flip = a + b
+    agree_eps = (e1 * e2).ravel() / (1.0 - flip)
+    disagree_eps = np.divide(np.minimum(a, b), flip, out=np.zeros_like(flip), where=flip > 0)
+    minus = polar._degrading_merge(ww, flip)
+    plus = polar._degrading_merge(np.concatenate([ww * (1.0 - flip), ww * flip]),
+                                  np.concatenate([agree_eps, disagree_eps]))
+    return minus, plus
+
+
+class TestUnorderedPairs:
+    """The walk over unordered component pairs against the ordered-pair
+    walk: the same candidates, summed in another order."""
+
+    def test_pair_table_prefixes(self):
+        for k in range(1, MERGE_BINS + 1):
+            m = k * (k + 1) // 2
+            i, j = polar._PAIR_I[:m], polar._PAIR_J[:m]
+            assert sorted(zip(i.tolist(), j.tolist())) == [
+                (a, b) for a in range(k) for b in range(a, k)]
+            assert np.array_equal(polar._PAIR_COUNT[:m], np.where(i == j, 1.0, 2.0))
+        assert polar._PAIR_I.size == MERGE_BINS * (MERGE_BINS + 1) // 2
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 64])
+    def test_children_match_ordered_pairs(self, k):
+        rng = np.random.default_rng(k)
+        for trial in range(20):
+            w = rng.dirichlet(np.ones(k))
+            eps = rng.uniform(0.0, 0.5, k)
+            if trial % 2:  # noiseless and useless components
+                eps[rng.integers(0, k, 2)] = (0.0, 0.5)
+            for got, want in zip(polar._polar_children(w, eps), _ordered_children(w, eps)):
+                assert got[0].shape == want[0].shape
+                assert np.allclose(got[0], want[0], rtol=0, atol=1e-12)
+                assert np.allclose(got[1], want[1], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n, thetas", [
+        (64, np.arange(1, 51) / 100),
+        (256, np.arange(1, 51) / 100),
+        (1024, (0.20, 0.27, 0.25, 0.05, 0.11)),
+    ])
+    def test_profiles_match_ordered_pairs(self, monkeypatch, n, thetas):
+        build = construct_profile.__wrapped__  # leave the memo untouched
+        got = [build(float(t), n) for t in thetas]
+        monkeypatch.setattr(polar, "_polar_children", _ordered_children)
+        for theta, prof in zip(thetas, got):
+            ref = build(float(theta), n)
+            assert np.allclose(prof.h, ref.h, rtol=0, atol=1e-12), theta
+            assert np.allclose(prof.genie_error, ref.genie_error, rtol=0, atol=1e-12), theta
+            sets, ref_sets = build_index_sets(prof), build_index_sets(ref)
+            assert np.array_equal(sets.h_mask, ref_sets.h_mask), theta
+            assert np.array_equal(sets.v_mask, ref_sets.v_mask), theta
+            for risk in (0.0, 1e-4, 0.02):
+                assert np.array_equal(_risk_suffix(prof, sets.h_mask, risk),
+                                      _risk_suffix(ref, ref_sets.h_mask, risk)), (theta, risk)
+
+
 @pytest.mark.parametrize("build", [
     construct_profile,
     entropy_profile_exact,
@@ -161,6 +224,15 @@ class TestConstructProfile:
 def test_profile_builders_reject_bad_theta(build, theta):
     with pytest.raises(ValidationError, match="theta"):
         build(theta, 8)
+
+
+@pytest.mark.parametrize("build", [
+    construct_profile,
+    lambda theta, n: entropy_profile_mc(theta, n, 1000, seed=0),
+], ids=["degrading_merge", "monte_carlo"])
+def test_profile_builders_refuse_long_blocks(build):
+    with pytest.raises(CapacityError, match=str(MAX_BLOCK_N)):
+        build(0.2, 2 * MAX_BLOCK_N)
 
 
 class TestIndexSets:

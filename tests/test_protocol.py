@@ -14,8 +14,8 @@ from keyshare import (CapacityError, DegradedSourceSpec, ValidationError,
                       mutual_information, run_protocol, sample_hash,
                       shapley_from_game, value_function)
 from keyshare import polar, protocol
-from keyshare.polar import polar_transform, sc_decode
-from keyshare.protocol import (DEFAULT_SEED, MAX_BLOCK_N, MAX_BLOCKS, MAX_DECODE_WORK, RUN_BATCH,
+from keyshare.polar import MAX_BLOCK_N, polar_transform, sc_decode
+from keyshare.protocol import (DEFAULT_SEED, MAX_BLOCKS, MAX_DECODE_WORK, RUN_BATCH,
                                RUN_OVERHEAD_BITS, ProtocolConfig, ProtocolEngine,
                                ToeplitzHash, _balance_p_value, toeplitz_from_index)
 from keyshare.suites import leftover_hash_bound_holds, toeplitz_matches_matrix
