@@ -22,7 +22,6 @@ other, a grid sweep on small instances and the prekernel gap.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -30,8 +29,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapacityError, SolverError, ValidationError
-from .game import CoalitionGame, _require_markov, coalition_sums, is_supermodular
-from .source import DegradedSource, JointSource, _member_masks, mutual_information
+from .game import (SCAN_ENTRIES, CoalitionGame, _require_markov, _without, coalition_sums,
+                   is_supermodular)
+from .source import DegradedSource, JointSource, mutual_information
 
 TIGHT_TOL = 1e-8
 DUAL_TOL = 1e-9
@@ -91,9 +91,8 @@ def shapley_from_game(game: CoalitionGame) -> np.ndarray:
     weights = weights[coalition_sums(np.ones(L - 1)).astype(int)]
     v = game.values
     rates = np.zeros(L)
-    for l in range(L):
-        s = _member_masks([k for k in range(L) if k != l])
-        rates[l] = np.sum(weights * (v[s | 1 << l] - v[s]))
+    for agents, s in _complements(L):
+        rates[agents] = np.sum(weights * (v[s | 1 << agents[:, None]] - v[s]), axis=1)
     return rates
 
 
@@ -110,12 +109,22 @@ def shapley_closed_form(src: JointSource | DegradedSource) -> np.ndarray:
     sizes = coalition_sums(np.ones(L - 1)).astype(int)
     combs = np.array([math.comb(L - 1, k) for k in range(L)], dtype=float)[sizes]
     rates = np.zeros(L)
-    for l in range(L):
-        a = 1 << (l + 1)  # axis bitmask of agent l
-        others = _member_masks([k for k in range(L) if k != l])
-        penalty = np.sum(mutual_information(src, a, others << 1) / combs)
-        rates[l] = mutual_information(src, a, 1) - penalty / L
+    for agents, others in _complements(L):
+        a = 2 << agents  # axis bitmask of each agent
+        penalty = np.sum(mutual_information(src, a[:, None], others << 1) / combs, axis=1)
+        rates[agents] = mutual_information(src, a, 1) - penalty / L
     return rates
+
+
+def _complements(L: int):
+    """(agents, masks) in batches over the agents, row r of masks holding
+    the ascending coalitions without agents[r]: arange(2^(L-1)) with a zero
+    bit put in at that agent's bit.  A batch takes as many agents as fit in
+    SCAN_ENTRIES entries, and at least one."""
+    step = max(1, SCAN_ENTRIES >> (L - 1))
+    for start in range(0, L, step):
+        agents = np.arange(start, min(start + step, L))
+        yield agents, _without(np.arange(1 << (L - 1)), agents[:, None])
 
 
 @dataclass
@@ -155,15 +164,30 @@ def _drop_spanned(free: np.ndarray, a_eq: np.ndarray) -> int:
     no longer order the points left.  S stays free iff sum_d (sum_{i in S}
     d_i)^2 > PIVOT_TOL^2 over the null directions d past the rank (V^T in
     full only below L rows, so U never outgrows a_eq): its squared residual
-    off the row space, summed from coalition_sums(d) one d at a time.
+    off the row space (_squared_sums).
     """
     _, singular, vt = np.linalg.svd(a_eq, full_matrices=len(a_eq) < a_eq.shape[1])
     rank = int(np.count_nonzero(singular > PIVOT_TOL))
-    residual = np.zeros(len(free))
-    for d in vt[rank:]:
-        residual += coalition_sums(d) ** 2
-    free &= residual > PIVOT_TOL ** 2
+    free &= _squared_sums(vt[rank:], len(free)) > PIVOT_TOL ** 2
     return rank
+
+
+def _squared_sums(directions: np.ndarray, size: int) -> np.ndarray:
+    """sum over the rows d of coalition_sums(d)^2, over all size masks.
+
+    The rows go in batches of at most max(SCAN_ENTRIES, size) entries,
+    each batch summed along its rows onto the running total, so the rows
+    are added one at a time, in order, as a loop over them would.
+    """
+    total = np.zeros(size)
+    step = max(1, SCAN_ENTRIES // size)
+    for start in range(0, len(directions), step):
+        squares = coalition_sums(directions[start:start + step])
+        np.square(squares, out=squares)
+        squares[0] += total
+        np.sum(squares, axis=0, out=total)
+        del squares  # or the next batch's sums would join it at the peak
+    return total
 
 
 def _fix_stages(game: CoalitionGame, route: str, stage):
@@ -370,23 +394,43 @@ def _surpluses(game: CoalitionGame, x: np.ndarray):
     """(gap, argmax): the surplus s_ij is the largest excess v(S) - x(S)
     over the coalitions S that hold i but not j, argmax[i, j] the lowest
     mask that attains it, and gap the largest |s_ij - s_ji| over agent
-    pairs (0 for L = 1).  The excess vector is viewed as a
-    (2,)*L table, bit l of the mask on axis L-1-l; each s_ij is the max of
-    its strided slice with agent i's axis at 1 and agent j's at 0,
-    O(L^2 2^L) in all with no larger temporary."""
+    pairs (0 for L = 1).
+
+    In the order of descending excess, ties to the lower mask (a stable
+    sort of -excess), argmax[i, j] is the first mask that holds i but not
+    j.  The order is built a prefix at a time (_descending_prefix), each
+    twice as long as the last, until every ordered pair has its mask; a
+    batch tests at most max(SCAN_ENTRIES, L^2) (mask, pair) cells.  Near
+    the prekernel point a prefix of a few hundred masks settles all pairs,
+    so the whole order is sorted only when ties hold the pairs back.
+    """
     L = game.num_agents
-    excess = (game.values - coalition_sums(x)).reshape((2,) * L)
-    masks = np.arange(game.full_mask + 1).reshape((2,) * L)
-    surplus, argmax = np.zeros((L, L)), np.zeros((L, L), dtype=np.int64)
-    for i, j in itertools.permutations(range(L), 2):
-        view = [slice(None)] * L
-        view[L - 1 - i], view[L - 1 - j] = 1, 0
-        view = tuple(view)
-        # the first maximum in C order is the lowest mask
-        best = int(np.argmax(excess[view]))
-        surplus[i, j] = excess[view].flat[best]
-        argmax[i, j] = masks[view].flat[best]
+    excess = game.values - coalition_sums(x)
+    first, second = np.nonzero(~np.eye(L, dtype=bool))  # ordered pairs, C order
+    argmax = np.zeros((L, L), dtype=np.int64)
+    todo, done, k = np.arange(len(first)), 0, L * L
+    while todo.size:
+        prefix = _descending_prefix(excess, k)
+        while todo.size and done < len(prefix):
+            block = prefix[done:done + max(1, SCAN_ENTRIES // todo.size), None]
+            hit = (block >> first[todo] & ~(block >> second[todo])) & 1
+            found = hit.any(axis=0)
+            argmax[first[todo[found]], second[todo[found]]] = block[hit.argmax(axis=0)[found], 0]
+            todo, done = todo[~found], done + len(block)
+        k = 2 * max(k, done)  # grows every round, so the whole order is reached
+    surplus = excess[argmax]
     return float(np.max(np.abs(surplus - surplus.T), initial=0.0)), argmax
+
+
+def _descending_prefix(excess: np.ndarray, k: int) -> np.ndarray:
+    """A prefix, at least k long, of the masks in the stable descending
+    order of excess: every mask whose excess is at least the k-th largest,
+    sorted; the whole order once k reaches the table's length."""
+    if k >= len(excess):
+        return np.argsort(-excess, kind="stable")
+    kth = np.partition(excess, len(excess) - k)[len(excess) - k]
+    top = np.flatnonzero(excess >= kth)
+    return top[np.argsort(-excess[top], kind="stable")]
 
 
 def prekernel_gap(game: CoalitionGame, rates: Sequence[float]) -> float:

@@ -27,6 +27,9 @@ from .source import (DegradedSourceSpec, _json_reals, _read_json_object,
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_COMPUTE = 2
+# an allocation file is {"rates": [...]} or one method entry of allocate's output
+ALLOCATION_FIELDS = ("method", "rates", "closed_form_gap", "trace", "route", "prekernel_gap",
+                     "certified", "in_core", "core_witness")
 
 
 def _parse_seed(text: str) -> int:
@@ -141,7 +144,8 @@ def cmd_allocate(args) -> int:
 def cmd_simulate(args) -> int:
     spec = DegradedSourceSpec.from_json(args.spec)
     if args.allocation:
-        target = _json_reals(_read_json_object(args.allocation, "allocation").get("rates"))
+        raw = _read_json_object(args.allocation, "allocation", ALLOCATION_FIELDS)
+        target = _json_reals(raw.get("rates"))
         if target is None or not all(map(math.isfinite, target)):
             raise ValidationError("allocation field 'rates' must be a list of finite numbers")
         target = tuple(target)
@@ -195,7 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("simulate", help="run the key-generation protocol")
     ps.add_argument("--spec", required=True)
     ps.add_argument("--allocation", default=None,
-                    help="allocation JSON (field 'rates'); default: Shapley value")
+                    help="allocation JSON (field 'rates', or one method entry of "
+                         "allocate's output); default: Shapley value")
     ps.add_argument("--N", type=int, default=1024)
     ps.add_argument("--B", type=int, default=4)
     ps.add_argument("--eps", type=float, default=0.05)

@@ -7,13 +7,14 @@ vectorised source.mutual_information read of the source's cached
 entropy table, over all coalitions at once.  Everything downstream (core
 tests, core bounds, excesses, solution concepts) works on the resulting
 value table indexed by bitmask.  Convexity (supermodularity) is checked on
-adjacent pairs only, in O(L^2 2^L); only the superadditivity scan still
-enumerates pairs of coalitions (3^L), and it is guarded at L <= 12.
+adjacent pairs only, O(L^2 2^L) comparisons made in a few whole-table
+passes, none holding more than max(SCAN_ENTRIES, 2^L) entries; only the
+superadditivity scan still enumerates pairs of coalitions (3^L), and it is
+guarded at L <= 12.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,6 +27,10 @@ from .source import (MAX_TABLE_AGENTS, DegradedSource, JointSource, _check_tol,
 
 DEFAULT_TOL = 1e-9
 MAX_EXHAUSTIVE_AGENTS = 12
+# entries in one batch of a whole-table scan (the adjacent-pair scan here;
+# the surplus, span and Shapley scans of allocate): at L = 10 each scan is
+# one batch, and from L = 14 up no batch outgrows a value table
+SCAN_ENTRIES = 1 << 14
 
 
 def _agent_count(L) -> int:
@@ -89,7 +94,7 @@ class CoalitionGame:
 
     @classmethod
     def load(cls, path: str) -> "CoalitionGame":
-        return cls.from_json(_read_json_object(path, "game"))
+        return cls.from_json(_read_json_object(path, "game", ("L", "v")))
 
 
 def _require_markov(src: JointSource | DegradedSource) -> None:
@@ -163,9 +168,10 @@ def is_supermodular(game: CoalitionGame, tol: float = DEFAULT_TOL):
     (Shapley, "Cores of convex games", IJGT 1971): the gap of any pair is
     the sum of the adjacent gaps over the |U-V| x |V-U| grid between them.
     Every adjacent comparison is one of the full pair scan's, so a game
-    the scan accepts passes; O(L^2 2^L) work replaces 4^L.  The witness is
-    the first violating pair (S|i, S|j) in _first_adjacent_violation's
-    order.
+    the scan accepts passes; O(L^2 2^L) comparisons replace 4^L, made in
+    one gather pass at L <= 10 and one strided pass per agent pair above.
+    The witness is the first violating pair (S|i, S|j) in
+    _first_adjacent_violation's order.
     """
     _check_tol(tol)
     return _first_adjacent_violation(game.values, tol)
@@ -177,24 +183,38 @@ def _first_adjacent_violation(v: np.ndarray, tol: float):
     v[S|i] + v[S|j] > v[S|i|j] + v[S] + tol.
 
     Each comparison is the one the full pair scan makes for u = S|i and
-    w = S|j, term for term.  The table is viewed as (2,)*L, bit l of the
-    mask on axis L-1-l, and each agent pair compares four strided slices.
+    w = S|j, term for term.  When every pair's 2^(L-2) coalitions fit in
+    SCAN_ENTRIES (L <= 10), the four terms of all pairs are gathered at
+    once through a (pairs, 2^(L-2)) table of the masks S; otherwise each
+    pair reads them as strided views of the table reshaped around bits i
+    and j, so no temporary outgrows a quarter of the table.
     """
     L = len(v).bit_length() - 1
-    table = v.reshape((2,) * L)
-    masks = np.arange(len(v)).reshape((2,) * L)
-    for i, j in itertools.combinations(range(L), 2):
-        def at(bit_i: int, bit_j: int) -> tuple:
-            view = [slice(None)] * L
-            view[L - 1 - i], view[L - 1 - j] = bit_i, bit_j
-            return tuple(view)
-
-        bad = np.flatnonzero(table[at(1, 0)] + table[at(0, 1)]
-                             > table[at(1, 1)] + table[at(0, 0)] + tol)
-        if bad.size:
-            s = int(masks[at(0, 0)].ravel()[bad[0]])
-            return False, (s | 1 << i, s | 1 << j)
+    first, second = np.triu_indices(L, 1)
+    count = 1 << max(L - 2, 0)  # the coalitions S outside a pair
+    step = max(len(first), 1) if len(first) * count <= SCAN_ENTRIES else 1
+    for start in range(0, len(first), step):
+        i, j = first[start:start + step, None], second[start:start + step, None]
+        if step > 1:
+            s = _without(_without(np.arange(count), i), j)
+            bad = v[s | 1 << i] + v[s | 1 << j] > v[s | 1 << i | 1 << j] + v[s] + tol
+        else:
+            # bit j on axis 1, bit i on axis 3, S ascending in C order
+            t = v.reshape(-1, 2, 1 << (j[0, 0] - i[0, 0] - 1), 2, 1 << i[0, 0])
+            bad = (t[:, 1, :, 0] + t[:, 0, :, 1] > t[:, 1, :, 1] + t[:, 0, :, 0] + tol
+                   ).reshape(1, count)
+        rows = np.flatnonzero(bad.any(axis=1))
+        if rows.size:
+            r = rows[0]
+            s = int(_without(_without(np.argmax(bad[r]), i[r, 0]), j[r, 0]))
+            return False, (s | 1 << int(i[r, 0]), s | 1 << int(j[r, 0]))
     return True, None
+
+
+def _without(k, agent):
+    """The k-th coalition, ascending, of those without the agent: k with a
+    zero bit put in at the agent's bit."""
+    return k + (k >> agent << agent)
 
 
 def core_bounds(game: CoalitionGame):

@@ -426,16 +426,18 @@ def leakage_bound(lengths: Sequence[int], floors: Sequence[float]) -> float:
     min-entropy lower bound; floors has one entry per coalition bitmask
     (2^L entries, entry 0 ignored).  Values above 1 are vacuous; inf when
     the exponent overflows double range.  A floor may be +inf (a coalition
-    that cannot guess at all); lengths must be finite and no floor NaN.
+    that cannot guess at all); lengths must be finite and nonnegative, and
+    no floor NaN.
     """
     r = np.asarray(lengths, dtype=float)
     floors = np.asarray(floors, dtype=float)
     if floors.shape != (1 << len(r),):
         raise ValidationError(f"min-entropy floors need one entry per coalition bitmask "
                               f"({1 << len(r)}), got shape {floors.shape}")
-    bad = np.flatnonzero(~np.isfinite(r))
+    bad = np.flatnonzero(~(np.isfinite(r) & (r >= 0)))
     if bad.size:
-        raise ValidationError(f"lengths must be finite, got {r[bad[0]]} for agent {bad[0] + 1}")
+        raise ValidationError(f"lengths must be finite and nonnegative, got {r[bad[0]]} "
+                              f"for agent {bad[0] + 1}")
     bad = np.flatnonzero(np.isnan(floors))
     if bad.size:
         raise ValidationError(f"floors must not be NaN, got NaN for coalition {bad[0]:#x}")

@@ -44,14 +44,19 @@ LOW_BLOCK_AGENTS = 9  # agents in the vectorised block of the product form
 
 
 def binary_entropy(p: float) -> float:
-    """H_b(p) in bits; 0 at the endpoints."""
+    """H_b(p) in bits; 0 at the endpoints and beyond them.  A NaN p is a
+    ValidationError: it lies on neither side of an endpoint."""
+    if math.isnan(p):
+        raise ValidationError(f"binary entropy needs a probability, got {p}")
     if p <= 0.0 or p >= 1.0:
         return 0.0
     return float(-p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p))
 
 
-def _read_json_object(path: str, what: str) -> dict:
-    """Parse a JSON object file; any failure is a ValidationError naming it."""
+def _read_json_object(path: str, what: str, fields: Sequence[str]) -> dict:
+    """Parse a JSON object file that holds no field outside fields; any
+    failure is a ValidationError naming the file, and an unknown field is
+    named too (a misspelt optional field would otherwise be ignored)."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -61,6 +66,11 @@ def _read_json_object(path: str, what: str) -> dict:
         raise ValidationError(f"{what} file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValidationError(f"{what} file {path} must hold a JSON object")
+    unknown = sorted(set(raw) - set(fields))
+    if unknown:
+        raise ValidationError(f"{what} file {path} has unknown field(s) "
+                              f"{', '.join(map(repr, unknown))}; expected only "
+                              f"{', '.join(map(repr, fields))}")
     return raw
 
 
@@ -142,7 +152,7 @@ class DegradedSourceSpec:
     @classmethod
     def from_json(cls, path: str) -> "DegradedSourceSpec":
         """Read a spec file: {"q": real, "p": [...], "levels": optional [[ids]...]}."""
-        raw = _read_json_object(path, "spec")
+        raw = _read_json_object(path, "spec", ("q", "p", "levels"))
         q = _json_reals([raw.get("q")])
         if q is None:
             raise ValidationError("spec field 'q' is missing or not a number")

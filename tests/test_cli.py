@@ -520,8 +520,14 @@ class TestLoaderInput:
         ("game", '{"L": true, "v": [0, 0.1]}', "'L'"),
         ("spec", EXAMPLE2_WITH_LEVELS % '[["a"], [2, 3]]', "'levels'"),
         ("spec", EXAMPLE2_WITH_LEVELS % "[[1.5], [2, 3]]", "'levels'"),
+        # a misspelt "levels" used to run analyze without the clearance games
+        ("spec", '{"q": 0.4, "p": [0.2, 0.27, 0.25], "level": [[1], [2, 3]]}',
+         "unknown field(s) 'level'"),
+        ("game", '{"L": 1, "v": [0, 0.1], "values": []}', "unknown field(s) 'values'"),
+        ("allocation", '{"rates": [0.1, 0.05], "rate": [0.1]}', "unknown field(s) 'rate'"),
     ], ids=["allocation-not-json", "rates-not-numbers", "rates-not-a-list", "v-not-numbers",
-            "L-boolean", "level-ids-not-numbers", "level-ids-not-integers"])
+            "L-boolean", "level-ids-not-numbers", "level-ids-not-integers",
+            "spec-unknown-field", "game-unknown-field", "allocation-unknown-field"])
     def test_malformed_file(self, kind, text, named, tmp_path, capsys):
         spec = tmp_path / "tiny.json"
         spec.write_text(json.dumps(TINY_SPEC))

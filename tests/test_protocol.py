@@ -317,6 +317,13 @@ class TestLeakageBound:
             with pytest.raises(ValidationError, match="lengths"):
                 leakage_bound(lengths, [0.0, 3.0, 4.0, 6.0])
 
+    def test_negative_length_rejected(self):
+        # a negative length used to come back as a bound (0.125 here)
+        with pytest.raises(ValidationError, match="nonnegative, got -5.0 for agent 1"):
+            leakage_bound([-5], [0, 1])
+        with pytest.raises(ValidationError, match="for agent 2"):
+            leakage_bound([1, -1e-9], [0.0, 3.0, 4.0, 6.0])
+
     def test_infinite_floors_leak_nothing(self):
         # a coalition with guessing probability 0 has floor +inf
         inf = float("inf")

@@ -187,6 +187,12 @@ class TestEntropyQueries:
         h = entropy(src, 0b10, 0b1)
         assert h == pytest.approx(binary_entropy(0.2), abs=1e-12)
 
+    def test_binary_entropy_endpoints_and_nan(self):
+        assert binary_entropy(0.0) == binary_entropy(1.0) == binary_entropy(1.5) == 0.0
+        # NaN fails both endpoint tests and used to come back as NaN
+        with pytest.raises(ValidationError, match="nan"):
+            binary_entropy(float("nan"))
+
     def test_empty_subject_is_zero(self):
         src = build_degraded_source(DegradedSourceSpec(q=0.4, p=(0.2,)))
         assert entropy(src, 0) == 0.0
