@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapacityError, SolverError, ValidationError
+from .errors import CapacityError, SolverError, ValidationError, real
 from .game import (SCAN_ENTRIES, CoalitionGame, _require_markov, _without, coalition_sums,
                    is_supermodular)
 from .source import DegradedSource, JointSource, mutual_information
@@ -46,8 +46,8 @@ def lp_solve(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None):
     """Minimize c . x subject to a_ub x <= b_ub and a_eq x = b_eq.
 
     A thin call into linprog's matrix form (HiGHS); bounds lists one
-    (low, high) pair per variable, None meaning unbounded on that side, and
-    defaults to free variables.  Returns (status, optimum, solution,
+    (low, high) pair per variable, each finite or None (unbounded on that
+    side), and defaults to free variables.  Returns (status, optimum, solution,
     multipliers): status is "optimal", "infeasible" or "unbounded";
     multipliers are the nonnegative dual values of the a_ub rows, one per
     row; optimum, solution and multipliers are None unless optimal.
@@ -56,12 +56,12 @@ def lp_solve(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None):
     """
     from scipy.optimize import linprog
 
-    for name, part in (("c", c), ("a_ub", a_ub), ("b_ub", b_ub),
-                       ("a_eq", a_eq), ("b_eq", b_eq)):
-        if part is not None and not np.all(np.isfinite(part)):
-            raise ValidationError(f"linear program {name} has non-finite entries")
     if bounds is None:
         bounds = [(None, None)] * len(c)
+    for name, part in (("c", c), ("a_ub", a_ub), ("b_ub", b_ub), ("a_eq", a_eq), ("b_eq", b_eq),
+                       ("bounds", [b for pair in bounds for b in pair if b is not None])):
+        if part is not None and not np.all(np.isfinite(part)):
+            raise ValidationError(f"linear program {name} has non-finite entries")
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
                   bounds=bounds, method="highs")
     if res.status == 0:
@@ -466,8 +466,7 @@ def brute_force_nucleolus(game: CoalitionGame, grid_step: float) -> np.ndarray:
     L = game.num_agents
     if L > 3:
         raise CapacityError("grid-sweep nucleolus oracle limited to L <= 3")
-    if not (np.isfinite(grid_step) and grid_step > 0):
-        raise ValidationError(f"grid_step must be a finite positive number, got {grid_step}")
+    grid_step = real(grid_step, "grid_step", open=True)
     total = game.grand_value()
     if L == 1:
         return np.array([total])

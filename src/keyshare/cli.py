@@ -10,8 +10,8 @@ machine-readable output is JSON; CSV only for plot data.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
-import math
 import sys
 
 import numpy as np
@@ -19,7 +19,7 @@ import numpy as np
 from . import allocate as alloc_mod
 from . import game as game_mod
 from . import suites
-from .errors import ValidationError
+from .errors import ValidationError, integer, real
 from .protocol import DEFAULT_SEED, ProtocolConfig, run_protocol
 from .source import (DegradedSourceSpec, _json_reals, _read_json_object,
                      build_degraded_source)
@@ -37,9 +37,7 @@ def _parse_seed(text: str) -> int:
         seed = int(text, 0)
     except ValueError as exc:
         raise ValidationError(f"seed {text!r} is not an integer (hex accepted)") from exc
-    if seed < 0:
-        raise ValidationError(f"seed {text!r} must be nonnegative")
-    return seed
+    return integer(seed, f"seed {text!r}")
 
 
 def _json(payload: dict) -> str:
@@ -146,9 +144,9 @@ def cmd_simulate(args) -> int:
     if args.allocation:
         raw = _read_json_object(args.allocation, "allocation", ALLOCATION_FIELDS)
         target = _json_reals(raw.get("rates"))
-        if target is None or not all(map(math.isfinite, target)):
-            raise ValidationError("allocation field 'rates' must be a list of finite numbers")
-        target = tuple(target)
+        if target is None:
+            raise ValidationError("allocation field 'rates' must be a list of numbers")
+        target = tuple(real(r, "allocation field 'rates'") for r in target)
     else:
         game = game_mod.value_function(build_degraded_source(spec))
         target = tuple(float(x) for x in alloc_mod.shapley_from_game(game))
@@ -173,7 +171,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK if not failed else EXIT_COMPUTE
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it as it is."""
     parser = argparse.ArgumentParser(
         prog="keyshare",
         description="Coalitional-game analysis and protocol simulation for "

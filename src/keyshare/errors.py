@@ -1,8 +1,16 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the field checks that raise them.
 
 The CLI maps these onto its exit-code contract: validation problems
-(bad inputs, capacity guards) exit 1, computation failures exit 2.
+(bad inputs, capacity guards) exit 1, computation failures exit 2.  Every
+entry point and loader checks its fields with the checkers below, so a
+malformed field is a ValidationError that names it.
 """
+
+import math
+import numbers
+import sys
+
+import numpy as np
 
 
 class ValidationError(ValueError):
@@ -19,3 +27,65 @@ class SolverError(RuntimeError):
 
 class ConsistencyError(RuntimeError):
     """Internal numerical invariant violated (e.g. entropy below -1e-12)."""
+
+
+def integer(value, name: str, positive: bool = False) -> int:
+    """value as an int, after checking that it is a nonnegative integer, or
+    a positive one; a boolean is not one."""
+    # value < positive: True compares as 1
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < positive:
+        raise ValidationError(f"{name} must be a {'positive' if positive else 'nonnegative'} "
+                              f"integer, got {value!r}")
+    return int(value)
+
+
+def power_of_two(value, name: str, limit: int | None = None) -> int:
+    """value as an int, after checking that it is a power of two; one above
+    limit, when given, is a CapacityError."""
+    value = integer(value, name, positive=True)
+    if value & (value - 1):
+        raise ValidationError(f"{name} must be a power of two, got {value}")
+    if limit is not None and value > limit:
+        raise CapacityError(f"{name}={value} exceeds the limit {limit}")
+    return value
+
+
+def real(value, name: str, low: float = 0.0, high: float = math.inf,
+         open: bool = False) -> float:
+    """value as a float, after checking that it is a real number (not a
+    boolean) in [low, high], or in (low, high) when open, and within double
+    range, so never infinite.  low is 0 or -inf when high is inf."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (low < value < high if open else low <= value <= high)
+            or not abs(value) <= sys.float_info.max):  # inf, or an int past double range
+        if high < math.inf:
+            what = f"lie in {'(' if open else '['}{low:g},{high:g}{')' if open else ']'}"
+        elif low > -math.inf:
+            what = f"be finite and {'positive' if open else 'nonnegative'}"
+        else:
+            what = "be a finite number"
+        raise ValidationError(f"{name} must {what}, got {value!r}")
+    return float(value)
+
+
+def binary(a, name: str) -> np.ndarray:
+    """a as a uint8 array (a itself when it already is one), after checking
+    that every entry is 0 or 1."""
+    a = np.asarray(a)
+    if a.dtype.kind in "bu":  # no negative or fractional entries to rule out
+        valid = a.size == 0 or a.max() <= 1
+    else:
+        valid = np.all((a == 0) | (a == 1))
+    if not valid:
+        raise ValidationError(f"{name} must hold only 0 and 1")
+    return a.astype(np.uint8, copy=False)
+
+
+def bitmask(value, bits: int, name: str):
+    """value, after checking that it is an int or an integer array whose
+    every entry is an axis bitmask in [0, 2^bits)."""
+    a = np.asarray(value)
+    if a.dtype.kind not in "iu" or np.any(a < 0) or np.any(a >= 1 << bits):
+        raise ValidationError(f"{name} must hold integer axis bitmasks, none outside "
+                              f"[0, {1 << bits})")
+    return value

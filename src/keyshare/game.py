@@ -20,10 +20,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapacityError, ValidationError
-from .source import (MAX_TABLE_AGENTS, DegradedSource, JointSource, _check_tol,
-                     _json_reals, _member_masks, _positive_count, _read_json_object,
-                     coalition_sums, mutual_information, verify_markov)
+from .errors import CapacityError, ValidationError, integer, real
+from .source import (MAX_TABLE_AGENTS, DegradedSource, JointSource, _json_reals,
+                     _level_partition, _member_masks, _read_json_object, coalition_sums,
+                     mutual_information, verify_markov)
 
 DEFAULT_TOL = 1e-9
 MAX_EXHAUSTIVE_AGENTS = 12
@@ -31,15 +31,6 @@ MAX_EXHAUSTIVE_AGENTS = 12
 # the surplus, span and Shapley scans of allocate): at L = 10 each scan is
 # one batch, and from L = 14 up no batch outgrows a value table
 SCAN_ENTRIES = 1 << 14
-
-
-def _agent_count(L) -> int:
-    """A game's L as an int: a positive integer, never a boolean, at most
-    MAX_TABLE_AGENTS."""
-    L = _positive_count(L, "game field 'L'")
-    if L > MAX_TABLE_AGENTS:
-        raise CapacityError(f"game value table limited to L <= {MAX_TABLE_AGENTS}, got L={L}")
-    return L
 
 
 @dataclass
@@ -50,12 +41,13 @@ class CoalitionGame:
     values: np.ndarray
 
     def __post_init__(self):
-        self.num_agents = _agent_count(self.num_agents)
+        L = self.num_agents = integer(self.num_agents, "game field 'L'", positive=True)
+        if L > MAX_TABLE_AGENTS:
+            raise CapacityError(f"game value table limited to L <= {MAX_TABLE_AGENTS}, got L={L}")
         self.values = np.array(self.values, dtype=float)  # a copy: zeroed and clipped below
-        if self.values.shape != (1 << self.num_agents,):
-            raise ValidationError(
-                f"value table needs {1 << self.num_agents} entries, got {self.values.shape}"
-            )
+        if self.values.shape != (1 << L,):
+            raise ValidationError(f"game field 'v' must list 2^L = {1 << L} numbers for L={L}, "
+                                  f"got shape {self.values.shape}")
         bad = np.flatnonzero(~np.isfinite(self.values))
         if bad.size:
             raise ValidationError(
@@ -86,11 +78,10 @@ class CoalitionGame:
     def from_json(cls, raw: dict) -> "CoalitionGame":
         if "L" not in raw or "v" not in raw:
             raise ValidationError("game file must hold fields 'L' and 'v'")
-        L = _agent_count(raw["L"])
         values = _json_reals(raw["v"])
-        if values is None or len(values) != 1 << L:
-            raise ValidationError(f"game field 'v' must list 2^L numbers for L={L}")
-        return cls(num_agents=L, values=np.array(values))
+        if values is None:
+            raise ValidationError("game field 'v' must be a list of numbers")
+        return cls(num_agents=raw["L"], values=np.array(values))
 
     @classmethod
     def load(cls, path: str) -> "CoalitionGame":
@@ -124,10 +115,7 @@ def clearance_level_games(src: JointSource | DegradedSource,
     value of S inside level q is I(X_S ; X0 | X_{level q minus S}, X_{lower}).
     Agents of higher-clearance levels are marginalized away entirely.
     """
-    L = src.num_agents
-    flat = [a for lev in levels for a in lev]
-    if sorted(flat) != list(range(1, L + 1)):
-        raise ValidationError(f"levels must partition agents 1..{L}, got {levels}")
+    levels = _level_partition(levels, src.num_agents)
     _require_markov(src)
     games = []
     lower_mask = 0
@@ -143,7 +131,7 @@ def clearance_level_games(src: JointSource | DegradedSource,
 
 def is_superadditive(game: CoalitionGame, tol: float = DEFAULT_TOL):
     """(ok, witness): v(S) + v(T) <= v(S|T) + tol for all disjoint S, T."""
-    _check_tol(tol)
+    real(tol, "tol")
     L = game.num_agents
     if L > MAX_EXHAUSTIVE_AGENTS:
         raise CapacityError(f"exhaustive superadditivity scan guarded at L <= {MAX_EXHAUSTIVE_AGENTS}")
@@ -173,7 +161,7 @@ def is_supermodular(game: CoalitionGame, tol: float = DEFAULT_TOL):
     The witness is the first violating pair (S|i, S|j) in
     _first_adjacent_violation's order.
     """
-    _check_tol(tol)
+    real(tol, "tol")
     return _first_adjacent_violation(game.values, tol)
 
 
@@ -239,7 +227,7 @@ def core_contains(game: CoalitionGame, rates: Sequence[float],
     coalition bitmask doubles as the efficiency witness, also for
     non-finite rates, which are never in the core.
     """
-    _check_tol(tol)
+    real(tol, "tol")
     r = np.asarray(rates, dtype=float)
     if r.shape != (game.num_agents,):
         raise ValidationError(f"allocation needs {game.num_agents} rates, got shape {r.shape}")

@@ -38,7 +38,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import CapacityError, ValidationError
+from .errors import ValidationError, binary, integer, power_of_two, real
 
 LN2 = float(np.log(2.0))
 LLR_CLAMP = 40.0
@@ -57,35 +57,6 @@ _PAIR_J, _PAIR_I = np.tril_indices(MERGE_BINS)
 _PAIR_COUNT = np.where(_PAIR_I == _PAIR_J, 1.0, 2.0)
 
 
-def _check_block_length(n: int) -> None:
-    if n < 1 or n & (n - 1):
-        raise ValidationError(f"block length must be a power of two, got {n}")
-
-
-def _check_profile_length(n: int) -> None:
-    _check_block_length(n)
-    if n > MAX_BLOCK_N:
-        raise CapacityError(f"profile block length N={n} exceeds the limit {MAX_BLOCK_N}")
-
-
-def _check_theta(theta: float, name: str = "theta") -> None:
-    if not 0.0 <= theta <= 1.0:  # also rejects NaN
-        raise ValidationError(f"{name} must lie in [0,1], got {theta}")
-
-
-def _binary(a, name: str) -> np.ndarray:
-    """a as a uint8 array (a itself when it already is one), after checking
-    that every entry is 0 or 1."""
-    a = np.asarray(a)
-    if a.dtype.kind in "bu":  # no negative or fractional entries to rule out
-        valid = a.size == 0 or a.max() <= 1
-    else:
-        valid = np.all((a == 0) | (a == 1))
-    if not valid:
-        raise ValidationError(f"{name} must hold only 0 and 1")
-    return a.astype(np.uint8, copy=False)
-
-
 def polar_transform(x: np.ndarray) -> np.ndarray:
     """u = x G_n over GF(2) on the last axis, in-place butterflies on a copy.
 
@@ -97,8 +68,7 @@ def polar_transform(x: np.ndarray) -> np.ndarray:
     twice returns the input (G_n is an involution).
     """
     u = np.array(x, dtype=np.uint8, order="C")
-    n = u.shape[-1]
-    _check_block_length(n)
+    n = power_of_two(u.shape[-1], "block length N")
     rows = u.reshape(-1, n)
     for width in (2, 4, 8):
         if width > n:
@@ -188,7 +158,7 @@ def _polar_children(w: np.ndarray, eps: np.ndarray):
     return minus, plus
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=128, typed=True)
 def construct_profile(theta: float, n: int) -> EntropyProfile:
     """Deterministic profile of the synthetic channels of a BSC(theta).
 
@@ -197,11 +167,12 @@ def construct_profile(theta: float, n: int) -> EntropyProfile:
     unordered pairs of its components, and merging down to at most
     MERGE_BINS components after each one.  Every merge degrades, so both h
     and genie_error are per-index upper bounds on the exact values.
-    Memoised on (theta, N): repeated calls return the same read-only
-    profile.  Raises CapacityError when N > MAX_BLOCK_N.
+    Memoised on (theta, N) and their types, so a warm entry never admits
+    an argument the cold call refuses: repeated calls return the same
+    read-only profile.  Raises CapacityError when N > MAX_BLOCK_N.
     """
-    _check_profile_length(n)
-    _check_theta(theta)
+    n = power_of_two(n, "block length N", MAX_BLOCK_N)
+    theta = real(theta, "theta", high=1.0)
     h, err = np.zeros(n), np.zeros(n)
     index = 0
 
@@ -227,10 +198,8 @@ def entropy_profile_exact(theta: float, n: int) -> EntropyProfile:
     Also records, per index, the exact probability that a maximum-posterior
     decision on that bit is wrong given a correct prefix.
     """
-    _check_block_length(n)
-    if n > MAX_EXACT_N:
-        raise CapacityError(f"exact profile enumerates 2^N blocks; N <= {MAX_EXACT_N}")
-    _check_theta(theta)
+    n = power_of_two(n, "exact profile block length N", MAX_EXACT_N)
+    theta = real(theta, "theta", high=1.0)
     idx = np.arange(1 << n, dtype=np.uint32)
     # row r encodes u with u_0 as most significant bit
     u_bits = ((idx[:, None] >> np.arange(n - 1, -1, -1)[None, :]) & 1).astype(np.uint8)
@@ -341,9 +310,10 @@ def entropy_profile_mc(theta: float, n: int, num_samples: int, seed: int) -> Ent
     so the result does not depend on how work is scheduled.  Raises
     CapacityError when N > MAX_BLOCK_N.
     """
-    _check_profile_length(n)
-    _check_theta(theta)
-    if num_samples < 1000:
+    n = power_of_two(n, "block length N", MAX_BLOCK_N)
+    theta = real(theta, "theta", high=1.0)
+    seed = integer(seed, "seed")
+    if integer(num_samples, "num_samples") < 1000:
         raise ValidationError(f"num_samples must be at least 1000, got {num_samples}")
     h_sum = np.zeros(n)
     err_sum = np.zeros(n)
@@ -382,15 +352,15 @@ def sc_decode(known_mask: np.ndarray, known_values: np.ndarray,
     all known are transformed, not decoded (see _sc_sweep).  y is one block
     (1-D) or a batch (2-D, one row per block); the output has its shape.
     """
-    y2 = np.atleast_2d(_binary(y, "y"))
-    kv2 = np.atleast_2d(_binary(known_values, "known_values"))
+    y2 = np.atleast_2d(binary(y, "y"))
+    kv2 = np.atleast_2d(binary(known_values, "known_values"))
     mask = np.asarray(known_mask, dtype=bool)
     if mask.shape != (y2.shape[1],):
         raise ValidationError("known_mask length must match the block length")
     if kv2.shape != y2.shape:
         raise ValidationError("known_values must match the block batch shape")
-    _check_block_length(y2.shape[1])
-    _check_theta(crossover, "crossover")
+    power_of_two(y2.shape[1], "block length N")
+    crossover = real(crossover, "crossover", high=1.0)
 
     def leaf(i: int, col: np.ndarray) -> np.ndarray:
         return (col < 0).astype(np.uint8)

@@ -57,10 +57,11 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.fft import irfft, rfft
 
-from .errors import CapacityError, ConsistencyError, ValidationError
+from .errors import (CapacityError, ConsistencyError, ValidationError, binary, integer,
+                     power_of_two, real)
 from .game import coalition_sums
-from .polar import (INDEX_BETA, MAX_BLOCK_N, _binary, build_index_sets,
-                    construct_profile, polar_transform, sc_decode)
+from .polar import (INDEX_BETA, MAX_BLOCK_N, build_index_sets, construct_profile,
+                    polar_transform, sc_decode)
 from .source import (DegradedSourceSpec, _member_masks, build_degraded_source,
                      mutual_information)
 
@@ -87,14 +88,6 @@ RUN_BATCH = 100
 HASH_CHUNK = 16
 
 
-def _index(value, name: str) -> int:
-    """value as an int, after checking that it is a nonnegative integer
-    (a boolean is not one)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
-        raise ValidationError(f"{name} must be a nonnegative integer, got {value!r}")
-    return int(value)
-
-
 @dataclass
 class ProtocolConfig:
     """Parameters of one simulated deployment."""
@@ -108,25 +101,14 @@ class ProtocolConfig:
     onset_risk: float = 1e-4  # residual per-block risk left uncovered by the clean-up round
 
     def __post_init__(self):
-        self.n, self.b = _index(self.n, "N"), _index(self.b, "B")
-        if not all(v >= 1 and v & (v - 1) == 0 for v in (self.n, self.b)):
-            raise ValidationError("N and B must be powers of two")
-        if self.n > MAX_BLOCK_N:
-            raise CapacityError(f"block length N={self.n} exceeds the limit {MAX_BLOCK_N}")
-        if self.b > MAX_BLOCKS:
-            raise CapacityError(f"block count B={self.b} exceeds the limit {MAX_BLOCKS}")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValidationError(f"epsilon must lie in (0,1), got {self.epsilon}")
-        self.target = tuple(float(r) for r in self.target)
-        if not all(math.isfinite(r) for r in self.target):
-            raise ValidationError(f"target rates must be finite, got {self.target}")
-        if any(r < 0 for r in self.target):
-            raise ValidationError("target rates must be nonnegative")
-        self.seed = _index(self.seed, "seed")
+        self.n = power_of_two(self.n, "block length N", MAX_BLOCK_N)
+        self.b = power_of_two(self.b, "block count B", MAX_BLOCKS)
+        self.epsilon = real(self.epsilon, "epsilon", high=1.0, open=True)
+        self.target = tuple(real(r, "target rates") for r in self.target)
+        self.seed = integer(self.seed, "seed")
         if self.coalition is not None:
-            self.coalition = _index(self.coalition, "coalition")
-        if not (math.isfinite(self.onset_risk) and self.onset_risk >= 0):
-            raise ValidationError(f"onset_risk must be finite and >= 0, got {self.onset_risk}")
+            self.coalition = integer(self.coalition, "coalition")
+        self.onset_risk = real(self.onset_risk, "onset_risk")
 
     def members(self, num_agents: int) -> list[int]:
         full = (1 << num_agents) - 1
@@ -159,11 +141,9 @@ def key_lengths_from_allocation(target: Sequence[float], n: int, b: int,
     The single margin eps absorbs every finite-length correction of the
     analysis; agents whose rate does not clear the margin get no key.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ValidationError(f"epsilon must lie in (0,1), got {epsilon}")
-    r = np.asarray(target, dtype=float)
-    if not np.all(np.isfinite(r)):
-        raise ValidationError(f"target rates must be finite, got {r.tolist()}")
+    n, b = power_of_two(n, "block length N"), power_of_two(b, "block count B")
+    epsilon = real(epsilon, "epsilon", high=1.0, open=True)
+    r = np.array([real(x, "target rates") for x in target])
     lengths = np.maximum(np.floor(n * b * (r - epsilon)), 0.0)
     if np.any(lengths > n * b):
         raise ValidationError(f"target rates {r.tolist()} ask for keys longer than N*B = {n * b}")
@@ -195,22 +175,18 @@ class ToeplitzHash:
     """
 
     def __init__(self, bits: np.ndarray, n_in: int, r_out: int):
-        bits = _binary(bits, "bits")
-        if r_out < 0 or n_in < 1:
-            raise ValidationError("need n_in >= 1 and r_out >= 0")
-        if r_out > n_in:
-            raise ValidationError(f"output length {r_out} exceeds input length {n_in}")
+        bits = binary(bits, "bits")
         expected = _diagonal_len(n_in, r_out)
         if bits.ndim not in (1, 2) or bits.shape[-1] != expected:
             raise ValidationError(f"diagonal bit string needs {expected} bits")
         self.bits = bits
-        self.n_in = n_in
-        self.r_out = r_out
+        self.n_in = int(n_in)
+        self.r_out = int(r_out)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Hash one block (1-D) or a batch (2-D, row-wise); a stack of k
         matrices takes exactly k rows."""
-        x = _binary(x, "hash input")
+        x = binary(x, "hash input")
         if x.ndim not in (1, 2):
             raise ValidationError(f"hash input must be 1-D or 2-D, got shape {x.shape}")
         single = x.ndim == 1
@@ -250,7 +226,12 @@ def _fast_len(n: int) -> int:
 
 
 def _diagonal_len(n_in: int, r_out: int) -> int:
-    """Number of diagonal bits of an n_in -> r_out Toeplitz matrix."""
+    """Number of diagonal bits of an n_in -> r_out Toeplitz matrix, after
+    checking that the input length is a positive integer and the output
+    length an integer in 0..n_in."""
+    n_in = integer(n_in, "input length n_in", positive=True)
+    if integer(r_out, "output length r_out") > n_in:
+        raise ValidationError(f"output length {r_out} exceeds the input length {n_in}")
     return n_in + r_out - 1 if r_out > 0 else 0
 
 
@@ -294,7 +275,7 @@ def _stream_keys(entropies: Sequence[tuple]) -> np.ndarray:
     for entropy_tuple in entropies:
         words = []
         for value in entropy_tuple:
-            value = _index(value, "stream key entry")
+            value = integer(value, "stream key entry")
             words.append(value & _MASK32)
             while value > _MASK32:
                 value >>= 32
@@ -352,9 +333,7 @@ def _diagonal_stack(bitgen: np.random.Philox, keys: np.ndarray, m: int) -> np.nd
 
 def sample_hash(seed: int, n_in: int, r_out: int) -> ToeplitzHash:
     """Draw a Toeplitz member from the seeded public stream."""
-    seed = _index(seed, "seed")
-    if not 0 <= r_out <= n_in:
-        raise ValidationError(f"output length {r_out} must lie in 0..{n_in} (the input length)")
+    seed = integer(seed, "seed")
     # the Philox's own seed is never used: the draw resets it to the seed's key
     bits = _diagonal_stack(np.random.Philox(0), _stream_keys([(seed,)]),
                            _diagonal_len(n_in, r_out))
@@ -638,7 +617,7 @@ class ProtocolEngine:
         wherever its estimate equals the agent's sequence, and is hashed
         again with the run's own matrix only where it differs.
         """
-        ks = [_index(k, "run index") for k in run_indices]
+        ks = [integer(k, "run index") for k in run_indices]
         if not ks:
             return {"transcripts": [], "keys": []}
         nb = self.cfg.n * self.cfg.b
@@ -690,9 +669,7 @@ def run_protocol(spec: DegradedSourceSpec, cfg: ProtocolConfig, runs: int) -> di
     vacuous), and a chi-square uniformity p-value over the pooled key bits.
     Deterministic given (spec, cfg, runs).
     """
-    runs = _index(runs, "runs")
-    if runs < 1:
-        raise ValidationError(f"runs must be positive, got {runs}")
+    runs = integer(runs, "runs", positive=True)
     cfg.check_decode_work(len(cfg.members(spec.num_agents)), runs)
     t0 = time.perf_counter()
     engine = ProtocolEngine(spec, cfg)

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ValidationError
+from .errors import CapacityError, ValidationError, integer, power_of_two, real
 from .polar import build_index_sets, entropy_profile_exact, polar_transform
-from .protocol import leakage_bound, toeplitz_from_index
+from .protocol import _diagonal_len, leakage_bound, toeplitz_from_index
 
 MAX_TOY_N = 8
 MAX_TOY_AGENTS = 2
@@ -52,7 +52,7 @@ def _key_table(n: int, r: int) -> np.ndarray:
     """Key label of every block (columns, in _pattern_bits order) under every
     Toeplitz matrix (rows, by diagonal-bit index); one row when r = 0."""
     pat = _pattern_bits(n)
-    n_seeds = 1 << (n + r - 1) if r > 0 else 1
+    n_seeds = 1 << _diagonal_len(n, r)
     return np.stack([_bits_to_int(toeplitz_from_index(s, n, r).apply(pat))
                      for s in range(n_seeds)])
 
@@ -69,12 +69,12 @@ def empirical_secrecy_check(q: float, p: tuple[float, ...], n: int,
     agents = len(p)
     if agents < 1 or agents > MAX_TOY_AGENTS:
         raise CapacityError(f"toy secrecy check supports 1..{MAX_TOY_AGENTS} agents")
-    if n > MAX_TOY_N or n < 1 or n & (n - 1):
-        raise CapacityError(f"toy secrecy check needs a power-of-two N <= {MAX_TOY_N}")
+    q = real(q, "q", high=1.0, open=True)
+    p = [real(pl, f"p[{i}]", high=1.0, open=True) for i, pl in enumerate(p)]
+    n = power_of_two(n, "toy block length N", MAX_TOY_N)
     if len(r) != agents:
         raise ValidationError("one key length per agent required")
-    if any(rl < 0 or rl > n for rl in r):
-        raise ValidationError("key lengths must lie in [0, N]")
+    r = [integer(rl, "key length r") for rl in r]  # _key_table checks r <= n
 
     h_masks = []
     for pl in p:
@@ -155,6 +155,7 @@ def toeplitz_collision_rate(n: int, r: int) -> float:
     returns max over pairs of P[T x = T x'].  Two-universality demands the
     result be at most 2^-r.
     """
+    n, r = integer(n, "n", positive=True), integer(r, "r")
     if n > 6:
         raise CapacityError("collision brute force enumerates 2^(n+r-1) matrices; n <= 6")
     keys = _key_table(n, r)

@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, ConsistencyError, ValidationError
+from .errors import CapacityError, ConsistencyError, ValidationError, bitmask, integer, real
 
 MAX_TABLE_AGENTS = 20  # largest L of an entropy table or of a game file's value table
 # largest L of a dense JointSource: its entropy table sums out every axis
@@ -44,10 +44,9 @@ LOW_BLOCK_AGENTS = 9  # agents in the vectorised block of the product form
 
 
 def binary_entropy(p: float) -> float:
-    """H_b(p) in bits; 0 at the endpoints and beyond them.  A NaN p is a
-    ValidationError: it lies on neither side of an endpoint."""
-    if math.isnan(p):
-        raise ValidationError(f"binary entropy needs a probability, got {p}")
+    """H_b(p) in bits; 0 at the endpoints and beyond them.  p must be a
+    finite real: NaN lies on neither side of an endpoint."""
+    p = real(p, "p", -math.inf)
     if p <= 0.0 or p >= 1.0:
         return 0.0
     return float(-p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p))
@@ -85,25 +84,19 @@ def _json_reals(values) -> Optional[list[float]]:
     return None
 
 
-def _positive_count(value, field: str) -> int:
-    """A count as an int: a positive integer, never a boolean."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValidationError(f"{field} must be a positive integer, got {value!r}")
-    return int(value)
-
-
-def _check_tol(tol) -> None:
-    """A tolerance must be finite and nonnegative: a NaN one passes every check."""
-    if not (np.isfinite(tol) and tol >= 0):
-        raise ValidationError(f"tol must be finite and nonnegative, got {tol!r}")
-
-
-def _level_id(a) -> int:
-    """An agent id from a levels entry: integral values only, never booleans."""
-    if (isinstance(a, (bool, np.bool_)) or not isinstance(a, numbers.Real)
-            or not (isinstance(a, numbers.Integral) or float(a).is_integer())):
-        raise ValidationError(f"levels must hold integer agent ids, got {a!r}")
-    return int(a)
+def _level_partition(levels, num_agents: int) -> tuple[tuple[int, ...], ...]:
+    """levels as tuples of int agent ids, after checking that they partition
+    agents 1..num_agents into nonempty groups.  An id is any integral real
+    (2.0 is agent 2), never a boolean."""
+    for a in (a for lev in levels for a in lev):
+        if (isinstance(a, (bool, np.bool_)) or not isinstance(a, numbers.Real)
+                or not (isinstance(a, numbers.Integral) or float(a).is_integer())):
+            raise ValidationError(f"levels must hold integer agent ids, got {a!r}")
+    out = tuple(tuple(int(a) for a in lev) for lev in levels)
+    if sorted(a for lev in out for a in lev) != list(range(1, num_agents + 1)) or not all(out):
+        raise ValidationError(f"levels must partition agents 1..{num_agents} into nonempty "
+                              f"groups, got {levels}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -120,34 +113,17 @@ class DegradedSourceSpec:
     levels: Optional[tuple[tuple[int, ...], ...]] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "p", tuple(float(x) for x in self.p))
+        object.__setattr__(self, "q", real(self.q, "q", high=1.0, open=True))
+        object.__setattr__(self, "p", tuple(real(pl, f"p[{i}]", high=1.0, open=True)
+                                            for i, pl in enumerate(self.p)))
+        if not self.p:
+            raise ValidationError("p must list at least one crossover probability")
         if self.levels is not None:
-            object.__setattr__(
-                self, "levels", tuple(tuple(_level_id(a) for a in lev) for lev in self.levels)
-            )
-        self.validate()
+            object.__setattr__(self, "levels", _level_partition(self.levels, self.num_agents))
 
     @property
     def num_agents(self) -> int:
         return len(self.p)
-
-    def validate(self) -> None:
-        if not 0.0 < self.q < 1.0:
-            raise ValidationError(f"q must lie in (0,1), got {self.q}")
-        if not self.p:
-            raise ValidationError("p must list at least one crossover probability")
-        for i, pl in enumerate(self.p):
-            if not 0.0 < pl < 1.0:
-                raise ValidationError(f"p[{i}] must lie in (0,1), got {pl}")
-        if self.levels is not None:
-            flat = [a for lev in self.levels for a in lev]
-            expected = set(range(1, self.num_agents + 1))
-            if sorted(flat) != sorted(expected) or len(flat) != len(set(flat)):
-                raise ValidationError(
-                    f"levels must partition agents 1..{self.num_agents} exactly once, got {self.levels}"
-                )
-            if any(len(lev) == 0 for lev in self.levels):
-                raise ValidationError("levels must not contain an empty group")
 
     @classmethod
     def from_json(cls, path: str) -> "DegradedSourceSpec":
@@ -190,7 +166,7 @@ class JointSource:
 
     def __post_init__(self):
         object.__setattr__(self, "num_agents",
-                           _positive_count(self.num_agents, "source field 'num_agents'"))
+                           integer(self.num_agents, "source field 'num_agents'", positive=True))
         if self.num_agents > MAX_DENSE_AGENTS:
             raise CapacityError(f"dense joint table limited to L <= {MAX_DENSE_AGENTS}, "
                                 f"got L={self.num_agents}")
@@ -363,19 +339,12 @@ def _clamp(value, what: str):
     return np.maximum(value, 0.0)
 
 
-def _check_masks(src: JointSource | DegradedSource, *masks) -> None:
-    """Every axis bitmask (int or int array) must lie in [0, 2^(L+1))."""
-    top = 2 << src.num_agents
-    for m in masks:
-        if np.any(m < 0) or np.any(m >= top):
-            raise ValidationError(f"axis bitmask outside [0, {top}) for L={src.num_agents}")
-
-
 def mutual_information(src: JointSource | DegradedSource, a, b, c=0):
     """I(A ; B | C) in bits from the entropy table, clamped to zero from
     tiny negative round-off.  a, b, c are axis bitmasks (ints or int
     arrays): bit 0 is X0, bit l agent l; a and b are disjoint."""
-    _check_masks(src, a, b, c)
+    axes = src.num_agents + 1
+    a, b, c = bitmask(a, axes, "a"), bitmask(b, axes, "b"), bitmask(c, axes, "c")
     if np.any(a & b):
         raise ValidationError("a and b overlap in a mutual-information query")
     h = src.entropies
@@ -384,7 +353,7 @@ def mutual_information(src: JointSource | DegradedSource, a, b, c=0):
 
 def entropy(src: JointSource | DegradedSource, a, c=0):
     """H(A | C) in bits on the same axis bitmasks as mutual_information."""
-    _check_masks(src, a, c)
+    a, c = bitmask(a, src.num_agents + 1, "a"), bitmask(c, src.num_agents + 1, "c")
     h = src.entropies
     return _clamp(h[a | c] - h[c], "conditional entropy")
 
@@ -410,7 +379,7 @@ def verify_markov(src: JointSource, tol: float = 1e-10) -> bool:
     all within tol can still be refused, mostly when its deviations are
     near tol (per-cell noise of 1e-13 to 1e-10 at tol = 1e-10).
     """
-    _check_tol(tol)
+    real(tol, "tol")
     L = src.num_agents
     for cond in src.prob:
         mass = cond.sum()

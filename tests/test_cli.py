@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from keyshare import CoalitionGame, allocate, suites
+from keyshare import CoalitionGame, allocate, cli, suites
 from keyshare.cli import main
 
 from conftest import EXAMPLE2_VALUES, NUCLEOLUS_INTERVALS, SHAPLEY_INTERVALS
@@ -142,6 +143,23 @@ class TestAnalyze:
         payload = json.loads(out)
         assert payload["supermodular"] is True and payload["superadditive"] is True
         assert len(payload["game"]["v"]) == len(payload["core_upper"]) == 1 << num_agents
+
+
+def test_one_parser_per_process(example2_file, capsys, monkeypatch):
+    # main used to build the whole parser, about 1 ms, on every call
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        if kwargs.get("prog") == "keyshare":
+            built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    first, second = (run_cli(["analyze", "--spec", example2_file], capsys) for _ in range(2))
+    assert first == second and first[0] == 0
+    assert len(built) == 1
 
 
 def test_spec_commands_build_no_joint_table(example2_file, capsys, monkeypatch):

@@ -5,7 +5,7 @@ from keyshare import (CapacityError, ValidationError, binary_entropy,
                       build_index_sets, construct_profile,
                       entropy_profile_exact, entropy_profile_mc,
                       polar_transform, sc_decode)
-from keyshare import polar
+from keyshare import errors, polar
 from keyshare.polar import INDEX_BETA, MAX_BLOCK_N, MERGE_BINS, delta_threshold
 from keyshare.protocol import _risk_suffix
 from keyshare.suites import (mc_profile_matches_exact,
@@ -151,6 +151,14 @@ class TestConstructProfile:
             construct_profile(1.5, 8)
         with pytest.raises(ValidationError):
             construct_profile(0.2, 12)
+
+    # an untyped memo let a warm (0.1, 8) entry answer (0.1, 8.0), and a warm
+    # (0.1, 1) entry (0.1, True), although the cold calls refuse both
+    def test_warm_entries_admit_no_other_type(self):
+        construct_profile(0.1, 8), construct_profile(0.1, 1)
+        for n in (8.0, True):
+            with pytest.raises(ValidationError, match="block length N"):
+                construct_profile(0.1, n)
 
 
 def _ordered_children(w, eps):
@@ -317,7 +325,7 @@ class TestScDecode:
         mask, values = np.zeros(4, dtype=bool), np.zeros((2, 4), dtype=np.uint8)
         assert np.array_equal(sc_decode(mask, values, y, 0.2),
                               sc_decode(mask, values, y.astype(np.uint8), 0.2))
-        checked = polar._binary(y, "y")
+        checked = errors.binary(y, "y")
         assert checked.dtype == np.uint8 and np.array_equal(checked, y.astype(np.uint8))
         assert (checked is y) == (dtype is np.uint8)
         if invalid is not None:
