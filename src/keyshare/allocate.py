@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapacityError, SolverError, ValidationError, real
+from .errors import CapacityError, SolverError, ValidationError, real, reals
 from .game import (SCAN_ENTRIES, CoalitionGame, _require_markov, _without, coalition_sums,
                    is_supermodular)
 from .source import DegradedSource, JointSource, mutual_information
@@ -60,7 +60,7 @@ def lp_solve(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None):
         bounds = [(None, None)] * len(c)
     for name, part in (("c", c), ("a_ub", a_ub), ("b_ub", b_ub), ("a_eq", a_eq), ("b_eq", b_eq),
                        ("bounds", [b for pair in bounds for b in pair if b is not None])):
-        if part is not None and not np.all(np.isfinite(part)):
+        if part is not None and not np.all(np.isfinite(reals(part, f"linear program {name}"))):
             raise ValidationError(f"linear program {name} has non-finite entries")
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
                   bounds=bounds, method="highs")
@@ -162,11 +162,10 @@ def _drop_spanned(free: np.ndarray, a_eq: np.ndarray) -> int:
 
     Such a coalition has a constant excess on the set a_eq fixes, so it can
     no longer order the points left.  S stays free iff sum_d (sum_{i in S}
-    d_i)^2 > PIVOT_TOL^2 over the null directions d past the rank (V^T in
-    full only below L rows, so U never outgrows a_eq): its squared residual
-    off the row space (_squared_sums).
+    d_i)^2 > PIVOT_TOL^2 over the null directions d past the rank: its
+    squared residual off the row space (_squared_sums).
     """
-    _, singular, vt = np.linalg.svd(a_eq, full_matrices=len(a_eq) < a_eq.shape[1])
+    _, singular, vt = np.linalg.svd(a_eq)
     rank = int(np.count_nonzero(singular > PIVOT_TOL))
     free &= _squared_sums(vt[rank:], len(free)) > PIVOT_TOL ** 2
     return rank
@@ -190,14 +189,35 @@ def _squared_sums(directions: np.ndarray, size: int) -> np.ndarray:
     return total
 
 
+def _extend_basis(a_eq: np.ndarray, b_eq: np.ndarray, null: np.ndarray, masks, rhs):
+    """(a_eq, b_eq, null) plus each row of masks (right side in rhs) whose sum_d (row . d)^2
+    over the rows d of null, the orthonormal null directions of a_eq, tops PIVOT_TOL^2 (as in
+    _drop_spanned); masks go in SCAN_ENTRIES-entry blocks, a Householder step per added row."""
+    L, rows, rights = a_eq.shape[1], [a_eq], [b_eq]
+    for start in range(0, len(masks) if len(null) else 0, SCAN_ENTRIES // L):
+        block = _incidence(masks[start:start + SCAN_ENTRIES // L], L)
+        coefficients = block @ null.T
+        # residuals only shrink as rows join, so no other row can raise the rank
+        for k in (np.square(coefficients).sum(axis=1) > PIVOT_TOL ** 2).nonzero()[0]:
+            u = coefficients[k].copy()
+            if u @ u > PIVOT_TOL ** 2:
+                u[0] += math.copysign(math.sqrt(u @ u), u[0])
+                u *= math.sqrt(2 / (u @ u))  # I - u u^T reflects row k onto the first direction
+                null = null[1:] - u[1:, None] * (u @ null)
+                coefficients = coefficients[:, 1:] - (coefficients @ u)[:, None] * u[1:]
+                rows.append(block[k:k + 1])
+                rights.append(rhs[start + k:start + k + 1])
+    return np.concatenate(rows), np.concatenate(rights), null
+
+
 def _fix_stages(game: CoalitionGame, route: str, stage):
     """The stage loop both nucleolus routes share; returns (trace, a_eq, b_eq).
 
     The fixed system a_eq x = b_eq starts as efficiency.  Each stage,
-    stage(free, a_eq, b_eq) returns the stage optimum z and the coalitions
-    it fixes (ascending masks), free being a boolean array over masks that
-    marks the coalitions not yet fixed; their incidence rows join a_eq with
-    right sides v(S) - z.
+    stage(free, a_eq, b_eq, null) returns the stage optimum z and the
+    coalitions it fixes (ascending masks), free marking the masks not yet
+    fixed; _extend_basis appends their rows that raise the rank (right sides
+    v(S) - z), so a_eq is a basis of at most L rows with null directions null.
 
     Before the first stage and after every stage, every free coalition
     whose incidence row lies in the row space of a_eq leaves the free set,
@@ -213,12 +233,12 @@ def _fix_stages(game: CoalitionGame, route: str, stage):
     free = np.ones(game.full_mask + 1, dtype=bool)
     free[[0, -1]] = False
     a_eq, b_eq = np.ones((1, L)), np.array([game.grand_value()])
+    null = np.linalg.svd(a_eq)[2][1:]
     trace = NucleolusTrace(route=route)
     rank = _drop_spanned(free, a_eq)
     while rank < L:
-        z, binding = stage(free, a_eq, b_eq)
-        a_eq = np.vstack([a_eq, _incidence(binding, L)])
-        b_eq = np.concatenate([b_eq, game.values[binding] - z])
+        z, binding = stage(free, a_eq, b_eq, null)
+        a_eq, b_eq, null = _extend_basis(a_eq, b_eq, null, binding, game.values[binding] - z)
         prior, rank = rank, _drop_spanned(free, a_eq)
         if rank <= prior:
             raise SolverError(f"nucleolus stage {len(trace.stages) + 1} fixed {binding} "
@@ -302,7 +322,7 @@ def _excess_levels(game: CoalitionGame, x: np.ndarray) -> NucleolusTrace:
     """
     excess = game.values - coalition_sums(x)
 
-    def stage(free, a_eq, b_eq):
+    def stage(free, a_eq, b_eq, null):
         z = float(np.max(excess[free]))
         return z, [int(mask) for mask in np.flatnonzero(free & (excess >= z - TIGHT_TOL))]
 
@@ -341,13 +361,12 @@ def _nucleolus_lp_scaled(game: CoalitionGame):
     stage_c[L] = 1.0
     slack_c = -stage_c
 
-    def stage(free, a_eq, b_eq):
+    def stage(free, a_eq, b_eq, null):
         # stage LP over (payoffs, z): every free row as x(S) + z >= v(S),
-        # z the coefficient of bit L; a_eq gets a zero z column
-        a_eq = np.pad(a_eq, ((0, 0), (0, 1)))
+        # z the coefficient of bit L; the equalities get a zero z column
         status, z_star, sol, duals = lp_solve(
-            stage_c, -_incidence(np.flatnonzero(free) | 1 << L, L + 1), -v[free], a_eq, b_eq,
-            payoffs + [(None, None)])
+            stage_c, -_incidence(np.flatnonzero(free) | 1 << L, L + 1), -v[free],
+            np.pad(a_eq, ((0, 0), (0, 1))), b_eq, payoffs + [(None, None)])
         if status != "optimal":
             raise ValidationError(
                 f"nucleolus stage LP came back {status}; the game admits no "
@@ -361,14 +380,14 @@ def _nucleolus_lp_scaled(game: CoalitionGame):
         fixing[free] = duals > DUAL_TOL
         fixing &= tight
         while np.any(tight & ~fixing):
-            # max-slack LP over (payoffs, t): the pinned rows as equalities,
-            # every other tight row lifted by t; t* > 0 frees all of them
-            rest = np.flatnonzero(free & ~fixing)
+            # max-slack LP over (payoffs, t): a basis of the pinned rows as
+            # equalities, every other tight row lifted by t; t* > 0 frees all
+            rest, fixed = np.flatnonzero(free & ~fixing), np.flatnonzero(fixing)
             lift = tight[rest]
+            eq_a, eq_b, _ = _extend_basis(a_eq, b_eq, null, fixed, v[fixed] - z_star)
             status, neg_t, _, duals = lp_solve(
-                slack_c, np.hstack([-_incidence(rest, L), lift[:, None]]),
-                -(v[rest] - z_star), np.vstack([a_eq, _incidence(np.flatnonzero(fixing), L + 1)]),
-                np.concatenate([b_eq, v[fixing] - z_star]), payoffs + [(None, 1.0)])
+                slack_c, np.hstack([-_incidence(rest, L), lift[:, None]]), -(v[rest] - z_star),
+                np.pad(eq_a, ((0, 0), (0, 1))), eq_b, payoffs + [(None, 1.0)])
             if status != "optimal":
                 raise SolverError(f"max-slack LP came back {status}")
             if -neg_t > TIGHT_TOL:
@@ -381,12 +400,13 @@ def _nucleolus_lp_scaled(game: CoalitionGame):
         return z_star, [int(mask) for mask in np.flatnonzero(fixing)]
 
     trace, a_eq, b_eq = _fix_stages(game, "lp", stage)
-    solution, _, rank, _ = np.linalg.lstsq(a_eq, b_eq, rcond=None)
-    if rank < L:
-        raise SolverError("final nucleolus system is rank deficient")
-    residual = a_eq @ solution - b_eq
-    if np.max(np.abs(residual)) > 1e-7:
-        raise SolverError(f"final nucleolus system inconsistent, residual {residual}")
+    # a square regular basis (rank L); check efficiency and every fixed coalition
+    solution = np.linalg.lstsq(a_eq, b_eq, rcond=None)[0]
+    surplus = coalition_sums(solution) - v
+    residual = max([abs(surplus[-1])] + [np.max(np.abs(surplus[s.fixed_coalitions] + s.optimum))
+                                         for s in trace.stages])
+    if residual > 1e-7:
+        raise SolverError(f"final nucleolus system inconsistent, residual {residual:g}")
     return solution, trace
 
 
@@ -443,7 +463,7 @@ def prekernel_gap(game: CoalitionGame, rates: Sequence[float]) -> float:
     nucleolus.
     """
     L = game.num_agents
-    x = np.asarray(rates, dtype=float)
+    x = reals(rates, "rates")
     if x.shape != (L,) or not np.all(np.isfinite(x)):
         raise ValidationError(f"allocation needs {L} finite rates, got {x.tolist()}")
     return _surpluses(game, x)[0]

@@ -68,6 +68,21 @@ def real(value, name: str, low: float = 0.0, high: float = math.inf,
     return float(value)
 
 
+def reals(values, name: str) -> np.ndarray:
+    """values as a float array, after checking that its entries are real
+    numbers: a string, complex number, nested sequence or other object is
+    refused, and so is an array of booleans (numpy reads a boolean among
+    numbers as 0 or 1).  NaN and the infinities pass, for the caller to
+    rule on."""
+    try:
+        a = np.asarray(values)
+    except ValueError:  # ragged nesting
+        raise ValidationError(f"{name} must hold only real numbers, got nested sequences") from None
+    if a.dtype.kind not in "iuf":
+        raise ValidationError(f"{name} must hold only real numbers, got {a.dtype} entries")
+    return a.astype(float, copy=False)
+
+
 def binary(a, name: str) -> np.ndarray:
     """a as a uint8 array (a itself when it already is one), after checking
     that every entry is 0 or 1."""

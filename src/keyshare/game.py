@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapacityError, ValidationError, integer, real
+from .errors import CapacityError, ValidationError, integer, real, reals
 from .source import (MAX_TABLE_AGENTS, DegradedSource, JointSource, _json_reals,
                      _level_partition, _member_masks, _read_json_object, coalition_sums,
                      mutual_information, verify_markov)
@@ -44,7 +44,8 @@ class CoalitionGame:
         L = self.num_agents = integer(self.num_agents, "game field 'L'", positive=True)
         if L > MAX_TABLE_AGENTS:
             raise CapacityError(f"game value table limited to L <= {MAX_TABLE_AGENTS}, got L={L}")
-        self.values = np.array(self.values, dtype=float)  # a copy: zeroed and clipped below
+        # a copy: zeroed and clipped below
+        self.values = np.array(reals(self.values, "game field 'v'"))
         if self.values.shape != (1 << L,):
             raise ValidationError(f"game field 'v' must list 2^L = {1 << L} numbers for L={L}, "
                                   f"got shape {self.values.shape}")
@@ -228,7 +229,7 @@ def core_contains(game: CoalitionGame, rates: Sequence[float],
     non-finite rates, which are never in the core.
     """
     real(tol, "tol")
-    r = np.asarray(rates, dtype=float)
+    r = reals(rates, "rates")
     if r.shape != (game.num_agents,):
         raise ValidationError(f"allocation needs {game.num_agents} rates, got shape {r.shape}")
     if not np.all(np.isfinite(r)) or abs(r.sum() - game.grand_value()) > tol:

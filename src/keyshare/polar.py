@@ -38,7 +38,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ValidationError, binary, integer, power_of_two, real
+from .errors import ValidationError, binary, integer, power_of_two, real, reals
 
 LN2 = float(np.log(2.0))
 LLR_CLAMP = 40.0
@@ -108,10 +108,15 @@ class PolarIndexSets:
 
 def build_index_sets(profile: EntropyProfile) -> PolarIndexSets:
     """Threshold the profile: H = {h_i >= delta}, V = {h_i >= 1 - delta},
-    with delta = delta_N = 2^(-N^INDEX_BETA)."""
+    with delta = delta_N = 2^(-N^INDEX_BETA).  A NaN entropy is a
+    ValidationError: it would sit in neither set."""
+    h = reals(profile.h, "profile entropies")
+    bad = np.flatnonzero(np.isnan(h))
+    if bad.size:
+        raise ValidationError(f"profile entropies must not be NaN, got NaN at index {bad[0]}")
     delta = delta_threshold(profile.n)
-    h_mask = profile.h >= delta
-    v_mask = profile.h >= 1.0 - delta
+    h_mask = h >= delta
+    v_mask = h >= 1.0 - delta
     return PolarIndexSets(h_mask=h_mask, v_mask=v_mask)
 
 

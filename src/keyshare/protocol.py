@@ -58,7 +58,7 @@ import numpy as np
 from numpy.fft import irfft, rfft
 
 from .errors import (CapacityError, ConsistencyError, ValidationError, binary, integer,
-                     power_of_two, real)
+                     power_of_two, real, reals)
 from .game import coalition_sums
 from .polar import (INDEX_BETA, MAX_BLOCK_N, build_index_sets, construct_profile,
                     polar_transform, sc_decode)
@@ -408,8 +408,7 @@ def leakage_bound(lengths: Sequence[int], floors: Sequence[float]) -> float:
     that cannot guess at all); lengths must be finite and nonnegative, and
     no floor NaN.
     """
-    r = np.asarray(lengths, dtype=float)
-    floors = np.asarray(floors, dtype=float)
+    r, floors = reals(lengths, "lengths"), reals(floors, "floors")
     if floors.shape != (1 << len(r),):
         raise ValidationError(f"min-entropy floors need one entry per coalition bitmask "
                               f"({1 << len(r)}), got shape {floors.shape}")

@@ -32,7 +32,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, ConsistencyError, ValidationError, bitmask, integer, real
+from .errors import (CapacityError, ConsistencyError, ValidationError, bitmask, integer, real,
+                     reals)
 
 MAX_TABLE_AGENTS = 20  # largest L of an entropy table or of a game file's value table
 # largest L of a dense JointSource: its entropy table sums out every axis
@@ -170,7 +171,7 @@ class JointSource:
         if self.num_agents > MAX_DENSE_AGENTS:
             raise CapacityError(f"dense joint table limited to L <= {MAX_DENSE_AGENTS}, "
                                 f"got L={self.num_agents}")
-        object.__setattr__(self, "prob", np.array(self.prob, dtype=float))
+        object.__setattr__(self, "prob", np.array(reals(self.prob, "probability table")))
         self.prob.flags.writeable = False
         expected_dims = self.num_agents + 1
         if self.prob.ndim != expected_dims:

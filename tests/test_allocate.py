@@ -229,9 +229,14 @@ class TestGoldenNucleolus:
     the span pruning, and the per-coalition binding tests before them 320).
     The digest was re-recorded when degraded sources began reading their
     entropy table off the product form: rates and stage optima moved by at
-    most 3e-15, the fixed sets and ranks not at all."""
+    most 3e-15, the fixed sets and ranks not at all.  It was re-recorded
+    again when the fixed system became a basis of at most L rows, so the
+    LPs and the final solve see fewer equalities: rates moved by at most
+    1.1e-14 (the hand-built L=4 game) and 9.7e-16 (the spec games), stage
+    optima by at most 5.6e-17, the fixed sets, ranks and LP count not at
+    all."""
 
-    DIGEST = "d383685b74a6131fff27ba5b7c6458940afa79bf9592bcac353db08d303861a3"
+    DIGEST = "89f8da6540c9d16020aca78ec9eee8b99c17f2e18dd339df63310a83f9fd9550"
     LP_SOLVES = 43
 
     @staticmethod
@@ -310,7 +315,8 @@ class TestRecordedRates:
 
 
 def fixed_rows_only(free, a_eq):
-    """_drop_spanned without the span pruning: only the fixed rows leave."""
+    """_drop_spanned without the span pruning: only the coalitions of the
+    basis rows leave."""
     free[(a_eq @ (1 << np.arange(a_eq.shape[1]))).astype(int)] = False
     return int(np.linalg.matrix_rank(a_eq, tol=allocate.PIVOT_TOL))
 
@@ -334,8 +340,9 @@ def additive_game(L):
 
 class TestDropSpanned:
     def test_a_tall_fixed_system_keeps_the_left_factor_small(self, monkeypatch):
-        # the fixed system of the additive game has 2^L - 1 rows; a full U
-        # would be 4095 x 4095 here and 2^20 x 2^20 at L = 20
+        # the additive game fixes 2^L - 1 coalitions, efficiency included,
+        # but only a basis of at most L rows is factored: a U over every
+        # fixed row would be 4095 x 12 here and 2^20 x 20 at L = 20
         factors = []
         svd = np.linalg.svd
 
@@ -349,8 +356,8 @@ class TestDropSpanned:
         rates, trace = nucleolus(game)
         assert np.allclose(rates, np.arange(1, 13) / 64, rtol=0, atol=1e-12)
         assert [len(stage.fixed_coalitions) for stage in trace.stages] == [4094]
-        assert factors[-1] == ((4095, 12), (4095, 12))
-        assert all(u[1] <= min(a) for a, u in factors)
+        assert factors[-1] == ((12, 12), (12, 12))
+        assert all(a[0] <= 12 and u[1] <= 12 for a, u in factors)
 
     @staticmethod
     def systems(rng, L):
@@ -380,6 +387,47 @@ class TestDropSpanned:
                 assert np.array_equal(free, expected)
 
 
+class TestFixedBasis:
+    def test_no_fixed_system_holds_more_than_L_rows(self, monkeypatch):
+        # every a_eq that reaches the span test or an LP, on both routes; a
+        # fixed system of every fixed coalition would reach 4095 rows here
+        systems = []
+        drop_spanned, solve = allocate._drop_spanned, allocate.lp_solve
+
+        def spanned(free, a_eq):
+            systems.append(a_eq.shape)
+            return drop_spanned(free, a_eq)
+
+        def solving(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None):
+            systems.append(np.shape(a_eq))
+            return solve(c, a_ub, b_ub, a_eq, b_eq, bounds)
+
+        monkeypatch.setattr(allocate, "_drop_spanned", spanned)
+        monkeypatch.setattr(allocate, "lp_solve", solving)
+        for route, game in (("prekernel", additive_game(12)), ("lp", additive_game(5))):
+            systems.clear()
+            rates, trace = (nucleolus if route == "prekernel" else allocate.nucleolus_lp)(game)
+            L = game.num_agents
+            assert trace.route == route and len(trace.stages[0].fixed_coalitions) == 2 ** L - 2
+            assert np.allclose(rates, np.arange(1, L + 1) / 64, rtol=0, atol=1e-12)
+            assert systems and all(rows <= L for rows, _ in systems)
+
+    def test_the_final_check_covers_every_fixed_coalition(self, monkeypatch):
+        # a coalition listed in the trace but outside the basis is checked
+        # too: here the last stage's first coalition, listed at stage 1 as
+        # well, has the wrong stage optimum there
+        fix_stages = allocate._fix_stages
+
+        def listing(*args):
+            trace, a_eq, b_eq = fix_stages(*args)
+            trace.stages[0].fixed_coalitions.append(trace.stages[-1].fixed_coalitions[0])
+            return trace, a_eq, b_eq
+
+        monkeypatch.setattr(allocate, "_fix_stages", listing)
+        with pytest.raises(SolverError, match="final nucleolus system inconsistent"):
+            allocate.nucleolus_lp(TestGoldenNucleolus.games()[1])
+
+
 class TestStageBound:
     def test_at_most_L_minus_1_rank_raising_stages(self, solved_games):
         for _, game, _, trace in solved_games:
@@ -389,11 +437,13 @@ class TestStageBound:
             assert ranks[-1] == game.num_agents
 
     def test_a_stage_that_does_not_raise_the_rank_is_an_error(self, monkeypatch):
-        # without the span pruning (only the fixed coalitions leave the free
-        # set) the first golden L=4 game fixes, at its third stage, a
-        # coalition already in the span of the fixed system
+        # the first golden L=4 game fixes {2} and its complement {13} at its
+        # first stage, and only {2} joins the basis; without the span
+        # pruning (only the basis coalitions leave the free set) its second
+        # stage fixes {13}, a coalition already in the span of the fixed system
         monkeypatch.setattr(allocate, "_drop_spanned", fixed_rows_only)
-        with pytest.raises(SolverError, match="stage 3 fixed .* without raising the system rank 3"):
+        with pytest.raises(SolverError,
+                           match=r"stage 2 fixed \[13\] without raising the system rank 2"):
             allocate.nucleolus_lp(TestGoldenNucleolus.games()[1])
 
 
@@ -422,8 +472,9 @@ class TestRoutes:
 
     def test_prekernel_route_builds_only_pair_and_fixed_rows(self, monkeypatch):
         # the incidence matrices are the pair system (at most L(L-1)/2 rows)
-        # and the coalitions a stage fixes, never a table of every mask; the
-        # additive game fixes all 2^L - 2 proper coalitions at its one stage
+        # and blocks of the coalitions a stage fixes (at most SCAN_ENTRIES
+        # entries), never a table of every mask: the additive game fixes
+        # all 2^L - 2 proper coalitions at its one stage
         built = []
         incidence = allocate._incidence
 
@@ -437,13 +488,12 @@ class TestRoutes:
             built.clear()
             L = game.num_agents
             trace = nucleolus(game)[1]
-            fixed = [len(stage.fixed_coalitions) for stage in trace.stages]
             assert trace.route == "prekernel" and built
-            assert all(n <= L * (L - 1) // 2 or n in fixed for n in built)
+            assert max(built) <= max(L * (L - 1) // 2, allocate.SCAN_ENTRIES // L)
 
     def test_a_level_that_does_not_raise_the_rank_is_an_error(self, monkeypatch):
-        # with only the fixed coalitions leaving the free set, the nucleolus of
-        # the first golden L=4 game has a level already in the fixed span
+        # with only the basis coalitions leaving the free set, the nucleolus
+        # of the first golden L=4 game has a level already in the fixed span
         game = TestGoldenNucleolus.games()[1]
         rates, _ = nucleolus(game)
         monkeypatch.setattr(allocate, "_drop_spanned", fixed_rows_only)

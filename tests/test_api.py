@@ -70,12 +70,14 @@ def test_benchmark_wrap_targets_resolve():
 
 
 # The boundary sweep: every scalar numeric parameter of every exported
-# callable gets each value of BAD, every real-array parameter one NaN, and
-# every sequence checked entry by entry each value of BAD as its last entry.
+# callable gets each value of BAD, every array parameter each value of
+# ARRAY_BAD as its last entry, and every sequence checked entry by entry
+# each value of BAD as its last entry.
 # Each case raises a ValidationError that names the parameter, unless LISTED
 # says otherwise and why.
 BAD = {"nan": math.nan, "+inf": math.inf, "-inf": -math.inf, "-1": -1, "True": True,
        "1.5": 1.5, "'1'": "1"}
+ARRAY_BAD = {"nan": math.nan, "'1'": "1"}
 SPEC = DegradedSourceSpec(q=0.4, p=(0.2, 0.3))
 SOURCE = build_degraded_source(SPEC)
 GAME = value_function(SOURCE)
@@ -87,9 +89,9 @@ CONFIG = {"n": 8, "b": 2, "target": (0.1, 0.1), "epsilon": 0.05, "seed": 3, "coa
 class Entry(NamedTuple):
     """A callable's valid arguments, and the text a ValidationError must
     hold for each parameter the sweep fills: scalar (each BAD value),
-    array (a NaN as its last entry) or entries (each BAD value as its last
-    entry).  The other arguments are objects the package built and
-    checked."""
+    array (each ARRAY_BAD value as its last entry) or entries (each BAD
+    value as its last entry).  The other arguments are objects the package
+    built and checked."""
 
     base: dict
     scalar: dict = {}
@@ -182,12 +184,14 @@ LISTED = {
     ("core_contains", "rates", "nan"): (_returns(lambda out: out == (False, GAME.full_mask)),
                                         "non-finite rates are never in the core; the grand "
                                         "coalition is the efficiency witness"),
-    ("polar_transform", "x", "nan"): (_returns(),
-                                      "the transform casts its input to uint8 and transforms "
-                                      "any byte, without a 0/1 pass on the decode path"),
-    ("sc_decode", "known_mask", "nan"): (_returns(),
-                                         "known_mask is read as a bool mask: any nonzero "
-                                         "entry marks a known index"),
+    **{("polar_transform", "x", label): (_returns(),
+                                         "the transform casts its input to uint8 and transforms "
+                                         "any byte, without a 0/1 pass on the decode path")
+       for label in ARRAY_BAD},
+    **{("sc_decode", "known_mask", label): (_returns(),
+                                            "known_mask is read as a bool mask: any nonzero "
+                                            "entry marks a known index")
+       for label in ARRAY_BAD},
     # 1.5 lies in the range [0, inf) or (0, inf) of these parameters
     **{(name, param, "1.5"): (_returns(), "in range")
        for name, param in (("verify_markov", "tol"), ("core_contains", "tol"),
@@ -197,10 +201,10 @@ LISTED = {
 }
 
 
-def _with_nan(values):
-    a = np.array(values, dtype=float)
-    a.flat[-1] = math.nan
-    return a if isinstance(values, np.ndarray) else type(values)(a.tolist())
+def _with_last_entry(values, value):
+    a = np.array(values, dtype=object)
+    a.flat[-1] = value
+    return np.array(a.tolist()) if isinstance(values, np.ndarray) else type(values)(a.tolist())
 
 
 def _with_last(entries, value):
@@ -213,7 +217,7 @@ def _sweep_cases():
         for param in entry.scalar:
             yield from ((name, "scalar", param, label) for label in BAD)
         for param in entry.array:
-            yield name, "array", param, "nan"
+            yield from ((name, "array", param, label) for label in ARRAY_BAD)
         for param in entry.entries:
             yield from ((name, "entries", param, label) for label in BAD)
 
@@ -237,7 +241,7 @@ def test_boundary_sweep(name, kind, param, label):
     if kind == "scalar":
         kwargs[param] = BAD[label]
     elif kind == "array":
-        kwargs[param] = _with_nan(kwargs[param])
+        kwargs[param] = _with_last_entry(kwargs[param], ARRAY_BAD[label])
     else:
         kwargs[param] = _with_last(kwargs[param], BAD[label])
 
@@ -252,6 +256,20 @@ def test_boundary_sweep(name, kind, param, label):
     with pytest.raises(ValidationError) as info:
         call()
     assert getattr(entry, kind)[param] in str(info.value)
+
+
+def test_probability_table_refuses_strings_that_sum_to_one():
+    # the sweep's string entry already breaks the sum; this one does not
+    with pytest.raises(ValidationError, match="probability table must hold only real numbers"):
+        JointSource(num_agents=1, prob=[[0.25, 0.25], [0.25, "0.25"]])
+
+
+def test_real_arrays_refuse_ragged_nesting():
+    # numpy raises its own ValueError on these before any dtype is known
+    with pytest.raises(ValidationError, match="linear program a_ub must hold only real numbers"):
+        keyshare.lp_solve([1.0], a_ub=[[1.0], [1.0, 2.0]], b_ub=[1.0, 1.0])
+    with pytest.raises(ValidationError, match="game field 'v' must hold only real numbers"):
+        keyshare.CoalitionGame(num_agents=1, values=[0.0, [0.5, 0.5]])
 
 
 def test_real_refuses_ints_past_double_range():

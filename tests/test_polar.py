@@ -260,6 +260,15 @@ class TestIndexSets:
         assert np.array_equal(sets.h_mask, prof.h >= delta)
         assert np.array_equal(sets.v_mask, prof.h >= 1 - delta)
 
+    def test_nan_entropies_are_refused(self):
+        # NaN compares False with the threshold, so a NaN index would sit
+        # in neither set without a word
+        h = entropy_profile_exact(0.2, 4).h.copy()
+        h[2] = np.nan
+        profile = polar.EntropyProfile(4, h, "exact", np.zeros(4))
+        with pytest.raises(ValidationError, match="profile entropies .* index 2"):
+            build_index_sets(profile)
+
     def test_v_subset_of_h(self):
         prof = entropy_profile_exact(0.35, 16)
         sets = build_index_sets(prof)

@@ -309,3 +309,9 @@ class TestTracedPeaks:
                  "nucleolus": lambda: nucleolus(game)}
         for name, call in calls.items():
             assert self.peak_mib(call) <= self.LOOP_PEAKS_MIB[name] + self.TABLE_MIB, name
+
+    def test_additive_game_at_sixteen_agents(self):
+        # its one stage fixes all 2^16 - 2 proper coalitions; a fixed system
+        # that stacked them all peaked at 20.7 MiB
+        game = CoalitionGame(num_agents=16, values=coalition_sums(np.arange(1, 17) / 64))
+        assert self.peak_mib(lambda: nucleolus(game)) <= 8.0
