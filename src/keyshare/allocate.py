@@ -157,18 +157,17 @@ class NucleolusTrace:
         ]
 
 
-def _drop_spanned(free: np.ndarray, a_eq: np.ndarray) -> int:
-    """Unfree every free coalition S in the row space of a_eq; returns its rank.
+def _drop_spanned(free: np.ndarray, null: np.ndarray) -> int:
+    """Unfree every free coalition S in the row space of the fixed system
+    whose orthonormal null directions are the rows of null; returns its rank.
 
-    Such a coalition has a constant excess on the set a_eq fixes, so it can
-    no longer order the points left.  S stays free iff sum_d (sum_{i in S}
-    d_i)^2 > PIVOT_TOL^2 over the null directions d past the rank: its
-    squared residual off the row space (_squared_sums).
+    Such a coalition has a constant excess on the set the system fixes, so
+    it can no longer order the points left.  S stays free iff sum_d (sum_{i
+    in S} d_i)^2 > PIVOT_TOL^2 over the rows d: its squared residual off the
+    row space (_squared_sums).
     """
-    _, singular, vt = np.linalg.svd(a_eq)
-    rank = int(np.count_nonzero(singular > PIVOT_TOL))
-    free &= _squared_sums(vt[rank:], len(free)) > PIVOT_TOL ** 2
-    return rank
+    free &= _squared_sums(null, len(free)) > PIVOT_TOL ** 2
+    return null.shape[1] - len(null)
 
 
 def _squared_sums(directions: np.ndarray, size: int) -> np.ndarray:
@@ -235,11 +234,11 @@ def _fix_stages(game: CoalitionGame, route: str, stage):
     a_eq, b_eq = np.ones((1, L)), np.array([game.grand_value()])
     null = np.linalg.svd(a_eq)[2][1:]
     trace = NucleolusTrace(route=route)
-    rank = _drop_spanned(free, a_eq)
+    rank = _drop_spanned(free, null)
     while rank < L:
         z, binding = stage(free, a_eq, b_eq, null)
         a_eq, b_eq, null = _extend_basis(a_eq, b_eq, null, binding, game.values[binding] - z)
-        prior, rank = rank, _drop_spanned(free, a_eq)
+        prior, rank = rank, _drop_spanned(free, null)
         if rank <= prior:
             raise SolverError(f"nucleolus stage {len(trace.stages) + 1} fixed {binding} "
                               f"without raising the system rank {prior}")

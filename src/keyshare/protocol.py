@@ -12,11 +12,11 @@ in batches of RUN_BATCH and keeps only counts between batches.  The
 Toeplitz product is an exact numpy real-FFT circular convolution of
 length at least n+r-1, where n+r-1 is the number of diagonal bits (see
 ToeplitzHash for why that length is exact).  Every run draws its own
-matrix; simulate_runs draws the diagonal bits of HASH_CHUNK runs into one
-stack and hashes the agents' sequences in one call.  An agent's sequence
-and the base station's reconstruction share the run's matrix, so the base
-key is the agent key unless the reconstruction differs, and only those
-runs are hashed a second time.
+matrix; simulate_runs draws a member's diagonal bits into one stack and
+hashes all its runs in one call, HASH_CHUNK rows per FFT block.  An agent's
+sequence and the base station's reconstruction share the run's matrix, so
+the base key is the agent key unless the reconstruction differs, and only
+those runs are hashed a second time.
 
 Randomness: run k's source sample and each member's hash matrix come from
 Philox streams keyed by SeedSequence((seed, tag, k)), so any run replays
@@ -83,8 +83,9 @@ RUN_OVERHEAD_BITS = 2 ** 10
 # Runs per simulate_runs call in run_protocol.  At least 100: a caller that
 # captures run_protocol's first batch can replay any run below 100 from it.
 RUN_BATCH = 100
-# Runs per stacked hash call in simulate_runs.  8-32 ran equally fast on
-# Example 2; stacking a whole RUN_BATCH raised the peak RSS by about 10 MB.
+# Rows per FFT block in ToeplitzHash.apply, which reuses its buffers across
+# blocks.  In a warm 100-run Example 2 batch, fresh FFT temporaries took 9,975
+# of 12,048 minor page faults; the reused buffers take 1,231 of 3,348.
 HASH_CHUNK = 16
 
 
@@ -161,13 +162,14 @@ class ToeplitzHash:
     hashes row i of a (k, n) batch with matrix i.
 
     Row i of the product is entry n-1+i of the integer convolution of the
-    diagonal bits with the input, reduced mod 2.  apply computes all rows
-    of a batch in one numpy real-FFT circular convolution of length
-    M = _fast_len(n+r-1): one rfft of the input rows, one of the diagonal
-    string or stack, and one irfft.  Circular length M adds entry k+M
-    (and k-M) of the linear convolution, whose entries run over
-    0 .. 2n+r-3, onto entry k; for the kept k in n-1 .. n+r-2 both lie
-    outside that range once M >= n+r-1, so the kept entries are exact.
+    diagonal bits with the input, reduced mod 2.  apply takes a batch's
+    rows HASH_CHUNK at a time, each block one numpy real-FFT circular
+    convolution of length M = _fast_len(n+r-1): an rfft of the rows, one
+    of the diagonal string (once) or the block's stack, and an irfft.
+    Circular length M adds entry k+M (and k-M) of the linear convolution,
+    whose entries run over 0 .. 2n+r-3, onto entry k; for the kept k in
+    n-1 .. n+r-2 both lie outside that range once M >= n+r-1, so the kept
+    entries are exact.
     So are the sums: each is an integer of at most n << 2^53, so the float
     result rounds to it, and apply raises ConsistencyError if any value
     lies more than 0.25 from its rounding (a guard, never a second route).
@@ -196,18 +198,33 @@ class ToeplitzHash:
         if self.bits.ndim == 2 and (single or x2.shape[0] != self.bits.shape[0]):
             raise ValidationError(f"a stack of {self.bits.shape[0]} matrices hashes "
                                   f"{self.bits.shape[0]} rows, got {x.shape}")
+        out = np.empty((x2.shape[0], self.r_out), np.uint8)
         if self.r_out == 0:
-            out = np.zeros((x2.shape[0], 0), dtype=np.uint8)
-        else:
-            size = _fast_len(self.bits.shape[-1])  # >= n_in, since r_out >= 1
-            lo = self.n_in - 1
-            conv = irfft(rfft(x2, size, axis=1) * rfft(self.bits, size), size,
-                         axis=1)[:, lo:lo + self.r_out]
+            return out[0] if single else out
+        size = _fast_len(self.bits.shape[-1])  # >= n_in, since r_out >= 1
+        lo = self.n_in - 1
+        # a block's zero-padded rows, then its irfft; the rows' and matrices' rffts
+        padded = np.empty((min(HASH_CHUNK, len(x2)), size))
+        spectrum, kernel = np.empty((2, len(padded), size // 2 + 1), complex)
+
+        def transform(rows, into):
+            padded[:len(rows), :rows.shape[1]] = rows
+            padded[:len(rows), rows.shape[1]:] = 0
+            return rfft(padded[:len(rows)], size, axis=1, out=into[:len(rows)])
+
+        bits = self.bits.reshape(-1, self.bits.shape[-1])  # one row: a single matrix
+        for start in range(0, len(x2), HASH_CHUNK):
+            part = slice(start, start + HASH_CHUNK)
+            if len(bits) > 1 or start == 0:
+                matrices = transform(bits[part], kernel)
+            product = transform(x2[part], spectrum)
+            product *= matrices
+            conv = irfft(product, size, axis=1, out=padded[:len(product)])[:, lo:lo + self.r_out]
             sums = np.rint(conv)
             residue = float(np.max(np.abs(conv - sums), initial=0.0))
             if residue > 0.25:
                 raise ConsistencyError(f"FFT convolution residue {residue:.3g} exceeds 0.25")
-            out = (sums.astype(np.int64) & 1).astype(np.uint8)
+            out[part] = sums.astype(np.int64) & 1
         return out[0] if single else out
 
 
@@ -312,6 +329,12 @@ def _reset(bitgen: np.random.Philox, key: np.ndarray) -> np.random.Philox:
                     "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
                     "has_uint32": 0, "uinteger": 0}
     return bitgen
+
+
+def _raw_threshold(p: np.ndarray) -> np.ndarray:
+    """uint64 t with raw < t exactly when random()'s draw (raw >> 11)·2^-53 < p,
+    that is raw >> 11 < ceil(p·2^53); for p in (0, 1) t stays below 2^64."""
+    return np.ceil(p * 2.0 ** 53).astype(np.uint64) << np.uint64(11)
 
 
 def _diagonal_stack(bitgen: np.random.Philox, keys: np.ndarray, m: int) -> np.ndarray:
@@ -521,24 +544,22 @@ class ProtocolEngine:
 
     # -- per-run mechanics ----------------------------------------------
 
-    def _sample_batch(self, ks: list[int], gen: np.random.Generator
+    def _sample_batch(self, ks: list[int], bitgen: np.random.Philox
                       ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
         """Source realizations for the given run indices, stacked blockwise.
 
         Returns x0 of shape (runs*B, N) plus one same-shape array per
         agent.  Run k's bits come from the Philox stream keyed by
-        (seed, _RUN_TAG, k) alone: gen is reset to that key, and one
-        random call fills 1+L blocks of B x N doubles, which are compared
-        against q (x0) and p_1..p_L (each agent's flips).
+        (seed, _RUN_TAG, k) alone: bitgen is reset to that key, and 1+L
+        blocks of B x N raw words are compared against _raw_threshold of q
+        (x0) and p_1..p_L (each agent's flips), as random() < q, p would.
         """
         cfg = self.cfg
-        thresholds = np.array([self.spec.q, *self.spec.p])[:, None, None]
-        draws = np.empty((1 + self.num_agents, cfg.b, cfg.n))
+        limits = _raw_threshold(np.array([self.spec.q, *self.spec.p]))[:, None, None]
         # source-major, so that x0 and each agent's bits are contiguous views
         bits = np.empty((1 + self.num_agents, len(ks), cfg.b, cfg.n), np.uint8)
         for i, key in enumerate(_stream_keys([(cfg.seed, _RUN_TAG, k) for k in ks])):
-            _reset(gen.bit_generator, key)
-            np.less(gen.random(out=draws), thresholds, out=bits[:, i])
+            np.less(_reset(bitgen, key).random_raw(bits[:, i].shape), limits, out=bits[:, i])
         bits[1:] ^= bits[0]
         return (bits[0].reshape(-1, cfg.n),
                 {l: bits[1 + l].reshape(-1, cfg.n) for l in range(self.num_agents)})
@@ -608,44 +629,38 @@ class ProtocolEngine:
         tag, k): the sample by _RUN_TAG, each member's Toeplitz matrix by
         _HASH_TAG.  All keys of the call come from vectorised SeedSequence
         passes (_stream_keys), and one Philox bit generator is reset to
-        each key in turn.  Each run draws its own matrix; a member's runs
-        are hashed HASH_CHUNK at a time, with the chunk's diagonal bits
-        drawn straight into one stack (drawing a whole batch's stack at
-        once raised the peak RSS), and a run's Transcript.hash_bits is its
-        row of that stack.  The base station's key is the agent's key
-        wherever its estimate equals the agent's sequence, and is hashed
-        again with the run's own matrix only where it differs.
+        each key in turn.  Each run draws its own matrix: a member's
+        diagonal bits for the call go into one stack, which hashes all its
+        runs in one apply call, and a run's Transcript.hash_bits is its row
+        of that stack.  The base station's key is the agent's key wherever
+        its estimate equals the agent's sequence; one more apply call hashes
+        the runs where it differs, each with its own matrix.
         """
         ks = [integer(k, "run index") for k in run_indices]
         if not ks:
             return {"transcripts": [], "keys": []}
         nb = self.cfg.n * self.cfg.b
-        # the seed is never used: every draw resets the generator to its stream's key
-        gen = np.random.Generator(np.random.Philox(0))
-        x0, xs = self._sample_batch(ks, gen)
+        # the seed is never used: every draw resets the bit generator to its stream's key
+        bitgen = np.random.Philox(0)
+        x0, xs = self._sample_batch(ks, bitgen)
         transcripts, estimates = self._reconcile(x0, xs, len(ks))
         keymats = [KeyMaterial(keys={}, base_keys={}) for _ in ks]
         for plan in self.plans:
             agent = plan.index + 1
-            x_nb = xs[plan.index].reshape(len(ks), nb)
-            hash_keys = self._hash_keys(gen.bit_generator, ks, plan.index)
+            x, est = xs[plan.index].reshape(len(ks), nb), estimates[agent]
+            hash_keys = self._hash_keys(bitgen, ks, plan.index)
             m = _diagonal_len(nb, plan.key_len)
-            for start in range(0, len(ks), HASH_CHUNK):
-                part = slice(start, start + HASH_CHUNK)
-                x, est = x_nb[part], estimates[agent][part]
-                stack = ToeplitzHash(_diagonal_stack(gen.bit_generator, hash_keys[part], m),
-                                     nb, plan.key_len)
-                keys = stack.apply(x)
-                base_keys = keys.copy()
-                differ = np.flatnonzero((est != x).any(axis=1))
-                if differ.size:
-                    base_keys[differ] = ToeplitzHash(stack.bits[differ], nb,
-                                                     plan.key_len).apply(est[differ])
-                for pos, row, key, base_key in zip(range(start, len(ks)), stack.bits,
-                                                   keys, base_keys):
-                    transcripts[pos].hash_bits[agent] = row
-                    keymats[pos].keys[agent] = key
-                    keymats[pos].base_keys[agent] = base_key
+            stack = ToeplitzHash(_diagonal_stack(bitgen, hash_keys, m), nb, plan.key_len)
+            keys = stack.apply(x)
+            base_keys = keys.copy()
+            differ = np.flatnonzero((est != x).any(axis=1))
+            if differ.size:
+                base_keys[differ] = ToeplitzHash(stack.bits[differ], nb,
+                                                 plan.key_len).apply(est[differ])
+            for tr, km, row, key, base in zip(transcripts, keymats, stack.bits, keys, base_keys):
+                tr.hash_bits[agent] = row
+                km.keys[agent] = key
+                km.base_keys[agent] = base
         return {"transcripts": transcripts, "keys": keymats}
 
 

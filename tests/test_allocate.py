@@ -314,11 +314,26 @@ class TestRecordedRates:
                 assert np.max(np.abs(ours - np.array(theirs))) <= 1e-12
 
 
-def fixed_rows_only(free, a_eq):
-    """_drop_spanned without the span pruning: only the coalitions of the
-    basis rows leave."""
-    free[(a_eq @ (1 << np.arange(a_eq.shape[1]))).astype(int)] = False
-    return int(np.linalg.matrix_rank(a_eq, tol=allocate.PIVOT_TOL))
+def fixed_rows_only(monkeypatch):
+    """Patch _drop_spanned to run without the span pruning: only the
+    coalitions of the basis rows (the last system _extend_basis returned)
+    leave.  Efficiency's grand coalition is never free, so before the
+    first extension nothing leaves."""
+    basis = []
+    extend = allocate._extend_basis
+
+    def extending(*args):
+        a_eq, b_eq, null = extend(*args)
+        basis[:] = [a_eq]
+        return a_eq, b_eq, null
+
+    def drop(free, null):
+        for a_eq in basis:
+            free[(a_eq @ (1 << np.arange(a_eq.shape[1]))).astype(int)] = False
+        return null.shape[1] - len(null)
+
+    monkeypatch.setattr(allocate, "_extend_basis", extending)
+    monkeypatch.setattr(allocate, "_drop_spanned", drop)
 
 
 def projector_drop_spanned(free, a_eq):
@@ -341,8 +356,10 @@ def additive_game(L):
 class TestDropSpanned:
     def test_a_tall_fixed_system_keeps_the_left_factor_small(self, monkeypatch):
         # the additive game fixes 2^L - 1 coalitions, efficiency included,
-        # but only a basis of at most L rows is factored: a U over every
-        # fixed row would be 4095 x 12 here and 2^20 x 20 at L = 20
+        # but only efficiency's row is factored: the span tests read the
+        # null directions that _extend_basis keeps, so no factor over the
+        # fixed rows is built (a U over every one of them would be 4095 x 12
+        # here and 2^20 x 20 at L = 20)
         factors = []
         svd = np.linalg.svd
 
@@ -356,8 +373,7 @@ class TestDropSpanned:
         rates, trace = nucleolus(game)
         assert np.allclose(rates, np.arange(1, 13) / 64, rtol=0, atol=1e-12)
         assert [len(stage.fixed_coalitions) for stage in trace.stages] == [4094]
-        assert factors[-1] == ((12, 12), (12, 12))
-        assert all(a[0] <= 12 and u[1] <= 12 for a, u in factors)
+        assert factors == [((1, 12), (1, 1))]
 
     @staticmethod
     def systems(rng, L):
@@ -383,26 +399,29 @@ class TestDropSpanned:
                 free[[0, -1]] = False
                 expected = free.copy()
                 rank = projector_drop_spanned(expected, a_eq)
-                assert allocate._drop_spanned(free, a_eq) == rank
+                null = np.linalg.svd(a_eq)[2][rank:]
+                assert allocate._drop_spanned(free, null) == rank
                 assert np.array_equal(free, expected)
 
 
 class TestFixedBasis:
     def test_no_fixed_system_holds_more_than_L_rows(self, monkeypatch):
-        # every a_eq that reaches the span test or an LP, on both routes; a
-        # fixed system of every fixed coalition would reach 4095 rows here
+        # every a_eq that _extend_basis builds or an LP reads, on both
+        # routes; a fixed system of every fixed coalition would reach 4095
+        # rows here
         systems = []
-        drop_spanned, solve = allocate._drop_spanned, allocate.lp_solve
+        extend, solve = allocate._extend_basis, allocate.lp_solve
 
-        def spanned(free, a_eq):
+        def extending(*args):
+            a_eq, b_eq, null = extend(*args)
             systems.append(a_eq.shape)
-            return drop_spanned(free, a_eq)
+            return a_eq, b_eq, null
 
         def solving(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None):
             systems.append(np.shape(a_eq))
             return solve(c, a_ub, b_ub, a_eq, b_eq, bounds)
 
-        monkeypatch.setattr(allocate, "_drop_spanned", spanned)
+        monkeypatch.setattr(allocate, "_extend_basis", extending)
         monkeypatch.setattr(allocate, "lp_solve", solving)
         for route, game in (("prekernel", additive_game(12)), ("lp", additive_game(5))):
             systems.clear()
@@ -441,7 +460,7 @@ class TestStageBound:
         # first stage, and only {2} joins the basis; without the span
         # pruning (only the basis coalitions leave the free set) its second
         # stage fixes {13}, a coalition already in the span of the fixed system
-        monkeypatch.setattr(allocate, "_drop_spanned", fixed_rows_only)
+        fixed_rows_only(monkeypatch)
         with pytest.raises(SolverError,
                            match=r"stage 2 fixed \[13\] without raising the system rank 2"):
             allocate.nucleolus_lp(TestGoldenNucleolus.games()[1])
@@ -496,7 +515,7 @@ class TestRoutes:
         # of the first golden L=4 game has a level already in the fixed span
         game = TestGoldenNucleolus.games()[1]
         rates, _ = nucleolus(game)
-        monkeypatch.setattr(allocate, "_drop_spanned", fixed_rows_only)
+        fixed_rows_only(monkeypatch)
         with pytest.raises(SolverError, match="without raising the system rank"):
             allocate._excess_levels(game, rates)
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,7 +16,7 @@ from keyshare import (CapacityError, DegradedSourceSpec, ValidationError,
                       shapley_from_game, value_function)
 from keyshare import polar, protocol
 from keyshare.polar import MAX_BLOCK_N, polar_transform, sc_decode
-from keyshare.protocol import (DEFAULT_SEED, MAX_BLOCKS, MAX_DECODE_WORK, RUN_BATCH,
+from keyshare.protocol import (DEFAULT_SEED, HASH_CHUNK, MAX_BLOCKS, MAX_DECODE_WORK, RUN_BATCH,
                                RUN_OVERHEAD_BITS, ProtocolConfig, ProtocolEngine,
                                ToeplitzHash, _balance_p_value, toeplitz_from_index)
 from keyshare.suites import leftover_hash_bound_holds, toeplitz_matches_matrix
@@ -37,7 +38,7 @@ def small_config(**overrides):
 def sample_batch(engine, ks):
     """The engine's source realizations for runs ks (x0 and every agent's
     (runs*B, N) stack); the draws reset the generator to each run's key."""
-    return engine._sample_batch(list(ks), np.random.Generator(np.random.Philox()))
+    return engine._sample_batch(list(ks), np.random.Philox())
 
 
 # Reference streams: a fresh Generator(Philox(SeedSequence(...))) for every
@@ -280,6 +281,55 @@ class TestToeplitzHash:
         else:
             with pytest.raises(ValidationError, match="hash input"):
                 h.apply(x)
+
+    # apply runs its FFTs HASH_CHUNK rows at a time: batches below, at and
+    # past one block, and over several, equal hashing row by row
+    @pytest.mark.parametrize("rows", [0, 1, HASH_CHUNK - 1, HASH_CHUNK, HASH_CHUNK + 1, 100])
+    def test_blocked_batches_match_per_row_hashing(self, rows):
+        n_in, r_out = 64, 19
+        singles, stack = (self._stack(range(rows), n_in, r_out) if rows else
+                          ([], ToeplitzHash(np.zeros((0, n_in + r_out - 1)), n_in, r_out)))
+        x = np.random.default_rng(rows).integers(0, 2, (rows, n_in), dtype=np.uint8)
+        one = sample_hash(rows, n_in, r_out)
+        for hasher, per_row in ((one, [one.apply(row) for row in x]),
+                                (stack, [h.apply(row) for h, row in zip(singles, x)])):
+            out = hasher.apply(x)
+            assert out.shape == (rows, r_out) and out.dtype == np.uint8
+            assert np.array_equal(out, np.reshape(per_row, (rows, r_out)))
+
+    def test_residue_guard_checks_every_block(self, monkeypatch):
+        from keyshare import ConsistencyError
+        exact, calls = protocol.irfft, []
+
+        def second_block_off(*args, **kwargs):
+            calls.append(1)
+            out = exact(*args, **kwargs)
+            return out + 0.3 if len(calls) == 2 else out
+
+        monkeypatch.setattr(protocol, "irfft", second_block_off)
+        rows = np.ones((HASH_CHUNK + 1, 16), dtype=np.uint8)
+        _, stack = self._stack(range(HASH_CHUNK + 1), 16, 4)
+        for hasher in (sample_hash(3, 16, 4), stack):
+            calls.clear()
+            with pytest.raises(ConsistencyError, match="residue"):
+                hasher.apply(rows)
+            assert len(calls) == 2
+
+    def test_blocked_hash_peak_memory(self):
+        # a warm Example 2 batch's stack: 100 runs of N*B = 4096 bits hashed
+        # to 682; FFT temporaries over the whole stack peaked at 10.97 MiB,
+        # the one set of block buffers at about 2.1 MiB
+        rng = np.random.default_rng(8)
+        stack = ToeplitzHash(rng.integers(0, 2, (100, 4096 + 682 - 1), dtype=np.uint8),
+                             4096, 682)
+        x = rng.integers(0, 2, (100, 4096), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            stack.apply(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2 ** 20
 
     def test_stack_rejects_shape_mismatch(self):
         _, stack = self._stack(range(3), 8, 2)
@@ -612,8 +662,9 @@ class TestStackedHashing:
         assert sum(not km.agree(a) for km in res["keys"] for a in km.keys) == 23
 
     def test_hash_calls_per_chunk(self, monkeypatch, disagreeing):
-        # at most two hash objects and two apply calls per member and
-        # chunk: no per-run ToeplitzHash is built
+        # at most two hash objects and two apply calls per member: one stack
+        # hashes all the member's runs, one more the runs whose estimate
+        # differs; no per-run or per-chunk ToeplitzHash is built
         engine = disagreeing[0]
         calls, apply = [], ToeplitzHash.apply
         builds, init = [], ToeplitzHash.__init__
@@ -629,9 +680,8 @@ class TestStackedHashing:
         monkeypatch.setattr(ToeplitzHash, "apply", counted)
         monkeypatch.setattr(ToeplitzHash, "__init__", counted_init)
         engine.simulate_runs(range(self.RUNS))
-        chunks = -(-self.RUNS // protocol.HASH_CHUNK)
-        assert len(calls) <= 2 * len(engine.plans) * chunks
-        assert 0 < len(builds) <= 2 * len(engine.plans) * chunks
+        assert len(calls) <= 2 * len(engine.plans)
+        assert 0 < len(builds) <= 2 * len(engine.plans)
         assert sum(calls) == len(engine.plans) * self.RUNS + 23
 
     def test_streams_need_no_object_per_run(self, monkeypatch, disagreeing):
@@ -729,6 +779,26 @@ class TestStreams:
             assert np.array_equal(protocol._diagonal_stack(bitgen, key[None], m)[0], expected)
         seed = int(protocol._reset(bitgen, key).random_raw()) >> 2
         assert seed == int(reference_rng(words).integers(0, 2 ** 62))
+
+    # random() is (raw >> 11) 2^-53, so the sample compares raw words with
+    # _raw_threshold(p); p 2^53 is an integer at the first three edges, and
+    # not at the rest (2^-60 and the least subnormal round up to 1)
+    @pytest.mark.parametrize("p", [2.0 ** -53, 0.5, 1 - 2.0 ** -53, 0.3, 0.08,
+                                   2.0 ** -60, 5e-324])
+    def test_raw_threshold_matches_the_float_draw(self, p):
+        t = int(protocol._raw_threshold(np.array([p]))[0])
+        edges = {0, 1, 2 ** 11 - 1, 2 ** 11, 2 ** 64 - 1}
+        edges |= {t + d for d in (-2 ** 11 - 1, -2 ** 11, -1, 0, 1, 2 ** 11 - 1, 2 ** 11)}
+        raw = np.array(sorted(e for e in edges if 0 <= e < 2 ** 64), dtype=np.uint64)
+        drawn = (raw >> np.uint64(11)) * 2.0 ** -53
+        assert np.array_equal(raw < np.uint64(t), drawn < p)
+        assert t < 2 ** 64 and np.any(raw < np.uint64(t)) and np.any(raw >= np.uint64(t))
+
+    def test_random_reads_the_raw_words(self):
+        (key,) = protocol._stream_keys([(DEFAULT_SEED, protocol._RUN_TAG, 7)])
+        raw = protocol._reset(np.random.Philox(0), key).random_raw(4096)
+        drawn = np.random.Generator(protocol._reset(np.random.Philox(0), key)).random(4096)
+        assert np.array_equal(drawn, (raw >> np.uint64(11)) * 2.0 ** -53)
 
     def test_runs_match_per_run_reference(self):
         # a seed above 2^64 gives the run streams more than 4 entropy words,

@@ -64,16 +64,14 @@ def loop_first_adjacent_violation(v, tol):
     return True, None
 
 
-def loop_drop_spanned(free, a_eq):
+def loop_drop_spanned(free, null):
     """_drop_spanned with the residual summed one null direction at a time;
     returns (rank, residual)."""
-    _, singular, vt = np.linalg.svd(a_eq, full_matrices=len(a_eq) < a_eq.shape[1])
-    rank = int(np.count_nonzero(singular > allocate.PIVOT_TOL))
     residual = np.zeros(len(free))
-    for d in vt[rank:]:
+    for d in null:
         residual += coalition_sums(d) ** 2
     free &= residual > allocate.PIVOT_TOL ** 2
-    return rank, residual
+    return null.shape[1] - len(null), residual
 
 
 def loop_shapley_from_game(game):
@@ -200,27 +198,30 @@ class TestAgainstTheLoops:
     def test_span_scan(self, family, L, monkeypatch):
         rng = np.random.default_rng(3000 * L + FAMILIES.index(family))
         game = make_game(family, L, rng)
-        systems = [np.ones((1, L))]
+        # the null directions the stage loop passes, and those of a few
+        # fixed systems, taken from an SVD here
+        nulls = []
         real = allocate._drop_spanned
 
-        def recording(free, a_eq):
-            systems.append(a_eq.copy())
-            return real(free, a_eq)
+        def recording(free, null):
+            nulls.append(null.copy())
+            return real(free, null)
 
         if family != "perturbed" or L <= 7:  # the LP route is slow past that
             with monkeypatch.context() as patch:
                 patch.setattr(allocate, "_drop_spanned", recording)
                 nucleolus(game)
         masks = rng.integers(1, 1 << L, size=rng.integers(1, 2 * L + 1))
-        systems.append(np.vstack([np.ones(L), allocate._incidence(masks, L)]))
-        systems.append(rng.normal(size=(max(L - 2, 1), L)))
-        for a_eq in systems:
+        for a_eq in (np.ones((1, L)), np.vstack([np.ones(L), allocate._incidence(masks, L)]),
+                     rng.normal(size=(max(L - 2, 1), L))):
+            _, singular, vt = np.linalg.svd(a_eq, full_matrices=len(a_eq) < L)
+            nulls.append(vt[np.count_nonzero(singular > allocate.PIVOT_TOL):])
+        for null in nulls:
             free = rng.random(1 << L) < 0.8
             expected = free.copy()
-            rank, residual = loop_drop_spanned(expected, a_eq)
-            assert allocate._drop_spanned(free, a_eq) == rank
+            rank, residual = loop_drop_spanned(expected, null)
+            assert allocate._drop_spanned(free, null) == rank
             assert np.array_equal(free, expected)
-            null = np.linalg.svd(a_eq, full_matrices=len(a_eq) < L)[2][rank:]
             assert np.array_equal(allocate._squared_sums(null, 1 << L), residual)
 
 
