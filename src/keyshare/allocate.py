@@ -31,7 +31,7 @@ import numpy as np
 from .errors import CapacityError, SolverError, ValidationError, real, reals
 from .game import (SCAN_ENTRIES, CoalitionGame, _require_markov, _without, coalition_sums,
                    is_supermodular)
-from .source import DegradedSource, JointSource, mutual_information
+from .source import DegradedSourceSpec, JointSource, mutual_information
 
 TIGHT_TOL = 1e-8
 DUAL_TOL = 1e-9
@@ -96,7 +96,7 @@ def shapley_from_game(game: CoalitionGame) -> np.ndarray:
     return rates
 
 
-def shapley_closed_form(src: JointSource | DegradedSource) -> np.ndarray:
+def shapley_closed_form(src: JointSource | DegradedSourceSpec) -> np.ndarray:
     """Shapley value straight from the source statistics.
 
     R_l = I(X_l ; X0) - (1/L) sum_{S not cont. l} C(L-1, |S|)^-1 I(X_l ; X_S).

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapacityError, ValidationError, integer, real, reals
-from .source import (MAX_TABLE_AGENTS, DegradedSource, JointSource, _json_reals,
+from .source import (MAX_TABLE_AGENTS, DegradedSourceSpec, JointSource, _json_reals,
                      _level_partition, _member_masks, _read_json_object, coalition_sums,
                      mutual_information, verify_markov)
 
@@ -89,15 +89,15 @@ class CoalitionGame:
         return cls.from_json(_read_json_object(path, "game", ("L", "v")))
 
 
-def _require_markov(src: JointSource | DegradedSource) -> None:
-    if not (isinstance(src, DegradedSource) or verify_markov(src)):
+def _require_markov(src: JointSource | DegradedSourceSpec) -> None:
+    if not (isinstance(src, DegradedSourceSpec) or verify_markov(src)):
         raise ValidationError(
             "source fails the degradedness check; the closed-form value "
             "function only holds for conditionally independent observations"
         )
 
 
-def value_function(src: JointSource | DegradedSource) -> CoalitionGame:
+def value_function(src: JointSource | DegradedSourceSpec) -> CoalitionGame:
     """v(S) = I(X_S ; X0 | X_{S^c}) for every coalition bitmask S."""
     _require_markov(src)
     full = src.full_mask
@@ -107,7 +107,7 @@ def value_function(src: JointSource | DegradedSource) -> CoalitionGame:
     return CoalitionGame(num_agents=src.num_agents, values=values)
 
 
-def clearance_level_games(src: JointSource | DegradedSource,
+def clearance_level_games(src: JointSource | DegradedSourceSpec,
                           levels: Sequence[Sequence[int]]) -> list[CoalitionGame]:
     """One conditional game per clearance level.
 

@@ -256,7 +256,7 @@ def _llr_constant(theta: float) -> float:
 
 
 def _sc_sweep(y: np.ndarray, theta: float, leaf: Callable[[int, np.ndarray], np.ndarray],
-              settled: Optional[tuple[np.ndarray, np.ndarray]] = None) -> np.ndarray:
+              settled: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Generic successive-cancellation recursion over a batch.
 
     y, shape (batch, N), holds the 0/1 observations of the source blocks
@@ -264,24 +264,21 @@ def _sc_sweep(y: np.ndarray, theta: float, leaf: Callable[[int, np.ndarray], np.
     decided at transform-domain index i; the sweep returns the
     source-domain bits implied by those decisions.
 
-    settled, if given, is (mask, values): transform-domain indices whose
-    bits are fixed in advance, with values shaped like y.  A subtree
-    whose leaves are all settled is not decoded: its output is the polar
-    transform of its settled bits, and neither its LLRs nor leaf calls are
-    computed.  Every LLR that is still computed is the same float as in
-    the full sweep, so the result is bit-identical to one whose leaf
-    returns the settled bits at those indices; with every index settled,
-    not even the root LLRs are built.
+    settled is (mask, values): transform-domain indices whose bits are
+    fixed in advance, with values shaped like y; an all-False mask runs
+    the full sweep.  A subtree whose leaves are all settled is not
+    decoded: its output is the polar transform of its settled bits, and
+    neither its LLRs nor leaf calls are computed.  Every LLR that is
+    still computed is the same float as in the full sweep, so the result
+    is bit-identical to one whose leaf returns the settled bits at those
+    indices; with every index settled, not even the root LLRs are built.
     """
-    if settled is None:
-        open_before = None
-    else:
-        mask, values = settled
-        open_before = np.concatenate([[0], np.cumsum(~mask)])  # unsettled indices below i
+    mask, values = settled
+    open_before = np.concatenate([[0], np.cumsum(~mask)])  # unsettled indices below i
 
     def transformed(i0: int, m: int) -> Optional[np.ndarray]:
         """Source-domain bits of a fully settled subtree [i0, i0+m), else None."""
-        if open_before is None or open_before[i0 + m] != open_before[i0]:
+        if open_before[i0 + m] != open_before[i0]:
             return None
         return polar_transform(values[:, i0:i0 + m])
 
@@ -337,7 +334,8 @@ def entropy_profile_mc(theta: float, n: int, num_samples: int, seed: int) -> Ent
             row["e"][i] = p_min.sum()
             return u_true[:, i].copy()
 
-        _sc_sweep(np.zeros((size, n), np.uint8), theta, leaf)
+        y = np.zeros((size, n), np.uint8)
+        _sc_sweep(y, theta, leaf, (np.zeros(n, dtype=bool), y))
         h_sum += row["h"]
         err_sum += row["e"]
         done += size

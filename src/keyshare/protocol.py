@@ -62,8 +62,7 @@ from .errors import (CapacityError, ConsistencyError, ValidationError, binary, i
 from .game import coalition_sums
 from .polar import (INDEX_BETA, MAX_BLOCK_N, build_index_sets, construct_profile,
                     polar_transform, sc_decode)
-from .source import (DegradedSourceSpec, _member_masks, build_degraded_source,
-                     mutual_information)
+from .source import DegradedSourceSpec, _member_masks, mutual_information
 
 DEFAULT_SEED = 0xC0A117
 FINAL_ROUND_BLOCK = 0xFFFE
@@ -460,11 +459,6 @@ def _risk_suffix(profile, h_mask: np.ndarray, onset_risk: float) -> np.ndarray:
     return free[start:]
 
 
-def _across_blocks(a: np.ndarray) -> np.ndarray:
-    """G_B over the block axis of a (runs, B, m) array."""
-    return polar_transform(a.swapaxes(1, 2)).swapaxes(1, 2)
-
-
 @dataclass
 class _AgentPlan:
     index: int              # 0-based agent position
@@ -499,12 +493,11 @@ class ProtocolEngine:
                 f"target lists {len(cfg.target)} rates for {self.num_agents} agents"
             )
         self.outsiders = [l for l in range(self.num_agents) if l not in self.members]
-        self.src = build_degraded_source(spec)
         # I(X_S ; X0 | X_outsiders) for every member submask S (entry 0: S empty)
         subsets = _member_masks(self.members)
         outsider_mask = _member_masks(self.outsiders)[-1]
         self._member_info = np.zeros(len(subsets))
-        self._member_info[1:] = mutual_information(self.src, subsets[1:] << 1, 1,
+        self._member_info[1:] = mutual_information(spec, subsets[1:] << 1, 1,
                                                    outsider_mask << 1)
         self._warn_if_target_outside_region(subsets)
         lengths = key_lengths_from_allocation(cfg.target, cfg.n, cfg.b, cfg.epsilon)
@@ -588,12 +581,15 @@ class ProtocolEngine:
 
         The base station decodes each member once, from its observation x0
         through the member's BSC(plan.crossover) and with every index of
-        plan.known given: on H the first-stage values, on the suffix the
-        clean-up message inverted by G_B.  SC decisions before the first
-        suffix index do not depend on later indices, so this is the
-        estimate that decoding H alone and then overwriting the suffix from
-        the clean-up round would give; when H and the suffix cover every
-        index, the decode is a plain transform and builds no LLRs.
+        plan.known given.  Those values are u on plan.known: on H the
+        first-stage messages, on the suffix the clean-up message inverted
+        by G_B (an involution).  So the decode is passed u with every other
+        index zeroed; sc_decode reads given values only where they are
+        given.  SC decisions before the first suffix index do not depend on
+        later indices, so this is the estimate that decoding H alone and
+        then overwriting the suffix from the clean-up round would give;
+        when H and the suffix cover every index, the decode is a plain
+        transform and builds no LLRs.
         """
         cfg = self.cfg
         transcripts = [Transcript(n=cfg.n, b=cfg.b,
@@ -607,11 +603,8 @@ class ProtocolEngine:
             block_msgs = u[:, :, plan.h_mask]
             # G_{N*B} = G_B (x) G_N: the N*B transform of a run on every
             # block's suffix is G_B across the blocks of the per-block u
-            final_msgs = _across_blocks(u[:, :, plan.suffix])
-            received = np.zeros_like(u)
-            received[:, :, plan.h_mask] = block_msgs
-            received[:, :, plan.suffix] = _across_blocks(final_msgs)  # G_B is an involution
-            xb = sc_decode(plan.known, received.reshape(runs * cfg.b, cfg.n),
+            final_msgs = polar_transform(u[:, :, plan.suffix].swapaxes(1, 2)).swapaxes(1, 2)
+            xb = sc_decode(plan.known, (u * plan.known).reshape(runs * cfg.b, cfg.n),
                            x0, plan.crossover)
             estimates[agent] = xb.reshape(runs, cfg.n * cfg.b)
             final_msgs = final_msgs.reshape(runs, -1)

@@ -8,10 +8,11 @@ for validation.
 Every entropy and mutual information is a lookup into one cached table
 per source, its entropies (the entropy of every axis subset):
 mutual_information(src, a, b, c) gives I(A ; B | C) and entropy(src, a, c)
-gives H(A | C), each on axis bitmasks, scalar or array.  A source built
-from a spec (DegradedSource) is the spec, with the table filled from the
-family's product form.  Only a dense JointSource (hand built, or the
-oracle JointSource.from_spec) marginalises a joint table.
+gives H(A | C), each on axis bitmasks, scalar or array.  A
+DegradedSourceSpec is itself a source: its table is filled from the
+family's product form on first use and cached on the spec, so every
+reader of one spec shares one table.  Only a dense JointSource (hand
+built, or the oracle JointSource.from_spec) marginalises a joint table.
 
 Conventions, fixed repo-wide:
   * agent l (1-based) corresponds to bit (l-1) of a coalition bitmask;
@@ -102,11 +103,15 @@ def _level_partition(levels, num_agents: int) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class DegradedSourceSpec:
-    """Parameters of the binary degraded family.
+    """Parameters of the binary degraded family, and its source.
 
     q is P(X0 = 1); p holds one crossover probability per agent; levels,
     when given, partitions agents 1..L into clearance levels, highest
-    clearance first.
+    clearance first.  The spec is the source that the game, allocation
+    and protocol code read: its agents are conditionally independent
+    given X0 by construction, and its entropy table is built from the
+    product form on first use and cached.  At most MAX_TABLE_AGENTS
+    agents, so that table (2^(L+1) floats) stays in memory.
     """
 
     q: float
@@ -119,12 +124,62 @@ class DegradedSourceSpec:
                                             for i, pl in enumerate(self.p)))
         if not self.p:
             raise ValidationError("p must list at least one crossover probability")
+        if self.num_agents > MAX_TABLE_AGENTS:
+            raise CapacityError(f"entropy table limited to L <= {MAX_TABLE_AGENTS}, "
+                                f"got L={self.num_agents}")
         if self.levels is not None:
             object.__setattr__(self, "levels", _level_partition(self.levels, self.num_agents))
 
     @property
     def num_agents(self) -> int:
         return len(self.p)
+
+    @property
+    def full_mask(self) -> int:
+        return (1 << self.num_agents) - 1
+
+    @functools.cached_property
+    def entropies(self) -> np.ndarray:
+        """JointSource.entropies of the spec's joint table, without building it.
+
+        Given X0 the observations are independent, so every mask holding X0
+        has H(X0, X_T) = h(q) + sum_{l in T} h(p_l).  Without X0,
+        H(X_T) = -sum f log2 f over the values x_T, with the mixture weight
+        f = q prod P(x_l | X0 = 1) + (1 - q) prod P(x_l | X0 = 0): each
+        agent is absent, 0 or 1 in one of 3^L patterns.  The first
+        LOW_BLOCK_AGENTS agents form one vectorised block, a depth-first
+        walk covers the rest, and the f log2 f terms are folded onto
+        observed-agent masks.
+        """
+        k = min(self.num_agents, LOW_BLOCK_AGENTS)
+        block_a, block_b = _patterns(self.p[:k])
+        # every leaf of the walk reuses these 3^k-float buffers: fresh ones
+        # would each be mapped from the OS and faulted in again
+        f, terms = np.empty_like(block_a), np.empty_like(block_a)
+        positive = np.empty(block_a.shape, dtype=bool)
+
+        def walk(a: float, b: float, top: int) -> np.ndarray:
+            # sum f log2 f onto the masks of agents 0..top-1
+            if top == k:
+                np.multiply(a, block_a, out=f)
+                np.multiply(b, block_b, out=terms)
+                np.add(f, terms, out=f)
+                np.greater(f, 0, out=positive)
+                terms.fill(0.0)
+                np.log2(f, out=terms, where=positive)
+                np.multiply(terms, f, out=terms)
+                return _fold(terms, k)
+            p = self.p[top - 1]
+            return np.concatenate([walk(a, b, top - 1), walk(a * p, b * (1.0 - p), top - 1)
+                                   + walk(a * (1.0 - p), b * p, top - 1)])
+
+        table = np.empty(2 << self.num_agents)
+        table[0::2] = -walk(self.q, 1.0 - self.q, self.num_agents)
+        table[1::2] = binary_entropy(self.q) + coalition_sums(
+            [binary_entropy(pl) for pl in self.p])
+        table[0] = 0.0
+        table.flags.writeable = False
+        return table
 
     @classmethod
     def from_json(cls, path: str) -> "DegradedSourceSpec":
@@ -158,7 +213,7 @@ class JointSource:
 
     prob has one binary axis per component in that order.  The table is
     copied on construction and read-only, so the cached entropy table
-    always describes it.  From a spec, it is DegradedSource's oracle.
+    always describes it.  From a spec, it is the oracle of the spec's table.
     At most MAX_DENSE_AGENTS agents.
     """
 
@@ -208,7 +263,7 @@ class JointSource:
 
         Indexed by axis bitmask: bit 0 is X0, bit l agent l.
         This is the route for any joint table, and the oracle for the
-        product form of DegradedSource: a depth-first marginalisation in
+        product form of DegradedSourceSpec: a depth-first marginalisation in
         which each marginal is its parent's with one more axis summed out,
         in increasing axis order, so every subset is reached once and only
         one chain of marginals (under twice the joint table) is alive.
@@ -263,74 +318,9 @@ def _fold(terms: np.ndarray, n: int) -> np.ndarray:
     return terms.reshape(-1)
 
 
-@dataclass(frozen=True)
-class DegradedSource:
-    """The source of a DegradedSourceSpec, as build_degraded_source makes
-    it: the spec and its entropy table, read off the family's product form.
-    Its agents are conditionally independent given X0 by construction."""
-
-    spec: DegradedSourceSpec
-
-    @property
-    def num_agents(self) -> int:
-        return self.spec.num_agents
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.num_agents) - 1
-
-    @functools.cached_property
-    def entropies(self) -> np.ndarray:
-        """JointSource.entropies of the spec's joint table, without building it.
-
-        Given X0 the observations are independent, so every mask holding X0
-        has H(X0, X_T) = h(q) + sum_{l in T} h(p_l).  Without X0,
-        H(X_T) = -sum f log2 f over the values x_T, with the mixture weight
-        f = q prod P(x_l | X0 = 1) + (1 - q) prod P(x_l | X0 = 0): each
-        agent is absent, 0 or 1 in one of 3^L patterns.  The first
-        LOW_BLOCK_AGENTS agents form one vectorised block, a depth-first
-        walk covers the rest, and the f log2 f terms are folded onto
-        observed-agent masks.
-        """
-        spec = self.spec
-        k = min(self.num_agents, LOW_BLOCK_AGENTS)
-        block_a, block_b = _patterns(spec.p[:k])
-        # every leaf of the walk reuses these 3^k-float buffers: fresh ones
-        # would each be mapped from the OS and faulted in again
-        f, terms = np.empty_like(block_a), np.empty_like(block_a)
-        positive = np.empty(block_a.shape, dtype=bool)
-
-        def walk(a: float, b: float, top: int) -> np.ndarray:
-            # sum f log2 f onto the masks of agents 0..top-1
-            if top == k:
-                np.multiply(a, block_a, out=f)
-                np.multiply(b, block_b, out=terms)
-                np.add(f, terms, out=f)
-                np.greater(f, 0, out=positive)
-                terms.fill(0.0)
-                np.log2(f, out=terms, where=positive)
-                np.multiply(terms, f, out=terms)
-                return _fold(terms, k)
-            p = spec.p[top - 1]
-            return np.concatenate([walk(a, b, top - 1), walk(a * p, b * (1.0 - p), top - 1)
-                                   + walk(a * (1.0 - p), b * p, top - 1)])
-
-        table = np.empty(2 << self.num_agents)
-        table[0::2] = -walk(spec.q, 1.0 - spec.q, self.num_agents)
-        table[1::2] = binary_entropy(spec.q) + coalition_sums(
-            [binary_entropy(pl) for pl in spec.p])
-        table[0] = 0.0
-        table.flags.writeable = False
-        return table
-
-
-def build_degraded_source(spec: DegradedSourceSpec) -> DegradedSource:
-    """The source of a spec; guarded at L <= 20 so its entropy table
-    (2^(L+1) floats, built on first use) stays in memory."""
-    L = spec.num_agents
-    if L > MAX_TABLE_AGENTS:
-        raise CapacityError(f"entropy table limited to L <= {MAX_TABLE_AGENTS}, got L={L}")
-    return DegradedSource(spec)
+def build_degraded_source(spec: DegradedSourceSpec) -> DegradedSourceSpec:
+    """The source of a spec: the spec itself, which caches its entropy table."""
+    return spec
 
 
 def _clamp(value, what: str):
@@ -340,7 +330,7 @@ def _clamp(value, what: str):
     return np.maximum(value, 0.0)
 
 
-def mutual_information(src: JointSource | DegradedSource, a, b, c=0):
+def mutual_information(src: JointSource | DegradedSourceSpec, a, b, c=0):
     """I(A ; B | C) in bits from the entropy table, clamped to zero from
     tiny negative round-off.  a, b, c are axis bitmasks (ints or int
     arrays): bit 0 is X0, bit l agent l; a and b are disjoint."""
@@ -352,7 +342,7 @@ def mutual_information(src: JointSource | DegradedSource, a, b, c=0):
     return _clamp(h[a | c] + h[b | c] - h[a | b | c] - h[c], "mutual information")
 
 
-def entropy(src: JointSource | DegradedSource, a, c=0):
+def entropy(src: JointSource | DegradedSourceSpec, a, c=0):
     """H(A | C) in bits on the same axis bitmasks as mutual_information."""
     a, c = bitmask(a, src.num_agents + 1, "a"), bitmask(c, src.num_agents + 1, "c")
     h = src.entropies

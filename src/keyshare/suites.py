@@ -18,8 +18,7 @@ import numpy as np
 from . import allocate, polar, protocol, secrecy
 from .game import (coalition_sums, core_bounds, core_contains,
                    is_superadditive, is_supermodular, value_function)
-from .source import (DegradedSourceSpec, JointSource, build_degraded_source,
-                     mutual_information, verify_markov)
+from .source import DegradedSourceSpec, JointSource, mutual_information, verify_markov
 
 
 @dataclass
@@ -186,8 +185,7 @@ def nucleolus_routes_agree(games):
 def degraded_table_matches_dense(specs):
     """Product-form entropy table within 1e-12 of the dense marginalisation."""
     for i, spec in enumerate(specs):
-        gap = float(np.max(np.abs(build_degraded_source(spec).entropies
-                                  - JointSource.from_spec(spec).entropies)))
+        gap = float(np.max(np.abs(spec.entropies - JointSource.from_spec(spec).entropies)))
         if not gap <= 1e-12:
             yield f"spec {i} (L={spec.num_agents}): gap {gap:.3g}"
 
@@ -308,7 +306,7 @@ def game_suite(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     sources, games, cases = [], [], []
     for _ in range(20):
-        src = build_degraded_source(_random_spec(rng, int(rng.integers(2, 5))))
+        src = _random_spec(rng, int(rng.integers(2, 5)))
         g = value_function(src)
         # twenty efficient allocations scattered around the Shapley value
         x = np.abs(allocate.shapley_from_game(g) + rng.normal(0, 0.05, size=(20, g.num_agents)))
@@ -319,7 +317,7 @@ def game_suite(seed: int = 0) -> list[CheckResult]:
     edge = [DegradedSourceSpec(q=q, p=(1e-9, 0.5, 1 - 1e-9) * 2)
             for q in (1e-9, 0.5, 1 - 1e-9)]
     tables = [_random_spec(rng, num_agents) for num_agents in (5, 8, 10)] + edge
-    return [markov_chain_verified([JointSource.from_spec(src.spec) for src in sources]),
+    return [markov_chain_verified([JointSource.from_spec(src) for src in sources]),
             degraded_table_matches_dense(tables),
             value_function_superadditive(games), value_function_supermodular(games),
             value_function_monotone(games), grand_minus_complement_identity(sources),
@@ -328,11 +326,9 @@ def game_suite(seed: int = 0) -> list[CheckResult]:
 
 def allocation_suite(seed: int = 0) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
-    sources = [build_degraded_source(_random_spec(rng, int(rng.integers(2, 4))))
-               for _ in range(15)]
+    sources = [_random_spec(rng, int(rng.integers(2, 4))) for _ in range(15)]
     solved = solve(value_function(src) for src in sources)
-    large = [value_function(build_degraded_source(_random_spec(rng, num_agents)))
-             for num_agents in (8, 9, 10)]
+    large = [value_function(_random_spec(rng, num_agents)) for num_agents in (8, 9, 10)]
     return [shapley_dual_route_agreement(sources), allocations_efficient(solved),
             allocations_in_core(solved), nucleolus_matches_grid_oracle(solved[:5], 2e-3),
             nucleolus_prekernel_certificate(large), nucleolus_routes_agree(large)]

@@ -121,7 +121,7 @@ class TestAnalyze:
         def build(self):
             raise AssertionError("entropy table built for a spec past the agent limit")
 
-        monkeypatch.setattr(source.DegradedSource, "entropies", property(build))
+        monkeypatch.setattr(source.DegradedSourceSpec, "entropies", property(build))
         path = tmp_path / "wide.json"
         path.write_text(json.dumps({"q": 0.4, "p": [0.2] * (source.MAX_TABLE_AGENTS + 1)}))
         code, _, err = run_cli(["analyze", "--spec", str(path)], capsys)

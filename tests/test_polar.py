@@ -358,7 +358,8 @@ class TestSettledSkip:
         def leaf(i, col):
             return values2[:, i].copy() if mask[i] else (col < 0).astype(np.uint8)
 
-        out = polar._sc_sweep(np.atleast_2d(y), crossover, leaf)
+        out = polar._sc_sweep(np.atleast_2d(y), crossover, leaf,
+                              (np.zeros(len(mask), dtype=bool), values2))
         return out[0] if y.ndim == 1 else out
 
     def test_matches_unskipped_sweep(self):

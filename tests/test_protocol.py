@@ -475,6 +475,49 @@ class TestReconcile:
         assert calls == []
         assert all(plan.known.all() for plan in engine.plans)
 
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("case", ["shapley", "coalition", "uncovered"])
+    def test_decode_reads_only_the_transcript(self, monkeypatch, example2_spec, example2_game,
+                                              case):
+        # the base station's given values are u on the known set: the
+        # first-stage messages on H and G_B across the blocks of the
+        # clean-up message on the suffix, zero elsewhere ("uncovered" leaves
+        # agent 1 a free prefix outside both)
+        cfg = {"shapley": lambda: ProtocolConfig(n=1024, b=4, epsilon=0.05,
+                                                 target=tuple(shapley_from_game(example2_game))),
+               "coalition": lambda: ProtocolConfig(seed=7, **TestGoldenReconcile.COALITION),
+               "uncovered": lambda: ProtocolConfig(n=512, b=4, target=(0.15, 0.1, 0.1),
+                                                   epsilon=0.05, seed=3, onset_risk=0.02),
+               }[case]()
+        given = []
+        real = protocol.sc_decode
+
+        def recorded(mask, values, y, crossover):
+            given.append(values)
+            return real(mask, values, y, crossover)
+
+        monkeypatch.setattr(protocol, "sc_decode", recorded)
+        engine = ProtocolEngine(example2_spec, cfg)
+        runs = 5
+        x0, xs = sample_batch(engine, range(runs))
+        transcripts, _ = engine._reconcile(x0, xs, runs)
+        assert len(given) == len(engine.plans)
+        assert (case == "uncovered") == any(not plan.known.all() for plan in engine.plans)
+        for plan, values in zip(engine.plans, given):
+            agent = plan.index + 1
+            u = polar_transform(xs[plan.index]).reshape(runs, cfg.b, cfg.n)
+            values = values.reshape(runs, cfg.b, cfg.n)
+            for k, tr in enumerate(transcripts):
+                # block-major: G_B acts on each suffix index's column of B bits
+                final = tr.final_messages[agent].reshape(cfg.b, plan.suffix.size)
+                suffix_u = polar_transform(final.T).T
+                assert np.array_equal(tr.block_messages[agent], u[k][:, plan.h_mask])
+                assert np.array_equal(suffix_u, u[k][:, plan.suffix])
+                heard = np.zeros((cfg.b, cfg.n), np.uint8)
+                heard[:, plan.h_mask] = tr.block_messages[agent]
+                heard[:, plan.suffix] = suffix_u
+                assert np.array_equal(values[k], heard)
+
     def test_message_lengths_match_index_sets(self):
         cfg = small_config()
         engine = ProtocolEngine(SMALL_SPEC, cfg)
@@ -591,6 +634,24 @@ class TestRunProtocol:
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValidationError, match="target"):
                 small_config(target=(bad, 0.05))
+
+
+class TestSharedTable:
+    def test_one_table_per_spec(self, monkeypatch, example2_spec):
+        # the CLI's default target and the engine read the same spec
+        from keyshare import source
+        calls = []
+        real = source._patterns
+
+        def counted(p):
+            calls.append(1)
+            return real(p)
+
+        monkeypatch.setattr(source, "_patterns", counted)
+        spec = DegradedSourceSpec(q=example2_spec.q, p=example2_spec.p)
+        target = tuple(shapley_from_game(value_function(build_degraded_source(spec))))
+        run_protocol(spec, ProtocolConfig(n=64, b=2, target=target, epsilon=0.05), runs=1)
+        assert len(calls) == 1
 
 
 class TestStreamedRuns:

@@ -82,6 +82,17 @@ class TestBuildDegradedSource:
         with pytest.raises(CapacityError):
             build_degraded_source(DegradedSourceSpec(q=0.5, p=(0.1,) * 21))
 
+    def test_spec_past_the_table_limit_is_refused_when_built(self):
+        from keyshare.source import MAX_TABLE_AGENTS
+        with pytest.raises(CapacityError, match=f"L <= {MAX_TABLE_AGENTS}, got L=21"):
+            DegradedSourceSpec(q=0.5, p=(0.1,) * (MAX_TABLE_AGENTS + 1))
+
+    def test_a_spec_is_its_own_source(self, example2_spec):
+        fresh = DegradedSourceSpec(q=example2_spec.q, p=example2_spec.p)
+        assert build_degraded_source(fresh) is fresh
+        assert np.array_equal(value_function(fresh).values,
+                              value_function(build_degraded_source(example2_spec)).values)
+
     def test_spec_source_skips_verify_markov(self, example2_source, monkeypatch):
         from keyshare import game as game_mod
 
