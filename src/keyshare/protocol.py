@@ -74,7 +74,7 @@ MAX_BLOCKS = 2 ** 15
 # Decode-work limit, in decoded source bits: members x runs x max(B x N,
 # RUN_OVERHEAD_BITS).  Example 2 reaches it at 2730 runs (N=1024, B=4),
 # which take 2.3-3.3 s with built profiles at a peak RSS of 50 MB on a
-# 2-vCPU Xeon; building the three profiles cold adds 0.3-0.55 s.
+# 2-vCPU Xeon; building the three profiles cold adds 0.25-0.4 s.
 # Sampling, hashing and report objects cost about as much per member-run
 # as decoding RUN_OVERHEAD_BITS bits.
 MAX_DECODE_WORK = 2 ** 25

@@ -120,13 +120,15 @@ class DegradedSourceSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "q", real(self.q, "q", high=1.0, open=True))
-        object.__setattr__(self, "p", tuple(real(pl, f"p[{i}]", high=1.0, open=True)
-                                            for i, pl in enumerate(self.p)))
-        if not self.p:
+        # the length guards come first, so an oversized p is refused unread
+        p = tuple(self.p)
+        if not p:
             raise ValidationError("p must list at least one crossover probability")
-        if self.num_agents > MAX_TABLE_AGENTS:
+        if len(p) > MAX_TABLE_AGENTS:
             raise CapacityError(f"entropy table limited to L <= {MAX_TABLE_AGENTS}, "
-                                f"got L={self.num_agents}")
+                                f"got L={len(p)}")
+        object.__setattr__(self, "p", tuple(real(pl, f"p[{i}]", high=1.0, open=True)
+                                            for i, pl in enumerate(p)))
         if self.levels is not None:
             object.__setattr__(self, "levels", _level_partition(self.levels, self.num_agents))
 

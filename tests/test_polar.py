@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,23 @@ class TestConstructProfile:
             assert np.allclose(prof.h, exact.h, atol=1e-12)
             assert np.allclose(prof.genie_error, exact.genie_error, atol=1e-12)
 
+    # Pins every bit of h and genie_error: N=1 and N=2 take both leaf
+    # branches of the walk, and the thetas cover the noiseless, subnormal,
+    # useless and mirrored crossovers.  The bits come from numpy's float64
+    # log2 and the BLAS dot product; a build whose libm or BLAS rounds
+    # differently needs the digest re-recorded.
+    def test_profiles_are_bit_exact(self):
+        build = construct_profile.__wrapped__  # always walk, never the memo
+        grid = [(t, n) for t in (0.0, 1e-300, 0.01, 0.2, 0.25, 0.27, 0.5, 0.73)
+                for n in (1, 2, 8, 64, 1024)] + [(0.2, 4096)]
+        digest = hashlib.sha256()
+        for theta, n in grid:
+            prof = build(theta, n)
+            digest.update(np.ascontiguousarray(prof.h, "<f8").tobytes())
+            digest.update(np.ascontiguousarray(prof.genie_error, "<f8").tobytes())
+        assert digest.hexdigest() == (
+            "7368f07eb78a481e2e91aa06a1178af9fca046a05e04123529fcb47346a1a766")
+
     def test_repeated_calls_share_one_profile(self):
         first = construct_profile(0.27, 128)
         assert construct_profile(0.27, 128) is first
@@ -170,10 +189,8 @@ def _ordered_children(w, eps):
     flip = a + b
     agree_eps = (e1 * e2).ravel() / (1.0 - flip)
     disagree_eps = np.divide(np.minimum(a, b), flip, out=np.zeros_like(flip), where=flip > 0)
-    minus = polar._degrading_merge(ww, flip)
-    plus = polar._degrading_merge(np.concatenate([ww * (1.0 - flip), ww * flip]),
-                                  np.concatenate([agree_eps, disagree_eps]))
-    return minus, plus
+    return polar._degrading_merge(np.concatenate([ww, ww * (1.0 - flip), ww * flip]),
+                                  np.concatenate([flip, agree_eps, disagree_eps]), ww.size)
 
 
 class TestUnorderedPairs:

@@ -87,6 +87,14 @@ class TestBuildDegradedSource:
         with pytest.raises(CapacityError, match=f"L <= {MAX_TABLE_AGENTS}, got L=21"):
             DegradedSourceSpec(q=0.5, p=(0.1,) * (MAX_TABLE_AGENTS + 1))
 
+    # the length is checked before any entry is read: a malformed entry past
+    # the limit does not change the error, and a million entries cost nothing
+    def test_oversized_spec_is_refused_before_its_entries_are_read(self):
+        from keyshare.source import MAX_TABLE_AGENTS
+        p = (0.2,) * (10**6 - 1) + (float("nan"),)
+        with pytest.raises(CapacityError, match=f"L <= {MAX_TABLE_AGENTS}, got L={10**6}"):
+            DegradedSourceSpec(q=0.4, p=p)
+
     def test_a_spec_is_its_own_source(self, example2_spec):
         fresh = DegradedSourceSpec(q=example2_spec.q, p=example2_spec.p)
         assert build_degraded_source(fresh) is fresh
