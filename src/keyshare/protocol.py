@@ -12,11 +12,14 @@ in batches of RUN_BATCH and keeps only counts between batches.  The
 Toeplitz product is an exact numpy real-FFT circular convolution of
 length at least n+r-1, where n+r-1 is the number of diagonal bits (see
 ToeplitzHash for why that length is exact).  Every run draws its own
-matrix; simulate_runs draws a member's diagonal bits into one stack and
-hashes all its runs in one call, HASH_CHUNK rows per FFT block.  An agent's
-sequence and the base station's reconstruction share the run's matrix, so
-the base key is the agent key unless the reconstruction differs, and only
-those runs are hashed a second time.
+matrix; simulate_runs draws a member's diagonal bits into one stack.  The
+agent keys do not depend on reconciliation, so one helper thread hashes
+them in HASH_CHUNK-row blocks while the calling thread reconciles, and the
+calling thread takes the blocks that are left; each row's key is a fixed
+function of its own matrix and input, so the split changes no bit.  An
+agent's sequence and the base station's reconstruction share the run's
+matrix, so the base key is the agent key unless the reconstruction
+differs, and only those runs are hashed a second time.
 
 Randomness: run k's source sample and each member's hash matrix come from
 Philox streams keyed by SeedSequence((seed, tag, k)), so any run replays
@@ -49,9 +52,12 @@ so the trade is visible.
 from __future__ import annotations
 
 import math
+import threading
 import time
 import warnings
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -73,8 +79,9 @@ _HASH_TAG = 0x48
 MAX_BLOCKS = 2 ** 15
 # Decode-work limit, in decoded source bits: members x runs x max(B x N,
 # RUN_OVERHEAD_BITS).  Example 2 reaches it at 2730 runs (N=1024, B=4),
-# which take 2.3-3.3 s with built profiles at a peak RSS of 50 MB on a
-# 2-vCPU Xeon; building the three profiles cold adds 0.25-0.4 s.
+# which take 1.0-1.1 s with built profiles at a peak RSS of 47 MB on a
+# 2-vCPU Xeon (1.3-1.4 s pinned to one CPU); building the three profiles
+# cold adds 0.23-0.35 s.
 # Sampling, hashing and report objects cost about as much per member-run
 # as decoding RUN_OVERHEAD_BITS bits.
 MAX_DECODE_WORK = 2 ** 25
@@ -83,9 +90,12 @@ RUN_OVERHEAD_BITS = 2 ** 10
 # captures run_protocol's first batch can replay any run below 100 from it.
 RUN_BATCH = 100
 # Rows per FFT block in ToeplitzHash.apply, which reuses its buffers across
-# blocks.  In a warm 100-run Example 2 batch, fresh FFT temporaries took 9,975
-# of 12,048 minor page faults; the reused buffers take 1,231 of 3,348.
-HASH_CHUNK = 16
+# blocks.  simulate_runs hashes on two threads with one set each, so two
+# 8-row sets hold what one 16-row set held.  In the second warm 100-run
+# Example 2 run_protocol call, apply takes 266-283 of 1,356-1,373 minor
+# page faults (per-thread getrusage); at 16 rows with a set per apply call
+# it took 431 of 1,303.
+HASH_CHUNK = 8
 
 
 @dataclass
@@ -124,7 +134,7 @@ class ProtocolConfig:
             raise CapacityError(
                 f"decode work members x runs x max(B*N, {RUN_OVERHEAD_BITS}) = "
                 f"{work} exceeds the limit {MAX_DECODE_WORK} "
-                "(about 3 s at N=1024, B=4 on 2 vCPUs)")
+                "(about 1 s at N=1024, B=4 on 2 vCPUs)")
 
     def to_json(self) -> dict:
         return {
@@ -170,9 +180,15 @@ class ToeplitzHash:
     n-1 .. n+r-2 both lie outside that range once M >= n+r-1, so the kept
     entries are exact.
     So are the sums: each is an integer of at most n << 2^53, so the float
-    result rounds to it, and apply raises ConsistencyError if any value
-    lies more than 0.25 from its rounding (a guard, never a second route).
-    Diagonal bits and inputs must be 0 or 1.
+    result rounds to it, and apply raises ConsistencyError if any block
+    holds a value more than 0.25 from its rounding (a guard, never a second
+    route).  Diagonal bits and inputs must be 0 or 1.
+
+    Each call allocates one float and one complex block buffer of
+    HASH_CHUNK rows (_hash_buffers), unless the caller passes its own set:
+    simulate_runs gives each of its two hashing threads one set for the
+    whole call, so its per-block apply calls allocate no FFT buffer.  numpy's
+    FFTs release the GIL, so two calls with separate sets run in parallel.
     """
 
     def __init__(self, bits: np.ndarray, n_in: int, r_out: int):
@@ -184,9 +200,16 @@ class ToeplitzHash:
         self.n_in = int(n_in)
         self.r_out = int(r_out)
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
+    @property
+    def fft_len(self) -> int:
+        """Circular convolution length M of apply's FFTs; 0 when r_out is 0."""
+        return _fast_len(self.bits.shape[-1]) if self.r_out else 0
+
+    def apply(self, x: np.ndarray, buffers: Optional[tuple] = None) -> np.ndarray:
         """Hash one block (1-D) or a batch (2-D, row-wise); a stack of k
-        matrices takes exactly k rows."""
+        matrices takes exactly k rows.  buffers, from _hash_buffers with a
+        length of at least fft_len, are used instead of a set allocated for
+        this call; two calls running at once need two sets."""
         x = binary(x, "hash input")
         if x.ndim not in (1, 2):
             raise ValidationError(f"hash input must be 1-D or 2-D, got shape {x.shape}")
@@ -200,11 +223,13 @@ class ToeplitzHash:
         out = np.empty((x2.shape[0], self.r_out), np.uint8)
         if self.r_out == 0:
             return out[0] if single else out
-        size = _fast_len(self.bits.shape[-1])  # >= n_in, since r_out >= 1
+        size = self.fft_len  # >= n_in, since r_out >= 1
         lo = self.n_in - 1
+        rows, half = min(HASH_CHUNK, len(x2)), size // 2 + 1
+        real, cplx = buffers if buffers is not None else _hash_buffers(size, rows)
         # a block's zero-padded rows, then its irfft; the rows' and matrices' rffts
-        padded = np.empty((min(HASH_CHUNK, len(x2)), size))
-        spectrum, kernel = np.empty((2, len(padded), size // 2 + 1), complex)
+        padded = real[:rows * size].reshape(rows, size)
+        spectrum, kernel = cplx[:2 * rows * half].reshape(2, rows, half)
 
         def transform(rows, into):
             padded[:len(rows), :rows.shape[1]] = rows
@@ -225,6 +250,14 @@ class ToeplitzHash:
                 raise ConsistencyError(f"FFT convolution residue {residue:.3g} exceeds 0.25")
             out[part] = sums.astype(np.int64) & 1
         return out[0] if single else out
+
+
+def _hash_buffers(size: int, rows: int = HASH_CHUNK) -> tuple[np.ndarray, np.ndarray]:
+    """FFT buffers for ToeplitzHash.apply blocks of up to rows rows at
+    circular length up to size: a float one that takes a block's zero-padded
+    rows and then its irfft, and a complex one for the rows' and the
+    matrices' rffts."""
+    return np.empty(rows * size), np.empty(2 * rows * (size // 2 + 1), complex)
 
 
 def _fast_len(n: int) -> int:
@@ -259,16 +292,19 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_WORDS = 4  # entropy pool size in uint32 words
 
 
-def _hash_steps(init: int, mult: int):
-    """(xor, multiplier) of SeedSequence's successive hashmix steps."""
-    while True:
-        nxt = init * mult & _MASK32
-        yield np.uint32(init), np.uint32(nxt)
-        init = nxt
+def _hash_steps(init: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(xor, multiplier) of SeedSequence's first count hashmix steps, as
+    two (count, 1) uint32 columns: step i xors h_i and multiplies by
+    h_{i+1}, where h_0 = init and h_{i+1} = h_i * mult mod 2^32."""
+    h = [init]
+    for _ in range(count):
+        h.append(h[-1] * mult & _MASK32)
+    h = np.array(h, np.uint32)[:, None]
+    return h[:-1], h[1:]
 
 
-def _hashmix(value: np.ndarray, step) -> np.ndarray:
-    value = (value ^ step[0]) * step[1]
+def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    value = (value ^ xor) * mult
     return value ^ value >> np.uint32(16)
 
 
@@ -285,38 +321,52 @@ def _stream_keys(entropies: Sequence[tuple]) -> np.ndarray:
     entry contributes its little-endian uint32 words (0 gives one word),
     and the rows with the same word count are mixed together: the hash
     constants do not depend on the data, so only the mixing runs on uint32
-    arrays.
+    arrays.  The entries are checked in one pass over their types and
+    range, and split into words as one array.
     """
-    rows = []
-    for entropy_tuple in entropies:
-        words = []
-        for value in entropy_tuple:
-            value = integer(value, "stream key entry")
-            words.append(value & _MASK32)
-            while value > _MASK32:
-                value >>= 32
-                words.append(value & _MASK32)
-        rows.append(words)
-    by_count: dict[int, list[int]] = {}
-    for i, words in enumerate(rows):
-        by_count.setdefault(len(words), []).append(i)
-    keys = np.empty((len(rows), 2), np.uint64)
-    for count, members in by_count.items():
-        data = np.array([rows[i] for i in members], dtype=np.uint32).T
-        steps = _hash_steps(_INIT_A, _MULT_A)
-        pad = np.zeros(len(members), np.uint32)
-        pool = [_hashmix(data[i] if i < count else pad, next(steps))
-                for i in range(_POOL_WORDS)]
+    flat = list(chain.from_iterable(entropies))
+    for kind in set(map(type, flat)):
+        if kind is bool or not issubclass(kind, (int, np.integer)):
+            integer(next(v for v in flat if type(v) is kind), "stream key entry")
+    if flat and min(flat) < 0:
+        integer(min(flat), "stream key entry")
+    # width words hold the largest entry
+    width = max(1, -(-int(max(flat, default=0)).bit_length() // 32))
+    if width <= 2:
+        values = np.array(flat, np.uint64)
+    else:  # entries past 2^64 stay Python ints
+        values = np.array([int(v) for v in flat], object)
+    words = np.stack([values >> (32 * j) & _MASK32 for j in range(width)], axis=1).astype(np.uint32)
+    # an entry's word count runs to its highest nonzero word, and is at least 1
+    counts = np.where(words != 0, np.arange(1, width + 1), 1).max(axis=1, initial=1)
+    words = words[np.arange(width) < counts[:, None]]  # every row's words, in order
+    lengths = np.fromiter(map(len, entropies), np.int64, len(entropies))
+    row_words = np.bincount(np.repeat(np.arange(len(lengths)), lengths), counts,
+                            len(lengths)).astype(np.int64)
+    row_start = np.cumsum(row_words) - row_words
+    keys = np.empty((len(lengths), 2), np.uint64)
+    for count in set(row_words.tolist()):  # np.unique would import numpy.ma, 10 ms
+        members = np.flatnonzero(row_words == count)
+        data = words[row_start[members, None] + np.arange(count)].T
+        # the pool words mixed into the other three, then every later word
+        # into all four: each pass is one hashmix with 3 or 4 step columns
+        xor, mult = _hash_steps(_INIT_A, _MULT_A, _POOL_WORDS ** 2
+                                + _POOL_WORDS * max(count - _POOL_WORDS, 0))
+        pool = np.zeros((_POOL_WORDS, len(members)), np.uint32)
+        pool[:count] = data[:_POOL_WORDS]
+        pool = _hashmix(pool, xor[:_POOL_WORDS], mult[:_POOL_WORDS])
+        at = _POOL_WORDS
         for src in range(_POOL_WORDS):
-            for dst in range(_POOL_WORDS):
-                if src != dst:
-                    pool[dst] = _mix(pool[dst], _hashmix(pool[src], next(steps)))
+            dst = [d for d in range(_POOL_WORDS) if d != src]
+            step = slice(at, at + len(dst))
+            pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor[step], mult[step]))
+            at += len(dst)
         for src in range(_POOL_WORDS, count):
-            for dst in range(_POOL_WORDS):
-                pool[dst] = _mix(pool[dst], _hashmix(data[src], next(steps)))
-        state = np.stack([_hashmix(word, step)
-                          for word, step in zip(pool, _hash_steps(_INIT_B, _MULT_B))], axis=1)
-        keys[members] = state.astype("<u4").view("<u8")
+            step = slice(at, at + _POOL_WORDS)
+            pool = _mix(pool, _hashmix(data[src], xor[step], mult[step]))
+            at += _POOL_WORDS
+        state = _hashmix(pool, *_hash_steps(_INIT_B, _MULT_B, _POOL_WORDS))
+        keys[members] = state.T.astype("<u4", order="C").view("<u8")
     return keys
 
 
@@ -623,34 +673,80 @@ class ProtocolEngine:
         _HASH_TAG.  All keys of the call come from vectorised SeedSequence
         passes (_stream_keys), and one Philox bit generator is reset to
         each key in turn.  Each run draws its own matrix: a member's
-        diagonal bits for the call go into one stack, which hashes all its
-        runs in one apply call, and a run's Transcript.hash_bits is its row
-        of that stack.  The base station's key is the agent's key wherever
-        its estimate equals the agent's sequence; one more apply call hashes
-        the runs where it differs, each with its own matrix.
+        diagonal bits for the call go into one stack, and a run's
+        Transcript.hash_bits is its row of that stack.
+
+        The agent keys do not depend on reconciliation, so they are hashed
+        while it runs: once every stack is drawn, one helper thread takes
+        (member, HASH_CHUNK-row block) jobs off a shared queue and hashes
+        each through ToeplitzHash.apply, and after _reconcile the calling
+        thread takes the jobs that are left.  numpy's FFTs release the GIL,
+        so on two CPUs the helper's blocks overlap the decode; each row's
+        key is a fixed function of its matrix and input, so the split does
+        not change a bit.  Each of the two lanes has one set of FFT buffers
+        for the call.  The base station's key is the agent's key wherever
+        its estimate equals the agent's sequence; after the helper has
+        joined, one more apply call hashes the runs where it differs, each
+        with its own matrix.  An exception on either lane stops the other
+        lane after its current block and is raised here once the helper
+        has joined.
         """
         ks = [integer(k, "run index") for k in run_indices]
         if not ks:
             return {"transcripts": [], "keys": []}
-        nb = self.cfg.n * self.cfg.b
+        runs, nb = len(ks), self.cfg.n * self.cfg.b
         # the seed is never used: every draw resets the bit generator to its stream's key
         bitgen = np.random.Philox(0)
         x0, xs = self._sample_batch(ks, bitgen)
-        transcripts, estimates = self._reconcile(x0, xs, len(ks))
+        stacks = [ToeplitzHash(_diagonal_stack(bitgen, self._hash_keys(bitgen, ks, plan.index),
+                                               _diagonal_len(nb, plan.key_len)),
+                               nb, plan.key_len) for plan in self.plans]
+        inputs = [xs[plan.index].reshape(runs, nb) for plan in self.plans]
+        keys = [np.empty((runs, plan.key_len), np.uint8) for plan in self.plans]
+        size = max(stack.fft_len for stack in stacks)
+        jobs = deque((i, start) for i in range(len(stacks)) for start in range(0, runs, HASH_CHUNK))
+        failed: list[BaseException] = []
+
+        def drain(buffers):
+            while True:
+                try:
+                    i, start = jobs.popleft()
+                except IndexError:
+                    return
+                part = slice(start, start + HASH_CHUNK)
+                block = ToeplitzHash(stacks[i].bits[part], nb, self.plans[i].key_len)
+                keys[i][part] = block.apply(inputs[i][part], buffers)
+
+        def helper():
+            try:
+                drain(_hash_buffers(size))
+            except BaseException as exc:
+                failed.append(exc)
+                jobs.clear()
+
+        thread = threading.Thread(target=helper, name="keyshare-hash")
+        thread.start()
+        try:
+            transcripts, estimates = self._reconcile(x0, xs, runs)
+            # allocated once _reconcile has freed its temporaries; allocated
+            # before it, this set raised Example 2's peak RSS by 0.6 MB
+            lane = _hash_buffers(size)
+            drain(lane)
+        finally:
+            jobs.clear()
+            thread.join()
+        if failed:
+            raise failed[0]
         keymats = [KeyMaterial(keys={}, base_keys={}) for _ in ks]
-        for plan in self.plans:
-            agent = plan.index + 1
-            x, est = xs[plan.index].reshape(len(ks), nb), estimates[agent]
-            hash_keys = self._hash_keys(bitgen, ks, plan.index)
-            m = _diagonal_len(nb, plan.key_len)
-            stack = ToeplitzHash(_diagonal_stack(bitgen, hash_keys, m), nb, plan.key_len)
-            keys = stack.apply(x)
-            base_keys = keys.copy()
+        for plan, stack, x, agent_keys in zip(self.plans, stacks, inputs, keys):
+            agent, est = plan.index + 1, estimates[plan.index + 1]
+            base_keys = agent_keys.copy()
             differ = np.flatnonzero((est != x).any(axis=1))
             if differ.size:
                 base_keys[differ] = ToeplitzHash(stack.bits[differ], nb,
-                                                 plan.key_len).apply(est[differ])
-            for tr, km, row, key, base in zip(transcripts, keymats, stack.bits, keys, base_keys):
+                                                 plan.key_len).apply(est[differ], lane)
+            for tr, km, row, key, base in zip(transcripts, keymats, stack.bits, agent_keys,
+                                              base_keys):
                 tr.hash_bits[agent] = row
                 km.keys[agent] = key
                 km.base_keys[agent] = base
@@ -690,15 +786,16 @@ def run_protocol(spec: DegradedSourceSpec, cfg: ProtocolConfig, runs: int) -> di
     failures = {plan.index + 1: 0 for plan in engine.plans}
     failed_runs = pool_size = pool_ones = 0
     for start in range(0, runs, RUN_BATCH):
-        batch = engine.simulate_runs(range(start, min(start + RUN_BATCH, runs)))
-        for km in batch["keys"]:
-            disagree = [agent for agent in failures if not km.agree(agent)]
-            for agent in disagree:
-                failures[agent] += 1
-            failed_runs += bool(disagree)
-            for key in km.keys.values():
-                pool_size += key.size
-                pool_ones += int(key.sum())
+        keymats = engine.simulate_runs(range(start, min(start + RUN_BATCH, runs)))["keys"]
+        failed = np.zeros(len(keymats), bool)
+        for agent in failures:
+            keys = np.stack([km.keys[agent] for km in keymats])
+            disagree = (keys != np.stack([km.base_keys[agent] for km in keymats])).any(axis=1)
+            failures[agent] += int(np.count_nonzero(disagree))
+            failed |= disagree
+            pool_size += keys.size
+            pool_ones += int(np.count_nonzero(keys))
+        failed_runs += int(np.count_nonzero(failed))
 
     per_agent = {
         plan.index + 1: {

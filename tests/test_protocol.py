@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -283,8 +284,9 @@ class TestToeplitzHash:
                 h.apply(x)
 
     # apply runs its FFTs HASH_CHUNK rows at a time: batches below, at and
-    # past one block, and over several, equal hashing row by row
-    @pytest.mark.parametrize("rows", [0, 1, HASH_CHUNK - 1, HASH_CHUNK, HASH_CHUNK + 1, 100])
+    # past one and two blocks, and over several, equal hashing row by row
+    @pytest.mark.parametrize("rows", [0, 1, HASH_CHUNK - 1, HASH_CHUNK, HASH_CHUNK + 1,
+                                      2 * HASH_CHUNK - 1, 2 * HASH_CHUNK, 2 * HASH_CHUNK + 1, 100])
     def test_blocked_batches_match_per_row_hashing(self, rows):
         n_in, r_out = 64, 19
         singles, stack = (self._stack(range(rows), n_in, r_out) if rows else
@@ -318,7 +320,8 @@ class TestToeplitzHash:
     def test_blocked_hash_peak_memory(self):
         # a warm Example 2 batch's stack: 100 runs of N*B = 4096 bits hashed
         # to 682; FFT temporaries over the whole stack peaked at 10.97 MiB,
-        # the one set of block buffers at about 2.1 MiB
+        # one set of 16-row block buffers at about 2.1 MiB, of 8-row ones
+        # at 1.07 MiB
         rng = np.random.default_rng(8)
         stack = ToeplitzHash(rng.integers(0, 2, (100, 4096 + 682 - 1), dtype=np.uint8),
                              4096, 682)
@@ -723,16 +726,16 @@ class TestStackedHashing:
         assert sum(not km.agree(a) for km in res["keys"] for a in km.keys) == 23
 
     def test_hash_calls_per_chunk(self, monkeypatch, disagreeing):
-        # at most two hash objects and two apply calls per member: one stack
-        # hashes all the member's runs, one more the runs whose estimate
-        # differs; no per-run or per-chunk ToeplitzHash is built
+        # every agent key goes through apply in blocks of HASH_CHUNK rows,
+        # one hash object per block beside each member's stack, and one more
+        # apply call per member hashes the runs whose estimate differs
         engine = disagreeing[0]
         calls, apply = [], ToeplitzHash.apply
         builds, init = [], ToeplitzHash.__init__
 
-        def counted(hasher, x):
+        def counted(hasher, x, *args):
             calls.append(len(x))
-            return apply(hasher, x)
+            return apply(hasher, x, *args)
 
         def counted_init(hasher, *args):
             builds.append(1)
@@ -741,8 +744,9 @@ class TestStackedHashing:
         monkeypatch.setattr(ToeplitzHash, "apply", counted)
         monkeypatch.setattr(ToeplitzHash, "__init__", counted_init)
         engine.simulate_runs(range(self.RUNS))
-        assert len(calls) <= 2 * len(engine.plans)
-        assert 0 < len(builds) <= 2 * len(engine.plans)
+        blocks = len(engine.plans) * -(-self.RUNS // HASH_CHUNK)
+        assert blocks < len(calls) <= blocks + len(engine.plans)
+        assert len(builds) == len(engine.plans) + len(calls)
         assert sum(calls) == len(engine.plans) * self.RUNS + 23
 
     def test_streams_need_no_object_per_run(self, monkeypatch, disagreeing):
@@ -766,6 +770,73 @@ class TestStackedHashing:
         made.clear()
         engine.simulate_runs([0])
         assert made == per_call and sum(per_call.values()) <= 3
+
+
+class TestHashHelper:
+    # simulate_runs hashes agent keys on one helper thread while the calling
+    # thread reconciles; a failure on either side must surface, and leave no
+    # thread behind
+
+    def test_helper_hash_failure_raises(self, monkeypatch):
+        from keyshare import ConsistencyError
+        exact, helper_ran = protocol.irfft, threading.Event()
+        reconcile = ProtocolEngine._reconcile
+
+        def off_on_helper(*args, **kwargs):
+            out = exact(*args, **kwargs)
+            if threading.current_thread() is threading.main_thread():
+                return out
+            helper_ran.set()
+            return out + 0.5
+
+        def after_helper(engine, *args):
+            # the helper takes the first block before this thread decodes
+            assert helper_ran.wait(30)
+            return reconcile(engine, *args)
+
+        monkeypatch.setattr(protocol, "irfft", off_on_helper)
+        monkeypatch.setattr(ProtocolEngine, "_reconcile", after_helper)
+        before = threading.active_count()
+        with pytest.raises(ConsistencyError, match="residue"):
+            run_protocol(SMALL_SPEC, small_config(), runs=20)
+        assert helper_ran.is_set()
+        assert threading.active_count() == before
+
+    def test_reconcile_failure_propagates(self, monkeypatch):
+        engine = ProtocolEngine(SMALL_SPEC, small_config())
+
+        def broken(*args):
+            raise RuntimeError("decode failed")
+
+        monkeypatch.setattr(engine, "_reconcile", broken)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="decode failed"):
+            engine.simulate_runs(range(20))
+        assert threading.active_count() == before
+
+    def test_golden_replay_with_frequent_switches(self, example2_spec, example2_game):
+        # the GIL changes hands every microsecond, so the lanes interleave
+        # at a fine grain; the keys must still hash to the pinned digest
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            TestGoldenReplay().test_example2_transcripts_and_keys(example2_spec, example2_game)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("runs", [1, HASH_CHUNK - 1, HASH_CHUNK, 2 * HASH_CHUNK + 1, 100])
+    def test_batches_match_single_runs(self, runs):
+        # onset_risk 0.02 makes some estimates differ, so base keys are hashed too
+        engine = ProtocolEngine(SMALL_SPEC, small_config(onset_risk=0.02))
+        batch = engine.simulate_runs(range(runs))["keys"]
+        for k, km in enumerate(batch):
+            (one,) = engine.simulate_runs([k])["keys"]
+            assert sorted(one.keys) == sorted(km.keys)
+            for agent in km.keys:
+                assert np.array_equal(one.keys[agent], km.keys[agent])
+                assert np.array_equal(one.base_keys[agent], km.base_keys[agent])
+        if runs == 100:
+            assert sum(not km.agree(agent) for km in batch for agent in km.keys) == 7
 
 
 class TestConfigValidation:
