@@ -531,7 +531,11 @@ def core_polytope_vertices(game: CoalitionGame) -> np.ndarray:
             cand.append(pt)
     if not cand:
         return np.zeros((0, 3))
-    pts = np.unique(np.round(np.array(cand), 12), axis=0)
+    # distinct points in lexicographic order, as np.unique(..., axis=0) gives
+    # them; np.unique would import numpy.ma, 10 ms on first use
+    pts = np.round(np.array(cand), 12)
+    pts = pts[np.lexsort(pts.T[::-1])]
+    pts = pts[np.r_[True, (pts[1:] != pts[:-1]).any(axis=1)]]
     centroid = pts.mean(axis=0)
     # order within the plane for polygon plotting
     e1 = np.array([1.0, -1.0, 0.0]) / np.sqrt(2)

@@ -33,6 +33,22 @@ MAX_EXHAUSTIVE_AGENTS = 12
 SCAN_ENTRIES = 1 << 14
 
 
+def _table_agents(num_agents) -> int:
+    """A game's L as an int, after checking that it is a positive integer of
+    at most MAX_TABLE_AGENTS."""
+    L = integer(num_agents, "game field 'L'", positive=True)
+    if L > MAX_TABLE_AGENTS:
+        raise CapacityError(f"game value table limited to L <= {MAX_TABLE_AGENTS}, got L={L}")
+    return L
+
+
+def _check_table_shape(shape: tuple, L: int) -> None:
+    """Raise ValidationError unless a value table of this shape lists 2^L values."""
+    if shape != (1 << L,):
+        raise ValidationError(f"game field 'v' must list 2^L = {1 << L} numbers for L={L}, "
+                              f"got shape {shape}")
+
+
 @dataclass
 class CoalitionGame:
     """Value table over all 2^L coalitions; index = coalition bitmask."""
@@ -41,14 +57,10 @@ class CoalitionGame:
     values: np.ndarray
 
     def __post_init__(self):
-        L = self.num_agents = integer(self.num_agents, "game field 'L'", positive=True)
-        if L > MAX_TABLE_AGENTS:
-            raise CapacityError(f"game value table limited to L <= {MAX_TABLE_AGENTS}, got L={L}")
+        L = self.num_agents = _table_agents(self.num_agents)
         # a copy: zeroed and clipped below
         self.values = np.array(reals(self.values, "game field 'v'"))
-        if self.values.shape != (1 << L,):
-            raise ValidationError(f"game field 'v' must list 2^L = {1 << L} numbers for L={L}, "
-                                  f"got shape {self.values.shape}")
+        _check_table_shape(self.values.shape, L)
         bad = np.flatnonzero(~np.isfinite(self.values))
         if bad.size:
             raise ValidationError(
@@ -79,7 +91,11 @@ class CoalitionGame:
     def from_json(cls, raw: dict) -> "CoalitionGame":
         if "L" not in raw or "v" not in raw:
             raise ValidationError("game file must hold fields 'L' and 'v'")
-        values = _json_reals(raw["v"])
+        values = raw["v"]
+        if isinstance(values, list) and len(values) > 1 << MAX_TABLE_AGENTS:
+            # too long for every admissible L: refused before its entries are converted
+            _check_table_shape((len(values),), _table_agents(raw["L"]))
+        values = _json_reals(values)
         if values is None:
             raise ValidationError("game field 'v' must be a list of numbers")
         return cls(num_agents=raw["L"], values=np.array(values))

@@ -10,13 +10,17 @@ builds each run's Transcript; simulate_runs, the only route to hash bits
 and keys, calls it.  run_protocol streams its runs through simulate_runs
 in batches of RUN_BATCH and keeps only counts between batches.  The
 Toeplitz product is an exact numpy real-FFT circular convolution of
-length at least n+r-1, where n+r-1 is the number of diagonal bits (see
-ToeplitzHash for why that length is exact).  Every run draws its own
-matrix; simulate_runs draws a member's diagonal bits into one stack.  The
-agent keys do not depend on reconciliation, so one helper thread hashes
-them in HASH_CHUNK-row blocks while the calling thread reconciles, and the
-calling thread takes the blocks that are left; each row's key is a fixed
-function of its own matrix and input, so the split changes no bit.  An
+length at least n+r-1, where n+r-1 is the number of diagonal bits, and
+one FFT row hashes two runs, packed as a + K b with K a power of two above
+2n, wherever N*B is at most 4096 (see ToeplitzHash for why both are
+exact).  Every run draws its own matrix; simulate_runs draws a member's
+diagonal bits into one stack.  simulate_runs runs on two lanes, the
+calling thread and one helper thread: each samples half of the runs,
+and after they meet the helper draws the matrices and hashes the agent
+keys in HASH_CHUNK-row blocks while the calling thread reconciles, since
+the agent keys do not depend on reconciliation; both then take the blocks
+that are left.  Each run's sample and each row's key are fixed functions
+of their own streams, matrix and input, so the split changes no bit.  An
 agent's sequence and the base station's reconstruction share the run's
 matrix, so the base key is the agent key unless the reconstruction
 differs, and only those runs are hashed a second time.
@@ -25,10 +29,10 @@ Randomness: run k's source sample and each member's hash matrix come from
 Philox streams keyed by SeedSequence((seed, tag, k)), so any run replays
 bit-exactly on its own.  Philox is counter-based, so a stream is fixed by
 its 128-bit key: simulate_runs derives all keys of a batch in vectorised
-passes (_stream_keys, bit-identical to SeedSequence.generate_state) and
-resets one bit generator to each key, and the hash bits are read off the
-raw Philox words.  The streams thus depend only on SeedSequence and
-Philox, not on Generator.integers.
+passes (_stream_keys, bit-identical to SeedSequence.generate_state),
+each lane resets its one bit generator to each key (_Stream), and the
+hash bits are read off the raw Philox words.  The streams thus depend
+only on SeedSequence and Philox, not on Generator.integers.
 
 Reliability at finite length comes from the clean-up round.  Its message
 is the transform of the whole N*B sequence restricted to the cross-block
@@ -89,12 +93,13 @@ RUN_OVERHEAD_BITS = 2 ** 10
 # Runs per simulate_runs call in run_protocol.  At least 100: a caller that
 # captures run_protocol's first batch can replay any run below 100 from it.
 RUN_BATCH = 100
-# Rows per FFT block in ToeplitzHash.apply, which reuses its buffers across
-# blocks.  simulate_runs hashes on two threads with one set each, so two
-# 8-row sets hold what one 16-row set held.  In the second warm 100-run
-# Example 2 run_protocol call, apply takes 266-283 of 1,356-1,373 minor
-# page faults (per-thread getrusage); at 16 rows with a set per apply call
-# it took 431 of 1,303.
+# Input rows per block in ToeplitzHash.apply, which reuses its buffers
+# across blocks; paired rows make it 4 FFT rows at Example 2's N*B = 4096.
+# simulate_runs hashes on two lanes with one set each.  In the second warm
+# 100-run Example 2 run_protocol call, apply takes 160-161 of 1,197-1,205
+# minor page faults (per-thread getrusage); with one row per FFT row it
+# took 266-279 of 1,383-1,396, and at 16 rows with a set per apply call
+# 431 of 1,303.
 HASH_CHUNK = 8
 
 
@@ -179,16 +184,27 @@ class ToeplitzHash:
     whose entries run over 0 .. 2n+r-3, onto entry k; for the kept k in
     n-1 .. n+r-2 both lie outside that range once M >= n+r-1, so the kept
     entries are exact.
-    So are the sums: each is an integer of at most n << 2^53, so the float
-    result rounds to it, and apply raises ConsistencyError if any block
-    holds a value more than 0.25 from its rounding (a guard, never a second
-    route).  Diagonal bits and inputs must be 0 or 1.
 
-    Each call allocates one float and one complex block buffer of
-    HASH_CHUNK rows (_hash_buffers), unless the caller passes its own set:
-    simulate_runs gives each of its two hashing threads one set for the
-    whole call, so its per-block apply calls allocate no FFT buffer.  numpy's
-    FFTs release the GIL, so two calls with separate sets run in parallel.
+    One FFT row hashes two input rows a and b when n is small enough
+    (_pairing).  With K = 2^s the smallest power of two above 2n, the
+    row holds x_a + K x_b and the matrix side d_a + K d_b (d + K d for a
+    single matrix); the convolution is bilinear, so it is
+    c_aa + K (c_ab + c_ba) + K^2 c_bb, where c_uv is the circular
+    convolution of d_u with x_v.  Each of its entries sums n products of
+    bits, so every entry of c_aa and c_bb is at most n < K and every entry
+    of c_ab + c_ba at most 2n < K: c_aa is the integer's bits [0, s), the
+    cross terms its bits [s, 2s) and c_bb the rest, so a's key bit is bit 0
+    and b's is bit 2s.  The sums are integers below K^2 (n+1) <= 2^41 when
+    paired and at most n << 2^53 when not, so the float result rounds to
+    them, and apply raises ConsistencyError if any block holds a value more
+    than 0.25 from its rounding (a guard, never a second route).  Diagonal
+    bits and inputs must be 0 or 1.
+
+    Each call allocates one float and one complex block buffer
+    (_hash_buffers), unless the caller passes its own set: simulate_runs
+    gives each of its two lanes one set for the whole call, so its
+    per-block apply calls allocate no FFT buffer.  numpy's FFTs release the
+    GIL, so two calls with separate sets run in parallel.
     """
 
     def __init__(self, bits: np.ndarray, n_in: int, r_out: int):
@@ -200,16 +216,11 @@ class ToeplitzHash:
         self.n_in = int(n_in)
         self.r_out = int(r_out)
 
-    @property
-    def fft_len(self) -> int:
-        """Circular convolution length M of apply's FFTs; 0 when r_out is 0."""
-        return _fast_len(self.bits.shape[-1]) if self.r_out else 0
-
     def apply(self, x: np.ndarray, buffers: Optional[tuple] = None) -> np.ndarray:
         """Hash one block (1-D) or a batch (2-D, row-wise); a stack of k
-        matrices takes exactly k rows.  buffers, from _hash_buffers with a
-        length of at least fft_len, are used instead of a set allocated for
-        this call; two calls running at once need two sets."""
+        matrices takes exactly k rows.  buffers, from _hash_buffers for this
+        n_in and an r_out of at least this one, are used instead of a set
+        allocated for this call; two calls running at once need two sets."""
         x = binary(x, "hash input")
         if x.ndim not in (1, 2):
             raise ValidationError(f"hash input must be 1-D or 2-D, got shape {x.shape}")
@@ -223,23 +234,32 @@ class ToeplitzHash:
         out = np.empty((x2.shape[0], self.r_out), np.uint8)
         if self.r_out == 0:
             return out[0] if single else out
-        size = self.fft_len  # >= n_in, since r_out >= 1
+        size = _fast_len(self.bits.shape[-1])  # >= n_in, since r_out >= 1
         lo = self.n_in - 1
-        rows, half = min(HASH_CHUNK, len(x2)), size // 2 + 1
-        real, cplx = buffers if buffers is not None else _hash_buffers(size, rows)
-        # a block's zero-padded rows, then its irfft; the rows' and matrices' rffts
+        pair, shift = _pairing(self.n_in)
+        block = min(HASH_CHUNK, len(x2))
+        real, cplx = buffers if buffers is not None else _hash_buffers(self.n_in, self.r_out, block)
+        rows, half = -(-block // pair), size // 2 + 1
+        # a block's packed zero-padded rows, then its irfft; the rows' and matrices' rffts
         padded = real[:rows * size].reshape(rows, size)
         spectrum, kernel = cplx[:2 * rows * half].reshape(2, rows, half)
 
         def transform(rows, into):
-            padded[:len(rows), :rows.shape[1]] = rows
-            padded[:len(rows), rows.shape[1]:] = 0
-            return rfft(padded[:len(rows)], size, axis=1, out=into[:len(rows)])
+            # FFT row j packs rows[pair j] + K rows[pair j + 1]
+            packed, width = padded[:-(-len(rows) // pair)], rows.shape[1]
+            packed[:, :width] = rows[::pair]
+            packed[:, width:] = 0
+            if pair == 2:
+                packed[:len(rows) // 2, :width] += float(1 << shift) * rows[1::2]
+            return rfft(packed, size, axis=1, out=into[:len(packed)])
 
-        bits = self.bits.reshape(-1, self.bits.shape[-1])  # one row: a single matrix
+        bits = self.bits.reshape(-1, self.bits.shape[-1])
+        one = len(bits) == 1  # one matrix hashes every row: paired with itself, transformed once
+        if one:
+            bits = np.repeat(bits, pair, axis=0)
         for start in range(0, len(x2), HASH_CHUNK):
             part = slice(start, start + HASH_CHUNK)
-            if len(bits) > 1 or start == 0:
+            if start == 0 or not one:
                 matrices = transform(bits[part], kernel)
             product = transform(x2[part], spectrum)
             product *= matrices
@@ -248,15 +268,32 @@ class ToeplitzHash:
             residue = float(np.max(np.abs(conv - sums), initial=0.0))
             if residue > 0.25:
                 raise ConsistencyError(f"FFT convolution residue {residue:.3g} exceeds 0.25")
-            out[part] = sums.astype(np.int64) & 1
+            sums = sums.astype(np.int64)
+            for j in range(pair):  # block row pair i + j is bit 2 s j of FFT row i
+                keys = out[part][j::pair]
+                keys[:] = sums[:len(keys)] >> (2 * shift * j) & 1
         return out[0] if single else out
 
 
-def _hash_buffers(size: int, rows: int = HASH_CHUNK) -> tuple[np.ndarray, np.ndarray]:
-    """FFT buffers for ToeplitzHash.apply blocks of up to rows rows at
-    circular length up to size: a float one that takes a block's zero-padded
-    rows and then its irfft, and a complex one for the rows' and the
-    matrices' rffts."""
+def _pairing(n_in: int) -> tuple[int, int]:
+    """(input rows per FFT row, s) of apply at input length n_in, where
+    K = 2^s is the smallest power of two above 2 n_in.  Two rows share one
+    FFT row while the packed sums stay below K^2 (n_in + 1) <= 2^41, where
+    the float64 convolution error stays far below apply's 0.25 guard
+    (residues of about 1e-4 at n_in = 4096); larger inputs keep one row
+    each, since pairing at n_in >= 8192 pushes the sums to 2^43."""
+    shift = (2 * n_in).bit_length()
+    return (2 if (n_in + 1) << 2 * shift <= 2 ** 41 else 1), shift
+
+
+def _hash_buffers(n_in: int, r_out: int, rows: int = HASH_CHUNK
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """FFT buffers for ToeplitzHash.apply blocks of up to rows input rows
+    of an n_in -> r_out hash, or of one with a shorter output: a float one
+    that takes a block's packed zero-padded rows and then its irfft, and a
+    complex one for the rows' and the matrices' rffts."""
+    size = _fast_len(n_in + r_out - 1) if r_out else 1
+    rows = -(-rows // _pairing(n_in)[0])
     return np.empty(rows * size), np.empty(2 * rows * (size // 2 + 1), complex)
 
 
@@ -370,14 +407,29 @@ def _stream_keys(entropies: Sequence[tuple]) -> np.ndarray:
     return keys
 
 
-def _reset(bitgen: np.random.Philox, key: np.ndarray) -> np.random.Philox:
-    """bitgen in the state of a fresh Philox with this key: counter 0 and
-    nothing buffered, so its stream depends on the key alone."""
-    bitgen.state = {"bit_generator": "Philox",
-                    "state": {"counter": np.zeros(4, np.uint64), "key": key},
-                    "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
-                    "has_uint32": 0, "uinteger": 0}
-    return bitgen
+class _Stream:
+    """One Philox bit generator, reset to one stream key after another.
+
+    reset(key) puts it in the state of a fresh Philox with that key
+    (counter 0, nothing buffered), so each stream depends on its key alone.
+    Every reset goes through one state template whose key slot it
+    overwrites, so it builds no dict or array per stream; a Python-int key
+    (a row of keys.tolist()) is read fastest.  Each lane of simulate_runs
+    has its own, since a reset and the draws after it must not interleave
+    with another thread's.
+    """
+
+    def __init__(self):
+        # the seed is never used: every draw first resets to its stream's key
+        self.bitgen = np.random.Philox(0)
+        self._slot = {"counter": (0, 0, 0, 0), "key": (0, 0)}
+        self._state = {"bit_generator": "Philox", "state": self._slot,
+                       "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+    def reset(self, key) -> np.random.Philox:
+        self._slot["key"] = key
+        self.bitgen.state = self._state
+        return self.bitgen
 
 
 def _raw_threshold(p: np.ndarray) -> np.ndarray:
@@ -386,7 +438,7 @@ def _raw_threshold(p: np.ndarray) -> np.ndarray:
     return np.ceil(p * 2.0 ** 53).astype(np.uint64) << np.uint64(11)
 
 
-def _diagonal_stack(bitgen: np.random.Philox, keys: np.ndarray, m: int) -> np.ndarray:
+def _diagonal_stack(stream: _Stream, keys: np.ndarray, m: int) -> np.ndarray:
     """(len(keys), m) diagonal bits; row i comes from the stream of keys[i].
 
     Bit j is the top bit of byte j of the stream's raw little-endian
@@ -397,8 +449,8 @@ def _diagonal_stack(bitgen: np.random.Philox, keys: np.ndarray, m: int) -> np.nd
     """
     bits = np.empty((len(keys), m), np.uint8)
     words = -(-m // 8)
-    for row, key in zip(bits, keys):
-        raw = _reset(bitgen, key).random_raw(words).astype("<u8", copy=False)
+    for row, key in zip(bits, keys.tolist()):
+        raw = stream.reset(key).random_raw(words).astype("<u8", copy=False)
         np.right_shift(raw.view(np.uint8)[:m], 7, out=row)
     return bits
 
@@ -406,9 +458,7 @@ def _diagonal_stack(bitgen: np.random.Philox, keys: np.ndarray, m: int) -> np.nd
 def sample_hash(seed: int, n_in: int, r_out: int) -> ToeplitzHash:
     """Draw a Toeplitz member from the seeded public stream."""
     seed = integer(seed, "seed")
-    # the Philox's own seed is never used: the draw resets it to the seed's key
-    bits = _diagonal_stack(np.random.Philox(0), _stream_keys([(seed,)]),
-                           _diagonal_len(n_in, r_out))
+    bits = _diagonal_stack(_Stream(), _stream_keys([(seed,)]), _diagonal_len(n_in, r_out))
     return ToeplitzHash(bits[0], n_in, r_out)
 
 
@@ -587,27 +637,29 @@ class ProtocolEngine:
 
     # -- per-run mechanics ----------------------------------------------
 
-    def _sample_batch(self, ks: list[int], bitgen: np.random.Philox
+    def _sample_batch(self, bits: np.ndarray, ks: list[int], stream: _Stream, lane: slice
                       ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-        """Source realizations for the given run indices, stacked blockwise.
+        """Draw the source realizations of runs ks[lane] into bits[:, lane].
 
-        Returns x0 of shape (runs*B, N) plus one same-shape array per
-        agent.  Run k's bits come from the Philox stream keyed by
-        (seed, _RUN_TAG, k) alone: bitgen is reset to that key, and 1+L
-        blocks of B x N raw words are compared against _raw_threshold of q
-        (x0) and p_1..p_L (each agent's flips), as random() < q, p would.
+        bits has shape (1+L, len(ks), B, N): x0, then each agent's bits,
+        source-major so that each is one contiguous (runs*B, N) view; those
+        views of the whole of bits are returned, x0 and one per agent.  Run
+        k's bits come from the Philox stream keyed by (seed, _RUN_TAG, k)
+        alone: stream is reset to that key, and 1+L blocks of B x N raw
+        words are compared against _raw_threshold of q (x0) and p_1..p_L
+        (each agent's flips), as random() < q, p would.
         """
         cfg = self.cfg
         limits = _raw_threshold(np.array([self.spec.q, *self.spec.p]))[:, None, None]
-        # source-major, so that x0 and each agent's bits are contiguous views
-        bits = np.empty((1 + self.num_agents, len(ks), cfg.b, cfg.n), np.uint8)
-        for i, key in enumerate(_stream_keys([(cfg.seed, _RUN_TAG, k) for k in ks])):
-            np.less(_reset(bitgen, key).random_raw(bits[:, i].shape), limits, out=bits[:, i])
-        bits[1:] ^= bits[0]
+        drawn = bits[:, lane]
+        keys = _stream_keys([(cfg.seed, _RUN_TAG, k) for k in ks[lane]]).tolist()
+        for i, key in enumerate(keys):
+            np.less(stream.reset(key).random_raw(drawn[:, i].shape), limits, out=drawn[:, i])
+        drawn[1:] ^= drawn[0]
         return (bits[0].reshape(-1, cfg.n),
                 {l: bits[1 + l].reshape(-1, cfg.n) for l in range(self.num_agents)})
 
-    def _hash_keys(self, bitgen: np.random.Philox, ks: list[int], agent: int) -> np.ndarray:
+    def _hash_keys(self, stream: _Stream, ks: list[int], agent: int) -> np.ndarray:
         """Keys of the streams that draw the listed runs' Toeplitz members
         for one 0-based agent, shape (runs, 2).
 
@@ -617,8 +669,8 @@ class ProtocolEngine:
         over a power-of-two range never rejects); the seed keys the stream
         of the member's diagonal bits.
         """
-        keys = _stream_keys([(self.cfg.seed, _HASH_TAG, (k << 8) | agent) for k in ks])
-        return _stream_keys([(int(_reset(bitgen, key).random_raw()) >> 2,) for key in keys])
+        keys = _stream_keys([(self.cfg.seed, _HASH_TAG, (k << 8) | agent) for k in ks]).tolist()
+        return _stream_keys([(int(stream.reset(key).random_raw()) >> 2,) for key in keys])
 
     def _reconcile(self, x0: np.ndarray, xs: dict[int, np.ndarray], runs: int):
         """Both reconciliation stages over stacked realizations.
@@ -671,44 +723,46 @@ class ProtocolEngine:
         nonnegative integers.  Every stream of run k is keyed by (seed,
         tag, k): the sample by _RUN_TAG, each member's Toeplitz matrix by
         _HASH_TAG.  All keys of the call come from vectorised SeedSequence
-        passes (_stream_keys), and one Philox bit generator is reset to
-        each key in turn.  Each run draws its own matrix: a member's
-        diagonal bits for the call go into one stack, and a run's
-        Transcript.hash_bits is its row of that stack.
+        passes (_stream_keys), and a lane's one Philox is reset to each key
+        in turn.  Each run draws its own matrix: a member's diagonal bits
+        for the call go into one stack, and a run's Transcript.hash_bits is
+        its row of that stack.
 
-        The agent keys do not depend on reconciliation, so they are hashed
-        while it runs: once every stack is drawn, one helper thread takes
-        (member, HASH_CHUNK-row block) jobs off a shared queue and hashes
-        each through ToeplitzHash.apply, and after _reconcile the calling
-        thread takes the jobs that are left.  numpy's FFTs release the GIL,
-        so on two CPUs the helper's blocks overlap the decode; each row's
-        key is a fixed function of its matrix and input, so the split does
-        not change a bit.  Each of the two lanes has one set of FFT buffers
-        for the call.  The base station's key is the agent's key wherever
-        its estimate equals the agent's sequence; after the helper has
-        joined, one more apply call hashes the runs where it differs, each
-        with its own matrix.  An exception on either lane stops the other
-        lane after its current block and is raised here once the helper
-        has joined.
+        The call runs on two lanes, the calling thread and one helper
+        thread, from its first draw.  Each lane samples half of the runs
+        with its own Philox, and the lanes meet at a barrier.  The agent
+        keys do not depend on reconciliation, so the helper then draws every
+        member's stack and hashes (member, HASH_CHUNK-row block) jobs off a
+        shared queue through ToeplitzHash.apply while the calling thread
+        runs _reconcile, whose large numpy passes release the GIL, as do
+        the raw draws and numpy's FFTs; the calling thread then takes the
+        jobs that are left.  Each run's sample and each row's key are fixed
+        functions of their own streams, matrix and input, so the split
+        changes no bit.  Each lane has one set of FFT buffers for the call.
+        The base station's key is the agent's key wherever its estimate
+        equals the agent's sequence; after the helper has joined, one more
+        apply call hashes the runs where it differs, each with its own
+        matrix.  A failure on either lane aborts the barrier and stops the
+        other lane after its current step, and is raised here once the
+        helper has joined.
         """
         ks = [integer(k, "run index") for k in run_indices]
         if not ks:
             return {"transcripts": [], "keys": []}
-        runs, nb = len(ks), self.cfg.n * self.cfg.b
-        # the seed is never used: every draw resets the bit generator to its stream's key
-        bitgen = np.random.Philox(0)
-        x0, xs = self._sample_batch(ks, bitgen)
-        stacks = [ToeplitzHash(_diagonal_stack(bitgen, self._hash_keys(bitgen, ks, plan.index),
-                                               _diagonal_len(nb, plan.key_len)),
-                               nb, plan.key_len) for plan in self.plans]
-        inputs = [xs[plan.index].reshape(runs, nb) for plan in self.plans]
+        cfg, runs = self.cfg, len(ks)
+        nb = cfg.n * cfg.b
+        bits = np.empty((1 + self.num_agents, runs, cfg.b, cfg.n), np.uint8)
+        own, helped = slice(0, (runs + 1) // 2), slice((runs + 1) // 2, runs)
+        inputs = [bits[1 + plan.index].reshape(runs, nb) for plan in self.plans]
         keys = [np.empty((runs, plan.key_len), np.uint8) for plan in self.plans]
-        size = max(stack.fft_len for stack in stacks)
-        jobs = deque((i, start) for i in range(len(stacks)) for start in range(0, runs, HASH_CHUNK))
+        widest = max(plan.key_len for plan in self.plans)
+        stacks: list[ToeplitzHash] = []
+        jobs: deque = deque()
+        met, drawn, stop = threading.Barrier(2), threading.Event(), threading.Event()
         failed: list[BaseException] = []
 
         def drain(buffers):
-            while True:
+            while not stop.is_set():
                 try:
                     i, start = jobs.popleft()
                 except IndexError:
@@ -719,21 +773,40 @@ class ProtocolEngine:
 
         def helper():
             try:
-                drain(_hash_buffers(size))
+                stream = _Stream()
+                self._sample_batch(bits, ks, stream, helped)
+                met.wait()
+                for plan in self.plans:
+                    diagonals = _diagonal_stack(stream, self._hash_keys(stream, ks, plan.index),
+                                                _diagonal_len(nb, plan.key_len))
+                    stacks.append(ToeplitzHash(diagonals, nb, plan.key_len))
+                jobs.extend((i, start) for i in range(len(stacks))
+                            for start in range(0, runs, HASH_CHUNK))
+                drawn.set()
+                drain(_hash_buffers(nb, widest))
             except BaseException as exc:
                 failed.append(exc)
-                jobs.clear()
+                stop.set()
+                met.abort()
+            finally:
+                drawn.set()
 
-        thread = threading.Thread(target=helper, name="keyshare-hash")
+        thread = threading.Thread(target=helper, name="keyshare-lane")
         thread.start()
         try:
+            x0, xs = self._sample_batch(bits, ks, _Stream(), own)
+            met.wait()
             transcripts, estimates = self._reconcile(x0, xs, runs)
+            drawn.wait()
             # allocated once _reconcile has freed its temporaries; allocated
             # before it, this set raised Example 2's peak RSS by 0.6 MB
-            lane = _hash_buffers(size)
+            lane = _hash_buffers(nb, widest)
             drain(lane)
+        except threading.BrokenBarrierError:
+            pass  # the helper failed before the lanes met: its exception is raised below
         finally:
-            jobs.clear()
+            stop.set()
+            met.abort()
             thread.join()
         if failed:
             raise failed[0]

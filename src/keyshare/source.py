@@ -86,6 +86,13 @@ def _json_reals(values) -> Optional[list[float]]:
     return None
 
 
+def _check_table_agents(count: int) -> None:
+    """Raise CapacityError when a spec lists more than MAX_TABLE_AGENTS
+    crossovers."""
+    if count > MAX_TABLE_AGENTS:
+        raise CapacityError(f"entropy table limited to L <= {MAX_TABLE_AGENTS}, got L={count}")
+
+
 def _level_partition(levels, num_agents: int) -> tuple[tuple[int, ...], ...]:
     """levels as tuples of int agent ids, after checking that they partition
     agents 1..num_agents into nonempty groups.  An id is any integral real
@@ -124,9 +131,7 @@ class DegradedSourceSpec:
         p = tuple(self.p)
         if not p:
             raise ValidationError("p must list at least one crossover probability")
-        if len(p) > MAX_TABLE_AGENTS:
-            raise CapacityError(f"entropy table limited to L <= {MAX_TABLE_AGENTS}, "
-                                f"got L={len(p)}")
+        _check_table_agents(len(p))
         object.__setattr__(self, "p", tuple(real(pl, f"p[{i}]", high=1.0, open=True)
                                             for i, pl in enumerate(p)))
         if self.levels is not None:
@@ -190,7 +195,10 @@ class DegradedSourceSpec:
         q = _json_reals([raw.get("q")])
         if q is None:
             raise ValidationError("spec field 'q' is missing or not a number")
-        p = _json_reals(raw.get("p"))
+        p = raw.get("p")
+        if isinstance(p, list):  # refused before its entries are converted
+            _check_table_agents(len(p))
+        p = _json_reals(p)
         if p is None:
             raise ValidationError("spec field 'p' is missing or not a list of numbers")
         levels = raw.get("levels")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from keyshare import (CoalitionGame, DegradedSourceSpec, JointSource,
+from keyshare import (CapacityError, CoalitionGame, DegradedSourceSpec, JointSource,
                       ValidationError, build_degraded_source,
                       clearance_level_games, core_bounds, core_contains,
                       is_superadditive, is_supermodular, mutual_information,
@@ -361,6 +361,27 @@ class TestGameIO:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"L": 2, "v": [0.0, 1.0]}))
         with pytest.raises(ValidationError):
+            CoalitionGame.load(str(path))
+
+    # a v longer than 2^MAX_TABLE_AGENTS fits no admissible L; it is refused
+    # with the L or length error before _json_reals converts its entries
+    @pytest.mark.parametrize("num_agents, error, message", [
+        (20, ValidationError, r"2\^L = 1048576 numbers for L=20, got shape \(1048577,\)"),
+        (21, CapacityError, "L <= 20, got L=21"),
+        (0, ValidationError, "'L'")], ids=["L20", "L21", "L0"])
+    def test_oversized_table_is_refused_before_conversion(self, tmp_path, monkeypatch,
+                                                          num_agents, error, message):
+        from keyshare import game as game_mod
+
+        def refuse(values):
+            assert len(values) <= 1 << 20, "_json_reals converted an oversized list"
+            return convert(values)
+
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps({"L": num_agents, "v": [0] * ((1 << 20) + 1)}))
+        convert = game_mod._json_reals
+        monkeypatch.setattr(game_mod, "_json_reals", refuse)
+        with pytest.raises(error, match=message):
             CoalitionGame.load(str(path))
 
     # L = 0 used to pass and fail later in shapley_from_game and nucleolus

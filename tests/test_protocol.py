@@ -39,7 +39,9 @@ def small_config(**overrides):
 def sample_batch(engine, ks):
     """The engine's source realizations for runs ks (x0 and every agent's
     (runs*B, N) stack); the draws reset the generator to each run's key."""
-    return engine._sample_batch(list(ks), np.random.Philox())
+    ks = list(ks)
+    bits = np.empty((1 + engine.num_agents, len(ks), engine.cfg.b, engine.cfg.n), np.uint8)
+    return engine._sample_batch(bits, ks, protocol._Stream(), slice(None))
 
 
 # Reference streams: a fresh Generator(Philox(SeedSequence(...))) for every
@@ -321,7 +323,7 @@ class TestToeplitzHash:
         # a warm Example 2 batch's stack: 100 runs of N*B = 4096 bits hashed
         # to 682; FFT temporaries over the whole stack peaked at 10.97 MiB,
         # one set of 16-row block buffers at about 2.1 MiB, of 8-row ones
-        # at 1.07 MiB
+        # at 1.07 MiB, and 8 rows paired into 4 FFT rows at 0.72 MiB
         rng = np.random.default_rng(8)
         stack = ToeplitzHash(rng.integers(0, 2, (100, 4096 + 682 - 1), dtype=np.uint8),
                              4096, 682)
@@ -333,6 +335,44 @@ class TestToeplitzHash:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * 2 ** 20
+
+    # one FFT row hashes two input rows while K^2 (n_in + 1) <= 2^41, K the
+    # smallest power of two above 2 n_in: n_in = 4096 pairs, 8192 does not.
+    # The reference is the exact direct convolution over the kept entries
+    @pytest.mark.parametrize("n_in, r_out", [(4096, 1), (4096, 682), (4096, 4096),
+                                             (8192, 682), (8192, 8192)])
+    def test_paired_rows_match_direct_convolution(self, n_in, r_out):
+        assert protocol._pairing(n_in)[0] == (2 if n_in == 4096 else 1)
+        rng = np.random.default_rng(n_in + r_out)
+        for rows in (2, HASH_CHUNK + 1):  # one pair; a block and a lone last row
+            bits = rng.integers(0, 2, (rows, n_in + r_out - 1), dtype=np.uint8)
+            bits[-1] = 1
+            x = rng.integers(0, 2, (rows, n_in), dtype=np.uint8)
+            x[-1] = 1
+            for hasher, diagonals in ((ToeplitzHash(bits, n_in, r_out), bits),
+                                      (ToeplitzHash(bits[0], n_in, r_out), bits[[0] * rows])):
+                expected = [np.convolve(d.astype(float), row.astype(float), "valid") % 2
+                            for d, row in zip(diagonals, x)]
+                assert np.array_equal(hasher.apply(x), expected)
+
+    def test_paired_residue_stays_small(self, monkeypatch):
+        # the packed sums reach 2^40 at n_in = 4096; a residue near the 0.25
+        # guard would mean the pairing rule admits too large an input
+        exact, worst = protocol.irfft, []
+
+        def recording(*args, **kwargs):
+            out = exact(*args, **kwargs)
+            worst.append(float(np.max(np.abs(out - np.rint(out)))))
+            return out
+
+        monkeypatch.setattr(protocol, "irfft", recording)
+        rng = np.random.default_rng(41)
+        n_in, r_out = 4096, 682
+        bits = rng.integers(0, 2, (200, n_in + r_out - 1), dtype=np.uint8)
+        ToeplitzHash(bits, n_in, r_out).apply(rng.integers(0, 2, (200, n_in), dtype=np.uint8))
+        ToeplitzHash(np.ones_like(bits[:8]), n_in, r_out).apply(np.ones((8, n_in), np.uint8))
+        assert len(worst) == 200 // HASH_CHUNK + 1
+        assert max(worst) <= 1 / 64
 
     def test_stack_rejects_shape_mismatch(self):
         _, stack = self._stack(range(3), 8, 2)
@@ -824,6 +864,38 @@ class TestHashHelper:
         finally:
             sys.setswitchinterval(interval)
 
+    # each lane samples half of the runs, then the lanes meet at a barrier;
+    # the failing lane waits until the other has sampled, so the other is
+    # at the barrier or about to be, and must be released
+    @pytest.mark.parametrize("failing", ["calling", "helper"])
+    def test_sampling_failure_on_either_lane(self, monkeypatch, failing):
+        engine = ProtocolEngine(SMALL_SPEC, small_config())
+        sample, other_sampled = ProtocolEngine._sample_batch, threading.Event()
+
+        def one_lane_fails(engine, bits, ks, stream, lane):
+            if (lane.start == 0) == (failing == "calling"):
+                assert other_sampled.wait(30)
+                raise RuntimeError(f"{failing} lane failed")
+            out = sample(engine, bits, ks, stream, lane)
+            other_sampled.set()
+            return out
+
+        monkeypatch.setattr(ProtocolEngine, "_sample_batch", one_lane_fails)
+        before, raised = threading.active_count(), []
+
+        def call():
+            try:
+                engine.simulate_runs(range(20))
+            except RuntimeError as exc:
+                raised.append(exc)
+
+        caller = threading.Thread(target=call, daemon=True)  # a hang must not outlive the test
+        caller.start()
+        caller.join(30)
+        assert not caller.is_alive()
+        assert [str(exc) for exc in raised] == [f"{failing} lane failed"]
+        assert threading.active_count() == before
+
     @pytest.mark.parametrize("runs", [1, HASH_CHUNK - 1, HASH_CHUNK, 2 * HASH_CHUNK + 1, 100])
     def test_batches_match_single_runs(self, runs):
         # onset_risk 0.02 makes some estimates differ, so base keys are hashed too
@@ -905,11 +977,11 @@ class TestStreams:
     @pytest.mark.parametrize("words", [(5,), (2 ** 64 + 5, 0x48, 2 ** 32 + 7)])
     def test_raw_draws_match_generator(self, words):
         (key,) = protocol._stream_keys([words])
-        bitgen = np.random.Philox(0)
+        stream = protocol._Stream()
         for m in (1, 7, 8, 9, 4777):
             expected = reference_rng(words).integers(0, 2, m, dtype=np.uint8)
-            assert np.array_equal(protocol._diagonal_stack(bitgen, key[None], m)[0], expected)
-        seed = int(protocol._reset(bitgen, key).random_raw()) >> 2
+            assert np.array_equal(protocol._diagonal_stack(stream, key[None], m)[0], expected)
+        seed = int(stream.reset(key).random_raw()) >> 2
         assert seed == int(reference_rng(words).integers(0, 2 ** 62))
 
     # random() is (raw >> 11) 2^-53, so the sample compares raw words with
@@ -928,8 +1000,8 @@ class TestStreams:
 
     def test_random_reads_the_raw_words(self):
         (key,) = protocol._stream_keys([(DEFAULT_SEED, protocol._RUN_TAG, 7)])
-        raw = protocol._reset(np.random.Philox(0), key).random_raw(4096)
-        drawn = np.random.Generator(protocol._reset(np.random.Philox(0), key)).random(4096)
+        raw = protocol._Stream().reset(key).random_raw(4096)
+        drawn = np.random.Generator(protocol._Stream().reset(key)).random(4096)
         assert np.array_equal(drawn, (raw >> np.uint64(11)) * 2.0 ** -53)
 
     def test_runs_match_per_run_reference(self):
