@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapacityError, SolverError, ValidationError, real, reals
+from .errors import CapacityError, SolverError, ValidationError, real, reals, sequence
 from .game import (SCAN_ENTRIES, CoalitionGame, _require_markov, _without, coalition_sums,
                    is_supermodular)
 from .source import DegradedSourceSpec, JointSource, mutual_information
@@ -47,7 +47,8 @@ def lp_solve(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None):
 
     A thin call into linprog's matrix form (HiGHS); bounds lists one
     (low, high) pair per variable, each finite or None (unbounded on that
-    side), and defaults to free variables.  Returns (status, optimum, solution,
+    side), and defaults to free variables; a_ub and b_ub come together,
+    as do a_eq and b_eq.  Returns (status, optimum, solution,
     multipliers): status is "optimal", "infeasible" or "unbounded";
     multipliers are the nonnegative dual values of the a_ub rows, one per
     row; optimum, solution and multipliers are None unless optimal.
@@ -56,10 +57,19 @@ def lp_solve(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None):
     """
     from scipy.optimize import linprog
 
+    parts = {"c": c, "a_ub": a_ub, "b_ub": b_ub, "a_eq": a_eq, "b_eq": b_eq, "bounds": bounds}
+    for name, part in parts.items():
+        if part is not None or name == "c":
+            sequence(part, f"linear program {name}")
+    for a, b in (("a_ub", "b_ub"), ("a_eq", "b_eq")):
+        if (parts[a] is None) != (parts[b] is None):
+            raise ValidationError(f"linear program {a} and {b} must be given together")
     if bounds is None:
         bounds = [(None, None)] * len(c)
-    for name, part in (("c", c), ("a_ub", a_ub), ("b_ub", b_ub), ("a_eq", a_eq), ("b_eq", b_eq),
-                       ("bounds", [b for pair in bounds for b in pair if b is not None])):
+    if not all(len(sequence(pair, "linear program bounds entry")) == 2 for pair in bounds):
+        raise ValidationError("linear program bounds must hold (low, high) pairs")
+    parts["bounds"] = [b for pair in bounds for b in pair if b is not None]
+    for name, part in parts.items():
         if part is not None and not np.all(np.isfinite(reals(part, f"linear program {name}"))):
             raise ValidationError(f"linear program {name} has non-finite entries")
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
@@ -130,7 +140,7 @@ def _complements(L: int):
 @dataclass
 class NucleolusStage:
     optimum: float
-    fixed_coalitions: list[int]
+    fixed_coalitions: np.ndarray  # int64 masks, ascending
     system_rank: int
 
 
@@ -152,7 +162,7 @@ class NucleolusTrace:
 
     def to_json(self) -> list[dict]:
         return [
-            {"z": s.optimum, "fixed": s.fixed_coalitions, "rank": s.system_rank}
+            {"z": s.optimum, "fixed": s.fixed_coalitions.tolist(), "rank": s.system_rank}
             for s in self.stages
         ]
 
@@ -323,7 +333,7 @@ def _excess_levels(game: CoalitionGame, x: np.ndarray) -> NucleolusTrace:
 
     def stage(free, a_eq, b_eq, null):
         z = float(np.max(excess[free]))
-        return z, [int(mask) for mask in np.flatnonzero(free & (excess >= z - TIGHT_TOL))]
+        return z, np.flatnonzero(free & (excess >= z - TIGHT_TOL))
 
     return _fix_stages(game, "prekernel", stage)[0]
 
@@ -396,7 +406,7 @@ def _nucleolus_lp_scaled(game: CoalitionGame):
             if not np.any(pinned):
                 raise SolverError("max-slack LP pinned no tight coalition; cannot progress")
             fixing[rest[pinned]] = True
-        return z_star, [int(mask) for mask in np.flatnonzero(fixing)]
+        return z_star, np.flatnonzero(fixing)
 
     trace, a_eq, b_eq = _fix_stages(game, "lp", stage)
     # a square regular basis (rank L); check efficiency and every fixed coalition

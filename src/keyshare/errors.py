@@ -9,6 +9,7 @@ malformed field is a ValidationError that names it.
 import math
 import numbers
 import sys
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -81,6 +82,18 @@ def reals(values, name: str) -> np.ndarray:
     if a.dtype.kind not in "iuf":
         raise ValidationError(f"{name} must hold only real numbers, got {a.dtype} entries")
     return a.astype(float, copy=False)
+
+
+def sequence(value, name: str):
+    """value, after checking that it is a sequence or an array with at
+    least one axis: a number, None, string, set or iterator is refused."""
+    if isinstance(value, np.ndarray):
+        valid = value.ndim > 0
+    else:
+        valid = isinstance(value, Sequence) and not isinstance(value, (str, bytes))
+    if not valid:
+        raise ValidationError(f"{name} must be a sequence, got {type(value).__name__}")
+    return value
 
 
 def binary(a, name: str) -> np.ndarray:

@@ -38,7 +38,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ValidationError, binary, integer, power_of_two, real, reals
+from .errors import ValidationError, binary, integer, power_of_two, real, reals, sequence
 
 LN2 = float(np.log(2.0))
 LLR_CLAMP = 40.0
@@ -67,7 +67,7 @@ def polar_transform(x: np.ndarray) -> np.ndarray:
     textbook butterfly, for any uint8 input.  Applying the transform
     twice returns the input (G_n is an involution).
     """
-    u = np.array(x, dtype=np.uint8, order="C")
+    u = np.array(sequence(x, "transform input x"), dtype=np.uint8, order="C")
     n = power_of_two(u.shape[-1], "block length N")
     rows = u.reshape(-1, n)
     for width in (2, 4, 8):

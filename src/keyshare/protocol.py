@@ -15,15 +15,18 @@ one FFT row hashes two runs, packed as a + K b with K a power of two above
 2n, wherever N*B is at most 4096 (see ToeplitzHash for why both are
 exact).  Every run draws its own matrix; simulate_runs draws a member's
 diagonal bits into one stack.  simulate_runs runs on two lanes, the
-calling thread and one helper thread: each samples half of the runs,
-and after they meet the helper draws the matrices and hashes the agent
-keys in HASH_CHUNK-row blocks while the calling thread reconciles, since
-the agent keys do not depend on reconciliation; both then take the blocks
-that are left.  Each run's sample and each row's key are fixed functions
-of their own streams, matrix and input, so the split changes no bit.  An
-agent's sequence and the base station's reconstruction share the run's
-matrix, so the base key is the agent key unless the reconstruction
-differs, and only those runs are hashed a second time.
+calling thread and one helper thread, as two fork-joins (_beside): in
+the first each lane samples half of the runs; in the second the helper
+draws the matrices and hashes the agent keys in HASH_CHUNK-row blocks
+off a shared job queue while the calling thread reconciles, since the
+agent keys do not depend on reconciliation, and the calling thread then
+takes the jobs that are left.  A lane that fails empties the queue, so
+the other stops after its current job and the blocks it queues, and the
+calling thread's failure is raised first.  Each run's sample and each row's key are fixed
+functions of their own streams, matrix and input, so the split changes
+no bit.  An agent's sequence and the base station's reconstruction share
+the run's matrix, so the base key is the agent key unless the
+reconstruction differs, and only those runs are hashed a second time.
 
 Randomness: run k's source sample and each member's hash matrix come from
 Philox streams keyed by SeedSequence((seed, tag, k)), so any run replays
@@ -68,7 +71,7 @@ import numpy as np
 from numpy.fft import irfft, rfft
 
 from .errors import (CapacityError, ConsistencyError, ValidationError, binary, integer,
-                     power_of_two, real, reals)
+                     power_of_two, real, reals, sequence)
 from .game import coalition_sums
 from .polar import (INDEX_BETA, MAX_BLOCK_N, build_index_sets, construct_profile,
                     polar_transform, sc_decode)
@@ -119,7 +122,7 @@ class ProtocolConfig:
         self.n = power_of_two(self.n, "block length N", MAX_BLOCK_N)
         self.b = power_of_two(self.b, "block count B", MAX_BLOCKS)
         self.epsilon = real(self.epsilon, "epsilon", high=1.0, open=True)
-        self.target = tuple(real(r, "target rates") for r in self.target)
+        self.target = tuple(real(r, "target rates") for r in sequence(self.target, "target rates"))
         self.seed = integer(self.seed, "seed")
         if self.coalition is not None:
             self.coalition = integer(self.coalition, "coalition")
@@ -158,7 +161,7 @@ def key_lengths_from_allocation(target: Sequence[float], n: int, b: int,
     """
     n, b = power_of_two(n, "block length N"), power_of_two(b, "block count B")
     epsilon = real(epsilon, "epsilon", high=1.0, open=True)
-    r = np.array([real(x, "target rates") for x in target])
+    r = np.array([real(x, "target rates") for x in sequence(target, "target rates")])
     lengths = np.maximum(np.floor(n * b * (r - epsilon)), 0.0)
     if np.any(lengths > n * b):
         raise ValidationError(f"target rates {r.tolist()} ask for keys longer than N*B = {n * b}")
@@ -469,6 +472,31 @@ def toeplitz_from_index(index: int, n_in: int, r_out: int) -> ToeplitzHash:
     return ToeplitzHash(bits, n_in, r_out)
 
 
+def _beside(side, main):
+    """main()'s result, with side() run on one helper thread meanwhile.
+
+    The helper is joined before this returns or raises; main's failure is
+    raised first, else side's.  This is the only place a thread starts.
+    """
+    failed: list[BaseException] = []
+
+    def run():
+        try:
+            side()
+        except BaseException as exc:
+            failed.append(exc)
+
+    thread = threading.Thread(target=run, name="keyshare-lane")
+    thread.start()
+    try:
+        out = main()
+    finally:
+        thread.join()
+    if failed:
+        raise failed[0]
+    return out
+
+
 @dataclass
 class Transcript:
     """Everything that crossed the public channel in one run."""
@@ -530,7 +558,7 @@ def leakage_bound(lengths: Sequence[int], floors: Sequence[float]) -> float:
     that cannot guess at all); lengths must be finite and nonnegative, and
     no floor NaN.
     """
-    r, floors = reals(lengths, "lengths"), reals(floors, "floors")
+    r, floors = reals(sequence(lengths, "lengths"), "lengths"), reals(floors, "floors")
     if floors.shape != (1 << len(r),):
         raise ValidationError(f"min-entropy floors need one entry per coalition bitmask "
                               f"({1 << len(r)}), got shape {floors.shape}")
@@ -729,22 +757,23 @@ class ProtocolEngine:
         its row of that stack.
 
         The call runs on two lanes, the calling thread and one helper
-        thread, from its first draw.  Each lane samples half of the runs
-        with its own Philox, and the lanes meet at a barrier.  The agent
-        keys do not depend on reconciliation, so the helper then draws every
-        member's stack and hashes (member, HASH_CHUNK-row block) jobs off a
-        shared queue through ToeplitzHash.apply while the calling thread
-        runs _reconcile, whose large numpy passes release the GIL, as do
-        the raw draws and numpy's FFTs; the calling thread then takes the
-        jobs that are left.  Each run's sample and each row's key are fixed
+        thread, as two fork-joins (_beside).  In the first, each lane
+        samples half of the runs with its own Philox.  The agent keys do
+        not depend on reconciliation, so in the second the helper works
+        through a shared job queue while the calling thread runs
+        _reconcile, whose large numpy passes release the GIL, as do the
+        raw draws and numpy's FFTs.  The queue starts with one job per
+        member, which draws the member's stack and then queues one job per
+        HASH_CHUNK-row block of it, hashed through ToeplitzHash.apply; the
+        calling thread then takes whatever jobs are left.  Each run's sample and each row's key are fixed
         functions of their own streams, matrix and input, so the split
         changes no bit.  Each lane has one set of FFT buffers for the call.
         The base station's key is the agent's key wherever its estimate
-        equals the agent's sequence; after the helper has joined, one more
-        apply call hashes the runs where it differs, each with its own
-        matrix.  A failure on either lane aborts the barrier and stops the
-        other lane after its current step, and is raised here once the
-        helper has joined.
+        equals the agent's sequence; after the join, one more apply call
+        hashes the runs where it differs, each with its own matrix.  A lane
+        that fails empties the queue, so the other stops after its current
+        job and the blocks that job queues; the calling thread's failure is
+        raised first, else the helper's.
         """
         ks = [integer(k, "run index") for k in run_indices]
         if not ks:
@@ -752,64 +781,43 @@ class ProtocolEngine:
         cfg, runs = self.cfg, len(ks)
         nb = cfg.n * cfg.b
         bits = np.empty((1 + self.num_agents, runs, cfg.b, cfg.n), np.uint8)
-        own, helped = slice(0, (runs + 1) // 2), slice((runs + 1) // 2, runs)
+        half, streams = (runs + 1) // 2, (_Stream(), _Stream())
+        x0, xs = _beside(lambda: self._sample_batch(bits, ks, streams[1], slice(half, runs)),
+                         lambda: self._sample_batch(bits, ks, streams[0], slice(0, half)))
         inputs = [bits[1 + plan.index].reshape(runs, nb) for plan in self.plans]
         keys = [np.empty((runs, plan.key_len), np.uint8) for plan in self.plans]
         widest = max(plan.key_len for plan in self.plans)
-        stacks: list[ToeplitzHash] = []
-        jobs: deque = deque()
-        met, drawn, stop = threading.Barrier(2), threading.Event(), threading.Event()
-        failed: list[BaseException] = []
+        stacks = [None] * len(self.plans)
+        jobs = deque((i, None) for i in range(len(self.plans)))  # (member, block start or None)
 
-        def drain(buffers):
-            while not stop.is_set():
-                try:
-                    i, start = jobs.popleft()
-                except IndexError:
-                    return
-                part = slice(start, start + HASH_CHUNK)
-                block = ToeplitzHash(stacks[i].bits[part], nb, self.plans[i].key_len)
-                keys[i][part] = block.apply(inputs[i][part], buffers)
-
-        def helper():
+        def lane(stream, reconcile=False):
             try:
-                stream = _Stream()
-                self._sample_batch(bits, ks, stream, helped)
-                met.wait()
-                for plan in self.plans:
-                    diagonals = _diagonal_stack(stream, self._hash_keys(stream, ks, plan.index),
-                                                _diagonal_len(nb, plan.key_len))
-                    stacks.append(ToeplitzHash(diagonals, nb, plan.key_len))
-                jobs.extend((i, start) for i in range(len(stacks))
-                            for start in range(0, runs, HASH_CHUNK))
-                drawn.set()
-                drain(_hash_buffers(nb, widest))
-            except BaseException as exc:
-                failed.append(exc)
-                stop.set()
-                met.abort()
-            finally:
-                drawn.set()
+                done = self._reconcile(x0, xs, runs) if reconcile else None
+                # the calling lane's set comes once _reconcile has freed its
+                # temporaries; allocated before it, it raised Example 2's peak
+                # RSS by 0.6 MB
+                buffers = _hash_buffers(nb, widest)
+                while True:
+                    try:
+                        i, start = jobs.popleft()
+                    except IndexError:
+                        return done, buffers
+                    plan = self.plans[i]
+                    if start is None:
+                        diagonals = _diagonal_stack(stream, self._hash_keys(stream, ks, plan.index),
+                                                    _diagonal_len(nb, plan.key_len))
+                        stacks[i] = ToeplitzHash(diagonals, nb, plan.key_len)
+                        jobs.extend((i, row) for row in range(0, runs, HASH_CHUNK))
+                    else:
+                        part = slice(start, start + HASH_CHUNK)
+                        block = ToeplitzHash(stacks[i].bits[part], nb, plan.key_len)
+                        keys[i][part] = block.apply(inputs[i][part], buffers)
+            except BaseException:
+                jobs.clear()
+                raise
 
-        thread = threading.Thread(target=helper, name="keyshare-lane")
-        thread.start()
-        try:
-            x0, xs = self._sample_batch(bits, ks, _Stream(), own)
-            met.wait()
-            transcripts, estimates = self._reconcile(x0, xs, runs)
-            drawn.wait()
-            # allocated once _reconcile has freed its temporaries; allocated
-            # before it, this set raised Example 2's peak RSS by 0.6 MB
-            lane = _hash_buffers(nb, widest)
-            drain(lane)
-        except threading.BrokenBarrierError:
-            pass  # the helper failed before the lanes met: its exception is raised below
-        finally:
-            stop.set()
-            met.abort()
-            thread.join()
-        if failed:
-            raise failed[0]
+        (transcripts, estimates), buffers = _beside(lambda: lane(streams[1]),
+                                                    lambda: lane(streams[0], reconcile=True))
         keymats = [KeyMaterial(keys={}, base_keys={}) for _ in ks]
         for plan, stack, x, agent_keys in zip(self.plans, stacks, inputs, keys):
             agent, est = plan.index + 1, estimates[plan.index + 1]
@@ -817,7 +825,7 @@ class ProtocolEngine:
             differ = np.flatnonzero((est != x).any(axis=1))
             if differ.size:
                 base_keys[differ] = ToeplitzHash(stack.bits[differ], nb,
-                                                 plan.key_len).apply(est[differ], lane)
+                                                 plan.key_len).apply(est[differ], buffers)
             for tr, km, row, key, base in zip(transcripts, keymats, stack.bits, agent_keys,
                                               base_keys):
                 tr.hash_bits[agent] = row

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ValidationError, integer, power_of_two, real
+from .errors import CapacityError, ValidationError, integer, power_of_two, real, sequence
 from .polar import build_index_sets, entropy_profile_exact, polar_transform
 from .protocol import _diagonal_len, leakage_bound, toeplitz_from_index
 
@@ -66,13 +66,13 @@ def empirical_secrecy_check(q: float, p: tuple[float, ...], n: int,
     source realizations and all Toeplitz matrices, so n <= 8 and at most
     two agents.
     """
-    agents = len(p)
+    agents = len(sequence(p, "p"))
     if agents < 1 or agents > MAX_TOY_AGENTS:
         raise CapacityError(f"toy secrecy check supports 1..{MAX_TOY_AGENTS} agents")
     q = real(q, "q", high=1.0, open=True)
     p = [real(pl, f"p[{i}]", high=1.0, open=True) for i, pl in enumerate(p)]
     n = power_of_two(n, "toy block length N", MAX_TOY_N)
-    if len(r) != agents:
+    if len(sequence(r, "key lengths r")) != agents:
         raise ValidationError("one key length per agent required")
     r = [integer(rl, "key length r") for rl in r]  # _key_table checks r <= n
 

@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (CapacityError, ConsistencyError, ValidationError, bitmask, integer, real,
-                     reals)
+                     reals, sequence)
 
 MAX_TABLE_AGENTS = 20  # largest L of an entropy table or of a game file's value table
 # largest L of a dense JointSource: its entropy table sums out every axis
@@ -97,6 +97,8 @@ def _level_partition(levels, num_agents: int) -> tuple[tuple[int, ...], ...]:
     """levels as tuples of int agent ids, after checking that they partition
     agents 1..num_agents into nonempty groups.  An id is any integral real
     (2.0 is agent 2), never a boolean."""
+    for i, lev in enumerate(sequence(levels, "levels")):
+        sequence(lev, f"levels[{i}]")
     for a in (a for lev in levels for a in lev):
         if (isinstance(a, (bool, np.bool_)) or not isinstance(a, numbers.Real)
                 or not (isinstance(a, numbers.Integral) or float(a).is_integer())):
@@ -128,7 +130,7 @@ class DegradedSourceSpec:
     def __post_init__(self):
         object.__setattr__(self, "q", real(self.q, "q", high=1.0, open=True))
         # the length guards come first, so an oversized p is refused unread
-        p = tuple(self.p)
+        p = tuple(sequence(self.p, "p"))
         if not p:
             raise ValidationError("p must list at least one crossover probability")
         _check_table_agents(len(p))

@@ -173,8 +173,10 @@ def nucleolus_routes_agree(games):
         gaps = [abs(a.optimum - b.optimum) for a, b in zip(trace.stages, lp_trace.stages)]
         if trace.route != "prekernel":
             yield f"game {i} (L={g.num_agents}): {trace.route} route"
-        elif ([(s.fixed_coalitions, s.system_rank) for s in trace.stages]
-              != [(s.fixed_coalitions, s.system_rank) for s in lp_trace.stages]):
+        elif (len(trace.stages) != len(lp_trace.stages)
+              or not all(np.array_equal(s.fixed_coalitions, t.fixed_coalitions)
+                         and s.system_rank == t.system_rank
+                         for s, t in zip(trace.stages, lp_trace.stages))):
             yield f"game {i} (L={g.num_agents}): {trace.to_json()} vs {lp_trace.to_json()}"
         elif np.max(np.abs(rates - lp_rates)) > tol or max(gaps, default=0.0) > tol:
             yield (f"game {i} (L={g.num_agents}): rates {rates} vs {lp_rates}, "

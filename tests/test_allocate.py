@@ -150,8 +150,9 @@ class TestNucleolus:
             rates, trace = nucleolus(CoalitionGame(num_agents=3, values=small.values * factor))
             assert trace.route == "prekernel"
             assert np.max(np.abs(rates / factor - base)) < 1e-9
-            assert [s.fixed_coalitions for s in trace.stages] == [
-                s.fixed_coalitions for s in base_trace.stages]
+            assert len(trace.stages) == len(base_trace.stages)
+            assert all(np.array_equal(s.fixed_coalitions, t.fixed_coalitions)
+                       for s, t in zip(trace.stages, base_trace.stages))
         pair = CoalitionGame(num_agents=2, values=np.array([0.0, 0.0, 0.0, 759248487.0]))
         rates, trace = nucleolus(pair)
         assert trace.route == "prekernel"
@@ -439,7 +440,9 @@ class TestFixedBasis:
 
         def listing(*args):
             trace, a_eq, b_eq = fix_stages(*args)
-            trace.stages[0].fixed_coalitions.append(trace.stages[-1].fixed_coalitions[0])
+            first = trace.stages[0]
+            first.fixed_coalitions = np.append(first.fixed_coalitions,
+                                               trace.stages[-1].fixed_coalitions[0])
             return trace, a_eq, b_eq
 
         monkeypatch.setattr(allocate, "_fix_stages", listing)

@@ -72,12 +72,14 @@ def test_benchmark_wrap_targets_resolve():
 # The boundary sweep: every scalar numeric parameter of every exported
 # callable gets each value of BAD, every array parameter each value of
 # ARRAY_BAD as its last entry, and every sequence checked entry by entry
-# each value of BAD as its last entry.
+# each value of BAD as its last entry; every array or sequence parameter
+# also gets each value of WHOLE_BAD in place of the whole sequence.
 # Each case raises a ValidationError that names the parameter, unless LISTED
 # says otherwise and why.
 BAD = {"nan": math.nan, "+inf": math.inf, "-inf": -math.inf, "-1": -1, "True": True,
        "1.5": 1.5, "'1'": "1"}
 ARRAY_BAD = {"nan": math.nan, "'1'": "1"}
+WHOLE_BAD = {"0.5": 0.5, "None": None}
 SPEC = DegradedSourceSpec(q=0.4, p=(0.2, 0.3))
 SOURCE = build_degraded_source(SPEC)
 GAME = value_function(SOURCE)
@@ -90,19 +92,23 @@ class Entry(NamedTuple):
     """A callable's valid arguments, and the text a ValidationError must
     hold for each parameter the sweep fills: scalar (each BAD value),
     array (each ARRAY_BAD value as its last entry) or entries (each BAD
-    value as its last entry).  The other arguments are objects the package
-    built and checked."""
+    value as its last entry).  An array or entries parameter given a
+    WHOLE_BAD value must be named by the same text, or by its text in
+    whole where that differs.  The other arguments are objects the
+    package built and checked."""
 
     base: dict
     scalar: dict = {}
     array: dict = {}
     entries: dict = {}
+    whole: dict = {}
 
 
 ENTRIES = {
     "binary_entropy": Entry({"p": 0.2}, {"p": "p must"}),
     "DegradedSourceSpec": Entry({"q": 0.4, "p": (0.2, 0.3), "levels": ((1,), (2,))},
-                                {"q": "q must"}, entries={"p": "p[1]", "levels": "levels"}),
+                                {"q": "q must"}, entries={"p": "p[1]", "levels": "levels"},
+                                whole={"p": "p must"}),
     "JointSource": Entry({"num_agents": 1, "prob": np.full((2, 2), 0.25)},
                          {"num_agents": "'num_agents'"}, {"prob": "probability table"}),
     "build_degraded_source": Entry({"spec": SPEC}),
@@ -138,11 +144,13 @@ ENTRIES = {
                                  "num_samples": "num_samples",
                                  "seed": "seed"}),
     "build_index_sets": Entry({"profile": entropy_profile_exact(0.1, 4)}),
-    "polar_transform": Entry({"x": np.zeros(4, np.uint8)}, array={"x": None}),
+    "polar_transform": Entry({"x": np.zeros(4, np.uint8)}, array={"x": None},
+                             whole={"x": "input x"}),
     "sc_decode": Entry({"known_mask": np.zeros(4, bool), "known_values": np.zeros((2, 4), np.uint8),
                         "y": np.zeros((2, 4), np.uint8), "crossover": 0.2},
                        {"crossover": "crossover"},
-                       {"known_mask": None, "known_values": "known_values", "y": "y must"}),
+                       {"known_mask": None, "known_values": "known_values", "y": "y must"},
+                       whole={"known_mask": "known_mask"}),
     "ProtocolConfig": Entry(CONFIG, {"n": "block length N", "b": "block count B",
                                      "epsilon": "epsilon", "seed": "seed",
                                      "coalition": "coalition", "onset_risk": "onset_risk"},
@@ -161,7 +169,8 @@ ENTRIES = {
                          {"seed": "seed", "n_in": "n_in", "r_out": "r_out"}),
     "empirical_secrecy_check": Entry({"q": 0.4, "p": (0.2,), "n": 2, "r": (1,)},
                                      {"q": "q must", "n": "block length N"},
-                                     entries={"p": "p[0]", "r": "key length"}),
+                                     entries={"p": "p[0]", "r": "key length"},
+                                     whole={"p": "p must"}),
     "toeplitz_collision_rate": Entry({"n": 3, "r": 1}, {"n": "n must", "r": "r must"}),
 }
 # exported dataclasses that hold what a computation produced; like the
@@ -192,6 +201,10 @@ LISTED = {
                                             "known_mask is read as a bool mask: any nonzero "
                                             "entry marks a known index")
        for label in ARRAY_BAD},
+    ("DegradedSourceSpec", "levels", "None"): (_returns(lambda spec: spec.levels is None),
+                                              "None is the default: no clearance levels"),
+    ("lp_solve", "bounds", "None"): (_returns(lambda out: out[0] == "optimal"),
+                                     "None is the default: every variable free"),
     # 1.5 lies in the range [0, inf) or (0, inf) of these parameters
     **{(name, param, "1.5"): (_returns(), "in range")
        for name, param in (("verify_markov", "tol"), ("core_contains", "tol"),
@@ -220,6 +233,8 @@ def _sweep_cases():
             yield from ((name, "array", param, label) for label in ARRAY_BAD)
         for param in entry.entries:
             yield from ((name, "entries", param, label) for label in BAD)
+        for param in {**entry.array, **entry.entries}:
+            yield from ((name, "whole", param, label) for label in WHOLE_BAD)
 
 
 def test_sweep_covers_every_export():
@@ -230,6 +245,7 @@ def test_sweep_covers_every_export():
         params = set(inspect.signature(getattr(keyshare, name)).parameters)
         filled = {*entry.scalar, *entry.array, *entry.entries}
         assert set(entry.base) == params and filled <= params, name
+        assert set(entry.whole) <= {*entry.array, *entry.entries}, name
     assert set(LISTED) <= {(name, param, label) for name, _, param, label in _sweep_cases()}
 
 
@@ -242,8 +258,10 @@ def test_boundary_sweep(name, kind, param, label):
         kwargs[param] = BAD[label]
     elif kind == "array":
         kwargs[param] = _with_last_entry(kwargs[param], ARRAY_BAD[label])
-    else:
+    elif kind == "entries":
         kwargs[param] = _with_last(kwargs[param], BAD[label])
+    else:
+        kwargs[param] = WHOLE_BAD[label]
 
     def call():
         with warnings.catch_warnings():
@@ -255,7 +273,9 @@ def test_boundary_sweep(name, kind, param, label):
         return
     with pytest.raises(ValidationError) as info:
         call()
-    assert getattr(entry, kind)[param] in str(info.value)
+    text = (entry.whole.get(param) or {**entry.array, **entry.entries}[param] if kind == "whole"
+            else getattr(entry, kind)[param])
+    assert text in str(info.value)
 
 
 def test_probability_table_refuses_strings_that_sum_to_one():
@@ -270,6 +290,13 @@ def test_real_arrays_refuse_ragged_nesting():
         keyshare.lp_solve([1.0], a_ub=[[1.0], [1.0, 2.0]], b_ub=[1.0, 1.0])
     with pytest.raises(ValidationError, match="game field 'v' must hold only real numbers"):
         keyshare.CoalitionGame(num_agents=1, values=[0.0, [0.5, 0.5]])
+
+
+@pytest.mark.parametrize("bounds", [[0.5], [None], [(0.0,)], [(0.0, 1.0, 2.0)]])
+def test_lp_bounds_refuse_entries_that_are_not_pairs(bounds):
+    # each used to raise numpy's or scipy's own TypeError or ValueError
+    with pytest.raises(ValidationError, match="linear program bounds"):
+        keyshare.lp_solve([1.0], bounds=bounds)
 
 
 def test_real_refuses_ints_past_double_range():

@@ -813,8 +813,9 @@ class TestStackedHashing:
 
 
 class TestHashHelper:
-    # simulate_runs hashes agent keys on one helper thread while the calling
-    # thread reconciles; a failure on either side must surface, and leave no
+    # simulate_runs forks one helper thread twice: both lanes sample, then
+    # the helper draws and hashes agent keys while the calling thread
+    # reconciles; a failure on either side must surface, and leave no
     # thread behind
 
     def test_helper_hash_failure_raises(self, monkeypatch):
@@ -864,9 +865,10 @@ class TestHashHelper:
         finally:
             sys.setswitchinterval(interval)
 
-    # each lane samples half of the runs, then the lanes meet at a barrier;
-    # the failing lane waits until the other has sampled, so the other is
-    # at the barrier or about to be, and must be released
+    # each lane samples half of the runs, and the helper is joined before
+    # the hashing starts; the failing lane waits until the other has
+    # sampled, so the other is at the join or about to be, and the failure
+    # must still surface
     @pytest.mark.parametrize("failing", ["calling", "helper"])
     def test_sampling_failure_on_either_lane(self, monkeypatch, failing):
         engine = ProtocolEngine(SMALL_SPEC, small_config())
@@ -894,6 +896,42 @@ class TestHashHelper:
         caller.join(30)
         assert not caller.is_alive()
         assert [str(exc) for exc in raised] == [f"{failing} lane failed"]
+        assert threading.active_count() == before
+
+    # the helper starts on the jobs that draw the members' matrices while
+    # the calling thread reconciles; a draw that fails there must surface,
+    # and the calling thread must not wait for blocks that never come
+    @pytest.mark.parametrize("step", ["_hash_keys", "_diagonal_stack"])
+    def test_draw_failure_on_the_helper(self, monkeypatch, step):
+        engine = ProtocolEngine(SMALL_SPEC, small_config())
+        owner = ProtocolEngine if step == "_hash_keys" else protocol
+        draw, reconcile, failing = getattr(owner, step), ProtocolEngine._reconcile, threading.Event()
+
+        def fails_on_helper(*args):
+            if threading.current_thread() is caller:
+                return draw(*args)
+            failing.set()
+            raise RuntimeError(f"{step} failed")
+
+        def after_failure(engine, *args):
+            assert failing.wait(30)
+            return reconcile(engine, *args)
+
+        monkeypatch.setattr(owner, step, fails_on_helper)
+        monkeypatch.setattr(ProtocolEngine, "_reconcile", after_failure)
+        before, raised = threading.active_count(), []
+
+        def call():
+            try:
+                engine.simulate_runs(range(20))
+            except RuntimeError as exc:
+                raised.append(exc)
+
+        caller = threading.Thread(target=call, daemon=True)  # a hang must not outlive the test
+        caller.start()
+        caller.join(30)
+        assert not caller.is_alive()
+        assert [str(exc) for exc in raised] == [f"{step} failed"]
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("runs", [1, HASH_CHUNK - 1, HASH_CHUNK, 2 * HASH_CHUNK + 1, 100])
