@@ -19,10 +19,9 @@ import numpy as np
 from . import allocate as alloc_mod
 from . import game as game_mod
 from . import suites
-from .errors import ValidationError, integer, real
+from .errors import ValidationError, integer
 from .protocol import DEFAULT_SEED, ProtocolConfig, run_protocol
-from .source import (DegradedSourceSpec, _json_reals, _read_json_object,
-                     build_degraded_source)
+from .source import DegradedSourceSpec, _read_json_object, build_degraded_source
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -142,11 +141,8 @@ def cmd_allocate(args) -> int:
 def cmd_simulate(args) -> int:
     spec = DegradedSourceSpec.from_json(args.spec)
     if args.allocation:
-        raw = _read_json_object(args.allocation, "allocation", ALLOCATION_FIELDS)
-        target = _json_reals(raw.get("rates"))
-        if target is None:
-            raise ValidationError("allocation field 'rates' must be a list of numbers")
-        target = tuple(real(r, "allocation field 'rates'") for r in target)
+        # ProtocolConfig checks the rates as its target
+        target = _read_json_object(args.allocation, "allocation", ALLOCATION_FIELDS).get("rates")
     else:
         game = game_mod.value_function(build_degraded_source(spec))
         target = tuple(float(x) for x in alloc_mod.shapley_from_game(game))

@@ -71,10 +71,13 @@ def real(value, name: str, low: float = 0.0, high: float = math.inf,
 
 def reals(values, name: str) -> np.ndarray:
     """values as a float array, after checking that its entries are real
-    numbers: a string, complex number, nested sequence or other object is
-    refused, and so is an array of booleans (numpy reads a boolean among
-    numbers as 0 or 1).  NaN and the infinities pass, for the caller to
-    rule on."""
+    numbers: a string, complex number, ragged nesting or other object is
+    refused, and so is a boolean anywhere in a list or tuple, at any
+    depth (numpy reads one among numbers as 0 or 1).  An array is judged
+    by its dtype alone, so an array of booleans is refused unscanned.
+    NaN and the infinities pass, for the caller to rule on."""
+    if _holds_boolean(values):
+        raise ValidationError(f"{name} must hold only real numbers, got a boolean")
     try:
         a = np.asarray(values)
     except ValueError:  # ragged nesting
@@ -82,6 +85,16 @@ def reals(values, name: str) -> np.ndarray:
     if a.dtype.kind not in "iuf":
         raise ValidationError(f"{name} must hold only real numbers, got {a.dtype} entries")
     return a.astype(float, copy=False)
+
+
+def _holds_boolean(values) -> bool:
+    """Whether a list or tuple holds a boolean at any depth of its nested
+    lists and tuples."""
+    if not isinstance(values, (list, tuple)):
+        return isinstance(values, (bool, np.bool_))
+    kinds = set(map(type, values))
+    # a flat list of Python numbers, the common case, is settled in one pass
+    return not kinds <= {int, float} and any(map(_holds_boolean, values))
 
 
 def sequence(value, name: str):

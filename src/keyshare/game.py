@@ -20,10 +20,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapacityError, ValidationError, integer, real, reals
-from .source import (MAX_TABLE_AGENTS, DegradedSourceSpec, JointSource, _json_reals,
-                     _level_partition, _member_masks, _read_json_object, coalition_sums,
-                     mutual_information, verify_markov)
+from .errors import CapacityError, ValidationError, integer, real, reals, sequence
+from .source import (MAX_TABLE_AGENTS, DegradedSourceSpec, JointSource, _level_partition,
+                     _member_masks, _read_json_object, coalition_sums, mutual_information,
+                     verify_markov)
 
 DEFAULT_TOL = 1e-9
 MAX_EXHAUSTIVE_AGENTS = 12
@@ -58,8 +58,11 @@ class CoalitionGame:
 
     def __post_init__(self):
         L = self.num_agents = _table_agents(self.num_agents)
+        # the length is checked first, so an oversized list is refused unread
+        values = sequence(self.values, "game field 'v'")
+        _check_table_shape(getattr(values, "shape", (len(values),)), L)
         # a copy: zeroed and clipped below
-        self.values = np.array(reals(self.values, "game field 'v'"))
+        self.values = np.array(reals(values, "game field 'v'"))
         _check_table_shape(self.values.shape, L)
         bad = np.flatnonzero(~np.isfinite(self.values))
         if bad.size:
@@ -89,16 +92,10 @@ class CoalitionGame:
 
     @classmethod
     def from_json(cls, raw: dict) -> "CoalitionGame":
-        if "L" not in raw or "v" not in raw:
-            raise ValidationError("game file must hold fields 'L' and 'v'")
-        values = raw["v"]
-        if isinstance(values, list) and len(values) > 1 << MAX_TABLE_AGENTS:
-            # too long for every admissible L: refused before its entries are converted
-            _check_table_shape((len(values),), _table_agents(raw["L"]))
-        values = _json_reals(values)
-        if values is None:
-            raise ValidationError("game field 'v' must be a list of numbers")
-        return cls(num_agents=raw["L"], values=np.array(values))
+        """The game of a parsed game file {"L": int, "v": [2^L numbers]};
+        the constructor checks both fields, and a missing one reads as
+        None and is refused by name."""
+        return cls(num_agents=raw.get("L"), values=raw.get("v"))
 
     @classmethod
     def load(cls, path: str) -> "CoalitionGame":

@@ -224,6 +224,13 @@ def construct_profile(theta: float, n: int) -> EntropyProfile:
     return EntropyProfile(n=n, h=h, method="degrading_merge", genie_error=err)
 
 
+def _pattern_bits(n: int) -> np.ndarray:
+    """Every n-bit pattern as a (2^n, n) uint8 table: row r holds r's bits,
+    most significant first."""
+    idx = np.arange(1 << n, dtype=np.uint32)
+    return ((idx[:, None] >> np.arange(n - 1, -1, -1)[None, :]) & 1).astype(np.uint8)
+
+
 def entropy_profile_exact(theta: float, n: int) -> EntropyProfile:
     """Exact profile by enumerating all 2^N block realizations.
 
@@ -232,10 +239,7 @@ def entropy_profile_exact(theta: float, n: int) -> EntropyProfile:
     """
     n = power_of_two(n, "exact profile block length N", MAX_EXACT_N)
     theta = real(theta, "theta", high=1.0)
-    idx = np.arange(1 << n, dtype=np.uint32)
-    # row r encodes u with u_0 as most significant bit
-    u_bits = ((idx[:, None] >> np.arange(n - 1, -1, -1)[None, :]) & 1).astype(np.uint8)
-    x_bits = polar_transform(u_bits)  # involution: x = u G
+    x_bits = polar_transform(_pattern_bits(n))  # involution: x = u G
     weight = x_bits.sum(axis=1)
     prob = (theta ** weight) * ((1.0 - theta) ** (n - weight))
     h = np.zeros(n)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, ValidationError, integer, power_of_two, real, sequence
-from .polar import build_index_sets, entropy_profile_exact, polar_transform
+from .polar import _pattern_bits, build_index_sets, entropy_profile_exact, polar_transform
 from .protocol import _diagonal_len, leakage_bound, toeplitz_from_index
 
 MAX_TOY_N = 8
@@ -34,11 +34,6 @@ class SecrecyCheckResult:
     @property
     def holds(self) -> bool:
         return self.distance <= self.bound + 1e-9
-
-
-def _pattern_bits(n: int) -> np.ndarray:
-    idx = np.arange(1 << n, dtype=np.uint32)
-    return ((idx[:, None] >> np.arange(n - 1, -1, -1)[None, :]) & 1).astype(np.uint8)
 
 
 def _bits_to_int(bits: np.ndarray) -> np.ndarray:

@@ -75,17 +75,6 @@ def _read_json_object(path: str, what: str, fields: Sequence[str]) -> dict:
     return raw
 
 
-def _json_reals(values) -> Optional[list[float]]:
-    """A parsed JSON list of numbers as floats; None for anything else,
-    booleans and integers beyond double range included."""
-    if isinstance(values, list) and all(type(x) in (int, float) for x in values):
-        try:
-            return [float(x) for x in values]
-        except OverflowError:
-            pass
-    return None
-
-
 def _check_table_agents(count: int) -> None:
     """Raise CapacityError when a spec lists more than MAX_TABLE_AGENTS
     crossovers."""
@@ -93,19 +82,20 @@ def _check_table_agents(count: int) -> None:
         raise CapacityError(f"entropy table limited to L <= {MAX_TABLE_AGENTS}, got L={count}")
 
 
-def _level_partition(levels, num_agents: int) -> tuple[tuple[int, ...], ...]:
+def _level_partition(levels, num_agents: int, name: str = "levels"
+                     ) -> tuple[tuple[int, ...], ...]:
     """levels as tuples of int agent ids, after checking that they partition
     agents 1..num_agents into nonempty groups.  An id is any integral real
     (2.0 is agent 2), never a boolean."""
-    for i, lev in enumerate(sequence(levels, "levels")):
-        sequence(lev, f"levels[{i}]")
+    for i, lev in enumerate(sequence(levels, name)):
+        sequence(lev, f"{name}[{i}]")
     for a in (a for lev in levels for a in lev):
         if (isinstance(a, (bool, np.bool_)) or not isinstance(a, numbers.Real)
                 or not (isinstance(a, numbers.Integral) or float(a).is_integer())):
-            raise ValidationError(f"levels must hold integer agent ids, got {a!r}")
+            raise ValidationError(f"{name} must hold integer agent ids, got {a!r}")
     out = tuple(tuple(int(a) for a in lev) for lev in levels)
     if sorted(a for lev in out for a in lev) != list(range(1, num_agents + 1)) or not all(out):
-        raise ValidationError(f"levels must partition agents 1..{num_agents} into nonempty "
+        raise ValidationError(f"{name} must partition agents 1..{num_agents} into nonempty "
                               f"groups, got {levels}")
     return out
 
@@ -128,16 +118,17 @@ class DegradedSourceSpec:
     levels: Optional[tuple[tuple[int, ...], ...]] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "q", real(self.q, "q", high=1.0, open=True))
+        object.__setattr__(self, "q", real(self.q, "spec field 'q'", high=1.0, open=True))
         # the length guards come first, so an oversized p is refused unread
-        p = tuple(sequence(self.p, "p"))
+        p = tuple(sequence(self.p, "spec field 'p'"))
         if not p:
-            raise ValidationError("p must list at least one crossover probability")
+            raise ValidationError("spec field 'p' must list at least one crossover probability")
         _check_table_agents(len(p))
-        object.__setattr__(self, "p", tuple(real(pl, f"p[{i}]", high=1.0, open=True)
+        object.__setattr__(self, "p", tuple(real(pl, f"spec field 'p[{i}]'", high=1.0, open=True)
                                             for i, pl in enumerate(p)))
         if self.levels is not None:
-            object.__setattr__(self, "levels", _level_partition(self.levels, self.num_agents))
+            object.__setattr__(self, "levels", _level_partition(self.levels, self.num_agents,
+                                                                "spec field 'levels'"))
 
     @property
     def num_agents(self) -> int:
@@ -192,25 +183,11 @@ class DegradedSourceSpec:
 
     @classmethod
     def from_json(cls, path: str) -> "DegradedSourceSpec":
-        """Read a spec file: {"q": real, "p": [...], "levels": optional [[ids]...]}."""
+        """Read a spec file: {"q": real, "p": [...], "levels": optional [[ids]...]}.
+        The constructor checks every field, as it does any caller's: a
+        missing q or p reads as None and is refused by name."""
         raw = _read_json_object(path, "spec", ("q", "p", "levels"))
-        q = _json_reals([raw.get("q")])
-        if q is None:
-            raise ValidationError("spec field 'q' is missing or not a number")
-        p = raw.get("p")
-        if isinstance(p, list):  # refused before its entries are converted
-            _check_table_agents(len(p))
-        p = _json_reals(p)
-        if p is None:
-            raise ValidationError("spec field 'p' is missing or not a list of numbers")
-        levels = raw.get("levels")
-        if levels is not None:
-            if not (isinstance(levels, list) and all(
-                    isinstance(g, list) and all(type(a) is int for a in g) for g in levels)):
-                raise ValidationError(
-                    "spec field 'levels' must be a list of lists of integer agent ids")
-            levels = tuple(tuple(g) for g in levels)
-        return cls(q=q[0], p=tuple(p), levels=levels)
+        return cls(q=raw.get("q"), p=raw.get("p"), levels=raw.get("levels"))
 
     def to_json(self) -> dict:
         out = {"q": self.q, "p": list(self.p)}

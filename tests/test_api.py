@@ -107,8 +107,8 @@ class Entry(NamedTuple):
 ENTRIES = {
     "binary_entropy": Entry({"p": 0.2}, {"p": "p must"}),
     "DegradedSourceSpec": Entry({"q": 0.4, "p": (0.2, 0.3), "levels": ((1,), (2,))},
-                                {"q": "q must"}, entries={"p": "p[1]", "levels": "levels"},
-                                whole={"p": "p must"}),
+                                {"q": "'q' must"}, entries={"p": "p[1]", "levels": "levels"},
+                                whole={"p": "'p' must"}),
     "JointSource": Entry({"num_agents": 1, "prob": np.full((2, 2), 0.25)},
                          {"num_agents": "'num_agents'"}, {"prob": "probability table"}),
     "build_degraded_source": Entry({"spec": SPEC}),
@@ -282,6 +282,40 @@ def test_probability_table_refuses_strings_that_sum_to_one():
     # the sweep's string entry already breaks the sum; this one does not
     with pytest.raises(ValidationError, match="probability table must hold only real numbers"):
         JointSource(num_agents=1, prob=[[0.25, 0.25], [0.25, "0.25"]])
+
+
+# a two-variable LP whose every array holds two or more numbers
+LP = {"c": [1.0, 1.0], "a_ub": [[-1.0, 0.0], [0.0, -1.0]], "b_ub": [0.0, 0.0],
+      "a_eq": [[1.0, 1.0], [1.0, -1.0]], "b_eq": [1.0, 0.0], "bounds": [(0.0, 2.0), (0.0, 2.0)]}
+
+
+# numpy reads a boolean among numbers as 0 or 1; each parameter that reals
+# reads refuses one as its last entry, nested too, and names itself
+@pytest.mark.parametrize("name, param, named", [
+    ("CoalitionGame", "values", "game field 'v'"), ("core_contains", "rates", "rates"),
+    ("prekernel_gap", "rates", "rates"), ("JointSource", "prob", "probability table"),
+    ("leakage_bound", "lengths", "lengths"), ("leakage_bound", "floors", "floors"),
+    *(("lp_solve", k, f"linear program {k}") for k in LP)])
+def test_real_lists_refuse_a_boolean_entry(name, param, named):
+    kwargs = {"leakage_bound": {"lengths": [1.0, 2.0], "floors": [0.0, 5.0, 5.0, 9.0]},
+              "lp_solve": LP}.get(name, ENTRIES[name].base)
+    kwargs = {**kwargs, param: _with_last_entry(np.asarray(kwargs[param]).tolist(), True)}
+    with pytest.raises(ValidationError, match=f"{named} must hold only real numbers"):
+        getattr(keyshare, name)(**kwargs)
+
+
+def test_boolean_entries_are_refused_where_numpy_reads_numbers():
+    assert keyshare.lp_solve(**LP)[0] == "optimal"  # LP is valid without its boolean
+    # each of these used to pass: the boolean read as 1 or 0
+    with pytest.raises(ValidationError, match="lengths"):
+        keyshare.leakage_bound([True, 2], [0.0, 5, 5, 9])
+    with pytest.raises(ValidationError, match="probability table"):
+        JointSource(1, [[0.25, 0.25], [0.5, False]])
+    with pytest.raises(ValidationError, match="'v'"):
+        keyshare.CoalitionGame(2, [0.0, True, 0.1, 1.3])
+    # an array is judged by its dtype: the package's own arrays pay no scan
+    with pytest.raises(ValidationError, match="bool entries"):
+        keyshare.CoalitionGame(1, np.array([False, True]))
 
 
 def test_real_arrays_refuse_ragged_nesting():

@@ -357,7 +357,7 @@ class TestSimulate:
             ["simulate", "--spec", str(path), "--allocation", str(alloc),
              "--N", "64", "--B", "2", "--runs", "1"], capsys)
         assert code == 1 and out == ""
-        assert "'rates'" in err
+        assert "target rates" in err
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_overflowing_leakage_bound_is_strict_json(self, tmp_path, capsys):
@@ -532,8 +532,8 @@ class TestLoaderInput:
 
     @pytest.mark.parametrize("kind, text, named", [
         ("allocation", "rates: [0.1]", "JSON"),
-        ("allocation", '{"rates": ["a", 0.1]}', "'rates'"),
-        ("allocation", '{"rates": 0.1}', "'rates'"),
+        ("allocation", '{"rates": ["a", 0.1]}', "target rates"),
+        ("allocation", '{"rates": 0.1}', "target rates"),
         ("game", '{"L": 2, "v": [0, "x", 0.1, 0.3]}', "'v'"),
         ("game", '{"L": true, "v": [0, 0.1]}', "'L'"),
         ("spec", EXAMPLE2_WITH_LEVELS % '[["a"], [2, 3]]', "'levels'"),
@@ -543,9 +543,15 @@ class TestLoaderInput:
          "unknown field(s) 'level'"),
         ("game", '{"L": 1, "v": [0, 0.1], "values": []}', "unknown field(s) 'values'"),
         ("allocation", '{"rates": [0.1, 0.05], "rate": [0.1]}', "unknown field(s) 'rate'"),
+        # a boolean is no number, wherever it stands
+        ("game", '{"L": 2, "v": [0, 0.1, 0.1, true]}', "'v'"),
+        ("spec", '{"q": 0.4, "p": [0.2, true]}', "'p[1]'"),
+        ("allocation", '{"rates": [0.1, true]}', "target rates"),
+        ("spec", EXAMPLE2_WITH_LEVELS % "[[1], [2, true]]", "'levels'"),
     ], ids=["allocation-not-json", "rates-not-numbers", "rates-not-a-list", "v-not-numbers",
             "L-boolean", "level-ids-not-numbers", "level-ids-not-integers",
-            "spec-unknown-field", "game-unknown-field", "allocation-unknown-field"])
+            "spec-unknown-field", "game-unknown-field", "allocation-unknown-field",
+            "v-boolean", "p-boolean", "rates-boolean", "level-id-boolean"])
     def test_malformed_file(self, kind, text, named, tmp_path, capsys):
         spec = tmp_path / "tiny.json"
         spec.write_text(json.dumps(TINY_SPEC))
@@ -554,6 +560,17 @@ class TestLoaderInput:
         code, out, err = run_cli(self._args(kind, str(path), str(spec)), capsys)
         assert code == 1 and out == ""
         assert named in err
+
+    # a level id is any integral real, in a file as in the constructor
+    def test_integral_float_level_ids_read_as_agents(self, tmp_path, capsys):
+        outs = []
+        for levels in ("[[1.0], [2, 3]]", "[[1], [2, 3]]"):
+            path = tmp_path / "spec.json"
+            path.write_text(EXAMPLE2_WITH_LEVELS % levels)
+            code, out, _ = run_cli(["analyze", "--spec", str(path)], capsys)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("kind", ["allocation", "game", "spec"])
     def test_missing_file(self, kind, example2_file, tmp_path, capsys):

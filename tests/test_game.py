@@ -349,6 +349,18 @@ class TestWSubmodularity:
         assert w_is_submodular(src, 0b110) == (False, (0b010, 0b100))
 
 
+def _refuse_oversized_conversion(monkeypatch):
+    """Make game.reals fail on a list longer than any admissible value table."""
+    from keyshare import game as game_mod
+
+    def refuse(values, name):
+        assert len(values) <= 1 << 20, "reals converted an oversized list"
+        return convert(values, name)
+
+    convert = game_mod.reals
+    monkeypatch.setattr(game_mod, "reals", refuse)
+
+
 class TestGameIO:
     def test_round_trip(self, example2_game, tmp_path):
         path = tmp_path / "game.json"
@@ -364,25 +376,24 @@ class TestGameIO:
             CoalitionGame.load(str(path))
 
     # a v longer than 2^MAX_TABLE_AGENTS fits no admissible L; it is refused
-    # with the L or length error before _json_reals converts its entries
+    # with the L or length error before reals converts its entries
     @pytest.mark.parametrize("num_agents, error, message", [
         (20, ValidationError, r"2\^L = 1048576 numbers for L=20, got shape \(1048577,\)"),
         (21, CapacityError, "L <= 20, got L=21"),
         (0, ValidationError, "'L'")], ids=["L20", "L21", "L0"])
     def test_oversized_table_is_refused_before_conversion(self, tmp_path, monkeypatch,
                                                           num_agents, error, message):
-        from keyshare import game as game_mod
-
-        def refuse(values):
-            assert len(values) <= 1 << 20, "_json_reals converted an oversized list"
-            return convert(values)
-
         path = tmp_path / "game.json"
         path.write_text(json.dumps({"L": num_agents, "v": [0] * ((1 << 20) + 1)}))
-        convert = game_mod._json_reals
-        monkeypatch.setattr(game_mod, "_json_reals", refuse)
+        _refuse_oversized_conversion(monkeypatch)
         with pytest.raises(error, match=message):
             CoalitionGame.load(str(path))
+
+    # the constructor measures a caller's list the same way
+    def test_oversized_api_table_is_refused_before_conversion(self, monkeypatch):
+        _refuse_oversized_conversion(monkeypatch)
+        with pytest.raises(ValidationError, match=r"got shape \(1048577,\)"):
+            CoalitionGame(20, [0] * (2**20 + 1))
 
     # L = 0 used to pass and fail later in shapley_from_game and nucleolus
     @pytest.mark.parametrize("num_agents", [0, -1, True, 2.0])

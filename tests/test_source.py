@@ -95,19 +95,19 @@ class TestBuildDegradedSource:
         with pytest.raises(CapacityError, match=f"L <= {MAX_TABLE_AGENTS}, got L={10**6}"):
             DegradedSourceSpec(q=0.4, p=p)
 
-    # a spec file's p is measured before _json_reals converts its entries
+    # a spec file's p is measured before real converts any of its entries
     def test_oversized_spec_file_is_refused_before_conversion(self, tmp_path, monkeypatch):
         from keyshare import source
         from keyshare.source import MAX_TABLE_AGENTS
 
-        def refuse(values):
-            assert len(values) <= MAX_TABLE_AGENTS, "_json_reals converted an oversized list"
-            return convert(values)
+        def refuse(value, name, *args, **kwargs):
+            assert "'p[" not in name, "real converted an entry of an oversized p"
+            return convert(value, name, *args, **kwargs)
 
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"q": 0.4, "p": [0.2] * 10**5}))
-        convert = source._json_reals
-        monkeypatch.setattr(source, "_json_reals", refuse)
+        convert = source.real
+        monkeypatch.setattr(source, "real", refuse)
         with pytest.raises(CapacityError, match=f"L <= {MAX_TABLE_AGENTS}, got L={10**5}"):
             DegradedSourceSpec.from_json(str(path))
 
