@@ -18,11 +18,9 @@ from .polar import (EntropyProfile, PolarIndexSets, build_index_sets,
                     construct_profile, entropy_profile_exact,
                     entropy_profile_mc, polar_transform, sc_decode)
 from .protocol import (KeyMaterial, ProtocolConfig, ToeplitzHash, Transcript,
-                       key_lengths_from_allocation, leakage_bound, run_protocol,
-                       sample_hash)
+                       leakage_bound, run_protocol, sample_hash)
 from .secrecy import empirical_secrecy_check, toeplitz_collision_rate
-from .source import (DegradedSourceSpec, JointSource, binary_entropy,
-                     build_degraded_source, entropy, mutual_information,
-                     verify_markov)
+from .source import (DegradedSourceSpec, JointSource, binary_entropy, entropy,
+                     mutual_information, verify_markov)
 
 __version__ = "0.1.0"

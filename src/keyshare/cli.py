@@ -21,7 +21,7 @@ from . import game as game_mod
 from . import suites
 from .errors import ValidationError, integer
 from .protocol import DEFAULT_SEED, ProtocolConfig, run_protocol
-from .source import DegradedSourceSpec, _read_json_object, build_degraded_source
+from .source import DegradedSourceSpec, _read_json_object
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -58,8 +58,7 @@ def _emit(text: str, out_path) -> None:
 
 def cmd_analyze(args) -> int:
     spec = DegradedSourceSpec.from_json(args.spec)
-    src = build_degraded_source(spec)
-    game = game_mod.value_function(src)
+    game = game_mod.value_function(spec)
     mod, mod_wit = game_mod.is_supermodular(game)
     # v(empty) = 0, so the supermodular pair scan over disjoint pairs is
     # the superadditivity test at the same tolerance
@@ -78,7 +77,7 @@ def cmd_analyze(args) -> int:
     if not mod:
         payload["supermodular_witness"] = list(mod_wit)
     if spec.levels:
-        level_games = game_mod.clearance_level_games(src, spec.levels)
+        level_games = game_mod.clearance_level_games(spec, spec.levels)
         payload["clearance_levels"] = [
             {"agents": list(lev), "game": g.to_json()}
             for lev, g in zip(spec.levels, level_games)
@@ -95,16 +94,15 @@ def cmd_allocate(args) -> int:
     if args.polytope_csv and (spec or game).num_agents != 3:
         # refuse before any value table or allocation is computed
         raise ValidationError("core polytope CSV is defined for 3-agent games")
-    src = build_degraded_source(spec) if spec else None
-    game = game or game_mod.value_function(src)
+    game = game or game_mod.value_function(spec)
     payload = {"L": game.num_agents, "grand_value": game.grand_value()}
     methods = ("shapley", "nucleolus") if args.method == "both" else (args.method,)
     for method in methods:
         if method == "shapley":
             rates = alloc_mod.shapley_from_game(game)
             entry = {"method": "shapley", "rates": [float(x) for x in rates]}
-            if src is not None:
-                closed = alloc_mod.shapley_closed_form(src)
+            if spec is not None:
+                closed = alloc_mod.shapley_closed_form(spec)
                 entry["closed_form_gap"] = float(np.max(np.abs(rates - closed)))
         else:
             rates, trace = alloc_mod.nucleolus(game)
@@ -144,7 +142,7 @@ def cmd_simulate(args) -> int:
         # ProtocolConfig checks the rates as its target
         target = _read_json_object(args.allocation, "allocation", ALLOCATION_FIELDS).get("rates")
     else:
-        game = game_mod.value_function(build_degraded_source(spec))
+        game = game_mod.value_function(spec)
         target = tuple(float(x) for x in alloc_mod.shapley_from_game(game))
     cfg = ProtocolConfig(
         n=args.N, b=args.B, target=target, epsilon=args.eps,

@@ -55,7 +55,8 @@ def real(value, name: str, low: float = 0.0, high: float = math.inf,
          open: bool = False) -> float:
     """value as a float, after checking that it is a real number (not a
     boolean) in [low, high], or in (low, high) when open, and within double
-    range, so never infinite.  low is 0 or -inf when high is inf."""
+    range, so never infinite.  low is 0, -inf or a round-off floor just
+    below 0 (read as nonnegative) when high is inf."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or not (low < value < high if open else low <= value <= high)
             or not abs(value) <= sys.float_info.max):  # inf, or an int past double range

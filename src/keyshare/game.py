@@ -91,15 +91,12 @@ class CoalitionGame:
         return {"L": self.num_agents, "v": self.values.tolist()}
 
     @classmethod
-    def from_json(cls, raw: dict) -> "CoalitionGame":
-        """The game of a parsed game file {"L": int, "v": [2^L numbers]};
-        the constructor checks both fields, and a missing one reads as
-        None and is refused by name."""
-        return cls(num_agents=raw.get("L"), values=raw.get("v"))
-
-    @classmethod
     def load(cls, path: str) -> "CoalitionGame":
-        return cls.from_json(_read_json_object(path, "game", ("L", "v")))
+        """The game of a game file {"L": int, "v": [2^L numbers]}; the
+        constructor checks both fields, and a missing one reads as None and
+        is refused by name."""
+        raw = _read_json_object(path, "game", ("L", "v"))
+        return cls(num_agents=raw.get("L"), values=raw.get("v"))
 
 
 def _require_markov(src: JointSource | DegradedSourceSpec) -> None:

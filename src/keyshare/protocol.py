@@ -122,7 +122,10 @@ class ProtocolConfig:
         self.n = power_of_two(self.n, "block length N", MAX_BLOCK_N)
         self.b = power_of_two(self.b, "block count B", MAX_BLOCKS)
         self.epsilon = real(self.epsilon, "epsilon", high=1.0, open=True)
-        self.target = tuple(real(r, "target rates") for r in sequence(self.target, "target rates"))
+        # an entry in [-1e-12, 0) is round-off, as in the package's own
+        # Shapley and nucleolus rates, and reads as 0, as a game value does
+        self.target = tuple(max(real(r, "target rates", low=-1e-12), 0.0)
+                            for r in sequence(self.target, "target rates"))
         self.seed = integer(self.seed, "seed")
         if self.coalition is not None:
             self.coalition = integer(self.coalition, "coalition")
@@ -144,28 +147,24 @@ class ProtocolConfig:
                 f"{work} exceeds the limit {MAX_DECODE_WORK} "
                 "(about 1 s at N=1024, B=4 on 2 vCPUs)")
 
+    def key_lengths(self) -> np.ndarray:
+        """Key length per agent: floor(N*B*(R_l - eps)), clamped at zero.
+
+        The single margin eps absorbs every finite-length correction of the
+        analysis; agents whose rate does not clear the margin get no key.
+        """
+        nb, r = self.n * self.b, np.array(self.target)
+        lengths = np.maximum(np.floor(nb * (r - self.epsilon)), 0.0)
+        if np.any(lengths > nb):
+            raise ValidationError(f"target rates {r.tolist()} ask for keys longer than N*B = {nb}")
+        return lengths.astype(np.int64)
+
     def to_json(self) -> dict:
         return {
             "N": self.n, "B": self.b, "target": list(self.target),
             "epsilon": self.epsilon, "beta": INDEX_BETA, "seed": self.seed,
             "coalition": self.coalition, "onset_risk": self.onset_risk,
         }
-
-
-def key_lengths_from_allocation(target: Sequence[float], n: int, b: int,
-                                epsilon: float) -> np.ndarray:
-    """Key length per agent: floor(N*B*(R_l - eps)), clamped at zero.
-
-    The single margin eps absorbs every finite-length correction of the
-    analysis; agents whose rate does not clear the margin get no key.
-    """
-    n, b = power_of_two(n, "block length N"), power_of_two(b, "block count B")
-    epsilon = real(epsilon, "epsilon", high=1.0, open=True)
-    r = np.array([real(x, "target rates") for x in sequence(target, "target rates")])
-    lengths = np.maximum(np.floor(n * b * (r - epsilon)), 0.0)
-    if np.any(lengths > n * b):
-        raise ValidationError(f"target rates {r.tolist()} ask for keys longer than N*B = {n * b}")
-    return lengths.astype(np.int64)
 
 
 class ToeplitzHash:
@@ -628,7 +627,7 @@ class ProtocolEngine:
         self._member_info[1:] = mutual_information(spec, subsets[1:] << 1, 1,
                                                    outsider_mask << 1)
         self._warn_if_target_outside_region(subsets)
-        lengths = key_lengths_from_allocation(cfg.target, cfg.n, cfg.b, cfg.epsilon)
+        lengths = cfg.key_lengths()
         self.plans: list[_AgentPlan] = []
         for l in self.members:
             prof = construct_profile(spec.p[l], cfg.n)

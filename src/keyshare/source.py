@@ -308,7 +308,11 @@ def _fold(terms: np.ndarray, n: int) -> np.ndarray:
 
 
 def build_degraded_source(spec: DegradedSourceSpec) -> DegradedSourceSpec:
-    """The source of a spec: the spec itself, which caches its entropy table."""
+    """The source of a spec: the spec itself, which caches its entropy table.
+
+    Not exported, and no module of the package calls it: the benchmark's
+    worker (perfbench/worker.py) still does, and ROADMAP item 2 deletes it
+    once the worker passes the spec."""
     return spec
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from keyshare import DegradedSourceSpec, build_degraded_source, value_function
+from keyshare import DegradedSourceSpec, value_function
 
 EXAMPLE2 = DegradedSourceSpec(q=0.40, p=(0.20, 0.27, 0.25))
 
@@ -26,13 +26,8 @@ def example2_spec():
 
 
 @pytest.fixture(scope="session")
-def example2_source():
-    return build_degraded_source(EXAMPLE2)
-
-
-@pytest.fixture(scope="session")
-def example2_game(example2_source):
-    return value_function(example2_source)
+def example2_game(example2_spec):
+    return value_function(example2_spec)
 
 
 def brute_entropy(prob: np.ndarray, axes) -> float:

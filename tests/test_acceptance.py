@@ -11,9 +11,9 @@ import time
 import numpy as np
 import pytest
 
-from keyshare import (binary_entropy, build_degraded_source, build_index_sets,
-                      clearance_level_games, entropy_profile_mc, nucleolus,
-                      run_protocol, shapley_from_game, value_function)
+from keyshare import (binary_entropy, build_index_sets, clearance_level_games,
+                      entropy_profile_mc, nucleolus, run_protocol, shapley_from_game,
+                      value_function)
 from keyshare.suites import (allocations_in_core, core_bounds_equivalence,
                              leftover_hash_bound_holds, mc_profile_matches_exact,
                              nucleolus_matches_grid_oracle,
@@ -41,11 +41,11 @@ def test_criterion_1_example2_value_table(example2_game):
     _report(1, "value table matches the published seven coalition values", t0, 1.0)
 
 
-def test_criterion_2_shapley(example2_source, example2_game):
+def test_criterion_2_shapley(example2_spec, example2_game):
     t0 = time.perf_counter()
     for rate, (lo, hi) in zip(shapley_from_game(example2_game), SHAPLEY_INTERVALS):
         assert lo <= rate <= hi
-    result = shapley_dual_route_agreement([example2_source])
+    result = shapley_dual_route_agreement([example2_spec])
     assert result.passed, result.witness
     _report(2, "Shapley value in published intervals, dual routes agree", t0, 1.0)
 
@@ -68,7 +68,7 @@ def test_criterion_4_property_suite():
     for trial in range(100):
         num_agents = int(rng.integers(2, 5))
         spec = random_degraded_spec(rng, num_agents)
-        game = value_function(build_degraded_source(spec))
+        game = value_function(spec)
         # 1000 allocations around the Shapley value, 70 % rescaled to efficiency
         cand = np.abs(shapley_from_game(game) + rng.normal(0, 0.08, size=(1000, num_agents)))
         rescale = rng.random(1000) < 0.7
@@ -142,9 +142,9 @@ def test_criterion_7_leftover_hash_grid():
                "Toeplitz family two-universal by brute force", t0, 300.0)
 
 
-def test_criterion_8_clearance_levels(example2_source):
+def test_criterion_8_clearance_levels(example2_spec):
     t0 = time.perf_counter()
-    games = clearance_level_games(example2_source, [(1,), (2, 3)])
+    games = clearance_level_games(example2_spec, [(1,), (2, 3)])
     top = games[0]
     assert top.num_agents == 1
     assert top.value(1) == pytest.approx(EXAMPLE2_VALUES[0b001], abs=1e-5)

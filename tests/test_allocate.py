@@ -7,7 +7,7 @@ import pytest
 
 from keyshare import (CapacityError, CoalitionGame, DegradedSourceSpec,
                       SolverError, ValidationError, brute_force_nucleolus,
-                      build_degraded_source, core_polytope_vertices, lp_solve,
+                      core_polytope_vertices, lp_solve,
                       mutual_information, nucleolus, prekernel_gap,
                       shapley_closed_form, shapley_from_game, value_function)
 import keyshare.allocate as allocate
@@ -85,7 +85,7 @@ class TestShapley:
         assert rates.sum() == pytest.approx(0.9, abs=1e-12)
 
     def test_dummy_agent_gets_nothing(self):
-        src = build_degraded_source(DegradedSourceSpec(q=0.4, p=(0.2, 0.5)))
+        src = DegradedSourceSpec(q=0.4, p=(0.2, 0.5))
         rates = shapley_from_game(value_function(src))
         assert rates[1] == pytest.approx(0.0, abs=1e-10)
 
@@ -97,21 +97,21 @@ class TestShapley:
         rng = np.random.default_rng(2)
         spec1 = random_degraded_spec(rng, 3)
         spec2 = random_degraded_spec(rng, 3)
-        g1 = value_function(build_degraded_source(spec1))
-        g2 = value_function(build_degraded_source(spec2))
+        g1 = value_function(spec1)
+        g2 = value_function(spec2)
         combined = CoalitionGame(num_agents=3, values=g1.values + g2.values)
         lhs = shapley_from_game(combined)
         rhs = shapley_from_game(g1) + shapley_from_game(g2)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_closed_form_single_agent(self):
-        src = build_degraded_source(DegradedSourceSpec(q=0.4, p=(0.2,)))
+        src = DegradedSourceSpec(q=0.4, p=(0.2,))
         rates = shapley_closed_form(src)
         assert rates[0] == pytest.approx(mutual_information(src, 1 << 1, 1), abs=1e-12)
 
     def test_dual_route_agreement_random(self):
         rng = np.random.default_rng(13)
-        sources = [build_degraded_source(random_degraded_spec(rng, int(rng.integers(1, 5))))
+        sources = [random_degraded_spec(rng, int(rng.integers(1, 5)))
                    for _ in range(30)]
         result = shapley_dual_route_agreement(sources)
         assert result.passed, result.witness
@@ -166,7 +166,7 @@ class TestNucleolus:
 
     def test_matches_grid_oracle_random(self):
         rng = np.random.default_rng(23)
-        games = [value_function(build_degraded_source(random_degraded_spec(rng, 3)))
+        games = [value_function(random_degraded_spec(rng, 3))
                  for _ in range(5)]
         result = nucleolus_matches_grid_oracle(solve(games), grid_step=1e-3)
         assert result.passed, result.witness
@@ -177,7 +177,7 @@ class TestNucleolus:
         spec = DegradedSourceSpec(
             q=0.3388506996347092,
             p=(0.06638940957447788, 0.05661105421141164, 0.375308095680109))
-        game = value_function(build_degraded_source(spec))
+        game = value_function(spec)
         rates, trace = nucleolus(game)
         assert len(trace.stages) >= 2
         result = nucleolus_matches_grid_oracle([(game, {"nucleolus": rates})],
@@ -195,7 +195,7 @@ class TestNucleolus:
         rng = np.random.default_rng(29)
         for _ in range(10):
             spec = random_degraded_spec(rng, int(rng.integers(2, 5)))
-            game = value_function(build_degraded_source(spec))
+            game = value_function(spec)
             _, trace = nucleolus(game)
             optima = [s.optimum for s in trace.stages]
             assert all(a >= b - 1e-9 for a, b in zip(optima, optima[1:]))
@@ -213,8 +213,7 @@ class TestNucleolus:
 
     def test_in_core_for_random_convex_games(self):
         rng = np.random.default_rng(37)
-        games = [value_function(build_degraded_source(
-                     random_degraded_spec(rng, int(rng.integers(2, 5)))))
+        games = [value_function(random_degraded_spec(rng, int(rng.integers(2, 5))))
                  for _ in range(10)]
         result = allocations_in_core(solve(games))
         assert result.passed, result.witness
@@ -243,7 +242,7 @@ class TestGoldenNucleolus:
     @staticmethod
     def games():
         rng = np.random.default_rng(43)
-        games = [value_function(build_degraded_source(random_degraded_spec(rng, L)))
+        games = [value_function(random_degraded_spec(rng, L))
                  for L in range(3, 9)]
         # values of 1 or more take the power-of-two scaling path
         games.append(CoalitionGame(num_agents=4, values=np.array(
@@ -285,13 +284,13 @@ def stream0_games(count=12, num_agents=10):
     for _ in range(count):
         q = float(rng.uniform(0.15, 0.85))
         p = tuple(float(rng.uniform(0.05, 0.45)) for _ in range(num_agents))
-        games.append(value_function(build_degraded_source(DegradedSourceSpec(q=q, p=p))))
+        games.append(value_function(DegradedSourceSpec(q=q, p=p)))
     return games
 
 
 def tiered_game():
     p = (0.08,) * 5 + (0.24,) * 5 + (0.40,) * 2
-    return value_function(build_degraded_source(DegradedSourceSpec(q=0.40, p=p)))
+    return value_function(DegradedSourceSpec(q=0.40, p=p))
 
 
 @pytest.fixture(scope="module")
@@ -527,7 +526,7 @@ class TestPrekernelGap:
     def test_matches_a_loop_over_coalitions(self):
         rng = np.random.default_rng(47)
         for L in (1, 2, 4, 7):
-            game = value_function(build_degraded_source(random_degraded_spec(rng, L)))
+            game = value_function(random_degraded_spec(rng, L))
             rates = rng.uniform(0.0, 0.2, size=L)
             excess = game.values - coalition_sums(rates)
             expected = 0.0
@@ -544,8 +543,7 @@ class TestPrekernelGap:
     def test_certifies_the_nucleolus_not_the_shapley_value(self):
         rng = np.random.default_rng(53)
         for _ in range(5):
-            game = value_function(build_degraded_source(
-                random_degraded_spec(rng, int(rng.integers(3, 7)))))
+            game = value_function(random_degraded_spec(rng, int(rng.integers(3, 7))))
             rates, _ = nucleolus(game)
             assert prekernel_gap(game, rates) <= 1e-9
             assert prekernel_gap(game, shapley_from_game(game)) > 1e-6

@@ -3,6 +3,7 @@ import importlib
 import importlib.util
 import inspect
 import math
+import re
 import warnings
 from pathlib import Path
 from typing import NamedTuple
@@ -12,8 +13,8 @@ import pytest
 
 import keyshare
 from keyshare import (DegradedSourceSpec, JointSource, ProtocolConfig, ValidationError,
-                      build_degraded_source, entropy_profile_exact, is_supermodular,
-                      shapley_from_game, value_function)
+                      entropy_profile_exact, is_supermodular, shapley_from_game,
+                      value_function)
 
 PACKAGE = Path(keyshare.__file__).parent
 EXPORTED = {alias.asname or alias.name
@@ -69,6 +70,38 @@ def test_benchmark_wrap_targets_resolve():
     assert missing <= {"polar.profile_lookup"}
 
 
+def test_benchmark_worker_reads_resolve():
+    # the benchmark's worker binds keyshare modules by `from keyshare import
+    # ...` (some kept on self) and reads names off them; each name must
+    # exist, so deleting one the worker still reads fails here and not only
+    # in a benchmark run
+    tree = ast.parse((PACKAGE.parents[1] / "perfbench" / "worker.py").read_text())
+    modules = {alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "keyshare"
+               for alias in node.names}
+
+    def module_of(owner):  # `source` or `self.protocol`
+        if isinstance(owner, ast.Attribute) and isinstance(owner.value, ast.Name) \
+                and owner.value.id == "self":
+            return owner.attr
+        return owner.id if isinstance(owner, ast.Name) else None
+
+    reads = {(module_of(node.value), node.attr) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and module_of(node.value) in modules}
+    assert {module for module, _ in reads} == modules
+    assert [f"{module}.{name}" for module, name in sorted(reads)
+            if not hasattr(importlib.import_module(f"keyshare.{module}"), name)] == []
+
+
+def test_readme_quick_tour_runs():
+    # README's python block is the library's quick tour: it must run as shown
+    readme = (PACKAGE.parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+
+
 # The boundary sweep: every scalar numeric parameter of every exported
 # callable gets each value of BAD, every array parameter each value of
 # ARRAY_BAD as its last entry, and every sequence checked entry by entry
@@ -81,8 +114,7 @@ BAD = {"nan": math.nan, "+inf": math.inf, "-inf": -math.inf, "-1": -1, "True": T
 ARRAY_BAD = {"nan": math.nan, "'1'": "1"}
 WHOLE_BAD = {"0.5": 0.5, "None": None}
 SPEC = DegradedSourceSpec(q=0.4, p=(0.2, 0.3))
-SOURCE = build_degraded_source(SPEC)
-GAME = value_function(SOURCE)
+GAME = value_function(SPEC)
 RATES = tuple(shapley_from_game(GAME))
 CONFIG = {"n": 8, "b": 2, "target": (0.1, 0.1), "epsilon": 0.05, "seed": 3, "coalition": 1,
           "onset_risk": 1e-4}
@@ -111,15 +143,14 @@ ENTRIES = {
                                 whole={"p": "'p' must"}),
     "JointSource": Entry({"num_agents": 1, "prob": np.full((2, 2), 0.25)},
                          {"num_agents": "'num_agents'"}, {"prob": "probability table"}),
-    "build_degraded_source": Entry({"spec": SPEC}),
-    "entropy": Entry({"src": SOURCE, "a": 0b10, "c": 0b1}, {"a": "a must", "c": "c must"}),
-    "mutual_information": Entry({"src": SOURCE, "a": 0b10, "b": 0b1, "c": 0},
+    "entropy": Entry({"src": SPEC, "a": 0b10, "c": 0b1}, {"a": "a must", "c": "c must"}),
+    "mutual_information": Entry({"src": SPEC, "a": 0b10, "b": 0b1, "c": 0},
                                 {"a": "a must", "b": "b must", "c": "c must"}),
     "verify_markov": Entry({"src": JointSource.from_spec(SPEC), "tol": 1e-10}, {"tol": "tol"}),
     "CoalitionGame": Entry({"num_agents": 2, "values": [0.0, 0.1, 0.1, 0.3]},
                            {"num_agents": "'L'"}, {"values": "'v'"}),
-    "value_function": Entry({"src": SOURCE}),
-    "clearance_level_games": Entry({"src": SOURCE, "levels": ((1,), (2,))},
+    "value_function": Entry({"src": SPEC}),
+    "clearance_level_games": Entry({"src": SPEC, "levels": ((1,), (2,))},
                                    entries={"levels": "levels"}),
     "core_bounds": Entry({"game": GAME}),
     "core_contains": Entry({"game": GAME, "rates": RATES, "tol": 1e-9}, {"tol": "tol"},
@@ -127,12 +158,12 @@ ENTRIES = {
     "is_superadditive": Entry({"game": GAME, "tol": 1e-9}, {"tol": "tol"}),
     "is_supermodular": Entry({"game": GAME, "tol": 1e-9}, {"tol": "tol"}),
     "shapley_from_game": Entry({"game": GAME}),
-    "shapley_closed_form": Entry({"src": SOURCE}),
+    "shapley_closed_form": Entry({"src": SPEC}),
     "nucleolus": Entry({"game": GAME}),
     "prekernel_gap": Entry({"game": GAME, "rates": RATES}, array={"rates": "rates"}),
     "brute_force_nucleolus": Entry({"game": GAME, "grid_step": 0.01}, {"grid_step": "grid_step"}),
-    "core_polytope_vertices": Entry({"game": value_function(build_degraded_source(
-        DegradedSourceSpec(q=0.4, p=(0.2, 0.27, 0.25))))}),
+    "core_polytope_vertices": Entry({"game": value_function(DegradedSourceSpec(
+        q=0.4, p=(0.2, 0.27, 0.25)))}),
     "lp_solve": Entry({"c": [1.0], "a_ub": [[-1.0]], "b_ub": [0.0], "a_eq": [[1.0]],
                        "b_eq": [1.0], "bounds": [(0.0, 2.0)]},
                       array={k: k for k in ("c", "a_ub", "b_ub", "a_eq", "b_eq", "bounds")}),
@@ -157,6 +188,7 @@ ENTRIES = {
                             entries={"target": "target rates"}),
     "ToeplitzHash": Entry({"bits": np.ones(7, np.uint8), "n_in": 4, "r_out": 4},
                           {"n_in": "n_in", "r_out": "r_out"}, {"bits": "bits"}),
+    # a route, not an export (ROUTES)
     "key_lengths_from_allocation": Entry({"target": [0.5], "n": 16, "b": 4, "epsilon": 0.05},
                                          {"n": "block length N", "b": "block count B",
                                           "epsilon": "epsilon"},
@@ -173,6 +205,11 @@ ENTRIES = {
                                      whole={"p": "p must"}),
     "toeplitz_collision_rate": Entry({"n": 3, "r": 1}, {"n": "n must", "r": "r must"}),
 }
+# callables the sweep reaches through a route rather than an export: an
+# allocation's key lengths are its ProtocolConfig's key_lengths(), and the
+# case ids keep the name of the function that once computed them
+ROUTES = {"key_lengths_from_allocation": lambda target, n, b, epsilon: ProtocolConfig(
+    n=n, b=b, target=target, epsilon=epsilon).key_lengths()}
 # exported dataclasses that hold what a computation produced; like the
 # objects passed to the callables above, the package fills them, and they
 # check nothing
@@ -225,6 +262,10 @@ def _with_last(entries, value):
     return type(entries)([*head, _with_last(last, value) if isinstance(last, tuple) else value])
 
 
+def _callable(name):
+    return ROUTES.get(name) or getattr(keyshare, name)
+
+
 def _sweep_cases():
     for name, entry in ENTRIES.items():
         for param in entry.scalar:
@@ -240,9 +281,10 @@ def _sweep_cases():
 def test_sweep_covers_every_export():
     errors = {n for n in EXPORTED if isinstance(getattr(keyshare, n), type)
               and issubclass(getattr(keyshare, n), Exception)}
-    assert set(ENTRIES) == EXPORTED - errors - RECORDS
+    assert set(ENTRIES) == EXPORTED - errors - RECORDS | set(ROUTES)
+    assert not EXPORTED & set(ROUTES)
     for name, entry in ENTRIES.items():
-        params = set(inspect.signature(getattr(keyshare, name)).parameters)
+        params = set(inspect.signature(_callable(name)).parameters)
         filled = {*entry.scalar, *entry.array, *entry.entries}
         assert set(entry.base) == params and filled <= params, name
         assert set(entry.whole) <= {*entry.array, *entry.entries}, name
@@ -266,7 +308,7 @@ def test_boundary_sweep(name, kind, param, label):
     def call():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            return getattr(keyshare, name)(**kwargs)
+            return _callable(name)(**kwargs)
 
     if (name, param, label) in LISTED:
         LISTED[name, param, label][0](call)

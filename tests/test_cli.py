@@ -254,12 +254,12 @@ class TestAllocate:
         ("--game", {"L": 2, "v": [0.0, 0.1, 0.1, 0.3]})], ids=["spec", "game"])
     def test_polytope_agent_count_checked_before_any_work(self, flag, content, tmp_path,
                                                           capsys, monkeypatch):
-        from keyshare import cli
+        from keyshare import source
 
         def fail(*args):
             raise AssertionError("work done for a polytope the agent count rules out")
 
-        monkeypatch.setattr(cli, "build_degraded_source", fail)
+        monkeypatch.setattr(source.DegradedSourceSpec, "entropies", property(fail))
         for name in ("shapley_from_game", "shapley_closed_form", "nucleolus"):
             monkeypatch.setattr(allocate, name, fail)
         path = tmp_path / "two.json"
@@ -376,6 +376,30 @@ class TestSimulate:
 
         rep = json.loads(out, parse_constant=reject)
         assert rep["leakage_bound"] is None and rep["leakage_vacuous"] is True
+
+    # agent 1 (p = 0.5) is uninformative: its Shapley and nucleolus rates are
+    # -1.1e-16 of round-off, which simulate used to refuse with exit 1
+    def test_default_target_with_an_uninformative_agent(self, tmp_path, capsys):
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps({"q": 0.1, "p": [0.5, 0.2]}))
+        code, out, err = run_cli(["simulate", "--spec", str(path), "--N", "64", "--B", "2",
+                                  "--runs", "2"], capsys)
+        assert code == 0, err
+        assert json.loads(out)["config"]["target"][0] == 0.0
+
+    def test_nucleolus_entry_of_allocate_round_trips(self, tmp_path, capsys):
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps({"q": 0.1, "p": [0.5, 0.2]}))
+        code, out, _ = run_cli(["allocate", "--spec", str(path), "--method", "nucleolus"],
+                               capsys)
+        entry = json.loads(out)["nucleolus"]
+        assert code == 0 and entry["rates"][0] < 0
+        alloc = tmp_path / "alloc.json"
+        alloc.write_text(json.dumps(entry))
+        code, out, err = run_cli(["simulate", "--spec", str(path), "--allocation", str(alloc),
+                                  "--N", "64", "--B", "2", "--runs", "2"], capsys)
+        assert code == 0, err
+        assert json.loads(out)["config"]["target"] == [0.0, entry["rates"][1]]
 
     def test_zero_runs_is_validation_error(self, tmp_path, capsys):
         path = tmp_path / "tiny.json"

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from keyshare import (CapacityError, CoalitionGame, DegradedSourceSpec, JointSource,
-                      ValidationError, build_degraded_source,
-                      clearance_level_games, core_bounds, core_contains,
+                      ValidationError, clearance_level_games, core_bounds, core_contains,
                       is_superadditive, is_supermodular, mutual_information,
                       shapley_from_game, nucleolus, value_function,
                       verify_markov)
@@ -75,12 +74,12 @@ class TestValueFunction:
             assert example2_game.value(mask) == pytest.approx(expected, abs=1e-5)
 
     def test_uninformative_agents_give_zero_game(self):
-        src = build_degraded_source(DegradedSourceSpec(q=0.4, p=(0.5, 0.5)))
+        src = DegradedSourceSpec(q=0.4, p=(0.5, 0.5))
         game = value_function(src)
         assert np.allclose(game.values, 0.0, atol=1e-10)
 
     def test_single_agent(self):
-        src = build_degraded_source(DegradedSourceSpec(q=0.4, p=(0.2,)))
+        src = DegradedSourceSpec(q=0.4, p=(0.2,))
         game = value_function(src)
         assert game.value(1) == pytest.approx(mutual_information(src, 1 << 1, 1), abs=1e-12)
 
@@ -95,8 +94,8 @@ class TestValueFunction:
         with pytest.raises(ValidationError):
             value_function(src)
 
-    def test_grand_minus_complement_identity(self, example2_source):
-        result = grand_minus_complement_identity([example2_source])
+    def test_grand_minus_complement_identity(self, example2_spec):
+        result = grand_minus_complement_identity([example2_spec])
         assert result.passed, result.witness
 
     def test_monotone(self, example2_game):
@@ -105,32 +104,31 @@ class TestValueFunction:
 
 
 class TestClearanceLevels:
-    def test_single_level_equals_value_function(self, example2_source, example2_game):
-        games = clearance_level_games(example2_source, [(1, 2, 3)])
+    def test_single_level_equals_value_function(self, example2_spec, example2_game):
+        games = clearance_level_games(example2_spec, [(1, 2, 3)])
         assert len(games) == 1
         assert np.allclose(games[0].values, example2_game.values, atol=1e-12)
 
-    def test_one_agent_per_level(self, example2_source):
-        games = clearance_level_games(example2_source, [(1,), (2,), (3,)])
+    def test_one_agent_per_level(self, example2_spec):
+        games = clearance_level_games(example2_spec, [(1,), (2,), (3,)])
         # level q sees all strictly lower levels as the eavesdropper
         assert games[0].value(1) == pytest.approx(
-            mutual_information(example2_source, 0b001 << 1, 1, 0b110 << 1), abs=1e-12)
+            mutual_information(example2_spec, 0b001 << 1, 1, 0b110 << 1), abs=1e-12)
         assert games[1].value(1) == pytest.approx(
-            mutual_information(example2_source, 0b010 << 1, 1, 0b100 << 1), abs=1e-12)
+            mutual_information(example2_spec, 0b010 << 1, 1, 0b100 << 1), abs=1e-12)
         assert games[2].value(1) == pytest.approx(
-            mutual_information(example2_source, 0b100 << 1, 1, 0b000 << 1), abs=1e-12)
+            mutual_information(example2_spec, 0b100 << 1, 1, 0b000 << 1), abs=1e-12)
 
-    def test_example2_two_levels(self, example2_source, example2_spec):
-        games = clearance_level_games(example2_source, [(1,), (2, 3)])
+    def test_example2_two_levels(self, example2_spec):
+        games = clearance_level_games(example2_spec, [(1,), (2, 3)])
         assert games[0].value(1) == pytest.approx(EXAMPLE2_VALUES[0b001], abs=1e-5)
         # the low level plays the plain game of the marginal (q, p2, p3) source
-        sub = build_degraded_source(
-            DegradedSourceSpec(q=example2_spec.q, p=example2_spec.p[1:]))
+        sub = DegradedSourceSpec(q=example2_spec.q, p=example2_spec.p[1:])
         assert np.allclose(games[1].values, value_function(sub).values, atol=1e-12)
 
-    def test_rejects_bad_partition(self, example2_source):
+    def test_rejects_bad_partition(self, example2_spec):
         with pytest.raises(ValidationError):
-            clearance_level_games(example2_source, [(1,), (2,)])
+            clearance_level_games(example2_spec, [(1,), (2,)])
 
 
 # 0.2 + 0.2 > 0.1: neither superadditive, supermodular nor with (0.05, 0.05) in its core
@@ -210,8 +208,7 @@ class TestGamePredicates:
            st.lists(st.tuples(st.integers(1, 31), st.floats(-0.05, 0.05)), max_size=2))
     def test_agrees_with_pair_scan_on_perturbed_degraded_games(self, seed, num_agents,
                                                               shifts):
-        game = value_function(build_degraded_source(
-            random_degraded_spec(np.random.default_rng(seed), num_agents)))
+        game = value_function(random_degraded_spec(np.random.default_rng(seed), num_agents))
         for mask, shift in shifts:
             mask &= game.full_mask
             game.values[mask] = max(game.values[mask] + shift, 0.0) if mask else 0.0
@@ -228,8 +225,7 @@ class TestGamePredicates:
 
     def test_random_degraded_games_convex(self):
         rng = np.random.default_rng(5)
-        games = [value_function(build_degraded_source(
-                     random_degraded_spec(rng, int(rng.integers(2, 5)))))
+        games = [value_function(random_degraded_spec(rng, int(rng.integers(2, 5))))
                  for _ in range(25)]
         for result in (value_function_superadditive(games), value_function_supermodular(games)):
             assert result.passed, (result.name, result.witness)
@@ -241,19 +237,19 @@ class TestCore:
         assert lower[0b111] == pytest.approx(upper[0b111], abs=1e-12)
         assert upper[0b111] == pytest.approx(example2_game.grand_value(), abs=1e-10)
 
-    def test_example2_singleton_bounds(self, example2_source, example2_game):
+    def test_example2_singleton_bounds(self, example2_spec, example2_game):
         from keyshare import mutual_information
         lower, upper = core_bounds(example2_game)
         # axis bitmasks: X0 is bit 0, agent l is bit l
-        info = mutual_information(example2_source, 0b0010, 0b0001)
-        leak = mutual_information(example2_source, 0b0010, 0b1100)
+        info = mutual_information(example2_spec, 0b0010, 0b0001)
+        leak = mutual_information(example2_spec, 0b0010, 0b1100)
         assert upper[0b001] == pytest.approx(info, abs=1e-12)
         assert lower[0b001] == pytest.approx(info - leak, abs=1e-12)
 
     def test_table_matches_per_coalition_lookups(self):
         from keyshare import mutual_information
         rng = np.random.default_rng(12)
-        src = build_degraded_source(random_degraded_spec(rng, 5))
+        src = random_degraded_spec(rng, 5)
         lower, upper = core_bounds(value_function(src))
         full = src.full_mask
         for s in range(1, full + 1):
@@ -269,7 +265,7 @@ class TestCore:
         assert np.all((0.0 <= lower) & (lower <= upper))
 
     def test_uninformative_source_bounds_collapse(self):
-        src = build_degraded_source(DegradedSourceSpec(q=0.5, p=(0.5, 0.5)))
+        src = DegradedSourceSpec(q=0.5, p=(0.5, 0.5))
         lower, upper = core_bounds(value_function(src))
         assert lower[0b01] == pytest.approx(0.0, abs=1e-10)
         assert upper[0b01] == pytest.approx(0.0, abs=1e-10)
@@ -322,28 +318,27 @@ class TestExcess:
 
 
 class TestWSubmodularity:
-    def test_example2_pair(self, example2_source):
-        assert w_is_submodular(example2_source, 0b011)[0]
+    def test_example2_pair(self, example2_spec):
+        assert w_is_submodular(example2_spec, 0b011)[0]
 
-    def test_singleton_vacuous(self, example2_source):
-        assert w_is_submodular(example2_source, 0b001)[0]
+    def test_singleton_vacuous(self, example2_spec):
+        assert w_is_submodular(example2_spec, 0b001)[0]
 
     def test_random_specs(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
             spec = random_degraded_spec(rng, 3)
-            src = build_degraded_source(spec)
             for s_mask in (0b011, 0b101, 0b110):
-                assert w_is_submodular(src, s_mask)[0]
+                assert w_is_submodular(spec, s_mask)[0]
 
-    def test_rejects_grand_coalition(self, example2_source):
+    def test_rejects_grand_coalition(self, example2_spec):
         with pytest.raises(ValidationError):
-            w_is_submodular(example2_source, 0b111)
+            w_is_submodular(example2_spec, 0b111)
 
     def test_witness_is_coalition_masks(self, monkeypatch):
         # a w that is supermodular on {2, 3}, S = 0b110: the witness names
         # the coalitions {2} and {3}, not their positions among S's members
-        src = build_degraded_source(DegradedSourceSpec(q=0.4, p=(0.2, 0.27, 0.25)))
+        src = DegradedSourceSpec(q=0.4, p=(0.2, 0.27, 0.25))
         monkeypatch.setattr(sys.modules[__name__], "mutual_information",
                             lambda src, t, x0, cond: np.array([0.1, 0.1, 0.3]))
         assert w_is_submodular(src, 0b110) == (False, (0b010, 0b100))

@@ -11,10 +11,8 @@ import numpy as np
 import pytest
 
 from keyshare import (CapacityError, DegradedSourceSpec, ValidationError,
-                      build_degraded_source, empirical_secrecy_check,
-                      key_lengths_from_allocation, leakage_bound,
-                      mutual_information, run_protocol, sample_hash,
-                      shapley_from_game, value_function)
+                      empirical_secrecy_check, leakage_bound, mutual_information,
+                      run_protocol, sample_hash, shapley_from_game, value_function)
 from keyshare import polar, protocol
 from keyshare.polar import MAX_BLOCK_N, polar_transform, sc_decode
 from keyshare.protocol import (DEFAULT_SEED, HASH_CHUNK, MAX_BLOCKS, MAX_DECODE_WORK, RUN_BATCH,
@@ -27,7 +25,7 @@ SMALL_SPEC = DegradedSourceSpec(q=0.40, p=(0.08, 0.12))
 
 
 def _shapley_target(spec):
-    return tuple(shapley_from_game(value_function(build_degraded_source(spec))))
+    return tuple(shapley_from_game(value_function(spec)))
 
 
 def small_config(**overrides):
@@ -83,29 +81,29 @@ def reconcile_one(spec, cfg, x0, blocks):
 
 class TestKeyLengths:
     def test_zero_rate(self):
-        assert key_lengths_from_allocation([0.0], 64, 2, 0.05)[0] == 0
+        assert ProtocolConfig(n=64, b=2, target=[0.0], epsilon=0.05).key_lengths()[0] == 0
 
     def test_margin_swallows_small_rate(self):
-        assert key_lengths_from_allocation([0.04], 64, 2, 0.05)[0] == 0
+        assert ProtocolConfig(n=64, b=2, target=[0.04], epsilon=0.05).key_lengths()[0] == 0
 
     def test_floor_arithmetic(self):
-        assert key_lengths_from_allocation([0.5], 16, 4, 0.25)[0] == 16
+        assert ProtocolConfig(n=16, b=4, target=[0.5], epsilon=0.25).key_lengths()[0] == 16
 
     def test_rejects_bad_epsilon(self):
         with pytest.raises(ValidationError):
-            key_lengths_from_allocation([0.5], 16, 4, 0.0)
+            ProtocolConfig(n=16, b=4, target=[0.5], epsilon=0.0).key_lengths()
 
     def test_rejects_key_longer_than_input(self):
         # 1e20 bits per symbol used to overflow the int64 cast into a negative length
         for rate in (1.5, 1e20):
             with pytest.raises(ValidationError, match="longer"):
-                key_lengths_from_allocation([0.1, rate], 16, 4, 0.05)
+                ProtocolConfig(n=16, b=4, target=[0.1, rate], epsilon=0.05).key_lengths()
 
     def test_rejects_non_finite_rate(self):
         # a NaN rate used to become the length -2^63 behind a RuntimeWarning
         for rate in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(ValidationError, match="target rates"):
-                key_lengths_from_allocation([rate, 0.3], 64, 2, 0.05)
+                ProtocolConfig(n=64, b=2, target=[rate, 0.3], epsilon=0.05).key_lengths()
 
 
 class TestToeplitzHash:
@@ -426,22 +424,22 @@ class TestLeakageBound:
 
 class TestReportedLeakageBound:
     # the report's bound uses floors[S] = (1 - eps) N B I(X_S ; X0 | X_outsiders)
-    def test_grand_coalition_floors(self, example2_spec, example2_source, example2_game):
+    def test_grand_coalition_floors(self, example2_spec, example2_game):
         cfg = ProtocolConfig(n=1024, b=4, epsilon=0.05,
                              target=tuple(shapley_from_game(example2_game)))
         rep = run_protocol(example2_spec, cfg, runs=1)
         lengths = [rep["per_agent"][agent]["r"] for agent in (1, 2, 3)]
-        floors = [0.95 * 4096 * mutual_information(example2_source, mask << 1, 1) if mask else 0.0
+        floors = [0.95 * 4096 * mutual_information(example2_spec, mask << 1, 1) if mask else 0.0
                   for mask in range(8)]
         assert floors[0b111] == pytest.approx(1825.8, abs=0.1)
         assert rep["leakage_bound"] == pytest.approx(leakage_bound(lengths, floors), rel=1e-12)
 
-    def test_coalition_floors_condition_on_outsiders(self, example2_spec, example2_source):
+    def test_coalition_floors_condition_on_outsiders(self, example2_spec):
         cfg = ProtocolConfig(n=64, b=2, epsilon=0.1, target=(0.15, 0.0, 0.0),
                              coalition=0b001)
         rep = run_protocol(example2_spec, cfg, runs=1)
-        cond = 0.9 * 128 * mutual_information(example2_source, 0b001 << 1, 1, 0b110 << 1)
-        assert cond <= 0.9 * 128 * mutual_information(example2_source, 0b001 << 1, 1) + 1e-12
+        cond = 0.9 * 128 * mutual_information(example2_spec, 0b001 << 1, 1, 0b110 << 1)
+        assert cond <= 0.9 * 128 * mutual_information(example2_spec, 0b001 << 1, 1) + 1e-12
         bound = leakage_bound([rep["per_agent"][1]["r"]], [0.0, cond])
         assert rep["leakage_bound"] == pytest.approx(bound, rel=1e-12)
 
@@ -614,15 +612,14 @@ class TestRunProtocol:
         assert rep["chi2_p"] == 1.0
 
     def test_key_rate_ceiling_for_core_targets(self):
-        src = build_degraded_source(SMALL_SPEC)
-        game = value_function(src)
+        game = value_function(SMALL_SPEC)
         target = tuple(shapley_from_game(game))
         cfg = small_config(target=target)
         rep = run_protocol(SMALL_SPEC, cfg, runs=2)
         nb = cfg.n * cfg.b
         for mask in (0b01, 0b10, 0b11):
             r_sum = sum(rep["per_agent"][l + 1]["r"] for l in range(2) if mask >> l & 1)
-            assert r_sum / nb <= mutual_information(src, mask << 1, 1) + 1e-9
+            assert r_sum / nb <= mutual_information(SMALL_SPEC, mask << 1, 1) + 1e-9
 
     def test_coalition_mode_restricts_members(self):
         spec = DegradedSourceSpec(q=0.40, p=(0.08, 0.12, 0.15))
@@ -630,24 +627,22 @@ class TestRunProtocol:
                              coalition=0b011, seed=7)
         rep = run_protocol(spec, cfg, runs=2)
         assert set(rep["per_agent"]) == {1, 2}
-        src = build_degraded_source(spec)
-        cap = mutual_information(src, 0b011 << 1, 1, 0b100 << 1)
+        cap = mutual_information(spec, 0b011 << 1, 1, 0b100 << 1)
         assert rep["sum_rate"] <= cap + 1e-9
 
     def test_coalition_target_monotone(self):
         # growing the coalition can only grow the achievable target sum:
         # per-coalition targets come from the conditional game's values
         spec = DegradedSourceSpec(q=0.40, p=(0.08, 0.12, 0.15))
-        src = build_degraded_source(spec)
         chains = [(0b001, 0b011), (0b011, 0b111), (0b010, 0b110)]
         for small, big in chains:
             outs_small = 0b111 & ~small
             outs_big = 0b111 & ~big
-            v_small = mutual_information(src, small << 1, 1, outs_small << 1)
-            v_big = mutual_information(src, big << 1, 1, outs_big << 1)
+            v_small = mutual_information(spec, small << 1, 1, outs_small << 1)
+            v_big = mutual_information(spec, big << 1, 1, outs_big << 1)
             assert v_small <= v_big + 1e-12
-            r_small = key_lengths_from_allocation([v_small], 64, 2, 0.05)[0]
-            r_big = key_lengths_from_allocation([v_big], 64, 2, 0.05)[0]
+            r_small = ProtocolConfig(n=64, b=2, target=[v_small], epsilon=0.05).key_lengths()[0]
+            r_big = ProtocolConfig(n=64, b=2, target=[v_big], epsilon=0.05).key_lengths()[0]
             assert r_small <= r_big
 
     def test_outside_core_target_warns(self):
@@ -692,7 +687,7 @@ class TestSharedTable:
 
         monkeypatch.setattr(source, "_patterns", counted)
         spec = DegradedSourceSpec(q=example2_spec.q, p=example2_spec.p)
-        target = tuple(shapley_from_game(value_function(build_degraded_source(spec))))
+        target = tuple(shapley_from_game(value_function(spec)))
         run_protocol(spec, ProtocolConfig(n=64, b=2, target=target, epsilon=0.05), runs=1)
         assert len(calls) == 1
 
@@ -986,6 +981,17 @@ class TestConfigValidation:
             with pytest.raises(ValidationError, match="onset_risk"):
                 small_config(onset_risk=bad)
         assert small_config(onset_risk=1e9).onset_risk == 1e9
+
+    # an uninformative agent (p = 0.5) gets a Shapley or nucleolus rate of
+    # -1.1e-16 from round-off; target rates follow the rule of game values
+    def test_round_off_target_reads_as_zero(self):
+        spec = DegradedSourceSpec(q=0.1, p=(0.5, 0.2))
+        shapley = _shapley_target(spec)
+        assert -1e-12 <= shapley[0] < 0
+        assert small_config(target=shapley).target == (0.0, shapley[1])
+        assert small_config(target=(-1e-12, 0.1)).target == (0.0, 0.1)
+        with pytest.raises(ValidationError, match="target rates"):
+            small_config(target=(-1e-11, 0.1))
 
 
 class TestStreams:

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 import keyshare.allocate as allocate
-from keyshare import (CoalitionGame, DegradedSourceSpec, build_degraded_source,
-                      is_supermodular, mutual_information, nucleolus, prekernel_gap,
+from keyshare import (CoalitionGame, DegradedSourceSpec, is_supermodular,
+                      mutual_information, nucleolus, prekernel_gap,
                       shapley_closed_form, shapley_from_game, value_function)
 from keyshare.cli import main
 from keyshare.game import _first_adjacent_violation, coalition_sums
@@ -107,15 +107,15 @@ def make_game(family, L, rng):
     three crossover tiers); and random games with a few values shifted,
     which mostly break convexity somewhere along the pair order."""
     if family == "random":
-        return value_function(build_degraded_source(random_degraded_spec(rng, L)))
+        return value_function(random_degraded_spec(rng, L))
     if family == "additive":
         return CoalitionGame(num_agents=L, values=coalition_sums(rng.integers(0, 4, L)))
     if family == "zero":
         return CoalitionGame(num_agents=L, values=np.zeros(1 << L))
     if family == "tiered":
         p = [(0.08, 0.24, 0.40)[3 * k // L] for k in range(L)]
-        return value_function(build_degraded_source(DegradedSourceSpec(q=0.4, p=tuple(p))))
-    game = value_function(build_degraded_source(random_degraded_spec(rng, L)))
+        return value_function(DegradedSourceSpec(q=0.4, p=tuple(p)))
+    game = value_function(random_degraded_spec(rng, L))
     values = game.values.copy()
     shifted = rng.integers(1, 1 << L, size=3)
     values[shifted] = np.maximum(values[shifted] + rng.normal(0.0, 0.05, 3), 0.0)
@@ -241,7 +241,7 @@ def test_convexity_terms_keep_their_order(L):
 @pytest.mark.parametrize("L", AGENT_COUNTS + (14,))  # agents in 1, 2 and 7 batches
 def test_shapley_routes_match_the_agent_loops(L):
     rng = np.random.default_rng(4000 + L)
-    src = build_degraded_source(random_degraded_spec(rng, L))
+    src = random_degraded_spec(rng, L)
     assert np.array_equal(shapley_closed_form(src), loop_shapley_closed_form(src))
     for family in FAMILIES:
         game = make_game(family, L, rng)
@@ -302,7 +302,7 @@ class TestTracedPeaks:
         rng = np.random.default_rng(0)
         spec = DegradedSourceSpec(q=float(rng.uniform(0.15, 0.85)),
                                   p=tuple(float(rng.uniform(0.05, 0.45)) for _ in range(16)))
-        game = value_function(build_degraded_source(spec))
+        game = value_function(spec)
         rates, trace = nucleolus(game)
         assert trace.route == "prekernel"
         calls = {"is_supermodular": lambda: is_supermodular(game),

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from keyshare import (CapacityError, DegradedSourceSpec, JointSource,
-                      ValidationError, binary_entropy,
-                      build_degraded_source, entropy, mutual_information,
+                      ValidationError, binary_entropy, entropy, mutual_information,
                       value_function, verify_markov)
 from keyshare.source import ConsistencyError, _clamp
 from keyshare.suites import degraded_table_matches_dense, markov_chain_verified
@@ -80,7 +79,7 @@ class TestBuildDegradedSource:
 
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
-            build_degraded_source(DegradedSourceSpec(q=0.5, p=(0.1,) * 21))
+            DegradedSourceSpec(q=0.5, p=(0.1,) * 21)
 
     def test_spec_past_the_table_limit_is_refused_when_built(self):
         from keyshare.source import MAX_TABLE_AGENTS
@@ -113,19 +112,20 @@ class TestBuildDegradedSource:
 
     def test_a_spec_is_its_own_source(self, example2_spec):
         fresh = DegradedSourceSpec(q=example2_spec.q, p=example2_spec.p)
-        assert build_degraded_source(fresh) is fresh
-        assert np.array_equal(value_function(fresh).values,
-                              value_function(build_degraded_source(example2_spec)).values)
+        game = value_function(fresh)
+        # the game was read off the spec's own entropy table, now cached on it
+        assert "entropies" in vars(fresh)
+        assert np.array_equal(game.values, value_function(example2_spec).values)
 
-    def test_spec_source_skips_verify_markov(self, example2_source, monkeypatch):
+    def test_spec_source_skips_verify_markov(self, example2_spec, monkeypatch):
         from keyshare import game as game_mod
 
         def refuse(*args, **kwargs):
             raise AssertionError("verify_markov ran on a source built from a spec")
 
         monkeypatch.setattr(game_mod, "verify_markov", refuse)
-        assert not hasattr(example2_source, "prob")
-        game = value_function(example2_source)
+        assert not hasattr(example2_spec, "prob")
+        game = value_function(example2_spec)
         assert game.value(0b001) == pytest.approx(EXAMPLE2_VALUES[0b001], abs=1e-5)
 
 
@@ -165,7 +165,7 @@ class TestVerifyMarkov:
     def test_dense_values_past_twelve_agents(self):
         spec = random_degraded_spec(np.random.default_rng(13), 13)
         dense = value_function(JointSource.from_spec(spec))
-        product = value_function(build_degraded_source(spec))
+        product = value_function(spec)
         assert np.max(np.abs(dense.values - product.values)) <= 1e-12
 
     def test_dense_table_capacity(self):
@@ -210,15 +210,15 @@ class TestVerifyMarkov:
 class TestEntropyQueries:
     # axis bitmasks: bit 0 is X0, bit l agent l
     def test_uniform_base_bit(self):
-        src = build_degraded_source(DegradedSourceSpec(q=0.5, p=(0.2,)))
+        src = DegradedSourceSpec(q=0.5, p=(0.2,))
         assert entropy(src, 0b1) == pytest.approx(1.0, abs=1e-12)
 
     def test_base_bit_bias(self):
-        src = build_degraded_source(DegradedSourceSpec(q=0.4, p=(0.2,)))
+        src = DegradedSourceSpec(q=0.4, p=(0.2,))
         assert entropy(src, 0b1) == pytest.approx(0.970951, abs=1e-6)
 
     def test_channel_entropy(self):
-        src = build_degraded_source(DegradedSourceSpec(q=0.4, p=(0.2,)))
+        src = DegradedSourceSpec(q=0.4, p=(0.2,))
         h = entropy(src, 0b10, 0b1)
         assert h == pytest.approx(binary_entropy(0.2), abs=1e-12)
 
@@ -229,23 +229,23 @@ class TestEntropyQueries:
             binary_entropy(float("nan"))
 
     def test_empty_subject_is_zero(self):
-        src = build_degraded_source(DegradedSourceSpec(q=0.4, p=(0.2,)))
+        src = DegradedSourceSpec(q=0.4, p=(0.2,))
         assert entropy(src, 0) == 0.0
 
     def test_independent_agent_has_zero_information(self):
-        src = build_degraded_source(DegradedSourceSpec(q=0.4, p=(0.5,)))
+        src = DegradedSourceSpec(q=0.4, p=(0.5,))
         mi = mutual_information(src, 0b10, 0b1)
         assert mi == pytest.approx(0.0, abs=1e-12)
 
     def test_single_agent_information(self):
-        src = build_degraded_source(DegradedSourceSpec(q=0.4, p=(0.2,)))
+        src = DegradedSourceSpec(q=0.4, p=(0.2,))
         mi = mutual_information(src, 0b10, 0b1)
         # direct evaluation: H(X1) - H(X1|X0) with P(X1=1) = 0.44
         assert mi == pytest.approx(binary_entropy(0.44) - binary_entropy(0.2), abs=1e-12)
         assert mi == pytest.approx(0.267659, abs=1e-6)
 
-    def test_example2_singleton(self, example2_source):
-        mi = mutual_information(example2_source, 0b001 << 1, 1, 0b110 << 1)
+    def test_example2_singleton(self, example2_spec):
+        mi = mutual_information(example2_spec, 0b001 << 1, 1, 0b110 << 1)
         assert mi == pytest.approx(EXAMPLE2_VALUES[0b001], abs=1e-5)
 
     def test_chain_rule_random_queries(self, example2_spec):
@@ -267,28 +267,27 @@ class TestEntropyQueries:
         rng = np.random.default_rng(11)
         for _ in range(20):
             spec = random_degraded_spec(rng, 3)
-            src = build_degraded_source(spec)
-            mi = mutual_information(src, 0b0010, 0b1100, 0b0001)
+            mi = mutual_information(spec, 0b0010, 0b1100, 0b0001)
             assert mi <= 1e-10
 
-    def test_overlapping_slots_rejected(self, example2_source):
+    def test_overlapping_slots_rejected(self, example2_spec):
         with pytest.raises(ValidationError):
-            mutual_information(example2_source, 0b10, 0b10)
+            mutual_information(example2_spec, 0b10, 0b10)
 
-    def test_masks_outside_the_axes_rejected(self, example2_source):
+    def test_masks_outside_the_axes_rejected(self, example2_spec):
         for a, b, c in ((0b10000, 0b1, 0), (0b10, 0b1, -1), (0b10, np.array([0b1, 0b10000]), 0)):
             with pytest.raises(ValidationError, match="outside"):
-                mutual_information(example2_source, a, b, c)
+                mutual_information(example2_spec, a, b, c)
         with pytest.raises(ValidationError, match="outside"):
-            entropy(example2_source, 0b1, 0b10000)  # the bit past agent L
+            entropy(example2_spec, 0b1, 0b10000)  # the bit past agent L
 
-    def test_array_masks_match_scalar_lookups(self, example2_source):
+    def test_array_masks_match_scalar_lookups(self, example2_spec):
         a = np.array([0b0010, 0b0110, 0b1110])
         c = np.array([0b1100, 0b1000, 0])
-        both = mutual_information(example2_source, a, 0b1, c)
+        both = mutual_information(example2_spec, a, 0b1, c)
         for k in range(3):
-            assert both[k] == mutual_information(example2_source, int(a[k]), 0b1, int(c[k]))
-        assert both[0] == mutual_information(example2_source, 0b001 << 1, 1, 0b110 << 1)
+            assert both[k] == mutual_information(example2_spec, int(a[k]), 0b1, int(c[k]))
+        assert both[0] == mutual_information(example2_spec, 0b001 << 1, 1, 0b110 << 1)
 
     def test_clamp_raises_below_floor(self):
         with pytest.raises(ConsistencyError):
@@ -305,8 +304,8 @@ class TestEntropyTable:
             axes = [a for a in range(ndim) if mask >> a & 1]
             assert table[mask] == pytest.approx(brute_entropy(prob, axes), abs=1e-12)
 
-    def test_every_subset_example2(self, example2_source, example2_spec):
-        self._assert_matches_brute_force(example2_source.entropies,
+    def test_every_subset_example2(self, example2_spec):
+        self._assert_matches_brute_force(example2_spec.entropies,
                                          JointSource.from_spec(example2_spec).prob)
 
     def test_every_subset_of_a_hand_built_table(self):
@@ -314,16 +313,16 @@ class TestEntropyTable:
         src = JointSource(num_agents=3, prob=prob)
         self._assert_matches_brute_force(src.entropies, src.prob)
 
-    def test_built_once(self, example2_source):
-        assert example2_source.entropies is example2_source.entropies
+    def test_built_once(self, example2_spec):
+        assert example2_spec.entropies is example2_spec.entropies
         with pytest.raises(ValueError):
-            example2_source.entropies[1] = 0.0
+            example2_spec.entropies[1] = 0.0
 
-    def test_hand_built_table_of_a_spec_marginalises(self, example2_source, example2_spec):
+    def test_hand_built_table_of_a_spec_marginalises(self, example2_spec):
         # the same distribution as a dense table takes the marginalisation route
         dense = JointSource.from_spec(example2_spec)
         assert type(dense) is JointSource
-        assert np.max(np.abs(dense.entropies - example2_source.entropies)) <= 1e-15
+        assert np.max(np.abs(dense.entropies - example2_spec.entropies)) <= 1e-15
 
     def test_product_form_matches_dense_random_specs(self):
         rng = np.random.default_rng(31)
