@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapacityError, SolverError, ValidationError, real, reals, sequence
+from .errors import CapacityError, SolverError, ValidationError, real, reals
 from .game import (SCAN_ENTRIES, CoalitionGame, _require_markov, _without, coalition_sums,
                    is_supermodular)
 from .source import DegradedSourceSpec, JointSource, mutual_information
@@ -45,33 +45,23 @@ PREKERNEL_STEPS_PER_AGENT = 2
 def lp_solve(c, a_ub=None, b_ub=None, a_eq=None, b_eq=None, bounds=None):
     """Minimize c . x subject to a_ub x <= b_ub and a_eq x = b_eq.
 
-    A thin call into linprog's matrix form (HiGHS); bounds lists one
-    (low, high) pair per variable, each finite or None (unbounded on that
-    side), and defaults to free variables; a_ub and b_ub come together,
-    as do a_eq and b_eq.  Returns (status, optimum, solution,
-    multipliers): status is "optimal", "infeasible" or "unbounded";
-    multipliers are the nonnegative dual values of the a_ub rows, one per
-    row; optimum, solution and multipliers are None unless optimal.
-    scipy.optimize is imported here, on the first LP, and not with the
-    package: only games that are not convex reach it.
+    A thin call into linprog's matrix form (HiGHS), and the seam where
+    the LP route's solves can be counted.  Its one caller,
+    _nucleolus_lp_scaled, passes finite float arrays built from a checked
+    game, so nothing is checked here.  bounds lists one (low, high) pair
+    per variable, each finite or None (unbounded on that side), and
+    defaults to free variables; a_ub and b_ub come together, as do a_eq
+    and b_eq.  Returns (status, optimum, solution, multipliers): status is
+    "optimal", "infeasible" or "unbounded"; multipliers are the
+    nonnegative dual values of the a_ub rows, one per row; optimum,
+    solution and multipliers are None unless optimal.  scipy.optimize is
+    imported here, on the first LP, and not with the package: only games
+    that are not convex reach it.
     """
     from scipy.optimize import linprog
 
-    parts = {"c": c, "a_ub": a_ub, "b_ub": b_ub, "a_eq": a_eq, "b_eq": b_eq, "bounds": bounds}
-    for name, part in parts.items():
-        if part is not None or name == "c":
-            sequence(part, f"linear program {name}")
-    for a, b in (("a_ub", "b_ub"), ("a_eq", "b_eq")):
-        if (parts[a] is None) != (parts[b] is None):
-            raise ValidationError(f"linear program {a} and {b} must be given together")
     if bounds is None:
         bounds = [(None, None)] * len(c)
-    if not all(len(sequence(pair, "linear program bounds entry")) == 2 for pair in bounds):
-        raise ValidationError("linear program bounds must hold (low, high) pairs")
-    parts["bounds"] = [b for pair in bounds for b in pair if b is not None]
-    for name, part in parts.items():
-        if part is not None and not np.all(np.isfinite(reals(part, f"linear program {name}"))):
-            raise ValidationError(f"linear program {name} has non-finite entries")
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
                   bounds=bounds, method="highs")
     if res.status == 0:

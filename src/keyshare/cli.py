@@ -154,7 +154,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = suites.run_suite(args.suite, seed=_parse_seed(args.seed))
+    seed = _parse_seed(args.seed)
+    # argparse's choices limit the name to SUITE_NAMES
+    names = suites.SUITES if args.suite == "all" else (args.suite,)
+    results = [result for name in names for result in suites.SUITES[name](seed)]
     failed = [r for r in results if not r.passed]
     for r in results:
         status = "PASS" if r.passed else "FAIL"

@@ -81,9 +81,6 @@ class CoalitionGame:
     def full_mask(self) -> int:
         return (1 << self.num_agents) - 1
 
-    def value(self, mask: int) -> float:
-        return float(self.values[mask])
-
     def grand_value(self) -> float:
         return float(self.values[-1])
 

@@ -48,8 +48,8 @@ index do not depend on later ones, and the suffix takes the true values,
 so the estimate is exact unless a decision on the uncovered free prefix
 is wrong.  The suffix is cut from the per-index
 decision-error upper bounds of the deterministic polar profile alone: its
-uncovered prefix carries at most the configured residual-risk budget
-onset_risk of first wrong decisions per block, by the union bound.  At
+uncovered prefix carries at most the fixed residual-risk budget
+ONSET_RISK of first wrong decisions per block, by the union bound.  At
 desk-scale block lengths polarization is immature and the suffix
 typically spans most of the complement (all of it for Example 2 at
 N=1024, whose decode is then a plain transform); the report states all published sizes
@@ -104,6 +104,9 @@ RUN_BATCH = 100
 # took 266-279 of 1,383-1,396, and at 16 rows with a set per apply call
 # 431 of 1,303.
 HASH_CHUNK = 8
+# Residual first-error probability per block that the clean-up round
+# leaves uncovered (_risk_suffix)
+ONSET_RISK = 1e-4
 
 
 @dataclass
@@ -116,7 +119,6 @@ class ProtocolConfig:
     epsilon: float
     seed: int = DEFAULT_SEED
     coalition: Optional[int] = None  # bitmask; None = grand coalition
-    onset_risk: float = 1e-4  # residual per-block risk left uncovered by the clean-up round
 
     def __post_init__(self):
         self.n = power_of_two(self.n, "block length N", MAX_BLOCK_N)
@@ -129,7 +131,6 @@ class ProtocolConfig:
         self.seed = integer(self.seed, "seed")
         if self.coalition is not None:
             self.coalition = integer(self.coalition, "coalition")
-        self.onset_risk = real(self.onset_risk, "onset_risk")
 
     def members(self, num_agents: int) -> list[int]:
         full = (1 << num_agents) - 1
@@ -163,7 +164,7 @@ class ProtocolConfig:
         return {
             "N": self.n, "B": self.b, "target": list(self.target),
             "epsilon": self.epsilon, "beta": INDEX_BETA, "seed": self.seed,
-            "coalition": self.coalition, "onset_risk": self.onset_risk,
+            "coalition": self.coalition, "onset_risk": ONSET_RISK,
         }
 
 
@@ -181,26 +182,26 @@ class ToeplitzHash:
     diagonal bits with the input, reduced mod 2.  apply takes a batch's
     rows HASH_CHUNK at a time, each block one numpy real-FFT circular
     convolution of length M = _fast_len(n+r-1): an rfft of the rows, one
-    of the diagonal string (once) or the block's stack, and an irfft.
-    Circular length M adds entry k+M (and k-M) of the linear convolution,
-    whose entries run over 0 .. 2n+r-3, onto entry k; for the kept k in
-    n-1 .. n+r-2 both lie outside that range once M >= n+r-1, so the kept
-    entries are exact.
+    of the block's stack (one matrix is hashed as a stack of copies of
+    it), and an irfft.  Circular length M adds entry k+M (and k-M) of the
+    linear convolution, whose entries run over 0 .. 2n+r-3, onto entry k;
+    for the kept k in n-1 .. n+r-2 both lie outside that range once
+    M >= n+r-1, so the kept entries are exact.
 
     One FFT row hashes two input rows a and b when n is small enough
     (_pairing).  With K = 2^s the smallest power of two above 2n, the
-    row holds x_a + K x_b and the matrix side d_a + K d_b (d + K d for a
-    single matrix); the convolution is bilinear, so it is
-    c_aa + K (c_ab + c_ba) + K^2 c_bb, where c_uv is the circular
-    convolution of d_u with x_v.  Each of its entries sums n products of
-    bits, so every entry of c_aa and c_bb is at most n < K and every entry
-    of c_ab + c_ba at most 2n < K: c_aa is the integer's bits [0, s), the
-    cross terms its bits [s, 2s) and c_bb the rest, so a's key bit is bit 0
-    and b's is bit 2s.  The sums are integers below K^2 (n+1) <= 2^41 when
-    paired and at most n << 2^53 when not, so the float result rounds to
-    them, and apply raises ConsistencyError if any block holds a value more
-    than 0.25 from its rounding (a guard, never a second route).  Diagonal
-    bits and inputs must be 0 or 1.
+    row holds x_a + K x_b and the matrix side d_a + K d_b; the
+    convolution is bilinear, so it is c_aa + K (c_ab + c_ba) + K^2 c_bb,
+    where c_uv is the circular convolution of d_u with x_v.  Each of its
+    entries sums n products of bits, so every entry of c_aa and c_bb is
+    at most n < K and every entry of c_ab + c_ba at most 2n < K: c_aa is
+    the integer's bits [0, s), the cross terms its bits [s, 2s) and c_bb
+    the rest, so a's key bit is bit 0 and b's is bit 2s.  The sums are
+    integers below K^2 (n+1) <= 2^41 when paired and at most n << 2^53
+    when not, so the float result rounds to them, and apply raises
+    ConsistencyError if any block holds a value more than 0.25 from its
+    rounding (a guard, never a second route).  Diagonal bits and inputs
+    must be 0 or 1.
 
     Each call allocates one float and one complex block buffer
     (_hash_buffers), unless the caller passes its own set: simulate_runs
@@ -255,14 +256,11 @@ class ToeplitzHash:
                 packed[:len(rows) // 2, :width] += float(1 << shift) * rows[1::2]
             return rfft(packed, size, axis=1, out=into[:len(packed)])
 
-        bits = self.bits.reshape(-1, self.bits.shape[-1])
-        one = len(bits) == 1  # one matrix hashes every row: paired with itself, transformed once
-        if one:
-            bits = np.repeat(bits, pair, axis=0)
+        # one matrix hashes every row as a stack of copies of it
+        bits = np.broadcast_to(self.bits, (len(x2), self.bits.shape[-1]))
         for start in range(0, len(x2), HASH_CHUNK):
             part = slice(start, start + HASH_CHUNK)
-            if start == 0 or not one:
-                matrices = transform(bits[part], kernel)
+            matrices = transform(bits[part], kernel)
             product = transform(x2[part], spectrum)
             product *= matrices
             conv = irfft(product, size, axis=1, out=padded[:len(product)])[:, lo:lo + self.r_out]
@@ -360,15 +358,11 @@ def _stream_keys(entropies: Sequence[tuple]) -> np.ndarray:
     entry contributes its little-endian uint32 words (0 gives one word),
     and the rows with the same word count are mixed together: the hash
     constants do not depend on the data, so only the mixing runs on uint32
-    arrays.  The entries are checked in one pass over their types and
-    range, and split into words as one array.
+    arrays.  The entries are nonnegative integers, which the callers
+    check (seeds and run indices) or fix (tags and agent ids), and are
+    split into words as one array.
     """
     flat = list(chain.from_iterable(entropies))
-    for kind in set(map(type, flat)):
-        if kind is bool or not issubclass(kind, (int, np.integer)):
-            integer(next(v for v in flat if type(v) is kind), "stream key entry")
-    if flat and min(flat) < 0:
-        integer(min(flat), "stream key entry")
     # width words hold the largest entry
     width = max(1, -(-int(max(flat, default=0)).bit_length() // 32))
     if width <= 2:
@@ -542,20 +536,18 @@ class KeyMaterial:
     keys: dict[int, np.ndarray]
     base_keys: dict[int, np.ndarray]
 
-    def agree(self, agent: int) -> bool:
-        return bool(np.array_equal(self.keys[agent], self.base_keys[agent]))
-
 
 def leakage_bound(lengths: Sequence[int], floors: Sequence[float]) -> float:
     """Concatenated leftover-hash bound.
 
-    sqrt of the sum over nonempty coalitions S of 2^(r_S - H_S), with
-    r_S the summed key lengths and H_S = floors[S] the supplied
-    min-entropy lower bound; floors has one entry per coalition bitmask
-    (2^L entries, entry 0 ignored).  Values above 1 are vacuous; inf when
-    the exponent overflows double range.  A floor may be +inf (a coalition
-    that cannot guess at all); lengths must be finite and nonnegative, and
-    no floor NaN.
+    sqrt of the sum over the coalitions S with key bits (r_S > 0) of
+    2^(r_S - H_S), with r_S the summed key lengths and H_S = floors[S] the
+    supplied min-entropy lower bound; floors has one entry per coalition
+    bitmask (2^L entries, entry 0 ignored).  A coalition without key bits
+    leaks nothing, so the bound is 0 when no coalition has any.  Values
+    above 1 are vacuous; inf when the exponent overflows double range.  A
+    floor may be +inf (a coalition that cannot guess at all); lengths must
+    be finite and nonnegative, and no floor NaN.
     """
     r, floors = reals(sequence(lengths, "lengths"), "lengths"), reals(floors, "floors")
     if floors.shape != (1 << len(r),):
@@ -568,9 +560,10 @@ def leakage_bound(lengths: Sequence[int], floors: Sequence[float]) -> float:
     bad = np.flatnonzero(np.isnan(floors))
     if bad.size:
         raise ValidationError(f"floors must not be NaN, got NaN for coalition {bad[0]:#x}")
-    exps = coalition_sums(r)[1:] - floors[1:]
-    m = float(exps.max())
-    if m == -math.inf:  # every floor is +inf: nothing leaks
+    sums = coalition_sums(r)
+    exps = (sums - floors)[sums > 0]
+    m = float(exps.max(initial=-math.inf))
+    if m == -math.inf:  # no key bits, or every floor of a keyed coalition is +inf
         return 0.0
     if m / 2 > 1000:
         return float("inf")
@@ -632,7 +625,7 @@ class ProtocolEngine:
         for l in self.members:
             prof = construct_profile(spec.p[l], cfg.n)
             sets = build_index_sets(prof)
-            suffix = _risk_suffix(prof, sets.h_mask, cfg.onset_risk)
+            suffix = _risk_suffix(prof, sets.h_mask, ONSET_RISK)
             known = sets.h_mask.copy()
             known[suffix] = True
             self.plans.append(_AgentPlan(index=l, crossover=spec.p[l],

@@ -354,10 +354,3 @@ def secrecy_suite(seed: int = 0) -> list[CheckResult]:
 SUITES = {"game": game_suite, "allocation": allocation_suite,
           "polar": polar_suite, "secrecy": secrecy_suite}
 SUITE_NAMES = (*SUITES, "all")
-
-
-def run_suite(name: str, seed: int = 0) -> list[CheckResult]:
-    if name not in SUITE_NAMES:
-        raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    names = SUITES if name == "all" else (name,)
-    return [result for n in names for result in SUITES[n](seed)]

@@ -37,7 +37,7 @@ def _report(num: int, label: str, started: float, budget: float):
 def test_criterion_1_example2_value_table(example2_game):
     t0 = time.perf_counter()
     for mask, expected in EXAMPLE2_VALUES.items():
-        assert example2_game.value(mask) == pytest.approx(expected, abs=1e-5)
+        assert example2_game.values[mask] == pytest.approx(expected, abs=1e-5)
     _report(1, "value table matches the published seven coalition values", t0, 1.0)
 
 
@@ -147,6 +147,6 @@ def test_criterion_8_clearance_levels(example2_spec):
     games = clearance_level_games(example2_spec, [(1,), (2, 3)])
     top = games[0]
     assert top.num_agents == 1
-    assert top.value(1) == pytest.approx(EXAMPLE2_VALUES[0b001], abs=1e-5)
+    assert top.values[1] == pytest.approx(EXAMPLE2_VALUES[0b001], abs=1e-5)
     _report(8, "top clearance level's one-agent game equals the published "
                "singleton value", t0, 1.0)

@@ -1,4 +1,5 @@
 import ast
+import functools
 import importlib
 import importlib.util
 import inspect
@@ -28,8 +29,10 @@ API_ONLY = {"entropy"}
 def test_every_export_is_used_inside_the_package():
     # a public name that only tests reach is dead weight: every name
     # keyshare/__init__.py imports must be read by some other module of the
-    # package (a def or class line names its object without using it)
-    used = set()
+    # package (a def or class line names its object without using it), and
+    # so must every public method and property of an exported class, as an
+    # attribute
+    used, attributes = set(), set()
     for path in PACKAGE.glob("*.py"):
         if path.name == "__init__.py":
             continue
@@ -37,12 +40,20 @@ def test_every_export_is_used_inside_the_package():
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
+    used |= attributes
     assert EXPORTED, "no exports parsed"
     assert sorted(EXPORTED - used - API_ONLY) == []
     assert API_ONLY <= EXPORTED - used
+    kinds = (property, functools.cached_property, classmethod, staticmethod)
+    methods = [(name, attr) for name in EXPORTED if isinstance(getattr(keyshare, name), type)
+               for attr, value in vars(getattr(keyshare, name)).items()
+               if not attr.startswith("_") and (inspect.isfunction(value)
+                                                or isinstance(value, kinds))]
+    assert any(attr == "to_json" for _, attr in methods), "no methods found"
+    assert sorted(f"{name}.{attr}" for name, attr in methods if attr not in attributes) == []
 
 
 def _load_tracer():
@@ -93,6 +104,18 @@ def test_benchmark_worker_reads_resolve():
             if not hasattr(importlib.import_module(f"keyshare.{module}"), name)] == []
 
 
+def test_code_line_rule():
+    # tools/code_lines.py counts lines with code tokens; comments, blank
+    # lines and docstrings do not count, and a string counts every line
+    path = PACKAGE.parents[1] / "tools" / "code_lines.py"
+    spec = importlib.util.spec_from_file_location("code_lines", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    text = ('"""Module\ndocstring."""\n\n# comment\ndef f(x):\n    """Doc."""\n'
+            '    return ("a\\n"  # trailing\n            """b\nc""")\n')
+    assert module.code_lines(text) == 4
+
+
 def test_readme_quick_tour_runs():
     # README's python block is the library's quick tour: it must run as shown
     readme = (PACKAGE.parents[1] / "README.md").read_text()
@@ -116,8 +139,7 @@ WHOLE_BAD = {"0.5": 0.5, "None": None}
 SPEC = DegradedSourceSpec(q=0.4, p=(0.2, 0.3))
 GAME = value_function(SPEC)
 RATES = tuple(shapley_from_game(GAME))
-CONFIG = {"n": 8, "b": 2, "target": (0.1, 0.1), "epsilon": 0.05, "seed": 3, "coalition": 1,
-          "onset_risk": 1e-4}
+CONFIG = {"n": 8, "b": 2, "target": (0.1, 0.1), "epsilon": 0.05, "seed": 3, "coalition": 1}
 
 
 class Entry(NamedTuple):
@@ -164,9 +186,6 @@ ENTRIES = {
     "brute_force_nucleolus": Entry({"game": GAME, "grid_step": 0.01}, {"grid_step": "grid_step"}),
     "core_polytope_vertices": Entry({"game": value_function(DegradedSourceSpec(
         q=0.4, p=(0.2, 0.27, 0.25)))}),
-    "lp_solve": Entry({"c": [1.0], "a_ub": [[-1.0]], "b_ub": [0.0], "a_eq": [[1.0]],
-                       "b_eq": [1.0], "bounds": [(0.0, 2.0)]},
-                      array={k: k for k in ("c", "a_ub", "b_ub", "a_eq", "b_eq", "bounds")}),
     "construct_profile": Entry({"theta": 0.1, "n": 8}, {"theta": "theta", "n": "block length N"}),
     "entropy_profile_exact": Entry({"theta": 0.1, "n": 8},
                                    {"theta": "theta", "n": "block length N"}),
@@ -184,15 +203,10 @@ ENTRIES = {
                        whole={"known_mask": "known_mask"}),
     "ProtocolConfig": Entry(CONFIG, {"n": "block length N", "b": "block count B",
                                      "epsilon": "epsilon", "seed": "seed",
-                                     "coalition": "coalition", "onset_risk": "onset_risk"},
+                                     "coalition": "coalition"},
                             entries={"target": "target rates"}),
     "ToeplitzHash": Entry({"bits": np.ones(7, np.uint8), "n_in": 4, "r_out": 4},
                           {"n_in": "n_in", "r_out": "r_out"}, {"bits": "bits"}),
-    # a route, not an export (ROUTES)
-    "key_lengths_from_allocation": Entry({"target": [0.5], "n": 16, "b": 4, "epsilon": 0.05},
-                                         {"n": "block length N", "b": "block count B",
-                                          "epsilon": "epsilon"},
-                                         entries={"target": "target rates"}),
     "leakage_bound": Entry({"lengths": [1.0], "floors": [0.0, 2.0]},
                            array={"lengths": "lengths", "floors": "floors"}),
     "run_protocol": Entry({"spec": SPEC, "cfg": ProtocolConfig(**CONFIG), "runs": 1},
@@ -205,11 +219,6 @@ ENTRIES = {
                                      whole={"p": "p must"}),
     "toeplitz_collision_rate": Entry({"n": 3, "r": 1}, {"n": "n must", "r": "r must"}),
 }
-# callables the sweep reaches through a route rather than an export: an
-# allocation's key lengths are its ProtocolConfig's key_lengths(), and the
-# case ids keep the name of the function that once computed them
-ROUTES = {"key_lengths_from_allocation": lambda target, n, b, epsilon: ProtocolConfig(
-    n=n, b=b, target=target, epsilon=epsilon).key_lengths()}
 # exported dataclasses that hold what a computation produced; like the
 # objects passed to the callables above, the package fills them, and they
 # check nothing
@@ -240,14 +249,11 @@ LISTED = {
        for label in ARRAY_BAD},
     ("DegradedSourceSpec", "levels", "None"): (_returns(lambda spec: spec.levels is None),
                                               "None is the default: no clearance levels"),
-    ("lp_solve", "bounds", "None"): (_returns(lambda out: out[0] == "optimal"),
-                                     "None is the default: every variable free"),
     # 1.5 lies in the range [0, inf) or (0, inf) of these parameters
     **{(name, param, "1.5"): (_returns(), "in range")
        for name, param in (("verify_markov", "tol"), ("core_contains", "tol"),
                            ("is_superadditive", "tol"), ("is_supermodular", "tol"),
-                           ("brute_force_nucleolus", "grid_step"),
-                           ("ProtocolConfig", "onset_risk"), ("ProtocolConfig", "target"))},
+                           ("brute_force_nucleolus", "grid_step"), ("ProtocolConfig", "target"))},
 }
 
 
@@ -260,10 +266,6 @@ def _with_last_entry(values, value):
 def _with_last(entries, value):
     *head, last = entries
     return type(entries)([*head, _with_last(last, value) if isinstance(last, tuple) else value])
-
-
-def _callable(name):
-    return ROUTES.get(name) or getattr(keyshare, name)
 
 
 def _sweep_cases():
@@ -281,10 +283,9 @@ def _sweep_cases():
 def test_sweep_covers_every_export():
     errors = {n for n in EXPORTED if isinstance(getattr(keyshare, n), type)
               and issubclass(getattr(keyshare, n), Exception)}
-    assert set(ENTRIES) == EXPORTED - errors - RECORDS | set(ROUTES)
-    assert not EXPORTED & set(ROUTES)
+    assert set(ENTRIES) == EXPORTED - errors - RECORDS
     for name, entry in ENTRIES.items():
-        params = set(inspect.signature(_callable(name)).parameters)
+        params = set(inspect.signature(getattr(keyshare, name)).parameters)
         filled = {*entry.scalar, *entry.array, *entry.entries}
         assert set(entry.base) == params and filled <= params, name
         assert set(entry.whole) <= {*entry.array, *entry.entries}, name
@@ -308,7 +309,7 @@ def test_boundary_sweep(name, kind, param, label):
     def call():
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            return _callable(name)(**kwargs)
+            return getattr(keyshare, name)(**kwargs)
 
     if (name, param, label) in LISTED:
         LISTED[name, param, label][0](call)
@@ -326,28 +327,21 @@ def test_probability_table_refuses_strings_that_sum_to_one():
         JointSource(num_agents=1, prob=[[0.25, 0.25], [0.25, "0.25"]])
 
 
-# a two-variable LP whose every array holds two or more numbers
-LP = {"c": [1.0, 1.0], "a_ub": [[-1.0, 0.0], [0.0, -1.0]], "b_ub": [0.0, 0.0],
-      "a_eq": [[1.0, 1.0], [1.0, -1.0]], "b_eq": [1.0, 0.0], "bounds": [(0.0, 2.0), (0.0, 2.0)]}
-
-
 # numpy reads a boolean among numbers as 0 or 1; each parameter that reals
 # reads refuses one as its last entry, nested too, and names itself
 @pytest.mark.parametrize("name, param, named", [
     ("CoalitionGame", "values", "game field 'v'"), ("core_contains", "rates", "rates"),
     ("prekernel_gap", "rates", "rates"), ("JointSource", "prob", "probability table"),
-    ("leakage_bound", "lengths", "lengths"), ("leakage_bound", "floors", "floors"),
-    *(("lp_solve", k, f"linear program {k}") for k in LP)])
+    ("leakage_bound", "lengths", "lengths"), ("leakage_bound", "floors", "floors")])
 def test_real_lists_refuse_a_boolean_entry(name, param, named):
-    kwargs = {"leakage_bound": {"lengths": [1.0, 2.0], "floors": [0.0, 5.0, 5.0, 9.0]},
-              "lp_solve": LP}.get(name, ENTRIES[name].base)
+    kwargs = ({"lengths": [1.0, 2.0], "floors": [0.0, 5.0, 5.0, 9.0]} if name == "leakage_bound"
+              else ENTRIES[name].base)
     kwargs = {**kwargs, param: _with_last_entry(np.asarray(kwargs[param]).tolist(), True)}
     with pytest.raises(ValidationError, match=f"{named} must hold only real numbers"):
         getattr(keyshare, name)(**kwargs)
 
 
 def test_boolean_entries_are_refused_where_numpy_reads_numbers():
-    assert keyshare.lp_solve(**LP)[0] == "optimal"  # LP is valid without its boolean
     # each of these used to pass: the boolean read as 1 or 0
     with pytest.raises(ValidationError, match="lengths"):
         keyshare.leakage_bound([True, 2], [0.0, 5, 5, 9])
@@ -361,18 +355,9 @@ def test_boolean_entries_are_refused_where_numpy_reads_numbers():
 
 
 def test_real_arrays_refuse_ragged_nesting():
-    # numpy raises its own ValueError on these before any dtype is known
-    with pytest.raises(ValidationError, match="linear program a_ub must hold only real numbers"):
-        keyshare.lp_solve([1.0], a_ub=[[1.0], [1.0, 2.0]], b_ub=[1.0, 1.0])
+    # numpy raises its own ValueError on this before any dtype is known
     with pytest.raises(ValidationError, match="game field 'v' must hold only real numbers"):
         keyshare.CoalitionGame(num_agents=1, values=[0.0, [0.5, 0.5]])
-
-
-@pytest.mark.parametrize("bounds", [[0.5], [None], [(0.0,)], [(0.0, 1.0, 2.0)]])
-def test_lp_bounds_refuse_entries_that_are_not_pairs(bounds):
-    # each used to raise numpy's or scipy's own TypeError or ValueError
-    with pytest.raises(ValidationError, match="linear program bounds"):
-        keyshare.lp_solve([1.0], bounds=bounds)
 
 
 def test_real_refuses_ints_past_double_range():

@@ -71,7 +71,7 @@ def integer_games(draw):
 class TestValueFunction:
     def test_example2_table(self, example2_game):
         for mask, expected in EXAMPLE2_VALUES.items():
-            assert example2_game.value(mask) == pytest.approx(expected, abs=1e-5)
+            assert example2_game.values[mask] == pytest.approx(expected, abs=1e-5)
 
     def test_uninformative_agents_give_zero_game(self):
         src = DegradedSourceSpec(q=0.4, p=(0.5, 0.5))
@@ -81,7 +81,7 @@ class TestValueFunction:
     def test_single_agent(self):
         src = DegradedSourceSpec(q=0.4, p=(0.2,))
         game = value_function(src)
-        assert game.value(1) == pytest.approx(mutual_information(src, 1 << 1, 1), abs=1e-12)
+        assert game.values[1] == pytest.approx(mutual_information(src, 1 << 1, 1), abs=1e-12)
 
     def test_rejects_non_degraded_source(self):
         prob = np.zeros((2, 2, 2))
@@ -112,16 +112,16 @@ class TestClearanceLevels:
     def test_one_agent_per_level(self, example2_spec):
         games = clearance_level_games(example2_spec, [(1,), (2,), (3,)])
         # level q sees all strictly lower levels as the eavesdropper
-        assert games[0].value(1) == pytest.approx(
+        assert games[0].values[1] == pytest.approx(
             mutual_information(example2_spec, 0b001 << 1, 1, 0b110 << 1), abs=1e-12)
-        assert games[1].value(1) == pytest.approx(
+        assert games[1].values[1] == pytest.approx(
             mutual_information(example2_spec, 0b010 << 1, 1, 0b100 << 1), abs=1e-12)
-        assert games[2].value(1) == pytest.approx(
+        assert games[2].values[1] == pytest.approx(
             mutual_information(example2_spec, 0b100 << 1, 1, 0b000 << 1), abs=1e-12)
 
     def test_example2_two_levels(self, example2_spec):
         games = clearance_level_games(example2_spec, [(1,), (2, 3)])
-        assert games[0].value(1) == pytest.approx(EXAMPLE2_VALUES[0b001], abs=1e-5)
+        assert games[0].values[1] == pytest.approx(EXAMPLE2_VALUES[0b001], abs=1e-5)
         # the low level plays the plain game of the marginal (q, p2, p3) source
         sub = DegradedSourceSpec(q=example2_spec.q, p=example2_spec.p[1:])
         assert np.allclose(games[1].values, value_function(sub).values, atol=1e-12)

@@ -126,7 +126,7 @@ class TestBuildDegradedSource:
         monkeypatch.setattr(game_mod, "verify_markov", refuse)
         assert not hasattr(example2_spec, "prob")
         game = value_function(example2_spec)
-        assert game.value(0b001) == pytest.approx(EXAMPLE2_VALUES[0b001], abs=1e-5)
+        assert game.values[0b001] == pytest.approx(EXAMPLE2_VALUES[0b001], abs=1e-5)
 
 
 class TestVerifyMarkov:
